@@ -835,10 +835,10 @@ let e21 () =
     Hardness.encode (Bipartite.random ~a:4 ~b:4 ~density:0.5 ~seed:21)
   in
   let cache = Cache.create () in
-  (* The fresh solver makes no ledgered oracle calls (it runs the direct
-     Theorem 4.1 algorithm inline), so every call counted below is the
-     cached pipeline's: compilation and count-vector fills on the cold
-     pass, nothing on the warm ones. *)
+  (* Neither solver ledgers its Theorem 4.1 pass (one forward-backward
+     sweep, inline), so every call counted below is the cached
+     pipeline's circuit compilation: one on the cold pass, one after the
+     insert, nothing on the warm ones. *)
   let fresh, _ = Dichotomy.shapley db q in
   let cold_before = Obs.call_count () in
   let (cold, _), t_cold =

@@ -905,8 +905,8 @@ let serve_cmd =
          & info [ "cache" ] ~docv:"BOOL"
              ~env:(Cmd.Env.info "SHAPMC_SERVE_CACHE")
              ~doc:"Amortize answers through the serving cache: compiled \
-                   circuits, stratified count vectors and per-fact Shapley \
-                   rationals are content-keyed and shared across requests \
+                   circuits and per-fact Shapley rationals are \
+                   content-keyed and shared across requests \
                    (watch $(b,shapmc_cache_hits_total) on $(b,/metrics)).  \
                    $(b,false) re-solves every request from scratch.  Also \
                    settable via $(env).")

@@ -38,45 +38,65 @@ let binomial n k =
   else
     Bigint.div (factorial n) (Bigint.mul (factorial k) (factorial (n - k)))
 
-(* The direct Shapley evaluators request all n coefficients for every
-   variable — O(n^2) constructions per query, each with a big gcd — so whole
-   rows are cached copy-on-write like the factorials (an empty row is the
-   "not yet computed" sentinel; real rows have length n >= 1). *)
-let shapley_rows : Rat.t array array ref = ref [||]
-let shapley_lock = Mutex.create ()
+(* Eq. (2) needs a whole row of coefficients per variable, so rows are
+   cached per [n], copy-on-write under a mutex like the factorials (an
+   empty row is the "not yet computed" sentinel; real rows have length
+   n >= 1). *)
+let row_cache make =
+  let rows : 'a array array ref = ref [||] in
+  let lock = Mutex.create () in
+  fun n ->
+    let cached () =
+      let rs = !rows in
+      if n < Array.length rs && Array.length rs.(n) > 0 then Some rs.(n)
+      else None
+    in
+    match cached () with
+    | Some row -> row
+    | None ->
+      Mutex.lock lock;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock lock)
+        (fun () ->
+          match cached () with
+          | Some row -> row
+          | None ->
+            let row = make n in
+            let rs = !rows in
+            let have = Array.length rs in
+            let rows' =
+              Array.init
+                (Stdlib.max have (n + 1))
+                (fun i -> if i < have then rs.(i) else [||])
+            in
+            rows'.(n) <- row;
+            rows := rows';
+            row)
 
-let shapley_row n =
-  let rows = !shapley_rows in
-  if n < Array.length rows && Array.length rows.(n) > 0 then rows.(n)
-  else begin
-    Mutex.lock shapley_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock shapley_lock)
-      (fun () ->
-        let rows = !shapley_rows in
-        if n < Array.length rows && Array.length rows.(n) > 0 then rows.(n)
-        else begin
-          let row =
-            Array.init n (fun k ->
-                Rat.make
-                  (Bigint.mul (factorial k) (factorial (n - k - 1)))
-                  (factorial n))
-          in
-          let have = Array.length rows in
-          let rows' =
-            Array.init
-              (Stdlib.max have (n + 1))
-              (fun i -> if i < have then rows.(i) else [||])
-          in
-          rows'.(n) <- row;
-          shapley_rows := rows';
-          row
-        end)
-  end
+(* k! (n-k-1)!, the numerators of the row over the common denominator n!. *)
+let weight_row =
+  row_cache (fun n ->
+      Array.init n (fun k -> Bigint.mul (factorial k) (factorial (n - k - 1))))
+
+let shapley_row =
+  row_cache (fun n ->
+      Array.map (fun w -> Rat.make w (factorial n)) (weight_row n))
 
 let shapley_coeff ~n k =
   if k < 0 || k > n - 1 then invalid_arg "Combi.shapley_coeff: k out of range";
   (shapley_row n).(k)
+
+let shapley_of_diffs ~n diff =
+  if n <= 0 then Rat.zero
+  else begin
+    let w = weight_row n in
+    let acc = ref Bigint.zero in
+    for k = 0 to n - 1 do
+      let d = diff k in
+      if not (Bigint.is_zero d) then acc := Bigint.add !acc (Bigint.mul w.(k) d)
+    done;
+    Rat.make !acc (factorial n)
+  end
 
 let falling n k =
   let rec go acc i =

@@ -16,6 +16,13 @@ val binomial : int -> int -> Bigint.t
     [0 <= k <= n-1].  @raise Invalid_argument outside that range. *)
 val shapley_coeff : n:int -> int -> Rat.t
 
+(** [shapley_of_diffs ~n d] is Eq. (2) on integer differences:
+    [Σ_{k=0}^{n-1} c_k · d k], computed as one integer dot product with
+    the cached row [k! (n-k-1)!] and one normalisation by [n!].  [d k] is
+    the difference [#_k F[X:=1] − #_k F[X:=0]] of some player [X]; the
+    result is [0] when [n <= 0]. *)
+val shapley_of_diffs : n:int -> (int -> Bigint.t) -> Rat.t
+
 (** [falling n k] is the falling factorial [n (n-1) ... (n-k+1)]. *)
 val falling : int -> int -> Bigint.t
 

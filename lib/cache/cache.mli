@@ -1,19 +1,21 @@
 (** The persistent compilation-and-counting cache (ROADMAP item 2).
 
     The paper's pipeline answers every fact's Shapley value through the
-    same compiled lineage and the same stratified [#_k] counts
-    (Lemma 3.2's oracle answers are reusable across fact positions), so
-    a long-running service should pay for compilation and counting once
-    per query content, not once per request.  A [Cache.t] holds three
+    same compiled lineage (and, on the formula route, the same
+    stratified [#_k] counts: Lemma 3.2's oracle answers are reusable
+    across fact positions), so a long-running service should pay for
+    compilation and counting once per query content, not once per
+    request.  A [Cache.t] holds three
     tiers, each an {!Lru} guarded by {!Single_flight} so concurrent
     misses of one key compute exactly once:
 
     - {b circuit} — compiled d-DNNF (or safe-plan circuit) per query
       lineage, keyed on a content fingerprint of the query and the
       relations it mentions;
-    - {b counts} — stratified [#_k] vectors ({!Kvec.t}), keyed on the
-      hash-consed circuit identity + universe + restriction (or, for the
-      formula pipeline, oracle + universe + formula text);
+    - {b counts} — the formula pipeline's stratified [#_k] vectors
+      ({!Kvec.t}), keyed on oracle + universe + formula text.  Circuit
+      answers put nothing here: one forward–backward pass over the
+      cached circuit yields every player's value;
     - {b shapley} — per-(query, fact) Shapley rationals plus one meta
       entry per query recording fact order and solver, so a full
       [/v1/shapley/all] answer reassembles from per-fact entries and a

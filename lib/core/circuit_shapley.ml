@@ -4,55 +4,25 @@ let sorted_universe ~vars g =
     invalid_arg "Circuit_shapley: universe misses circuit variables";
   (universe, List.sort compare vars)
 
-(* Eq. (2) from the two stratified vectors of one variable. *)
-let value_of_kvecs ~n k1 k0 =
-  let value = ref Rat.zero in
-  for k = 0 to n - 1 do
-    let diff = Bigint.sub (Kvec.get k1 k) (Kvec.get k0 k) in
-    value := Rat.add !value (Rat.mul_bigint (Combi.shapley_coeff ~n k) diff)
-  done;
-  !value
+module Kvec_table = Hashtbl.Make (Kvec)
 
+(* Symmetric players share a difference vector, and so a value: the
+   facts of one group in a hierarchical lineage, or the copies of one
+   variable after OR-substitution.  Eq. (2)'s bignum dot product and
+   normalisation cost several times the whole backward pass, so each
+   distinct vector is evaluated once. *)
 let shap_direct ~vars g =
-  let _, sorted = sorted_universe ~vars g in
-  let n = List.length sorted in
+  let n = List.length vars in
+  let values = Kvec_table.create 16 in
   List.map
-    (fun i ->
-       let others = List.filter (fun v -> v <> i) sorted in
-       let k1 =
-         Count.count_by_size ~vars:others (Condition.restrict i true g)
-       in
-       let k0 =
-         Count.count_by_size ~vars:others (Condition.restrict i false g)
-       in
-       (i, value_of_kvecs ~n k1 k0))
-    sorted
-
-(* The cached sweep: each restricted stratified vector lives in the
-   counts tier under (circuit id, universe, variable, polarity).  The
-   hash-consed [Circuit.node.id] is sound as a key component because
-   ids are allocated from a counter and never reused, and the circuit
-   tier keeps the node alive while its vectors are cached. *)
-let shap_direct_cached ~cache ?(tags = []) ~vars g =
-  let _, sorted = sorted_universe ~vars g in
-  let n = List.length sorted in
-  let base =
-    Printf.sprintf "kv:%d:%s" g.Circuit.id
-      (Fingerprint.digest (List.map string_of_int sorted))
-  in
-  List.map
-    (fun i ->
-       let others = List.filter (fun v -> v <> i) sorted in
-       let kv b =
-         let key = Printf.sprintf "%s:%d:%c" base i (if b then '1' else '0') in
-         Cache.counts cache ~key ~tags (fun () ->
-             Obs.call ~oracle:"cache.kcount" ~n:(n - 1)
-               ~size:(Circuit.size g)
-               (fun () ->
-                 Count.count_by_size ~vars:others (Condition.restrict i b g)))
-       in
-       (i, value_of_kvecs ~n (kv true) (kv false)))
-    sorted
+    (fun (i, d) ->
+       match Kvec_table.find_opt values d with
+       | Some v -> (i, v)
+       | None ->
+         let v = Combi.shapley_of_diffs ~n (Kvec.get d) in
+         Kvec_table.add values d v;
+         (i, v))
+    (Count.differences ~vars g)
 
 let kcounts_via_reduction ~vars g =
   let universe, sorted = sorted_universe ~vars g in

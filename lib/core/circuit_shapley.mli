@@ -2,10 +2,13 @@
 
     Two polynomial algorithms are provided:
 
-    - {!shap_direct} conditions the circuit on [X_i := 1] / [X_i := 0]
-      (conditioning preserves d-D), runs the stratified circuit counter,
-      and applies Eq. (2): [O(n)] conditionings of cost [O(|G| · n^2)] —
-      the practical algorithm.
+    - {!shap_direct} applies Eq. (2) to the difference vectors
+      [#_k G[X_i:=1] − #_k G[X_i:=0]] of all [n] variables, which
+      {!Shapmc_circuits.Count.differences} gets from one forward and one
+      backward pass over the circuit: [O(|G| · n^2)] bigint operations
+      in all, then one [n]-term integer dot product and one
+      normalisation by [n!] per distinct difference vector (symmetric
+      players share one) — the practical algorithm.
     - {!shap_via_reduction} is the paper's constructive proof made
       executable: the [#_*]-oracle of Lemma 3.2 is realised through
       Lemma 3.3, whose [#]-oracle calls land on OR-substituted circuits
@@ -19,17 +22,6 @@
     variable.  @raise Invalid_argument if [vars] misses circuit
     variables. *)
 val shap_direct : vars:int list -> Circuit.node -> (int * Rat.t) list
-
-(** [shap_direct_cached ~cache ~tags ~vars g] is {!shap_direct} with
-    every stratified count vector routed through the cache's counts
-    tier, keyed on the hash-consed circuit identity, the universe and
-    the restriction — so a re-solve of a known circuit (after a partial
-    result eviction, or a universe change that left the lineage intact)
-    skips all counting.  Fills are ledgered as [cache.kcount] oracle
-    calls; a fully warm sweep is oracle-free. *)
-val shap_direct_cached :
-  cache:Cache.t -> ?tags:string list -> vars:int list -> Circuit.node ->
-  (int * Rat.t) list
 
 (** [shap_via_reduction ~vars g] computes the same values through the
     Lemma 3.2 + 3.3 + Lemma 9 oracle chain. *)
@@ -50,8 +42,7 @@ val kcounts_via_reduction : vars:int list -> Circuit.node -> Kvec.t
        Δij(S) = F(S∪{i,j}) − F(S∪{i}) − F(S∪{j}) + F(S) v}
 
     computed polynomially on the d-D circuit by stratified counting of the
-    four conditionings of [(X_i, X_j)] — the same mechanism as
-    {!shap_direct}, one level up.  Positive values mean [i] and [j] are
+    four conditionings of [(X_i, X_j)].  Positive values mean [i] and [j] are
     complementary, negative substitutive, zero independent.
     @raise Invalid_argument if [i = j], either is outside [vars], or
     [vars] has fewer than 2 variables. *)

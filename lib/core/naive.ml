@@ -77,14 +77,9 @@ let shap_subsets ~vars f =
        let others = List.filter (fun v -> v <> i) sorted_vars in
        let k1 = Brute.count_by_size ~vars:others (Formula.restrict i true f) in
        let k0 = Brute.count_by_size ~vars:others (Formula.restrict i false f) in
-       let value = ref Rat.zero in
-       for k = 0 to n - 1 do
-         let diff = Bigint.sub (Kvec.get k1 k) (Kvec.get k0 k) in
-         value :=
-           Rat.add !value
-             (Rat.mul_bigint (Combi.shapley_coeff ~n k) diff)
-       done;
-       (i, !value))
+       (i,
+        Combi.shapley_of_diffs ~n (fun k ->
+            Bigint.sub (Kvec.get k1 k) (Kvec.get k0 k))))
     sorted_vars
 
 let shap_sum shap = List.fold_left (fun acc (_, v) -> Rat.add acc v) Rat.zero shap

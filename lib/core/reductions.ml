@@ -30,18 +30,12 @@ let shap_via_kcounts ~n ~kcount_full ~kcount_drop =
       let drop = drops.(pos) in
       if Kvec.universe_size drop <> n - 1 then
         invalid_arg "shap_via_kcounts: drop vector has wrong universe";
-      let value = ref Rat.zero in
-      for k = 0 to n - 1 do
-        (* #_k F[X_i:=1] = #_{k+1} F − #_{k+1} F[X_i:=0], so the marginal
-           at size k is #_{k+1}F − #_{k+1}F[X_i:=0] − #_k F[X_i:=0]. *)
-        let term =
+      (* #_k F[X_i:=1] = #_{k+1} F − #_{k+1} F[X_i:=0], so the marginal
+         at size k is #_{k+1}F − #_{k+1}F[X_i:=0] − #_k F[X_i:=0]. *)
+      Combi.shapley_of_diffs ~n (fun k ->
           Bigint.sub
             (Bigint.sub (Kvec.get kcount_full (k + 1)) (Kvec.get drop (k + 1)))
-            (Kvec.get drop k)
-        in
-        value := Rat.add !value (Rat.mul_bigint (Combi.shapley_coeff ~n k) term)
-      done;
-      !value)
+            (Kvec.get drop k)))
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 3.3 *)

@@ -24,6 +24,9 @@ let equal a b =
     !ok
   end
 
+let hash v =
+  Array.fold_left (fun h c -> (h * 31) + Bigint.hash c) v.n v.counts
+
 let zero ~n = { n; counts = Array.make (n + 1) Bigint.zero }
 
 (* Binomial rows for [all ~n], built once per [n] by Pascal's rule and
@@ -142,6 +145,7 @@ let extend v ~extra =
   else if extra = 0 then v
   else conv v (all ~n:extra)
 
+let neg v = { v with counts = Array.map Bigint.neg v.counts }
 let complement v = sub (all ~n:v.n) v
 
 let disjoint_or a b =

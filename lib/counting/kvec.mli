@@ -29,6 +29,10 @@ val total : t -> Bigint.t
 
 val equal : t -> t -> bool
 
+(** [hash v] agrees with {!equal}, so [Hashtbl.Make (Kvec)] keys tables
+    on vectors. *)
+val hash : t -> int
+
 (** [zero ~n] counts nothing: the vector of the unsatisfiable function. *)
 val zero : n:int -> t
 
@@ -69,6 +73,11 @@ val add : t -> t -> t
 (** [sub a b] subtracts pointwise.
     @raise Invalid_argument on universe-size mismatch. *)
 val sub : t -> t -> t
+
+(** [neg v] negates pointwise.  Vectors need not count anything: the
+    adjoints and difference vectors of the circuit backward pass are
+    signed. *)
+val neg : t -> t
 
 (** [extend v ~extra] re-expresses [v] over a universe enlarged by [extra]
     unconstrained variables (smoothing): convolution with binomials. *)

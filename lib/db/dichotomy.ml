@@ -58,15 +58,15 @@ let shapley_cached ?on_miss ~cache db q =
               ~attrs:[ ("query", Trace.Str (Cq.to_string q)) ]
               mk)
       in
-      match classify q with
-      | Hierarchical ->
-        let g = compile "/safe" (fun () -> Safe_plan.lineage_circuit db q) in
-        (Circuit_shapley.shap_direct_cached ~cache ~tags:ctags ~vars:universe g,
-         Safe_plan_circuit)
-      | Non_hierarchical _ | Has_self_joins | Has_negation ->
-        let g = compile "/dnf" (fun () -> compiled_circuit db q) in
-        (Circuit_shapley.shap_direct_cached ~cache ~tags:ctags ~vars:universe g,
-         Compiled_dnf)
+      let g, solver =
+        match classify q with
+        | Hierarchical ->
+          (compile "/safe" (fun () -> Safe_plan.lineage_circuit db q),
+           Safe_plan_circuit)
+        | Non_hierarchical _ | Has_self_joins | Has_negation ->
+          (compile "/dnf" (fun () -> compiled_circuit db q), Compiled_dnf)
+      in
+      (Circuit_shapley.shap_direct ~vars:universe g, solver)
     in
     let values, s =
       match on_miss with None -> run () | Some wrap -> wrap run
@@ -79,8 +79,8 @@ let shapley_cached ?on_miss ~cache db q =
 let invalidate ~cache db rel =
   let dropped = Cache.invalidate_tag cache (Db_fingerprint.relation_tag db rel) in
   (* An endogenous mutation changes the player universe, so every cached
-     full answer of this database is stale — circuits and count vectors
-     of untouched relations stay valid. *)
+     full answer of this database is stale — circuits of untouched
+     relations stay valid. *)
   match Database.kind_of db rel with
   | Database.Endogenous ->
     dropped + Cache.invalidate_tag cache (Db_fingerprint.db_tag db)

@@ -28,14 +28,15 @@ val shapley : Database.t -> Cq.t -> (int * Rat.t) list * solver
 
 (** [shapley_cached ~cache db q] is {!shapley} routed through the
     serving cache: the full answer lives in the shapley tier under
-    {!Db_fingerprint.result_key}, the compiled circuit in the circuit
+    {!Db_fingerprint.result_key}, and the compiled circuit in the circuit
     tier under {!Db_fingerprint.lineage_key} (so mutations of unrelated
-    relations never force a recompile), and every stratified count
-    vector in the counts tier.  [on_miss wrap] wraps the actual solve on
-    a result-tier miss — servers use it to ledger the solve as an oracle
-    call, so a warm request is observably oracle-free.  Cache fills are
-    ledgered as [cache.compile] / [cache.kcount].  Answers are
-    bit-identical to {!shapley} on every input. *)
+    relations never force a recompile).  A miss solves the circuit with
+    one {!Circuit_shapley.shap_direct} pass, which caches nothing.
+    [on_miss wrap] wraps the actual solve on a result-tier miss —
+    servers use it to ledger the solve as an oracle call, so a warm
+    request is observably oracle-free.  Compilations are ledgered as
+    [cache.compile].  Answers are bit-identical to {!shapley} on every
+    input. *)
 val shapley_cached :
   ?on_miss:
     ((unit -> (int * Rat.t) list * solver) -> (int * Rat.t) list * solver) ->

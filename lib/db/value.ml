@@ -18,7 +18,14 @@ let rec pp ppf = function
   | VStr s -> Format.pp_print_string ppf s
   | VPair (a, b) -> Format.fprintf ppf "(%a,%a)" pp a pp b
 
-let to_string v = Format.asprintf "%a" pp v
+(* The rendering of [pp], built directly: cache keys fingerprint every
+   stored value, and [Format.asprintf] allocates a formatter per call. *)
+let rec to_string = function
+  | VInt i -> string_of_int i
+  | VStr s -> s
+  | VPair (a, b) ->
+    String.concat "" [ "("; to_string a; ","; to_string b; ")" ]
+
 let int i = VInt i
 let str s = VStr s
 let pair a b = VPair (a, b)

@@ -13,6 +13,8 @@ type t =
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** [to_string v] is the text [pp] prints, e.g. [(1,(a,2))]. *)
 val to_string : t -> string
 
 (** [int n], [str s], [pair a b] — construction shorthands. *)

@@ -8,8 +8,8 @@ type entry = {
 }
 
 (* Answers are amortized by the serving cache (ROADMAP item 2): the
-   compiled circuit, the stratified count vectors and the per-fact
-   rationals are content-keyed in a shared {!Shapmc_cache.Cache.t}, and
+   compiled circuit and the per-fact rationals are content-keyed in a
+   shared {!Shapmc_cache.Cache.t}, and
    concurrent misses of one query single-flight — the old per-entry
    memo held its mutex across the whole solve, serializing unrelated
    requests; the cache's keyed flights do not. *)

@@ -1,8 +1,8 @@
 (** The JSON API of [shapmc serve]: a set of named (database, query)
     pairs loaded once at startup, Shapley answers amortized by the
-    serving cache ({!Shapmc_cache.Cache}) — compiled circuits,
-    stratified count vectors and per-fact rationals are content-keyed
-    and shared across requests — and cursor-paginated fact enumeration.
+    serving cache ({!Shapmc_cache.Cache}) — compiled circuits and
+    per-fact rationals are content-keyed and shared across requests —
+    and cursor-paginated fact enumeration.
 
     Routes:
     - [GET /healthz] — liveness: status, {!version}, pid, uptime,

@@ -372,6 +372,78 @@ let compiled_dnf_cached () =
   check_shap "cold = fresh" fresh cold;
   check_shap "warm = fresh" fresh warm
 
+(* A cold solve caches the compiled circuit and the whole answer and
+   nothing in between: the Theorem 4.1 pass needs no per-variable count
+   vectors, so the counts tier is left to the formula pipeline. *)
+let cold_solve_leaves_counts_empty () =
+  List.iter
+    (fun (db, q) ->
+      let cache = Cache.create () in
+      let cold, cs = Dichotomy.shapley_cached ~cache db q in
+      let fresh, fs = Dichotomy.shapley db q in
+      Alcotest.check solver "solver" fs cs;
+      check_shap "cold = fresh" fresh cold;
+      let counts = List.assoc "counts" (Cache.stats cache) in
+      check_int "no counts-tier lookups" 0
+        (counts.Cache.ts_hits + counts.Cache.ts_misses);
+      check_int "no counts-tier entries" 0 counts.Cache.ts_entries;
+      check_int "one compile" 1
+        (List.assoc "circuit" (Cache.stats cache)).Cache.ts_misses)
+    [ (example13_db (), Db_parser.parse_query "R1(x), R2(x)");
+      random_q0_db ~a:3 ~b:3 ~density:0.6 ~seed:11 ]
+
+(* ------------------------------------------------------------------ *)
+(* Key stability: cache keys are FNV-1a digests of value renderings, so
+   both must stay byte-for-byte what they were when the keys were
+   introduced. *)
+
+let digests_pinned () =
+  let d parts = Fingerprint.digest parts in
+  Alcotest.(check string) "empty" "cbf29ce484222325" (d []);
+  Alcotest.(check string) "one empty part" "af63bd4c8601b7df" (d [ "" ]);
+  Alcotest.(check string) "a" "089be207b544f1e4" (d [ "a" ]);
+  Alcotest.(check string) "ab|c" "ad22872f536e4705" (d [ "ab"; "c" ]);
+  Alcotest.(check string) "a|bc" "401801fc84f3ca79" (d [ "a"; "bc" ]);
+  Alcotest.(check string) "high bytes and NUL" "2575dd5c96eacbcb"
+    (d [ "\xff\x00\xe2\x88\x80 unicode"; "R"; "(1,(x,-2))" ]);
+  Alcotest.(check string) "add_int" "76aa60f505dfddca"
+    Fingerprint.(to_hex (add_int (add_int empty 12) (-3)));
+  let db = Database.create () in
+  Database.declare db "R" ~kind:Database.Endogenous ~arity:2;
+  Database.declare db "S" ~kind:Database.Exogenous ~arity:1;
+  ignore
+    (Database.insert db "R"
+       [| Value.int 1;
+          Value.pair (Value.str "a")
+            (Value.pair (Value.int (-2)) (Value.str "b c")) |]);
+  ignore (Database.insert db "R" [| Value.int 2; Value.str "z" |]);
+  ignore (Database.insert db "S" [| Value.int 1 |]);
+  let q = Db_parser.parse_query "R(x,y), S(x)" in
+  Alcotest.(check string) "lineage_key" "351b56849d631e60"
+    (Db_fingerprint.lineage_key db q);
+  Alcotest.(check string) "result_key" "24b491d4c42f59cc"
+    (Db_fingerprint.result_key db q)
+
+let gen_value =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ map Value.int int;
+        map Value.str (string_size ~gen:printable (int_range 0 12)) ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (3, map2 Value.pair (self (n - 1)) (self (n - 1))) ])
+
+let value_tests =
+  [ dtest ~seed:33 ~count:200 "Value.to_string = Format rendering of pp"
+      (QCheck.make ~print:(Format.asprintf "%a" Value.pp) gen_value)
+      (fun v -> Value.to_string v = Format.asprintf "%a" Value.pp v) ]
+
 (* ------------------------------------------------------------------ *)
 (* The differential harness: random interleavings of solves, inserts and
    deletes; after every step the cached pipeline must agree with a fresh
@@ -524,5 +596,8 @@ let suite =
     Alcotest.test_case "dichotomy: delete invalidation stays exact" `Quick
       delete_invalidation_exact;
     Alcotest.test_case "dichotomy: cached = fresh (compiled-dnf)" `Quick
-      compiled_dnf_cached ]
-  @ differential_tests
+      compiled_dnf_cached;
+    Alcotest.test_case "dichotomy: cold solve leaves the counts tier empty"
+      `Quick cold_solve_leaves_counts_empty;
+    Alcotest.test_case "keys: digests pinned" `Quick digests_pinned ]
+  @ value_tests @ differential_tests
