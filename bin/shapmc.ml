@@ -605,7 +605,7 @@ let compile_cmd =
              let c, stats = Compile.compile_with_stats f in
              Printf.printf "gates: %d  edges: %d  expansions: %d  cache hits: %d\n"
                (Circuit.size c) (Circuit.edge_count c)
-               stats.Compile.expansions stats.Compile.cache_hits;
+               stats.Dpll.branches stats.Dpll.cache_hits;
              Format.printf "%a@." Circuit.pp c
            | "obdd" ->
              let vars = Vset.elements (Formula.vars f) in
@@ -737,7 +737,7 @@ let dimacs_cmd =
             Option.value ~default:(Rat.of_ints 1 2)
               (List.assoc_opt v inst.Dimacs.weights)
           in
-          let p = Dpll.wmc ~weights f in
+          let p = Prob.probability ~weights (Compile_cnf.compile_dimacs inst) in
           (* unmentioned declared variables have weight sums of 1 *)
           Printf.printf "%s (~ %.6f)\n" (Rat.to_string p) (Rat.to_float p)
         | w -> failwith ("unknown computation " ^ w))

@@ -31,7 +31,7 @@ let () =
   (* Compile both ways. *)
   let (circuit, cstats), t_compile = time (fun () -> Compile.compile_with_stats f) in
   Printf.printf "d-DNNF compiler: %d gates (%d Shannon expansions) in %.3fs\n"
-    (Circuit.size circuit) cstats.Compile.expansions t_compile;
+    (Circuit.size circuit) cstats.Dpll.branches t_compile;
   let m = Obdd.create_manager ~order:vars in
   let obdd, t_obdd = time (fun () -> Obdd.of_formula m f) in
   Printf.printf "OBDD:            %d nodes in %.3fs\n" (Obdd.size obdd) t_obdd;

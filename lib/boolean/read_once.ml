@@ -13,17 +13,6 @@ let rec tree_vars = function
   | And ts | Or ts ->
     List.fold_left (fun acc t -> Vset.union acc (tree_vars t)) Vset.empty ts
 
-(* Variable-disjoint groups of clauses (for OR-decomposition). *)
-let clause_components clauses =
-  let merge groups (vs, cs) =
-    let touching, rest =
-      List.partition (fun (ws, _) -> not (Vset.disjoint vs ws)) groups
-    in
-    let vs' = List.fold_left (fun a (ws, _) -> Vset.union a ws) vs touching in
-    (vs', cs @ List.concat_map snd touching) :: rest
-  in
-  List.fold_left merge [] (List.map (fun c -> (c, [ c ])) clauses)
-
 (* Components of the complement of the co-occurrence graph (for
    AND-decomposition): u, v in the same part iff NOT every clause-pair
    separates them... concretely, u ~ v in the complement iff u and v do
@@ -77,7 +66,7 @@ let factor d =
     | [] -> assert false
     | [ c ] when Vset.cardinal c = 1 -> Leaf (Vset.min_elt c)
     | _ ->
-      (match clause_components clauses with
+      (match Vset.components ~vars:Fun.id clauses with
        | [] -> assert false
        | _ :: _ :: _ as groups ->
          (* variable-disjoint alternatives: OR node *)

@@ -18,3 +18,16 @@ let pp ppf s =
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
        Format.pp_print_int)
     (elements s)
+
+(* Iterated merging: each element absorbs every group it touches.  The
+   lists involved are small. *)
+let components ~vars xs =
+  let merge groups x =
+    let vs = vars x in
+    let touching, rest =
+      List.partition (fun (ws, _) -> not (disjoint vs ws)) groups
+    in
+    let vs' = List.fold_left (fun a (ws, _) -> union a ws) vs touching in
+    (vs', x :: List.concat_map snd touching) :: rest
+  in
+  List.fold_left merge [] xs

@@ -11,3 +11,9 @@ val of_range : int -> int -> t
 
 (** [pp] prints as [{1, 2, 5}]. *)
 val pp : Format.formatter -> t -> unit
+
+(** [components ~vars xs] groups [xs] into the connected components of
+    the "shares a variable" relation, where [vars x] is the variable set
+    of [x].  Each group is [(scope, members)] with [scope] the union of
+    its members' sets, so distinct groups have disjoint scopes. *)
+val components : vars:('a -> t) -> 'a list -> (t * 'a list) list

@@ -1,95 +1,17 @@
-type stats = { expansions : int; cache_hits : int }
+(* Shannon expansion builds (¬x ∧ C(F[x:=0])) ∨ (x ∧ C(F[x:=1])): the OR
+   is deterministic (the branches disagree on x), the ANDs are
+   decomposable (the cofactors do not mention x). *)
+let circuit =
+  { Dpll.const = Circuit.cbool;
+    var = Circuit.cvar;
+    not_ = Circuit.cnot;
+    conj = Circuit.cand;
+    disj = Circuit.cor_disj;
+    shannon =
+      (fun x ~scope:_ lo hi ->
+         Circuit.cor_det
+           [ Circuit.cand [ Circuit.cnot (Circuit.cvar x); lo ];
+             Circuit.cand [ Circuit.cvar x; hi ] ]) }
 
-type state = {
-  cache : (Formula.t, Circuit.node) Hashtbl.t;
-  mutable expansions : int;
-  mutable cache_hits : int;
-}
-
-(* Variable-disjoint connected components of a list of subformulas
-   (same as in the DPLL counter). *)
-let components fs =
-  let merge groups (vs, fs) =
-    let touching, rest =
-      List.partition (fun (ws, _) -> not (Vset.disjoint vs ws)) groups
-    in
-    let vs' = List.fold_left (fun a (ws, _) -> Vset.union a ws) vs touching in
-    (vs', fs @ List.concat_map snd touching) :: rest
-  in
-  List.fold_left merge [] (List.map (fun f -> (Formula.vars f, [ f ])) fs)
-
-let pick_var f =
-  let occ = Hashtbl.create 16 in
-  let bump v =
-    Hashtbl.replace occ v (1 + Option.value ~default:0 (Hashtbl.find_opt occ v))
-  in
-  let rec go = function
-    | Formula.True | Formula.False -> ()
-    | Formula.Var v -> bump v
-    | Formula.Not g -> go g
-    | Formula.And gs | Formula.Or gs -> List.iter go gs
-  in
-  go f;
-  let best = ref None in
-  Hashtbl.iter
-    (fun v c ->
-       match !best with
-       | Some (_, c') when c' >= c -> ()
-       | _ -> best := Some (v, c))
-    occ;
-  match !best with Some (v, _) -> v | None -> invalid_arg "Compile: no variable"
-
-let rec go st f =
-  match f with
-  | Formula.True -> Circuit.ctrue
-  | Formula.False -> Circuit.cfalse
-  | Formula.Var v -> Circuit.cvar v
-  | Formula.Not (Formula.Var v) -> Circuit.cnot (Circuit.cvar v)
-  | _ ->
-    (match Hashtbl.find_opt st.cache f with
-     | Some c ->
-       st.cache_hits <- st.cache_hits + 1;
-       c
-     | None ->
-       let c = go_compound st f in
-       Hashtbl.replace st.cache f c;
-       c)
-
-and go_compound st f =
-  let split mk_gate children =
-    match components children with
-    | ([] | [ _ ]) -> shannon st f
-    | groups -> mk_gate (List.map (fun (_, members) -> members) groups)
-  in
-  match f with
-  | Formula.And fs ->
-    split
-      (fun groups ->
-         Circuit.cand (List.map (fun ms -> go st (Formula.and_ ms)) groups))
-      fs
-  | Formula.Or fs ->
-    split
-      (fun groups ->
-         Circuit.cor_disj (List.map (fun ms -> go st (Formula.or_ ms)) groups))
-      fs
-  | Formula.Not _ -> shannon st f
-  | Formula.True | Formula.False | Formula.Var _ -> assert false
-
-(* Shannon expansion: (¬x ∧ C(F[x:=0])) ∨ (x ∧ C(F[x:=1])) — the OR is
-   deterministic (the branches disagree on x), the ANDs are decomposable
-   (the cofactors do not mention x). *)
-and shannon st f =
-  let v = pick_var f in
-  st.expansions <- st.expansions + 1;
-  let c0 = go st (Formula.restrict v false f) in
-  let c1 = go st (Formula.restrict v true f) in
-  Circuit.cor_det
-    [ Circuit.cand [ Circuit.cnot (Circuit.cvar v); c0 ];
-      Circuit.cand [ Circuit.cvar v; c1 ] ]
-
-let compile_with_stats f =
-  let st = { cache = Hashtbl.create 256; expansions = 0; cache_hits = 0 } in
-  let c = go st (Formula.simplify f) in
-  (c, { expansions = st.expansions; cache_hits = st.cache_hits })
-
+let compile_with_stats f = Dpll.search circuit f
 let compile f = fst (compile_with_stats f)

@@ -6,20 +6,18 @@
     Shapley values — become polynomial in the circuit size (Section 4; the
     compilation itself may take exponential time, "the price to pay").
 
-    The compiler performs Shannon expansion on a most-frequent variable,
-    producing a deterministic OR of the two cofactor branches
-    [(¬x ∧ C_0) ∨ (x ∧ C_1)]; conjunctions and disjunctions whose parts
-    have pairwise disjoint variables are split into decomposable AND /
-    disjoint OR gates; subformulas are cached structurally, sharing the
-    DAG.  This mirrors what c2d/Dsharp-style compilers do (no external
-    compiler is available in this environment). *)
-
-(** Compilation statistics. *)
-type stats = { expansions : int; cache_hits : int }
+    The compiler is the circuit instance of {!Dpll.search}, the same
+    search that counts: a Shannon expansion on [x] becomes the
+    deterministic OR [(¬x ∧ C_0) ∨ (x ∧ C_1)], variable-disjoint parts of
+    a conjunction or disjunction become a decomposable AND or a disjoint
+    OR gate, [¬g] becomes a NOT gate over [g]'s circuit, and memoized
+    subformulas share one node of the DAG.  This mirrors what
+    c2d/Dsharp-style compilers do. *)
 
 (** [compile f] returns an equivalent d-D circuit over the variables of
     [f] (a subset: simplification can eliminate variables). *)
 val compile : Formula.t -> Circuit.node
 
-(** [compile_with_stats f] also reports compiler effort. *)
-val compile_with_stats : Formula.t -> Circuit.node * stats
+(** [compile_with_stats f] also reports the search effort; it equals
+    what {!Dpll.count_with_stats} reports on [f]. *)
+val compile_with_stats : Formula.t -> Circuit.node * Dpll.stats

@@ -53,18 +53,6 @@ let pick_var clauses =
     occ;
   match !best with Some (v, _) -> v | None -> assert false
 
-(* Connected components of clauses by shared variables. *)
-let components clauses =
-  let merge groups (vs, cs) =
-    let touching, rest =
-      List.partition (fun (ws, _) -> not (Vset.disjoint vs ws)) groups
-    in
-    let vs' = List.fold_left (fun a (ws, _) -> Vset.union a ws) vs touching in
-    (vs', cs @ List.concat_map snd touching) :: rest
-  in
-  List.fold_left merge []
-    (List.map (fun c -> (clause_vars c, [ c ])) clauses)
-
 (* Canonical cache key: sorted clauses as literal lists. *)
 let key clauses =
   List.sort compare
@@ -105,7 +93,7 @@ and go_uncached st clauses =
     (try Circuit.cand [ literal v sign; go st (condition clauses v sign) ]
      with Conflict -> Circuit.cfalse)
   | None ->
-    (match components clauses with
+    (match Vset.components ~vars:clause_vars clauses with
      | [] -> Circuit.ctrue
      | [ _ ] ->
        (* branch on a most frequent variable *)

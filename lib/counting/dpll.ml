@@ -1,17 +1,13 @@
 type stats = { branches : int; cache_hits : int }
 
-(* Group a list of subformulas into variable-disjoint connected components
-   (iterated merging; the lists involved are small). *)
-let components fs =
-  let merge groups (vs, fs) =
-    let touching, rest =
-      List.partition (fun (ws, _) -> not (Vset.disjoint vs ws)) groups
-    in
-    let vs' = List.fold_left (fun a (ws, _) -> Vset.union a ws) vs touching in
-    let members = fs @ List.concat_map snd touching in
-    (vs', members) :: rest
-  in
-  List.fold_left merge [] (List.map (fun f -> (Formula.vars f, [ f ])) fs)
+type 'a algebra = {
+  const : bool -> 'a;
+  var : int -> 'a;
+  not_ : 'a -> 'a;
+  conj : 'a list -> 'a;
+  disj : 'a list -> 'a;
+  shannon : int -> scope:Vset.t -> 'a -> 'a -> 'a;
+}
 
 (* Branching heuristic: a variable with the most occurrences. *)
 let pick_var f =
@@ -35,78 +31,67 @@ let pick_var f =
     occ;
   match !best with Some (v, _) -> v | None -> invalid_arg "Dpll: no variable"
 
-type state = {
-  cache : (Formula.t, Kvec.t) Hashtbl.t;
-  mutable branches : int;
-  mutable cache_hits : int;
-}
-
-(* [kcount st f] is the size-stratified count vector of [f] over exactly
-   [vars f].  Plain counting reuses it via [Kvec.total]; keeping a single
-   recursion avoids subtle drift between the two counters. *)
-let rec kcount st f =
-  match f with
-  | Formula.True -> Kvec.const_true ~n:0
-  | Formula.False -> Kvec.const_false ~n:0
-  | Formula.Var _ -> Kvec.singleton_true
-  | Formula.Not g ->
-    (* Complement over the same variable set. *)
-    Kvec.complement (kcount st g)
-  | Formula.And _ | Formula.Or _ ->
-    (match Hashtbl.find_opt st.cache f with
-     | Some v ->
-       st.cache_hits <- st.cache_hits + 1;
-       v
-     | None ->
-       let v = kcount_compound st f in
-       Hashtbl.replace st.cache f v;
-       v)
-
-and kcount_compound st f =
-  let children = match f with
-    | Formula.And fs | Formula.Or fs -> fs
-    | _ -> assert false
+let search alg f =
+  let cache = Hashtbl.create 256 in
+  let branches = ref 0 and cache_hits = ref 0 in
+  let rec go f =
+    match f with
+    | Formula.True -> alg.const true
+    | Formula.False -> alg.const false
+    | Formula.Var x -> alg.var x
+    | Formula.Not g -> alg.not_ (go g)
+    | Formula.And fs | Formula.Or fs ->
+      (match Hashtbl.find_opt cache f with
+       | Some r ->
+         incr cache_hits;
+         r
+       | None ->
+         let r = compound f fs in
+         Hashtbl.replace cache f r;
+         r)
+  and compound f fs =
+    match Vset.components ~vars:Formula.vars fs with
+    | [ (scope, _) ] ->
+      (* Single component: Shannon-expand on a most-frequent variable. *)
+      let x = pick_var f in
+      incr branches;
+      let lo = go (Formula.restrict x false f) in
+      let hi = go (Formula.restrict x true f) in
+      alg.shannon x ~scope lo hi
+    | groups ->
+      (* Each part spans its group's scope, as [kvec] needs: members are
+         nonconstant and mutually non-absorbing after smart construction,
+         so [and_]/[or_] drop no variable. *)
+      (match f with
+       | Formula.And _ ->
+         alg.conj (List.map (fun (_, ms) -> go (Formula.and_ ms)) groups)
+       | _ -> alg.disj (List.map (fun (_, ms) -> go (Formula.or_ ms)) groups))
   in
-  match components children with
-  | ([] | [ _ ]) ->
-    (* Single component: Shannon-expand on a most-frequent variable. *)
-    let v = pick_var f in
-    let n = Vset.cardinal (Formula.vars f) in
-    st.branches <- st.branches + 1;
-    let branch bit =
-      let g = Formula.restrict v bit f in
-      let ng = Vset.cardinal (Formula.vars g) in
-      let kv = Kvec.extend (kcount st g) ~extra:(n - 1 - ng) in
-      Kvec.with_var kv ~pol:bit
-    in
-    Kvec.add (branch false) (branch true)
-  | groups ->
-    (* Variable-disjoint components: conjunction convolves, disjunction
-       multiplies non-model vectors. *)
-    let part (vs, members) =
-      let g = match f with
-        | Formula.And _ -> Formula.and_ members
-        | Formula.Or _ -> Formula.or_ members
-        | _ -> assert false
-      in
-      (* [and_]/[or_] cannot drop variables here: members are nonconstant
-         and mutually non-absorbing after smart construction. *)
-      Kvec.extend (kcount st g)
-        ~extra:(Vset.cardinal vs - Vset.cardinal (Formula.vars g))
-    in
-    let parts = List.map part groups in
-    (match f with
-     | Formula.And _ -> Kvec.conv_list parts
-     | Formula.Or _ ->
-       (* all − Π non-models *)
-       Kvec.complement (Kvec.conv_list (List.map Kvec.complement parts))
-     | _ -> assert false)
+  let r = go (Formula.simplify f) in
+  (r, { branches = !branches; cache_hits = !cache_hits })
 
-let fresh_state () = { cache = Hashtbl.create 256; branches = 0; cache_hits = 0 }
+(* Every value is the count vector over exactly [vars] of its formula, so
+   a cofactor's universe size says how far to pad it to the scope. *)
+let kvec =
+  { const = (fun b -> (if b then Kvec.const_true else Kvec.const_false) ~n:0);
+    var = (fun _ -> Kvec.singleton_true);
+    not_ = Kvec.complement;
+    conj = Kvec.conv_list;
+    (* all − Π non-models *)
+    disj =
+      (fun parts ->
+         Kvec.complement (Kvec.conv_list (List.map Kvec.complement parts)));
+    shannon =
+      (fun _ ~scope lo hi ->
+         let n = Vset.cardinal scope in
+         let branch kv pol =
+           Kvec.with_var (Kvec.extend kv ~extra:(n - 1 - Kvec.universe_size kv))
+             ~pol
+         in
+         Kvec.add (branch lo false) (branch hi true)) }
 
 let count_by_size f =
-  let st = fresh_state () in
-  let v = kcount st (Formula.simplify f) in
+  let v, st = search kvec f in
   if Obs.enabled () then begin
     Obs.incr "dpll.counts";
     Obs.add "dpll.branches" st.branches;
@@ -130,55 +115,5 @@ let count_by_size_universe ~vars f =
 let count_universe ~vars f = Kvec.total (count_by_size_universe ~vars f)
 
 let count_with_stats f =
-  let st = fresh_state () in
-  let v = kcount st (Formula.simplify f) in
-  (Kvec.total v, { branches = st.branches; cache_hits = st.cache_hits })
-
-(* Weighted model counting: same search shape as [kcount], but the value
-   at each node is the probability over exactly [vars f] (eliminated
-   variables integrate out to factor 1, so no smoothing corrections are
-   needed — probabilities, unlike counts, are universe-independent). *)
-let wmc ~weights f =
-  let cache : (Formula.t, Rat.t) Hashtbl.t = Hashtbl.create 256 in
-  let rec go f =
-    match f with
-    | Formula.True -> Rat.one
-    | Formula.False -> Rat.zero
-    | Formula.Var v -> weights v
-    | Formula.Not g -> Rat.sub Rat.one (go g)
-    | Formula.And _ | Formula.Or _ ->
-      (match Hashtbl.find_opt cache f with
-       | Some p -> p
-       | None ->
-         let p = go_compound f in
-         Hashtbl.replace cache f p;
-         p)
-  and go_compound f =
-    let children = match f with
-      | Formula.And fs | Formula.Or fs -> fs
-      | _ -> assert false
-    in
-    match components children with
-    | ([] | [ _ ]) ->
-      let v = pick_var f in
-      let w = weights v in
-      Rat.add
-        (Rat.mul (Rat.sub Rat.one w) (go (Formula.restrict v false f)))
-        (Rat.mul w (go (Formula.restrict v true f)))
-    | groups ->
-      let part members = match f with
-        | Formula.And _ -> go (Formula.and_ members)
-        | Formula.Or _ -> go (Formula.or_ members)
-        | _ -> assert false
-      in
-      (match f with
-       | Formula.And _ ->
-         List.fold_left (fun acc (_, ms) -> Rat.mul acc (part ms)) Rat.one groups
-       | Formula.Or _ ->
-         Rat.sub Rat.one
-           (List.fold_left
-              (fun acc (_, ms) -> Rat.mul acc (Rat.sub Rat.one (part ms)))
-              Rat.one groups)
-       | _ -> assert false)
-  in
-  go (Formula.simplify f)
+  let v, stats = search kvec f in
+  (Kvec.total v, stats)

@@ -212,7 +212,7 @@ let compile_tests =
         (* (x1|x2) & (x3|x4): decomposable AND at the top; few expansions *)
         let _, stats = Compile.compile_with_stats (parse "(x1|x2) & (x3|x4)") in
         Alcotest.(check bool) "at most 4 expansions" true
-          (stats.Compile.expansions <= 4));
+          (stats.Dpll.branches <= 4));
     qtest "compile preserves semantics" ~count:100
       (arb_formula ~nvars:6 ~depth:5)
       (fun f ->

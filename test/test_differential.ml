@@ -64,6 +64,26 @@ let counter_tests =
           (Dpll.count_universe ~vars:vars10 f)) ]
 
 (* ------------------------------------------------------------------ *)
+(* Counting and compilation are two algebras over one search, so they
+   take the same branches and hit the memo equally often. *)
+
+let search_tests =
+  [ dtest ~seed:13 ~count:40 "dpll and compile report equal search stats"
+      arb10 (fun f ->
+        snd (Dpll.count_with_stats f) = snd (Compile.compile_with_stats f));
+    Alcotest.test_case "compile: Not g is the NOT gate over g's circuit" `Quick
+      (fun () ->
+        List.iter
+          (fun s ->
+            let g = Parser.formula_of_string_exn s in
+            let c, st = Compile.compile_with_stats g in
+            let c', st' = Compile.compile_with_stats (Formula.not_ g) in
+            Alcotest.(check bool) s true (c' == Circuit.cnot c);
+            Alcotest.(check int) s st.Dpll.branches st'.Dpll.branches)
+          [ "x1 & (x2 | !x3)"; "x1 & x2 | x2 & x3 | x1 & x3";
+            "x1 & x2 | x3 & x4 | x5 & x6" ]) ]
+
+(* ------------------------------------------------------------------ *)
 (* Shapley pipelines: the Theorem 3.1 reduction vs the Eq. (2) reference.
    The dpll oracle handles 6-variable universes (oracle instances reach
    n·(n+1) = 42 fresh variables); the brute oracle enumerates 2^(n·l)
@@ -322,4 +342,4 @@ let backward_edge_cases =
 
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
-  @ backward_edge_cases
+  @ backward_edge_cases @ search_tests

@@ -6,7 +6,6 @@ open Helpers
 let t name f = Alcotest.test_case name `Quick f
 let bi = Bigint.of_int
 let r = Rat.of_ints
-let parse = Parser.formula_of_string_exn
 
 let dimacs_tests =
   [ t "parses a classic instance" (fun () ->
@@ -132,21 +131,58 @@ let nnf_tests =
               (Circuit_shapley.shap_direct ~vars c'))
   ]
 
+(* The weighted count of a DIMACS instance as `shapmc dimacs -w wmc`
+   computes it: the probability of the Compile_cnf circuit, weight 1/2
+   for variables without a weight line. *)
+let wmc inst =
+  let weights v =
+    Option.value ~default:(r 1 2) (List.assoc_opt v inst.Dimacs.weights)
+  in
+  Prob.probability ~weights (Compile_cnf.compile_dimacs inst)
+
+(* DIMACS text: up to 6 clauses of 1-3 literals over 1..6, declaring an
+   unmentioned 7th variable, with weight 1/(v+2) on every variable. *)
+let arb_weighted_dimacs =
+  let open QCheck.Gen in
+  let lit = map2 (fun v pos -> if pos then v else -v) (int_range 1 6) bool in
+  let clause =
+    map
+      (fun ls -> String.concat " " (List.map string_of_int ls) ^ " 0\n")
+      (list_size (int_range 1 3) lit)
+  in
+  QCheck.make ~print:Fun.id
+    (map
+       (fun cs ->
+         Printf.sprintf "p cnf 7 %d\n" (List.length cs)
+         ^ String.concat ""
+             (List.init 7 (fun i ->
+                  Printf.sprintf "c p weight %d 1/%d 0\n" (i + 1) (i + 3)))
+         ^ String.concat "" cs)
+       (list_size (int_range 0 6) clause))
+
 let wmc_tests =
   [ t "uniform half = count / 2^n over vars f" (fun () ->
-        Alcotest.check rat "3/8" (r 3 8)
-          (Dpll.wmc ~weights:(fun _ -> r 1 2) example2_formula));
+        (* Example 2, x1 & (x2 | !x3), as a CNF *)
+        let inst = Dimacs.parse_string "p cnf 3 2\n1 0\n2 -3 0\n" in
+        Alcotest.check bigint "count" (bi 3)
+          (Dpll.count_universe ~vars:(Dimacs.variables inst)
+             (Dimacs.to_formula inst));
+        Alcotest.check rat "3/8" (r 3 8) (wmc inst));
     t "weights of eliminated variables integrate out" (fun () ->
-        (* x1 | !x1 & x2 simplifies paths; P = p1 + (1-p1) p2 *)
-        let f = parse "x1 | !x1 & x2" in
-        let w v = if v = 1 then r 1 3 else r 1 5 in
-        Alcotest.check rat "p" (r 7 15) (Dpll.wmc ~weights:w f));
-    qtest "dpll wmc = circuit probability" ~count:60
-      (arb_formula ~nvars:6 ~depth:5)
-      (fun f ->
-         let w v = r 1 (v + 2) in
-         Rat.equal (Dpll.wmc ~weights:w f)
-           (Prob.probability ~weights:w (Compile.compile f)))
+        (* x1 | x2: the x1 branch drops x2, and x3 is declared but never
+           mentioned; P = p1 + (1-p1) p2 *)
+        let inst =
+          Dimacs.parse_string
+            "p cnf 3 1\nc p weight 1 1/3 0\nc p weight 2 1/5 0\n1 2 0\n"
+        in
+        Alcotest.check rat "p" (r 7 15) (wmc inst));
+    qtest "dimacs wmc = circuit probability" ~count:60 arb_weighted_dimacs
+      (fun text ->
+         let inst = Dimacs.parse_string text in
+         let weights v = r 1 (v + 2) in
+         Rat.equal (wmc inst)
+           (Prob.probability ~weights
+              (Compile.compile (Dimacs.to_formula inst))))
   ]
 
 let provenance_tests =

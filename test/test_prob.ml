@@ -36,7 +36,12 @@ let probability_tests =
         let f = parse "x1 & x2" in
         let weights v = if v = 1 then r 1 3 else r 1 4 in
         Alcotest.check rat "1/12" (r 1 12)
-          (Prob.probability ~weights (Compile.compile f)));
+          (Prob.probability ~weights (Compile.compile f));
+        (* simplification eliminates variables on some paths, whose
+           weights integrate out: P = p1 + (1-p1) p2 *)
+        let weights v = if v = 1 then r 1 3 else r 1 5 in
+        Alcotest.check rat "7/15" (r 7 15)
+          (Prob.probability ~weights (Compile.compile (parse "x1 | !x1 & x2"))));
     t "probability of constants" (fun () ->
         Alcotest.check rat "true" Rat.one
           (Prob.probability ~weights:half Circuit.ctrue);
