@@ -607,7 +607,11 @@ let e15 () =
     "within-CI";
   List.iter
     (fun m ->
-       let est = Sampling.shap_sample ~seed:11 ~samples:m ~vars f in
+       let est =
+         (Sampling.shap_estimate ~seed:11 ~max_samples:m
+            ~ci:Convergence.Hoeffding ~vars f)
+           .Sampling.estimates
+       in
        let max_err =
          List.fold_left
            (fun acc e ->
@@ -978,55 +982,18 @@ let e22 () =
    (the convergence-rate regression the gate guards: each estimator's
    batches are ledgered as [estimator.<name>] oracle calls, so
    baseline.json pins batch counts and per-batch sample totals), the
-   jobs-independence contract, and the satellite micro-assert that the
-   table-based variable→index mapping in [shap_sample] reproduces the
-   old linear-scan sampler exactly. *)
-
-(* The pre-optimization shap_sample: identical RNG stream and arithmetic,
-   inner linear scan for the variable→index mapping.  Kept here as the
-   reference for the micro-assert (and to measure what the fix bought). *)
-let shap_sample_linear_scan ~seed ~delta ~samples ~vars f =
-  let st = Random.State.make [| seed |] in
-  let sorted = Array.of_list (List.sort compare vars) in
-  let n = Array.length sorted in
-  let totals = Array.make n 0 in
-  let perm = Array.copy sorted in
-  for _ = 1 to samples do
-    for i = n - 1 downto 1 do
-      let j = Random.State.int st (i + 1) in
-      let t = perm.(i) in
-      perm.(i) <- perm.(j);
-      perm.(j) <- t
-    done;
-    let prefix = ref Vset.empty in
-    let value = ref (Formula.eval_set Vset.empty f) in
-    Array.iter
-      (fun v ->
-         let next = Vset.add v !prefix in
-         let value' = Formula.eval_set next f in
-         let marginal = Bool.to_int value' - Bool.to_int !value in
-         let rec idx i = if sorted.(i) = v then i else idx (i + 1) in
-         let i = idx 0 in
-         totals.(i) <- totals.(i) + marginal;
-         prefix := next;
-         value := value')
-      perm
-  done;
-  let m = float_of_int samples in
-  let half_width = 2.0 *. sqrt (log (2.0 /. delta) /. (2.0 *. m)) in
-  Array.to_list
-    (Array.mapi
-       (fun i v ->
-          { Sampling.variable = sorted.(i);
-            value = float_of_int v /. m;
-            half_width })
-       totals)
+   truncation identity and the jobs-independence contract. *)
 
 let e23 () =
   section "E23"
     "Observable estimators: samples-to-eps, early stopping, jobs identity";
   let f =
     Parser.formula_of_string_exn "(x1 & x2) | (x3 & x4) | (x1 & x5 & x6)"
+  in
+  (* the same function, but the negation turns the monotone cutoff off *)
+  let uncut =
+    Parser.formula_of_string_exn
+      "(x1 & x2) | (x3 & x4) | (x1 & x5 & x6) | (x1 & !x1)"
   in
   let vars = List.init 6 succ in
   let exact = Naive.shap_subsets ~vars f in
@@ -1038,7 +1005,7 @@ let e23 () =
     "evals" "half-width" "checkpoints" "max-err" "in-CI";
   let reports =
     List.map
-      (fun est ->
+      (fun (label, est, f) ->
          let r =
            Sampling.shap_estimate ~estimator:est ~seed:23 ~eps ~delta ~vars f
          in
@@ -1053,27 +1020,31 @@ let e23 () =
              0.0 r.Sampling.estimates
          in
          let cps = Convergence.checkpoints r.Sampling.monitor in
-         row "  %-13s %-9d %-9d %-12.5f %-11d %-9.5f %-8b\n"
-           (Sampling.estimator_name est)
+         row "  %-13s %-9d %-9d %-12.5f %-11d %-9.5f %-8b\n" label
            r.Sampling.samples_used r.Sampling.evals hw (List.length cps)
            max_err (max_err <= hw);
-         (est, r, cps))
-      Sampling.[ Permutation; Truncated; Antithetic; Stratified ]
+         (label, r, cps))
+      Sampling.
+        [ ("truncated", Truncated, f);
+          ("uncut twin", Truncated, uncut);
+          ("antithetic", Antithetic, f) ]
   in
-  let get est =
-    let _, r, cps = List.find (fun (e, _, _) -> e = est) reports in
+  let get label =
+    let _, r, cps = List.find (fun (l, _, _) -> l = label) reports in
     (r, cps)
   in
-  let perm_r, _ = get Sampling.Permutation in
-  let trunc_r, trunc_cps = get Sampling.Truncated in
-  check "truncated estimates = permutation estimates (same RNG stream)"
-    (List.for_all2
-       (fun (a : Sampling.estimate) (b : Sampling.estimate) ->
-          a.Sampling.variable = b.Sampling.variable
-          && a.Sampling.value = b.Sampling.value)
-       perm_r.Sampling.estimates trunc_r.Sampling.estimates);
+  let uncut_r, _ = get "uncut twin" in
+  let trunc_r, trunc_cps = get "truncated" in
+  check "truncation changes no estimate (same values, half-widths, samples)"
+    (uncut_r.Sampling.samples_used = trunc_r.Sampling.samples_used
+     && List.for_all2
+          (fun (a : Sampling.estimate) (b : Sampling.estimate) ->
+             a.Sampling.variable = b.Sampling.variable
+             && a.Sampling.value = b.Sampling.value
+             && a.Sampling.half_width = b.Sampling.half_width)
+          uncut_r.Sampling.estimates trunc_r.Sampling.estimates);
   check "truncation saves oracle evaluations"
-    (trunc_r.Sampling.evals < perm_r.Sampling.evals);
+    (trunc_r.Sampling.evals < uncut_r.Sampling.evals);
   check "every estimator stopped at or before the Hoeffding budget"
     (List.for_all
        (fun (_, r, _) ->
@@ -1114,36 +1085,6 @@ let e23 () =
              a.Sampling.value = b.Sampling.value
              && a.Sampling.half_width = b.Sampling.half_width)
           r1.Sampling.estimates r4.Sampling.estimates);
-  (* satellite micro-assert: the table-based index mapping reproduces the
-     linear-scan sampler bit for bit, and what the O(n²)→O(n) fix buys *)
-  let micro_n = if quick then 48 else 96 in
-  let micro_samples = if quick then 150 else 300 in
-  let wide =
-    Formula.or_
-      (List.init (micro_n / 2) (fun i ->
-           Formula.conj2 (Formula.var ((2 * i) + 1)) (Formula.var ((2 * i) + 2))))
-  in
-  let wide_vars = List.init micro_n succ in
-  let old_est, t_old =
-    time (fun () ->
-        shap_sample_linear_scan ~seed:5 ~delta:0.05 ~samples:micro_samples
-          ~vars:wide_vars wide)
-  in
-  let new_est, t_new =
-    time (fun () ->
-        Sampling.shap_sample ~seed:5 ~delta:0.05 ~samples:micro_samples
-          ~vars:wide_vars wide)
-  in
-  row "  index-mapping micro (n=%d, %d samples): linear scan %.4f s, \
-       table %.4f s\n"
-    micro_n micro_samples t_old t_new;
-  check "table-based shap_sample = linear-scan shap_sample"
-    (List.for_all2
-       (fun (a : Sampling.estimate) (b : Sampling.estimate) ->
-          a.Sampling.variable = b.Sampling.variable
-          && a.Sampling.value = b.Sampling.value
-          && a.Sampling.half_width = b.Sampling.half_width)
-       old_est new_est);
   (* Karp–Luby through the same convergence stream *)
   let d =
     [ Vset.of_list [ 1; 2 ]; Vset.of_list [ 3; 4 ]; Vset.of_list [ 1; 5; 6 ] ]

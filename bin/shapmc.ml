@@ -106,25 +106,6 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-let cache_arg =
-  let doc =
-    "Route the computation through the serving cache: compiled circuits, \
-     stratified count vectors and Shapley rationals are content-keyed and \
-     reused within the run (repeated sub-computations are answered \
-     without fresh oracle calls).  Also enabled by setting $(env)."
-  in
-  Arg.(value & flag & info [ "cache" ] ~env:(Cmd.Env.info "SHAPMC_CACHE") ~doc)
-
-let cache_size_arg =
-  let doc =
-    "Capacity of the cache's result tier (per-fact Shapley rationals); \
-     the circuit and count tiers keep their defaults.  Also settable via \
-     $(env)."
-  in
-  Arg.(value & opt int Cache.default_results
-       & info [ "cache-size" ] ~docv:"N"
-           ~env:(Cmd.Env.info "SHAPMC_CACHE_SIZE") ~doc)
-
 (* The observation flags every subcommand shares, bundled into one term
    so adding a flag touches one place instead of fifteen. *)
 type obs_opts = {
@@ -133,30 +114,14 @@ type obs_opts = {
   profile : string option;
   metrics : string option;
   jobs : int;
-  cache : bool;
-  cache_size : int;
 }
 
 let obs_args =
-  let mk stats trace profile metrics jobs cache cache_size =
-    { stats; trace; profile; metrics; jobs; cache; cache_size }
+  let mk stats trace profile metrics jobs =
+    { stats; trace; profile; metrics; jobs }
   in
   Term.(const mk
-        $ stats_arg $ trace_arg $ profile_arg $ metrics_arg $ jobs_arg
-        $ cache_arg $ cache_size_arg)
-
-(* [with_cache opts f] gives [f] the optional cache --cache asked for and
-   prints its per-tier hit/miss epilogue to stderr with --stats. *)
-let with_cache opts f =
-  let cache =
-    if opts.cache then Some (Cache.create ~results:opts.cache_size ())
-    else None
-  in
-  let r = f cache in
-  (match cache with
-   | Some c when opts.stats -> Printf.eprintf "%s\n" (Cache.summary c)
-   | _ -> ());
-  r
+        $ stats_arg $ trace_arg $ profile_arg $ metrics_arg $ jobs_arg)
 
 let wrap f =
   try f () with
@@ -281,7 +246,6 @@ let kcount_cmd =
         | Ok (f, _) ->
           let vars = universe_of ?n f in
           with_obs opts (fun () ->
-              with_cache opts @@ fun cache ->
               let kv =
                 match method_ with
                 | "dpll" -> Dpll.count_by_size_universe ~vars f
@@ -289,7 +253,7 @@ let kcount_cmd =
                 | "circuit" -> Count.count_by_size ~vars (Compile.compile f)
                 | "reduction" ->
                   (* Lemma 3.3 through a DPLL counting oracle *)
-                  Pipeline.kcounts_via_count_oracle ?cache
+                  Pipeline.kcounts_via_count_oracle
                     ~oracle:Pipeline.dpll_count_oracle ~vars f
                 | m -> failwith ("unknown method " ^ m)
               in
@@ -333,13 +297,12 @@ let shap_cmd =
         | Ok (f, names) ->
           let vars = universe_of ?n f in
           with_obs opts (fun () ->
-              with_cache opts @@ fun cache ->
               let shap =
                 match method_ with
                 | "circuit" ->
                   Circuit_shapley.shap_direct ~vars (Compile.compile f)
                 | "reduction" ->
-                  Pipeline.shap_via_count_oracle ?cache
+                  Pipeline.shap_via_count_oracle
                     ~oracle:Pipeline.dpll_count_oracle ~vars f
                 | "pqe" ->
                   Pipeline.shap_via_pqe_oracle
@@ -396,9 +359,9 @@ let approx_cmd =
   let samples_arg =
     Arg.(value & opt (some int) None
          & info [ "s"; "samples" ] ~docv:"N"
-             ~doc:"Permutation budget cap (default: the Hoeffding bound for \
-                   $(b,--eps)/$(b,--delta) when $(b,--eps) is given, else \
-                   10000).")
+             ~doc:"Cap on the sampled permutations (default: the Hoeffding \
+                   bound for $(b,--eps)/$(b,--delta) when $(b,--eps) is \
+                   given, else 10000).")
   in
   let seed_arg =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -427,9 +390,9 @@ let approx_cmd =
     Arg.(value & opt string "truncated"
          & info [ "estimator" ] ~docv:"NAME"
              ~env:(Cmd.Env.info "SHAPMC_ESTIMATOR")
-             ~doc:"Estimator: $(b,permutation), $(b,truncated) (monotone \
-                   prefix cutoff, default), $(b,antithetic) (reversed-pair \
-                   means) or $(b,stratified) (cyclic position shifts).")
+             ~doc:"Estimator: $(b,truncated) (permutation sampling with a \
+                   monotone prefix cutoff, default) or $(b,antithetic) \
+                   (reversed-pair means).")
   in
   let ci_arg =
     Arg.(value & opt string "bernstein"
@@ -527,7 +490,7 @@ let approx_cmd =
       ~doc:"Approximate Shapley values by observable Monte-Carlo estimation."
       ~man:
         [ `S Manpage.s_description;
-          `P "Runs one of four permutation-sampling estimators with \
+          `P "Runs one of two permutation-sampling estimators with \
               streaming per-variable confidence intervals, stopping early \
               when the certified max half-width reaches $(b,--eps), a \
               $(b,--deadline) passes, or the $(b,--samples) budget is \
@@ -662,9 +625,8 @@ let lineage_cmd =
     wrap (fun () ->
         let db, q = Db_parser.parse_file file in
         with_obs opts (fun () ->
-            with_cache opts @@ fun cache ->
             let f = Lineage.lineage_formula db q in
-            let report = Explain.explain ?cache db q in
+            let report = Explain.explain db q in
             Format.printf "lineage: %s@\n%a@?" (Formula.to_string f) Explain.pp
               report))
   in
@@ -891,48 +853,23 @@ let serve_cmd =
                    events (aggregates stay exact past it).  Also settable \
                    via $(env).")
   in
-  (* bool that also takes 0/1, matching the other SHAPMC_* env vars *)
-  let lax_bool =
-    let parse = function
-      | "0" -> Ok false
-      | "1" -> Ok true
-      | s -> Arg.conv_parser Arg.bool s
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.bool)
-  in
-  let serve_cache_arg =
-    Arg.(value & opt lax_bool true
-         & info [ "cache" ] ~docv:"BOOL"
-             ~env:(Cmd.Env.info "SHAPMC_SERVE_CACHE")
-             ~doc:"Amortize answers through the serving cache: compiled \
-                   circuits and per-fact Shapley rationals are \
-                   content-keyed and shared across requests \
-                   (watch $(b,shapmc_cache_hits_total) on $(b,/metrics)).  \
-                   $(b,false) re-solves every request from scratch.  Also \
-                   settable via $(env).")
-  in
   let serve_cache_size_arg =
-    Arg.(value & opt int Shapmc_cache.Cache.default_results
+    Arg.(value & opt int Cache.default_results
          & info [ "cache-size" ] ~docv:"N"
              ~env:(Cmd.Env.info "SHAPMC_CACHE_SIZE")
-             ~doc:"Capacity of the cache's result tier (per-fact Shapley \
-                   rationals); the circuit and count tiers keep their \
-                   defaults.  Also settable via $(env).")
+             ~doc:"Capacity of the serving cache's result tier (per-fact \
+                   Shapley rationals); the circuit tier keeps its \
+                   default.  Also settable via $(env).")
   in
   let run host port jobs max_header max_body read_timeout max_conn drain
-      access_log access_log_max debug_requests scope_cap caching cache_size
-      files =
+      access_log access_log_max debug_requests scope_cap cache_size files =
     wrap (fun () ->
         Par.set_jobs jobs;
         let name_of path = Filename.remove_extension (Filename.basename path) in
         let named = List.map (fun p -> (name_of p, p)) files in
-        let cache =
-          if caching then
-            Some (Shapmc_cache.Cache.create ~results:cache_size ())
-          else None
-        in
         let api =
-          try Api.load_files ?cache ~caching named
+          try
+            Api.load_files ~cache:(Cache.create ~results:cache_size ()) named
           with Invalid_argument m -> failwith m
         in
         let limits =
@@ -983,8 +920,8 @@ let serve_cmd =
     Term.(const run $ host_arg $ port_arg $ jobs_arg $ max_header_arg
           $ max_body_arg $ read_timeout_arg $ max_conn_requests_arg
           $ drain_arg $ access_log_arg $ access_log_max_arg
-          $ debug_requests_arg $ scope_cap_arg $ serve_cache_arg
-          $ serve_cache_size_arg $ files_arg)
+          $ debug_requests_arg $ scope_cap_arg $ serve_cache_size_arg
+          $ files_arg)
 
 let tail_cmd =
   let open Shapmc_serve in

@@ -87,7 +87,10 @@ let () =
     (Sampling.samples_for ~eps:0.05 ~delta:0.05);
   List.iter
     (fun m ->
-       let est = Sampling.shap_sample ~seed:1 ~samples:m ~vars classifier in
+       let est =
+         (Sampling.shap_estimate ~seed:1 ~max_samples:m ~vars classifier)
+           .Sampling.estimates
+       in
        let worst =
          List.fold_left
            (fun acc e ->

@@ -1,5 +1,4 @@
 let default_circuits = 128
-let default_counts = 4096
 let default_results = 8192
 
 (* Logical hit/miss accounting per tier, separate from the Lru's own
@@ -13,15 +12,12 @@ type tier_counters = {
 
 type t = {
   circuits : Circuit.node Lru.t;
-  counts : Kvec.t Lru.t;
   results : Rat.t Lru.t;  (* "<key>#<fact>" -> value *)
-  meta : (string * int list) Lru.t;  (* key -> solver tag, fact order *)
+  meta : int list Lru.t;  (* key -> fact order *)
   c_circuit : tier_counters;
-  c_counts : tier_counters;
   c_shapley : tier_counters;
   fl_circuit : Circuit.node Single_flight.t;
-  fl_counts : Kvec.t Single_flight.t;
-  fl_shapley : ((int * Rat.t) list * string) Single_flight.t;
+  fl_shapley : (int * Rat.t) list Single_flight.t;
 }
 
 let labels tier = [ ("tier", tier) ]
@@ -30,17 +26,15 @@ let counters name = { tname = name; hits = Atomic.make 0; misses = Atomic.make 0
 
 let on_evict tier _key = Metrics.inc ~labels:(labels tier) "cache_evictions"
 
-let create ?(circuits = default_circuits) ?(counts = default_counts)
-    ?(results = default_results) () =
+(* The meta LRU reports no evictions: the shapley tier's evictions are
+   its per-fact rationals', on /metrics as in [stats]. *)
+let create ?(circuits = default_circuits) ?(results = default_results) () =
   { circuits = Lru.create ~on_evict:(on_evict "circuit") ~capacity:circuits ();
-    counts = Lru.create ~on_evict:(on_evict "counts") ~capacity:counts ();
     results = Lru.create ~on_evict:(on_evict "shapley") ~capacity:results ();
-    meta = Lru.create ~on_evict:(on_evict "shapley") ~capacity:results ();
+    meta = Lru.create ~capacity:results ();
     c_circuit = counters "circuit";
-    c_counts = counters "counts";
     c_shapley = counters "shapley";
     fl_circuit = Single_flight.create ();
-    fl_counts = Single_flight.create ();
     fl_shapley = Single_flight.create () }
 
 let set_gauges tier lru =
@@ -92,24 +86,16 @@ let circuit t ~key ?(tags = []) compute =
     ~store:(fun v -> Lru.put t.circuits ~tags key v)
     ~key compute
 
-let counts t ~key ?(tags = []) compute =
-  tiered ~c:t.c_counts ~lru:t.counts ~flight:t.fl_counts
-    ~probe:(fun () -> Lru.find t.counts key)
-    ~store:(fun v -> Lru.put t.counts ~tags key v)
-    ~key compute
-
 let fact_key key fact = Printf.sprintf "%s#%d" key fact
-
-let find_shapley t ~key ~fact = Lru.find t.results (fact_key key fact)
 
 (* A result hit needs the meta entry and every per-fact rational: a
    partially evicted answer must re-solve, not answer short. *)
 let probe_result t key =
   match Lru.find t.meta key with
   | None -> None
-  | Some (solver, facts) ->
+  | Some facts ->
     let rec gather acc = function
-      | [] -> Some (List.rev acc, solver)
+      | [] -> Some (List.rev acc)
       | f :: rest -> (
           match Lru.find t.results (fact_key key f) with
           | Some v -> gather ((f, v) :: acc) rest
@@ -117,9 +103,9 @@ let probe_result t key =
     in
     gather [] facts
 
-let store_result t ~tags key (values, solver) =
+let store_result t ~tags key values =
   List.iter (fun (f, v) -> Lru.put t.results ~tags (fact_key key f) v) values;
-  Lru.put t.meta ~tags key (solver, List.map fst values)
+  Lru.put t.meta ~tags key (List.map fst values)
 
 let shapley_all t ~key ?(tags = []) solve =
   tiered ~c:t.c_shapley ~lru:t.results ~flight:t.fl_shapley
@@ -130,25 +116,14 @@ let shapley_all t ~key ?(tags = []) solve =
 let invalidate_tag t tag =
   let dropped =
     Lru.remove_tagged t.circuits tag
-    + Lru.remove_tagged t.counts tag
     + Lru.remove_tagged t.results tag
     + Lru.remove_tagged t.meta tag
   in
   if dropped > 0 then
     Metrics.inc ~by:(float_of_int dropped) "cache_invalidations";
   set_gauges "circuit" t.circuits;
-  set_gauges "counts" t.counts;
   set_gauges "shapley" t.results;
   dropped
-
-let clear t =
-  Lru.clear t.circuits;
-  Lru.clear t.counts;
-  Lru.clear t.results;
-  Lru.clear t.meta;
-  set_gauges "circuit" t.circuits;
-  set_gauges "counts" t.counts;
-  set_gauges "shapley" t.results
 
 type tier_stats = {
   ts_hits : int;
@@ -167,18 +142,4 @@ let tier_stats c lru =
 
 let stats t =
   [ ("circuit", tier_stats t.c_circuit t.circuits);
-    ("counts", tier_stats t.c_counts t.counts);
     ("shapley", tier_stats t.c_shapley t.results) ]
-
-let summary t =
-  String.concat "\n"
-    (List.map
-       (fun (name, s) ->
-         Printf.sprintf
-           "cache %-8s %d/%d entries, %d hit%s, %d miss%s, %d evicted" name
-           s.ts_entries s.ts_capacity s.ts_hits
-           (if s.ts_hits = 1 then "" else "s")
-           s.ts_misses
-           (if s.ts_misses = 1 then "" else "es")
-           s.ts_evictions)
-       (stats t))

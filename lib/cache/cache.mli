@@ -1,31 +1,25 @@
-(** The persistent compilation-and-counting cache (ROADMAP item 2).
+(** The serving cache: compiled circuits and Shapley answers.
 
-    The paper's pipeline answers every fact's Shapley value through the
-    same compiled lineage (and, on the formula route, the same
-    stratified [#_k] counts: Lemma 3.2's oracle answers are reusable
-    across fact positions), so a long-running service should pay for
-    compilation and counting once per query content, not once per
-    request.  A [Cache.t] holds three
-    tiers, each an {!Lru} guarded by {!Single_flight} so concurrent
-    misses of one key compute exactly once:
+    The paper's database pipeline answers every fact's Shapley value
+    through the same compiled lineage, so a long-running service should
+    pay for compilation and the circuit pass once per query content, not
+    once per request.  A [Cache.t] holds two tiers, each an {!Lru}
+    guarded by {!Single_flight} so concurrent misses of one key compute
+    exactly once:
 
     - {b circuit} — compiled d-DNNF (or safe-plan circuit) per query
       lineage, keyed on a content fingerprint of the query and the
       relations it mentions;
-    - {b counts} — the formula pipeline's stratified [#_k] vectors
-      ({!Kvec.t}), keyed on oracle + universe + formula text.  Circuit
-      answers put nothing here: one forward–backward pass over the
-      cached circuit yields every player's value;
     - {b shapley} — per-(query, fact) Shapley rationals plus one meta
-      entry per query recording fact order and solver, so a full
+      entry per query recording the fact order, so a full
       [/v1/shapley/all] answer reassembles from per-fact entries and a
       partial eviction degrades to a re-solve, never to a wrong answer.
 
-    Key derivation lives with the callers ({!Shapmc_db.Db_fingerprint},
-    [Dichotomy], [Pipeline]): this module only promises that equal keys
-    mean equal computations.  Entries carry caller-chosen tags;
-    {!invalidate_tag} is the insert/delete hook — drop everything whose
-    lineage mentions a mutated relation while unrelated entries survive.
+    Key derivation lives with the caller ({!Shapmc_db.Db_fingerprint},
+    [Dichotomy]): this module only promises that equal keys mean equal
+    computations.  Entries carry caller-chosen tags; {!invalidate_tag}
+    is the insert/delete hook — drop everything whose lineage mentions a
+    mutated relation while unrelated entries survive.
 
     Every lookup is instrumented on {!Metrics.default}:
     [cache_hits]/[cache_misses]/[cache_evictions]/[cache_invalidations]
@@ -38,15 +32,11 @@ type t
 val default_circuits : int
 (** 128 compiled circuits. *)
 
-val default_counts : int
-(** 4096 count vectors. *)
-
 val default_results : int
 (** 8192 per-fact rationals (and as many query meta entries). *)
 
 (** [create ()] — capacities per tier, all ≥ 1. *)
-val create :
-  ?circuits:int -> ?counts:int -> ?results:int -> unit -> t
+val create : ?circuits:int -> ?results:int -> unit -> t
 
 (** {1 Tiered get-or-compute}
 
@@ -58,28 +48,18 @@ val circuit :
   t -> key:string -> ?tags:string list -> (unit -> Circuit.node) ->
   Circuit.node
 
-val counts :
-  t -> key:string -> ?tags:string list -> (unit -> Kvec.t) -> Kvec.t
-
 (** [shapley_all t ~key solve] — the solve returns all values in fact
-    order plus an opaque solver tag; a hit requires the meta entry and
-    {e every} per-fact rational to still be resident. *)
+    order; a hit requires the meta entry and {e every} per-fact rational
+    to still be resident. *)
 val shapley_all :
-  t -> key:string -> ?tags:string list ->
-  (unit -> (int * Rat.t) list * string) ->
-  (int * Rat.t) list * string
-
-(** Peek at one fact's cached rational (no fill, no single-flight). *)
-val find_shapley : t -> key:string -> fact:int -> Rat.t option
+  t -> key:string -> ?tags:string list -> (unit -> (int * Rat.t) list) ->
+  (int * Rat.t) list
 
 (** {1 Invalidation} *)
 
-(** [invalidate_tag t tag] drops every entry tagged [tag] across all
+(** [invalidate_tag t tag] drops every entry tagged [tag] across both
     tiers; returns the number of entries dropped. *)
 val invalidate_tag : t -> string -> int
-
-(** Drop everything (counters survive). *)
-val clear : t -> unit
 
 (** {1 Introspection} *)
 
@@ -91,10 +71,8 @@ type tier_stats = {
   ts_capacity : int;
 }
 
-(** Per-tier statistics, keyed ["circuit"], ["counts"], ["shapley"]
-    (the shapley tier counts logical query-level lookups; its entries
-    are the per-fact rationals). *)
+(** Per-tier statistics, keyed ["circuit"] and ["shapley"].  The
+    shapley tier counts logical query-level lookups; its entries, and so
+    its evictions (here and on [cache_evictions]), are the per-fact
+    rationals. *)
 val stats : t -> (string * tier_stats) list
-
-(** One human line per tier, e.g. for [--stats] epilogues. *)
-val summary : t -> string

@@ -121,12 +121,6 @@ let remove_tagged t tag =
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.tbl key)
 
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.tbl;
-      t.head <- None;
-      t.tail <- None)
-
 let keys t =
   locked t (fun () ->
       let rec walk acc = function

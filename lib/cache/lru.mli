@@ -12,7 +12,7 @@
     R of database 3").
 
     Hit / miss / eviction counters are cumulative over the structure's
-    lifetime ({!clear} resets entries, not counters). *)
+    lifetime. *)
 
 type 'v t
 
@@ -40,8 +40,6 @@ val remove : 'v t -> string -> bool
 val remove_tagged : 'v t -> string -> int
 
 val mem : 'v t -> string -> bool
-
-val clear : 'v t -> unit
 
 (** Keys in recency order, most-recently used first. *)
 val keys : 'v t -> string list

@@ -4,9 +4,9 @@
     works directly on clause sets, which lets it run {e unit propagation}
     before every decision — each propagated literal becomes a
     decomposable AND factor — in addition to clause-level connected-
-    component decomposition and caching.  This matches how c2d/Dsharp
-    treat DIMACS input and is the preferred engine for CNF instances
-    ({!Shapmc_counting.Dimacs}).
+    component decomposition with a component cache.  This matches how
+    c2d/Dsharp treat DIMACS input and is the preferred engine for CNF
+    instances ({!Shapmc_counting.Dimacs}).
 
     Pure-literal elimination is deliberately {e not} performed: it
     preserves satisfiability but not model counts.

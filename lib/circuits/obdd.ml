@@ -221,7 +221,7 @@ let support t =
   go t;
   !acc
 
-(* Stratified counting: [own t] is the count vector of [t] over the
+(* Counting by model size: [own t] is the count vector of [t] over the
    universe variables at levels >= level(t); parents bridge level gaps by
    binomial extension.  [levels] is the sorted list of universe levels. *)
 let count_by_size m ~vars t =

@@ -44,75 +44,44 @@ let ledgered_shap ~oracle ?arity ?attrs ~vars f =
       ~size:(Formula.size f)
       (fun () -> oracle.shap ~vars f)
 
-(* Content key of a (oracle, universe, formula) computation: formulas
-   print re-parseably, so the text is an exact identity. *)
-let formula_key ~prefix ~oracle ~sorted f =
-  Fingerprint.digest
-    (prefix :: oracle.oracle_name :: Formula.to_string f
-    :: List.map string_of_int sorted)
-
-(* Lemma 3.3 instantiated with formula OR-substitution.  With [cache],
-   the whole stratified vector is memoized in the counts tier — the
-   oracle answers of one sweep are content-addressed, so a repeated
-   query (the serving pattern) pays zero oracle calls. *)
-let kcounts_via_count_oracle ?cache ~oracle ~vars f =
+(* Lemma 3.3 instantiated with formula OR-substitution. *)
+let kcounts_via_count_oracle ~oracle ~vars f =
   let universe, sorted = sorted_universe ~vars f in
   let n = List.length sorted in
-  let compute () =
-    Obs.with_span "pipeline.kcounts_via_count_oracle"
-      ~attrs:[ ("n", Trace.Int n) ]
-    @@ fun () ->
-    Reductions.kcounts_via_counting ~n ~count_subst:(fun ~l ->
-        let g, blocks = Subst.uniform_or ~universe ~l f in
-        ledgered_count ~oracle ~arity:l
-          ~attrs:[ ("lemma", Trace.Str "3.3") ]
-          ~vars:(List.concat_map snd blocks) g)
-  in
-  match cache with
-  | None -> compute ()
-  | Some c ->
-    Cache.counts c ~key:(formula_key ~prefix:"l3.3" ~oracle ~sorted f) compute
+  Obs.with_span "pipeline.kcounts_via_count_oracle"
+    ~attrs:[ ("n", Trace.Int n) ]
+  @@ fun () ->
+  Reductions.kcounts_via_counting ~n ~count_subst:(fun ~l ->
+      let g, blocks = Subst.uniform_or ~universe ~l f in
+      ledgered_count ~oracle ~arity:l
+        ~attrs:[ ("lemma", Trace.Str "3.3") ]
+        ~vars:(List.concat_map snd blocks) g)
 
 (* Lemma 3.2 over Lemma 3.3: the full Shap(C) ≤P #~C chain.  Following the
    proof, the #_*-oracle is consulted on the isomorphic copy ~F and on the
    zapped functions ~F' rather than on F itself — both live in ~C. *)
-let shap_via_count_oracle ?cache ~oracle ~vars f =
+let shap_via_count_oracle ~oracle ~vars f =
   let universe, sorted = sorted_universe ~vars f in
   let n = List.length sorted in
-  let compute () =
-    Obs.with_span "pipeline.shap_via_count_oracle"
-      ~attrs:[ ("n", Trace.Int n) ]
-    @@ fun () ->
-    let kcount_full =
-      Obs.phase "lemma3.2.full" ~attrs:[ ("n", Trace.Int n) ];
-      let tilde_f, blocks = Subst.isomorphic_copy ~universe f in
-      kcounts_via_count_oracle ?cache ~oracle
-        ~vars:(List.concat_map snd blocks)
-        tilde_f
-    in
-    let sorted_arr = Array.of_list sorted in
-    let kcount_drop pos =
-      let i = sorted_arr.(pos) in
-      Obs.phase "lemma3.2.drop" ~attrs:[ ("i", Trace.Int i) ];
-      let tilde_f', blocks =
-        Subst.zap ~universe ~zero:(Vset.singleton i) f
-      in
-      kcounts_via_count_oracle ?cache ~oracle
-        ~vars:(List.concat_map snd blocks)
-        tilde_f'
-    in
-    let values = Reductions.shap_via_kcounts ~n ~kcount_full ~kcount_drop in
-    List.mapi (fun pos i -> (i, values.(pos))) sorted
+  Obs.with_span "pipeline.shap_via_count_oracle"
+    ~attrs:[ ("n", Trace.Int n) ]
+  @@ fun () ->
+  let kcount_full =
+    Obs.phase "lemma3.2.full" ~attrs:[ ("n", Trace.Int n) ];
+    let tilde_f, blocks = Subst.isomorphic_copy ~universe f in
+    kcounts_via_count_oracle ~oracle ~vars:(List.concat_map snd blocks)
+      tilde_f
   in
-  match cache with
-  | None -> compute ()
-  | Some c ->
-    (* The full answer also lands in the shapley tier, per variable, so
-       a repeated CLI/serving invocation skips even the interpolation. *)
-    fst
-      (Cache.shapley_all c
-         ~key:(formula_key ~prefix:"l3.2" ~oracle ~sorted f)
-         (fun () -> (compute (), oracle.oracle_name)))
+  let sorted_arr = Array.of_list sorted in
+  let kcount_drop pos =
+    let i = sorted_arr.(pos) in
+    Obs.phase "lemma3.2.drop" ~attrs:[ ("i", Trace.Int i) ];
+    let tilde_f', blocks = Subst.zap ~universe ~zero:(Vset.singleton i) f in
+    kcounts_via_count_oracle ~oracle ~vars:(List.concat_map snd blocks)
+      tilde_f'
+  in
+  let values = Reductions.shap_via_kcounts ~n ~kcount_full ~kcount_drop in
+  List.mapi (fun pos i -> (i, values.(pos))) sorted
 
 (* Lemma 3.4: #C ≤P Shap(~C).  [sorted_arr] is the sorted universe as an
    array, so the n² (l, pos) consultations index it in O(1) instead of

@@ -30,24 +30,18 @@ val shap_oracle_of_subsets : shap_oracle
 
 (** [kcounts_via_count_oracle ~oracle ~vars f] computes [#_{0..n} F] by
     Lemma 3.3: builds [F^(l)] for [l = 1..n+1] by OR-substitution and
-    calls the oracle on each.  With [cache], the whole stratified
-    vector is memoized (content-keyed on oracle, universe and formula
-    text) in the cache's counts tier: a repeated invocation makes zero
-    oracle calls. *)
+    calls the oracle on each. *)
 val kcounts_via_count_oracle :
-  ?cache:Cache.t -> oracle:count_oracle -> vars:int list -> Formula.t ->
-  Kvec.t
+  oracle:count_oracle -> vars:int list -> Formula.t -> Kvec.t
 
 (** [shap_via_count_oracle ~oracle ~vars f] computes all Shapley values by
     chaining Lemma 3.2 over Lemma 3.3 — the paper's
     [Shap(C) ≤P #_* ~C ≤P # ~~C] route.  The [#_*]-oracle calls of
     Lemma 3.2 are served on the isomorphic copy [~F] and the zapped
     functions [~F'] (empty disjunction at [X_i]), exactly as in the
-    proof.  [cache] memoizes both the per-[l] stratified vectors and
-    the final per-variable values. *)
+    proof. *)
 val shap_via_count_oracle :
-  ?cache:Cache.t -> oracle:count_oracle -> vars:int list -> Formula.t ->
-  (int * Rat.t) list
+  oracle:count_oracle -> vars:int list -> Formula.t -> (int * Rat.t) list
 
 (** {1 # ≤P Shap} *)
 

@@ -16,75 +16,26 @@ let index_table sorted =
   Array.iteri (fun i v -> Hashtbl.replace idx v i) sorted;
   fun v -> Hashtbl.find idx v
 
-let sorted_vars ~who ~vars f =
-  let universe = Vset.of_list vars in
-  if not (Vset.subset (Formula.vars f) universe) then
-    invalid_arg (who ^ ": universe misses variables");
-  Array.of_list (List.sort compare vars)
-
-let shap_sample ?(seed = 0) ?(delta = 0.05) ~samples ~vars f =
-  if samples <= 0 then invalid_arg "Sampling.shap_sample: samples <= 0";
-  let sorted = sorted_vars ~who:"Sampling.shap_sample" ~vars f in
-  let st = Random.State.make [| seed |] in
-  let n = Array.length sorted in
-  let idx_of = index_table sorted in
-  let totals = Array.make n 0 in
-  let perm = Array.copy sorted in
-  for _ = 1 to samples do
-    (* Fisher–Yates shuffle *)
-    for i = n - 1 downto 1 do
-      let j = Random.State.int st (i + 1) in
-      let t = perm.(i) in
-      perm.(i) <- perm.(j);
-      perm.(j) <- t
-    done;
-    (* walk the permutation, evaluating F on the growing prefix *)
-    let prefix = ref Vset.empty in
-    let value = ref (Formula.eval_set Vset.empty f) in
-    Array.iter
-      (fun v ->
-         let next = Vset.add v !prefix in
-         let value' = Formula.eval_set next f in
-         let marginal = Bool.to_int value' - Bool.to_int !value in
-         let i = idx_of v in
-         totals.(i) <- totals.(i) + marginal;
-         prefix := next;
-         value := value')
-      perm
-  done;
-  let m = float_of_int samples in
-  let half_width = 2.0 *. sqrt (log (2.0 /. delta) /. (2.0 *. m)) in
-  Array.to_list
-    (Array.mapi
-       (fun i v ->
-          { variable = sorted.(i); value = float_of_int v /. m; half_width })
-       totals)
-
 (* {1 Estimator suite} *)
 
-type estimator = Permutation | Truncated | Antithetic | Stratified
+type estimator = Truncated | Antithetic
 
 let estimator_of_string = function
-  | "permutation" -> Some Permutation
   | "truncated" -> Some Truncated
   | "antithetic" -> Some Antithetic
-  | "stratified" -> Some Stratified
   | _ -> None
 
 let estimator_name = function
-  | Permutation -> "permutation"
   | Truncated -> "truncated"
   | Antithetic -> "antithetic"
-  | Stratified -> "stratified"
 
 (* Fixed seed-stream tag per estimator, part of every batch's RNG key.
-   Truncated shares Permutation's stream on purpose: truncation skips
-   evaluations but draws no randomness, so the two produce identical
-   estimates — the bench asserts exactly that. *)
+   Truncation skips evaluations but draws no randomness, so a truncated
+   walk and an uncut one on an equivalent non-positive formula return
+   identical estimates — the bench asserts exactly that. *)
 let estimator_tag = function
-  | Permutation | Truncated -> 1
+  | Truncated -> 1
   | Antithetic -> 3
-  | Stratified -> 4
 
 type progress = {
   pr_samples : int;
@@ -102,7 +53,7 @@ type report = {
 }
 
 (* One worker batch's exact integer accumulators.  Marginal sums stay in
-   [int] (marginals are in {-1, 0, 1}, pair/group sums in small ranges),
+   [int] (marginals are in {-1, 0, 1}, pair sums in {-2, ..., 2}),
    so the float moments derived from them — and therefore the merged
    monitor state — depend only on the batch schedule, never on how many
    domains executed it. *)
@@ -113,17 +64,11 @@ type batch = {
   b_evals : int;  (* Formula.eval_set calls *)
 }
 
-(* batch geometry: permutations consumed by one observation *)
-let unit_perms ~players = function
-  | Permutation | Truncated -> 1
+(* batch geometry: permutations consumed by one observation, which is
+   also the scale of its int numerator *)
+let unit_perms = function
+  | Truncated -> 1
   | Antithetic -> 2
-  | Stratified -> players
-
-(* observation = numerator / scale, with numerator the int accumulator *)
-let obs_scale ~players = function
-  | Permutation | Truncated -> 1.0
-  | Antithetic -> 2.0
-  | Stratified -> float_of_int players
 
 let batches_per_round = 4
 let target_batch_perms = 64
@@ -169,7 +114,7 @@ let run_batch ~f ~sorted ~idx_of ~truncate ~estimator ~seed ~batch_index
   in
   let forward j = perm.(j) in
   (match estimator with
-  | Permutation | Truncated ->
+  | Truncated ->
       for _ = 1 to units do
         shuffle ();
         walk forward;
@@ -190,22 +135,6 @@ let run_batch ~f ~sorted ~idx_of ~truncate ~estimator ~seed ~batch_index
           sums.(i) <- sums.(i) + s;
           sumsq.(i) <- sumsq.(i) + (s * s)
         done
-      done
-  | Stratified ->
-      let group = Array.make n 0 in
-      for _ = 1 to units do
-        shuffle ();
-        Array.fill group 0 n 0;
-        for s = 0 to n - 1 do
-          walk (fun j -> perm.((j + s) mod n));
-          for i = 0 to n - 1 do
-            group.(i) <- group.(i) + marg.(i)
-          done
-        done;
-        for i = 0 to n - 1 do
-          sums.(i) <- sums.(i) + group.(i);
-          sumsq.(i) <- sumsq.(i) + (group.(i) * group.(i))
-        done
       done);
   { b_sums = sums; b_sumsq = sumsq; b_units = units; b_evals = !evals }
 
@@ -224,7 +153,9 @@ let merge_batch monitor ~scale ~players b =
 let shap_estimate ?(estimator = Truncated) ?(seed = 0) ?(delta = 0.05) ?eps
     ?max_samples ?deadline ?(ci = Convergence.Bernstein)
     ?(interval = Convergence.default_interval) ?jsonl ?progress ~vars f =
-  let sorted = sorted_vars ~who:"Sampling.shap_estimate" ~vars f in
+  if not (Vset.subset (Formula.vars f) (Vset.of_list vars)) then
+    invalid_arg "Sampling.shap_estimate: universe misses variables";
+  let sorted = Array.of_list (List.sort compare vars) in
   let n = Array.length sorted in
   if n = 0 then invalid_arg "Sampling.shap_estimate: no players";
   (match eps with
@@ -245,8 +176,8 @@ let shap_estimate ?(estimator = Truncated) ?(seed = 0) ?(delta = 0.05) ?eps
   in
   let idx_of = index_table sorted in
   let truncate = estimator = Truncated && Nf.is_positive f in
-  let per_unit = unit_perms ~players:n estimator in
-  let scale = obs_scale ~players:n estimator in
+  let per_unit = unit_perms estimator in
+  let scale = float_of_int per_unit in
   let units_per_batch = max 1 (target_batch_perms / per_unit) in
   let total_units = (max_samples + per_unit - 1) / per_unit in
   let name = estimator_name estimator in

@@ -10,8 +10,7 @@
     [P(|estimate − Shap| > ε) ≤ δ] with [m ≥ 2 ln(2/δ) / ε²] samples per
     variable (all variables are estimated from the same permutations).
 
-    {!shap_sample} is the fixed-budget legacy sampler.  {!shap_estimate}
-    is the production engine: it streams every marginal through a
+    {!shap_estimate} streams every marginal through a
     {!Convergence} monitor (Welford moments, selectable CI, checkpoint
     telemetry into Trace/Scope/Metrics/JSONL), stops early once the
     certified max half-width reaches a target ε or a wall-clock deadline
@@ -31,19 +30,6 @@ type estimate = {
   half_width : float;  (** CI half-width at the requested [delta] *)
 }
 
-(** [shap_sample ~seed ~samples ~delta ~vars f] estimates all Shapley
-    values from [samples] random permutations.  [delta] is the per-variable
-    failure probability used for the reported half-width (default 0.05).
-    @raise Invalid_argument if [samples <= 0] or [vars] misses variables
-    of [f]. *)
-val shap_sample :
-  ?seed:int ->
-  ?delta:float ->
-  samples:int ->
-  vars:int list ->
-  Formula.t ->
-  estimate list
-
 (** [samples_for ~eps ~delta] is the Hoeffding sample bound
     [⌈2 ln(2/δ) / ε²⌉] for additive error [eps] with failure probability
     [delta].
@@ -54,27 +40,20 @@ val samples_for : eps:float -> delta:float -> int
 (** {1 Estimator suite} *)
 
 type estimator =
-  | Permutation  (** plain permutation walk, one marginal per player *)
   | Truncated
-      (** permutation walk with a monotone prefix cutoff: on positive
-          formulas, once the growing prefix satisfies [f] every later
-          marginal is 0, so the remaining oracle evaluations are
-          skipped.  Identical estimates to {!Permutation} (same RNG
-          stream), strictly fewer evaluations; silently equals
-          {!Permutation} on non-positive formulas. *)
+      (** permutation walk, one marginal per player, with a monotone
+          prefix cutoff: on positive formulas, once the growing prefix
+          satisfies [f] every later marginal is 0, so the remaining
+          oracle evaluations are skipped.  The cutoff draws no
+          randomness, so it changes no estimate, only the evaluation
+          count; on non-positive formulas it never applies. *)
   | Antithetic
       (** evaluates each permutation and its reversal, feeding the pair
           mean as one observation — negatively correlated pairs cut
           variance for near-symmetric games *)
-  | Stratified
-      (** stratified by position via cyclic shifts: each sampled
-          permutation is walked in all [n] rotations, so every player
-          contributes exactly one marginal {e at every position}; the
-          per-player group mean is one observation.  Removes the
-          position-mixture component of the variance. *)
 
 val estimator_of_string : string -> estimator option
-(** ["permutation"], ["truncated"], ["antithetic"], ["stratified"]. *)
+(** ["truncated"], ["antithetic"]. *)
 
 val estimator_name : estimator -> string
 

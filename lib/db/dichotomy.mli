@@ -23,7 +23,8 @@ type solver =
 val classify : Cq.t -> classification
 
 (** [shapley db q] computes the Shapley value of every endogenous tuple
-    (keyed by lineage variable), reporting which solver ran. *)
+    (keyed by lineage variable), reporting which solver ran.  It caches
+    nothing: it is the reference {!shapley_cached} is checked against. *)
 val shapley : Database.t -> Cq.t -> (int * Rat.t) list * solver
 
 (** [shapley_cached ~cache db q] is {!shapley} routed through the
@@ -31,15 +32,14 @@ val shapley : Database.t -> Cq.t -> (int * Rat.t) list * solver
     {!Db_fingerprint.result_key}, and the compiled circuit in the circuit
     tier under {!Db_fingerprint.lineage_key} (so mutations of unrelated
     relations never force a recompile).  A miss solves the circuit with
-    one {!Circuit_shapley.shap_direct} pass, which caches nothing.
-    [on_miss wrap] wraps the actual solve on a result-tier miss —
-    servers use it to ledger the solve as an oracle call, so a warm
-    request is observably oracle-free.  Compilations are ledgered as
-    [cache.compile].  Answers are bit-identical to {!shapley} on every
-    input. *)
+    one {!Circuit_shapley.shap_direct} pass, which caches nothing.  The
+    solver is [classify q]'s, hit or miss.  [on_miss wrap] wraps the
+    actual solve on a result-tier miss — servers use it to ledger the
+    solve as an oracle call, so a warm request is observably
+    oracle-free.  Compilations are ledgered as [cache.compile].  Answers
+    are bit-identical to {!shapley} on every input. *)
 val shapley_cached :
-  ?on_miss:
-    ((unit -> (int * Rat.t) list * solver) -> (int * Rat.t) list * solver) ->
+  ?on_miss:((unit -> (int * Rat.t) list) -> (int * Rat.t) list) ->
   cache:Cache.t -> Database.t -> Cq.t -> (int * Rat.t) list * solver
 
 (** [invalidate ~cache db rel] — the fact insert/delete hook: drops every

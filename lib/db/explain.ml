@@ -12,12 +12,8 @@ type report = {
   entries : entry list;
 }
 
-let explain ?cache db q =
-  let shap, solver =
-    match cache with
-    | None -> Dichotomy.shapley db q
-    | Some cache -> Dichotomy.shapley_cached ~cache db q
-  in
+let explain db q =
+  let shap, solver = Dichotomy.shapley db q in
   let entries =
     shap
     |> List.map (fun (lvar, value) ->

@@ -20,10 +20,8 @@ type report = {
   entries : entry list;  (** sorted by decreasing Shapley value *)
 }
 
-(** [explain db q] builds the full report.  With [cache], the Shapley
-    computation goes through {!Dichotomy.shapley_cached} — identical
-    values, amortized across repeated invocations. *)
-val explain : ?cache:Cache.t -> Database.t -> Cq.t -> report
+(** [explain db q] builds the full report. *)
+val explain : Database.t -> Cq.t -> report
 
 (** [top_k report k] is the [k] highest-valued entries. *)
 val top_k : report -> int -> entry list

@@ -55,8 +55,8 @@ val set_profiling : bool -> unit
 val profiling : unit -> bool
 
 (** Bytes allocated by the calling domain so far (minor + major −
-    promoted, from [Gc.quick_stat]); subtract two samples to bracket a
-    region. *)
+    promoted, from [Gc.allocated_bytes]); subtract two samples to
+    bracket a region. *)
 val allocated_bytes_now : unit -> float
 
 (** [reset ()] clears all counters, spans and ledgers, and resets the
@@ -210,7 +210,7 @@ val report : unit -> string
 
 val json_float : float -> string
 (** A float as a valid JSON token: [null] for NaN, [±1.0e308] for the
-    infinities, [%.17g] (round-trip precision) otherwise. *)
+    infinities, [%.6f] (fixed, six decimals) otherwise. *)
 
 (** The full current state as a JSON object with fields ["counters"],
     ["spans"], ["oracle_calls"] (aggregated per oracle),

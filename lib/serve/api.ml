@@ -7,16 +7,14 @@ type entry = {
   facts : (int * string * Value.t array) array;
 }
 
-(* Answers are amortized by the serving cache (ROADMAP item 2): the
-   compiled circuit and the per-fact rationals are content-keyed in a
-   shared {!Shapmc_cache.Cache.t}, and
-   concurrent misses of one query single-flight — the old per-entry
-   memo held its mutex across the whole solve, serializing unrelated
-   requests; the cache's keyed flights do not. *)
-type t = { list : entry list; cache : Cache.t option; created : float }
+(* Answers are amortized by the serving cache: the compiled circuit and
+   the per-fact rationals are content-keyed in a shared
+   {!Shapmc_cache.Cache.t}, and concurrent misses of one query
+   single-flight, so unrelated requests never wait on each other. *)
+type t = { list : entry list; cache : Cache.t; created : float }
 
-(* Service version reported by /healthz; tracks the PR sequence. *)
-let version = "0.9.0"
+(* Service version reported by /healthz. *)
+let version = "0.10.0"
 
 let facts_of db =
   let all =
@@ -34,7 +32,7 @@ let facts_of db =
   Array.sort (fun (a, _, _) (b, _, _) -> compare a b) arr;
   arr
 
-let of_pairs ?cache ?(caching = true) pairs =
+let of_pairs ?(cache = Cache.create ()) pairs =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (name, _) ->
@@ -42,10 +40,6 @@ let of_pairs ?cache ?(caching = true) pairs =
         invalid_arg ("Api.of_pairs: duplicate query name " ^ name);
       Hashtbl.add seen name ())
     pairs;
-  let cache =
-    if not caching then None
-    else Some (match cache with Some c -> c | None -> Cache.create ())
-  in
   { list =
       List.map
         (fun (name, (db, query)) -> { name; db; query; facts = facts_of db })
@@ -53,21 +47,19 @@ let of_pairs ?cache ?(caching = true) pairs =
     cache;
     created = Unix.gettimeofday () }
 
-let load_files ?cache ?caching files =
-  of_pairs ?cache ?caching
+let load_files ?cache files =
+  of_pairs ?cache
     (List.map (fun (name, path) -> (name, Db_parser.parse_file path)) files)
 
 let entries t = t.list
 
 let find t name = List.find_opt (fun e -> e.name = name) t.list
 
-let cache t = t.cache
-
-(* The cache miss (or uncached solve) is this layer's oracle
-   consultation: the full Shapley solve.  Ledger it so per-request
-   scopes, the access log and /metrics attribute solver time to the
-   request that paid for it — cache hits make zero ledger calls, so a
-   warm request's profile shows [oracle_calls = 0]. *)
+(* The cache miss is this layer's oracle consultation: the full
+   Shapley solve.  Ledger it so per-request scopes, the access log and
+   /metrics attribute solver time to the request that paid for it —
+   cache hits make zero ledger calls, so a warm request's profile shows
+   [oracle_calls = 0]. *)
 let ledgered_solve e k =
   Obs.call ~oracle:"api.shapley_all"
     ~n:(Array.length e.facts)
@@ -77,13 +69,10 @@ let ledgered_solve e k =
 let shapley_all t entry =
   match find t entry.name with
   | None -> invalid_arg ("Api.shapley_all: unknown entry " ^ entry.name)
-  | Some e -> (
-      match t.cache with
-      | None -> ledgered_solve e (fun () -> Dichotomy.shapley e.db e.query)
-      | Some cache ->
-        Dichotomy.shapley_cached ~cache
-          ~on_miss:(fun run -> ledgered_solve e run)
-          e.db e.query)
+  | Some e ->
+    Dichotomy.shapley_cached ~cache:t.cache
+      ~on_miss:(fun run -> ledgered_solve e run)
+      e.db e.query
 
 (* ------------------------------------------------------------------ *)
 (* Cursors: "f" + zero-padded decimal, so token order IS fact order.   *)

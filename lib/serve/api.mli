@@ -38,31 +38,23 @@ type entry = {
 
 type t
 
-(** [of_pairs [(name, (db, q)); ...]] builds a service state.
-    [caching] (default [true]) turns the serving cache on; [cache]
+(** [of_pairs [(name, (db, q)); ...]] builds a service state.  [cache]
     supplies a pre-sized (or shared) {!Shapmc_cache.Cache.t} instead of
-    the default-capacity one.  With [~caching:false] every request
-    re-solves from scratch.
+    a default-capacity one.
     @raise Invalid_argument on duplicate names. *)
-val of_pairs :
-  ?cache:Cache.t -> ?caching:bool -> (string * (Database.t * Cq.t)) list -> t
+val of_pairs : ?cache:Cache.t -> (string * (Database.t * Cq.t)) list -> t
 
 (** [load_files [(name, path); ...]] parses each file with
     {!Db_parser.parse_file}. *)
-val load_files :
-  ?cache:Cache.t -> ?caching:bool -> (string * string) list -> t
+val load_files : ?cache:Cache.t -> (string * string) list -> t
 
 val entries : t -> entry list
 val find : t -> string -> entry option
 
-(** The serving cache, when enabled (for stats epilogues and tests). *)
-val cache : t -> Cache.t option
-
 (** Amortized via {!Dichotomy.shapley_cached}: the first call per query
     content compiles the lineage and solves for every fact (concurrent
     misses of one key single-flight — the leader solves, joiners park
-    and share); later calls are cache hits and make zero oracle calls.
-    With [~caching:false], every call is a fresh ledgered solve. *)
+    and share); later calls are cache hits and make zero oracle calls. *)
 val shapley_all : t -> entry -> (int * Rat.t) list * Dichotomy.solver
 
 (** Version string reported by [/healthz]. *)

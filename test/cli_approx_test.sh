@@ -68,10 +68,14 @@ grep -q "estimator convergence:" <<<"$report" \
 grep -q "truncated" <<<"$report" \
   || fail "convergence section does not name the estimator"
 
-# An unknown estimator is a clean CLI error, not a crash.
-if "$exe" approx --estimator bogus "$formula" >/dev/null 2>bogus.err; then
-  fail "bogus estimator accepted"
-fi
-grep -qi "unknown estimator" bogus.err || fail "bogus estimator: wrong error"
+# An unknown estimator is a clean CLI error, not a crash; so are the
+# names of the removed permutation and stratified estimators.
+for name in bogus permutation stratified; do
+  if "$exe" approx --estimator "$name" "$formula" >/dev/null 2>"$name.err"; then
+    fail "$name estimator accepted"
+  fi
+  grep -qi "unknown estimator" "$name.err" \
+    || fail "$name estimator: wrong error"
+done
 
 echo "cli-approx OK"

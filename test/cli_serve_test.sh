@@ -63,7 +63,7 @@ grep -q '"num":"1","den":"4"' <<<"$out" || fail "shapley value wrong: $out"
 batch=$("$exe" lineage serve_demo.db)
 grep -q "1/4" <<<"$batch" || fail "batch CLI disagrees: $batch"
 
-# repeated queries are served from the compilation cache (default on):
+# repeated queries are served from the serving cache:
 # the answers stay bit-identical and /metrics reports cache hits
 first=$("$probe" 127.0.0.1 "$port" POST /v1/shapley/all '{"query":"serve_demo"}')
 grep -q "HTTP/1.1 200" <<<"$first" || fail "shapley/all not 200: $first"

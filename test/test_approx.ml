@@ -25,8 +25,7 @@ let close ?(tol = 1e-9) what a b =
   if Float.abs (a -. b) > tol then
     Alcotest.failf "%s: %.17g vs %.17g (tol %g)" what a b tol
 
-let all_estimators =
-  Sampling.[ Permutation; Truncated; Antithetic; Stratified ]
+let all_estimators = Sampling.[ Truncated; Antithetic ]
 
 (* ------------------------------------------------------------------ *)
 (* Sample-budget arithmetic *)
@@ -225,43 +224,110 @@ let estimator_tests =
         let db = example13_db () in
         let q = Db_parser.parse_query "R1(x), R2(x)" in
         let exact, _ = Dichotomy.shapley db q in
-        let f = Lineage.lineage_formula db q in
-        let vars = List.map fst exact in
-        List.iter
-          (fun estimator ->
-            let r =
-              Sampling.shap_estimate ~estimator ~seed:5 ~eps:0.05 ~delta:0.05
-                ~vars f
-            in
-            List.iter
-              (fun (e : Sampling.estimate) ->
-                let reference =
-                  Rat.to_float (List.assoc e.variable exact)
-                in
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s x%d in CI"
-                     (Sampling.estimator_name estimator)
-                     e.variable)
-                  true
-                  (Float.abs (e.value -. reference) <= e.half_width))
-              r.estimates)
-          all_estimators);
-    t "truncated = permutation, with fewer evaluations" (fun () ->
-        let f = Parser.formula_of_string_exn "(x1 & x2) | (x3 & x4)" in
-        let vars = [ 1; 2; 3; 4 ] in
-        let run estimator =
-          Sampling.shap_estimate ~estimator ~seed:3 ~eps:0.05 ~vars f
+        (* Example 2 adds a non-positive input with a negative value *)
+        let cases =
+          [ ("example 13", Lineage.lineage_formula db q, exact);
+            ( "example 2",
+              example2_formula,
+              Naive.shap_subsets ~vars:example2_vars example2_formula ) ]
         in
-        let p = run Sampling.Permutation and tr = run Sampling.Truncated in
+        List.iter
+          (fun (case, f, exact) ->
+            List.iter
+              (fun estimator ->
+                let r =
+                  Sampling.shap_estimate ~estimator ~seed:5 ~eps:0.05
+                    ~delta:0.05 ~vars:(List.map fst exact) f
+                in
+                List.iter
+                  (fun (e : Sampling.estimate) ->
+                    let reference =
+                      Rat.to_float (List.assoc e.variable exact)
+                    in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: %s x%d in CI" case
+                         (Sampling.estimator_name estimator)
+                         e.variable)
+                      true
+                      (Float.abs (e.value -. reference) <= e.half_width))
+                  r.estimates)
+              all_estimators)
+          cases);
+    t "rejects an empty budget and an empty universe" (fun () ->
+        let raises what k =
+          match k () with
+          | exception Invalid_argument _ -> ()
+          | (_ : Sampling.report) -> Alcotest.failf "%s did not raise" what
+        in
+        raises "max_samples 0" (fun () ->
+            Sampling.shap_estimate ~max_samples:0 ~vars:example2_vars
+              example2_formula);
+        raises "no players" (fun () ->
+            Sampling.shap_estimate ~vars:[] Formula.tru));
+    t "truncation changes no estimate, only the evaluations" (fun () ->
+        let f = Parser.formula_of_string_exn "(x1 & x2) | (x3 & x4)" in
+        (* equivalent, but the negation turns the cutoff off *)
+        let uncut =
+          Parser.formula_of_string_exn "(x1 & x2) | (x3 & x4) | (x1 & !x1)"
+        in
+        let vars = [ 1; 2; 3; 4 ] in
+        let run f = Sampling.shap_estimate ~seed:3 ~eps:0.05 ~vars f in
+        let u = run uncut and tr = run f in
         Alcotest.(check bool) "identical estimates" true
           (List.for_all2
              (fun (a : Sampling.estimate) (b : Sampling.estimate) ->
                a.variable = b.variable && a.value = b.value
                && a.half_width = b.half_width)
-             p.estimates tr.estimates);
-        Alcotest.(check int) "same samples" p.samples_used tr.samples_used;
+             u.estimates tr.estimates);
+        Alcotest.(check int) "same samples" u.samples_used tr.samples_used;
         Alcotest.(check bool) "truncation saves evals" true
-          (tr.evals < p.evals));
+          (tr.evals < u.evals));
+    t "two estimator names; the removed ones are unknown" (fun () ->
+        List.iter
+          (fun estimator ->
+            let name = Sampling.estimator_name estimator in
+            Alcotest.(check bool) (name ^ " round-trips") true
+              (Sampling.estimator_of_string name = Some estimator))
+          all_estimators;
+        Alcotest.(check (list string)) "names" [ "truncated"; "antithetic" ]
+          (List.map Sampling.estimator_name all_estimators);
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " is unknown") true
+              (Sampling.estimator_of_string name = None))
+          [ "permutation"; "stratified"; "bogus"; "" ]);
+    (* Each estimator's RNG tag and batch geometry fix its stream, so the
+       E23 run at seed 23 must keep these exact samples, evaluations and
+       point estimates (means of integer sums, so no libm rounding). *)
+    t "seed-23 estimates pinned" (fun () ->
+        let f =
+          Parser.formula_of_string_exn
+            "(x1 & x2) | (x3 & x4) | (x1 & x5 & x6)"
+        in
+        let pinned =
+          Sampling.
+            [ ( Truncated, 2048, 9330,
+                [ "0x1.417ffffffffffp-2"; "0x1.26p-3"; "0x1.c200000000002p-3";
+                  "0x1.c700000000001p-3"; "0x1.9400000000001p-5";
+                  "0x1.a400000000001p-5" ] );
+              ( Antithetic, 2560, 17920,
+                [ "0x1.22p-2"; "0x1.4666666666664p-3"; "0x1.d733333333332p-3";
+                  "0x1.bccccccccccccp-3"; "0x1.9666666666666p-5";
+                  "0x1.f000000000003p-5" ] ) ]
+        in
+        List.iter
+          (fun (estimator, samples, evals, values) ->
+            let name = Sampling.estimator_name estimator in
+            let r =
+              Sampling.shap_estimate ~estimator ~seed:23 ~eps:0.05 ~delta:0.05
+                ~vars:(List.init 6 succ) f
+            in
+            Alcotest.(check int) (name ^ " samples") samples r.samples_used;
+            Alcotest.(check int) (name ^ " evals") evals r.evals;
+            Alcotest.(check (list (float 0.0))) (name ^ " estimates")
+              (List.map float_of_string values)
+              (List.map (fun (e : Sampling.estimate) -> e.value) r.estimates))
+          pinned);
     t "jobs 1 and 4 replay bit-identically" (fun () ->
         let f = Parser.formula_of_string_exn "(x1 & x2) | (x3 & x4 & x5)" in
         let vars = [ 1; 2; 3; 4; 5 ] in
@@ -345,9 +411,7 @@ let statistical_tests =
     (fun estimator ->
       let name = Sampling.estimator_name estimator in
       dtest
-        ~seed:(60 + Sampling.(match estimator with
-                              | Permutation -> 0 | Truncated -> 1
-                              | Antithetic -> 2 | Stratified -> 3))
+        ~seed:Sampling.(match estimator with Truncated -> 61 | Antithetic -> 62)
         ~count:6
         (Printf.sprintf "%s in-CI vs exact dichotomy (hierarchical)" name)
         arb_instance

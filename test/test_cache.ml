@@ -69,9 +69,7 @@ let lru_counters () =
   check_int "evictions" 1 (Lru.evictions l);
   check_bool "remove b" true (Lru.remove l "b");
   check_bool "remove b again" false (Lru.remove l "b");
-  Lru.clear l;
-  check_int "cleared" 0 (Lru.length l);
-  check_int "counters survive clear" 2 (Lru.hits l)
+  check_int "remove leaves the counters" 2 (Lru.hits l)
 
 let lru_remove_tagged () =
   let l = Lru.create ~capacity:8 () in
@@ -155,23 +153,28 @@ let single_flight_failure () =
 (* ------------------------------------------------------------------ *)
 (* Cache tiers *)
 
-let counts_tier_roundtrip () =
-  let c = Cache.create () in
-  let fills = ref 0 in
-  let kv () =
-    incr fills;
-    Kvec.make ~n:1 [| Bigint.of_int !fills; Bigint.of_int 2 |]
-  in
-  let a = Cache.counts c ~key:"k1" kv in
-  let b = Cache.counts c ~key:"k1" kv in
-  let d = Cache.counts c ~key:"k2" kv in
-  check_int "one fill per key" 2 !fills;
-  Alcotest.check kvec "hit returns the stored vector" a b;
-  check_bool "distinct keys computed separately" false (Kvec.equal a d);
-  let stats = List.assoc "counts" (Cache.stats c) in
-  check_int "counts hits" 1 stats.Cache.ts_hits;
-  check_int "counts misses" 2 stats.Cache.ts_misses;
-  check_int "counts entries" 2 stats.Cache.ts_entries
+let two_tiers_sized_by_create () =
+  let c = Cache.create ~circuits:3 ~results:5 () in
+  Alcotest.(check (list string)) "tiers" [ "circuit"; "shapley" ]
+    (List.map fst (Cache.stats c));
+  check_int "circuit capacity" 3
+    (List.assoc "circuit" (Cache.stats c)).Cache.ts_capacity;
+  check_int "shapley capacity" 5
+    (List.assoc "shapley" (Cache.stats c)).Cache.ts_capacity;
+  let d = Cache.stats (Cache.create ()) in
+  check_int "default circuits" Cache.default_circuits
+    (List.assoc "circuit" d).Cache.ts_capacity;
+  check_int "default results" Cache.default_results
+    (List.assoc "shapley" d).Cache.ts_capacity;
+  List.iter
+    (fun (what, k) ->
+      check_bool what true
+        (try
+           ignore (k () : Cache.t);
+           false
+         with Invalid_argument _ -> true))
+    [ ("circuits 0", fun () -> Cache.create ~circuits:0 ());
+      ("results 0", fun () -> Cache.create ~results:0 ()) ]
 
 let shapley_tier_roundtrip () =
   let c = Cache.create () in
@@ -179,18 +182,15 @@ let shapley_tier_roundtrip () =
   let answer = [ (1, Rat.of_ints 1 4); (2, Rat.of_ints 3 4) ] in
   let solve () =
     incr solves;
-    (answer, "safe-plan")
+    answer
   in
   let v1 = Cache.shapley_all c ~key:"q" solve in
   let v2 = Cache.shapley_all c ~key:"q" solve in
   check_int "second lookup is a hit" 1 !solves;
-  check_bool "identical payloads" true (v1 = v2);
-  check_bool "solver tag round-trips" true (snd v1 = "safe-plan");
-  Alcotest.(check (option rat)) "find_shapley peeks a fact"
-    (Some (Rat.of_ints 3 4))
-    (Cache.find_shapley c ~key:"q" ~fact:2);
-  Alcotest.(check (option rat)) "find_shapley misses an unknown fact" None
-    (Cache.find_shapley c ~key:"q" ~fact:9)
+  check_bool "the hit reassembles the answer in fact order" true
+    (v1 = answer && v2 = answer);
+  let stats = List.assoc "shapley" (Cache.stats c) in
+  check_int "one rational per fact" 2 stats.Cache.ts_entries
 
 let shapley_tier_partial_eviction () =
   (* Result tier of 2 slots, answers of 4 facts: every solve evicts most
@@ -201,12 +201,12 @@ let shapley_tier_partial_eviction () =
   let answer = List.init 4 (fun i -> (i + 1, Rat.of_ints 1 (i + 1))) in
   let solve () =
     incr solves;
-    (answer, "s")
+    answer
   in
   let v1 = Cache.shapley_all c ~key:"q" solve in
   let v2 = Cache.shapley_all c ~key:"q" solve in
   check_int "partial residency re-solves" 2 !solves;
-  check_bool "still exact" true (fst v1 = answer && fst v2 = answer)
+  check_bool "still exact" true (v1 = answer && v2 = answer)
 
 let cache_stampede () =
   let c = Cache.create () in
@@ -224,24 +224,21 @@ let cache_stampede () =
                 done;
                 Unix.sleepf 0.05;
                 Atomic.incr solves;
-                (answer, "s"))))
+                answer)))
   in
   let rs = List.map Domain.join ds in
   check_int "k concurrent misses, one solve" 1 (Atomic.get solves);
-  List.iter
-    (fun r -> check_bool "all callers share it" true (r = (answer, "s")))
-    rs;
+  List.iter (fun r -> check_bool "all callers share it" true (r = answer)) rs;
   let stats = List.assoc "shapley" (Cache.stats c) in
   check_int "one miss (the leader)" 1 stats.Cache.ts_misses;
   check_int "joiners and repeats are hits" (n - 1) stats.Cache.ts_hits
 
 let invalidate_tag_drops_tiers () =
   let c = Cache.create () in
-  ignore (Cache.counts c ~key:"k1" ~tags:[ "t" ] (fun () -> Kvec.zero ~n:1));
-  ignore (Cache.counts c ~key:"k2" (fun () -> Kvec.zero ~n:1));
+  ignore (Cache.circuit c ~key:"k1" ~tags:[ "t" ] (fun () -> Circuit.cvar 1));
+  ignore (Cache.circuit c ~key:"k2" (fun () -> Circuit.cvar 2));
   ignore
-    (Cache.shapley_all c ~key:"q" ~tags:[ "t" ] (fun () ->
-         ([ (1, Rat.one) ], "s")));
+    (Cache.shapley_all c ~key:"q" ~tags:[ "t" ] (fun () -> [ (1, Rat.one) ]));
   (* q contributes a meta entry + one per-fact rational, both tagged. *)
   check_int "tagged entries dropped across tiers" 3 (Cache.invalidate_tag c "t");
   check_int "idempotent" 0 (Cache.invalidate_tag c "t");
@@ -249,18 +246,27 @@ let invalidate_tag_drops_tiers () =
   ignore
     (Cache.shapley_all c ~key:"q" (fun () ->
          incr solves;
-         ([ (1, Rat.one) ], "s")));
+         [ (1, Rat.one) ]));
   check_int "invalidated answer re-solves" 1 !solves;
-  Cache.clear c;
-  let stats = List.assoc "counts" (Cache.stats c) in
-  check_int "clear empties" 0 stats.Cache.ts_entries;
-  check_int "clear keeps counters" 2 stats.Cache.ts_misses
+  let circuits = List.assoc "circuit" (Cache.stats c) in
+  check_int "the untagged circuit survives" 1 circuits.Cache.ts_entries
+
+let exposed_evictions tier =
+  List.fold_left
+    (fun acc s ->
+      if
+        s.Metrics.om_name = "shapmc_cache_evictions_total"
+        && s.Metrics.om_labels = [ ("tier", tier) ]
+      then acc +. s.Metrics.om_value
+      else acc)
+    0.
+    (Metrics.parse_openmetrics (Metrics.to_openmetrics ()))
 
 let cache_metrics_exported () =
   let c = Cache.create () in
   Metrics.reset ();
-  ignore (Cache.counts c ~key:"k" (fun () -> Kvec.zero ~n:1));
-  ignore (Cache.counts c ~key:"k" (fun () -> Kvec.zero ~n:1));
+  ignore (Cache.circuit c ~key:"k" (fun () -> Circuit.cvar 1));
+  ignore (Cache.circuit c ~key:"k" (fun () -> Circuit.cvar 1));
   check_bool "cache_hits counter exported" true
     (Metrics.counter_total "cache_hits" >= 1.);
   check_bool "cache_misses counter exported" true
@@ -270,18 +276,17 @@ let cache_metrics_exported () =
      List.exists
        (fun s -> s.Metrics.om_name = "shapmc_cache_hits_total")
        (Metrics.parse_openmetrics om));
-  check_bool "summary mentions every tier" true
-    (let s = Cache.summary c in
-     List.for_all
-       (fun tier ->
-         let re = tier in
-         let len = String.length re in
-         let rec find i =
-           i + len <= String.length s
-           && (String.sub s i len = re || find (i + 1))
-         in
-         find 0)
-       [ "circuit"; "counts"; "shapley" ])
+  (* Four one-fact answers into two result slots: two rationals (and two
+     meta entries) are evicted, and /metrics counts what stats counts. *)
+  let c = Cache.create ~results:2 () in
+  List.iter
+    (fun q ->
+      ignore (Cache.shapley_all c ~key:q (fun () -> [ (1, Rat.one) ])))
+    [ "q1"; "q2"; "q3"; "q4" ];
+  let stats = List.assoc "shapley" (Cache.stats c) in
+  check_int "stats: shapley evictions" 2 stats.Cache.ts_evictions;
+  check_int "/metrics: shapley evictions" 2
+    (int_of_float (exposed_evictions "shapley"))
 
 (* ------------------------------------------------------------------ *)
 (* Dichotomy-level caching and invalidation *)
@@ -366,16 +371,16 @@ let compiled_dnf_cached () =
   let cache = Cache.create () in
   let fresh, fs = Dichotomy.shapley db q in
   let cold, cs = Dichotomy.shapley_cached ~cache db q in
-  let warm, _ = Dichotomy.shapley_cached ~cache db q in
+  let warm, ws = Dichotomy.shapley_cached ~cache db q in
   Alcotest.check solver "non-hierarchical solver" Dichotomy.Compiled_dnf fs;
-  Alcotest.check solver "cached solver agrees" fs cs;
+  Alcotest.check solver "cold solver agrees" fs cs;
+  Alcotest.check solver "warm solver agrees" fs ws;
   check_shap "cold = fresh" fresh cold;
   check_shap "warm = fresh" fresh warm
 
-(* A cold solve caches the compiled circuit and the whole answer and
-   nothing in between: the Theorem 4.1 pass needs no per-variable count
-   vectors, so the counts tier is left to the formula pipeline. *)
-let cold_solve_leaves_counts_empty () =
+(* A cold solve stores the compiled circuit and one rational per player:
+   the Theorem 4.1 pass needs nothing in between. *)
+let cold_solve_fills_both_tiers () =
   List.iter
     (fun (db, q) ->
       let cache = Cache.create () in
@@ -383,12 +388,12 @@ let cold_solve_leaves_counts_empty () =
       let fresh, fs = Dichotomy.shapley db q in
       Alcotest.check solver "solver" fs cs;
       check_shap "cold = fresh" fresh cold;
-      let counts = List.assoc "counts" (Cache.stats cache) in
-      check_int "no counts-tier lookups" 0
-        (counts.Cache.ts_hits + counts.Cache.ts_misses);
-      check_int "no counts-tier entries" 0 counts.Cache.ts_entries;
-      check_int "one compile" 1
-        (List.assoc "circuit" (Cache.stats cache)).Cache.ts_misses)
+      let circuit = List.assoc "circuit" (Cache.stats cache)
+      and shapley = List.assoc "shapley" (Cache.stats cache) in
+      check_int "one compile" 1 circuit.Cache.ts_misses;
+      check_int "one circuit" 1 circuit.Cache.ts_entries;
+      check_int "one rational per player" (List.length fresh)
+        shapley.Cache.ts_entries)
     [ (example13_db (), Db_parser.parse_query "R1(x), R2(x)");
       random_q0_db ~a:3 ~b:3 ~density:0.6 ~seed:11 ]
 
@@ -557,7 +562,7 @@ let differential_tests =
         let full = run_scenario ~jobs:1 ~cache:(Cache.create ()) ops in
         let tiny =
           run_scenario ~jobs:1
-            ~cache:(Cache.create ~circuits:1 ~counts:2 ~results:2 ())
+            ~cache:(Cache.create ~circuits:1 ~results:2 ())
             ops
         in
         full = tiny) ]
@@ -568,7 +573,7 @@ let suite =
   [ Alcotest.test_case "lru: eviction follows recency" `Quick
       lru_eviction_order;
     Alcotest.test_case "lru: put replaces and bumps" `Quick lru_replace_bumps;
-    Alcotest.test_case "lru: counters, remove, clear" `Quick lru_counters;
+    Alcotest.test_case "lru: counters and remove" `Quick lru_counters;
     Alcotest.test_case "lru: remove_tagged drops only tagged" `Quick
       lru_remove_tagged;
     Alcotest.test_case "lru: capacity must be positive" `Quick
@@ -577,8 +582,8 @@ let suite =
       single_flight_stampede;
     Alcotest.test_case "single-flight: failure shared, flight dropped" `Quick
       single_flight_failure;
-    Alcotest.test_case "cache: counts tier round-trip" `Quick
-      counts_tier_roundtrip;
+    Alcotest.test_case "cache: two tiers, sized by create" `Quick
+      two_tiers_sized_by_create;
     Alcotest.test_case "cache: shapley tier reassembles per-fact entries"
       `Quick shapley_tier_roundtrip;
     Alcotest.test_case "cache: partial eviction re-solves, stays exact"
@@ -587,8 +592,8 @@ let suite =
       cache_stampede;
     Alcotest.test_case "cache: invalidate_tag crosses tiers" `Quick
       invalidate_tag_drops_tiers;
-    Alcotest.test_case "cache: metrics and summary exported" `Quick
-      cache_metrics_exported;
+    Alcotest.test_case "cache: metrics exported, evictions counted once"
+      `Quick cache_metrics_exported;
     Alcotest.test_case "dichotomy: cached = fresh (hierarchical)" `Quick
       dichotomy_cached_matches_fresh;
     Alcotest.test_case "dichotomy: insert recompiles only affected lineage"
@@ -597,7 +602,7 @@ let suite =
       delete_invalidation_exact;
     Alcotest.test_case "dichotomy: cached = fresh (compiled-dnf)" `Quick
       compiled_dnf_cached;
-    Alcotest.test_case "dichotomy: cold solve leaves the counts tier empty"
-      `Quick cold_solve_leaves_counts_empty;
+    Alcotest.test_case "dichotomy: cold solve fills one circuit, one answer"
+      `Quick cold_solve_fills_both_tiers;
     Alcotest.test_case "keys: digests pinned" `Quick digests_pinned ]
   @ value_tests @ differential_tests

@@ -168,6 +168,19 @@ let pqe_route_tests =
         check_shap "equal" direct via_pqe)
   ]
 
+(* [i] is a dummy of [f] over [vars]: flipping it never changes [f]. *)
+let is_dummy ~vars f i =
+  let vars = Array.of_list vars in
+  List.for_all
+    (fun mask ->
+       let s = ref Vset.empty in
+       Array.iteri
+         (fun bit v -> if mask land (1 lsl bit) <> 0 then s := Vset.add v !s)
+         vars;
+       Formula.eval_set (Vset.add i !s) f
+       = Formula.eval_set (Vset.remove i !s) f)
+    (List.init (1 lsl Array.length vars) Fun.id)
+
 let banzhaf_tests =
   [ t "example 2 Banzhaf values" (fun () ->
         (* diffs: x1: #(x2|!x3) - 0 = 3; x2: #x1 - #(x1&!x3) = 2-1 = 1;
@@ -197,28 +210,73 @@ let banzhaf_tests =
              ~vars f
          in
          List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b);
-    qtest "banzhaf and shapley agree in sign" ~count:40
+    (* Banzhaf and Shapley weigh the same marginal contributions
+       differently, so on non-monotone formulas a zero of one need not
+       be a zero of the other: here x2's contributions cancel under
+       Banzhaf's uniform weights (brute, DPLL and circuit agree) but not
+       under Shapley's, −1·1/12 + 1·1/4 = 1/6. *)
+    t "zero Banzhaf value, nonzero Shapley value" (fun () ->
+        let f = parse "!(x2 | x3) | !x4 | x2 & x1" in
+        let vars = [ 1; 2; 3; 4 ] in
+        let banzhaf =
+          [ (1, r 1 4); (2, Rat.zero); (3, r (-1) 4); (4, r (-1) 2) ]
+        in
+        check_shap "banzhaf (brute)" banzhaf (Power_indices.banzhaf ~vars f);
+        check_shap "banzhaf (circuit)" banzhaf
+          (Power_indices.banzhaf_circuit ~vars (Compile.compile f));
+        check_shap "banzhaf (dpll)" banzhaf
+          (Power_indices.banzhaf_via_count_oracle
+             ~count:(fun ~vars f -> Dpll.count_universe ~vars f)
+             ~vars f);
+        let shapley =
+          [ (1, r 1 3); (2, r 1 6); (3, r (-1) 6); (4, r (-1) 3) ]
+        in
+        check_shap "shapley (subsets)" shapley (Naive.shap_subsets ~vars f);
+        check_shap "shapley (permutations)" shapley
+          (Naive.shap_permutations ~vars f);
+        check_shap "shapley (circuit)" shapley
+          (Circuit_shapley.shap_direct ~vars (Compile.compile f));
+        check_shap "shapley (reduction)" shapley
+          (Pipeline.shap_via_count_oracle ~oracle:Pipeline.dpll_count_oracle
+             ~vars f));
+    qtest "a variable f does not depend on gets 0 from both" ~count:40
       (arb_formula ~nvars:4 ~depth:3)
       (fun f ->
-         let vars = Vset.elements (Formula.vars f) in
-         QCheck.assume (vars <> []);
+         (* x5 never occurs; an occurring variable may not matter either *)
+         let vars = Vset.elements (Formula.vars f) @ [ 5 ] in
          let b = Power_indices.banzhaf ~vars f in
          let s = Naive.shap_subsets ~vars f in
-         (* both are positive combinations of the same marginal diffs for
-            monotone behaviour; in general at least the zero pattern of a
-            dummy variable must coincide *)
          List.for_all2
            (fun (i, x) (j, y) ->
-              i = j && (not (Rat.is_zero x) || Rat.is_zero y))
+              i = j
+              && ((not (is_dummy ~vars f i))
+                  || (Rat.is_zero x && Rat.is_zero y)))
+           b s);
+    qtest "positive formulas: both >= 0 and zero together" ~count:40
+      (arb_pdnf ~nvars:4 ~clauses:4)
+      (fun d ->
+         let f = Nf.pdnf_to_formula d in
+         let vars = [ 1; 2; 3; 4 ] in
+         let b = Power_indices.banzhaf ~vars f in
+         let s = Naive.shap_subsets ~vars f in
+         List.for_all2
+           (fun (i, x) (j, y) ->
+              i = j
+              && Rat.sign x >= 0 && Rat.sign y >= 0
+              && Rat.is_zero x = Rat.is_zero y)
            b s)
   ]
 
 let sampling_tests =
   [ t "estimates converge on example 2" (fun () ->
-        let est =
-          Sampling.shap_sample ~seed:7 ~samples:30000 ~vars:example2_vars
-            example2_formula
+        (* no eps: the whole fixed budget is walked, no early stop *)
+        let r =
+          Sampling.shap_estimate ~seed:7 ~max_samples:30000
+            ~vars:example2_vars example2_formula
         in
+        Alcotest.(check int) "whole budget walked" 30000 r.Sampling.samples_used;
+        Alcotest.(check bool) "not reported as converged" false
+          r.Sampling.converged;
         let expected = [ (1, 5.0 /. 6.0); (2, 1.0 /. 3.0); (3, -1.0 /. 6.0) ] in
         List.iter
           (fun e ->
@@ -227,7 +285,7 @@ let sampling_tests =
                (Printf.sprintf "x%d within interval" e.Sampling.variable)
                true
                (Float.abs (e.Sampling.value -. truth) <= e.Sampling.half_width))
-          est);
+          r.Sampling.estimates);
     t "samples_for bound shape" (fun () ->
         let m1 = Sampling.samples_for ~eps:0.1 ~delta:0.05 in
         let m2 = Sampling.samples_for ~eps:0.05 ~delta:0.05 in
@@ -238,25 +296,43 @@ let sampling_tests =
              false
            with Invalid_argument _ -> true));
     t "rejects nonsense" (fun () ->
-        Alcotest.(check bool) "samples=0" true
-          (try
-             ignore
-               (Sampling.shap_sample ~samples:0 ~vars:[ 1 ] (Formula.var 1));
-             false
-           with Invalid_argument _ -> true));
+        let raises what k =
+          Alcotest.(check bool) what true
+            (try
+               ignore (k () : Sampling.report);
+               false
+             with Invalid_argument _ -> true)
+        in
+        raises "universe misses a variable" (fun () ->
+            Sampling.shap_estimate ~vars:[ 1; 2 ] example2_formula);
+        raises "eps=0" (fun () ->
+            Sampling.shap_estimate ~eps:0.0 ~vars:example2_vars
+              example2_formula);
+        raises "deadline=0" (fun () ->
+            Sampling.shap_estimate ~deadline:0.0 ~vars:example2_vars
+              example2_formula));
     t "deterministic under fixed seed" (fun () ->
-        let a =
-          Sampling.shap_sample ~seed:3 ~samples:100 ~vars:example2_vars
-            example2_formula
-        in
-        let b =
-          Sampling.shap_sample ~seed:3 ~samples:100 ~vars:example2_vars
-            example2_formula
-        in
-        List.iter2
-          (fun x y ->
-             Alcotest.(check (float 0.0)) "same" x.Sampling.value y.Sampling.value)
-          a b)
+        List.iter
+          (fun estimator ->
+             let run seed =
+               Sampling.shap_estimate ~estimator ~seed ~max_samples:100
+                 ~vars:example2_vars example2_formula
+             in
+             let name = Sampling.estimator_name estimator in
+             let a = run 3 and b = run 3 and c = run 4 in
+             let values r =
+               List.map (fun e -> e.Sampling.value) r.Sampling.estimates
+             and widths r =
+               List.map (fun e -> e.Sampling.half_width) r.Sampling.estimates
+             in
+             Alcotest.(check (list (float 0.0))) (name ^ ": same values")
+               (values a) (values b);
+             Alcotest.(check (list (float 0.0))) (name ^ ": same half-widths")
+               (widths a) (widths b);
+             Alcotest.(check bool) (name ^ ": another seed, other values")
+               true
+               (values a <> values c))
+          Sampling.[ Truncated; Antithetic ])
   ]
 
 let suite =

@@ -693,8 +693,11 @@ let api_shapley_approx_scoped () =
 let api_shapley_approx_errors () =
   let routes = Api.routes (demo_api ()) in
   let bad body = status (post routes "/v1/shapley/approx" body) in
-  Alcotest.(check int) "unknown estimator" 400
-    (bad {|{"query":"demo","estimator":"bogus"}|});
+  List.iter
+    (fun name ->
+      Alcotest.(check int) ("unknown estimator " ^ name) 400
+        (bad (Printf.sprintf {|{"query":"demo","estimator":"%s"}|} name)))
+    [ "bogus"; "permutation"; "stratified" ];
   Alcotest.(check int) "unknown ci" 400 (bad {|{"query":"demo","ci":"bogus"}|});
   Alcotest.(check int) "eps 0" 400 (bad {|{"query":"demo","eps":0}|});
   Alcotest.(check int) "delta 2" 400 (bad {|{"query":"demo","delta":2}|});
