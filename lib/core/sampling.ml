@@ -9,13 +9,6 @@ let samples_for ~eps ~delta =
     invalid_arg "Sampling.samples_for: bound above 1e15 samples";
   int_of_float m
 
-(* variable → index in the sorted player array, built once per run so
-   the per-marginal lookup is O(1) instead of a linear scan *)
-let index_table sorted =
-  let idx = Hashtbl.create (Array.length sorted) in
-  Array.iteri (fun i v -> Hashtbl.replace idx v i) sorted;
-  fun v -> Hashtbl.find idx v
-
 (* {1 Estimator suite} *)
 
 type estimator = Truncated | Antithetic
@@ -61,7 +54,7 @@ type batch = {
   b_sums : int array;  (* per player: Σ observation-numerator *)
   b_sumsq : int array;  (* per player: Σ (observation-numerator)² *)
   b_units : int;  (* observations contributed *)
-  b_evals : int;  (* Formula.eval_set calls *)
+  b_evals : int;  (* prefix evaluations *)
 }
 
 (* batch geometry: permutations consumed by one observation, which is
@@ -73,11 +66,9 @@ let unit_perms = function
 let batches_per_round = 4
 let target_batch_perms = 64
 
-let run_batch ~f ~sorted ~idx_of ~truncate ~estimator ~seed ~batch_index
-    ~units =
-  let n = Array.length sorted in
+let run_batch ~walker ~n ~truncate ~estimator ~seed ~batch_index ~units =
   let st = Random.State.make [| seed; estimator_tag estimator; batch_index |] in
-  let perm = Array.copy sorted in
+  let perm = Array.init n Fun.id in
   let sums = Array.make n 0
   and sumsq = Array.make n 0
   and marg = Array.make n 0 in
@@ -90,24 +81,23 @@ let run_batch ~f ~sorted ~idx_of ~truncate ~estimator ~seed ~batch_index
       perm.(j) <- t
     done
   in
-  (* walk positions [order 0 .. order (n-1)] of [perm], leaving each
-     player's marginal in [marg].  With [truncate] (positive formulas
-     only), once the prefix satisfies [f] every later marginal is 0 by
+  let w = Walker.start walker in
+  (* walk players [order 0 .. order (n-1)], leaving each player's
+     marginal in [marg].  With [truncate] (positive formulas only), once
+     the prefix satisfies [f] every later marginal is 0 by
      monotonicity, so the remaining evaluations are skipped. *)
   let walk order =
-    let prefix = ref Vset.empty in
+    Walker.reset w;
     incr evals;
-    let value = ref (Formula.eval_set Vset.empty f) in
+    let value = ref (Walker.value w) in
     for j = 0 to n - 1 do
-      let v = order j in
-      let i = idx_of v in
+      let i = order j in
       if truncate && !value then marg.(i) <- 0
       else begin
-        let next = Vset.add v !prefix in
+        Walker.add w i;
         incr evals;
-        let value' = Formula.eval_set next f in
+        let value' = Walker.value w in
         marg.(i) <- Bool.to_int value' - Bool.to_int !value;
-        prefix := next;
         value := value'
       end
     done
@@ -155,7 +145,7 @@ let shap_estimate ?(estimator = Truncated) ?(seed = 0) ?(delta = 0.05) ?eps
     ?(interval = Convergence.default_interval) ?jsonl ?progress ~vars f =
   if not (Vset.subset (Formula.vars f) (Vset.of_list vars)) then
     invalid_arg "Sampling.shap_estimate: universe misses variables";
-  let sorted = Array.of_list (List.sort compare vars) in
+  let sorted = Array.of_list (List.sort_uniq compare vars) in
   let n = Array.length sorted in
   if n = 0 then invalid_arg "Sampling.shap_estimate: no players";
   (match eps with
@@ -174,7 +164,7 @@ let shap_estimate ?(estimator = Truncated) ?(seed = 0) ?(delta = 0.05) ?eps
         | Some e -> samples_for ~eps:e ~delta
         | None -> 10_000)
   in
-  let idx_of = index_table sorted in
+  let walker = Walker.compile ~players:sorted f in
   let truncate = estimator = Truncated && Nf.is_positive f in
   let per_unit = unit_perms estimator in
   let scale = float_of_int per_unit in
@@ -212,7 +202,7 @@ let shap_estimate ?(estimator = Truncated) ?(seed = 0) ?(delta = 0.05) ?eps
               Some
                 (Obs.call ~oracle:("estimator." ^ name) ~n
                    ~size:(units * per_unit) (fun () ->
-                     run_batch ~f ~sorted ~idx_of ~truncate ~estimator ~seed
+                     run_batch ~walker ~n ~truncate ~estimator ~seed
                        ~batch_index ~units)))
           slots
       in

@@ -70,7 +70,9 @@ type report = {
   estimates : estimate list;  (** sorted by variable, half-widths are the
                                   certified (envelope) values *)
   samples_used : int;  (** permutations walked *)
-  evals : int;  (** [Formula.eval_set] oracle evaluations performed *)
+  evals : int;
+      (** prefix evaluations: one per walked prefix, the empty one
+          included (truncation skips the rest of a walk) *)
   converged : bool;  (** stopped because certified max half-width ≤ ε *)
   wall : float;  (** wall-clock seconds *)
   monitor : Convergence.t;  (** the finished monitor — read
@@ -91,6 +93,10 @@ type report = {
     line per checkpoint.  Every batch is ledgered as an
     [estimator.<name>] oracle call, so [--stats]/bench aggregates count
     batches and per-batch sample totals.
+
+    [vars] is the set of players: a repeated variable is one player,
+    with one estimate.  [f] is compiled once into a {!Walker}, so a walk
+    step costs the gates it changes, not a re-evaluation of [f].
 
     @raise Invalid_argument if [vars] misses variables of [f], is empty,
     or a numeric argument is out of range. *)

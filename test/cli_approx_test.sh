@@ -38,6 +38,19 @@ out4=$("$exe" approx --eps 0.05 --delta 0.05 --seed 7 --convergence c4.jsonl \
 [ "$out" = "$out4" ] || fail "-j 4 stdout differs from -j 1"
 cmp -s c1.jsonl c4.jsonl || fail "-j 4 convergence log differs from -j 1"
 
+# The same replay for the antithetic estimator on a non-positive
+# formula: no truncation applies, and four domains share one compiled
+# walker.
+neg="(x1 & !x2) | (x3 & x4) | (!x1 & x5 & x6)"
+a1=$("$exe" approx --estimator antithetic --eps 0.05 --delta 0.05 --seed 23 \
+       --convergence a1.jsonl -j 1 "$neg" 2>/dev/null)
+a4=$("$exe" approx --estimator antithetic --eps 0.05 --delta 0.05 --seed 23 \
+       --convergence a4.jsonl -j 4 "$neg" 2>/dev/null)
+[ -s a1.jsonl ] || fail "a1.jsonl empty or missing"
+[ "$a1" = "$a4" ] || fail "antithetic: -j 4 stdout differs from -j 1"
+cmp -s a1.jsonl a4.jsonl \
+  || fail "antithetic: -j 4 convergence log differs from -j 1"
+
 # A different seed must actually change the run (guards against the
 # seed being ignored).
 outs=$("$exe" approx --eps 0.05 --delta 0.05 --seed 8 "$formula" 2>/dev/null)

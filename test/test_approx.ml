@@ -219,6 +219,24 @@ let report_key (r : Sampling.report) =
     r.samples_used,
     r.evals )
 
+(* Runs both estimators at seed 23, eps = delta = 0.05 over x1..x6 and
+   checks samples, evaluations and estimates against hex-float pins. *)
+let check_pinned formula pinned =
+  let f = Parser.formula_of_string_exn formula in
+  List.iter
+    (fun (estimator, samples, evals, values) ->
+      let name = Sampling.estimator_name estimator in
+      let r =
+        Sampling.shap_estimate ~estimator ~seed:23 ~eps:0.05 ~delta:0.05
+          ~vars:(List.init 6 succ) f
+      in
+      Alcotest.(check int) (name ^ " samples") samples r.samples_used;
+      Alcotest.(check int) (name ^ " evals") evals r.evals;
+      Alcotest.(check (list (float 0.0))) (name ^ " estimates")
+        (List.map float_of_string values)
+        (List.map (fun (e : Sampling.estimate) -> e.value) r.estimates))
+    pinned
+
 let estimator_tests =
   [ t "every estimator covers the exact Example 13 values" (fun () ->
         let db = example13_db () in
@@ -300,11 +318,7 @@ let estimator_tests =
        E23 run at seed 23 must keep these exact samples, evaluations and
        point estimates (means of integer sums, so no libm rounding). *)
     t "seed-23 estimates pinned" (fun () ->
-        let f =
-          Parser.formula_of_string_exn
-            "(x1 & x2) | (x3 & x4) | (x1 & x5 & x6)"
-        in
-        let pinned =
+        check_pinned "(x1 & x2) | (x3 & x4) | (x1 & x5 & x6)"
           Sampling.
             [ ( Truncated, 2048, 9330,
                 [ "0x1.417ffffffffffp-2"; "0x1.26p-3"; "0x1.c200000000002p-3";
@@ -313,21 +327,26 @@ let estimator_tests =
               ( Antithetic, 2560, 17920,
                 [ "0x1.22p-2"; "0x1.4666666666664p-3"; "0x1.d733333333332p-3";
                   "0x1.bccccccccccccp-3"; "0x1.9666666666666p-5";
-                  "0x1.f000000000003p-5" ] ) ]
+                  "0x1.f000000000003p-5" ] ) ]);
+    (* The same pins on a non-positive formula, so a negation bug that
+       still looks statistically plausible fails here. *)
+    t "seed-23 estimates pinned, non-positive formula" (fun () ->
+        check_pinned "(x1 & !x2) | (x3 & x4) | (!x1 & x5 & x6)"
+          Sampling.
+            [ ( Truncated, 2048, 14336,
+                [ "0x1.05p-2"; "-0x1.d700000000002p-3"; "0x1.758p-2";
+                  "0x1.747ffffffffffp-2"; "0x1.e3fffffffffffp-4";
+                  "0x1.0700000000002p-3" ] );
+              ( Antithetic, 2048, 14336,
+                [ "0x1.2c80000000001p-2"; "-0x1.ffp-3"; "0x1.6fp-2";
+                  "0x1.7ap-2"; "0x1.c2p-4"; "0x1.e5ffffffffffep-4" ] ) ]);
+    t "repeated players count once" (fun () ->
+        let f = Parser.formula_of_string_exn "(x1 & x2) | x3" in
+        let run vars =
+          report_key (Sampling.shap_estimate ~seed:1 ~max_samples:2000 ~vars f)
         in
-        List.iter
-          (fun (estimator, samples, evals, values) ->
-            let name = Sampling.estimator_name estimator in
-            let r =
-              Sampling.shap_estimate ~estimator ~seed:23 ~eps:0.05 ~delta:0.05
-                ~vars:(List.init 6 succ) f
-            in
-            Alcotest.(check int) (name ^ " samples") samples r.samples_used;
-            Alcotest.(check int) (name ^ " evals") evals r.evals;
-            Alcotest.(check (list (float 0.0))) (name ^ " estimates")
-              (List.map float_of_string values)
-              (List.map (fun (e : Sampling.estimate) -> e.value) r.estimates))
-          pinned);
+        Alcotest.(check bool) "[1;1;2;3] reports as [1;2;3]" true
+          (run [ 1; 1; 2; 3 ] = run [ 1; 2; 3 ]));
     t "jobs 1 and 4 replay bit-identically" (fun () ->
         let f = Parser.formula_of_string_exn "(x1 & x2) | (x3 & x4 & x5)" in
         let vars = [ 1; 2; 3; 4; 5 ] in

@@ -220,5 +220,69 @@ let nf_tests =
          Nf.pdnf_eval d s = Formula.eval_set s (Nf.pdnf_to_formula d))
   ]
 
+(* Walks [order] through a walker over [universe], checking after every
+   step (and again after a reset, walking [order] backwards) that its
+   value is [Formula.eval_set] of the prefix, which stays the reference. *)
+let walk_matches_eval_set ~universe ~order f =
+  let players = Array.of_list universe in
+  let index v =
+    let rec find i = if players.(i) = v then i else find (i + 1) in
+    find 0
+  in
+  let w = Walker.start (Walker.compile ~players f) in
+  let walk order =
+    let agree prefix = Walker.value w = Formula.eval_set prefix f in
+    agree Vset.empty
+    && fst
+         (List.fold_left
+            (fun (ok, prefix) v ->
+              Walker.add w (index v);
+              let prefix = Vset.add v prefix in
+              (ok && agree prefix, prefix))
+            (true, Vset.empty) order)
+  in
+  let forward = walk order in
+  Walker.reset w;
+  forward && walk (List.rev order)
+
+let walker_tests =
+  let open Formula in
+  [ t "walker edge cases built with raw constructors" (fun () ->
+        List.iter
+          (fun (name, f) ->
+            Alcotest.(check bool) name true
+              (walk_matches_eval_set ~universe:[ 1; 2 ] ~order:[ 1; 2 ] f
+              && walk_matches_eval_set ~universe:[ 1; 2 ] ~order:[ 2; 1 ] f))
+          [ ("And []", And []);
+            ("Or []", Or []);
+            ("Not (Not (Var 1))", Not (Not (Var 1)));
+            ("And [True; Var 1]", And [ True; Var 1 ]);
+            ("True", True);
+            ("False", False);
+            ("Not (And [True; Var 1])", Not (And [ True; Var 1 ]));
+            ("Or [Var 1; Not (Var 1)]", Or [ Var 1; Not (Var 1) ]);
+            ("And [Var 1; Not (Var 1); Var 2]", And [ Var 1; Not (Var 1); Var 2 ]);
+            ("Or [And []; Var 2]", Or [ And []; Var 2 ]) ]);
+    t "walker rejects a repeated player and a stray variable" (fun () ->
+        let raises what players f =
+          Alcotest.(check bool) what true
+            (try
+               ignore (Walker.compile ~players f);
+               false
+             with Invalid_argument _ -> true)
+        in
+        raises "repeated player" [| 1; 2; 1 |] (Var 1);
+        raises "variable outside players" [| 1; 2 |] (And [ Var 1; Var 3 ]));
+    qtest "walker value = eval_set of every prefix" ~count:200
+      (QCheck.pair
+         (arb_formula ~nvars:8 ~depth:5)
+         (QCheck.make
+            ~print:(fun l -> String.concat "," (List.map string_of_int l))
+            (QCheck.Gen.shuffle_l (List.init 10 succ))))
+      (fun (f, order) ->
+         (* players 9 and 10 never occur in f *)
+         walk_matches_eval_set ~universe:(List.init 10 succ) ~order f) ]
+
 let suite =
   smart_constructor_tests @ eval_tests @ subst_tests @ parser_tests @ nf_tests
+  @ walker_tests
