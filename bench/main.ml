@@ -301,7 +301,25 @@ let e7 () =
          (float_of_int (Circuit.size g' - base) /. float_of_int l)
          t count_ok)
     [ 1; 2; 4; 8; 16; 32; 64 ];
-  row "  (delta/l stabilizes: growth is linear in l, as Lemma 9 states)\n"
+  row "  (delta/l stabilizes: growth is linear in l, as Lemma 9 states)\n";
+  (* The search absorbs the substitution itself: it decides once on each
+     block of l fresh variables, so compiling the formula F^(l) builds
+     Lemma 9's gadget without the circuit-level rewrite. *)
+  row "  search-compiled F^(l) of the same chain:\n";
+  row "  %-6s %-10s %-12s %-12s\n" "l" "gates" "delta/(n*l)" "time(s)";
+  let within =
+    List.for_all
+      (fun l ->
+         let fl, _ = Subst.uniform_or ~l f in
+         let g', t = time (fun () -> Compile.compile fl) in
+         let delta = Circuit.size g' - base in
+         row "  %-6d %-10d %-12.2f %-12.5f\n" l (Circuit.size g')
+           (float_of_int delta /. float_of_int (n * l))
+           t;
+         delta <= 3 * n * l)
+      [ 1; 2; 4; 8; 16; 32; 64 ]
+  in
+  check "compiled F^(l) within |C(F)| + 3*n*l gates" within
 
 (* ------------------------------------------------------------------ *)
 (* E8: Theorem 4.1 — polynomial Shapley on circuits vs the definition *)
@@ -1308,11 +1326,13 @@ let () =
     (* Append-only: one line per run, so the committed file accumulates a
        timeline of cost profiles across commits.  Stamp each line with
        the commit it was produced at so the timeline stays attributable
-       after rebases; "unknown" outside a git checkout. *)
+       after rebases, suffixed "-dirty" when tracked files differ from
+       it; "unknown" outside a git checkout. *)
     let commit =
       try
         let ic =
-          Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null"
+          Unix.open_process_in
+            "git describe --always --dirty --abbrev=7 --exclude='*' 2>/dev/null"
         in
         let line = try String.trim (input_line ic) with End_of_file -> "" in
         match (Unix.close_process_in ic, line) with

@@ -54,7 +54,10 @@ let forward root =
   (memo, !order, top)
 
 let check_universe ~vars g =
-  if not (Vset.subset (Circuit.vars g) (Vset.of_list vars)) then
+  let universe = Vset.of_list vars in
+  if Vset.cardinal universe <> List.length vars then
+    invalid_arg "Count: duplicate variables in the universe";
+  if not (Vset.subset (Circuit.vars g) universe) then
     invalid_arg "Count: universe misses circuit variables"
 
 let count_by_size_circuit root =

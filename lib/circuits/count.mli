@@ -15,10 +15,12 @@
     Cost: [O(|G| · n^2)] bigint operations. *)
 
 (** [count_by_size ~vars g] is the vector [#_{0..n} G] over the universe
-    [vars].  @raise Invalid_argument if [vars] misses circuit variables. *)
+    [vars].  @raise Invalid_argument if [vars] misses circuit variables.
+    @raise Invalid_argument if [vars] lists a variable twice. *)
 val count_by_size : vars:int list -> Circuit.node -> Kvec.t
 
-(** [count ~vars g] is [#G] over the universe [vars]. *)
+(** [count ~vars g] is [#G] over the universe [vars].
+    @raise Invalid_argument as {!count_by_size} does. *)
 val count : vars:int list -> Circuit.node -> Bigint.t
 
 (** [count_circuit g] / [count_by_size_circuit g] count over exactly
@@ -47,5 +49,6 @@ val count_by_size_circuit : Circuit.node -> Kvec.t
     zero vector.  Cost: [O(|G| · n^2)] bigint operations for all [n]
     vectors together, where conditioning and recounting costs that per
     variable.  @raise Invalid_argument if [vars] misses circuit
-    variables. *)
+    variables.  @raise Invalid_argument if [vars] lists a variable
+    twice. *)
 val differences : vars:int list -> Circuit.node -> (int * Kvec.t) list

@@ -1,5 +1,7 @@
 let sorted_universe ~vars g =
   let universe = Vset.of_list vars in
+  if Vset.cardinal universe <> List.length vars then
+    invalid_arg "Circuit_shapley: duplicate variables in the universe";
   if not (Vset.subset (Circuit.vars g) universe) then
     invalid_arg "Circuit_shapley: universe misses circuit variables";
   (universe, List.sort compare vars)

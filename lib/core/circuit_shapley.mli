@@ -20,20 +20,24 @@
 
 (** [shap_direct ~vars g] returns the Shapley value of every universe
     variable.  @raise Invalid_argument if [vars] misses circuit
-    variables. *)
+    variables.  @raise Invalid_argument if [vars] lists a variable
+    twice. *)
 val shap_direct : vars:int list -> Circuit.node -> (int * Rat.t) list
 
 (** [shap_via_reduction ~vars g] computes the same values through the
-    Lemma 3.2 + 3.3 + Lemma 9 oracle chain. *)
+    Lemma 3.2 + 3.3 + Lemma 9 oracle chain.
+    @raise Invalid_argument as {!shap_direct} does. *)
 val shap_via_reduction : vars:int list -> Circuit.node -> (int * Rat.t) list
 
 (** [count_via_shap ~vars g] computes [#G] using only Shapley-value
-    computations on OR-substituted copies of [g] (Lemma 3.4). *)
+    computations on OR-substituted copies of [g] (Lemma 3.4).
+    @raise Invalid_argument as {!shap_direct} does. *)
 val count_via_shap : vars:int list -> Circuit.node -> Bigint.t
 
 (** [kcounts_via_reduction ~vars g] computes [#_{0..n} G] by the Lemma 3.3
     route (OR-substitute with [l = 1..n+1], count, interpolate) — the
-    ablation partner of the direct stratified counter in experiment E8. *)
+    ablation partner of the direct stratified counter in experiment E8.
+    @raise Invalid_argument as {!shap_direct} does. *)
 val kcounts_via_reduction : vars:int list -> Circuit.node -> Kvec.t
 
 (** [interaction ~vars g i j] is the (pairwise) Shapley interaction index
@@ -44,8 +48,8 @@ val kcounts_via_reduction : vars:int list -> Circuit.node -> Kvec.t
     computed polynomially on the d-D circuit by stratified counting of the
     four conditionings of [(X_i, X_j)].  Positive values mean [i] and [j] are
     complementary, negative substitutive, zero independent.
-    @raise Invalid_argument if [i = j], either is outside [vars], or
-    [vars] has fewer than 2 variables. *)
+    @raise Invalid_argument if [i = j], either is outside [vars],
+    [vars] has fewer than 2 variables or lists one twice. *)
 val interaction : vars:int list -> Circuit.node -> int -> int -> Rat.t
 
 (** [interaction_naive ~vars f i j] — exponential reference on a

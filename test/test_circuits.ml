@@ -220,7 +220,48 @@ let compile_tests =
     qtest "compile output passes determinism check" ~count:60
       (arb_formula ~nvars:5 ~depth:4)
       (fun f ->
-         Circuit.check_deterministic ~max_vars:10 (Compile.compile f))
+         Circuit.check_deterministic ~max_vars:10 (Compile.compile f));
+    t "lemma 9 on the search's own circuits: |C(F^(l))| <= |C(F)| + 3nl"
+      (fun () ->
+        let bound name f =
+          let n = Vset.cardinal (Formula.vars f) in
+          let base = Circuit.size (Compile.compile f) in
+          for l = 1 to 8 do
+            let size = Circuit.size (Compile.compile (fst (Subst.uniform_or ~l f))) in
+            if size > base + (3 * n * l) then
+              Alcotest.failf "%s, l=%d: %d gates, base %d, n=%d" name l size
+                base n
+          done
+        in
+        (* E7's implication chain *)
+        bound "chain"
+          (Formula.and_
+             (List.init 11 (fun i ->
+                  Formula.disj2
+                    (Formula.not_ (Formula.var (i + 1)))
+                    (Formula.var (i + 2)))));
+        (* batch-reduce's two-literal DNFs: clause i holds x(i+1) *)
+        let st = Random.State.make [| 9 |] in
+        for n = 4 to 6 do
+          for k = 1 to 4 do
+            let lit v =
+              if Random.State.bool st then Formula.var v
+              else Formula.not_ (Formula.var v)
+            in
+            bound
+              (Printf.sprintf "dnf n=%d #%d" n k)
+              (Formula.or_
+                 (List.init n (fun i ->
+                      let u = 1 + ((i + 1 + Random.State.int st (n - 1)) mod n) in
+                      Formula.and_ [ lit (i + 1); lit u ])))
+          done
+        done;
+        for seed = 1 to 12 do
+          bound
+            (Printf.sprintf "nested #%d" seed)
+            (QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |])
+               (gen_formula ~nvars:5 ~depth:4))
+        done)
   ]
 
 let suite =

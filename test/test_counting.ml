@@ -142,7 +142,29 @@ let dpll_tests =
          let f = Nf.pdnf_to_formula d in
          let vars = Vset.elements (Nf.pdnf_vars d) in
          QCheck.assume (vars <> []);
-         Bigint.equal (Brute.count ~vars f) (Dpll.count_universe ~vars f))
+         Bigint.equal (Brute.count ~vars f) (Dpll.count_universe ~vars f));
+    (* Over the universe {1}, x1 has one model, not two; and x1 is one
+       player of x1 & x2, not two. *)
+    t "duplicate universe variables are rejected" (fun () ->
+        let raises name f =
+          Alcotest.(check bool) name true
+            (try
+               ignore (f ());
+               false
+             with Invalid_argument _ -> true)
+        in
+        let x1 = Formula.var 1 and g = Circuit.cand [ Circuit.cvar 1; Circuit.cvar 2 ] in
+        raises "Dpll.count_universe" (fun () -> Dpll.count_universe ~vars:[ 1; 1 ] x1);
+        raises "Dpll.count_by_size_universe" (fun () ->
+            Dpll.count_by_size_universe ~vars:[ 1; 1 ] x1);
+        raises "Count.count" (fun () -> Count.count ~vars:[ 1; 1 ] (Circuit.cvar 1));
+        raises "Count.differences" (fun () -> Count.differences ~vars:[ 1; 1; 2 ] g);
+        raises "Circuit_shapley.shap_direct" (fun () ->
+            Circuit_shapley.shap_direct ~vars:[ 1; 1; 2 ] g);
+        raises "Circuit_shapley.shap_via_reduction" (fun () ->
+            Circuit_shapley.shap_via_reduction ~vars:[ 1; 1; 2 ] g);
+        Alcotest.check bigint "a universe without repeats" Bigint.one
+          (Dpll.count_universe ~vars:[ 1 ] x1))
   ]
 
 let bipartite_tests =

@@ -340,6 +340,86 @@ let backward_edge_cases =
           (fun () ->
             ignore (Count.differences ~vars:[ 1 ] (cand [ cvar 1; cvar 2 ])))) ]
 
+(* ------------------------------------------------------------------ *)
+(* Decisions on blocks of twin leaves.  Random formulas rarely hold
+   twins; substituted ones hold them at every variable: uniform OR- and
+   AND-substitutions, the mixed widths of Lemma 3.4, a substitution of a
+   substitution, and a zap (Lemma 3.2) before an OR-substitution. *)
+
+let arb_blocks =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (f, kind, l) ->
+      Printf.sprintf "kind %d, l=%d: %s" kind l (Formula.to_string f))
+    (triple (gen_formula ~nvars:4 ~depth:3) (int_range 0 4) (int_range 1 3))
+
+(* The substituted formula and its universe, the fresh variables. *)
+let substituted (f, kind, l) =
+  let g, blocks =
+    match kind with
+    | 0 -> Subst.uniform_or ~l f
+    | 1 -> Subst.uniform_and ~l f
+    | 2 -> Subst.or_subst ~widths:(fun v -> 1 + ((v + l) mod 3)) f
+    | 3 ->
+      let g, _ = Subst.or_subst ~widths:(fun v -> 1 + ((v + l) mod 2)) f in
+      Subst.or_subst ~widths:(fun v -> 1 + (v mod 2)) g
+    | _ ->
+      let g, _ = Subst.zap ~zero:(Vset.singleton l) f in
+      Subst.uniform_or ~l:2 g
+  in
+  (g, List.concat_map snd blocks)
+
+(* Brute force, counting and the compiled circuit agree on [#_*]; both
+   algebras report the same search; the circuit is d-D and equivalent. *)
+let blocks_agree ~vars f =
+  let c, st = Compile.compile_with_stats f in
+  let b = Brute.count_by_size ~vars f in
+  Kvec.equal b (Dpll.count_by_size_universe ~vars f)
+  && Kvec.equal b (Count.count_by_size ~vars c)
+  && snd (Dpll.count_with_stats f) = st
+  && Circuit.check_deterministic ~max_vars:14 c
+  && Circuit.equivalent_formula ~max_vars:14 c f
+
+let block_tests =
+  let open Formula in
+  let v i = Var i in
+  (* Raw constructors, so each shape reaches the search as written. *)
+  let case name ?decisions f =
+    Alcotest.test_case ("blocks: " ^ name) `Quick (fun () ->
+        Alcotest.(check bool) "agree" true
+          (blocks_agree ~vars:(Vset.elements (Formula.vars f)) f);
+        Option.iter
+          (fun d ->
+            Alcotest.(check int) "decisions" d
+              (snd (Dpll.count_with_stats f)).Dpll.branches)
+          decisions)
+  in
+  [ dtest ~seed:14 ~count:150
+      "blocks: brute = dpll = circuit on substituted formulas" arb_blocks
+      (fun inst ->
+        let g, vars = substituted inst in
+        QCheck.assume (List.length vars <= 14);
+        blocks_agree ~vars g);
+    case "under Not" ~decisions:1
+      (And [ Not (Or [ v 1; v 2; v 3 ]); Or [ Not (Or [ v 1; v 2 ]); v 4 ] ]);
+    case "plain and negated" ~decisions:1
+      (Or [ And [ v 3; Or [ v 1; v 2 ] ]; And [ v 4; Not (Or [ v 1; v 2 ]) ] ]);
+    case "flattened into an enclosing Or" ~decisions:1
+      (Or [ v 1; v 2; And [ v 3; Or [ v 1; v 2; v 4 ] ] ]);
+    case "of a conjunction" ~decisions:1
+      (And [ v 1; v 2; Or [ v 3; And [ v 1; v 2; v 4 ] ] ]);
+    (* x2 sits beside x1 in both of x1's nodes, and in a third. *)
+    case "a neighbour that occurs elsewhere is no twin"
+      (And
+         [ Or [ v 1; v 2; v 3 ];
+           Or [ v 1; v 1; v 1; v 2; v 4 ];
+           Or [ v 2; v 3; v 4 ] ]);
+    (* Counting the Or twice would make x3 a twin of x2, though x3 is
+       also a leaf of the And. *)
+    case "a leaf twice in one node" (Not (And [ v 3; Or [ v 2; v 3; v 2 ] ]));
+    case "a leaf twice in one node, swapped"
+      (Not (And [ v 2; Or [ v 3; v 2; v 3 ] ])) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
-  @ backward_edge_cases @ search_tests
+  @ backward_edge_cases @ search_tests @ block_tests
