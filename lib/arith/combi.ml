@@ -98,13 +98,6 @@ let shapley_of_diffs ~n diff =
     Rat.make !acc (factorial n)
   end
 
-let falling n k =
-  let rec go acc i =
-    if i >= k then acc
-    else go (Bigint.mul acc (Bigint.of_int (n - i))) (i + 1)
-  in
-  if k <= 0 then Bigint.one else go Bigint.one 0
-
 let pow2 n =
   if n < 0 then invalid_arg "Combi.pow2: negative";
   Bigint.pow Bigint.two n

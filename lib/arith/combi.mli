@@ -23,8 +23,5 @@ val shapley_coeff : n:int -> int -> Rat.t
     result is [0] when [n <= 0]. *)
 val shapley_of_diffs : n:int -> (int -> Bigint.t) -> Rat.t
 
-(** [falling n k] is the falling factorial [n (n-1) ... (n-k+1)]. *)
-val falling : int -> int -> Bigint.t
-
 (** [pow2 n] is [2^n] as a {!Bigint.t}. @raise Invalid_argument if [n < 0]. *)
 val pow2 : int -> Bigint.t

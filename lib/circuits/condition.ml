@@ -34,6 +34,3 @@ let restrict v b root =
   in
   go root
 
-(** [restrict_set bindings g] applies several restrictions in sequence. *)
-let restrict_set bindings g =
-  List.fold_left (fun g (v, b) -> restrict v b g) g bindings

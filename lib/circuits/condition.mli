@@ -11,5 +11,3 @@
 (** [restrict v b g] is [G[X_v := b]]; the result does not mention [v]. *)
 val restrict : int -> bool -> Circuit.node -> Circuit.node
 
-(** [restrict_set bindings g] applies several restrictions in sequence. *)
-val restrict_set : (int * bool) list -> Circuit.node -> Circuit.node

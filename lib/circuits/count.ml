@@ -1,20 +1,46 @@
+type weight = { leaf : int -> Kvec.t; free : Kvec.t }
+
+let counting = { leaf = (fun _ -> Kvec.singleton_true); free = Kvec.all ~n:1 }
+
+(* [u^m] for the free vector [u], as [m -> u^m].  Counting's [1 + t] has
+   the shared binomial rows as its powers; any other [u] gets a table
+   that lives as long as the pass. *)
+let powers w =
+  if Kvec.equal w.free counting.free then fun m -> Kvec.all ~n:m
+  else begin
+    let table = Hashtbl.create 8 in
+    let rec pow m =
+      if m = 0 then Kvec.const_true ~n:0
+      else
+        match Hashtbl.find_opt table m with
+        | Some p -> p
+        | None ->
+          let p = Kvec.conv (pow (m - 1)) w.free in
+          Hashtbl.add table m p;
+          p
+    in
+    pow
+  end
+
+(* Smoothing by [extra] free variables convolves with [u^extra]; the
+   complement of a vector over [m] variables subtracts it from [u^m]. *)
+let smooth pow v ~extra = if extra = 0 then v else Kvec.conv v (pow extra)
+let complement pow v = Kvec.sub (pow (Kvec.universe_size v)) v
+let scope (g : Circuit.node) = Vset.cardinal g.vars
+
 (* The forward pass: one bottom-up sweep computing every reachable gate's
-   stratified vector over its own scope.  The memo is per call (node ids
+   weighted vector over its own scope.  The memo is per call (node ids
    are process-global, so a persistent memo would never see collisions,
    but per-call keeps the module stateless).  Besides the memo it returns
    the gates in top-down order (each gate before all of its children),
    which the backward pass walks. *)
-let forward root =
+let forward w pow root =
   if Obs.enabled () then begin
     Obs.incr "circuit.kcounts";
     Obs.add "circuit.kcount_gates" (Circuit.size root)
   end;
   let memo : (int, Kvec.t) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
-  let smooth_to scope child_vec child_vars =
-    Kvec.extend child_vec
-      ~extra:(Vset.cardinal scope - Vset.cardinal child_vars)
-  in
   let rec go (g : Circuit.node) =
     match Hashtbl.find_opt memo g.id with
     | Some v -> v
@@ -23,28 +49,29 @@ let forward root =
         match g.gate with
         | Circuit.Ctrue -> Kvec.const_true ~n:0
         | Circuit.Cfalse -> Kvec.const_false ~n:0
-        | Circuit.Cvar _ -> Kvec.singleton_true
-        | Circuit.Cnot h -> Kvec.complement (go h)
+        | Circuit.Cvar x -> w.leaf x
+        | Circuit.Cnot h -> complement pow (go h)
         | Circuit.Cand gs -> Kvec.conv_list (List.map go gs)
         | Circuit.Cor (Circuit.Deterministic, gs) ->
           List.fold_left
             (fun acc h ->
-               Kvec.add acc (smooth_to g.vars (go h) (Circuit.vars h)))
-            (Kvec.const_false ~n:(Vset.cardinal g.vars))
+               Kvec.add acc (smooth pow (go h) ~extra:(scope g - scope h)))
+            (Kvec.const_false ~n:(scope g))
             gs
         | Circuit.Cor (Circuit.Disjoint, gs) ->
           (* all − Π (non-models of children).  Each factor lives on its
              child's scope, and [conv] adds universes, so [non] lives on
              Σ|vars h| — which equals |g.vars| exactly because cor_disj
              enforces pairwise-disjoint child scopes and sets the gate
-             scope to their union.  The [extend] below is therefore a
+             scope to their union.  The [smooth] below is therefore a
              no-op ([extra = 0]) for every constructible circuit; it
              pins the invariant so a future scope change cannot silently
              complement over the wrong universe. *)
-          let non = Kvec.conv_list (List.map (fun h -> Kvec.complement (go h)) gs) in
-          Kvec.complement
-            (Kvec.extend non
-               ~extra:(Vset.cardinal g.vars - Kvec.universe_size non))
+          let non =
+            Kvec.conv_list (List.map (fun h -> complement pow (go h)) gs)
+          in
+          complement pow
+            (smooth pow non ~extra:(scope g - Kvec.universe_size non))
       in
       Hashtbl.replace memo g.id v;
       order := g :: !order;
@@ -61,7 +88,7 @@ let check_universe ~vars g =
     invalid_arg "Count: universe misses circuit variables"
 
 let count_by_size_circuit root =
-  let _, _, top = forward root in
+  let _, _, top = forward counting (powers counting) root in
   top
 
 let count_by_size ~vars g =
@@ -86,21 +113,15 @@ let sibling_products a fs =
       if i < m - 1 then prefix := Kvec.conv !prefix fs.(i);
       out)
 
-(* The backward pass.  Give variable [x] weight [t + ε] when true and
-   [1 − ε] when false.  The padded root vector is a weighted model count,
-   multilinear in the weights, so it becomes
-   [(t + ε)·#G[x:=1] + (1 − ε)·#G[x:=0]]: affine in ε, with the wanted
-   difference vector as its slope.  Inside the circuit the shift only
-   moves the leaf [x] from [t] to [t + ε], because smoothing and
-   complement terms weigh [x] by the sum of its two weights, [1 + t].  So
-   each difference vector is the exact derivative of the root vector by a
-   leaf, and reverse-mode accumulation yields all of them in one sweep.
-   A gate's adjoint, over the universe minus the gate's scope, is the
-   vector by which a change of the gate's own vector moves the root's. *)
-let differences ~vars root =
+(* The backward pass.  count.mli gives the argument that each leaf ends
+   up holding its exact derivative.  A gate's adjoint, over the universe
+   minus the gate's scope, is the vector by which a change of the gate's
+   own vector moves the root's. *)
+let differences ~weight ~vars root =
   check_universe ~vars root;
   let n = List.length vars in
-  let value, order, top = forward root in
+  let pow = powers weight in
+  let value, order, top = forward weight pow root in
   let adjoint : (int, Kvec.t) Hashtbl.t = Hashtbl.create 256 in
   let push (h : Circuit.node) a =
     Hashtbl.replace adjoint h.id
@@ -112,8 +133,8 @@ let differences ~vars root =
   let vec (h : Circuit.node) = Hashtbl.find value h.id in
   let size h = Kvec.universe_size (vec h) in
   let leaf : (int, Kvec.t) Hashtbl.t = Hashtbl.create 64 in
-  (* Padding to the universe multiplies the root by a binomial row. *)
-  push root (Kvec.all ~n:(n - Kvec.universe_size top));
+  (* Padding to the universe multiplies the root by [u^(n − |vars G|)]. *)
+  push root (pow (n - Kvec.universe_size top));
   List.iter
     (fun (g : Circuit.node) ->
        let a = Hashtbl.find adjoint g.id in
@@ -124,16 +145,16 @@ let differences ~vars root =
        | Circuit.Cand hs ->
          push_all hs (sibling_products a (Array.of_list (List.map vec hs)))
        | Circuit.Cor (Circuit.Deterministic, hs) ->
-         List.iter (fun h -> push h (Kvec.extend a ~extra:(size g - size h))) hs
+         List.iter (fun h -> push h (smooth pow a ~extra:(size g - size h))) hs
        | Circuit.Cor (Circuit.Disjoint, hs) ->
          let non =
-           Array.of_list (List.map (fun h -> Kvec.complement (vec h)) hs)
+           Array.of_list (List.map (fun h -> complement pow (vec h)) hs)
          in
          (* Mirrors the forward pass's (no-op) smoothing of [non]. *)
          let extra =
            Array.fold_left (fun acc v -> acc - Kvec.universe_size v) (size g) non
          in
-         push_all hs (sibling_products (Kvec.extend a ~extra) non))
+         push_all hs (sibling_products (smooth pow a ~extra) non))
     order;
   List.map
     (fun x ->

@@ -29,88 +29,32 @@ let probability ~weights root =
   in
   go root
 
-(* (1 + t)^m, the polynomial of the constant-1 function over m free
-   variables (every conditional expectation is 1). *)
-let ones_poly m =
-  let rec go acc k =
-    if k = 0 then acc else go (Poly.mul acc (Poly.of_coeffs [ Rat.one; Rat.one ])) (k - 1)
-  in
-  go Poly.one m
-
-let expectation_poly ~weights ~entity root =
-  let memo = Hashtbl.create 64 in
-  let scope_size (g : Circuit.node) = Vset.cardinal g.vars in
-  (* Smooth a child polynomial to a larger scope: conditioning sets may
-     include variables the child ignores. *)
-  let smooth child_poly child_scope target_scope =
-    Poly.mul child_poly (ones_poly (target_scope - child_scope))
-  in
-  let rec go (g : Circuit.node) =
-    match Hashtbl.find_opt memo g.id with
-    | Some h -> h
-    | None ->
-      let h =
-        match g.gate with
-        | Circuit.Ctrue -> Poly.one
-        | Circuit.Cfalse -> Poly.zero
-        | Circuit.Cvar v ->
-          (* S = {}: expectation p_v; S = {v}: the entity value. *)
-          Poly.of_coeffs
-            [ weights v; (if entity v then Rat.one else Rat.zero) ]
-        | Circuit.Cnot x -> Poly.sub (ones_poly (scope_size g)) (go x)
-        | Circuit.Cand gs ->
-          (* decomposable: conditioning splits across disjoint scopes *)
-          List.fold_left (fun acc x -> Poly.mul acc (go x)) Poly.one gs
-        | Circuit.Cor (Circuit.Deterministic, gs) ->
-          List.fold_left
-            (fun acc x ->
-               Poly.add acc (smooth (go x) (scope_size x) (scope_size g)))
-            Poly.zero gs
-        | Circuit.Cor (Circuit.Disjoint, gs) ->
-          (* complement product over disjoint scopes *)
-          let non =
-            List.fold_left
-              (fun acc x ->
-                 Poly.mul acc
-                   (Poly.sub (ones_poly (scope_size x)) (go x)))
-              Poly.one gs
-          in
-          Poly.sub (ones_poly (scope_size g)) non
-      in
-      Hashtbl.replace memo g.id h;
-      h
-  in
-  go root
-
+(* Leaf [v]'s true weight [q·p_v + q·e_v·t] is [q] times its terms for
+   [S ∌ v] (probability [p_v]) and for [S ∋ v] (entity value [e_v]); its
+   false weight is [q] times their complements.  So the root vector of
+   [G[x:=b]] is [q^{n−1}] times the polynomial whose coefficient [k] sums
+   [E[G[x:=b] | X_S = e_S]] over the size-[k] sets [S] of the other
+   variables, and [x]'s marginal contribution to [S] is [e_x − p_x] times
+   the difference of two such expectations. *)
 let shap_score ~weights ~entity ~vars root =
-  let universe = Vset.of_list vars in
-  if not (Vset.subset (Circuit.vars root) universe) then
-    invalid_arg "Prob.shap_score: universe misses circuit variables";
-  let sorted = List.sort compare vars in
-  let n = List.length sorted in
+  let q =
+    Vset.fold
+      (fun v q ->
+         let d = Rat.den (weights v) in
+         Bigint.mul q (Bigint.div d (Bigint.gcd q d)))
+      (Circuit.vars root) Bigint.one
+  in
+  let bit v = if entity v then Rat.one else Rat.zero in
+  let scaled r = Rat.to_bigint (Rat.mul_bigint r q) in
+  let weight =
+    { Count.leaf =
+        (fun v -> Kvec.make ~n:1 [| scaled (weights v); scaled (bit v) |]);
+      free = Kvec.make ~n:1 [| q; q |] }
+  in
+  let n = List.length vars in
   List.map
-    (fun i ->
-       (* H polynomials of F[X_i := e_i] and of the i-marginalized F, both
-          over the n−1 other variables. *)
-       let others_scope = n - 1 in
-       let poly_of b =
-         let c = Condition.restrict i b root in
-         let h = expectation_poly ~weights ~entity c in
-         Poly.mul h (ones_poly (others_scope - Vset.cardinal (Circuit.vars c)))
-       in
-       let h1 = poly_of true and h0 = poly_of false in
-       let h_ei = if entity i then h1 else h0 in
-       let p_i = weights i in
-       (* without i in S, X_i is random: mix the two restrictions *)
-       let h_mixed =
-         Poly.add (Poly.scale p_i h1)
-           (Poly.scale (Rat.sub Rat.one p_i) h0)
-       in
-       let value = ref Rat.zero in
-       for k = 0 to n - 1 do
-         let diff = Rat.sub (Poly.coeff h_ei k) (Poly.coeff h_mixed k) in
-         value :=
-           Rat.add !value (Rat.mul (Combi.shapley_coeff ~n k) diff)
-       done;
-       (i, !value))
-    sorted
+    (fun (x, d) ->
+       let slope = Rat.sub (bit x) (weights x) in
+       let value = Rat.mul slope (Combi.shapley_of_diffs ~n (Kvec.get d)) in
+       (x, Rat.div value (Rat.of_bigint (Bigint.pow q (n - 1)))))
+    (Count.differences ~weight ~vars root)

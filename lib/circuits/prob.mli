@@ -12,9 +12,12 @@
     [11, 12]; Arenas et al. [1, 3]) is the Shapley value of the wealth
     function [S ↦ E[F | X_S = e_S]] for an entity [e] and a product
     distribution.  On d-D circuits all SHAP scores are computable in
-    polynomial time [1]; {!shap_score} implements this via a stratified
-    conditional-expectation polynomial per gate, exactly mirroring the
-    stratified counting of [Count].
+    polynomial time [1].  {!shap_score} gets them all from one
+    {!Count.differences} pass: under the weight that puts [p_v + e_v·t]
+    on a true leaf [v], coefficient [k] of a root vector sums the
+    conditional expectations over the size-[k] conditioning sets, and a
+    variable's difference vector is Eq. (2)'s input up to the factor
+    [e_x − p_x].  SHAP has no gate rules of its own.
 
     {b Relation to the paper's Shapley value.}  The paper stresses that
     its Shapley-of-variables is {e not} the SHAP score with probabilities
@@ -32,18 +35,15 @@ val probability : weights:(int -> Rat.t) -> Circuit.node -> Rat.t
     [probability ~weights:uniform_half g = #G / 2^n] over [vars g]). *)
 val uniform_half : int -> Rat.t
 
-(** [expectation_poly ~weights ~entity g] is the polynomial
-    [H_G(t) = Σ_k (Σ_{S ⊆ vars G, |S| = k} E[G | X_S = e_S]) · t^k]:
-    coefficient [k] aggregates the conditional expectations over all
-    size-[k] conditioning sets.  Linear in [|G|] times polynomial in the
-    number of variables. *)
-val expectation_poly :
-  weights:(int -> Rat.t) -> entity:(int -> bool) -> Circuit.node -> Poly.t
-
 (** [shap_score ~weights ~entity ~vars g] is the SHAP score of every
     universe variable for the classifier [g] at entity [entity] under the
-    product distribution [weights].
-    @raise Invalid_argument if [vars] misses circuit variables. *)
+    product distribution [weights].  The weights are scaled by [q], the
+    common denominator of the circuit variables' [weights], so the pass
+    runs on integers: leaf [v] weighs [q·p_v + q·e_v·t], one free
+    variable [q(1 + t)], and each score is
+    [(e_x − p_x) · Σ_k c_k D_x[k] / q^{n−1}].
+    @raise Invalid_argument if [vars] misses circuit variables or lists
+    one twice. *)
 val shap_score :
   weights:(int -> Rat.t) ->
   entity:(int -> bool) ->

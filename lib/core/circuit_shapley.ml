@@ -24,7 +24,7 @@ let shap_direct ~vars g =
          let v = Combi.shapley_of_diffs ~n (Kvec.get d) in
          Kvec_table.add values d v;
          (i, v))
-    (Count.differences ~vars g)
+    (Count.differences ~weight:Count.counting ~vars g)
 
 let kcounts_via_reduction ~vars g =
   let universe, sorted = sorted_universe ~vars g in
@@ -65,26 +65,25 @@ let interaction ~vars g i j =
   let _, sorted = sorted_universe ~vars g in
   check_pair ~vars:sorted i j;
   let n = List.length sorted in
-  let others = List.filter (fun v -> v <> i && v <> j) sorted in
-  let kv bi bj =
-    Count.count_by_size ~vars:others
-      (Condition.restrict j bj (Condition.restrict i bi g))
+  let others = List.filter (fun v -> v <> i) sorted in
+  let diff b =
+    List.assoc j
+      (Count.differences ~weight:Count.counting ~vars:others
+         (Condition.restrict i b g))
   in
-  let k11 = kv true true and k10 = kv true false in
-  let k01 = kv false true and k00 = kv false false in
+  let delta = Kvec.sub (diff true) (diff false) in
   let acc = ref Rat.zero in
   for k = 0 to n - 2 do
-    let delta =
-      Bigint.add
-        (Bigint.sub (Kvec.get k11 k) (Kvec.get k10 k))
-        (Bigint.sub (Kvec.get k00 k) (Kvec.get k01 k))
-    in
-    acc := Rat.add !acc (Rat.mul_bigint (interaction_weight ~n k) delta)
+    acc :=
+      Rat.add !acc
+        (Rat.mul_bigint (interaction_weight ~n k) (Kvec.get delta k))
   done;
   !acc
 
 let interaction_naive ~vars f i j =
   let universe = Vset.of_list vars in
+  if Vset.cardinal universe <> List.length vars then
+    invalid_arg "interaction_naive: duplicate variables in the universe";
   if not (Vset.subset (Formula.vars f) universe) then
     invalid_arg "interaction_naive: universe misses variables";
   let sorted = List.sort compare vars in

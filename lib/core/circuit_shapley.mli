@@ -45,13 +45,17 @@ val kcounts_via_reduction : vars:int list -> Circuit.node -> Kvec.t
     {v I(i,j) = Σ_{S ⊆ N∖{i,j}} |S|!(n−|S|−2)!/(n−1)! · Δij(S)
        Δij(S) = F(S∪{i,j}) − F(S∪{i}) − F(S∪{j}) + F(S) v}
 
-    computed polynomially on the d-D circuit by stratified counting of the
-    four conditionings of [(X_i, X_j)].  Positive values mean [i] and [j] are
-    complementary, negative substitutive, zero independent.
+    computed polynomially on the d-D circuit: [Δij] summed over the sets
+    of size [k] is [D_j[k]] in [G[X_i:=1]] minus [D_j[k]] in
+    [G[X_i:=0]], so two conditionings on [X_i] and one
+    {!Shapmc_circuits.Count.differences} pass over each give the index.
+    Positive values mean [i] and [j] are complementary, negative
+    substitutive, zero independent.
     @raise Invalid_argument if [i = j], either is outside [vars],
     [vars] has fewer than 2 variables or lists one twice. *)
 val interaction : vars:int list -> Circuit.node -> int -> int -> Rat.t
 
 (** [interaction_naive ~vars f i j] — exponential reference on a
-    formula. *)
+    formula.  @raise Invalid_argument as {!interaction} does, or if [vars]
+    misses variables of [f]. *)
 val interaction_naive : vars:int list -> Formula.t -> int -> int -> Rat.t

@@ -1,5 +1,7 @@
 let check ~vars vs =
   let universe = Vset.of_list vars in
+  if Vset.cardinal universe <> List.length vars then
+    invalid_arg "Power_indices: duplicate variables in the universe";
   if not (Vset.subset vs universe) then
     invalid_arg "Power_indices: universe misses variables";
   List.sort compare vars
@@ -20,15 +22,9 @@ let banzhaf_via_count_oracle ~count ~vars f =
 let banzhaf ~vars f =
   banzhaf_via_count_oracle ~count:(fun ~vars f -> Brute.count ~vars f) ~vars f
 
+(* [#G[X_i:=1] − #G[X_i:=0]] is the total of [i]'s difference vector. *)
 let banzhaf_circuit ~vars g =
-  let sorted = check ~vars (Circuit.vars g) in
-  let n = List.length sorted in
+  let n = List.length (check ~vars (Circuit.vars g)) in
   List.map
-    (fun i ->
-       let others = List.filter (fun v -> v <> i) sorted in
-       let c1 = Count.count ~vars:others (Condition.restrict i true g) in
-       let c0 = Count.count ~vars:others (Condition.restrict i false g) in
-       (i, of_diff ~n (Bigint.sub c1 c0)))
-    sorted
-
-let banzhaf_sum l = List.fold_left (fun acc (_, v) -> Rat.add acc v) Rat.zero l
+    (fun (i, d) -> (i, of_diff ~n (Kvec.total d)))
+    (Count.differences ~weight:Count.counting ~vars g)

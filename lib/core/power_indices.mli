@@ -10,22 +10,23 @@
     contrast illuminates exactly what Theorem 3.1 has to work for.
     (Livshits et al. [21] study both notions over query lineage.) *)
 
-(** [banzhaf ~vars f] — brute-force reference (exponential). *)
+(** [banzhaf ~vars f] — brute-force reference (exponential).
+    @raise Invalid_argument if [vars] misses variables of [f] or lists
+    one twice. *)
 val banzhaf : vars:int list -> Formula.t -> (int * Rat.t) list
 
-(** [banzhaf_circuit ~vars g] — polynomial on d-D circuits: two
-    conditionings and two counts per variable. *)
+(** [banzhaf_circuit ~vars g] — polynomial on d-D circuits: the
+    numerator of every variable is the total of its difference vector,
+    all [n] from one {!Shapmc_circuits.Count.differences} pass.
+    @raise Invalid_argument as {!banzhaf} does. *)
 val banzhaf_circuit : vars:int list -> Circuit.node -> (int * Rat.t) list
 
 (** [banzhaf_via_count_oracle ~count ~vars f] — through any plain counting
     oracle (e.g. DPLL): the Banzhaf analogue of the paper's pipeline,
-    needing no stratified counts. *)
+    needing no stratified counts.  @raise Invalid_argument as {!banzhaf}
+    does. *)
 val banzhaf_via_count_oracle :
   count:(vars:int list -> Formula.t -> Bigint.t) ->
   vars:int list ->
   Formula.t ->
   (int * Rat.t) list
-
-(** [banzhaf_sum shap] — sum of the values (no Prop. 5-style identity
-    holds for Banzhaf; exposed for the comparison experiment). *)
-val banzhaf_sum : (int * Rat.t) list -> Rat.t

@@ -96,11 +96,6 @@ let conv a b =
     { n; counts = out }
   end
 
-let with_var v ~pol =
-  let out = Array.make (v.n + 2) Bigint.zero in
-  Array.blit v.counts 0 out (if pol then 1 else 0) (v.n + 1);
-  { n = v.n + 1; counts = out }
-
 (* Convolve a list of vectors with two reusable scratch buffers sized for
    the final universe, instead of one fresh array per fold step. *)
 let conv_list parts =

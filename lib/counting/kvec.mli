@@ -55,12 +55,6 @@ val const_false : n:int -> t
     universes (sizes add). *)
 val conv : t -> t -> t
 
-(** [with_var v ~pol] conjoins a fresh literal over a new variable: the
-    universe grows by one and the counts shift up one size class when the
-    literal is positive.  Equals [conv v singleton_true] (resp.
-    [singleton_false]) without the multiply-add loop. *)
-val with_var : t -> pol:bool -> t
-
 (** [conv_list vs] is [List.fold_left conv (const_true ~n:0) vs], computed
     with reusable scratch buffers sized for the final universe. *)
 val conv_list : t list -> t

@@ -158,11 +158,24 @@ let dpll_tests =
         raises "Dpll.count_by_size_universe" (fun () ->
             Dpll.count_by_size_universe ~vars:[ 1; 1 ] x1);
         raises "Count.count" (fun () -> Count.count ~vars:[ 1; 1 ] (Circuit.cvar 1));
-        raises "Count.differences" (fun () -> Count.differences ~vars:[ 1; 1; 2 ] g);
+        raises "Count.differences" (fun () ->
+            Count.differences ~weight:Count.counting ~vars:[ 1; 1; 2 ] g);
         raises "Circuit_shapley.shap_direct" (fun () ->
             Circuit_shapley.shap_direct ~vars:[ 1; 1; 2 ] g);
         raises "Circuit_shapley.shap_via_reduction" (fun () ->
             Circuit_shapley.shap_via_reduction ~vars:[ 1; 1; 2 ] g);
+        (* Over {1, 2}, x1 is one player of x1 & x2 with Banzhaf value
+           1/2; and I(1, 2) of x1 & x2 | x3 is 1/2.  A repeat skews both. *)
+        raises "Power_indices.banzhaf" (fun () ->
+            Power_indices.banzhaf ~vars:[ 1; 1; 2 ]
+              (Formula.and_ [ x1; Formula.var 2 ]));
+        raises "Prob.shap_score" (fun () ->
+            Prob.shap_score ~weights:(fun _ -> Rat.zero)
+              ~entity:(fun _ -> true) ~vars:[ 1; 1; 2 ] g);
+        raises "Circuit_shapley.interaction_naive" (fun () ->
+            Circuit_shapley.interaction_naive ~vars:[ 1; 1; 2; 3 ]
+              (Parser.formula_of_string_exn "x1 & x2 | x3")
+              1 2);
         Alcotest.check bigint "a universe without repeats" Bigint.one
           (Dpll.count_universe ~vars:[ 1 ] x1))
   ]

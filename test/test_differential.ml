@@ -137,9 +137,10 @@ let reverse_tests =
           (Brute.count ~vars:(universe 3) f)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Theorem 4.1: the forward-backward pass against conditioning *)
+(* Theorem 4.1 and its sibling scores: the forward-backward pass against
+   conditioning *)
 
-(* The algorithm the backward pass replaced, kept as the oracle: condition
+(* The algorithms the backward pass replaced, kept as oracles: condition
    the circuit on each variable, recount both restrictions, and sum
    Eq. (2) term by term in rationals. *)
 let conditioned_differences ~vars g =
@@ -164,22 +165,169 @@ let shap_by_conditioning ~vars g =
       (i, !value))
     (conditioned_differences ~vars g)
 
+(* Banzhaf: two conditionings and two plain counts per variable. *)
+let banzhaf_by_conditioning ~vars g =
+  let sorted = List.sort compare vars in
+  let n = List.length sorted in
+  List.map
+    (fun i ->
+      let others = List.filter (fun v -> v <> i) sorted in
+      let c b = Count.count ~vars:others (Condition.restrict i b g) in
+      (i, Rat.make (Bigint.sub (c true) (c false)) (Combi.pow2 (n - 1))))
+    sorted
+
+(* (1 + t)^m, the polynomial of the constant-1 function over m free
+   variables (every conditional expectation is 1). *)
+let ones_poly m =
+  let rec go acc k =
+    if k = 0 then acc
+    else go (Poly.mul acc (Poly.of_coeffs [ Rat.one; Rat.one ])) (k - 1)
+  in
+  go Poly.one m
+
+(* SHAP's own stratified pass: the polynomial
+   [H_G(t) = Σ_k (Σ_{S ⊆ vars G, |S| = k} E[G | X_S = e_S]) · t^k], gate
+   by gate over [Poly]/[Rat]. *)
+let expectation_poly ~weights ~entity root =
+  let memo = Hashtbl.create 64 in
+  let scope_size (g : Circuit.node) = Vset.cardinal g.vars in
+  let smooth child_poly child_scope target_scope =
+    Poly.mul child_poly (ones_poly (target_scope - child_scope))
+  in
+  let rec go (g : Circuit.node) =
+    match Hashtbl.find_opt memo g.id with
+    | Some h -> h
+    | None ->
+      let h =
+        match g.gate with
+        | Circuit.Ctrue -> Poly.one
+        | Circuit.Cfalse -> Poly.zero
+        | Circuit.Cvar v ->
+          Poly.of_coeffs [ weights v; (if entity v then Rat.one else Rat.zero) ]
+        | Circuit.Cnot x -> Poly.sub (ones_poly (scope_size g)) (go x)
+        | Circuit.Cand gs ->
+          List.fold_left (fun acc x -> Poly.mul acc (go x)) Poly.one gs
+        | Circuit.Cor (Circuit.Deterministic, gs) ->
+          List.fold_left
+            (fun acc x ->
+              Poly.add acc (smooth (go x) (scope_size x) (scope_size g)))
+            Poly.zero gs
+        | Circuit.Cor (Circuit.Disjoint, gs) ->
+          let non =
+            List.fold_left
+              (fun acc x ->
+                Poly.mul acc (Poly.sub (ones_poly (scope_size x)) (go x)))
+              Poly.one gs
+          in
+          Poly.sub (ones_poly (scope_size g)) non
+      in
+      Hashtbl.replace memo g.id h;
+      h
+  in
+  go root
+
+(* SHAP: two conditionings per variable, each followed by
+   [expectation_poly]. *)
+let shap_score_by_conditioning ~weights ~entity ~vars root =
+  let sorted = List.sort compare vars in
+  let n = List.length sorted in
+  List.map
+    (fun i ->
+      let poly_of b =
+        let c = Condition.restrict i b root in
+        Poly.mul
+          (expectation_poly ~weights ~entity c)
+          (ones_poly (n - 1 - Vset.cardinal (Circuit.vars c)))
+      in
+      let h1 = poly_of true and h0 = poly_of false in
+      let h_ei = if entity i then h1 else h0 in
+      let p_i = weights i in
+      (* without i in S, X_i is random: mix the two restrictions *)
+      let h_mixed =
+        Poly.add (Poly.scale p_i h1) (Poly.scale (Rat.sub Rat.one p_i) h0)
+      in
+      let value = ref Rat.zero in
+      for k = 0 to n - 1 do
+        let diff = Rat.sub (Poly.coeff h_ei k) (Poly.coeff h_mixed k) in
+        value := Rat.add !value (Rat.mul (Combi.shapley_coeff ~n k) diff)
+      done;
+      (i, !value))
+    sorted
+
+(* The interaction index: stratified counts of the four conditionings of
+   [(X_i, X_j)]. *)
+let interaction_by_conditioning ~vars g i j =
+  let sorted = List.sort compare vars in
+  let n = List.length sorted in
+  let others = List.filter (fun v -> v <> i && v <> j) sorted in
+  let kv bi bj =
+    Count.count_by_size ~vars:others
+      (Condition.restrict j bj (Condition.restrict i bi g))
+  in
+  let k11 = kv true true and k10 = kv true false in
+  let k01 = kv false true and k00 = kv false false in
+  let acc = ref Rat.zero in
+  for k = 0 to n - 2 do
+    let delta =
+      Bigint.add
+        (Bigint.sub (Kvec.get k11 k) (Kvec.get k10 k))
+        (Bigint.sub (Kvec.get k00 k) (Kvec.get k01 k))
+    in
+    let weight =
+      Rat.make
+        (Bigint.mul (Combi.factorial k) (Combi.factorial (n - k - 2)))
+        (Combi.factorial (n - 1))
+    in
+    acc := Rat.add !acc (Rat.mul_bigint weight delta)
+  done;
+  !acc
+
 let same_values a b =
   List.length a = List.length b
   && List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b
 
-(* Difference vectors equal conditioning's; values equal conditioning's
-   and the exponential Eq. (2) reference on [f] (default: the circuit
-   unfolded). *)
+(* A product distribution and an entity fixed by the variable: zeros,
+   ones and mixed denominators among the probabilities, zeros among the
+   entity's values. *)
+let shap_weights v =
+  match v mod 5 with
+  | 0 -> Rat.zero
+  | 1 -> Rat.of_ints 1 3
+  | 2 -> Rat.one
+  | 3 -> Rat.of_ints 3 4
+  | _ -> Rat.of_ints 2 5
+
+let shap_entity v = v mod 3 <> 1
+
+(* Difference vectors equal conditioning's; Shapley values equal
+   conditioning's and the exponential Eq. (2) reference on [f] (default:
+   the circuit unfolded); Banzhaf values, SHAP scores and the interaction
+   of the least variable with a middle one equal conditioning's. *)
 let backward_agrees ?f ~vars g =
   let f = match f with Some f -> f | None -> Circuit.to_formula g in
   let direct = Circuit_shapley.shap_direct ~vars g in
+  let sorted = List.sort compare vars in
   List.for_all2
     (fun (i, a) (j, b) -> i = j && Kvec.equal a b)
-    (Count.differences ~vars g)
+    (Count.differences ~weight:Count.counting ~vars g)
     (conditioned_differences ~vars g)
   && same_values direct (shap_by_conditioning ~vars g)
   && same_values direct (Naive.shap_subsets ~vars f)
+  && same_values
+       (Power_indices.banzhaf_circuit ~vars g)
+       (banzhaf_by_conditioning ~vars g)
+  && same_values
+       (Prob.shap_score ~weights:shap_weights ~entity:shap_entity ~vars g)
+       (shap_score_by_conditioning ~weights:shap_weights ~entity:shap_entity
+          ~vars g)
+  &&
+  match sorted with
+  | i :: _ :: _ ->
+    let j = List.nth sorted (List.length sorted / 2) in
+    Rat.equal
+      (Circuit_shapley.interaction ~vars g i j)
+      (interaction_by_conditioning ~vars g i j)
+  | _ -> true
 
 (* Compiled formulas on 1..4 and 5..8, combined under Not, decomposable
    And and disjoint Or gates, over a universe of up to two variables the
@@ -315,7 +463,7 @@ let backward_edge_cases =
           (fun (_, d) ->
             Alcotest.(check int) "difference vector over n-1 variables"
               (List.length vars - 1) (Kvec.universe_size d))
-          (Count.differences ~vars g))
+          (Count.differences ~weight:Count.counting ~vars g))
   in
   let open Circuit in
   [ case "backward: true over three unmentioned variables" ~vars:[ 1; 2; 3 ]
@@ -338,7 +486,9 @@ let backward_edge_cases =
         Alcotest.check_raises "missing variable"
           (Invalid_argument "Count: universe misses circuit variables")
           (fun () ->
-            ignore (Count.differences ~vars:[ 1 ] (cand [ cvar 1; cvar 2 ])))) ]
+            ignore
+              (Count.differences ~weight:Count.counting ~vars:[ 1 ]
+                 (cand [ cvar 1; cvar 2 ])))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decisions on blocks of twin leaves.  Random formulas rarely hold

@@ -137,7 +137,9 @@ let shap_score_tests =
          QCheck.assume (not (Vset.is_empty (Formula.vars f)));
          let weights v = r 1 (v + 2) in
          let c = Compile.compile f in
-         let h = Prob.expectation_poly ~weights ~entity:(fun _ -> true) c in
+         let h =
+           Test_differential.expectation_poly ~weights ~entity:(fun _ -> true) c
+         in
          Rat.equal (Poly.coeff h 0) (Prob.probability ~weights c))
   ]
 
@@ -335,6 +337,70 @@ let sampling_tests =
           Sampling.[ Truncated; Antithetic ])
   ]
 
+(* SHAP by its definition: [Σ_{S ⊆ N∖{x}} c_|S| · (v(S ∪ {x}) − v(S))]
+   with [v(S) = E[F | X_S = e_S]], the expectation summed over every
+   assignment of the variables outside [S]. *)
+let shap_by_definition ~weights ~entity ~vars f =
+  let n = List.length vars in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | v :: rest ->
+      let ss = subsets rest in
+      ss @ List.map (fun s -> v :: s) ss
+  in
+  let value s =
+    let free = List.filter (fun v -> not (List.mem v s)) vars in
+    let fixed = Vset.of_list (List.filter entity s) in
+    List.fold_left
+      (fun acc t ->
+         if Formula.eval_set (Vset.union fixed (Vset.of_list t)) f then
+           Rat.add acc
+             (List.fold_left
+                (fun p v ->
+                   Rat.mul p
+                     (if List.mem v t then weights v
+                      else Rat.sub Rat.one (weights v)))
+                Rat.one free)
+         else acc)
+      Rat.zero (subsets free)
+  in
+  List.map
+    (fun x ->
+       ( x,
+         List.fold_left
+           (fun acc s ->
+              Rat.add acc
+                (Rat.mul
+                   (Combi.shapley_coeff ~n (List.length s))
+                   (Rat.sub (value (x :: s)) (value s))))
+           Rat.zero
+           (subsets (List.filter (fun v -> v <> x) vars)) ))
+    vars
+
+(* Probabilities 0 and 1, and fractions over five denominators. *)
+let probabilities =
+  [| Rat.zero; Rat.one; r 1 2; r 1 3; r 2 3; r 3 4; r 2 5; r 5 7 |]
+
+(* Against ground truth at entities with zeros, where the factor
+   [e_x − p_x] of the one-pass score matters. *)
+let shap_definition_tests =
+  [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2024; 17 |])
+      (QCheck.Test.make ~count:40
+         ~name:"SHAP = its definition by enumeration (entities with zeros)"
+         (QCheck.triple (arb_formula ~nvars:5 ~depth:4) (QCheck.int_bound 63)
+            (QCheck.list_of_size (QCheck.Gen.return 6)
+               (QCheck.int_bound (Array.length probabilities - 1))))
+         (fun (f, mask, picks) ->
+            (* x6 is in the universe but never in the formula *)
+            let vars = [ 1; 2; 3; 4; 5; 6 ] in
+            let weights v = probabilities.(List.nth picks (v - 1)) in
+            let entity v = mask land (1 lsl (v - 1)) <> 0 in
+            List.for_all2
+              (fun (i, x) (j, y) -> i = j && Rat.equal x y)
+              (shap_by_definition ~weights ~entity ~vars f)
+              (Prob.shap_score ~weights ~entity ~vars (Compile.compile f))))
+  ]
+
 let suite =
   probability_tests @ shap_score_tests @ pqe_route_tests @ banzhaf_tests
-  @ sampling_tests
+  @ sampling_tests @ shap_definition_tests
