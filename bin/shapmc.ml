@@ -156,7 +156,8 @@ let with_obs opts f =
     Obs.enable ();
     Obs.set_profiling (opts.profile <> None)
   end;
-  if opts.trace <> None then Trace.start ();
+  let stream = Option.map (fun path -> (path, Trace.create ())) opts.trace in
+  Obs.set_trace (Option.map snd stream);
   (* Gc bracket for the whole command body: allocation and collection
      deltas plus the peak heap, reported as gauges. *)
   let gc0 = Gc.quick_stat () in
@@ -172,18 +173,18 @@ let with_obs opts f =
       (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections));
     Metrics.set "gc_top_heap_bytes" (float_of_int gc1.Gc.top_heap_words *. word)
   end;
-  (match opts.trace with
+  (match stream with
    | None -> ()
-   | Some path ->
-     Trace.stop ();
-     let evs = Trace.events () in
-     Trace_export.write_file ~dropped:(Trace.dropped ()) ~path evs;
+   | Some (path, b) ->
+     Obs.set_trace None;
+     let evs = Trace.events b and dropped = Trace.dropped b in
+     Trace_export.write_file ~dropped ~path evs;
      let stored = List.length evs in
      Printf.eprintf "trace: %d event%s written to %s%s\n" stored
        (if stored = 1 then "" else "s")
        path
-       (if Trace.dropped () > 0 then
-          Printf.sprintf " (%d dropped at the %d-event cap)" (Trace.dropped ())
+       (if dropped > 0 then
+          Printf.sprintf " (%d dropped at the %d-event cap)" dropped
             Trace.default_cap
         else ""));
   if opts.stats then Format.printf "@\n%a@?" Obs.pp_report ();
@@ -198,7 +199,6 @@ let with_obs opts f =
    | Some path ->
      write_text_to ~what:"metrics" path (Metrics.to_openmetrics ()));
   if live then begin
-    Trace.clear ();
     Obs.set_profiling false;
     Obs.disable ();
     Obs.reset ()
@@ -845,14 +845,6 @@ let serve_cmd =
                    $(b,GET /v1/debug/requests); $(b,0) disables the ring. \
                    Also settable via $(env).")
   in
-  let scope_cap_arg =
-    Arg.(value & opt int Shapmc_obs.Scope.default_cap
-         & info [ "scope-cap" ] ~docv:"N"
-             ~env:(Cmd.Env.info "SHAPMC_SCOPE_CAP")
-             ~doc:"Bound each request's scoped trace buffer at $(docv) \
-                   events (aggregates stay exact past it).  Also settable \
-                   via $(env).")
-  in
   let serve_cache_size_arg =
     Arg.(value & opt int Cache.default_results
          & info [ "cache-size" ] ~docv:"N"
@@ -862,7 +854,7 @@ let serve_cmd =
                    default.  Also settable via $(env).")
   in
   let run host port jobs max_header max_body read_timeout max_conn drain
-      access_log access_log_max debug_requests scope_cap cache_size files =
+      access_log access_log_max debug_requests cache_size files =
     wrap (fun () ->
         Par.set_jobs jobs;
         let name_of path = Filename.remove_extension (Filename.basename path) in
@@ -888,7 +880,7 @@ let serve_cmd =
         in
         let config =
           { Server.host; port; jobs; limits; drain_deadline = drain;
-            telemetry = Some telemetry; scope_cap }
+            telemetry = Some telemetry }
         in
         let server = Server.create ~config (Api.routes ~telemetry api) in
         Server.start server;
@@ -920,7 +912,7 @@ let serve_cmd =
     Term.(const run $ host_arg $ port_arg $ jobs_arg $ max_header_arg
           $ max_body_arg $ read_timeout_arg $ max_conn_requests_arg
           $ drain_arg $ access_log_arg $ access_log_max_arg
-          $ debug_requests_arg $ scope_cap_arg $ serve_cache_size_arg
+          $ debug_requests_arg $ serve_cache_size_arg
           $ files_arg)
 
 let tail_cmd =

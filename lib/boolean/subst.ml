@@ -35,7 +35,7 @@ let block_subst ?universe ~kind ~combine ~widths f =
     | None -> Formula.var v
   in
   let g = apply theta f in
-  if Obs.enabled () then
+  if Obs.observing () then
     Obs.record_subst ~kind ~pre:(Formula.size f) ~post:(Formula.size g)
       ~fresh:(List.fold_left (fun acc (_, zs) -> acc + List.length zs) 0 blocks)
       ~width:

@@ -35,10 +35,6 @@ let scope (g : Circuit.node) = Vset.cardinal g.vars
    the gates in top-down order (each gate before all of its children),
    which the backward pass walks. *)
 let forward w pow root =
-  if Obs.enabled () then begin
-    Obs.incr "circuit.kcounts";
-    Obs.add "circuit.kcount_gates" (Circuit.size root)
-  end;
   let memo : (int, Kvec.t) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
   let rec go (g : Circuit.node) =
@@ -78,6 +74,11 @@ let forward w pow root =
       v
   in
   let top = go root in
+  (* [order] holds every reachable gate once: the pass's gate count. *)
+  if Obs.observing () then begin
+    Obs.incr "circuit.kcounts";
+    Obs.add "circuit.kcount_gates" (List.length !order)
+  end;
   (memo, !order, top)
 
 let check_universe ~vars g =

@@ -61,8 +61,8 @@ let or_subst ?universe ~widths root =
   in
   let root' = go root in
   (* Pre/post gate counts witness Lemma 9's O(|G| + k·ℓ) bound; sizes are
-     only computed when the ledger is live. *)
-  if Obs.enabled () then
+     only computed when someone is observing. *)
+  if Obs.observing () then
     Obs.record_subst ~kind:"circuit.or" ~pre:(Circuit.size root)
       ~post:(Circuit.size root')
       ~fresh:(List.fold_left (fun acc (_, zs) -> acc + List.length zs) 0 !blocks)

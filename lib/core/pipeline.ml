@@ -29,16 +29,16 @@ let sorted_universe ~vars f =
    records the paper's cost measure: which oracle, on how many variables,
    at which substitution arity ℓ, on how large an instance — and, when a
    trace is recording, which lemma issued the call.  The metadata (sizes,
-   lengths) is only computed when the ledger is live. *)
+   lengths) is only computed when someone is observing. *)
 let ledgered_count ~oracle ?arity ?attrs ~vars f =
-  if not (Obs.enabled ()) then oracle.count ~vars f
+  if not (Obs.observing ()) then oracle.count ~vars f
   else
     Obs.call ~oracle:oracle.oracle_name ~n:(List.length vars) ?arity ?attrs
       ~size:(Formula.size f)
       (fun () -> oracle.count ~vars f)
 
 let ledgered_shap ~oracle ?arity ?attrs ~vars f =
-  if not (Obs.enabled ()) then oracle.shap ~vars f
+  if not (Obs.observing ()) then oracle.shap ~vars f
   else
     Obs.call ~oracle:oracle.shap_name ~n:(List.length vars) ?arity ?attrs
       ~size:(Formula.size f)
@@ -136,7 +136,7 @@ let pqe_circuit_oracle =
   }
 
 let ledgered_prob ~oracle ~theta ~vars f =
-  if not (Obs.enabled ()) then oracle.prob ~theta ~vars f
+  if not (Obs.observing ()) then oracle.prob ~theta ~vars f
   else
     Obs.call ~oracle:oracle.pqe_name ~n:(List.length vars)
       ~size:(Formula.size f)

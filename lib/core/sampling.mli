@@ -12,7 +12,7 @@
 
     {!shap_estimate} streams every marginal through a
     {!Convergence} monitor (Welford moments, selectable CI, checkpoint
-    telemetry into Trace/Scope/Metrics/JSONL), stops early once the
+    telemetry into Obs/Metrics/JSONL), stops early once the
     certified max half-width reaches a target ε or a wall-clock deadline
     passes, and fans batches over the {!Par} domain pool with
     deterministic per-batch seed substreams — the same [(seed, estimator,

@@ -9,7 +9,7 @@
 (* Every brute call enumerates 2^|vars| assignments; ledger the volume so
    the counter shows up next to DPLL branch counts in reports. *)
 let observe ~what n =
-  if Obs.enabled () then begin
+  if Obs.observing () then begin
     Obs.incr ("brute." ^ what);
     if n <= 62 then Obs.add "brute.assignments" (1 lsl n)
   end

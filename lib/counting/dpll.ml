@@ -139,7 +139,7 @@ let kvec =
 
 let count_by_size f =
   let v, st = search kvec f in
-  if Obs.enabled () then begin
+  if Obs.observing () then begin
     Obs.incr "dpll.counts";
     Obs.add "dpll.branches" st.branches;
     Obs.add "dpll.cache_hits" st.cache_hits

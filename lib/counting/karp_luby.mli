@@ -26,7 +26,7 @@ type estimate = {
     When [monitor] is given (create it with [~players:1 ~range:1.0] —
     the observable is the first-satisfied-clause coverage indicator in
     {0, 1} whose mean is [#F / U]), every sample streams into it and the
-    convergence checkpoints flow to Trace/Scope/Metrics/JSONL exactly as
+    convergence checkpoints flow to Obs/Metrics/JSONL exactly as
     for the Shapley estimators; the caller owns the monitor and calls
     {!Convergence.finish}.
     @raise Invalid_argument if [d] is empty or has an empty clause, if

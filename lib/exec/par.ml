@@ -8,9 +8,10 @@
    streams, ledgers and benchmark baselines are bit-identical to the
    pre-pool pipeline unless the user opts in with [--jobs]/[SHAPMC_JOBS].
 
-   [map] snapshots the caller's Obs span context and re-installs it
-   around every task, so spans opened inside worker domains aggregate
-   under the same hierarchical paths as a sequential run. *)
+   [map] snapshots the caller's Obs context (open spans and request
+   buffer) and re-installs it around every task, so spans opened inside
+   worker domains aggregate under the same hierarchical paths as a
+   sequential run and their events reach the caller's request. *)
 
 let jobs_knob = Atomic.make 1
 
@@ -22,17 +23,9 @@ let map f xs =
   let j = jobs () in
   if j <= 1 then Array.map f xs
   else begin
-    let ctx = Shapmc_obs.Obs.span_context () in
-    (* The request scope rides along too, so per-request profiles stay
-       complete across the batch fan-out (the scope's own mutex makes
-       concurrent emission from workers safe). *)
-    let scope = Shapmc_obs.Scope.current () in
+    let ctx = Shapmc_obs.Obs.context () in
     let pool = Pool.create ~jobs:j in
-    Pool.map pool
-      (fun x ->
-        Shapmc_obs.Scope.with_current scope (fun () ->
-            Shapmc_obs.Obs.with_span_context ctx (fun () -> f x)))
-      xs
+    Pool.map pool (fun x -> Shapmc_obs.Obs.with_context ctx (fun () -> f x)) xs
   end
 
 (** [map_n f n] is [| f 0; ...; f (n-1) |], fanned out like {!map}. *)

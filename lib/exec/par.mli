@@ -12,7 +12,7 @@ val jobs : unit -> int
 
 (** [map f xs] evaluates [f] over [xs] on up to [jobs ()] domains (see
     {!Pool.map} for ordering, exception and nesting guarantees).  The
-    caller's {!Shapmc_obs.Obs} span context is re-installed around each
+    caller's {!Shapmc_obs.Obs.context} is re-installed around each
     task, so span paths aggregate as in a sequential run. *)
 val map : ('a -> 'b) -> 'a array -> 'b array
 

@@ -192,23 +192,14 @@ module Exec = struct
 
   let jobs t = t.e_jobs
 
-  (* Like [Par.map], a submission captures the caller's Obs span
-     context AND its installed request scope, and re-installs both in
-     the worker: spans opened by the task nest under the submitter's
-     path instead of hanging off a worker root, and request-scoped
-     events keep flowing into the submitter's scope across the domain
-     hop. *)
+  (* Like [Par.map], a submission captures the caller's Obs context
+     and re-installs it in the worker: spans opened by the task nest
+     under the submitter's path instead of hanging off a worker root,
+     and its events keep flowing into the submitter's request buffer
+     across the domain hop. *)
   let submit t task =
-    let ctx = Shapmc_obs.Obs.span_context () in
-    let scope = Shapmc_obs.Scope.current () in
-    let task =
-      match (ctx, scope) with
-      | [], None -> task
-      | _ ->
-        fun () ->
-          Shapmc_obs.Scope.with_current scope (fun () ->
-              Shapmc_obs.Obs.with_span_context ctx task)
-    in
+    let ctx = Shapmc_obs.Obs.context () in
+    let task () = Shapmc_obs.Obs.with_context ctx task in
     Mutex.lock t.lock;
     if t.stopping then begin
       Mutex.unlock t.lock;

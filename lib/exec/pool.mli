@@ -51,12 +51,12 @@ module Exec : sig
 
   (** [submit t task] enqueues [task]; returns [false] (without
       enqueuing) once {!shutdown} has been called.  The submitter's
-      Obs span context and installed request {!Scope} are captured at
-      submission and re-installed around the task in the worker, so
-      spans nest under the caller's path and request-scoped events
-      reach the caller's scope.  A task that raises is dropped after
-      recording a [pool_exec_task_errors] metric — worker domains
-      never die to an exception. *)
+      {!Shapmc_obs.Obs.context} is captured at submission and
+      re-installed around the task in the worker, so spans nest under
+      the caller's path and events reach the caller's request buffer.
+      A task that raises is dropped after recording a
+      [pool_exec_task_errors] metric — worker domains never die to an
+      exception. *)
   val submit : t -> (unit -> unit) -> bool
 
   (** Tasks queued plus tasks currently executing. *)

@@ -1,6 +1,6 @@
 (* Estimator convergence telemetry: streaming per-player moments,
    selectable confidence intervals, and a bounded checkpoint stream
-   fanned into Trace / Scope / Metrics / JSONL.  See convergence.mli. *)
+   fanned into Obs / Metrics / JSONL.  See convergence.mli. *)
 
 type ci = Hoeffding | Clt | Bernstein
 
@@ -239,10 +239,7 @@ let emit_checkpoint t =
       ("max_variance", Trace.Float cp.k_max_variance);
     ]
   in
-  Trace.phase ~attrs "estimator.checkpoint";
-  (match Scope.current () with
-  | Some sc -> Scope.emit sc ~attrs ~kind:Trace.Phase "estimator.checkpoint"
-  | None -> ());
+  Obs.phase ~attrs "estimator.checkpoint";
   (match t.c_jsonl with
   | Some oc ->
       (* No wall-clock stamps: the line is a pure function of the sample

@@ -11,12 +11,11 @@
 
     - the bounded in-monitor checkpoint stream ({!checkpoints}), capped
       at [cap] records so unbounded runs cannot grow memory;
-    - the global {!Trace} stream (a [Phase] event named
-      ["estimator.checkpoint"]) when a trace is recording, so [--trace]
-      timelines and [shapmc trace-report] show the convergence curve;
-    - the installed request {!Scope}, if any, so per-request profiles
-      served at [/v1/debug/requests/:id] carry the checkpoints of the
-      estimators that ran for that request;
+    - {!Obs.phase} (a [Phase] event named ["estimator.checkpoint"]), so
+      [--trace] timelines and [shapmc trace-report] show the convergence
+      curve, and per-request profiles served at
+      [/v1/debug/requests/:id] carry the checkpoints of the estimators
+      that ran for that request;
     - the default {!Metrics} registry: [estimator_samples] /
       [estimator_checkpoints] counters and the [estimator_ci_half_width]
       gauge, all labelled [{estimator=<name>}] ([estimator_seconds] is

@@ -307,69 +307,6 @@ let parse_openmetrics text =
     lines
 
 (* ------------------------------------------------------------------ *)
-(* JSON dump                                                          *)
-
-(* JSON string escaping lives in one place: the Tiny_json serializer. *)
-let json_escape = Tiny_json.escape
-
-let json_float f =
-  if Float.is_nan f || f = infinity || f = neg_infinity then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
-
-let to_json ?(registry = default) () =
-  let entries = dump ~registry () in
-  (* Group consecutive entries by name (dump is sorted). *)
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  let first_name = ref true in
-  let cur = ref None in
-  let close_group () =
-    match !cur with None -> () | Some _ -> Buffer.add_char b ']'
-  in
-  List.iter
-    (fun (name, labels, v) ->
-      (match !cur with
-      | Some n when n = name -> Buffer.add_char b ','
-      | _ ->
-          close_group ();
-          if not !first_name then Buffer.add_char b ',';
-          first_name := false;
-          cur := Some name;
-          Buffer.add_string b (Printf.sprintf "\"%s\":[" (json_escape name)));
-      let body =
-        match v with
-        | Counter c ->
-            Printf.sprintf "\"type\":\"counter\",\"value\":%s" (json_float c)
-        | Gauge g ->
-            Printf.sprintf "\"type\":\"gauge\",\"value\":%s" (json_float g)
-        | Hist h ->
-            let s = summary_of h in
-            Printf.sprintf
-              "\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"min\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s"
-              s.s_count (json_float s.s_sum)
-              (json_float (Histogram.min_value h))
-              (json_float s.s_p50) (json_float s.s_p90) (json_float s.s_p99)
-              (json_float s.s_max)
-      in
-      Buffer.add_string b
-        (Printf.sprintf "{\"labels\":%s,%s}" (json_labels labels) body))
-    entries;
-  close_group ();
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
 (* Profile report                                                     *)
 
 let label_get labels k = try Some (List.assoc k labels) with Not_found -> None

@@ -1,5 +1,5 @@
 (** Metrics registry: counters, gauges and {!Histogram}s keyed by
-    name + labels, with OpenMetrics / JSON text exports and percentile
+    name + labels, with an OpenMetrics text export and percentile
     queries.
 
     A registry is a mutex-guarded table; every operation is domain-safe
@@ -87,11 +87,6 @@ type om_sample = {
     {!to_openmetrics} (round-trip testing, scrape debugging).  Ignores
     comment lines; raises [Failure] on malformed sample lines. *)
 val parse_openmetrics : string -> om_sample list
-
-(** JSON dump of the registry: an object keyed by metric name where
-    each entry lists label sets with their value (counters/gauges) or
-    count/sum/percentiles (histograms). *)
-val to_json : ?registry:registry -> unit -> string
 
 (** Human-readable profiling report rendered from the registry's
     well-known series: per-phase self time, oracle latency percentiles

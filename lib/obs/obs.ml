@@ -1,61 +1,36 @@
-(* Global mutable state behind a single [enabled] flag.  Recording entry
-   points check the flag first, so when observation is off an instrumented
-   call site costs one load + branch (plus the closure it already built).
+(* Global aggregates behind a single [enabled] flag, plus one delivery
+   path for events.  Recording entry points check [observing] first, so
+   when observation is off an instrumented call site costs one load +
+   branch (plus the closure it already built).
 
-   Raw ledgers (the [calls]/[substs] lists) are bounded by [ledger_cap]:
-   past the cap new entries only bump a dropped counter, while the
-   per-oracle / per-kind aggregates — maintained incrementally on every
-   record — stay exact, so long benchmark runs cannot grow memory without
-   bound and totals remain trustworthy.
-
-   When a {!Trace} stream is being recorded, every entry point also emits
-   a chronological event, which is how the [--trace] timeline gets its
-   span begin/end, oracle-call, substitution and counter events without
-   any extra instrumentation at the call sites.
-
-   Independently of [enabled], every entry point also emits into the
-   installed request {!Scope}, if any (see scope.mli): the scope side is
-   gated only on [Scope.current ()], and never writes to the global
-   ledgers, Trace stream or Metrics registry, so a serving process with
-   observation off still collects isolated per-request profiles.  The
-   span-stack DLS machinery runs whenever EITHER gate is open, so
-   hierarchical span paths are correct in scope-only mode too.
+   Each entry point builds its event once and hands it to [deliver],
+   which writes it to the [--trace] stream while the ledger is enabled
+   and to this domain's request buffer whenever one is installed.  The
+   aggregates, counters, span table and Metrics series are gated on
+   [enabled] alone, so a serving process with the ledger off still
+   collects isolated per-request profiles with no global state growth.
+   The span-stack DLS machinery runs whenever [observing] holds, so
+   hierarchical span paths are correct in request-only mode too.
 
    Domain safety (the [--jobs] parallel fan-out): every mutation of the
-   shared ledgers, aggregates, counters and span table happens under one
-   [lock], so concurrent recordings from pool workers neither tear the
-   tables nor drop updates, and all aggregate totals stay exact
-   regardless of scheduling.  The span NESTING state is per-domain
-   ([Domain.DLS]): each worker tracks its own stack of open spans, and
-   {!span_context}/{!with_span_context} let a fan-out primitive re-install
-   the caller's stack inside workers so hierarchical span paths come out
-   identical to a sequential run.  Under [jobs = 1] everything happens on
-   one domain in the exact pre-pool order, so recorded streams are
-   bit-identical to the sequential pipeline.  The [enabled] flag itself is
-   a plain ref: it is only toggled outside parallel regions (CLI startup,
-   test brackets), never concurrently with recording. *)
+   shared aggregates, counters and span table happens under one [lock],
+   so concurrent recordings from pool workers neither tear the tables
+   nor drop updates, and all aggregate totals stay exact regardless of
+   scheduling.  The span NESTING state and the request buffer are
+   per-domain ([Domain.DLS]); {!context}/{!with_context} let a fan-out
+   primitive re-install the caller's in workers, so hierarchical span
+   paths come out identical to a sequential run.  Under [jobs = 1]
+   everything happens on one domain in the exact pre-pool order, so
+   recorded streams are bit-identical to the sequential pipeline.  The
+   [enabled] flag and the [--trace] stream are plain refs: they are only
+   changed outside parallel regions (CLI startup, test brackets), never
+   concurrently with recording. *)
 
 type span_stat = {
   span_path : string;
   span_calls : int;
   span_seconds : float;
   span_self_seconds : float;
-}
-
-type call = {
-  call_oracle : string;
-  call_n : int;
-  call_arity : int;
-  call_size : int;
-  call_seconds : float;
-}
-
-type subst_event = {
-  subst_kind : string;
-  subst_pre : int;
-  subst_post : int;
-  subst_fresh : int;
-  subst_width : int;
 }
 
 let enabled_flag = ref false
@@ -76,12 +51,56 @@ let set_profiling b = profiling_flag := b
    only advances at collection boundaries on the multicore runtime. *)
 let allocated_bytes_now () = Gc.allocated_bytes ()
 
+(* ------------------------------------------------------------------ *)
+(* Event buffers *)
+
+let stream : Trace.t option ref = ref None
+let set_trace b = stream := b
+
+(* Installed request buffers anywhere in the process: the cheap gate in
+   front of the DLS lookup, so paths outside any request pay one atomic
+   load when no request is being served. *)
+let live = Atomic.make 0
+
+let request_key : Trace.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let request () =
+  if Atomic.get live > 0 then Domain.DLS.get request_key else None
+
+let with_request b f =
+  let prev = Domain.DLS.get request_key in
+  Domain.DLS.set request_key (Some b);
+  Atomic.incr live;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.decr live;
+      Domain.DLS.set request_key prev)
+    f
+
+let observing () = !enabled_flag || Option.is_some (request ())
+
+(* The one delivery path: every event goes to the [--trace] stream while
+   the ledger is on, and to this domain's request buffer.  [at] is the
+   absolute start stamp of a timed region. *)
+let deliver ?at ?dur ?attrs ~kind name =
+  (if !enabled_flag then
+     match !stream with
+     | Some b -> Trace.emit b ?at ?dur ?attrs ~kind name
+     | None -> ());
+  match request () with
+  | Some b -> Trace.emit b ?at ?dur ?attrs ~kind name
+  | None -> ()
+
+(* Does any buffer want the next event?  Entry points check it before
+   building attribute lists. *)
+let delivering () =
+  (!enabled_flag && Option.is_some !stream) || Option.is_some (request ())
+
 (* One lock for all shared recording state.  Held only for the few table
-   updates of a record — never across a user callback or an oracle call —
-   so contention is bounded by ledger bookkeeping, not by the work being
-   measured.  [Trace] has its own lock; this module calls into [Trace]
-   without holding [lock] held-to-held in the other direction, so there
-   is no ordering cycle. *)
+   updates of a record — never across a user callback, an oracle call
+   or a buffer's own lock — so contention is bounded by bookkeeping, not
+   by the work being measured. *)
 let lock = Mutex.create ()
 
 let locked f =
@@ -90,25 +109,8 @@ let locked f =
 
 let counters_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
 
-(* Raw ledgers are prepended to and reversed on read-back; [*_stored]
-   track list lengths so cap checks are O(1). *)
-let default_ledger_cap = 65536
-let ledger_cap_r = ref default_ledger_cap
-let ledger_cap () = !ledger_cap_r
-let set_ledger_cap n = ledger_cap_r := max 0 n
-
-let calls_log : call list ref = ref []
-let calls_stored = ref 0
-let calls_dropped_n = ref 0
-let substs_log : subst_event list ref = ref []
-let substs_stored = ref 0
-let substs_dropped_n = ref 0
-
-let dropped_calls () = !calls_dropped_n
-let dropped_substs () = !substs_dropped_n
-
-(* Exact per-oracle aggregates, updated on every record (also past the
-   raw-ledger cap): calls, n range, arity range, max size, total time. *)
+(* Exact per-oracle aggregates, updated on every record: calls, n range,
+   arity range, max size, total time. *)
 type agg = {
   mutable a_calls : int;
   mutable a_n_min : int;
@@ -159,29 +161,29 @@ let span_stack : frame list Domain.DLS.key =
 
 let frame_of_path p = { fr_path = p; fr_child = 0.; fr_child_alloc = 0. }
 
-let span_context () =
-  List.map (fun fr -> fr.fr_path) (Domain.DLS.get span_stack)
+type context = { ctx_spans : string list; ctx_request : Trace.t option }
+
+let context () =
+  { ctx_spans = List.map (fun fr -> fr.fr_path) (Domain.DLS.get span_stack);
+    ctx_request = request () }
 
 (* Workers get FRESH frames for the caller's open spans: child time they
    accumulate is credited inside the worker only, so cross-domain self
    time is best-effort (exact under jobs = 1, where no context is ever
    re-installed). *)
-let with_span_context ctx f =
+let with_context ctx f =
   let saved = Domain.DLS.get span_stack in
-  Domain.DLS.set span_stack (List.map frame_of_path ctx);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set span_stack saved) f
+  Domain.DLS.set span_stack (List.map frame_of_path ctx.ctx_spans);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set span_stack saved)
+    (fun () ->
+      match ctx.ctx_request with Some b -> with_request b f | None -> f ())
 
 let reset () =
   locked (fun () ->
       Hashtbl.reset counters_tbl;
-      calls_log := [];
-      calls_stored := 0;
-      calls_dropped_n := 0;
       calls_total := 0;
       Hashtbl.reset agg_tbl;
-      substs_log := [];
-      substs_stored := 0;
-      substs_dropped_n := 0;
       Hashtbl.reset subst_agg_tbl;
       Hashtbl.reset spans_tbl);
   Domain.DLS.set span_stack [];
@@ -193,28 +195,15 @@ let now = Unix.gettimeofday
 (* Counters *)
 
 let add name k =
-  let enabled = !enabled_flag in
-  let sc = Scope.current () in
-  if enabled then begin
-    let total =
-      locked (fun () ->
-          match Hashtbl.find_opt counters_tbl name with
-          | Some r ->
-            r := !r + k;
-            !r
-          | None ->
-            Hashtbl.replace counters_tbl name (ref k);
-            k)
-    in
-    Metrics.inc ~by:(float_of_int k) name;
-    if Trace.recording () then Trace.counter ~value:total name
+  if !enabled_flag then begin
+    locked (fun () ->
+        match Hashtbl.find_opt counters_tbl name with
+        | Some r -> r := !r + k
+        | None -> Hashtbl.replace counters_tbl name (ref k));
+    Metrics.inc ~by:(float_of_int k) name
   end;
-  (* The scope sees the per-request DELTA (there is no meaningful
-     process total to report into a request). *)
-  match sc with
-  | Some s ->
-    Scope.emit s ~attrs:[ ("value", Trace.Int k) ] ~kind:Trace.Counter name
-  | None -> ()
+  if delivering () then
+    deliver ~attrs:[ ("value", Trace.Int k) ] ~kind:Trace.Counter name
 
 let incr name = add name 1
 
@@ -231,19 +220,15 @@ let counters () =
 (* Spans *)
 
 let with_span ?attrs name f =
-  let enabled = !enabled_flag in
-  let sc = Scope.current () in
-  if (not enabled) && sc = None then f ()
+  if not (observing ()) then f ()
   else begin
+    let enabled = !enabled_flag in
     let stack = Domain.DLS.get span_stack in
     let path =
       match stack with [] -> name | parent :: _ -> parent.fr_path ^ "/" ^ name
     in
     Domain.DLS.set span_stack (frame_of_path path :: stack);
-    if enabled && Trace.recording () then Trace.span_begin ?attrs name;
-    (match sc with
-     | Some s -> Scope.emit s ?attrs ~kind:Trace.Span_begin name
-     | None -> ());
+    deliver ?attrs ~kind:Trace.Span_begin name;
     let prof = enabled && !profiling_flag in
     let alloc0 = if prof then allocated_bytes_now () else 0. in
     let t0 = now () in
@@ -270,10 +255,7 @@ let with_span ?attrs name f =
         | [] -> (0., 0.)
       in
       let self = Float.max 0.0 (dt -. child) in
-      if enabled && Trace.recording () then Trace.span_end name;
-      (match sc with
-       | Some s -> Scope.emit s ~kind:Trace.Span_end name
-       | None -> ());
+      deliver ~kind:Trace.Span_end name;
       if enabled then begin
         locked (fun () ->
             match Hashtbl.find_opt spans_tbl path with
@@ -310,7 +292,7 @@ let spans () =
            spans_tbl []))
 
 (* ------------------------------------------------------------------ *)
-(* Oracle-call ledger *)
+(* Oracle calls *)
 
 let agg_update ~oracle ~n ~arity ~size ~seconds =
   let a =
@@ -334,33 +316,15 @@ let agg_update ~oracle ~n ~arity ~size ~seconds =
   a.a_size_max <- max a.a_size_max size;
   a.a_seconds <- a.a_seconds +. seconds
 
-(* Shared recording core: ledger entry (capped), exact aggregate, trace
-   event, plus the installed request scope's copy.  The global side is
-   gated on [enabled]; the scope side only on a scope being installed —
-   a server running with observation off still profiles each request.
-   [at] is the absolute start stamp of the timed region. *)
+(* Shared recording core: exact aggregate and latency histogram while
+   enabled, and the call's event.  [at] is the absolute start stamp of
+   the timed region. *)
 let record_call ~oracle ~n ~arity ~size ~seconds ~at ~attrs =
   let seconds = Float.max 0.0 seconds in
-  let event_attrs () =
-    (("n", Trace.Int n) :: attrs)
-    @ (if arity >= 0 then [ ("l", Trace.Int arity) ] else [])
-    @ (if size >= 0 then [ ("size", Trace.Int size) ] else [])
-    @ (match Domain.DLS.get span_stack with
-       | fr :: _ -> [ ("span", Trace.Str fr.fr_path) ]
-       | [] -> [])
-  in
   if !enabled_flag then begin
     locked (fun () ->
         calls_total := !calls_total + 1;
-        agg_update ~oracle ~n ~arity ~size ~seconds;
-        if !calls_stored < !ledger_cap_r then begin
-          calls_log :=
-            { call_oracle = oracle; call_n = n; call_arity = arity;
-              call_size = size; call_seconds = seconds }
-            :: !calls_log;
-          calls_stored := !calls_stored + 1
-        end
-        else calls_dropped_n := !calls_dropped_n + 1);
+        agg_update ~oracle ~n ~arity ~size ~seconds);
     let lemma =
       match List.assoc_opt "lemma" attrs with
       | Some (Trace.Str s) -> s
@@ -370,32 +334,34 @@ let record_call ~oracle ~n ~arity ~size ~seconds ~at ~attrs =
       ~labels:
         [ ("oracle", oracle); ("lemma", lemma);
           ("l", if arity >= 0 then string_of_int arity else "-") ]
-      "oracle_seconds" seconds;
-    if Trace.recording () then
-      Trace.oracle ~at ~dur:seconds ~attrs:(event_attrs ()) oracle
+      "oracle_seconds" seconds
   end;
-  match Scope.current () with
-  | Some s ->
-    Scope.emit s ~at ~dur:seconds ~attrs:(event_attrs ()) ~kind:Trace.Oracle
-      oracle
-  | None -> ()
+  if delivering () then
+    deliver ~at ~dur:seconds
+      ~attrs:
+        ((("n", Trace.Int n) :: attrs)
+         @ (if arity >= 0 then [ ("l", Trace.Int arity) ] else [])
+         @ (if size >= 0 then [ ("size", Trace.Int size) ] else [])
+         @
+         match Domain.DLS.get span_stack with
+         | fr :: _ -> [ ("span", Trace.Str fr.fr_path) ]
+         | [] -> [])
+      ~kind:Trace.Oracle oracle
 
 let record ~oracle ~n ?(arity = -1) ?(size = -1) ~seconds () =
-  if !enabled_flag || Scope.active () then
+  if observing () then
     record_call ~oracle ~n ~arity ~size ~seconds
       ~at:(now () -. Float.max 0.0 seconds)
       ~attrs:[]
 
 let call ~oracle ~n ?(arity = -1) ?(size = -1) ?(attrs = []) f =
-  if not (!enabled_flag || Scope.active ()) then f ()
+  if not (observing ()) then f ()
   else begin
     let t0 = now () in
     let r = f () in
     record_call ~oracle ~n ~arity ~size ~seconds:(now () -. t0) ~at:t0 ~attrs;
     r
   end
-
-let calls () = List.rev (locked (fun () -> !calls_log))
 
 let call_count ?oracle () =
   locked (fun () ->
@@ -407,52 +373,36 @@ let call_count ?oracle () =
           | None -> 0))
 
 (* ------------------------------------------------------------------ *)
-(* Substitution ledger *)
+(* Substitutions *)
 
 let record_subst ?(width = -1) ~kind ~pre ~post ~fresh () =
-  let subst_attrs () =
-    [ ("pre", Trace.Int pre); ("post", Trace.Int post);
-      ("fresh", Trace.Int fresh) ]
-    @ if width >= 0 then [ ("width", Trace.Int width) ] else []
-  in
-  (match Scope.current () with
-   | Some s -> Scope.emit s ~attrs:(subst_attrs ()) ~kind:Trace.Subst kind
-   | None -> ());
   if !enabled_flag then begin
     locked (fun () ->
-        (match Hashtbl.find_opt subst_agg_tbl kind with
-         | Some s ->
-           s.s_count <- s.s_count + 1;
-           s.s_pre_max <- max s.s_pre_max pre;
-           s.s_post_max <- max s.s_post_max post;
-           s.s_fresh <- s.s_fresh + fresh
-         | None ->
-           Hashtbl.replace subst_agg_tbl kind
-             { s_count = 1; s_pre_max = pre; s_post_max = post;
-               s_fresh = fresh });
-        if !substs_stored < !ledger_cap_r then begin
-          substs_log :=
-            { subst_kind = kind; subst_pre = pre; subst_post = post;
-              subst_fresh = fresh; subst_width = width }
-            :: !substs_log;
-          substs_stored := !substs_stored + 1
-        end
-        else substs_dropped_n := !substs_dropped_n + 1);
+        match Hashtbl.find_opt subst_agg_tbl kind with
+        | Some s ->
+          s.s_count <- s.s_count + 1;
+          s.s_pre_max <- max s.s_pre_max pre;
+          s.s_post_max <- max s.s_post_max post;
+          s.s_fresh <- s.s_fresh + fresh
+        | None ->
+          Hashtbl.replace subst_agg_tbl kind
+            { s_count = 1; s_pre_max = pre; s_post_max = post;
+              s_fresh = fresh });
     Metrics.observe ~labels:[ ("kind", kind) ] "subst_post_size"
-      (float_of_int post);
-    if Trace.recording () then Trace.subst ~attrs:(subst_attrs ()) kind
-  end
-
-let substs () = List.rev (locked (fun () -> !substs_log))
+      (float_of_int post)
+  end;
+  if delivering () then
+    deliver
+      ~attrs:
+        ([ ("pre", Trace.Int pre); ("post", Trace.Int post);
+           ("fresh", Trace.Int fresh) ]
+         @ if width >= 0 then [ ("width", Trace.Int width) ] else [])
+      ~kind:Trace.Subst kind
 
 (* ------------------------------------------------------------------ *)
 (* Phase markers *)
 
-let phase ?attrs name =
-  if !enabled_flag && Trace.recording () then Trace.phase ?attrs name;
-  match Scope.current () with
-  | Some s -> Scope.emit s ?attrs ~kind:Trace.Phase name
-  | None -> ()
+let phase ?attrs name = deliver ?attrs ~kind:Trace.Phase name
 
 (* ------------------------------------------------------------------ *)
 (* Reports *)
@@ -494,11 +444,7 @@ let pp_report ppf () =
            (range a.a_l_min a.a_l_max)
            (if a.a_size_max < 0 then "-" else string_of_int a.a_size_max)
            a.a_seconds)
-      aggs;
-    if !calls_dropped_n > 0 then
-      fprintf ppf "  (raw call ledger capped at %d entries; %d dropped, \
-                   aggregates exact)@\n"
-        !ledger_cap_r !calls_dropped_n
+      aggs
   end;
   (match subst_aggregate () with
    | [] -> ()
@@ -509,11 +455,7 @@ let pp_report ppf () =
      List.iter
        (fun (kind, (c, pre, post, fresh)) ->
           fprintf ppf "  %-14s %8d %10d %10d %8d@\n" kind c pre post fresh)
-       rows;
-     if !substs_dropped_n > 0 then
-       fprintf ppf "  (raw subst ledger capped at %d entries; %d dropped, \
-                    aggregates exact)@\n"
-         !ledger_cap_r !substs_dropped_n);
+       rows);
   (match counters () with
    | [] -> ()
    | cs ->
@@ -531,29 +473,6 @@ let pp_report ppf () =
 
 let report () = Format.asprintf "%a" pp_report ()
 
-(* ------------------------------------------------------------------ *)
-(* JSON (hand-rolled; only strings, ints and floats occur) *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 32 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ json_escape k ^ "\":" ^ v) fields) ^ "}"
-
-let json_list items = "[" ^ String.concat "," items ^ "]"
-let json_str s = "\"" ^ json_escape s ^ "\""
-
 (* Wall-clock differences can be nan/inf if the clock misbehaves; a bare
    "nan" token would make the whole document unparseable. *)
 let json_float f =
@@ -563,56 +482,31 @@ let json_float f =
   else Printf.sprintf "%.6f" f
 
 let to_json () =
-  json_obj
-    [ ( "counters",
-        json_obj (List.map (fun (k, v) -> (k, string_of_int v)) (counters ()))
-      );
-      ( "spans",
-        json_obj
-          (List.map
+  let open Tiny_json in
+  let obj f rows = Obj (List.map f rows) in
+  to_string
+    (Obj
+       [ ("counters", obj (fun (k, v) -> (k, Int v)) (counters ()));
+         ( "spans",
+           obj
              (fun s ->
                 ( s.span_path,
-                  json_obj
-                    [ ("calls", string_of_int s.span_calls);
-                      ("seconds", json_float s.span_seconds);
-                      ("self_seconds", json_float s.span_self_seconds) ] ))
-             (spans ())) );
-      ( "oracle_calls",
-        json_obj
-          (List.map
+                  Obj
+                    [ ("calls", Int s.span_calls);
+                      ("seconds", Float s.span_seconds);
+                      ("self_seconds", Float s.span_self_seconds) ] ))
+             (spans ()) );
+         ( "oracle_calls",
+           obj
              (fun (name, a) ->
                 ( name,
-                  json_obj
-                    [ ("calls", string_of_int a.a_calls);
-                      ("n_min", string_of_int a.a_n_min);
-                      ("n_max", string_of_int a.a_n_max);
-                      ("l_min", string_of_int (if a.a_l_max < 0 then -1 else a.a_l_min));
-                      ("l_max", string_of_int a.a_l_max);
-                      ("size_max", string_of_int a.a_size_max);
-                      ("seconds", json_float a.a_seconds) ] ))
-             (aggregate ())) );
-      ("calls_total", string_of_int !calls_total);
-      ("calls_dropped", string_of_int !calls_dropped_n);
-      ("substs_dropped", string_of_int !substs_dropped_n);
-      ( "calls",
-        json_list
-          (List.map
-             (fun c ->
-                json_obj
-                  [ ("oracle", json_str c.call_oracle);
-                    ("n", string_of_int c.call_n);
-                    ("l", string_of_int c.call_arity);
-                    ("size", string_of_int c.call_size);
-                    ("seconds", json_float c.call_seconds) ])
-             (calls ())) );
-      ( "substs",
-        json_list
-          (List.map
-             (fun e ->
-                json_obj
-                  [ ("kind", json_str e.subst_kind);
-                    ("pre", string_of_int e.subst_pre);
-                    ("post", string_of_int e.subst_post);
-                    ("fresh", string_of_int e.subst_fresh);
-                    ("width", string_of_int e.subst_width) ])
-             (substs ())) ) ]
+                  Obj
+                    [ ("calls", Int a.a_calls);
+                      ("n_min", Int a.a_n_min);
+                      ("n_max", Int a.a_n_max);
+                      ("l_min", Int (if a.a_l_max < 0 then -1 else a.a_l_min));
+                      ("l_max", Int a.a_l_max);
+                      ("size_max", Int a.a_size_max);
+                      ("seconds", Float a.a_seconds) ] ))
+             (aggregate ()) );
+         ("calls_total", Int (call_count ())) ])

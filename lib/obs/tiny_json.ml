@@ -223,13 +223,6 @@ let escape_into b s =
       | c -> Buffer.add_char b c)
     s
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  escape_into b s;
-  Buffer.contents b
-
-let quote s = "\"" ^ escape s ^ "\""
-
 (* Shortest decimal form that reads back as the same float, forced to
    contain '.' or an exponent so it parses as [Float] again. *)
 let float_repr f =

@@ -35,13 +35,6 @@ val to_string : t -> string
     {!Int}.  Non-finite floats have no JSON representation and print as
     [null]. *)
 
-val quote : string -> string
-(** [quote s] is [s] as a JSON string literal, escaped as in
-    {!to_string} — for exporters that assemble documents piecewise. *)
-
-val escape : string -> string
-(** [quote] without the surrounding double quotes. *)
-
 (** {1 Accessors} — total lookups returning [option]. *)
 
 val member : string -> t -> t option

@@ -32,84 +32,71 @@ let kind_of_name = function
 let default_cap = 65536
 
 (* Events are prepended and reversed on read-back; [stored] tracks the
-   list length so the cap check is O(1).
+   list length so the cap check is O(1).  All mutable state is guarded
+   by the buffer's own [lock]. *)
+type t = {
+  cap : int;
+  req : string option;
+  t0 : float;
+  lock : Mutex.t;
+  mutable events_rev : event list;
+  mutable stored : int;
+  mutable dropped : int;
+  mutable seq : int;
+  mutable depth : int;
+  mutable oracle_calls : int;
+  mutable oracle_seconds : float;
+}
 
-   Domain safety: all stream state is guarded by one [lock], so [seq]
-   stays strictly monotone and the event list never tears when pool
-   workers record concurrently ([--jobs]).  [recording_flag] is read
-   outside the lock as a cheap gate (like [Obs.enabled]); it is only
-   toggled outside parallel regions.  Under concurrent emission, [depth]
-   reflects the global begin/end balance — exact whenever recording is
-   sequential (the default [jobs = 1]), best-effort otherwise. *)
-let recording_flag = ref false
-let cap = ref default_cap
-let events_rev : event list ref = ref []
-let stored = ref 0
-let dropped_n = ref 0
-let seq_next = ref 0
-let depth_now = ref 0
-let t0 = ref 0.0
+let create ?(cap = default_cap) ?req () =
+  { cap = max 0 cap;
+    req;
+    t0 = Unix.gettimeofday ();
+    lock = Mutex.create ();
+    events_rev = [];
+    stored = 0;
+    dropped = 0;
+    seq = 0;
+    depth = 0;
+    oracle_calls = 0;
+    oracle_seconds = 0. }
 
-let lock = Mutex.create ()
+let locked b f =
+  Mutex.lock b.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock b.lock) f
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let emit b ?at ?dur ?(attrs = []) ~kind name =
+  let wall = match at with Some a -> a | None -> Unix.gettimeofday () in
+  let attrs =
+    match b.req with Some id -> ("req", Str id) :: attrs | None -> attrs
+  in
+  locked b (fun () ->
+      let t = wall -. b.t0 in
+      let t = if t < 0.0 then 0.0 else t in
+      let seq = b.seq in
+      b.seq <- seq + 1;
+      (* A Span_end is recorded at the depth of its matching begin. *)
+      (match kind with
+       | Span_end -> if b.depth > 0 then b.depth <- b.depth - 1
+       | _ -> ());
+      if b.stored < b.cap then begin
+        b.events_rev <-
+          { seq; at = t; depth = b.depth; kind; name; dur; attrs }
+          :: b.events_rev;
+        b.stored <- b.stored + 1
+      end
+      else b.dropped <- b.dropped + 1;
+      match kind with
+      | Span_begin -> b.depth <- b.depth + 1
+      | Oracle ->
+        b.oracle_calls <- b.oracle_calls + 1;
+        b.oracle_seconds <-
+          b.oracle_seconds
+          +. (match dur with Some d -> Float.max 0. d | None -> 0.)
+      | _ -> ())
 
-let now = Unix.gettimeofday
-
-let recording () = !recording_flag
-
-let clear () =
-  locked (fun () ->
-      recording_flag := false;
-      events_rev := [];
-      stored := 0;
-      dropped_n := 0;
-      seq_next := 0;
-      depth_now := 0)
-
-let start ?cap:(c = default_cap) () =
-  clear ();
-  locked (fun () ->
-      cap := max 0 c;
-      t0 := now ();
-      recording_flag := true)
-
-let stop () = recording_flag := false
-
-let emitted () = locked (fun () -> !seq_next)
-let dropped () = locked (fun () -> !dropped_n)
-let events () = List.rev (locked (fun () -> !events_rev))
-
-let push ev =
-  if !stored < !cap then begin
-    events_rev := ev :: !events_rev;
-    incr stored
-  end
-  else incr dropped_n
-
-let emit ?at ?dur ?(attrs = []) ~kind name =
-  if !recording_flag then begin
-    let wall = match at with Some t -> t | None -> now () in
-    locked (fun () ->
-        let t = wall -. !t0 in
-        let t = if t < 0.0 then 0.0 else t in
-        let seq = !seq_next in
-        incr seq_next;
-        (* A Span_end is recorded at the depth of its matching begin. *)
-        (match kind with
-         | Span_end -> if !depth_now > 0 then decr depth_now
-         | _ -> ());
-        push { seq; at = t; depth = !depth_now; kind; name; dur; attrs };
-        match kind with Span_begin -> incr depth_now | _ -> ())
-  end
-
-let span_begin ?attrs name = emit ?attrs ~kind:Span_begin name
-let span_end ?attrs name = emit ?attrs ~kind:Span_end name
-
-let oracle ?at ~dur ?attrs name = emit ?at ~dur ?attrs ~kind:Oracle name
-
-let subst ?attrs name = emit ?attrs ~kind:Subst name
-let phase ?attrs name = emit ?attrs ~kind:Phase name
-let counter ~value name = emit ~attrs:[ ("value", Int value) ] ~kind:Counter name
+let events b = List.rev (locked b (fun () -> b.events_rev))
+let emitted b = locked b (fun () -> b.seq)
+let dropped b = locked b (fun () -> b.dropped)
+let oracle_calls b = locked b (fun () -> b.oracle_calls)
+let oracle_seconds b = locked b (fun () -> b.oracle_seconds)

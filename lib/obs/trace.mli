@@ -1,23 +1,29 @@
-(** Bounded chronological event stream — the raw material of a trace.
+(** Bounded chronological event buffers — the raw material of a trace.
 
     Where {!Obs} keeps {e aggregates} (how many oracle calls, how much
-    time per span), [Trace] keeps the {e chronology}: one event per span
-    begin/end, oracle consultation, substitution, pipeline phase marker
-    and counter update, each stamped with a monotone sequence number, a
-    timestamp relative to {!start}, and the span-nesting depth at which
-    it happened.  A recorded stream can be exported to Chrome
-    [trace_event] JSON (Perfetto) or compact JSONL by {!Trace_export}.
+    time per span), a [Trace.t] keeps the {e chronology}: one event per
+    span begin/end, oracle consultation, substitution, pipeline phase
+    marker and counter update, each stamped with a monotone sequence
+    number, a timestamp relative to the buffer's creation, and the
+    span-nesting depth at which it happened.  A buffer's events can be
+    exported to Chrome [trace_event] JSON (Perfetto) or compact JSONL by
+    {!Trace_export}.
 
-    The stream is bounded: once [cap] events (default {!default_cap})
-    have been stored, further events are counted in {!dropped} but not
-    kept, so tracing a long benchmark run cannot grow memory without
-    bound.  The kept prefix stays chronological.
+    The same type serves both consumers of events: the process-wide
+    [--trace] stream ({!Obs.set_trace}) and each served request's buffer
+    ({!Obs.with_request}), which stamps every event with a
+    [("req", Str id)] attribute.  Only {!Obs} emits into buffers.
 
-    Like {!Obs}, all state is global and recording is off by default.
-    Emission entry points check {!recording} first, so instrumented
-    paths pay one load + branch when tracing is off.  [Trace] is
-    deliberately independent of [Obs] (no cycle): [Obs] forwards its
-    instrumentation points here when a trace is being recorded. *)
+    A buffer is bounded: once [cap] events have been stored, further
+    events are counted in {!dropped} but not kept, so tracing a long run
+    cannot grow memory without bound.  The kept prefix stays
+    chronological, and the oracle aggregates ({!oracle_calls},
+    {!oracle_seconds}) stay exact past the cap.
+
+    Every buffer has its own mutex, so [seq] stays strictly monotone and
+    the event list never tears when pool workers emit concurrently
+    ([--jobs]); [depth] reflects the buffer's begin/end balance — exact
+    when emission is sequential, best-effort otherwise. *)
 
 (** Attribute values carried by events. *)
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -28,11 +34,12 @@ type kind =
   | Oracle  (** one counting/Shapley/PQE-oracle consultation *)
   | Subst  (** one OR/AND-substitution (Lemma 9 witness) *)
   | Phase  (** an instant pipeline-phase marker *)
-  | Counter  (** a named counter reached a new total *)
+  | Counter  (** a named counter was bumped; its [value] attribute is
+                 the increment, not the running total *)
 
 type event = {
   seq : int;  (** monotone sequence number, starting at 0 *)
-  at : float;  (** seconds since {!start} (clamped to be [>= 0]) *)
+  at : float;  (** seconds since {!create} (clamped to be [>= 0]) *)
   depth : int;  (** span-nesting depth; [Span_end] is recorded at the
                     depth of its matching [Span_begin] *)
   kind : kind;
@@ -49,49 +56,40 @@ val kind_name : kind -> string
 
 val kind_of_name : string -> kind option
 
-(** {1 Recording} *)
+(** {1 Buffers} *)
+
+type t
 
 val default_cap : int
 (** 65536 events. *)
 
-val start : ?cap:int -> unit -> unit
-(** [start ()] clears any previous stream, stamps time zero and begins
-    recording at most [cap] events. *)
-
-val stop : unit -> unit
-(** Stop recording; the stream stays readable until the next {!start}
-    or {!clear}. *)
-
-val recording : unit -> bool
-val clear : unit -> unit
-
-(** {1 Emission}
-
-    All emitters are no-ops unless {!recording}. *)
+val create : ?cap:int -> ?req:string -> unit -> t
+(** [create ()] is an empty buffer whose clock starts now, storing at
+    most [cap] events (default {!default_cap}; [0] keeps only the
+    aggregates).  With [req], every event is stamped with
+    [("req", Str req)]. *)
 
 val emit :
-  ?at:float -> ?dur:float -> ?attrs:(string * value) list -> kind:kind ->
-  string -> unit
-(** [emit ~kind name] records one event.  [at] is an absolute
+  t -> ?at:float -> ?dur:float -> ?attrs:(string * value) list ->
+  kind:kind -> string -> unit
+(** [emit b ~kind name] records one event.  [at] is an absolute
     [Unix.gettimeofday] stamp (defaults to now) converted to
-    trace-relative seconds; pass the start time of a timed region so
+    buffer-relative seconds; pass the start time of a timed region so
     the event sits where the work began. *)
-
-val span_begin : ?attrs:(string * value) list -> string -> unit
-val span_end : ?attrs:(string * value) list -> string -> unit
-val oracle :
-  ?at:float -> dur:float -> ?attrs:(string * value) list -> string -> unit
-val subst : ?attrs:(string * value) list -> string -> unit
-val phase : ?attrs:(string * value) list -> string -> unit
-val counter : value:int -> string -> unit
 
 (** {1 Read-back} *)
 
-val events : unit -> event list
+val events : t -> event list
 (** Stored events in chronological order. *)
 
-val emitted : unit -> int
-(** Total events emitted since {!start}, including dropped ones. *)
+val emitted : t -> int
+(** Events emitted, stored and dropped. *)
 
-val dropped : unit -> int
-(** Events discarded because the stream was full. *)
+val dropped : t -> int
+(** Events discarded because the buffer was full. *)
+
+val oracle_calls : t -> int
+(** [Oracle] events emitted (exact past the cap). *)
+
+val oracle_seconds : t -> float
+(** Sum of their durations (exact past the cap). *)

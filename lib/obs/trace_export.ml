@@ -1,125 +1,66 @@
-(* ------------------------------------------------------------------ *)
-(* JSON writing primitives *)
+(* Every writer builds a Tiny_json value and prints it through
+   [Tiny_json.to_string], whose floats round-trip and whose non-finite
+   floats print as [null]. *)
+module J = Tiny_json
 
-(* JSON string escaping lives in one place: the Tiny_json serializer. *)
-let quote = Tiny_json.quote
+let value_to_json = function
+  | Trace.Int v -> J.Int v
+  | Trace.Float f -> J.Float f
+  | Trace.Str s -> J.Str s
+  | Trace.Bool b -> J.Bool b
 
-(* Round-trip float syntax: %.17g preserves every finite double, and a
-   forced fraction mark keeps the value a Float on read-back.  Non-finite
-   inputs must still produce valid JSON. *)
-let float_str f =
-  if Float.is_nan f then "null"
-  else if f = Float.infinity then "1.0e308"
-  else if f = Float.neg_infinity then "-1.0e308"
-  else
-    let s = Printf.sprintf "%.17g" f in
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
-    else s ^ ".0"
-
-let value_json = function
-  | Trace.Int v -> string_of_int v
-  | Trace.Float f -> float_str f
-  | Trace.Str s -> quote s
-  | Trace.Bool b -> if b then "true" else "false"
-
-let attrs_json attrs =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> quote k ^ ":" ^ value_json v) attrs)
-  ^ "}"
+let attrs_to_json attrs =
+  J.Obj (List.map (fun (k, v) -> (k, value_to_json v)) attrs)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event JSON *)
 
+let chrome_event (e : Trace.event) =
+  let args = ("args", attrs_to_json e.Trace.attrs) in
+  let cat, ph, rest =
+    match e.Trace.kind with
+    | Trace.Span_begin -> ("span", "B", [ args ])
+    | Trace.Span_end -> ("span", "E", [])
+    | Trace.Oracle ->
+      let dur = match e.Trace.dur with Some d -> d *. 1e6 | None -> 0.0 in
+      ("oracle", "X", [ ("dur", J.Float dur); args ])
+    | Trace.Subst -> ("subst", "i", [ ("s", J.Str "t"); args ])
+    | Trace.Phase -> ("phase", "i", [ ("s", J.Str "t"); args ])
+    | Trace.Counter -> ("counter", "C", [ args ])
+  in
+  J.Obj
+    ([ ("name", J.Str e.Trace.name); ("pid", J.Int 1); ("tid", J.Int 1);
+       ("ts", J.Float (e.Trace.at *. 1e6)); ("cat", J.Str cat);
+       ("ph", J.Str ph) ]
+     @ rest)
+
 let chrome events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  Buffer.add_string b
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\
-     \"args\":{\"name\":\"shapmc\"}}";
-  List.iter
-    (fun (e : Trace.event) ->
-       let us = e.Trace.at *. 1e6 in
-       let common =
-         Printf.sprintf "\"name\":%s,\"pid\":1,\"tid\":1,\"ts\":%s"
-           (quote e.Trace.name) (float_str us)
-       in
-       let args = attrs_json e.Trace.attrs in
-       let ev =
-         match e.Trace.kind with
-         | Trace.Span_begin ->
-           Printf.sprintf "{%s,\"cat\":\"span\",\"ph\":\"B\",\"args\":%s}"
-             common args
-         | Trace.Span_end ->
-           Printf.sprintf "{%s,\"cat\":\"span\",\"ph\":\"E\"}" common
-         | Trace.Oracle ->
-           let dur =
-             match e.Trace.dur with Some d -> d *. 1e6 | None -> 0.0
-           in
-           Printf.sprintf
-             "{%s,\"cat\":\"oracle\",\"ph\":\"X\",\"dur\":%s,\"args\":%s}"
-             common (float_str dur) args
-         | Trace.Subst ->
-           Printf.sprintf
-             "{%s,\"cat\":\"subst\",\"ph\":\"i\",\"s\":\"t\",\"args\":%s}"
-             common args
-         | Trace.Phase ->
-           Printf.sprintf
-             "{%s,\"cat\":\"phase\",\"ph\":\"i\",\"s\":\"t\",\"args\":%s}"
-             common args
-         | Trace.Counter ->
-           Printf.sprintf "{%s,\"cat\":\"counter\",\"ph\":\"C\",\"args\":%s}"
-             common args
-       in
-       Buffer.add_char b ',';
-       Buffer.add_string b ev)
-    events;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
+  let process =
+    J.Obj
+      [ ("name", J.Str "process_name"); ("ph", J.Str "M"); ("pid", J.Int 1);
+        ("tid", J.Int 1); ("args", J.Obj [ ("name", J.Str "shapmc") ]) ]
+  in
+  J.to_string
+    (J.Obj
+       [ ("traceEvents", J.List (process :: List.map chrome_event events));
+         ("displayTimeUnit", J.Str "ms") ])
 
 (* ------------------------------------------------------------------ *)
 (* JSONL *)
 
-let event_line (e : Trace.event) =
-  let fields =
-    [ Printf.sprintf "\"seq\":%d" e.Trace.seq;
-      Printf.sprintf "\"t\":%s" (float_str e.Trace.at);
-      Printf.sprintf "\"depth\":%d" e.Trace.depth;
-      Printf.sprintf "\"kind\":%s" (quote (Trace.kind_name e.Trace.kind));
-      Printf.sprintf "\"name\":%s" (quote e.Trace.name) ]
-    @ (match e.Trace.dur with
-       | Some d -> [ Printf.sprintf "\"dur\":%s" (float_str d) ]
-       | None -> [])
-    @ [ Printf.sprintf "\"attrs\":%s" (attrs_json e.Trace.attrs) ]
-  in
-  "{" ^ String.concat "," fields ^ "}"
+let event_to_json (e : Trace.event) =
+  J.Obj
+    ([ ("seq", J.Int e.Trace.seq);
+       ("t", J.Float e.Trace.at);
+       ("depth", J.Int e.Trace.depth);
+       ("kind", J.Str (Trace.kind_name e.Trace.kind));
+       ("name", J.Str e.Trace.name) ]
+     @ (match e.Trace.dur with Some d -> [ ("dur", J.Float d) ] | None -> [])
+     @ [ ("attrs", attrs_to_json e.Trace.attrs) ])
 
 let jsonl events =
-  String.concat "" (List.map (fun e -> event_line e ^ "\n") events)
-
-(* Structured counterpart of [event_line], same field names and
-   semantics, so [event_of_json (event_to_json e)] is [e] (with NaN
-   attributes mapping to Null and back like the text path). *)
-let value_to_json = function
-  | Trace.Int v -> Tiny_json.Int v
-  | Trace.Float f -> if Float.is_nan f then Tiny_json.Null else Tiny_json.Float f
-  | Trace.Str s -> Tiny_json.Str s
-  | Trace.Bool b -> Tiny_json.Bool b
-
-let event_to_json (e : Trace.event) =
-  Tiny_json.Obj
-    ([ ("seq", Tiny_json.Int e.Trace.seq);
-       ("t", Tiny_json.Float e.Trace.at);
-       ("depth", Tiny_json.Int e.Trace.depth);
-       ("kind", Tiny_json.Str (Trace.kind_name e.Trace.kind));
-       ("name", Tiny_json.Str e.Trace.name) ]
-     @ (match e.Trace.dur with
-        | Some d -> [ ("dur", Tiny_json.Float d) ]
-        | None -> [])
-     @ [ ( "attrs",
-           Tiny_json.Obj
-             (List.map (fun (k, v) -> (k, value_to_json v)) e.Trace.attrs) )
-       ])
+  String.concat ""
+    (List.map (fun e -> J.to_string (event_to_json e) ^ "\n") events)
 
 let value_of_json = function
   | Tiny_json.Int v -> Trace.Int v
@@ -184,9 +125,11 @@ let event_of_json json =
    the event serialization round-trips exactly) and written only by
    {!write_file}; readers skip any line with a "meta" field. *)
 let meta_line ~stored ~dropped =
-  Printf.sprintf
-    "{\"meta\":\"shapmc.trace\",\"version\":1,\"stored\":%d,\"dropped\":%d}\n"
-    stored dropped
+  J.to_string
+    (J.Obj
+       [ ("meta", J.Str "shapmc.trace"); ("version", J.Int 1);
+         ("stored", J.Int stored); ("dropped", J.Int dropped) ])
+  ^ "\n"
 
 let is_meta json = Tiny_json.member "meta" json <> None
 
@@ -241,8 +184,6 @@ let read_text path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let read_jsonl_file path = events_of_jsonl (read_text path)
 
 let read_jsonl_file_full path =
   let dropped = ref 0 in

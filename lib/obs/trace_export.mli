@@ -16,8 +16,8 @@
       reads it back, so a saved trace can be re-rendered later
       ([shapmc trace-report]).
 
-    Floats are written with round-trip precision; non-finite values are
-    mapped to valid JSON ([null] for NaN, [±1.0e308] for infinities). *)
+    Both are written through {!Tiny_json}: floats round-trip, and
+    non-finite values print as [null]. *)
 
 val chrome : Trace.event list -> string
 
@@ -27,9 +27,8 @@ val event_of_json : Tiny_json.t -> Trace.event
 (** @raise Failure on a malformed event object. *)
 
 val event_to_json : Trace.event -> Tiny_json.t
-(** Structured counterpart of one {!jsonl} line (same field names), so
-    [event_of_json (event_to_json e) = e] for finite attribute floats
-    (NaN maps through [null] like the text path). *)
+(** One {!jsonl} line before printing, so
+    [event_of_json (event_to_json e) = e] for finite floats. *)
 
 val events_of_jsonl : string -> Trace.event list
 (** Parse a whole JSONL document (blank lines skipped).
@@ -43,11 +42,9 @@ val write_file : ?dropped:int -> path:string -> Trace.event list -> unit
     ([dropped], default [0]); readers skip meta lines, so the event
     payload still round-trips. *)
 
-val read_jsonl_file : string -> Trace.event list
-
 val read_jsonl_file_full : string -> Trace.event list * int
-(** Like {!read_jsonl_file} but also returns the [dropped] count from
-    the meta line ([0] when the file has none). *)
+(** The events of a JSONL file and the [dropped] count from its meta
+    line ([0] when the file has none). *)
 
 val report :
   ?dropped:int -> ?percentiles:bool -> Trace.event list -> string

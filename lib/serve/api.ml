@@ -56,7 +56,7 @@ let entries t = t.list
 let find t name = List.find_opt (fun e -> e.name = name) t.list
 
 (* The cache miss is this layer's oracle consultation: the full
-   Shapley solve.  Ledger it so per-request scopes, the access log and
+   Shapley solve.  Ledger it so per-request buffers, the access log and
    /metrics attribute solver time to the request that paid for it —
    cache hits make zero ledger calls, so a warm request's profile shows
    [oracle_calls = 0]. *)
@@ -290,7 +290,7 @@ let shapley_all_route t (req : Http.request) =
 (* Approximate Shapley: the sampling path for queries (or SLAs) the
    exact solver cannot serve.  Uncached by design — every request is a
    fresh estimator run whose convergence checkpoints land in the
-   request's scope, so /v1/debug/requests/:id shows the CI shrinking. *)
+   request's buffer, so /v1/debug/requests/:id shows the CI shrinking. *)
 
 (* Server-side clamp on the per-request permutation budget. *)
 let approx_max_samples = 100_000

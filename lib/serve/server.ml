@@ -5,7 +5,6 @@ type config = {
   limits : Limits.t;
   drain_deadline : float;
   telemetry : Telemetry.t option;
-  scope_cap : int;
 }
 
 let default_config =
@@ -14,8 +13,11 @@ let default_config =
     jobs = 1;
     limits = Limits.default;
     drain_deadline = 5.;
-    telemetry = None;
-    scope_cap = Scope.default_cap }
+    telemetry = None }
+
+(* Each request's event buffer holds at most this many events; its
+   oracle aggregates stay exact past it. *)
+let request_cap = 4096
 
 type t = {
   config : config;
@@ -115,7 +117,7 @@ let send t fd ~route ~keep_alive ~t0 (resp : Router.response) =
 
 (* Every answered request — including protocol-level 408/4xx rejects —
    lands in the telemetry ring, SLO windows and access log. *)
-let record_profile t ~rid ~scope ~route ~meth ~path ~status ~bytes ~t0 ~wall
+let record_profile t ~rid ~events ~route ~meth ~path ~status ~bytes ~t0 ~wall
     ~queue =
   match t.config.telemetry with
   | None -> ()
@@ -130,12 +132,12 @@ let record_profile t ~rid ~scope ~route ~meth ~path ~status ~bytes ~t0 ~wall
         p_start = t0;
         p_wall_seconds = wall;
         p_queue_seconds = queue;
-        p_oracle_calls = Scope.oracle_calls scope;
-        p_oracle_seconds = Scope.oracle_seconds scope;
+        p_oracle_calls = Trace.oracle_calls events;
+        p_oracle_seconds = Trace.oracle_seconds events;
         p_bytes = bytes;
         p_jobs = t.config.jobs;
-        p_events = Scope.events scope;
-        p_events_dropped = Scope.dropped scope }
+        p_events = Trace.events events;
+        p_events_dropped = Trace.dropped events }
 
 let with_request_id rid (resp : Router.response) =
   { resp with
@@ -146,13 +148,12 @@ let with_request_id rid (resp : Router.response) =
    events. *)
 let send_error t fd ~accepted ~nreq ~t0 (resp : Router.response) =
   let rid = Request_id.make () in
-  let scope = Scope.create ~cap:0 ~id:(Request_id.id rid) () in
   let wall =
     send t fd ~route:"invalid" ~keep_alive:false ~t0
       (with_request_id rid resp)
   in
-  record_profile t ~rid ~scope ~route:"invalid" ~meth:"-" ~path:"-"
-    ~status:resp.Router.status
+  record_profile t ~rid ~events:(Trace.create ~cap:0 ()) ~route:"invalid"
+    ~meth:"-" ~path:"-" ~status:resp.Router.status
     ~bytes:(String.length resp.Router.body)
     ~t0 ~wall
     ~queue:(if nreq = 0 then Float.max 0. (t0 -. accepted) else 0.)
@@ -218,17 +219,17 @@ let handle_connection t ~accepted fd =
       let t0 = Unix.gettimeofday () in
       let queue = if nreq = 0 then Float.max 0. (t0 -. accepted) else 0. in
       let rid = Request_id.of_request req in
-      (* The request's scope: installed for the whole dispatch, so every
+      (* The request's buffer: installed for the whole dispatch, so every
          span/oracle/subst event the handler triggers — including work
          fanned out via Par.map / Pool (which re-install it in their
          workers) — accumulates here, stamped with this request's id. *)
-      let scope = Scope.create ~cap:t.config.scope_cap ~id:(Request_id.id rid) () in
+      let events = Trace.create ~cap:request_cap ~req:(Request_id.id rid) () in
       set_in_flight t 1;
       let route, resp =
         Fun.protect
           ~finally:(fun () -> set_in_flight t (-1))
           (fun () ->
-            Scope.with_scope scope (fun () ->
+            Obs.with_request events (fun () ->
                 Obs.with_span
                   ~attrs:
                     [ ("method", Trace.Str (Http.meth_to_string req.Http.meth));
@@ -243,7 +244,7 @@ let handle_connection t ~accepted fd =
         && not (Atomic.get t.stop_flag)
       in
       let wall = send t fd ~route ~keep_alive ~t0 resp in
-      record_profile t ~rid ~scope ~route
+      record_profile t ~rid ~events ~route
         ~meth:(Http.meth_to_string req.Http.meth)
         ~path:req.Http.path ~status:resp.Router.status
         ~bytes:(String.length resp.Router.body)

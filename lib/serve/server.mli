@@ -16,10 +16,11 @@
 
     Request-scoped observability: each request gets a {!Request_id}
     (honoring incoming [X-Request-Id] / [traceparent], echoing both on
-    the response) and runs with its own {!Scope} installed, so every
-    span and oracle event it triggers — across [Par.map]/[Pool] worker
-    domains — is captured in a per-request buffer stamped with its id,
-    independent of the global [Obs] switch.  With a [telemetry] value
+    the response) and runs with its own {!Trace} buffer installed
+    ({!Obs.with_request}, at most 4096 events), so every span and oracle
+    event it triggers — across [Par.map]/[Pool] worker domains — is
+    captured in a per-request buffer stamped with its id, independent of
+    the global [Obs] switch.  With a [telemetry] value
     in the config, every completion (including protocol-level 4xx
     rejects, route ["invalid"]) is recorded into the profile ring, the
     rolling SLO windows and the access log. *)
@@ -36,9 +37,6 @@ type config = {
       (** per-request profile ring / SLO windows / access log; share it
           with {!Api.routes} so the debug endpoints read what the
           server records (default [None]) *)
-  scope_cap : int;
-      (** per-request scoped-event buffer bound (default
-          {!Scope.default_cap}) *)
 }
 
 val default_config : config

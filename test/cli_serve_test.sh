@@ -108,6 +108,29 @@ grep -q '"events":' <<<"$out" || fail "debug profile body wrong: $out"
 out=$("$probe" 127.0.0.1 "$port" GET "/v1/debug/requests/$rid?format=chrome")
 grep -q '"traceEvents":' <<<"$out" || fail "chrome export body wrong: $out"
 
+# an approx request's profile carries its estimator checkpoints, and
+# holds one oracle event per oracle call it reports
+out=$("$probe" 127.0.0.1 "$port" POST /v1/shapley/approx \
+  '{"query":"serve_demo","eps":0.1,"delta":0.1,"seed":1}')
+grep -q "HTTP/1.1 200" <<<"$out" || fail "shapley/approx not 200: $out"
+approx_rid=$(grep -i '^x-request-id:' <<<"$out" | head -1 | sed 's/^[^:]*: *//' | tr -d '\r')
+[ -n "$approx_rid" ] || fail "approx response lacks X-Request-Id: $out"
+profile=""
+for _ in $(seq 1 100); do
+  profile=$("$probe" 127.0.0.1 "$port" GET "/v1/debug/requests/$approx_rid")
+  grep -q "HTTP/1.1 200" <<<"$profile" && break
+  sleep 0.05
+done
+grep -q "HTTP/1.1 200" <<<"$profile" || fail "approx profile not served: $profile"
+grep -q '"estimator.checkpoint"' <<<"$profile" \
+  || fail "approx profile lacks estimator.checkpoint events: $profile"
+approx_calls=$(grep -o '"oracle_calls":[0-9]*' <<<"$profile" | head -1 | cut -d: -f2)
+oracle_events=$(grep -o '"kind":"oracle"' <<<"$profile" | wc -l)
+[ -n "$approx_calls" ] && [ "$approx_calls" -gt 0 ] \
+  || fail "approx profile reports no oracle calls: $profile"
+[ "$oracle_events" -eq "$approx_calls" ] \
+  || fail "approx profile holds $oracle_events oracle events for $approx_calls oracle calls"
+
 # graceful shutdown: SIGTERM drains and exits 0
 kill -TERM $srv
 if ! wait $srv; then fail "server exited nonzero on SIGTERM"; fi
@@ -117,6 +140,10 @@ grep -q "shut down cleanly" serve.log || fail "no clean-shutdown line: $(cat ser
 # summarizes it
 [ -s access.jsonl ] || fail "access log empty or missing"
 head -1 access.jsonl | grep -q '"route":' || fail "access log line malformed: $(head -1 access.jsonl)"
+approx_line=$(grep "\"id\":\"$approx_rid\"" access.jsonl || true)
+[ -n "$approx_line" ] || fail "access log lacks the approx request $approx_rid"
+grep -q "\"oracle_calls\":$approx_calls[,}]" <<<"$approx_line" \
+  || fail "access log oracle_calls differs from the profile's $approx_calls: $approx_line"
 tail_out=$("$exe" tail --once access.jsonl)
 grep -q "TOTAL" <<<"$tail_out" || fail "tail --once has no TOTAL row: $tail_out"
 grep -q "/healthz" <<<"$tail_out" || fail "tail --once misses the healthz route: $tail_out"

@@ -6,8 +6,9 @@
       quantile falls in the same bucket as the exact rank-statistic of
       the observed multiset.
     - [Metrics]: registry semantics (label canonicalization, kind
-      clashes), the OpenMetrics exposition round-tripping through the
-      bundled parser, and the JSON dump parsing with [Tiny_json].
+      clashes) and the OpenMetrics exposition round-tripping through
+      the bundled parser; the [Obs] aggregates' JSON dump parses back
+      through [Tiny_json].
     - Integration: profiling mode changes no results and no oracle-call
       totals; spans account self time; [Pool] utilization lands in the
       registry without touching the Obs ledgers. *)
@@ -238,19 +239,53 @@ let exposition_tests =
         match Metrics.parse_openmetrics "shapmc_x{unclosed 1\n" with
         | _ -> Alcotest.fail "expected Failure"
         | exception Failure _ -> ());
-    t "JSON dump parses with Tiny_json" (fun () ->
-        let r = Metrics.create () in
-        Metrics.inc ~registry:r ~labels:[ ("worker", "0") ] ~by:5.0 "tasks";
-        Metrics.observe ~registry:r "lat" 0.25;
-        let doc =
-          match Tiny_json.parse_opt (Metrics.to_json ~registry:r ()) with
-          | Some d -> d
-          | None -> Alcotest.fail "JSON dump did not parse"
-        in
-        Alcotest.(check bool) "tasks present" true
-          (Tiny_json.member "tasks" doc <> None);
-        Alcotest.(check bool) "lat present" true
-          (Tiny_json.member "lat" doc <> None)) ]
+    t "Obs.to_json dump parses with Tiny_json" (fun () ->
+        Obs.reset ();
+        Obs.enable ();
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.disable ();
+            Obs.reset ())
+          (fun () ->
+             Obs.add "hits" 3;
+             Obs.with_span "outer" (fun () ->
+                 Obs.record ~oracle:"dpll" ~n:4 ~arity:2 ~size:9
+                   ~seconds:1e-7 ());
+             Obs.record_subst ~kind:"formula.or" ~pre:1 ~post:2 ~fresh:1 ();
+             let doc =
+               match Tiny_json.parse_opt (Obs.to_json ()) with
+               | Some d -> d
+               | None -> Alcotest.fail "Obs.to_json did not parse"
+             in
+             let at keys =
+               List.fold_left
+                 (fun d k -> Option.bind d (Tiny_json.member k))
+                 (Some doc) keys
+             in
+             let int_at keys = Option.bind (at keys) Tiny_json.to_int in
+             Alcotest.(check (option int)) "counter" (Some 3)
+               (int_at [ "counters"; "hits" ]);
+             Alcotest.(check (option int)) "span calls" (Some 1)
+               (int_at [ "spans"; "outer"; "calls" ]);
+             Alcotest.(check (option int)) "oracle calls" (Some 1)
+               (int_at [ "oracle_calls"; "dpll"; "calls" ]);
+             Alcotest.(check (option int)) "oracle l_max" (Some 2)
+               (int_at [ "oracle_calls"; "dpll"; "l_max" ]);
+             Alcotest.(check (option int)) "calls_total" (Some 1)
+               (int_at [ "calls_total" ]);
+             (* floats print round-trip, so a sub-microsecond call keeps
+                its time *)
+             Alcotest.(check (option (float 0.0))) "oracle seconds"
+               (Some 1e-7)
+               (Option.bind (at [ "oracle_calls"; "dpll"; "seconds" ])
+                  Tiny_json.to_float);
+             (* individual calls and substitutions live only in event
+                buffers *)
+             List.iter
+               (fun k ->
+                  Alcotest.(check bool) (k ^ " absent") true
+                    (Tiny_json.member k doc = None))
+               [ "calls"; "substs"; "calls_dropped"; "substs_dropped" ])) ]
 
 (* ------------------------------------------------------------------ *)
 (* Integration with the instrumentation layer *)

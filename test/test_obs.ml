@@ -21,15 +21,29 @@ let contains ~affix s =
   go 0
 
 (* Run [f] under a fresh, enabled ledger; always restore the disabled
-   default so other suites are unaffected. *)
+   default so other suites are unaffected.  [events kind] reads back
+   the run's events of one kind from a recorded stream. *)
+let stream = ref (Trace.create ())
+
 let with_obs f =
   Obs.reset ();
   Obs.enable ();
+  stream := Trace.create ();
+  Obs.set_trace (Some !stream);
   Fun.protect
     ~finally:(fun () ->
+      Obs.set_trace None;
       Obs.disable ();
       Obs.reset ())
     f
+
+let events kind =
+  List.filter (fun e -> e.Trace.kind = kind) (Trace.events !stream)
+
+let int_attr key e =
+  match List.assoc_opt key e.Trace.attrs with
+  | Some (Trace.Int v) -> v
+  | _ -> Alcotest.failf "event %s lacks int attr %s" e.Trace.name key
 
 (* A deterministic pseudo-random formula mentioning variables 1..nvars. *)
 let rec random_formula st ~nvars ~depth =
@@ -53,13 +67,16 @@ let switch_tests =
   [ t "disabled ledger records nothing" (fun () ->
         Obs.reset ();
         Obs.disable ();
-        Obs.incr "x";
-        Obs.record ~oracle:"o" ~n:1 ~seconds:0.0 ();
-        Obs.record_subst ~kind:"k" ~pre:1 ~post:2 ~fresh:3 ();
-        ignore (Obs.with_span "s" (fun () -> 42));
+        let b = Trace.create () in
+        Obs.set_trace (Some b);
+        Fun.protect ~finally:(fun () -> Obs.set_trace None) (fun () ->
+            Obs.incr "x";
+            Obs.record ~oracle:"o" ~n:1 ~seconds:0.0 ();
+            Obs.record_subst ~kind:"k" ~pre:1 ~post:2 ~fresh:3 ();
+            ignore (Obs.with_span "s" (fun () -> 42)));
         Alcotest.(check int) "counter" 0 (Obs.counter "x");
         Alcotest.(check int) "calls" 0 (Obs.call_count ());
-        Alcotest.(check int) "substs" 0 (List.length (Obs.substs ()));
+        Alcotest.(check int) "substs" 0 (Trace.emitted b);
         Alcotest.(check int) "spans" 0 (List.length (Obs.spans ())));
     t "counters, spans and ledgers accumulate when enabled" (fun () ->
         with_obs (fun () ->
@@ -110,17 +127,16 @@ let lemma33_tests =
                in
                Alcotest.(check int) "exactly n+1 calls" (n + 1)
                  (Obs.call_count ~oracle:"dpll" ());
-               let calls = Obs.calls () in
+               let calls = events Trace.Oracle in
                Alcotest.(check (list int)) "arities are 1..n+1"
                  (List.init (n + 1) succ)
-                 (List.sort compare
-                    (List.map (fun c -> c.Obs.call_arity) calls));
+                 (List.sort compare (List.map (int_attr "l") calls));
                List.iter
                  (fun c ->
                     Alcotest.(check int)
                       (Printf.sprintf "F^(%d) is over n·l variables"
-                         c.Obs.call_arity)
-                      (n * c.Obs.call_arity) c.Obs.call_n)
+                         (int_attr "l" c))
+                      (n * int_attr "l" c) (int_attr "n" c))
                  calls;
                (* the instrumented run still computes the right answer *)
                Alcotest.check kvec "kcounts correct"
@@ -192,15 +208,15 @@ let lemma9_case ~seed ~nvars ~l () =
         (Circuit.size g' <= Circuit.size g + (10 * k * l));
       Alcotest.(check int) "k blocks of l fresh variables each" (k * l)
         (List.fold_left (fun acc (_, zs) -> acc + List.length zs) 0 blocks);
-      match Obs.substs () with
+      match events Trace.Subst with
       | [ e ] ->
-        Alcotest.(check string) "kind" "circuit.or" e.Obs.subst_kind;
+        Alcotest.(check string) "kind" "circuit.or" e.Trace.name;
         Alcotest.(check int) "ledgered pre-size" (Circuit.size g)
-          e.Obs.subst_pre;
+          (int_attr "pre" e);
         Alcotest.(check int) "ledgered post-size" (Circuit.size g')
-          e.Obs.subst_post;
+          (int_attr "post" e);
         Alcotest.(check int) "ledgered fresh variables" (k * l)
-          e.Obs.subst_fresh
+          (int_attr "fresh" e)
       | evs ->
         Alcotest.failf "expected exactly one subst event, got %d"
           (List.length evs))

@@ -95,27 +95,36 @@ let par_tests =
 (* ------------------------------------------------------------------ *)
 (* jobs-independence: results and ledger aggregates *)
 
-(* Run [f] with the ledger live at [jobs]; return its result together
-   with every schedule-independent projection of the ledger. *)
+(* Run [f] with the ledger live and a stream recording at [jobs];
+   return its result together with every schedule-independent
+   projection of the ledger and the stream's oracle and substitution
+   events. *)
 let with_jobs ~jobs f =
+  let stream = Trace.create () in
   Obs.reset ();
   Obs.enable ();
+  Obs.set_trace (Some stream);
   Par.set_jobs jobs;
   Fun.protect
     ~finally:(fun () ->
       Par.set_jobs 1;
+      Obs.set_trace None;
       Obs.disable ();
       Obs.reset ())
     (fun () ->
        let r = f () in
-       let calls =
+       let recorded kind =
          List.sort compare
-           (List.map
-              (fun c ->
-                 (c.Obs.call_oracle, c.Obs.call_n, c.Obs.call_arity,
-                  c.Obs.call_size))
-              (Obs.calls ()))
+           (List.filter_map
+              (fun e ->
+                 if e.Trace.kind = kind then
+                   Some
+                     ( e.Trace.name,
+                       List.filter (fun (k, _) -> k <> "span") e.Trace.attrs )
+                 else None)
+              (Trace.events stream))
        in
+       let calls = recorded Trace.Oracle in
        let aggs =
          List.map
            (fun (name, a) ->
@@ -126,7 +135,7 @@ let with_jobs ~jobs f =
        let spans =
          List.map (fun s -> (s.Obs.span_path, s.Obs.span_calls)) (Obs.spans ())
        in
-       let substs = List.sort compare (Obs.substs ()) in
+       let substs = recorded Trace.Subst in
        (r, (Obs.call_count (), calls, aggs, spans, Obs.counters (), substs)))
 
 let all_jobs = [ 1; 2; 4 ]
@@ -185,14 +194,15 @@ let jobs_property_tests =
 
 let trace_tests =
   [ t "jobs=4 trace: seq contiguous, stream = ledger" (fun () ->
+        let stream = Trace.create () in
         Obs.reset ();
         Obs.enable ();
         Par.set_jobs 4;
-        Trace.start ();
+        Obs.set_trace (Some stream);
         Fun.protect
           ~finally:(fun () ->
             Par.set_jobs 1;
-            Trace.clear ();
+            Obs.set_trace None;
             Obs.disable ();
             Obs.reset ())
           (fun () ->
@@ -201,7 +211,7 @@ let trace_tests =
                  ~oracle:Pipeline.dpll_count_oracle ~vars:(universe 3)
                  Helpers.example2_formula
              in
-             let evs = Trace.events () in
+             let evs = Trace.events stream in
              List.iteri
                (fun i e ->
                   Alcotest.(check int) "seq contiguous" i e.Trace.seq)
@@ -215,57 +225,61 @@ let trace_tests =
                (List.length oracles))) ]
 
 (* ------------------------------------------------------------------ *)
-(* Ledger cap under parallel recording: once the raw call ledger
-   overflows, the stored prefix is schedule-dependent (arrival order),
-   but everything the cap preserves — total and dropped counts, the
-   stored size, and the exact aggregates — must stay identical across
-   jobs. *)
+(* A capped stream under parallel recording: once the buffer overflows,
+   the stored prefix is schedule-dependent (arrival order), but
+   everything the cap preserves — the stored size, the drop count, the
+   buffer's exact oracle aggregate and the ledger's aggregates — must
+   stay identical across jobs. *)
 
 let cap_tests =
   [ t "capped ledger: aggregates independent of jobs" (fun () ->
-        let old_cap = Obs.ledger_cap () in
-        Fun.protect ~finally:(fun () -> Obs.set_ledger_cap old_cap)
-          (fun () ->
-             Obs.set_ledger_cap 8;
-             let run ~jobs =
-               Obs.reset ();
-               Obs.enable ();
-               Par.set_jobs jobs;
-               Fun.protect
-                 ~finally:(fun () ->
-                   Par.set_jobs 1;
-                   Obs.disable ();
-                   Obs.reset ())
-                 (fun () ->
-                    let r =
-                      Pipeline.shap_via_count_oracle
-                        ~oracle:Pipeline.dpll_count_oracle
-                        ~vars:(universe 3) Helpers.example2_formula
-                    in
-                    let aggs =
-                      List.map
-                        (fun (name, a) ->
-                           (name, a.Obs.a_calls, a.Obs.a_n_max, a.Obs.a_l_max,
-                            a.Obs.a_size_max))
-                        (Obs.aggregate ())
-                    in
-                    (r, Obs.call_count (), Obs.dropped_calls (),
-                     List.length (Obs.calls ()), aggs))
-             in
-             let r1, count1, dropped1, stored1, aggs1 = run ~jobs:1 in
-             (* 13 calls against a cap of 8: the cap really bites *)
-             Alcotest.(check int) "calls exceed the cap" 13 count1;
-             Alcotest.(check int) "stored at the cap" 8 stored1;
-             Alcotest.(check int) "drops counted" 5 dropped1;
-             List.iter
-               (fun jobs ->
-                  let r, count, dropped, stored, aggs = run ~jobs in
-                  Alcotest.(check bool) "result" true (shap_eq r1 r);
-                  Alcotest.(check int) "call_count" count1 count;
-                  Alcotest.(check int) "dropped" dropped1 dropped;
-                  Alcotest.(check int) "stored" stored1 stored;
-                  Alcotest.(check bool) "aggregates" true (aggs1 = aggs))
-               [ 2; 4 ])) ]
+        let run ~jobs =
+          let stream = Trace.create ~cap:8 () in
+          Obs.reset ();
+          Obs.enable ();
+          Obs.set_trace (Some stream);
+          Par.set_jobs jobs;
+          Fun.protect
+            ~finally:(fun () ->
+              Par.set_jobs 1;
+              Obs.set_trace None;
+              Obs.disable ();
+              Obs.reset ())
+            (fun () ->
+               let r =
+                 Pipeline.shap_via_count_oracle
+                   ~oracle:Pipeline.dpll_count_oracle ~vars:(universe 3)
+                   Helpers.example2_formula
+               in
+               let aggs =
+                 List.map
+                   (fun (name, a) ->
+                      (name, a.Obs.a_calls, a.Obs.a_n_max, a.Obs.a_l_max,
+                       a.Obs.a_size_max))
+                   (Obs.aggregate ())
+               in
+               ( r,
+                 (Obs.call_count (), Trace.oracle_calls stream),
+                 Trace.dropped stream,
+                 List.length (Trace.events stream),
+                 aggs ))
+        in
+        let r1, counts1, dropped1, stored1, aggs1 = run ~jobs:1 in
+        (* 13 calls among many more events against a cap of 8: the cap
+           really bites, and both aggregates stay exact *)
+        Alcotest.(check (pair int int)) "calls exact past the cap" (13, 13)
+          counts1;
+        Alcotest.(check int) "stored at the cap" 8 stored1;
+        Alcotest.(check bool) "drops counted" true (dropped1 > 13 - 8);
+        List.iter
+          (fun jobs ->
+             let r, counts, dropped, stored, aggs = run ~jobs in
+             Alcotest.(check bool) "result" true (shap_eq r1 r);
+             Alcotest.(check (pair int int)) "call counts" counts1 counts;
+             Alcotest.(check int) "dropped" dropped1 dropped;
+             Alcotest.(check int) "stored" stored1 stored;
+             Alcotest.(check bool) "aggregates" true (aggs1 = aggs))
+          [ 2; 4 ]) ]
 
 let suite =
   pool_tests @ par_tests @ jobs_property_tests @ trace_tests @ cap_tests

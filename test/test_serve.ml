@@ -674,9 +674,9 @@ let api_shapley_approx_scoped () =
   (* the convergence checkpoints of an approx run land in the request
      scope, hence in the profiles served at /v1/debug/requests/:id *)
   let routes = Api.routes (demo_api ()) in
-  let sc = Scope.create ~id:"approx-test" () in
+  let sc = Trace.create ~req:"approx-test" () in
   let r =
-    Scope.with_scope sc (fun () ->
+    Obs.with_request sc (fun () ->
         post routes "/v1/shapley/approx"
           {|{"query":"demo","eps":0.1,"delta":0.1,"interval":512}|})
   in
@@ -685,7 +685,7 @@ let api_shapley_approx_scoped () =
     List.filter
       (fun (e : Trace.event) ->
         e.kind = Trace.Phase && e.name = "estimator.checkpoint")
-      (Scope.events sc)
+      (Trace.events sc)
   in
   Alcotest.(check bool) "scope saw checkpoint events" true
     (List.length checkpoints >= 1)

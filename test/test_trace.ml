@@ -7,8 +7,9 @@
       full Shapley chain — in exact agreement with the [Obs] ledger.
     - Serialization: JSONL round-trips structurally; the Chrome
       [trace_event] export is valid JSON with balanced B/E span pairs.
-    - Bounds: the trace stream and both Obs raw ledgers cap their
-      memory, keep exact aggregates past the cap and count drops.
+    - Bounds: the trace stream caps its memory and counts drops; the
+      oracle and substitution aggregates (the stream's and Obs's) stay
+      exact past the cap.
     - Clocks: negative durations (non-monotone [Unix.gettimeofday]) and
       pre-start timestamps clamp to [0]; non-finite floats serialize as
       valid JSON. *)
@@ -17,18 +18,20 @@ open Helpers
 
 let t name f = Alcotest.test_case name `Quick f
 
-(* Run [f] with the Obs ledger enabled and a trace recording; always
-   restore the disabled defaults so other suites are unaffected. *)
+(* Run [f stream] with the Obs ledger enabled and [stream] recording;
+   always restore the disabled defaults so other suites are
+   unaffected. *)
 let with_traced ?cap f =
+  let stream = Trace.create ?cap () in
   Obs.reset ();
   Obs.enable ();
-  Trace.start ?cap ();
+  Obs.set_trace (Some stream);
   Fun.protect
     ~finally:(fun () ->
-      Trace.clear ();
+      Obs.set_trace None;
       Obs.disable ();
       Obs.reset ())
-    f
+    (fun () -> f stream)
 
 let events_of_kind k evs = List.filter (fun e -> e.Trace.kind = k) evs
 
@@ -48,12 +51,12 @@ let lemma33_skeleton n =
     QCheck.Gen.generate1 ~rand:st (Helpers.gen_formula ~nvars:n ~depth:n)
   in
   let vars = List.init n succ in
-  with_traced (fun () ->
+  with_traced (fun stream ->
       let _ =
         Pipeline.kcounts_via_count_oracle ~oracle:Pipeline.dpll_count_oracle
           ~vars f
       in
-      let evs = Trace.events () in
+      let evs = Trace.events stream in
       (* chronology: seq is 0..N-1 in order, depths non-negative *)
       List.iteri
         (fun i e ->
@@ -104,12 +107,12 @@ let lemma32_skeleton n =
     QCheck.Gen.generate1 ~rand:st (Helpers.gen_formula ~nvars:n ~depth:n)
   in
   let vars = List.init n succ in
-  with_traced (fun () ->
+  with_traced (fun stream ->
       let _ =
         Pipeline.shap_via_count_oracle ~oracle:Pipeline.dpll_count_oracle
           ~vars f
       in
-      let evs = Trace.events () in
+      let evs = Trace.events stream in
       let oracles = events_of_kind Trace.Oracle evs in
       (* Theorem 3.1's budget: n+1 calls for #_* of the copy, then n
          zapped instances of n+1... minus the shared solve — the paper's
@@ -151,12 +154,12 @@ let pqe_skeleton n =
     QCheck.Gen.generate1 ~rand:st (Helpers.gen_formula ~nvars:n ~depth:n)
   in
   let vars = List.init n succ in
-  with_traced (fun () ->
+  with_traced (fun stream ->
       let _ =
         Pipeline.shap_via_pqe_oracle ~oracle:Pipeline.pqe_circuit_oracle
           ~vars f
       in
-      let evs = Trace.events () in
+      let evs = Trace.events stream in
       let oracles = events_of_kind Trace.Oracle evs in
       Alcotest.(check int) "(n+1) + n^2 oracle events"
         ((n + 1) + (n * n))
@@ -210,15 +213,27 @@ let gating_tests =
   [ t "no events while Obs is disabled" (fun () ->
         Obs.reset ();
         Obs.disable ();
-        Trace.start ();
-        Fun.protect ~finally:Trace.clear (fun () ->
+        let stream = Trace.create () in
+        Obs.set_trace (Some stream);
+        Fun.protect ~finally:(fun () -> Obs.set_trace None) (fun () ->
             let _ =
               Pipeline.kcounts_via_count_oracle
                 ~oracle:Pipeline.dpll_count_oracle ~vars:[ 1; 2 ]
                 (Parser.formula_of_string_exn "x1 & x2")
             in
+            (* a convergence monitor checkpoints through Obs too: 6
+               samples at interval 2 are 3 checkpoints, none recorded *)
+            let m =
+              Convergence.create ~interval:2 ~estimator:"gated" ~players:1 ()
+            in
+            for _ = 1 to 6 do
+              Convergence.observe m ~player:0 0.5;
+              Convergence.advance m 1
+            done;
+            Alcotest.(check int) "checkpoints emitted" 3
+              (Convergence.emitted m);
             Alcotest.(check int) "empty stream" 0
-              (List.length (Trace.events ()))));
+              (List.length (Trace.events stream))));
     t "no recording, no stream" (fun () ->
         Obs.reset ();
         Obs.enable ();
@@ -227,15 +242,17 @@ let gating_tests =
             Obs.disable ();
             Obs.reset ())
           (fun () ->
-             Trace.clear ();
+             let stream = Trace.create () in
+             Obs.set_trace (Some stream);
+             Obs.set_trace None;
              let _ =
                Pipeline.kcounts_via_count_oracle
                  ~oracle:Pipeline.dpll_count_oracle ~vars:[ 1; 2 ]
                  (Parser.formula_of_string_exn "x1 | x2")
              in
-             Alcotest.(check bool) "not recording" false (Trace.recording ());
+             Alcotest.(check int) "not recording" 0 (Trace.emitted stream);
              Alcotest.(check int) "empty stream" 0
-               (List.length (Trace.events ()));
+               (List.length (Trace.events stream));
              (* the ledger still filled up *)
              Alcotest.(check int) "ledger saw the calls" 3
                (Obs.call_count ())));
@@ -250,85 +267,91 @@ let gating_tests =
           (Trace.kind_of_name "nonsense" = None)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Bounds: the stream and both raw ledgers cap; aggregates stay exact *)
+(* Bounds: the stream caps; aggregates stay exact *)
 
 let bound_tests =
   [ t "trace stream caps and counts drops" (fun () ->
-        with_traced ~cap:10 (fun () ->
+        with_traced ~cap:10 (fun stream ->
             for i = 1 to 25 do
-              Trace.phase (Printf.sprintf "p%d" i)
+              Obs.phase (Printf.sprintf "p%d" i)
             done;
-            Alcotest.(check int) "stored" 10 (List.length (Trace.events ()));
-            Alcotest.(check int) "emitted" 25 (Trace.emitted ());
-            Alcotest.(check int) "dropped" 15 (Trace.dropped ());
+            Alcotest.(check int) "stored" 10
+              (List.length (Trace.events stream));
+            Alcotest.(check int) "emitted" 25 (Trace.emitted stream);
+            Alcotest.(check int) "dropped" 15 (Trace.dropped stream);
             (* the kept prefix is the chronological head *)
             Alcotest.(check string) "first kept" "p1"
-              (List.hd (Trace.events ())).Trace.name));
-    t "call ledger caps, aggregates stay exact" (fun () ->
-        Obs.reset ();
-        Obs.enable ();
-        let old_cap = Obs.ledger_cap () in
-        Obs.set_ledger_cap 8;
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.set_ledger_cap old_cap;
-            Obs.disable ();
-            Obs.reset ())
-          (fun () ->
-             for i = 1 to 20 do
-               Obs.record ~oracle:"o" ~n:i ~arity:1 ~size:i ~seconds:0.001 ()
-             done;
-             Alcotest.(check int) "raw ledger capped" 8
-               (List.length (Obs.calls ()));
-             Alcotest.(check int) "dropped counted" 12 (Obs.dropped_calls ());
-             Alcotest.(check int) "call_count exact past the cap" 20
-               (Obs.call_count ());
-             match Obs.aggregate () with
-             | [ ("o", a) ] ->
-               Alcotest.(check int) "aggregate calls exact" 20 a.Obs.a_calls;
-               Alcotest.(check int) "aggregate n_max exact" 20 a.Obs.a_n_max
-             | _ -> Alcotest.fail "expected one aggregate"));
-    t "subst ledger caps, aggregates stay exact" (fun () ->
-        Obs.reset ();
-        Obs.enable ();
-        let old_cap = Obs.ledger_cap () in
-        Obs.set_ledger_cap 4;
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.set_ledger_cap old_cap;
-            Obs.disable ();
-            Obs.reset ())
-          (fun () ->
-             for i = 1 to 10 do
-               Obs.record_subst ~width:2 ~kind:"formula.or" ~pre:i
-                 ~post:(2 * i) ~fresh:i ()
-             done;
-             Alcotest.(check int) "raw ledger capped" 4
-               (List.length (Obs.substs ()));
-             Alcotest.(check int) "dropped counted" 6 (Obs.dropped_substs ()))) ]
+              (List.hd (Trace.events stream)).Trace.name));
+    t "oracle events cap, aggregates stay exact" (fun () ->
+        with_traced ~cap:8 (fun stream ->
+            for i = 1 to 20 do
+              Obs.record ~oracle:"o" ~n:i ~arity:1 ~size:i ~seconds:0.001 ()
+            done;
+            Alcotest.(check int) "stored" 8 (List.length (Trace.events stream));
+            Alcotest.(check int) "dropped counted" 12 (Trace.dropped stream);
+            Alcotest.(check int) "first kept" 1
+              (int_attr "n" (List.hd (Trace.events stream)));
+            Alcotest.(check int) "stream calls exact past the cap" 20
+              (Trace.oracle_calls stream);
+            Alcotest.(check (float 1e-9)) "stream seconds exact past the cap"
+              0.02 (Trace.oracle_seconds stream);
+            Alcotest.(check int) "call_count exact" 20 (Obs.call_count ());
+            match Obs.aggregate () with
+            | [ ("o", a) ] ->
+              Alcotest.(check int) "aggregate calls exact" 20 a.Obs.a_calls;
+              Alcotest.(check int) "aggregate n_max exact" 20 a.Obs.a_n_max
+            | _ -> Alcotest.fail "expected one aggregate"));
+    t "subst events cap, aggregates stay exact" (fun () ->
+        with_traced ~cap:4 (fun stream ->
+            for i = 1 to 10 do
+              Obs.record_subst ~width:2 ~kind:"formula.or" ~pre:i
+                ~post:(2 * i) ~fresh:i ()
+            done;
+            Alcotest.(check int) "stored" 4 (List.length (Trace.events stream));
+            Alcotest.(check int) "dropped counted" 6 (Trace.dropped stream);
+            Alcotest.(check int) "first kept" 1
+              (int_attr "pre" (List.hd (Trace.events stream)));
+            (* the report's row: count, max pre, max post, Σ fresh *)
+            let words l =
+              List.filter (( <> ) "") (String.split_on_char ' ' l)
+            in
+            let row =
+              List.find_opt
+                (fun l ->
+                   match words l with "formula.or" :: _ -> true | _ -> false)
+                (String.split_on_char '\n' (Obs.report ()))
+            in
+            Alcotest.(check (option (list string))) "aggregate exact"
+              (Some [ "formula.or"; "10"; "10"; "20"; "55" ])
+              (Option.map words row);
+            match Metrics.find_histograms "subst_post_size" with
+            | [ (_, h) ] ->
+              Alcotest.(check int) "post-size histogram exact" 10
+                (Histogram.count h)
+            | _ -> Alcotest.fail "expected one subst_post_size series")) ]
 
 (* ------------------------------------------------------------------ *)
 (* Clock clamps and non-finite floats *)
 
 let clamp_tests =
   [ t "negative oracle seconds clamp to 0" (fun () ->
-        Obs.reset ();
-        Obs.enable ();
-        Fun.protect
-          ~finally:(fun () ->
-            Obs.disable ();
-            Obs.reset ())
-          (fun () ->
-             Obs.record ~oracle:"o" ~n:1 ~seconds:(-5.0) ();
-             match Obs.calls () with
-             | [ c ] ->
-               Alcotest.(check (float 0.0)) "clamped" 0.0 c.Obs.call_seconds
-             | _ -> Alcotest.fail "expected one call"));
+        with_traced (fun stream ->
+            Obs.record ~oracle:"o" ~n:1 ~seconds:(-5.0) ();
+            (match Trace.events stream with
+             | [ e ] ->
+               Alcotest.(check (option (float 0.0))) "clamped" (Some 0.0)
+                 e.Trace.dur
+             | _ -> Alcotest.fail "expected one call");
+            match Obs.aggregate () with
+            | [ (_, a) ] ->
+              Alcotest.(check (float 0.0)) "aggregate clamped" 0.0
+                a.Obs.a_seconds
+            | _ -> Alcotest.fail "expected one aggregate"));
     t "pre-start timestamps clamp to 0" (fun () ->
-        with_traced (fun () ->
-            (* the Unix epoch is long before Trace.start's time zero *)
-            Trace.emit ~at:0.0 ~kind:Trace.Phase "past";
-            match Trace.events () with
+        with_traced (fun stream ->
+            (* the Unix epoch is long before the buffer's time zero *)
+            Trace.emit stream ~at:0.0 ~kind:Trace.Phase "past";
+            match Trace.events stream with
             | [ e ] -> Alcotest.(check (float 0.0)) "clamped" 0.0 e.Trace.at
             | _ -> Alcotest.fail "expected one event"));
     t "json_float emits valid JSON for non-finite values" (fun () ->
@@ -358,13 +381,13 @@ let clamp_tests =
 
 let chrome_tests =
   [ t "chrome export of a traced reduction is valid JSON" (fun () ->
-        with_traced (fun () ->
+        with_traced (fun stream ->
             let _ =
               Pipeline.shap_via_count_oracle
                 ~oracle:Pipeline.dpll_count_oracle ~vars:[ 1; 2; 3 ]
                 Helpers.example2_formula
             in
-            let evs = Trace.events () in
+            let evs = Trace.events stream in
             let doc =
               match Tiny_json.parse_opt (Trace_export.chrome evs) with
               | Some d -> d
@@ -447,13 +470,13 @@ let roundtrip_tests =
     qtest ~count:200 "chrome export always parses" arb_stream (fun evs ->
         Tiny_json.parse_opt (Trace_export.chrome evs) <> None);
     t "report renders a round-tripped stream" (fun () ->
-        with_traced (fun () ->
+        with_traced (fun stream ->
             let _ =
               Pipeline.kcounts_via_count_oracle
                 ~oracle:Pipeline.dpll_count_oracle ~vars:[ 1; 2; 3 ]
                 Helpers.example2_formula
             in
-            let evs = Trace.events () in
+            let evs = Trace.events stream in
             let back =
               Trace_export.events_of_jsonl (Trace_export.jsonl evs)
             in
@@ -491,9 +514,11 @@ let meta_tests =
              let back, dropped = Trace_export.read_jsonl_file_full path in
              Alcotest.(check int) "dropped recovered" 5 dropped;
              Alcotest.(check bool) "events survive" true (back = evs);
-             (* the plain reader skips the meta line silently *)
-             Alcotest.(check bool) "plain reader agrees" true
-               (Trace_export.read_jsonl_file path = evs)));
+             (* the event reader skips the meta line silently *)
+             Alcotest.(check bool) "event reader agrees" true
+               (Trace_export.events_of_jsonl
+                  (In_channel.with_open_bin path In_channel.input_all)
+                = evs)));
     t "jsonl stays pure: no meta line without write_file" (fun () ->
         let evs = QCheck.Gen.generate1 ~rand:(Random.State.make [| 78 |])
             gen_stream
@@ -510,13 +535,13 @@ let meta_tests =
         Alcotest.(check bool) "no banner at zero" true
           (not (contains "WARNING" (Trace_export.report []))));
     t "report --percentiles totals match the oracle events" (fun () ->
-        with_traced (fun () ->
+        with_traced (fun stream ->
             let _ =
               Pipeline.shap_via_count_oracle
                 ~oracle:Pipeline.dpll_count_oracle ~vars:[ 1; 2; 3 ]
                 Helpers.example2_formula
             in
-            let evs = Trace.events () in
+            let evs = Trace.events stream in
             let r = Trace_export.report ~percentiles:true evs in
             Alcotest.(check bool) "percentile section present" true
               (contains "oracle latency percentiles" r);
