@@ -177,9 +177,9 @@ let with_obs opts f =
    | None -> ()
    | Some (path, b) ->
      Obs.set_trace None;
-     let evs = Trace.events b and dropped = Trace.dropped b in
-     Trace_export.write_file ~dropped ~path evs;
-     let stored = List.length evs in
+     Trace_export.write_file ~path b;
+     let dropped = Trace.dropped b in
+     let stored = Trace.emitted b - dropped in
      Printf.eprintf "trace: %d event%s written to %s%s\n" stored
        (if stored = 1 then "" else "s")
        path
@@ -674,7 +674,10 @@ let dimacs_cmd =
     Arg.(value & opt string "count"
          & info [ "w"; "what" ] ~docv:"WHAT"
              ~doc:"What to compute: count, kcount, shap, or wmc (uses the \
-                   instance's weight lines, default 1/2).")
+                   instance's weight lines, default 1/2).  All four run \
+                   the one decomposition search, with unit propagation: \
+                   count and kcount count with it, shap and wmc compile \
+                   a d-D circuit with it.")
   in
   let run opts what file =
     wrap (fun () ->
@@ -690,16 +693,13 @@ let dimacs_cmd =
             (fun k c -> Printf.printf "#_%d = %s\n" k (Bigint.to_string c))
             (Kvec.to_array (Dpll.count_by_size_universe ~vars f))
         | "shap" ->
-          (* CNF-specialized compilation with unit propagation *)
-          print_shap []
-            (Circuit_shapley.shap_direct ~vars
-               (Compile_cnf.compile_dimacs inst))
+          print_shap [] (Circuit_shapley.shap_direct ~vars (Compile.compile f))
         | "wmc" ->
           let weights v =
             Option.value ~default:(Rat.of_ints 1 2)
               (List.assoc_opt v inst.Dimacs.weights)
           in
-          let p = Prob.probability ~weights (Compile_cnf.compile_dimacs inst) in
+          let p = Prob.probability ~weights (Compile.compile f) in
           (* unmentioned declared variables have weight sums of 1 *)
           Printf.printf "%s (~ %.6f)\n" (Rat.to_string p) (Rat.to_float p)
         | w -> failwith ("unknown computation " ^ w))
@@ -998,7 +998,7 @@ let tail_cmd =
 let trace_report_cmd =
   let run percentiles file =
     wrap (fun () ->
-        let events, dropped =
+        let events, totals =
           try Trace_export.read_jsonl_file_full file
           with Failure m ->
             failwith
@@ -1007,7 +1007,7 @@ let trace_report_cmd =
                   with --trace FILE.jsonl)"
                  m)
         in
-        print_string (Trace_export.report ~dropped ~percentiles events))
+        print_string (Trace_export.report ?totals ~percentiles events))
   in
   let trace_file_arg =
     Arg.(required & pos 0 (some file) None

@@ -9,11 +9,13 @@
     The compiler is the circuit instance of {!Dpll.search}, the same
     search that counts: a decision on a block [B] becomes Lemma 9's
     gadget, the deterministic OR [(¬B ∧ C_0) ∨ (B ∧ C_1)] over the
-    cofactor circuits, variable-disjoint parts of a conjunction or
-    disjunction become a decomposable AND or a disjoint OR gate, [¬g]
-    becomes a NOT gate over [g]'s circuit, and memoized subformulas share
-    one node of the DAG.  This mirrors what c2d/Dsharp-style compilers
-    do.
+    cofactor circuits, unit propagation the decomposable AND [L ∧ C_1]
+    of the fixed literals and the residue's circuit (how
+    [shapmc dimacs] compiles CNF), variable-disjoint parts of a
+    conjunction or disjunction become a decomposable AND or a disjoint
+    OR gate, [¬g] becomes a NOT gate over [g]'s circuit, and memoized
+    subformulas share one node of the DAG, as c2d/Dsharp-style
+    compilers do.
 
     The block is a variable [x] with its twins, the variables that are
     leaves of exactly the [∨] (or [∧]) nodes [x] is a leaf of and occur
@@ -34,6 +36,7 @@
 val compile : Formula.t -> Circuit.node
 
 (** [compile_with_stats f] also reports the search effort, [branches]
-    counting decisions on a block or a lone variable; it equals what
-    {!Dpll.count_with_stats} reports on [f]. *)
+    counting decisions on a block or a lone variable and [propagations]
+    the literals propagated; it equals what {!Dpll.count_with_stats}
+    reports on [f]. *)
 val compile_with_stats : Formula.t -> Circuit.node * Dpll.stats

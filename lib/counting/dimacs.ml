@@ -63,10 +63,15 @@ let parse_string text =
           | _ -> fail lineno "bad p cnf header")
        | _ ->
          if !header = None then fail lineno "clause before p cnf header";
+         let num_vars = Option.get !header in
          List.iter
            (fun w ->
               match int_of_string_opt w with
               | None -> fail lineno ("bad literal " ^ w)
+              | Some l when abs l > num_vars ->
+                fail lineno
+                  (Printf.sprintf "variable %d out of range 1..%d" (abs l)
+                     num_vars)
               | Some 0 ->
                 let pos =
                   List.filter_map (fun l -> if l > 0 then Some l else None)

@@ -15,7 +15,9 @@ type instance = {
 }
 
 (** [parse_string s] parses DIMACS CNF text.
-    @raise Invalid_argument with a line-annotated message on error. *)
+    @raise Invalid_argument with a line-annotated message on error,
+    among them a literal or weight line naming a variable outside
+    [1..num_vars]. *)
 val parse_string : string -> instance
 
 val parse_file : string -> instance

@@ -1,4 +1,4 @@
-type stats = { branches : int; cache_hits : int }
+type stats = { branches : int; propagations : int; cache_hits : int }
 
 type 'a algebra = {
   const : bool -> 'a;
@@ -71,9 +71,25 @@ let pick_block f =
     in
     (List.sort compare (x :: twins), ox.role = Conj)
 
+(* Unit propagation: fixes the literals among [f]'s conjuncts (its
+   children if it is an [∧], else [f]), then those of what is left, until
+   none is; of [x ∧ ¬x] either is kept.  Returns bindings and residue. *)
+let rec propagate fixed f =
+  let units =
+    List.filter_map
+      (function
+        | Formula.Var x -> Some (x, true)
+        | Formula.Not (Formula.Var x) -> Some (x, false)
+        | _ -> None)
+      (match f with Formula.And fs -> fs | f -> [ f ])
+  in
+  match List.sort_uniq (fun (x, _) (y, _) -> compare x y) units with
+  | [] -> (fixed, f)
+  | us -> propagate (us @ fixed) (Formula.restrict_set us f)
+
 let search alg f =
   let cache = Hashtbl.create 256 in
-  let branches = ref 0 and cache_hits = ref 0 in
+  let branches = ref 0 and propagations = ref 0 and cache_hits = ref 0 in
   let rec go f =
     match f with
     | Formula.True -> alg.const true
@@ -92,19 +108,16 @@ let search alg f =
   and compound f fs =
     match Vset.components ~vars:Formula.vars fs with
     | [ (scope, _) ] ->
-      (* Single component: decide on the block B, the disjunction (or
-         conjunction) of the branch variable and its twins.  F depends on
-         them only through B; fixing any one of them fixes B one way,
-         fixing all of them the other. *)
-      let block, conj = pick_block f in
-      let one = [ List.hd block ] in
-      let fix vs b = Formula.restrict_set (List.map (fun v -> (v, b)) vs) f in
-      incr branches;
-      let lo = go (fix (if conj then one else block) false) in
-      let hi = go (fix (if conj then block else one) true) in
-      let vs = List.map Formula.var block in
-      let b = go (if conj then Formula.and_ vs else Formula.or_ vs) in
-      alg.decide b ~scope lo hi
+      (match propagate [] f with
+       | [], _ -> decide scope f
+       | fixed, rest ->
+         (* Unit rule: F = L ∧ F[L:=1] for the conjunction L of the
+            literals propagation fixes, so F[L:=0] is false and only
+            F[L:=1] is searched. *)
+         propagations := !propagations + List.length fixed;
+         let lit (x, sign) = if sign then alg.var x else alg.not_ (alg.var x) in
+         alg.decide (alg.conj (List.map lit fixed)) ~scope (alg.const false)
+           (go rest))
     | groups ->
       (* Each part spans its group's scope, as [kvec] needs: members are
          nonconstant and mutually non-absorbing after smart construction,
@@ -113,9 +126,25 @@ let search alg f =
        | Formula.And _ ->
          alg.conj (List.map (fun (_, ms) -> go (Formula.and_ ms)) groups)
        | _ -> alg.disj (List.map (fun (_, ms) -> go (Formula.or_ ms)) groups))
+  and decide scope f =
+    (* A connected node without units: decide on the block B, the
+       disjunction (or conjunction) of the branch variable and its twins.
+       F depends on them only through B; fixing any one of them fixes B
+       one way, fixing all of them the other. *)
+    let block, conj = pick_block f in
+    let one = [ List.hd block ] in
+    let fix vs b = Formula.restrict_set (List.map (fun v -> (v, b)) vs) f in
+    incr branches;
+    let lo = go (fix (if conj then one else block) false) in
+    let hi = go (fix (if conj then block else one) true) in
+    let vs = List.map Formula.var block in
+    let b = go (if conj then Formula.and_ vs else Formula.or_ vs) in
+    alg.decide b ~scope lo hi
   in
   let r = go (Formula.simplify f) in
-  (r, { branches = !branches; cache_hits = !cache_hits })
+  (r,
+   { branches = !branches; propagations = !propagations;
+     cache_hits = !cache_hits })
 
 (* Every value is the count vector over exactly [vars] of its formula, so
    a cofactor's universe size says how far to pad it to the scope left
@@ -142,6 +171,7 @@ let count_by_size f =
   if Obs.observing () then begin
     Obs.incr "dpll.counts";
     Obs.add "dpll.branches" st.branches;
+    if st.propagations > 0 then Obs.add "dpll.propagations" st.propagations;
     Obs.add "dpll.cache_hits" st.cache_hits
   end;
   v

@@ -3,9 +3,10 @@
     One search serves both exact routes of the paper.  It memoizes
     [∧]/[∨] subformulas structurally, splits an [∧]/[∨] node whose
     children fall into several variable-disjoint components into one part
-    per component, decides a connected node on a block of variables (see
-    below), and answers [¬g] by negating the answer for [g].  What the
-    search builds is an {!algebra}:
+    per component, propagates the units of a connected [∧] node, decides
+    a connected node without units on a block of variables (see below),
+    and answers [¬g] by negating the answer for [g].  What the search
+    builds is an {!algebra}:
 
     - counting (this module) builds size-stratified count vectors
       [#_{0..n} F], which sum to [#F]: the oracles of Lemmas 3.2+3.3;
@@ -48,15 +49,23 @@
     [Z_1 ∨ ... ∨ Z_l] is no subformula, only [l] sibling leaves of the
     [∨] that holds [G^(l)].
 
+    {b Units.}  A connected [∧] node with literal children is [L ∧ G]
+    for their conjunction [L].  The search fixes [L], then the literals
+    of what is left, until none is (unit propagation): a decision on [L]
+    whose false branch is false, counted in [propagations], not in
+    [branches].  A CNF presents such nodes; a DNF whose terms mention
+    each variable once never does: a term's literals fall into separate
+    components.
+
     Counting is the project's #SAT engine: polynomial on read-once-style
     inputs thanks to decomposition, exponential in the worst case, which
-    is the behaviour experiments E10 and E13 measure.  It does no unit
-    propagation (that is [Compile_cnf]'s) and no pure-literal
-    elimination, which does not preserve model counts. *)
+    is the behaviour experiments E10 and E13 measure.  It does no
+    pure-literal elimination, which does not preserve model counts. *)
 
 (** Search statistics of one call. *)
 type stats = {
   branches : int;  (** decisions, each on a block or a lone variable *)
+  propagations : int;  (** literals fixed by unit propagation *)
   cache_hits : int;  (** [∧]/[∨] subformulas answered from the memo *)
 }
 

@@ -120,15 +120,20 @@ let event_of_json json =
     dur;
     attrs }
 
-(* A stream header carrying what the bounded in-memory buffer could not:
-   how many events were emitted past the cap.  Kept OUT of {!jsonl} (so
-   the event serialization round-trips exactly) and written only by
-   {!write_file}; readers skip any line with a "meta" field. *)
-let meta_line ~stored ~dropped =
+type totals = { dropped : int; oracle_calls : int; oracle_seconds : float }
+
+(* A stream header carrying what the stored events cannot: the buffer's
+   totals.  Kept OUT of {!jsonl} (so the event serialization round-trips
+   exactly) and written only by {!write_file}; readers skip any line with
+   a "meta" field. *)
+let meta_line b =
   J.to_string
     (J.Obj
-       [ ("meta", J.Str "shapmc.trace"); ("version", J.Int 1);
-         ("stored", J.Int stored); ("dropped", J.Int dropped) ])
+       [ ("meta", J.Str "shapmc.trace"); ("version", J.Int 2);
+         ("stored", J.Int (Trace.emitted b - Trace.dropped b));
+         ("dropped", J.Int (Trace.dropped b));
+         ("oracle_calls", J.Int (Trace.oracle_calls b));
+         ("oracle_seconds", J.Float (Trace.oracle_seconds b)) ])
   ^ "\n"
 
 let is_meta json = Tiny_json.member "meta" json <> None
@@ -168,13 +173,14 @@ let has_suffix ~suffix s =
   let ls = String.length suffix and l = String.length s in
   l >= ls && String.sub s (l - ls) ls = suffix
 
-let write_file ?(dropped = 0) ~path events =
+let write_file ~path b =
+  let events = Trace.events b in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
        if has_suffix ~suffix:".jsonl" path then begin
-         output_string oc (meta_line ~stored:(List.length events) ~dropped);
+         output_string oc (meta_line b);
          output_string oc (jsonl events)
        end
        else output_string oc (chrome events))
@@ -186,19 +192,22 @@ let read_text path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let read_jsonl_file_full path =
-  let dropped = ref 0 in
+  let totals = ref None in
   let events =
     fold_jsonl (read_text path)
       ~meta:(fun json ->
-        match Tiny_json.member "dropped" json with
-        | Some v -> (
-            match Tiny_json.to_int v with
-            | Some d -> dropped := d
-            | None -> ())
-        | None -> ())
+        let field name conv = Option.bind (Tiny_json.member name json) conv in
+        match
+          ( field "dropped" Tiny_json.to_int,
+            field "oracle_calls" Tiny_json.to_int,
+            field "oracle_seconds" Tiny_json.to_float )
+        with
+        | Some dropped, Some oracle_calls, Some oracle_seconds ->
+          totals := Some { dropped; oracle_calls; oracle_seconds }
+        | _ -> ())
       ~event:Fun.id
   in
-  (events, !dropped)
+  (events, !totals)
 
 (* ------------------------------------------------------------------ *)
 (* Timeline report *)
@@ -234,14 +243,18 @@ let oracle_attr_str attrs =
 
 let ms s = s *. 1e3
 
-let report ?(dropped = 0) ?(percentiles = false) events =
+let report ?totals ?(percentiles = false) events =
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  if dropped > 0 then begin
-    line "WARNING: %d events dropped; aggregates from ledger, timeline \
-          truncated" dropped;
-    line ""
-  end;
+  (match totals with
+   | Some t when t.dropped > 0 ->
+     line "WARNING: %d events dropped at the cap.  The timeline and every \
+           total below cover the %d stored events only." t.dropped
+       (List.length events);
+     line "Exact over the whole run: %d oracle calls, %.3f oracle-ms."
+       t.oracle_calls (ms t.oracle_seconds);
+     line ""
+   | _ -> ());
   line "%6s %12s  %s" "seq" "t(ms)" "event";
   (* Span stack of (name, begin time) for end-of-span durations; streams
      truncated by the event cap may leave unmatched begins, so every pop

@@ -34,26 +34,31 @@ val events_of_jsonl : string -> Trace.event list
 (** Parse a whole JSONL document (blank lines skipped).
     @raise Failure with a line number on malformed input. *)
 
-val write_file : ?dropped:int -> path:string -> Trace.event list -> unit
-(** Write to [path]; a [.jsonl] suffix selects the JSONL format,
-    anything else gets Chrome [trace_event] JSON.  JSONL files start
-    with one meta line [{"meta":"shapmc.trace","version":1,"stored":K,
-    "dropped":D}] recording how many events the bounded buffer dropped
-    ([dropped], default [0]); readers skip meta lines, so the event
-    payload still round-trips. *)
+(** What a bounded buffer knows exactly past its cap: the events it
+    dropped, and its oracle calls and their seconds ({!Trace.dropped},
+    {!Trace.oracle_calls}, {!Trace.oracle_seconds}). *)
+type totals = { dropped : int; oracle_calls : int; oracle_seconds : float }
 
-val read_jsonl_file_full : string -> Trace.event list * int
-(** The events of a JSONL file and the [dropped] count from its meta
-    line ([0] when the file has none). *)
+val write_file : path:string -> Trace.t -> unit
+(** Write the buffer's events to [path]; a [.jsonl] suffix selects the
+    JSONL format, anything else gets Chrome [trace_event] JSON.  JSONL
+    files start with one meta line [{"meta":"shapmc.trace","version":2,
+    "stored":K,"dropped":D,"oracle_calls":C,"oracle_seconds":S}] carrying
+    the buffer's {!totals}; readers skip meta lines, so the event payload
+    still round-trips. *)
 
-val report :
-  ?dropped:int -> ?percentiles:bool -> Trace.event list -> string
+val read_jsonl_file_full : string -> Trace.event list * totals option
+(** The events of a JSONL file and the {!totals} of its meta line
+    ([None] when it has none, or one without them). *)
+
+val report : ?totals:totals -> ?percentiles:bool -> Trace.event list -> string
 (** Human-readable rendering of a stream: an indented chronological
     timeline (two spaces per nesting depth) followed by per-phase
     aggregates (events and oracle calls/time attributed to the most
     recent phase marker), per-oracle totals (the same counts as the
-    [--stats] ledger), and per-span totals.  When [dropped > 0] the
-    report opens with a warning banner (the timeline is truncated but
-    ledger aggregates stayed exact).  [percentiles] appends per-
-    (oracle, lemma, arity) latency percentile rows rebuilt from the
-    oracle events through {!Histogram}. *)
+    [--stats] ledger), and per-span totals.  When [totals] reports
+    dropped events, the report opens with a banner: the timeline and
+    the totals below it cover the stored events only, and the run's
+    exact oracle calls and seconds are printed there.  [percentiles]
+    appends per-(oracle, lemma, arity) latency percentile rows rebuilt
+    from the oracle events through {!Histogram}. *)

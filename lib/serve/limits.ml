@@ -11,19 +11,16 @@ let default =
     read_timeout = 10.;
     max_conn_requests = 100 }
 
-let from_env ?(getenv = Sys.getenv_opt) t =
-  let int_env name current =
-    match Option.bind (getenv name) int_of_string_opt with
-    | Some v when v > 0 -> v
-    | _ -> current
+(* Each limit is named by the [serve] flag that sets it. *)
+let validate t =
+  let check flag ok shown =
+    if not ok then
+      invalid_arg (Printf.sprintf "--%s must be positive, got %s" flag shown)
   in
-  let float_env name current =
-    match Option.bind (getenv name) float_of_string_opt with
-    | Some v when v > 0. -> v
-    | _ -> current
-  in
-  { max_header_bytes = int_env "SHAPMC_MAX_HEADER_BYTES" t.max_header_bytes;
-    max_body_bytes = int_env "SHAPMC_MAX_BODY_BYTES" t.max_body_bytes;
-    read_timeout = float_env "SHAPMC_READ_TIMEOUT" t.read_timeout;
-    max_conn_requests =
-      int_env "SHAPMC_MAX_CONN_REQUESTS" t.max_conn_requests }
+  let int flag v = check flag (v > 0) (string_of_int v) in
+  int "max-header-bytes" t.max_header_bytes;
+  int "max-body-bytes" t.max_body_bytes;
+  check "read-timeout"
+    (t.read_timeout > 0. && Float.is_finite t.read_timeout)
+    (Printf.sprintf "%g" t.read_timeout);
+  int "max-conn-requests" t.max_conn_requests

@@ -23,9 +23,7 @@ type t = {
 
 val default : t
 
-(** [from_env ?getenv t] overrides fields from [SHAPMC_MAX_HEADER_BYTES],
-    [SHAPMC_MAX_BODY_BYTES], [SHAPMC_READ_TIMEOUT] and
-    [SHAPMC_MAX_CONN_REQUESTS].  Unparseable or non-positive values are
-    ignored.  [getenv] defaults to [Sys.getenv_opt] (injectable for
-    tests). *)
-val from_env : ?getenv:(string -> string option) -> t -> t
+(** [validate t] accepts positive limits (a zero timeout would turn
+    [SO_RCVTIMEO] off).  @raise Invalid_argument naming the [serve] flag
+    of the first other one: ["--read-timeout must be positive, got 0"]. *)
+val validate : t -> unit

@@ -33,6 +33,7 @@ type t = {
 }
 
 let create ?(config = default_config) routes =
+  Limits.validate config.limits;
   { config;
     routes;
     stop_flag = Atomic.make false;

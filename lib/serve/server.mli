@@ -43,6 +43,7 @@ val default_config : config
 
 type t
 
+(** @raise Invalid_argument if [config.limits] fails {!Limits.validate}. *)
 val create : ?config:config -> Router.route list -> t
 
 (** Bind (with [SO_REUSEADDR]) and listen.  @raise Unix.Unix_error when

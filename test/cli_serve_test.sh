@@ -163,4 +163,21 @@ grep -q "HTTP/1.1 200" <<<"$out" || fail "restarted server not healthy: $out"
 kill -TERM $srv
 wait $srv || fail "restarted server exited nonzero"
 
+# A non-positive limit stops startup with an error naming its flag,
+# whether it comes from the environment or the command line.  (A zero
+# read timeout would turn SO_RCVTIMEO off and let a stalled client hold
+# a worker forever.)
+refused() {
+  local log="$1" msg="$2"
+  shift 2
+  if timeout 10 "$@" > "$log" 2>&1; then
+    fail "server accepted a bad limit: $(cat "$log")"
+  fi
+  grep -q "error: $msg" "$log" || fail "no '$msg' error: $(cat "$log")"
+}
+refused bad_timeout.log "--read-timeout must be positive, got 0" \
+  env SHAPMC_READ_TIMEOUT=0 "$exe" serve --port 0 serve_demo.db
+refused bad_body.log "--max-body-bytes must be positive, got 0" \
+  "$exe" serve --port 0 --max-body-bytes 0 serve_demo.db
+
 echo "cli-serve OK"

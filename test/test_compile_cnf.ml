@@ -1,4 +1,5 @@
-(** Tests for the CNF-specialized compiler and the interaction index. *)
+(** Tests for compiling CNF through the one search, whose unit rule
+    propagates literals, and for the interaction index. *)
 
 open Helpers
 
@@ -32,65 +33,72 @@ let arb_cnf ~nvars ~clauses =
     ~print:(fun cnf -> Formula.to_string (Nf.cnf_to_formula cnf))
     (gen_cnf ~nvars ~clauses)
 
+(* What `shapmc dimacs -w shap|wmc` compiles: the CNF as a formula. *)
+let compile cnf = Compile.compile (Nf.cnf_to_formula cnf)
+
 let compile_cnf_tests =
   [ t "compiles example formulas" (fun () ->
         (* (x1 | !x2) & (x2 | x3) *)
         let cnf =
           [ Nf.clause ~pos:[ 1 ] ~neg:[ 2 ]; Nf.clause ~pos:[ 2; 3 ] ~neg:[] ]
         in
-        let c = Compile_cnf.compile cnf in
+        let c = compile cnf in
         Alcotest.(check bool) "equiv" true
           (Circuit.equivalent_formula ~max_vars:5 c (Nf.cnf_to_formula cnf));
         Alcotest.(check bool) "det" true
           (Circuit.check_deterministic ~max_vars:5 c));
     t "unit propagation produces no decisions on Horn chains" (fun () ->
-        (* x1, (!x1|x2), (!x2|x3): all units after propagation *)
+        (* x1, (!x1|x2), (!x2|x3): x1 is a unit, then x2, then x3 is all
+           that is left *)
         let cnf =
           [ Nf.clause ~pos:[ 1 ] ~neg:[];
             Nf.clause ~pos:[ 2 ] ~neg:[ 1 ];
             Nf.clause ~pos:[ 3 ] ~neg:[ 2 ] ]
         in
-        let c, stats = Compile_cnf.compile_with_stats cnf in
-        Alcotest.(check int) "no decisions" 0 stats.Compile_cnf.decisions;
-        Alcotest.(check bool) "propagated" true
-          (stats.Compile_cnf.propagations >= 3);
+        let c, stats = Compile.compile_with_stats (Nf.cnf_to_formula cnf) in
+        Alcotest.(check int) "no decisions" 0 stats.Dpll.branches;
+        Alcotest.(check int) "propagated" 3 stats.Dpll.propagations;
         Alcotest.(check bool) "equiv x1&x2&x3" true
           (Circuit.equivalent_formula ~max_vars:5 c (parse "x1 & x2 & x3")));
     t "unsatisfiable CNF compiles to false" (fun () ->
         let cnf =
           [ Nf.clause ~pos:[ 1 ] ~neg:[]; Nf.clause ~pos:[] ~neg:[ 1 ] ]
         in
-        Alcotest.(check bool) "false" true
-          (Compile_cnf.compile cnf == Circuit.cfalse));
+        Alcotest.(check bool) "false" true (compile cnf == Circuit.cfalse);
+        (* both signs of a unit, beside a clause that still mentions it *)
+        let f = parse "x1 & !x1 & (x1 | x2)" in
+        Alcotest.(check bool) "false with a clause" true
+          (Compile.compile f == Circuit.cfalse);
+        Alcotest.check bigint "counts 0" Bigint.zero
+          (Dpll.count_universe ~vars:[ 1; 2 ] f));
     t "empty CNF compiles to true" (fun () ->
-        Alcotest.(check bool) "true" true
-          (Compile_cnf.compile [] == Circuit.ctrue));
+        Alcotest.(check bool) "true" true (compile [] == Circuit.ctrue));
     t "empty clause compiles to false" (fun () ->
         Alcotest.(check bool) "false" true
-          (Compile_cnf.compile [ { Nf.pos = Vset.empty; Nf.neg = Vset.empty } ]
+          (compile [ { Nf.pos = Vset.empty; Nf.neg = Vset.empty } ]
            == Circuit.cfalse));
     t "dimacs pipeline end to end" (fun () ->
         let inst = Dimacs.parse_string "p cnf 4 3\n1 -2 0\n2 3 0\n-3 4 0\n" in
-        let c = Compile_cnf.compile_dimacs inst in
+        let f = Dimacs.to_formula inst in
         let vars = Dimacs.variables inst in
-        Alcotest.check bigint "count matches dpll"
-          (Dpll.count_universe ~vars (Dimacs.to_formula inst))
-          (Count.count ~vars c));
+        Alcotest.check bigint "count matches brute force"
+          (Brute.count ~vars f)
+          (Count.count ~vars (Compile.compile f)));
     qtest "cnf compiler = dpll on random CNF" ~count:80
       (arb_cnf ~nvars:6 ~clauses:6)
       (fun cnf ->
          QCheck.assume (cnf <> []);
          let f = Nf.cnf_to_formula cnf in
-         let c = Compile_cnf.compile cnf in
+         let c = compile cnf in
          let vars = List.init 6 succ in
-         Bigint.equal
-           (Dpll.count_universe ~vars f)
-           (Count.count ~vars c));
+         let n = Brute.count ~vars f in
+         Bigint.equal n (Dpll.count_universe ~vars f)
+         && Bigint.equal n (Count.count ~vars c));
     qtest "cnf compiler output is deterministic" ~count:40
       (arb_cnf ~nvars:5 ~clauses:5)
       (fun cnf ->
          QCheck.assume (cnf <> []);
-         Circuit.check_deterministic ~max_vars:10 (Compile_cnf.compile cnf));
+         Circuit.check_deterministic ~max_vars:10 (compile cnf));
     qtest "Shapley through the cnf compiler = naive" ~count:30
       (arb_cnf ~nvars:5 ~clauses:4)
       (fun cnf ->
@@ -98,9 +106,7 @@ let compile_cnf_tests =
          let f = Nf.cnf_to_formula cnf in
          let vars = List.init 5 succ in
          let a = Naive.shap_subsets ~vars f in
-         let b =
-           Circuit_shapley.shap_direct ~vars (Compile_cnf.compile cnf)
-         in
+         let b = Circuit_shapley.shap_direct ~vars (compile cnf) in
          List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b)
   ]
 

@@ -352,7 +352,8 @@ let compiled_circuit (f1, f2, shape, _) =
   | 3 -> cor_disj [ a; cnot b ]
   | _ -> cnot (cor_disj [ cnot a; b ])
 
-(* Random CNFs over 1..6 with one extra universe variable. *)
+(* Random CNFs over 1..6 that open with a unit clause, with one extra
+   universe variable. *)
 let arb_cnf =
   let open QCheck.Gen in
   let lit = pair (int_range 1 6) bool in
@@ -372,7 +373,7 @@ let arb_cnf =
                   (fun (v, pos) -> (if pos then "" else "!") ^ string_of_int v)
                   c) ^ ")")
            cls))
-    (list_size (int_range 0 5) clause)
+    (map2 (fun u cls -> [ u ] :: cls) lit (list_size (int_range 0 5) clause))
 
 let cnf_of cls =
   List.map
@@ -434,7 +435,7 @@ let backward_tests =
       (fun cls ->
         let cnf = cnf_of cls in
         backward_agrees ~f:(Nf.cnf_to_formula cnf) ~vars:(universe 7)
-          (Compile_cnf.compile cnf));
+          (Compile.compile (Nf.cnf_to_formula cnf)));
     dtest ~seed:11 ~count:25
       "backward pass = conditioning = naive (Lemma 3.4 OR-substitution)"
       arb_lemma34
@@ -557,7 +558,9 @@ let block_tests =
     case "flattened into an enclosing Or" ~decisions:1
       (Or [ v 1; v 2; And [ v 3; Or [ v 1; v 2; v 4 ] ] ]);
     case "of a conjunction" ~decisions:1
-      (And [ v 1; v 2; Or [ v 3; And [ v 1; v 2; v 4 ] ] ]);
+      (Or
+         [ And [ v 1; v 2; v 3 ]; And [ v 1; v 2; v 4 ];
+           And [ v 1; v 2; v 5 ] ]);
     (* x2 sits beside x1 in both of x1's nodes, and in a third. *)
     case "a neighbour that occurs elsewhere is no twin"
       (And
@@ -570,6 +573,74 @@ let block_tests =
     case "a leaf twice in one node, swapped"
       (Not (And [ v 2; Or [ v 3; v 2; v 3 ] ])) ]
 
+(* ------------------------------------------------------------------ *)
+(* The unit rule on the served inputs.  A DNF term's literals fall into
+   separate components, so no single-component [∧] node with literal
+   children arises, and the search is the one without the rule. *)
+
+(* batch-reduce's formulas: a DNF of n two-literal terms over x1..xn,
+   term i holding x(i+1) and one other variable, a literal negated with
+   probability 1/4. *)
+let two_dnf st n =
+  let lit v =
+    if Random.State.int st 4 = 0 then Formula.not_ (Formula.var v)
+    else Formula.var v
+  in
+  Formula.or_
+    (List.init n (fun i ->
+         let u = 1 + ((i + 1 + Random.State.int st (n - 1)) mod n) in
+         Formula.and_ [ lit (i + 1); lit u ]))
+
+(* Decisions, propagations and compiled gates of every search that both
+   reductions of 12 such formulas (n = 4, 5, 6) run through their
+   oracles, and of compiling 4 Q0 lineages over 5x5 databases. *)
+let e2e_shape_totals () =
+  let branches = ref 0 and propagations = ref 0 and gates = ref 0 in
+  let note (st : Dpll.stats) g =
+    branches := !branches + st.Dpll.branches;
+    propagations := !propagations + st.Dpll.propagations;
+    gates := !gates + g
+  in
+  let compile f =
+    let c, st = Compile.compile_with_stats f in
+    note st (Circuit.size c);
+    c
+  in
+  let count =
+    { Pipeline.oracle_name = "dpll";
+      count =
+        (fun ~vars g ->
+          note (snd (Dpll.count_with_stats g)) 0;
+          Dpll.count_universe ~vars g) }
+  and shap =
+    { Pipeline.shap_name = "circuit";
+      shap = (fun ~vars g -> Circuit_shapley.shap_direct ~vars (compile g)) }
+  in
+  let st = Random.State.make [| 19 |] in
+  List.iter
+    (fun n ->
+      for _ = 1 to 4 do
+        let f = two_dnf st n and vars = universe n in
+        ignore (Pipeline.shap_via_count_oracle ~oracle:count ~vars f);
+        ignore (Pipeline.count_via_shap_oracle ~oracle:shap ~vars f)
+      done)
+    [ 4; 5; 6 ];
+  List.iter
+    (fun seed ->
+      let db, q = random_q0_db ~a:5 ~b:5 ~density:0.5 ~seed in
+      ignore (compile (Lineage.lineage_formula db q)))
+    [ 1; 2; 3; 4 ];
+  (!branches, !propagations, !gates)
+
+let e2e_shape_tests =
+  [ Alcotest.test_case "search: no propagation on OR-substituted DNF and Q0"
+      `Quick (fun () ->
+        let branches, propagations, gates = e2e_shape_totals () in
+        Alcotest.(check int) "propagations" 0 propagations;
+        (* decisions and gates as before the unit rule *)
+        Alcotest.(check int) "decisions" 2789 branches;
+        Alcotest.(check int) "gates" 8990 gates) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
-  @ backward_edge_cases @ search_tests @ block_tests
+  @ backward_edge_cases @ search_tests @ block_tests @ e2e_shape_tests

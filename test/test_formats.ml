@@ -132,13 +132,32 @@ let nnf_tests =
   ]
 
 (* The weighted count of a DIMACS instance as `shapmc dimacs -w wmc`
-   computes it: the probability of the Compile_cnf circuit, weight 1/2
-   for variables without a weight line. *)
+   computes it: the probability of the compiled circuit, weight 1/2 for
+   variables without a weight line. *)
 let wmc inst =
   let weights v =
     Option.value ~default:(r 1 2) (List.assoc_opt v inst.Dimacs.weights)
   in
-  Prob.probability ~weights (Compile_cnf.compile_dimacs inst)
+  Prob.probability ~weights (Compile.compile (Dimacs.to_formula inst))
+
+(* The same sum by enumeration: each model of the clauses weighs
+   Π p_v over its true variables times Π (1 − p_v) over its false ones. *)
+let wmc_by_enumeration ~weights inst =
+  let vars = Dimacs.variables inst in
+  let f = Dimacs.to_formula inst in
+  let rec go env = function
+    | [] ->
+      if Formula.eval (fun v -> List.assoc v env) f then
+        List.fold_left
+          (fun acc (v, b) ->
+             let p = weights v in
+             Rat.mul acc (if b then p else Rat.sub Rat.one p))
+          Rat.one env
+      else Rat.zero
+    | v :: rest ->
+      Rat.add (go ((v, false) :: env) rest) (go ((v, true) :: env) rest)
+  in
+  go [] vars
 
 (* DIMACS text: up to 6 clauses of 1-3 literals over 1..6, declaring an
    unmentioned 7th variable, with weight 1/(v+2) on every variable. *)
@@ -179,10 +198,8 @@ let wmc_tests =
     qtest "dimacs wmc = circuit probability" ~count:60 arb_weighted_dimacs
       (fun text ->
          let inst = Dimacs.parse_string text in
-         let weights v = r 1 (v + 2) in
          Rat.equal (wmc inst)
-           (Prob.probability ~weights
-              (Compile.compile (Dimacs.to_formula inst))))
+           (wmc_by_enumeration ~weights:(fun v -> r 1 (v + 2)) inst))
   ]
 
 let provenance_tests =
@@ -320,4 +337,21 @@ let game_tests =
          List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b)
   ]
 
-let suite = dimacs_tests @ nnf_tests @ wmc_tests @ provenance_tests @ game_tests
+(* A clause may name only the variables its header declares. *)
+let dimacs_range_tests =
+  [ t "clause literal outside the header's range names its line" (fun () ->
+        List.iter
+          (fun (text, line) ->
+             match Dimacs.parse_string text with
+             | _ -> Alcotest.failf "accepted %S" text
+             | exception Invalid_argument m ->
+               Alcotest.(check string) "message"
+                 (Printf.sprintf
+                    "Dimacs: variable 3 out of range 1..2 on line %d" line)
+                 m)
+          [ ("p cnf 2 1\n1 3 0\n", 2);
+            ("p cnf 2 2\n1 2 0\nc spans lines\n-1\n-3 0\n", 5) ]) ]
+
+let suite =
+  dimacs_tests @ nnf_tests @ wmc_tests @ provenance_tests @ game_tests
+  @ dimacs_range_tests

@@ -1227,32 +1227,31 @@ let exec_nested_fanout_degrades () =
     [| 1; 4; 9; 16; 25 |] (Atomic.get result)
 
 (* ------------------------------------------------------------------ *)
-(* Limits env plumbing                                                 *)
+(* Limits validation                                                   *)
 
-let limits_from_env () =
-  let env =
-    [ ("SHAPMC_MAX_HEADER_BYTES", "4096");
-      ("SHAPMC_MAX_BODY_BYTES", "2048");
-      ("SHAPMC_READ_TIMEOUT", "2.5");
-      ("SHAPMC_MAX_CONN_REQUESTS", "7") ]
-  in
-  let l = Limits.from_env ~getenv:(fun k -> List.assoc_opt k env) Limits.default in
-  Alcotest.(check int) "header override" 4096 l.Limits.max_header_bytes;
-  Alcotest.(check int) "body override" 2048 l.Limits.max_body_bytes;
-  Alcotest.(check (float 1e-9)) "timeout override" 2.5 l.Limits.read_timeout;
-  Alcotest.(check int) "conn requests override" 7 l.Limits.max_conn_requests;
-  let bad =
-    [ ("SHAPMC_MAX_HEADER_BYTES", "banana");
-      ("SHAPMC_MAX_BODY_BYTES", "-3");
-      ("SHAPMC_READ_TIMEOUT", "0") ]
-  in
-  let l = Limits.from_env ~getenv:(fun k -> List.assoc_opt k bad) Limits.default in
-  Alcotest.(check int) "unparseable ignored"
-    Limits.default.Limits.max_header_bytes l.Limits.max_header_bytes;
-  Alcotest.(check int) "negative ignored" Limits.default.Limits.max_body_bytes
-    l.Limits.max_body_bytes;
-  Alcotest.(check (float 1e-9)) "non-positive ignored"
-    Limits.default.Limits.read_timeout l.Limits.read_timeout
+let limits_validation () =
+  Limits.validate Limits.default;
+  let d = Limits.default in
+  List.iter
+    (fun (limits, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          Limits.validate limits);
+      (* the server checks its config on creation *)
+      Alcotest.check_raises ("server: " ^ msg) (Invalid_argument msg)
+        (fun () ->
+          ignore
+            (Server.create
+               ~config:{ Server.default_config with Server.limits } [])))
+    [ ( { d with Limits.max_header_bytes = 0 },
+        "--max-header-bytes must be positive, got 0" );
+      ( { d with Limits.max_body_bytes = -3 },
+        "--max-body-bytes must be positive, got -3" );
+      ( { d with Limits.read_timeout = 0. },
+        "--read-timeout must be positive, got 0" );
+      ( { d with Limits.read_timeout = Float.nan },
+        "--read-timeout must be positive, got nan" );
+      ( { d with Limits.max_conn_requests = 0 },
+        "--max-conn-requests must be positive, got 0" ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Request identity                                                    *)
@@ -2071,4 +2070,5 @@ let suite =
     t "exec: deadline then drain" exec_deadline_then_drain;
     t "exec: task exceptions are contained" exec_task_exception_is_contained;
     t "exec: nested fan-out degrades in a worker" exec_nested_fanout_degrades;
-    t "limits: environment overrides" limits_from_env ]
+    t "limits: non-positive values are rejected, naming the flag"
+      limits_validation ]

@@ -508,17 +508,31 @@ let meta_tests =
          let evs = QCheck.Gen.generate1 ~rand:(Random.State.make [| 77 |])
              gen_stream
          in
+         (* the stream twice into a buffer that holds it once *)
+         let b = Trace.create ~cap:(List.length evs) () in
+         List.iter
+           (fun (e : Trace.event) ->
+              Trace.emit b ?dur:e.Trace.dur ~attrs:e.Trace.attrs
+                ~kind:e.Trace.kind e.Trace.name)
+           (evs @ evs);
+         Alcotest.(check bool) "some dropped" true (Trace.dropped b > 0);
          let path = Filename.temp_file "shapmc_trace" ".jsonl" in
          Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-             Trace_export.write_file ~dropped:5 ~path evs;
-             let back, dropped = Trace_export.read_jsonl_file_full path in
-             Alcotest.(check int) "dropped recovered" 5 dropped;
-             Alcotest.(check bool) "events survive" true (back = evs);
+             Trace_export.write_file ~path b;
+             let back, totals = Trace_export.read_jsonl_file_full path in
+             Alcotest.(check bool) "totals recovered" true
+               (totals
+                = Some
+                    { Trace_export.dropped = Trace.dropped b;
+                      oracle_calls = Trace.oracle_calls b;
+                      oracle_seconds = Trace.oracle_seconds b });
+             Alcotest.(check bool) "events survive" true
+               (back = Trace.events b);
              (* the event reader skips the meta line silently *)
              Alcotest.(check bool) "event reader agrees" true
                (Trace_export.events_of_jsonl
                   (In_channel.with_open_bin path In_channel.input_all)
-                = evs)));
+                = back)));
     t "jsonl stays pure: no meta line without write_file" (fun () ->
         let evs = QCheck.Gen.generate1 ~rand:(Random.State.make [| 78 |])
             gen_stream
@@ -526,13 +540,20 @@ let meta_tests =
         Alcotest.(check bool) "no meta in jsonl output" true
           (not (contains "\"meta\"" (Trace_export.jsonl evs))));
     t "report banners dropped events" (fun () ->
-        let r = Trace_export.report ~dropped:7 [] in
+        let totals dropped =
+          { Trace_export.dropped; oracle_calls = 9; oracle_seconds = 0.002 }
+        in
+        let r = Trace_export.report ~totals:(totals 7) [] in
         Alcotest.(check bool) "banner present" true
           (contains
-             "WARNING: 7 events dropped; aggregates from ledger, timeline \
-              truncated"
+             "WARNING: 7 events dropped at the cap.  The timeline and every \
+              total below cover the 0 stored events only.\n\
+              Exact over the whole run: 9 oracle calls, 2.000 oracle-ms."
              r);
         Alcotest.(check bool) "no banner at zero" true
+          (not
+             (contains "WARNING" (Trace_export.report ~totals:(totals 0) [])));
+        Alcotest.(check bool) "no banner without totals" true
           (not (contains "WARNING" (Trace_export.report []))));
     t "report --percentiles totals match the oracle events" (fun () ->
         with_traced (fun stream ->
@@ -549,6 +570,25 @@ let meta_tests =
             Alcotest.(check bool) "TOTAL row carries 13 calls" true
               (contains "TOTAL" r && Obs.call_count () = 13))) ]
 
+(* A replayed stream that overflowed its buffer still reports the run's
+   exact oracle totals, beside the stored events' own. *)
+let replay_tests =
+  [ t "a replayed cap-8 stream of 20 oracle calls reports 20" (fun () ->
+        let b = Trace.create ~cap:8 () in
+        for _ = 1 to 20 do
+          Trace.emit b ~dur:0.001 ~kind:Trace.Oracle "dpll"
+        done;
+        let path = Filename.temp_file "shapmc_trace" ".jsonl" in
+        Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+            Trace_export.write_file ~path b;
+            let events, totals = Trace_export.read_jsonl_file_full path in
+            let r = Trace_export.report ?totals events in
+            Alcotest.(check bool) "20 exact calls" true
+              (contains "Exact over the whole run: 20 oracle calls" r);
+            Alcotest.(check bool) "8 stored calls" true
+              (contains "cover the 8 stored events only" r
+               && contains "dpll                                8" r))) ]
+
 let suite =
   skeleton_tests @ gating_tests @ bound_tests @ clamp_tests @ chrome_tests
-  @ roundtrip_tests @ meta_tests
+  @ roundtrip_tests @ meta_tests @ replay_tests
