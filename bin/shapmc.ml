@@ -849,9 +849,10 @@ let serve_cmd =
     Arg.(value & opt int Cache.default_results
          & info [ "cache-size" ] ~docv:"N"
              ~env:(Cmd.Env.info "SHAPMC_CACHE_SIZE")
-             ~doc:"Capacity of the serving cache's result tier (per-fact \
-                   Shapley rationals); the circuit tier keeps its \
-                   default.  Also settable via $(env).")
+             ~doc:"Capacity of the serving cache's result tier, in facts \
+                   summed over the whole Shapley answers it holds; the \
+                   circuit tier keeps its default.  Also settable via \
+                   $(env).")
   in
   let run host port jobs max_header max_body read_timeout max_conn drain
       access_log access_log_max debug_requests cache_size files =

@@ -1,9 +1,17 @@
 let default_circuits = 128
 let default_results = 8192
 
+type answer = {
+  facts : int array;
+  values : Rat.t array;
+  elements : string array;
+}
+
+let bindings a =
+  List.init (Array.length a.facts) (fun i -> (a.facts.(i), a.values.(i)))
+
 (* Logical hit/miss accounting per tier, separate from the Lru's own
-   counters: one shapley_all lookup touches the meta entry plus one Lru
-   probe per fact, but counts as a single hit or miss here. *)
+   counters: a lookup the single-flight re-probes counts once here. *)
 type tier_counters = {
   tname : string;
   hits : int Atomic.t;
@@ -12,37 +20,42 @@ type tier_counters = {
 
 type t = {
   circuits : Circuit.node Lru.t;
-  results : Rat.t Lru.t;  (* "<key>#<fact>" -> value *)
-  meta : int list Lru.t;  (* key -> fact order *)
+  results : answer Lru.t;  (* result key -> answer, weighed by its facts *)
   c_circuit : tier_counters;
   c_shapley : tier_counters;
   fl_circuit : Circuit.node Single_flight.t;
-  fl_shapley : (int * Rat.t) list Single_flight.t;
+  fl_shapley : answer Single_flight.t;
 }
 
 let labels tier = [ ("tier", tier) ]
 
 let counters name = { tname = name; hits = Atomic.make 0; misses = Atomic.make 0 }
 
-let on_evict tier _key = Metrics.inc ~labels:(labels tier) "cache_evictions"
+let on_evict tier _key weight =
+  Metrics.inc ~labels:(labels tier) ~by:(float_of_int weight) "cache_evictions"
 
-(* The meta LRU reports no evictions: the shapley tier's evictions are
-   its per-fact rationals', on /metrics as in [stats]. *)
 let create ?(circuits = default_circuits) ?(results = default_results) () =
   { circuits = Lru.create ~on_evict:(on_evict "circuit") ~capacity:circuits ();
     results = Lru.create ~on_evict:(on_evict "shapley") ~capacity:results ();
-    meta = Lru.create ~capacity:results ();
     c_circuit = counters "circuit";
     c_shapley = counters "shapley";
     fl_circuit = Single_flight.create ();
     fl_shapley = Single_flight.create () }
 
 let set_gauges tier lru =
-  let entries = float_of_int (Lru.length lru) in
+  let entries = float_of_int (Lru.weight lru) in
   let labels = labels tier in
   Metrics.set ~labels "cache_entries" entries;
   Metrics.set ~labels "cache_fill"
     (entries /. float_of_int (Lru.capacity lru))
+
+let answer_bytes a =
+  Array.fold_left (fun n e -> n + String.length e) 0 a.elements
+
+let set_result_gauges t =
+  set_gauges "shapley" t.results;
+  Metrics.set ~labels:(labels "shapley") "cache_bytes"
+    (float_of_int (Lru.fold (fun n a -> n + answer_bytes a) 0 t.results))
 
 (* One logical lookup: the fast path probes [find]; on miss the caller
    funnels through the tier's single-flight, where leaders re-probe
@@ -58,7 +71,7 @@ let account c ~hit ~t0 =
   Metrics.inc ~labels:lab (if hit then "cache_hits" else "cache_misses");
   Atomic.incr (if hit then c.hits else c.misses)
 
-let tiered ~c ~lru ~flight ~probe ~store ~key compute =
+let tiered ~c ~flight ~probe ~store ~key compute =
   let t0 = Unix.gettimeofday () in
   match probe () with
   | Some v ->
@@ -74,55 +87,53 @@ let tiered ~c ~lru ~flight ~probe ~store ~key compute =
             led := true;
             let v = compute () in
             store v;
-            set_gauges c.tname lru;
             v)
     in
     account c ~hit:(not !led) ~t0;
     v
 
 let circuit t ~key ?(tags = []) compute =
-  tiered ~c:t.c_circuit ~lru:t.circuits ~flight:t.fl_circuit
+  tiered ~c:t.c_circuit ~flight:t.fl_circuit
     ~probe:(fun () -> Lru.find t.circuits key)
-    ~store:(fun v -> Lru.put t.circuits ~tags key v)
+    ~store:(fun v ->
+      Lru.put t.circuits ~tags key v;
+      set_gauges "circuit" t.circuits)
     ~key compute
 
-let fact_key key fact = Printf.sprintf "%s#%d" key fact
-
-(* A result hit needs the meta entry and every per-fact rational: a
-   partially evicted answer must re-solve, not answer short. *)
-let probe_result t key =
-  match Lru.find t.meta key with
-  | None -> None
-  | Some facts ->
-    let rec gather acc = function
-      | [] -> Some (List.rev acc)
-      | f :: rest -> (
-          match Lru.find t.results (fact_key key f) with
-          | Some v -> gather ((f, v) :: acc) rest
-          | None -> None)
-    in
-    gather [] facts
-
-let store_result t ~tags key values =
-  List.iter (fun (f, v) -> Lru.put t.results ~tags (fact_key key f) v) values;
-  Lru.put t.meta ~tags key (List.map fst values)
-
-let shapley_all t ~key ?(tags = []) solve =
-  tiered ~c:t.c_shapley ~lru:t.results ~flight:t.fl_shapley
-    ~probe:(fun () -> probe_result t key)
-    ~store:(fun r -> store_result t ~tags key r)
-    ~key solve
+(* A caller that renders must not be served an answer stored by one
+   that did not. *)
+let shapley_all t ~key ?(tags = []) ?render solve =
+  tiered ~c:t.c_shapley ~flight:t.fl_shapley
+    ~probe:(fun () ->
+      match Lru.find t.results key with
+      | Some a
+        when Option.is_none render
+             || Array.length a.elements = Array.length a.facts ->
+        Some a
+      | _ -> None)
+    ~store:(fun a ->
+      Lru.put t.results ~tags ~weight:(max 1 (Array.length a.facts)) key a;
+      set_result_gauges t)
+    ~key
+    (fun () ->
+      let values = solve () in
+      let facts = Array.of_list (List.map fst values)
+      and values = Array.of_list (List.map snd values) in
+      { facts;
+        values;
+        elements =
+          (match render with
+           | None -> [||]
+           | Some render -> Array.map2 render facts values) })
 
 let invalidate_tag t tag =
   let dropped =
-    Lru.remove_tagged t.circuits tag
-    + Lru.remove_tagged t.results tag
-    + Lru.remove_tagged t.meta tag
+    Lru.remove_tagged t.circuits tag + Lru.remove_tagged t.results tag
   in
   if dropped > 0 then
     Metrics.inc ~by:(float_of_int dropped) "cache_invalidations";
   set_gauges "circuit" t.circuits;
-  set_gauges "shapley" t.results;
+  set_result_gauges t;
   dropped
 
 type tier_stats = {
@@ -137,7 +148,7 @@ let tier_stats c lru =
   { ts_hits = Atomic.get c.hits;
     ts_misses = Atomic.get c.misses;
     ts_evictions = Lru.evictions lru;
-    ts_entries = Lru.length lru;
+    ts_entries = Lru.weight lru;
     ts_capacity = Lru.capacity lru }
 
 let stats t =

@@ -1,7 +1,8 @@
 type 'v node = {
   nkey : string;
-  mutable nvalue : 'v;
-  mutable ntags : string list;
+  nvalue : 'v;
+  nweight : int;
+  ntags : string list;
   mutable prev : 'v node option;  (* toward the MRU end *)
   mutable next : 'v node option;  (* toward the LRU end *)
 }
@@ -9,13 +10,14 @@ type 'v node = {
 type 'v t = {
   lock : Mutex.t;
   tbl : (string, 'v node) Hashtbl.t;
-  cap : int;
-  on_evict : (string -> unit) option;
+  cap : int;  (* bound on [weight] *)
+  mutable weight : int;  (* sum of the entries' weights *)
+  on_evict : (string -> int -> unit) option;
   mutable head : 'v node option;  (* most recently used *)
   mutable tail : 'v node option;  (* least recently used *)
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
+  mutable evictions : int;  (* evicted weight *)
 }
 
 let create ?on_evict ~capacity () =
@@ -23,6 +25,7 @@ let create ?on_evict ~capacity () =
   { lock = Mutex.create ();
     tbl = Hashtbl.create 64;
     cap = capacity;
+    weight = 0;
     on_evict;
     head = None;
     tail = None;
@@ -57,6 +60,8 @@ let capacity t = t.cap
 
 let length t = locked t (fun () -> Hashtbl.length t.tbl)
 
+let weight t = locked t (fun () -> t.weight)
+
 let find t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
@@ -69,40 +74,48 @@ let find t key =
         push_front t n;
         Some n.nvalue)
 
+let evicted t n =
+  t.evictions <- t.evictions + n.nweight;
+  Option.iter (fun f -> f n.nkey n.nweight) t.on_evict
+
+let drop t n =
+  unlink t n;
+  Hashtbl.remove t.tbl n.nkey;
+  t.weight <- t.weight - n.nweight
+
 let evict_over_capacity t =
-  while Hashtbl.length t.tbl > t.cap do
+  while t.weight > t.cap do
     match t.tail with
     | None -> assert false
     | Some lru ->
-      unlink t lru;
-      Hashtbl.remove t.tbl lru.nkey;
-      t.evictions <- t.evictions + 1;
-      Option.iter (fun f -> f lru.nkey) t.on_evict
+      drop t lru;
+      evicted t lru
   done
 
-let put t ?(tags = []) key v =
+(* An entry heavier than the whole capacity is evicted at once, before
+   it can displace anything. *)
+let put t ?(tags = []) ?(weight = 1) key v =
+  if weight < 1 then invalid_arg "Lru.put: weight must be positive";
   locked t (fun () ->
-      (match Hashtbl.find_opt t.tbl key with
-       | Some n ->
-         n.nvalue <- v;
-         n.ntags <- tags;
-         unlink t n;
-         push_front t n
-       | None ->
-         let n =
-           { nkey = key; nvalue = v; ntags = tags; prev = None; next = None }
-         in
-         Hashtbl.add t.tbl key n;
-         push_front t n);
-      evict_over_capacity t)
+      Option.iter (drop t) (Hashtbl.find_opt t.tbl key);
+      let n =
+        { nkey = key; nvalue = v; nweight = weight; ntags = tags;
+          prev = None; next = None }
+      in
+      if weight > t.cap then evicted t n
+      else begin
+        Hashtbl.add t.tbl key n;
+        push_front t n;
+        t.weight <- t.weight + weight;
+        evict_over_capacity t
+      end)
 
 let remove t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
       | None -> false
       | Some n ->
-        unlink t n;
-        Hashtbl.remove t.tbl key;
+        drop t n;
         true)
 
 let remove_tagged t tag =
@@ -112,14 +125,16 @@ let remove_tagged t tag =
           (fun _ n acc -> if List.mem tag n.ntags then n :: acc else acc)
           t.tbl []
       in
-      List.iter
-        (fun n ->
-          unlink t n;
-          Hashtbl.remove t.tbl n.nkey)
-        doomed;
-      List.length doomed)
+      List.fold_left
+        (fun w n ->
+          drop t n;
+          w + n.nweight)
+        0 doomed)
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.tbl key)
+
+let fold f acc t =
+  locked t (fun () -> Hashtbl.fold (fun _ n acc -> f acc n.nvalue) t.tbl acc)
 
 let keys t =
   locked t (fun () ->

@@ -11,39 +11,56 @@
     invalidation primitive ("everything whose lineage mentions relation
     R of database 3").
 
-    Hit / miss / eviction counters are cumulative over the structure's
-    lifetime. *)
+    Entries have a {e weight} (default 1), and the capacity bounds the
+    sum of the weights: the shapley tier weighs an answer by its fact
+    count.  Hit / miss / eviction counters are cumulative over the
+    structure's lifetime; evictions count weight. *)
 
 type 'v t
 
 (** [create ~capacity ()] — [capacity < 1] raises [Invalid_argument].
-    [on_evict key] fires (under the lock — must not re-enter) for each
-    capacity eviction, not for explicit removals. *)
-val create : ?on_evict:(string -> unit) -> capacity:int -> unit -> 'v t
+    [on_evict key weight] fires (under the lock — must not re-enter) for
+    each capacity eviction, not for explicit removals or replacements. *)
+val create :
+  ?on_evict:(string -> int -> unit) -> capacity:int -> unit -> 'v t
 
+(** The bound on the total weight. *)
 val capacity : 'v t -> int
 
+(** Number of entries. *)
 val length : 'v t -> int
+
+(** Sum of the entries' weights, at most {!capacity}. *)
+val weight : 'v t -> int
 
 (** [find t key] returns the value and marks it most-recently used. *)
 val find : 'v t -> string -> 'v option
 
-(** [put t key v] inserts or replaces (both mark [key] most-recently
-    used), then evicts from the least-recently-used end past capacity. *)
-val put : 'v t -> ?tags:string list -> string -> 'v -> unit
+(** [put t ~weight key v] inserts or replaces (both mark [key]
+    most-recently used), then evicts from the least-recently-used end
+    until the total weight is within capacity.  An entry heavier than
+    the capacity is evicted at once and displaces nothing.  [weight < 1]
+    raises [Invalid_argument]. *)
+val put : 'v t -> ?tags:string list -> ?weight:int -> string -> 'v -> unit
 
 (** [remove t key] — [true] iff the key was present. *)
 val remove : 'v t -> string -> bool
 
-(** [remove_tagged t tag] drops every entry carrying [tag]; returns how
-    many were dropped. O(n). *)
+(** [remove_tagged t tag] drops every entry carrying [tag]; returns the
+    weight dropped (the entry count when every weight is 1). O(n). *)
 val remove_tagged : 'v t -> string -> int
 
 val mem : 'v t -> string -> bool
+
+(** [fold f acc t] folds [f] over the values, in no particular order,
+    under the lock. *)
+val fold : ('a -> 'v -> 'a) -> 'a -> 'v t -> 'a
 
 (** Keys in recency order, most-recently used first. *)
 val keys : 'v t -> string list
 
 val hits : 'v t -> int
 val misses : 'v t -> int
+
+(** Evicted weight. *)
 val evictions : 'v t -> int

@@ -5,6 +5,7 @@ type relation = {
   kind : kind;
   arity : int;
   mutable rows : stored list; (* reverse insertion order *)
+  mutable digest : string option; (* of these rows; dropped on change *)
 }
 
 type t = {
@@ -31,7 +32,7 @@ let declare db name ~kind ~arity =
   if arity < 0 then invalid_arg "Database.declare: negative arity";
   if List.mem_assoc name db.rels then
     invalid_arg ("Database.declare: duplicate relation " ^ name);
-  db.rels <- (name, { kind; arity; rows = [] }) :: db.rels
+  db.rels <- (name, { kind; arity; rows = []; digest = None }) :: db.rels
 
 let check_tuple r name values =
   if Array.length values <> r.arity then
@@ -55,6 +56,7 @@ let insert db name values =
       Some v
   in
   r.rows <- { values; lvar } :: r.rows;
+  r.digest <- None;
   lvar
 
 let insert_with_var db name values ~lvar =
@@ -70,7 +72,8 @@ let insert_with_var db name values ~lvar =
     invalid_arg "Database.insert_with_var: lineage variable already in use";
   Hashtbl.replace db.var_index lvar (name, values);
   db.next_var <- Stdlib.max db.next_var (lvar + 1);
-  r.rows <- { values; lvar = Some lvar } :: r.rows
+  r.rows <- { values; lvar = Some lvar } :: r.rows;
+  r.digest <- None
 
 let remove db name values =
   let r =
@@ -81,10 +84,22 @@ let remove db name values =
   | None -> false
   | Some s ->
     r.rows <- List.filter (fun s' -> s' != s) r.rows;
+    r.digest <- None;
     (match s.lvar with
      | Some v -> Hashtbl.remove db.var_index v
      | None -> ());
     true
+
+(* Domains may race to fill an empty slot; each stores the same
+   string, so the race is benign. *)
+let digest db name compute =
+  let r = find db name in
+  match r.digest with
+  | Some d -> d
+  | None ->
+    let d = compute () in
+    r.digest <- Some d;
+    d
 
 let kind_of db name = (find db name).kind
 let arity_of db name = (find db name).arity

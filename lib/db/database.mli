@@ -50,6 +50,16 @@ val remove : t -> string -> Value.t array -> bool
     share a relation name. *)
 val id : t -> int
 
+(** [digest db name compute] is relation [name]'s digest: [compute ()]
+    on the first call after the relation last changed, the stored string
+    on every later call.  [insert], [insert_with_var] and [remove] drop
+    it; a {!copy} starts with its source's and drops only its own.  So a
+    relation is digested once per version — once per process in the
+    daemon, which never writes.  [compute] must depend on the relation
+    alone: {!Db_fingerprint.relation} is its one caller.
+    @raise Not_found for unknown relations. *)
+val digest : t -> string -> (unit -> string) -> string
+
 (** [kind_of db name] / [arity_of db name].
     @raise Not_found for unknown relations. *)
 val kind_of : t -> string -> kind

@@ -1,6 +1,7 @@
 module Fp = Shapmc_cache.Fingerprint
 
 let relation db name =
+  Database.digest db name @@ fun () ->
   let r = List.fold_left Fp.add_string Fp.empty [ "rel"; name ] in
   let r =
     Fp.add_int r

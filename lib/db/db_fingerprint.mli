@@ -20,7 +20,10 @@
     {!Dichotomy.invalidate} reclaim them eagerly. *)
 
 (** Content fingerprint (hex) of one relation: kind, arity, tuples and
-    their lineage variables, in insertion order. *)
+    their lineage variables, in insertion order.  Computed once per
+    version of the relation and kept in the database
+    ({!Database.digest}), so {!lineage_key} and {!result_key} re-hash
+    only the relations changed since their last call. *)
 val relation : Database.t -> string -> string
 
 (** Fingerprint (hex) of the query text. *)

@@ -30,7 +30,7 @@ let shapley db q =
   let solver, build = dispatch db q in
   (Circuit_shapley.shap_direct ~vars:(universe db) (build ()), solver)
 
-let shapley_cached ?(on_miss = fun solve -> solve ()) ~cache db q =
+let shapley_cached ?(on_miss = fun solve -> solve ()) ?render ~cache db q =
   let solver, build = dispatch db q in
   let ctags =
     List.map (Db_fingerprint.relation_tag db) (Db_fingerprint.mentioned q)
@@ -52,12 +52,13 @@ let shapley_cached ?(on_miss = fun solve -> solve ()) ~cache db q =
     in
     Circuit_shapley.shap_direct ~vars:universe g
   in
-  let values =
+  let answer =
     Cache.shapley_all cache ~key:(Db_fingerprint.result_key db q)
       ~tags:(Db_fingerprint.db_tag db :: ctags)
+      ?render
       (fun () -> on_miss solve)
   in
-  (values, solver)
+  (answer, solver)
 
 let invalidate ~cache db rel =
   let dropped = Cache.invalidate_tag cache (Db_fingerprint.relation_tag db rel) in

@@ -36,11 +36,14 @@ val shapley : Database.t -> Cq.t -> (int * Rat.t) list * solver
     solver is [classify q]'s, hit or miss.  [on_miss wrap] wraps the
     actual solve on a result-tier miss — servers use it to ledger the
     solve as an oracle call, so a warm request is observably
-    oracle-free.  Compilations are ledgered as [cache.compile].  Answers
-    are bit-identical to {!shapley} on every input. *)
+    oracle-free.  [render fact value] renders one fact's element once,
+    on fill ({!Cache.shapley_all}).  Compilations are ledgered as
+    [cache.compile].  Answers ({!Cache.bindings}) are bit-identical to
+    {!shapley} on every input. *)
 val shapley_cached :
   ?on_miss:((unit -> (int * Rat.t) list) -> (int * Rat.t) list) ->
-  cache:Cache.t -> Database.t -> Cq.t -> (int * Rat.t) list * solver
+  ?render:(int -> Rat.t -> string) ->
+  cache:Cache.t -> Database.t -> Cq.t -> Cache.answer * solver
 
 (** [invalidate ~cache db rel] — the fact insert/delete hook: drops every
     cached entry whose lineage mentions [rel] of this database and, when

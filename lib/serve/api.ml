@@ -8,10 +8,16 @@ type entry = {
 }
 
 (* Answers are amortized by the serving cache: the compiled circuit and
-   the per-fact rationals are content-keyed in a shared
-   {!Shapmc_cache.Cache.t}, and concurrent misses of one query
-   single-flight, so unrelated requests never wait on each other. *)
-type t = { list : entry list; cache : Cache.t; created : float }
+   the full answer, with each fact's rendered page element, are
+   content-keyed in a shared {!Shapmc_cache.Cache.t}, and concurrent
+   misses of one query single-flight, so unrelated requests never wait
+   on each other. *)
+type t = {
+  list : entry list;
+  index : (string, entry) Hashtbl.t;  (* name -> entry; read-only *)
+  cache : Cache.t;
+  created : float;
+}
 
 (* Service version reported by /healthz. *)
 let version = "0.10.0"
@@ -33,19 +39,18 @@ let facts_of db =
   arr
 
 let of_pairs ?(cache = Cache.create ()) pairs =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (name, _) ->
-      if Hashtbl.mem seen name then
-        invalid_arg ("Api.of_pairs: duplicate query name " ^ name);
-      Hashtbl.add seen name ())
-    pairs;
-  { list =
-      List.map
-        (fun (name, (db, query)) -> { name; db; query; facts = facts_of db })
-        pairs;
-    cache;
-    created = Unix.gettimeofday () }
+  let index = Hashtbl.create 16 in
+  let list =
+    List.map
+      (fun (name, (db, query)) ->
+        if Hashtbl.mem index name then
+          invalid_arg ("Api.of_pairs: duplicate query name " ^ name);
+        let e = { name; db; query; facts = facts_of db } in
+        Hashtbl.add index name e;
+        e)
+      pairs
+  in
+  { list; index; cache; created = Unix.gettimeofday () }
 
 let load_files ?cache files =
   of_pairs ?cache
@@ -53,7 +58,40 @@ let load_files ?cache files =
 
 let entries t = t.list
 
-let find t name = List.find_opt (fun e -> e.name = name) t.list
+let find t name = Hashtbl.find_opt t.index name
+
+(* [lower_bound n id_at x] is the first index [i < n] with
+   [id_at i >= x], or [n]; [id_at] ascends. *)
+let lower_bound n id_at x =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if id_at mid < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let id_at facts i =
+  let id, _, _ = facts.(i) in
+  id
+
+(* Index of [id] in an ascending sequence, by binary search. *)
+let search n id_at id =
+  let i = lower_bound n id_at id in
+  if i < n && id_at i = id then Some i else None
+
+let answer_index (a : Cache.answer) id =
+  search (Array.length a.Cache.facts) (Array.get a.Cache.facts) id
+
+(* A fact's element of a [/v1/shapley/all] page, rendered once per
+   answer on the cache fill. *)
+let render_element e id v =
+  let rel, tuple = Database.tuple_of_var e.db id in
+  J.to_string
+    (J.Obj
+       [ ("fact", J.Int id);
+         ("relation", J.Str rel);
+         ("tuple", Json_codec.tuple tuple);
+         ("shapley", Json_codec.rat v) ])
 
 (* The cache miss is this layer's oracle consultation: the full
    Shapley solve.  Ledger it so per-request buffers, the access log and
@@ -68,11 +106,11 @@ let ledgered_solve e k =
 
 let shapley_all t entry =
   match find t entry.name with
-  | None -> invalid_arg ("Api.shapley_all: unknown entry " ^ entry.name)
-  | Some e ->
+  | Some e when e == entry ->
     Dichotomy.shapley_cached ~cache:t.cache
       ~on_miss:(fun run -> ledgered_solve e run)
-      e.db e.query
+      ~render:(render_element e) e.db e.query
+  | _ -> invalid_arg ("Api.shapley_all: unknown entry " ^ entry.name)
 
 (* ------------------------------------------------------------------ *)
 (* Cursors: "f" + zero-padded decimal, so token order IS fact order.   *)
@@ -94,11 +132,11 @@ let default_limit = 100
 let max_limit = 1000
 
 (* Shared pagination: [facts] sorted ascending; a page is the first
-   [limit] facts strictly after the cursor's id. *)
+   [limit] facts strictly after the cursor's id, [facts.(start)] to
+   [facts.(stop - 1)]. *)
 type 'e page_result = ('e, Router.response) result
 
-let paginate ~cursor ~limit (facts : (int * 'a * 'b) array) :
-    ((int * 'a * 'b) list * string option) page_result =
+let paginate ~cursor ~limit facts : (int * int * string option) page_result =
   match
     match cursor with
     | None -> Ok (-1)
@@ -117,23 +155,14 @@ let paginate ~cursor ~limit (facts : (int * 'a * 'b) array) :
           min max_limit (Option.value ~default:default_limit limit)
         in
         let n = Array.length facts in
-        (* First index with id > after (facts sorted by id). *)
-        let lo = ref 0 and hi = ref n in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          let id, _, _ = facts.(mid) in
-          if id <= after then lo := mid + 1 else hi := mid
-        done;
-        let start = !lo in
-        let len = min limit (n - start) in
-        let page = Array.to_list (Array.sub facts start len) in
+        let start = lower_bound n (id_at facts) (after + 1) in
+        let stop = start + min limit (n - start) in
         let next =
-          if start + len < n && len > 0 then
-            let id, _, _ = facts.(start + len - 1) in
-            Some (cursor_of_fact id)
+          if stop < n && stop > start then
+            Some (cursor_of_fact (id_at facts (stop - 1)))
           else None
         in
-        Ok (page, next))
+        Ok (start, stop, next))
 
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                            *)
@@ -205,7 +234,8 @@ let facts t (req : Http.request) =
      | Ok limit -> (
          match paginate ~cursor ~limit e.facts with
          | Error resp -> resp
-         | Ok (page, next) ->
+         | Ok (start, stop, next) ->
+           let page = Array.to_list (Array.sub e.facts start (stop - start)) in
            Json_codec.json_response
              (J.Obj
                 ([ ("query", J.Str name);
@@ -216,17 +246,6 @@ let facts t (req : Http.request) =
                 | Some c -> [ ("next_cursor", J.Str c) ]
                 | None -> []))))
 
-let shap_json values (id, rel, tuple) =
-  match List.assoc_opt id values with
-  | None -> None
-  | Some v ->
-    Some
-      (J.Obj
-         [ ("fact", J.Int id);
-           ("relation", J.Str rel);
-           ("tuple", Json_codec.tuple tuple);
-           ("shapley", Json_codec.rat v) ])
-
 let shapley t (req : Http.request) =
   match Json_codec.parse_body req with
   | Error resp -> resp
@@ -236,19 +255,18 @@ let shapley t (req : Http.request) =
       | Error resp, _ | _, Error resp -> resp
       | Ok name, Ok fact_id ->
         with_entry t name @@ fun e ->
-        (match
-           Array.find_opt (fun (id, _, _) -> id = fact_id) e.facts
-         with
+        (match search (Array.length e.facts) (id_at e.facts) fact_id with
          | None ->
            Json_codec.error 404
              (Printf.sprintf "query %s has no fact %d" name fact_id)
-         | Some (id, rel, tuple) ->
-           let values, solver = shapley_all t e in
-           (match List.assoc_opt id values with
+         | Some i ->
+           let id, rel, tuple = e.facts.(i) in
+           let a, solver = shapley_all t e in
+           (match answer_index a id with
             | None ->
               Json_codec.error 500
                 (Printf.sprintf "no Shapley value for fact %d" id)
-            | Some v ->
+            | Some j ->
               Json_codec.json_response
                 (J.Obj
                    [ ("query", J.Str name);
@@ -256,8 +274,11 @@ let shapley t (req : Http.request) =
                      ("relation", J.Str rel);
                      ("tuple", Json_codec.tuple tuple);
                      ("solver", J.Str (solver_string solver));
-                     ("shapley", Json_codec.rat v) ]))))
+                     ("shapley", Json_codec.rat a.Cache.values.(j)) ]))))
 
+(* A page's body is its facts' elements, rendered on the cache fill,
+   between a head and a tail, built in one allocation: byte for byte
+   what [Json_codec.json_response] prints of the equivalent tree. *)
 let shapley_all_route t (req : Http.request) =
   match Json_codec.parse_body req with
   | Error resp -> resp
@@ -272,19 +293,29 @@ let shapley_all_route t (req : Http.request) =
         with_entry t name @@ fun e ->
         (match paginate ~cursor ~limit e.facts with
          | Error resp -> resp
-         | Ok (page, next) ->
-           let values, solver = shapley_all t e in
-           let vals = List.filter_map (shap_json values) page in
-           Json_codec.json_response
-             (J.Obj
-                ([ ("query", J.Str name);
-                   ("total", J.Int (Array.length e.facts));
-                   ("solver", J.Str (solver_string solver));
-                   ("values", J.List vals) ]
-                @
-                match next with
-                | Some c -> [ ("next_cursor", J.Str c) ]
-                | None -> []))))
+         | Ok (start, stop, next) ->
+           let a, solver = shapley_all t e in
+           let head =
+             Printf.sprintf {|{"query":%s,"total":%d,"solver":%s,"values":[|}
+               (J.to_string (J.Str name))
+               (Array.length e.facts)
+               (J.to_string (J.Str (solver_string solver)))
+           and tail =
+             match next with
+             | Some c ->
+               Printf.sprintf "],\"next_cursor\":%s}\n" (J.to_string (J.Str c))
+             | None -> "]}\n"
+           in
+           let parts = ref [ tail ] and last = ref true in
+           for i = stop - 1 downto start do
+             match answer_index a (id_at e.facts i) with
+             | None -> ()
+             | Some j ->
+               if not !last then parts := "," :: !parts;
+               last := false;
+               parts := a.Cache.elements.(j) :: !parts
+           done;
+           Json_codec.concat_response (head :: !parts)))
 
 (* ------------------------------------------------------------------ *)
 (* Approximate Shapley: the sampling path for queries (or SLAs) the

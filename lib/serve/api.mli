@@ -1,8 +1,11 @@
 (** The JSON API of [shapmc serve]: a set of named (database, query)
     pairs loaded once at startup, Shapley answers amortized by the
-    serving cache ({!Shapmc_cache.Cache}) — compiled circuits and
-    per-fact rationals are content-keyed and shared across requests —
-    and cursor-paginated fact enumeration.
+    serving cache ({!Shapmc_cache.Cache}) — compiled circuits and full
+    answers are content-keyed and shared across requests — and
+    cursor-paginated fact enumeration.  An answer's facts are rendered
+    as [/v1/shapley/all] page elements once, when it fills the cache; a
+    warm page is those elements concatenated, and a warm
+    [/v1/shapley] renders its one rational.
 
     Routes:
     - [GET /healthz] — liveness: status, {!version}, pid, uptime,
@@ -49,13 +52,17 @@ val of_pairs : ?cache:Cache.t -> (string * (Database.t * Cq.t)) list -> t
 val load_files : ?cache:Cache.t -> (string * string) list -> t
 
 val entries : t -> entry list
+
+(** [find t name] — a hash lookup in an index built by {!of_pairs}. *)
 val find : t -> string -> entry option
 
 (** Amortized via {!Dichotomy.shapley_cached}: the first call per query
-    content compiles the lineage and solves for every fact (concurrent
-    misses of one key single-flight — the leader solves, joiners park
-    and share); later calls are cache hits and make zero oracle calls. *)
-val shapley_all : t -> entry -> (int * Rat.t) list * Dichotomy.solver
+    content compiles the lineage, solves for every fact and renders each
+    fact's page element (concurrent misses of one key single-flight —
+    the leader solves, joiners park and share); later calls are cache
+    hits and make zero oracle calls.
+    @raise Invalid_argument if [entry] is not one of [t]'s. *)
+val shapley_all : t -> entry -> Cache.answer * Dichotomy.solver
 
 (** Version string reported by [/healthz]. *)
 val version : string

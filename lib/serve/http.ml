@@ -320,7 +320,7 @@ let reason = function
   | _ -> "Unknown"
 
 let render_response ?(headers = []) ?(keep_alive = false) ~status ~body () =
-  let b = Buffer.create (String.length body + 256) in
+  let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
   Buffer.add_string b
@@ -332,5 +332,5 @@ let render_response ?(headers = []) ?(keep_alive = false) ~status ~body () =
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
     headers;
   Buffer.add_string b "\r\n";
-  Buffer.add_string b body;
-  Buffer.contents b
+  (* the body's one copy *)
+  Buffer.contents b ^ body

@@ -77,7 +77,8 @@ val reason : int -> string
 (** [render_response ~status ~body ()] prints a full HTTP/1.1 response
     with [Content-Length] and a [Connection: keep-alive]/[close] header
     ([keep_alive] defaults to [false]).  [headers] come before the
-    body verbatim; give [Content-Type] there. *)
+    body verbatim; give [Content-Type] there.  The body is copied once,
+    into the response. *)
 val render_response :
   ?headers:(string * string) list ->
   ?keep_alive:bool ->

@@ -7,6 +7,11 @@ let json_response ?(status = 200) ?(headers = []) json =
     headers = content_type_json :: headers;
     body = J.to_string json ^ "\n" }
 
+let concat_response parts =
+  { Router.status = 200;
+    headers = [ content_type_json ];
+    body = String.concat "" parts }
+
 let error status message =
   json_response ~status
     (J.Obj

@@ -9,6 +9,11 @@ val json_response :
 (** Serialize with a trailing newline and [Content-Type:
     application/json]. *)
 
+val concat_response : string list -> Router.response
+(** A 200 JSON response whose body is the concatenation of [parts]:
+    JSON text already rendered, ending in the newline {!json_response}
+    prints.  The body is built in one allocation. *)
+
 val error : int -> string -> Router.response
 (** [{"error":{"code":...,"message":...}}] *)
 

@@ -84,10 +84,9 @@ let start t =
 
 let write_all fd s =
   let n = String.length s in
-  let b = Bytes.of_string s in
   let rec go off =
     if off < n then
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | 0 -> ()
       | k -> go (off + k)
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()

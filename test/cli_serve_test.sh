@@ -54,6 +54,22 @@ out=$("$probe" 127.0.0.1 "$port" GET /v1/queries)
 grep -q '"name":"serve_demo"' <<<"$out" || fail "queries body wrong: $out"
 grep -q '"classification":"hierarchical"' <<<"$out" || fail "classification missing: $out"
 
+# a page, answered by the cache fill and then by a hit: identical bodies
+fill=$("$probe" 127.0.0.1 "$port" POST /v1/shapley/all '{"query":"serve_demo","limit":2}')
+grep -q "HTTP/1.1 200" <<<"$fill" || fail "page not 200: $fill"
+grep -q '"next_cursor":"f000000000002"' <<<"$fill" || fail "page lacks its next_cursor: $fill"
+hit=$("$probe" 127.0.0.1 "$port" POST /v1/shapley/all '{"query":"serve_demo","limit":2}')
+[ "$(tail -1 <<<"$hit")" = "$(tail -1 <<<"$fill")" ] \
+  || fail "the hit's page differs from the fill's: $hit"
+out=$("$probe" 127.0.0.1 "$port" GET /metrics)
+grep -q '^shapmc_cache_misses_total{tier="shapley"} 1$' <<<"$out" \
+  || fail "the first page was not the one fill: $out"
+grep -q '^shapmc_cache_hits_total{tier="shapley"} 1$' <<<"$out" \
+  || fail "the second page was not a hit: $out"
+# ...and the bytes of rendered elements resident are reported
+awk '/^shapmc_cache_bytes\{tier="shapley"\}/ { if ($NF + 0 > 0) ok = 1 } END { exit !ok }' <<<"$out" \
+  || fail "no cache_bytes gauge after a page: $out"
+
 # exact Shapley value of fact 1 (Example 13: 1/4)
 out=$("$probe" 127.0.0.1 "$port" POST /v1/shapley '{"query":"serve_demo","fact":1}')
 grep -q "HTTP/1.1 200" <<<"$out" || fail "shapley not 200: $out"

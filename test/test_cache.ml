@@ -29,7 +29,7 @@ let check_bool = Alcotest.(check bool)
 
 let lru_eviction_order () =
   let evicted = ref [] in
-  let l = Lru.create ~on_evict:(fun k -> evicted := k :: !evicted)
+  let l = Lru.create ~on_evict:(fun k _ -> evicted := k :: !evicted)
       ~capacity:3 () in
   Lru.put l "a" 1;
   Lru.put l "b" 2;
@@ -86,6 +86,39 @@ let lru_remove_tagged () =
   Lru.put l ~tags:[ "red" ] "e" 5;
   check_int "only c is still blue" 1 (Lru.remove_tagged l "blue");
   check_int "e retagged red" 1 (Lru.remove_tagged l "red")
+
+(* Three 3-fact answers in an 8-fact tier: the third evicts the oldest
+   as a whole, and the counters count weight. *)
+let lru_evicts_by_weight () =
+  let evicted = ref [] in
+  let l =
+    Lru.create ~on_evict:(fun k w -> evicted := (k, w) :: !evicted)
+      ~capacity:8 ()
+  in
+  Lru.put l ~weight:3 "a" 1;
+  Lru.put l ~weight:3 "b" 2;
+  check_int "two answers, six facts" 6 (Lru.weight l);
+  Lru.put l ~weight:3 "c" 3;
+  Alcotest.(check (list string)) "the oldest went whole" [ "c"; "b" ]
+    (Lru.keys l);
+  Alcotest.(check (list (pair string int))) "on_evict saw its weight"
+    [ ("a", 3) ] !evicted;
+  check_int "weight" 6 (Lru.weight l);
+  check_int "entries" 2 (Lru.length l);
+  check_int "evicted weight" 3 (Lru.evictions l);
+  (* Heavier than the whole capacity: evicted at once, displacing
+     nothing. *)
+  Lru.put l ~weight:9 "huge" 4;
+  check_bool "huge not resident" false (Lru.mem l "huge");
+  Alcotest.(check (list string)) "b and c stay" [ "c"; "b" ] (Lru.keys l);
+  check_int "evicted weight counts it" 12 (Lru.evictions l);
+  Lru.put l ~tags:[ "t" ] ~weight:3 "b" 2;
+  check_int "remove_tagged returns the weight dropped" 3
+    (Lru.remove_tagged l "t");
+  check_int "weight after removal" 3 (Lru.weight l);
+  Alcotest.check_raises "weight 0 rejected"
+    (Invalid_argument "Lru.put: weight must be positive")
+    (fun () -> Lru.put l ~weight:0 "z" 0)
 
 let lru_bad_capacity () =
   Alcotest.check_raises "capacity 0 rejected"
@@ -187,15 +220,31 @@ let shapley_tier_roundtrip () =
   let v1 = Cache.shapley_all c ~key:"q" solve in
   let v2 = Cache.shapley_all c ~key:"q" solve in
   check_int "second lookup is a hit" 1 !solves;
-  check_bool "the hit reassembles the answer in fact order" true
-    (v1 = answer && v2 = answer);
+  check_bool "the hit returns the answer in fact order" true
+    (Cache.bindings v1 = answer && Cache.bindings v2 = answer);
+  check_bool "no render, no elements" true (v2.Cache.elements = [||]);
   let stats = List.assoc "shapley" (Cache.stats c) in
-  check_int "one rational per fact" 2 stats.Cache.ts_entries
+  check_int "entries count facts" 2 stats.Cache.ts_entries;
+  (* A rendering caller does not take the unrendered answer: it fills
+     once, and its elements are rendered on that fill only. *)
+  let renders = ref 0 in
+  let render f v =
+    incr renders;
+    Printf.sprintf "%d=%s" f (Rat.to_string v)
+  in
+  let r1 = Cache.shapley_all c ~key:"q" ~render solve in
+  let r2 = Cache.shapley_all c ~key:"q" ~render solve in
+  check_int "the rendering caller re-solved once" 2 !solves;
+  check_int "rendered on the fill, not on the hit" 2 !renders;
+  Alcotest.(check (array string)) "elements in fact order"
+    [| "1=1/4"; "2=3/4" |] r2.Cache.elements;
+  check_bool "the hit is the stored answer" true (r1 == r2);
+  check_bool "an unrendering caller takes it too" true
+    (Cache.shapley_all c ~key:"q" solve == r2)
 
-let shapley_tier_partial_eviction () =
-  (* Result tier of 2 slots, answers of 4 facts: every solve evicts most
-     of the previous answer, so a repeat can never reassemble a full
-    answer — it must re-solve, and stays exact. *)
+let shapley_tier_oversized_answer () =
+  (* Result tier of 2 facts, an answer of 4: it is never resident, so
+     every lookup re-solves — and stays exact. *)
   let c = Cache.create ~results:2 () in
   let solves = ref 0 in
   let answer = List.init 4 (fun i -> (i + 1, Rat.of_ints 1 (i + 1))) in
@@ -205,8 +254,12 @@ let shapley_tier_partial_eviction () =
   in
   let v1 = Cache.shapley_all c ~key:"q" solve in
   let v2 = Cache.shapley_all c ~key:"q" solve in
-  check_int "partial residency re-solves" 2 !solves;
-  check_bool "still exact" true (v1 = answer && v2 = answer)
+  check_int "an answer larger than the tier re-solves" 2 !solves;
+  check_bool "still exact" true
+    (Cache.bindings v1 = answer && Cache.bindings v2 = answer);
+  let stats = List.assoc "shapley" (Cache.stats c) in
+  check_int "nothing resident" 0 stats.Cache.ts_entries;
+  check_int "each fill evicted its 4 facts" 8 stats.Cache.ts_evictions
 
 let cache_stampede () =
   let c = Cache.create () in
@@ -228,7 +281,10 @@ let cache_stampede () =
   in
   let rs = List.map Domain.join ds in
   check_int "k concurrent misses, one solve" 1 (Atomic.get solves);
-  List.iter (fun r -> check_bool "all callers share it" true (r = answer)) rs;
+  List.iter
+    (fun r ->
+      check_bool "all callers share it" true (Cache.bindings r = answer))
+    rs;
   let stats = List.assoc "shapley" (Cache.stats c) in
   check_int "one miss (the leader)" 1 stats.Cache.ts_misses;
   check_int "joiners and repeats are hits" (n - 1) stats.Cache.ts_hits
@@ -239,8 +295,10 @@ let invalidate_tag_drops_tiers () =
   ignore (Cache.circuit c ~key:"k2" (fun () -> Circuit.cvar 2));
   ignore
     (Cache.shapley_all c ~key:"q" ~tags:[ "t" ] (fun () -> [ (1, Rat.one) ]));
-  (* q contributes a meta entry + one per-fact rational, both tagged. *)
-  check_int "tagged entries dropped across tiers" 3 (Cache.invalidate_tag c "t");
+  (* The tagged circuit, plus the one fact of q's answer: an answer is
+     one entry, counted by its facts. *)
+  check_int "tagged entries dropped across tiers" 2
+    (Cache.invalidate_tag c "t");
   check_int "idempotent" 0 (Cache.invalidate_tag c "t");
   let solves = ref 0 in
   ignore
@@ -251,16 +309,19 @@ let invalidate_tag_drops_tiers () =
   let circuits = List.assoc "circuit" (Cache.stats c) in
   check_int "the untagged circuit survives" 1 circuits.Cache.ts_entries
 
-let exposed_evictions tier =
+let exposed name tier =
   List.fold_left
     (fun acc s ->
       if
-        s.Metrics.om_name = "shapmc_cache_evictions_total"
+        s.Metrics.om_name = name
         && s.Metrics.om_labels = [ ("tier", tier) ]
       then acc +. s.Metrics.om_value
       else acc)
     0.
     (Metrics.parse_openmetrics (Metrics.to_openmetrics ()))
+
+let exposed_evictions = exposed "shapmc_cache_evictions_total"
+let exposed_gauge name = exposed ("shapmc_" ^ name)
 
 let cache_metrics_exported () =
   let c = Cache.create () in
@@ -276,8 +337,8 @@ let cache_metrics_exported () =
      List.exists
        (fun s -> s.Metrics.om_name = "shapmc_cache_hits_total")
        (Metrics.parse_openmetrics om));
-  (* Four one-fact answers into two result slots: two rationals (and two
-     meta entries) are evicted, and /metrics counts what stats counts. *)
+  (* Four one-fact answers into two result slots: two are evicted, and
+     /metrics counts what stats counts. *)
   let c = Cache.create ~results:2 () in
   List.iter
     (fun q ->
@@ -286,7 +347,53 @@ let cache_metrics_exported () =
   let stats = List.assoc "shapley" (Cache.stats c) in
   check_int "stats: shapley evictions" 2 stats.Cache.ts_evictions;
   check_int "/metrics: shapley evictions" 2
+    (int_of_float (exposed_evictions "shapley"));
+  (* Facts, not answers: a 3-fact answer pushes out one answer of two
+     facts, and both sides count what is resident and evicted in facts. *)
+  Metrics.reset ();
+  let c = Cache.create ~results:4 () in
+  let fill key facts =
+    ignore
+      (Cache.shapley_all c ~key (fun () ->
+           List.map (fun f -> (f, Rat.one)) facts))
+  in
+  fill "a" [ 1; 2 ];
+  fill "b" [ 1 ];
+  fill "c" [ 1; 2; 3 ];
+  let stats = List.assoc "shapley" (Cache.stats c) in
+  check_int "stats: entries are facts" 4 stats.Cache.ts_entries;
+  check_int "stats: evicted facts" 2 stats.Cache.ts_evictions;
+  check_int "/metrics: entries are facts" 4
+    (int_of_float (exposed_gauge "cache_entries" "shapley"));
+  check_int "/metrics: evicted facts" 2
     (int_of_float (exposed_evictions "shapley"))
+
+let exposed_bytes () = int_of_float (exposed_gauge "cache_bytes" "shapley")
+
+(* cache_bytes{tier="shapley"} is the length of the rendered elements
+   resident, kept current by fills, evictions and invalidations. *)
+let cache_bytes_gauge () =
+  Metrics.reset ();
+  let c = Cache.create ~results:4 () in
+  let render f _ = String.make f 'x' in
+  let fill ?tags key facts =
+    ignore
+      (Cache.shapley_all c ~key ?tags ~render (fun () ->
+           List.map (fun f -> (f, Rat.one)) facts))
+  in
+  fill ~tags:[ "t" ] "a" [ 1; 2 ];
+  check_int "1 + 2 bytes" 3 (exposed_bytes ());
+  fill "b" [ 5 ];
+  check_int "+5 bytes" 8 (exposed_bytes ());
+  ignore (Cache.shapley_all c ~key:"c" (fun () -> [ (7, Rat.one) ]));
+  check_int "an unrendered answer adds no bytes" 8 (exposed_bytes ());
+  fill "d" [ 3; 4 ];
+  check_int "6 facts > 4: evicting a releases its 3 bytes" 12
+    (exposed_bytes ());
+  fill ~tags:[ "t" ] "e" [ 6 ];
+  check_int "b evicted, e resident" 13 (exposed_bytes ());
+  check_int "invalidation drops e's one fact" 1 (Cache.invalidate_tag c "t");
+  check_int "invalidation releases its bytes" 7 (exposed_bytes ())
 
 (* ------------------------------------------------------------------ *)
 (* Dichotomy-level caching and invalidation *)
@@ -306,6 +413,7 @@ let dichotomy_cached_matches_fresh () =
   let fresh, fs = Dichotomy.shapley db q in
   let cold, cs = Dichotomy.shapley_cached ~cache db q in
   let warm, ws = Dichotomy.shapley_cached ~cache db q in
+  let cold = Cache.bindings cold and warm = Cache.bindings warm in
   Alcotest.check solver "solver (fresh vs cold)" fs cs;
   Alcotest.check solver "solver (fresh vs warm)" fs ws;
   check_shap "cold = fresh" fresh cold;
@@ -339,8 +447,8 @@ let insert_recompiles_only_affected_lineage () =
   ignore (Database.insert db "S" [| Value.int 2 |]);
   check_bool "invalidate dropped something" true
     (Dichotomy.invalidate ~cache db "S" > 0);
-  let rr, _ = Dichotomy.shapley_cached ~cache db qr in
-  let rs, _ = Dichotomy.shapley_cached ~cache db qs in
+  let rr = Cache.bindings (fst (Dichotomy.shapley_cached ~cache db qr)) in
+  let rs = Cache.bindings (fst (Dichotomy.shapley_cached ~cache db qs)) in
   check_shap "R answer exact after S insert" (fst (Dichotomy.shapley db qr)) rr;
   check_shap "S answer exact after S insert" (fst (Dichotomy.shapley db qs)) rs;
   let circuit = List.assoc "circuit" (Cache.stats cache) in
@@ -351,18 +459,21 @@ let delete_invalidation_exact () =
   let db = two_rel_db () in
   let q = Db_parser.parse_query "R(x), S(x)" in
   let cache = Cache.create () in
-  let before, _ = Dichotomy.shapley_cached ~cache db q in
+  let cached () =
+    Cache.bindings (fst (Dichotomy.shapley_cached ~cache db q))
+  in
+  let before = cached () in
   check_shap "cached before mutation" (fst (Dichotomy.shapley db q)) before;
   let tup = [| Value.int 2 |] in
   ignore (Database.insert db "S" tup);
   ignore (Dichotomy.invalidate ~cache db "S");
-  let inserted, _ = Dichotomy.shapley_cached ~cache db q in
+  let inserted = cached () in
   check_shap "cached after insert" (fst (Dichotomy.shapley db q)) inserted;
   check_bool "values actually changed" false (before = inserted);
   check_bool "remove finds the tuple" true (Database.remove db "S" tup);
   check_bool "remove is idempotent" false (Database.remove db "S" tup);
   ignore (Dichotomy.invalidate ~cache db "S");
-  let after, _ = Dichotomy.shapley_cached ~cache db q in
+  let after = cached () in
   check_shap "cached after delete" (fst (Dichotomy.shapley db q)) after;
   check_shap "delete restored the original answer" before after
 
@@ -372,6 +483,7 @@ let compiled_dnf_cached () =
   let fresh, fs = Dichotomy.shapley db q in
   let cold, cs = Dichotomy.shapley_cached ~cache db q in
   let warm, ws = Dichotomy.shapley_cached ~cache db q in
+  let cold = Cache.bindings cold and warm = Cache.bindings warm in
   Alcotest.check solver "non-hierarchical solver" Dichotomy.Compiled_dnf fs;
   Alcotest.check solver "cold solver agrees" fs cs;
   Alcotest.check solver "warm solver agrees" fs ws;
@@ -385,6 +497,7 @@ let cold_solve_fills_both_tiers () =
     (fun (db, q) ->
       let cache = Cache.create () in
       let cold, cs = Dichotomy.shapley_cached ~cache db q in
+      let cold = Cache.bindings cold in
       let fresh, fs = Dichotomy.shapley db q in
       Alcotest.check solver "solver" fs cs;
       check_shap "cold = fresh" fresh cold;
@@ -428,6 +541,69 @@ let digests_pinned () =
     (Db_fingerprint.lineage_key db q);
   Alcotest.(check string) "result_key" "24b491d4c42f59cc"
     (Db_fingerprint.result_key db q)
+
+(* A database's keys must be those of a database built fresh with the
+   same rows after every mutation, although each relation is digested
+   once per version. *)
+let rebuilt db =
+  let fresh = Database.create () in
+  List.iter
+    (fun r ->
+      let kind = Database.kind_of db r in
+      Database.declare fresh r ~kind ~arity:(Database.arity_of db r);
+      List.iter
+        (fun (st : Database.stored) ->
+          match st.Database.lvar with
+          | Some lvar ->
+            Database.insert_with_var fresh r st.Database.values ~lvar
+          | None -> ignore (Database.insert fresh r st.Database.values))
+        (Database.tuples db r))
+    (Database.relation_names db);
+  fresh
+
+let keys db q =
+  List.map (Db_fingerprint.relation db) (Database.relation_names db)
+  @ [ Db_fingerprint.lineage_key db q; Db_fingerprint.result_key db q ]
+
+let digests_follow_mutations () =
+  let db = Database.create () in
+  Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
+  Database.declare db "S" ~kind:Database.Endogenous ~arity:2;
+  Database.declare db "T" ~kind:Database.Exogenous ~arity:1;
+  ignore (Database.insert db "R" [| Value.int 1 |]);
+  ignore (Database.insert db "T" [| Value.int 1 |]);
+  let q = Db_parser.parse_query "R(x), S(x,y), T(x)" in
+  let check what db =
+    Alcotest.(check (list string)) what (keys (rebuilt db) q) (keys db q)
+  in
+  let step what mutate =
+    ignore (keys db q);
+    (* every digest is stored now; the mutation must drop its own *)
+    mutate ();
+    check what db
+  in
+  step "insert (endogenous)" (fun () ->
+      ignore (Database.insert db "S" [| Value.int 1; Value.int 2 |]));
+  step "insert (exogenous)" (fun () ->
+      ignore (Database.insert db "T" [| Value.int 2 |]));
+  step "insert_with_var" (fun () ->
+      Database.insert_with_var db "R" [| Value.int 7 |] ~lvar:40);
+  step "remove" (fun () ->
+      check_bool "removed" true (Database.remove db "R" [| Value.int 1 |]));
+  step "remove (absent)" (fun () ->
+      check_bool "absent" false (Database.remove db "R" [| Value.int 1 |]));
+  (* A copy mutated apart from its source gets its own digest; the
+     source keeps its own. *)
+  let before = keys db q in
+  let copy = Database.copy db in
+  Alcotest.(check (list string)) "a copy starts equal" before (keys copy q);
+  ignore (Database.insert copy "S" [| Value.int 7; Value.int 7 |]);
+  check "the mutated copy" copy;
+  check_bool "the copy's keys moved" true (keys copy q <> before);
+  Alcotest.(check (list string)) "the source keeps its keys" before (keys db q);
+  ignore (Database.remove db "T" [| Value.int 2 |]);
+  check "the source mutated after the copy" db;
+  check "the copy untouched by it" copy
 
 let gen_value =
   let open QCheck.Gen in
@@ -539,7 +715,7 @@ let run_scenario ~jobs ~cache ops =
         let fresh, fs = Dichotomy.shapley db q in
         if cs <> fs then
           QCheck.Test.fail_reportf "solver mismatch on %s" query_pool.(i);
-        let rc = render cached and rf = render fresh in
+        let rc = render (Cache.bindings cached) and rf = render fresh in
         if rc <> rf then
           QCheck.Test.fail_reportf
             "cached <> fresh on %s\n  cached: %s\n  fresh:  %s"
@@ -578,22 +754,27 @@ let suite =
       lru_remove_tagged;
     Alcotest.test_case "lru: capacity must be positive" `Quick
       lru_bad_capacity;
+    Alcotest.test_case "lru: eviction by weight drops whole entries" `Quick
+      lru_evicts_by_weight;
     Alcotest.test_case "single-flight: stampede computes once" `Quick
       single_flight_stampede;
     Alcotest.test_case "single-flight: failure shared, flight dropped" `Quick
       single_flight_failure;
     Alcotest.test_case "cache: two tiers, sized by create" `Quick
       two_tiers_sized_by_create;
-    Alcotest.test_case "cache: shapley tier reassembles per-fact entries"
+    Alcotest.test_case "cache: shapley tier holds one answer, rendered once"
       `Quick shapley_tier_roundtrip;
-    Alcotest.test_case "cache: partial eviction re-solves, stays exact"
-      `Quick shapley_tier_partial_eviction;
+    Alcotest.test_case
+      "cache: an answer larger than the tier re-solves, stays exact" `Quick
+      shapley_tier_oversized_answer;
     Alcotest.test_case "cache: concurrent misses single-flight" `Quick
       cache_stampede;
     Alcotest.test_case "cache: invalidate_tag crosses tiers" `Quick
       invalidate_tag_drops_tiers;
     Alcotest.test_case "cache: metrics exported, evictions counted once"
       `Quick cache_metrics_exported;
+    Alcotest.test_case "cache: cache_bytes counts resident elements" `Quick
+      cache_bytes_gauge;
     Alcotest.test_case "dichotomy: cached = fresh (hierarchical)" `Quick
       dichotomy_cached_matches_fresh;
     Alcotest.test_case "dichotomy: insert recompiles only affected lineage"
@@ -604,5 +785,7 @@ let suite =
       compiled_dnf_cached;
     Alcotest.test_case "dichotomy: cold solve fills one circuit, one answer"
       `Quick cold_solve_fills_both_tiers;
-    Alcotest.test_case "keys: digests pinned" `Quick digests_pinned ]
+    Alcotest.test_case "keys: digests pinned" `Quick digests_pinned;
+    Alcotest.test_case "keys: one digest per relation version" `Quick
+      digests_follow_mutations ]
   @ value_tests @ differential_tests

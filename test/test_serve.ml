@@ -625,6 +625,181 @@ let api_shapley_errors () =
   Alcotest.(check int) "wrong field type" 400
     (status (post routes "/v1/shapley" {|{"query":"demo","fact":"one"}|}))
 
+(* ------------------------------------------------------------------ *)
+(* Byte-identity oracle: the Shapley responses rendered as whole
+   [Tiny_json] trees — [oracle_shap_json] per fact plus
+   [Json_codec.json_response] — over the fresh solver's values.  The
+   routes concatenate elements rendered on the cache fill instead; every
+   response must equal this oracle's byte for byte, on the cold
+   dispatch (the fill) and the warm one (a hit). *)
+
+let oracle_solver = function
+  | Dichotomy.Safe_plan_circuit -> "safe-plan-circuit"
+  | Dichotomy.Compiled_dnf -> "compiled-dnf"
+
+let oracle_shap_json values (id, rel, tuple) =
+  match List.assoc_opt id values with
+  | None -> None
+  | Some v ->
+    Some
+      (J.Obj
+         [ ("fact", J.Int id);
+           ("relation", J.Str rel);
+           ("tuple", Json_codec.tuple tuple);
+           ("shapley", Json_codec.rat v) ])
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+let oracle_page ?cursor ?limit (e : Api.entry) =
+  let values, solver = Dichotomy.shapley e.Api.db e.Api.query in
+  let after =
+    match cursor with
+    | None -> -1
+    | Some c -> Option.get (Api.fact_of_cursor c)
+  in
+  let rest =
+    List.filter (fun (id, _, _) -> id > after) (Array.to_list e.Api.facts)
+  in
+  let limit = Option.value ~default:Api.default_limit limit in
+  let page = take (min Api.max_limit limit) rest in
+  let next =
+    match List.rev page with
+    | (id, _, _) :: _ when List.length page < List.length rest ->
+      [ ("next_cursor", J.Str (Api.cursor_of_fact id)) ]
+    | _ -> []
+  in
+  Json_codec.json_response
+    (J.Obj
+       ([ ("query", J.Str e.Api.name);
+          ("total", J.Int (Array.length e.Api.facts));
+          ("solver", J.Str (oracle_solver solver));
+          ("values", J.List (List.filter_map (oracle_shap_json values) page)) ]
+       @ next))
+
+let oracle_fact id (e : Api.entry) =
+  match Array.find_opt (fun (i, _, _) -> i = id) e.Api.facts with
+  | None ->
+    Json_codec.error 404
+      (Printf.sprintf "query %s has no fact %d" e.Api.name id)
+  | Some (_, rel, tuple) ->
+    let values, solver = Dichotomy.shapley e.Api.db e.Api.query in
+    Json_codec.json_response
+      (J.Obj
+         [ ("query", J.Str e.Api.name);
+           ("fact", J.Int id);
+           ("relation", J.Str rel);
+           ("tuple", Json_codec.tuple tuple);
+           ("solver", J.Str (oracle_solver solver));
+           ("shapley", Json_codec.rat (List.assoc id values)) ])
+
+(* Tuple strings that need escaping: a quote, a backslash, control
+   characters; and a query name that does too. *)
+let escape_name = "esc\"\\\001"
+
+let escape_db () =
+  let db = Database.create () in
+  Database.declare db "R" ~kind:Database.Endogenous ~arity:2;
+  List.iter
+    (fun (s, i) ->
+      ignore (Database.insert db "R" [| Value.str s; Value.int i |]))
+    [ ("quote\"d", 1); ("back\\slash", 2); ("ctl\001\n\t", 3); ("plain", 4) ];
+  db
+
+let oracle_pairs () =
+  [ ("demo", (example13_db (), demo_query ()));
+    ("page", (page_db 7, Db_parser.parse_query "R(x)"));
+    ("q0", random_q0_db ~a:3 ~b:3 ~density:0.6 ~seed:11);
+    (escape_name, (escape_db (), Db_parser.parse_query "R(x, y)")) ]
+
+let response =
+  Alcotest.testable
+    (fun ppf (r : Router.response) ->
+      Format.fprintf ppf "%d [%s] %S" r.Router.status
+        (String.concat "; "
+           (List.map (fun (k, v) -> k ^ ": " ^ v) r.Router.headers))
+        r.Router.body)
+    ( = )
+
+let api_pages_match_the_tree_renderer () =
+  let page_body ?cursor ?limit name =
+    J.to_string
+      (J.Obj
+         (("query", J.Str name)
+          :: (match cursor with
+              | Some c -> [ ("cursor", J.Str c) ]
+              | None -> [])
+          @ match limit with Some l -> [ ("limit", J.Int l) ] | None -> []))
+  in
+  let fact_body name id =
+    J.to_string (J.Obj [ ("query", J.Str name); ("fact", J.Int id) ])
+  in
+  let c = Api.cursor_of_fact in
+  let page ?cursor ?limit name what =
+    ( what,
+      "/v1/shapley/all",
+      page_body ?cursor ?limit name,
+      Some name,
+      oracle_page ?cursor ?limit )
+  and fact name id what =
+    ("/v1/shapley " ^ what, "/v1/shapley", fact_body name id, Some name,
+     oracle_fact id)
+  and unknown path =
+    ( path ^ " unknown query",
+      path,
+      (if path = "/v1/shapley" then fact_body "nope" 1 else page_body "nope"),
+      None,
+      fun _ -> Json_codec.error 404 "no such query: nope" )
+  in
+  let cases =
+    List.concat_map
+      (fun name ->
+        [ page name "default page";
+          fact name 1 "first fact";
+          fact name 4 "fact 4";
+          fact name 99 "missing fact" ])
+      [ "demo"; "page"; escape_name ]
+    @ [ page "q0" "compiled-dnf page";
+        page ~limit:3 "page" "limit 3: a page with next_cursor";
+        page ~cursor:(c 3) ~limit:3 "page" "cursor, then next_cursor";
+        page ~cursor:(c 4) ~limit:3 "page" "last page, no next_cursor";
+        page ~cursor:(c 6) ~limit:3 "page" "short last page";
+        page ~cursor:(c 7) "page" "past the end: empty";
+        page ~limit:2 escape_name "escaped page with next_cursor";
+        page ~cursor:(c 2) escape_name "escaped last page";
+        fact "page" 7 "last fact";
+        unknown "/v1/shapley/all";
+        unknown "/v1/shapley" ]
+  in
+  List.iter
+    (fun (what, path, body, name, oracle) ->
+      (* a fresh Api per case: the first dispatch fills, the second hits *)
+      let api = Api.of_pairs (oracle_pairs ()) in
+      let routes = Api.routes api in
+      let expected =
+        oracle
+          (match name with
+           | Some n -> Option.get (Api.find api n)
+           | None -> List.hd (Api.entries api))
+      in
+      let check phase =
+        Alcotest.check response (what ^ phase) expected (post routes path body)
+      in
+      check " (cold)";
+      check " (warm)")
+    cases
+
+let api_shapley_all_own_entries () =
+  let a = demo_api () and b = demo_api () in
+  Alcotest.check_raises "an entry of another Api.t"
+    (Invalid_argument "Api.shapley_all: unknown entry demo") (fun () ->
+      ignore (Api.shapley_all a (Option.get (Api.find b "demo"))));
+  let answer, _ = Api.shapley_all a (Option.get (Api.find a "demo")) in
+  check_shap "its own entry"
+    (fst (Dichotomy.shapley (example13_db ()) (demo_query ())))
+    (Cache.bindings answer)
+
 let float_exn j = Option.get (J.to_float j)
 let bool_exn j = Option.get (J.to_bool j)
 
@@ -2071,4 +2246,8 @@ let suite =
     t "exec: task exceptions are contained" exec_task_exception_is_contained;
     t "exec: nested fan-out degrades in a worker" exec_nested_fanout_degrades;
     t "limits: non-positive values are rejected, naming the flag"
-      limits_validation ]
+      limits_validation;
+    t "api: pages byte-identical to the tree renderer, cold and warm"
+      api_pages_match_the_tree_renderer;
+    t "api: shapley_all takes only its own entries"
+      api_shapley_all_own_entries ]
