@@ -34,10 +34,14 @@ let declare db name ~kind ~arity =
     invalid_arg ("Database.declare: duplicate relation " ^ name);
   db.rels <- (name, { kind; arity; rows = []; digest = None }) :: db.rels
 
-let check_tuple r name values =
+(* The one ground-tuple lookup: a scan of the stored rows, no copy. *)
+let find_tuple db name values =
+  List.find_opt (fun s -> s.values = values) (find db name).rows
+
+let check_tuple db r name values =
   if Array.length values <> r.arity then
     invalid_arg ("Database: arity mismatch for " ^ name);
-  if List.exists (fun s -> s.values = values) r.rows then
+  if find_tuple db name values <> None then
     invalid_arg ("Database: duplicate tuple in " ^ name)
 
 let insert db name values =
@@ -45,7 +49,7 @@ let insert db name values =
     try find db name
     with Not_found -> invalid_arg ("Database.insert: unknown relation " ^ name)
   in
-  check_tuple r name values;
+  check_tuple db r name values;
   let lvar =
     match r.kind with
     | Exogenous -> None
@@ -67,7 +71,7 @@ let insert_with_var db name values ~lvar =
   in
   if r.kind <> Endogenous then
     invalid_arg "Database.insert_with_var: relation is exogenous";
-  check_tuple r name values;
+  check_tuple db r name values;
   if Hashtbl.mem db.var_index lvar then
     invalid_arg "Database.insert_with_var: lineage variable already in use";
   Hashtbl.replace db.var_index lvar (name, values);
@@ -80,7 +84,7 @@ let remove db name values =
     try find db name
     with Not_found -> invalid_arg ("Database.remove: unknown relation " ^ name)
   in
-  match List.find_opt (fun s -> s.values = values) r.rows with
+  match find_tuple db name values with
   | None -> false
   | Some s ->
     r.rows <- List.filter (fun s' -> s' != s) r.rows;
@@ -105,7 +109,7 @@ let kind_of db name = (find db name).kind
 let arity_of db name = (find db name).arity
 let relation_names db = List.rev_map fst db.rels
 let tuples db name = List.rev (find db name).rows
-let mem db name values = List.exists (fun s -> s.values = values) (find db name).rows
+let mem db name values = find_tuple db name values <> None
 
 let active_domain db =
   let module Vs = Set.Make (struct

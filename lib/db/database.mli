@@ -72,7 +72,16 @@ val relation_names : t -> string list
 (** [tuples db name] in insertion order. *)
 val tuples : t -> string -> stored list
 
-(** [mem db name values] tests tuple presence. *)
+(** [find_tuple db name values] is the stored tuple of [name] with
+    exactly [values], if present: its [lvar] is [Some v] in an endogenous
+    relation and [None] in an exogenous one.  It is the one ground-tuple
+    lookup — {!insert}, {!insert_with_var}, {!remove}, {!mem}, the
+    negated atoms of [Lineage] and the ground atoms of [Safe_plan] all go
+    through it — and it scans the stored rows without copying them.
+    @raise Not_found for unknown relations. *)
+val find_tuple : t -> string -> Value.t array -> stored option
+
+(** [mem db name values] tests tuple presence ({!find_tuple}). *)
 val mem : t -> string -> Value.t array -> bool
 
 (** [active_domain db] is the set (sorted, deduplicated) of all values

@@ -24,11 +24,15 @@ let dispatch db q =
   | Non_hierarchical _ | Has_self_joins | Has_negation ->
     (Compiled_dnf, fun () -> Compile.compile (Lineage.lineage_formula db q))
 
+let circuit db q =
+  let solver, build = dispatch db q in
+  (build (), solver)
+
 let universe db = Vset.elements (Database.lineage_vars db)
 
 let shapley db q =
-  let solver, build = dispatch db q in
-  (Circuit_shapley.shap_direct ~vars:(universe db) (build ()), solver)
+  let c, solver = circuit db q in
+  (Circuit_shapley.shap_direct ~vars:(universe db) c, solver)
 
 let shapley_cached ?(on_miss = fun solve -> solve ()) ?render ~cache db q =
   let solver, build = dispatch db q in
@@ -74,5 +78,5 @@ let shapley_brute db q =
   Naive.shap_subsets ~vars:(universe db) (Lineage.lineage_formula db q)
 
 let count_models db q =
-  let solver, build = dispatch db q in
-  (Count.count ~vars:(universe db) (build ()), solver)
+  let c, solver = circuit db q in
+  (Count.count ~vars:(universe db) c, solver)

@@ -22,6 +22,13 @@ type solver =
 
 val classify : Cq.t -> classification
 
+(** [circuit db q] is the lineage circuit of [q] over [db] and the solver
+    that built it: {!Safe_plan.lineage_circuit} when [classify q] is
+    [Hierarchical], otherwise the lineage compiled by [Compile.compile].
+    It is the one Theorem 5.1 dispatch: the solvers below, [Pqe] and
+    [Hardness]'s reference oracle all solve on its circuit. *)
+val circuit : Database.t -> Cq.t -> Circuit.node * solver
+
 (** [shapley db q] computes the Shapley value of every endogenous tuple
     (keyed by lineage variable), reporting which solver ran.  It caches
     nothing: it is the reference {!shapley_cached} is checked against. *)

@@ -17,14 +17,9 @@ let encode (inst : Bipartite.t) =
 
 type q0_shapley_oracle = Database.t -> (int * Rat.t) list
 
-(* Reference oracle: compile the lineage DNF to a d-D circuit and run the
-   polynomial circuit algorithm on it.  The compilation step is the
-   exponential part — exactly where Theorem 5.1 says the cost must live. *)
-let reference_oracle db =
-  let q = Stretch.q0 () in
-  let universe = Vset.elements (Database.lineage_vars db) in
-  let c = Compile.compile (Lineage.lineage_formula db q) in
-  Circuit_shapley.shap_direct ~vars:universe c
+(* Q0 is non-hierarchical, so the dichotomy compiles its lineage: the
+   exponential part, exactly where Theorem 5.1 says the cost must live. *)
+let reference_oracle db = fst (Dichotomy.shapley db (Stretch.q0 ()))
 
 let count_via_q0_shapley ~oracle inst =
   let db, q = encode inst in

@@ -30,7 +30,9 @@ val encode : Bipartite.t -> Database.t * Cq.t
     Shapley value of each lineage variable of [F_{Q0,D}]. *)
 type q0_shapley_oracle = Database.t -> (int * Rat.t) list
 
-(** The exponential reference oracle (Eq. (2) on the lineage). *)
+(** The exponential reference oracle: {!Dichotomy.shapley} on [Q0],
+    which is non-hierarchical, so its lineage is compiled to a d-D
+    circuit and solved by one circuit Shapley pass. *)
 val reference_oracle : q0_shapley_oracle
 
 (** [count_via_q0_shapley ~oracle inst] counts the models of the

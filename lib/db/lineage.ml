@@ -1,7 +1,4 @@
-(* Backtracking join: process atoms left to right, maintaining a partial
-   assignment of query variables; at each atom, scan the relation for
-   tuples consistent with the assignment. *)
-
+(* Unify an atom against a stored tuple under a partial assignment. *)
 let matches env (a : Cq.atom) (s : Database.stored) =
   let bind acc i =
     match acc with
@@ -19,32 +16,24 @@ let matches env (a : Cq.atom) (s : Database.stored) =
   in
   go (Some env) 0
 
-let assignments db q =
-  Cq.check_against q db;
-  if not (Cq.is_positive q) then
-    invalid_arg "Lineage.assignments: query has negated atoms";
-  let out = ref [] in
-  let rec search env used = function
-    | [] -> out := (env, used) :: !out
-    | (a : Cq.atom) :: rest ->
-      List.iter
-        (fun (s : Database.stored) ->
-           match matches env a s with
-           | None -> ()
-           | Some env' ->
-             let used' =
-               match s.lvar with
-               | Some v -> Vset.add v used
-               | None -> used
-             in
-             search env' used' rest)
-        (Database.tuples db a.rel)
+(* The backtracking join: atoms left to right, each against its
+   relation's rows (read once, in insertion order), extending a partial
+   assignment of the query variables. *)
+let fold db atoms ~init ~leaf =
+  let scans =
+    List.map (fun (a : Cq.atom) -> (a, Database.tuples db a.rel)) atoms
   in
-  search [] Vset.empty q.atoms;
-  List.rev_map (fun (env, used) -> (List.rev env, used)) !out
-
-let lineage db q =
-  List.sort_uniq Vset.compare (List.map snd (assignments db q))
+  let rec search acc env rows = function
+    | [] -> leaf acc env (List.rev rows)
+    | (a, tuples) :: rest ->
+      List.fold_left
+        (fun acc s ->
+           match matches env a s with
+           | None -> acc
+           | Some env' -> search acc env' (s :: rows) rest)
+        acc tuples
+  in
+  search init [] [] scans
 
 (* Ground a negated atom under a full assignment and report its effect:
    [None] kills the assignment (present exogenous tuple), [Some None] is
@@ -62,60 +51,51 @@ let negated_effect db env (a : Cq.atom) =
                "Lineage: unsafe negation (variable not bound positively)"))
       a.args
   in
-  let row =
-    List.find_opt
-      (fun (s : Database.stored) -> s.values = values)
-      (Database.tuples db a.rel)
-  in
-  match (row, Database.kind_of db a.rel) with
-  | None, _ -> Some None
-  | Some _, Database.Exogenous -> None
-  | Some s, Database.Endogenous -> Some (Some (Option.get s.lvar))
+  match Database.find_tuple db a.rel values with
+  | None -> Some None
+  | Some { Database.lvar = None; _ } -> None
+  | Some { Database.lvar = Some v; _ } -> Some (Some v)
 
 let lineage_clauses db q =
   Cq.check_against q db;
   let positive, negated =
     List.partition (fun (a : Cq.atom) -> not a.Cq.negated) q.Cq.atoms
   in
-  let out = ref [] in
-  let rec search env used = function
-    | [] ->
-      (* extend the clause with the negated atoms' literals *)
-      let rec extend neg = function
-        | [] ->
-          if Vset.disjoint used neg then
-            out := { Nf.pos = used; Nf.neg } :: !out
-        | a :: rest ->
-          (match negated_effect db env a with
-           | None -> () (* exogenous blocker: assignment dies *)
-           | Some None -> extend neg rest
-           | Some (Some v) -> extend (Vset.add v neg) rest)
-      in
-      extend Vset.empty negated
-    | (a : Cq.atom) :: rest ->
-      List.iter
-        (fun (s : Database.stored) ->
-           match matches env a s with
-           | None -> ()
-           | Some env' ->
-             let used' =
-               match s.lvar with
-               | Some v -> Vset.add v used
-               | None -> used
-             in
-             search env' used' rest)
-        (Database.tuples db a.rel)
-  in
   if positive = [] then invalid_arg "Lineage: no positive atoms";
-  search [] Vset.empty positive;
-  (* dedupe on canonical element lists (polymorphic compare is not stable
-     on balanced-tree set internals) *)
-  let key (c : Nf.clause) = (Vset.elements c.Nf.pos, Vset.elements c.Nf.neg) in
-  List.sort_uniq (fun a b -> compare (key a) (key b)) !out
+  let leaf out env rows =
+    let used =
+      List.fold_left
+        (fun used (s : Database.stored) ->
+           match s.lvar with Some v -> Vset.add v used | None -> used)
+        Vset.empty rows
+    in
+    (* extend the clause with the negated atoms' literals *)
+    let rec extend neg = function
+      | [] ->
+        if Vset.disjoint used neg then { Nf.pos = used; Nf.neg } :: out
+        else out
+      | a :: rest ->
+        (match negated_effect db env a with
+         | None -> out (* exogenous blocker: assignment dies *)
+         | Some None -> extend neg rest
+         | Some (Some v) -> extend (Vset.add v neg) rest)
+    in
+    extend Vset.empty negated
+  in
+  (* dedupe and sort by the positive, then the negative literals *)
+  List.sort_uniq
+    (fun (a : Nf.clause) (b : Nf.clause) ->
+       match Vset.compare a.pos b.pos with
+       | 0 -> Vset.compare a.neg b.neg
+       | c -> c)
+    (fold db positive ~init:[] ~leaf)
 
-let lineage_formula db q =
-  if Cq.is_positive q then Nf.pdnf_to_formula (lineage db q)
-  else Nf.dnf_to_formula (lineage_clauses db q)
+let lineage db q =
+  if not (Cq.is_positive q) then
+    invalid_arg "Lineage.lineage: query has negated atoms";
+  List.map (fun (c : Nf.clause) -> c.Nf.pos) (lineage_clauses db q)
+
+let lineage_formula db q = Nf.dnf_to_formula (lineage_clauses db q)
 
 let boolean_answer db q =
   Formula.eval (fun _ -> true) (lineage_formula db q)

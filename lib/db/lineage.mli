@@ -6,37 +6,54 @@
     assignment uses (exogenous tuples contribute [true], missing tuples
     kill the assignment).  Computed by a backtracking join rather than the
     definitional [adom^{|x|}] enumeration — same function, polynomial data
-    complexity with a small constant. *)
+    complexity with a small constant.
+
+    {!fold} is that join, and the only one in the library: the lineage
+    functions below and {!Provenance.eval} are folds over it. *)
+
+(** [fold db atoms ~init ~leaf] runs the backtracking join of [atoms]
+    over [db]: the atoms left to right, each matched against its
+    relation's tuples in insertion order (each relation is read once per
+    call), extending a partial assignment of the query variables.  For
+    each satisfying assignment, in that search order, it calls
+    [leaf acc env rows]: [env] binds every variable of [atoms] (most
+    recent binding first) and [rows] holds the matched tuples in atom
+    order.  Atoms are matched positively, whatever their [negated] flag.
+    @raise Not_found if an atom names an unknown relation (callers
+    validate with [Cq.check_against]). *)
+val fold :
+  Database.t ->
+  Cq.atom list ->
+  init:'a ->
+  leaf:('a -> (string * Value.t) list -> Database.stored list -> 'a) ->
+  'a
 
 (** [lineage db q] is [F_{Q,D}] as a positive DNF (clauses deduplicated,
     not otherwise minimized — per the definition, one clause per
     assignment, so absorbing clauses may coexist; use
-    [Nf.pdnf_minimize] for the minimal form).
-    @raise Invalid_argument if [q] does not match the schema of [db] or
-    contains negated atoms (use {!lineage_clauses}). *)
+    [Nf.pdnf_minimize] for the minimal form): the positive parts of
+    {!lineage_clauses}.
+    @raise Invalid_argument if [q] contains negated atoms (use
+    {!lineage_clauses}) or does not match the schema of [db]. *)
 val lineage : Database.t -> Cq.t -> Nf.pdnf
 
 (** [lineage_clauses db q] is the general lineage as a DNF with positive
     and negative literals, supporting safely negated atoms
-    (Reshef–Kimelfeld–Livshits): a satisfying assignment contributes the
-    positive literals of the endogenous tuples its positive atoms use and
-    the negative literals of the endogenous tuples its negated atoms must
-    avoid; assignments whose negated atom hits a present exogenous tuple,
-    and internally contradictory clauses, are dropped.  For positive
-    queries this coincides with {!lineage}.
+    (Reshef–Kimelfeld–Livshits): a satisfying assignment of the positive
+    atoms contributes the positive literals of the endogenous tuples it
+    uses and the negative literals of the endogenous tuples its negated
+    atoms must avoid; assignments whose negated atom hits a present
+    exogenous tuple, and internally contradictory clauses, are dropped.
+    Clauses are deduplicated and sorted.  For positive queries every
+    negative part is empty and the positive parts are {!lineage}.
     @raise Invalid_argument on schema mismatch or unsafe negation (a
     negated atom with a variable bound by no positive atom). *)
 val lineage_clauses : Database.t -> Cq.t -> Nf.clause list
 
-(** [lineage_formula db q] is the lineage as a formula ([false] when no
-    assignment satisfies [q], [true] when one uses only exogenous
-    tuples). *)
+(** [lineage_formula db q] is [Nf.dnf_to_formula] of {!lineage_clauses}
+    ([false] when no assignment satisfies [q], [true] when one uses only
+    exogenous tuples). *)
 val lineage_formula : Database.t -> Cq.t -> Formula.t
 
 (** [boolean_answer db q] is [Q(D)] with all endogenous tuples present. *)
 val boolean_answer : Database.t -> Cq.t -> bool
-
-(** [assignments db q] lists the satisfying assignments (variable,
-    value) with the endogenous variables each uses — for explanation
-    output. *)
-val assignments : Database.t -> Cq.t -> ((string * Value.t) list * Vset.t) list

@@ -1,12 +1,5 @@
-let lineage_circuit db q =
-  match Dichotomy.classify q with
-  | Dichotomy.Hierarchical -> Safe_plan.lineage_circuit db q
-  | Dichotomy.Non_hierarchical _ | Dichotomy.Has_self_joins
-  | Dichotomy.Has_negation ->
-    Compile.compile (Lineage.lineage_formula db q)
-
 let probability db q ~weights =
-  Prob.probability ~weights (lineage_circuit db q)
+  Prob.probability ~weights (fst (Dichotomy.circuit db q))
 
 let uniform_probability db q ~theta =
   probability db q ~weights:(fun _ -> theta)

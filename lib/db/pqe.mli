@@ -14,8 +14,9 @@
 
 (** [probability db q ~weights] is [P(Q)] when each endogenous tuple [t]
     (with lineage variable [v]) is present independently with probability
-    [weights v].  Uses the safe plan when the query is hierarchical and
-    self-join-free, otherwise compiles the lineage. *)
+    [weights v], on the circuit of the one Theorem 5.1 dispatch,
+    {!Dichotomy.circuit}: the safe plan when the query is hierarchical
+    and self-join-free, otherwise the compiled lineage. *)
 val probability :
   Database.t -> Cq.t -> weights:(int -> Rat.t) -> Rat.t
 

@@ -145,48 +145,21 @@ module Tropical = struct
     | Finite n -> Format.pp_print_int ppf n
 end
 
-(* Unify an atom against a stored tuple under a partial assignment. *)
-let match_atom env (a : Cq.atom) (s : Database.stored) =
-  let bind acc i =
-    match acc with
-    | None -> None
-    | Some env ->
-      (match a.args.(i) with
-       | Cq.C v -> if Value.equal v s.values.(i) then Some env else None
-       | Cq.V x ->
-         (match List.assoc_opt x env with
-          | Some v -> if Value.equal v s.values.(i) then Some env else None
-          | None -> Some ((x, s.values.(i)) :: env)))
-  in
-  let rec go acc i =
-    if i >= Array.length a.args then acc else go (bind acc i) (i + 1)
-  in
-  go (Some env) 0
-
 let eval (type a) (module S : SEMIRING with type t = a) db q ~annotate : a =
-  (* Sum over satisfying assignments of the product of tuple annotations;
-     a tuple used by several atoms of one assignment contributes one
-     factor per use (bag semantics of [16]). *)
+  (* Sum over satisfying assignments of the product of tuple annotations,
+     in atom order; a tuple used by several atoms of one assignment
+     contributes one factor per use (bag semantics of [16]). *)
   Cq.check_against q db;
-  let rec search env acc_annot rest sum =
-    match rest with
-    | [] -> S.plus sum acc_annot
-    | (a : Cq.atom) :: rest ->
-      List.fold_left
-        (fun sum (s : Database.stored) ->
-           match match_atom env a s with
-           | None -> sum
-           | Some env' ->
-             let annot =
-               match s.lvar with
-               | Some v -> S.times acc_annot (annotate v)
-               | None -> acc_annot
-             in
-             search env' annot rest sum)
-        sum
-        (Database.tuples db a.rel)
-  in
-  search [] S.one q.Cq.atoms S.zero
+  if not (Cq.is_positive q) then
+    invalid_arg "Provenance.eval: query has negated atoms";
+  Lineage.fold db q.Cq.atoms ~init:S.zero ~leaf:(fun sum _ rows ->
+      S.plus sum
+        (List.fold_left
+           (fun acc (s : Database.stored) ->
+              match s.lvar with
+              | Some v -> S.times acc (annotate v)
+              | None -> acc)
+           S.one rows))
 
 let provenance_polynomial db q =
   eval (module Polynomial) db q ~annotate:Polynomial.var

@@ -69,9 +69,13 @@ end
 (** [eval (module S) db q ~annotate] evaluates the Boolean CQ [q] over
     [db], annotating each endogenous tuple [t] (lineage variable [v]) with
     [annotate v] and each exogenous tuple with [S.one]; returns the
-    semiring annotation of the query answer (the sum over satisfying
-    assignments of the product of the tuple annotations).
-    @raise Invalid_argument if [q] does not match the schema. *)
+    semiring annotation of the query answer: the sum, in the join's
+    search order, over satisfying assignments of the product of the
+    tuple annotations in atom order.  It is a fold over
+    {!Lineage.fold}, the join that builds the lineage.
+    @raise Invalid_argument if [q] does not match the schema or has
+    negated atoms (a negated query's lineage is
+    {!Lineage.lineage_clauses}). *)
 val eval :
   (module SEMIRING with type t = 'a) ->
   Database.t ->
@@ -80,9 +84,11 @@ val eval :
   'a
 
 (** [provenance_polynomial db q] annotates every endogenous tuple with its
-    own variable in [N[X]] — the most general provenance. *)
+    own variable in [N[X]] — the most general provenance.
+    @raise Invalid_argument as {!eval}. *)
 val provenance_polynomial : Database.t -> Cq.t -> Polynomial.t
 
 (** [derivation_count db q] is the number of satisfying assignments
-    (evaluation in {!Counting} with all annotations 1). *)
+    (evaluation in {!Counting} with all annotations 1).
+    @raise Invalid_argument as {!eval}. *)
 val derivation_count : Database.t -> Cq.t -> Bigint.t

@@ -26,18 +26,10 @@ let ground_leaf db (a : Cq.atom) =
       (function Cq.C v -> v | Cq.V _ -> assert false)
       a.args
   in
-  let row =
-    List.find_opt
-      (fun (s : Database.stored) -> s.values = values)
-      (Database.tuples db a.rel)
-  in
-  match (row, Database.kind_of db a.rel) with
-  | None, _ -> Circuit.cfalse
-  | Some _, Database.Exogenous -> Circuit.ctrue
-  | Some s, Database.Endogenous ->
-    (match s.lvar with
-     | Some v -> Circuit.cvar v
-     | None -> assert false)
+  match Database.find_tuple db a.rel values with
+  | None -> Circuit.cfalse
+  | Some { Database.lvar = None; _ } -> Circuit.ctrue
+  | Some { Database.lvar = Some v; _ } -> Circuit.cvar v
 
 (* Connected components of atoms sharing query variables. *)
 let components atoms =

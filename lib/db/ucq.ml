@@ -12,10 +12,11 @@ let lineage_formula db u = Nf.pdnf_to_formula (lineage db u)
 
 type solver = Disjoint_safe_plans | Compiled_union
 
-(* The polynomial sufficient case: every disjunct is hierarchical and
-   self-join-free, and no endogenous relation is shared between two
-   disjuncts — then the disjunct lineages are variable-disjoint and the
-   union is a disjoint OR of safe-plan circuits. *)
+(* The polynomial sufficient case: every disjunct is on the tractable
+   side of the dichotomy (positive, hierarchical, self-join-free), and no
+   endogenous relation is shared between two disjuncts — then the
+   disjunct lineages are variable-disjoint and the union is a disjoint OR
+   of safe-plan circuits. *)
 let disjoint_safe db u =
   let endogenous_relations q =
     List.sort_uniq compare
@@ -28,7 +29,7 @@ let disjoint_safe db u =
   in
   let ok_each =
     List.for_all
-      (fun q -> Cq.is_hierarchical q && Cq.is_self_join_free q)
+      (fun q -> Dichotomy.classify q = Dichotomy.Hierarchical)
       u.disjuncts
   in
   let rec pairwise_disjoint = function

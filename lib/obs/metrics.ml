@@ -313,6 +313,34 @@ let label_get labels k = try Some (List.assoc k labels) with Not_found -> None
 
 let ms s = s *. 1000.
 
+(* One row per oracle_seconds{oracle,lemma,l} series, then a roll-up
+   across every label set. *)
+let oracle_latency ?(registry = default) () =
+  match find_histograms ~registry "oracle_seconds" with
+  | [] -> ""
+  | oracles ->
+      let b = Buffer.create 512 in
+      let row oracle lemma l s =
+        Buffer.add_string b
+          (Printf.sprintf "  %-10s %-6s %-5s %8d %10.4f %10.4f %10.4f %10.4f\n"
+             oracle lemma l s.s_count (ms s.s_p50) (ms s.s_p90) (ms s.s_p99)
+             (ms s.s_max))
+      in
+      Buffer.add_string b
+        (Printf.sprintf "  %-10s %-6s %-5s %8s %10s %10s %10s %10s\n" "oracle"
+           "lemma" "l" "calls" "p50 ms" "p90 ms" "p99 ms" "max ms");
+      List.iter
+        (fun (labels, h) ->
+          let g k = Option.value ~default:"-" (label_get labels k) in
+          row (g "oracle") (g "lemma") (g "l") (summary_of h))
+        oracles;
+      row "TOTAL" "" ""
+        (summary_of
+           (List.fold_left
+              (fun acc (_, h) -> Histogram.merge acc h)
+              (Histogram.create ()) oracles));
+      Buffer.contents b
+
 let profile_report ?(registry = default) () =
   let entries = dump ~registry () in
   let b = Buffer.create 1024 in
@@ -365,41 +393,11 @@ let profile_report ?(registry = default) () =
              alloc))
       spans
   end;
-  (* Oracle latency by oracle / lemma / arity. *)
-  let oracles =
-    List.filter_map
-      (fun (n, labels, v) ->
-        match (n, v) with
-        | "oracle_seconds", Hist h -> Some (labels, h)
-        | _ -> None)
-      entries
-  in
-  if oracles <> [] then begin
-    section "Oracle latency";
-    Buffer.add_string b
-      (Printf.sprintf "  %-10s %-6s %-5s %8s %10s %10s %10s %10s\n" "oracle"
-         "lemma" "l" "calls" "p50 ms" "p90 ms" "p99 ms" "max ms");
-    List.iter
-      (fun (labels, h) ->
-        let g k = Option.value ~default:"-" (label_get labels k) in
-        let s = summary_of h in
-        Buffer.add_string b
-          (Printf.sprintf "  %-10s %-6s %-5s %8d %10.4f %10.4f %10.4f %10.4f\n"
-             (g "oracle") (g "lemma") (g "l") s.s_count (ms s.s_p50)
-             (ms s.s_p90) (ms s.s_p99) (ms s.s_max)))
-      oracles;
-    (* Roll-up across every label set. *)
-    let all =
-      List.fold_left
-        (fun acc (_, h) -> Histogram.merge acc h)
-        (Histogram.create ()) oracles
-    in
-    let s = summary_of all in
-    Buffer.add_string b
-      (Printf.sprintf "  %-10s %-6s %-5s %8d %10.4f %10.4f %10.4f %10.4f\n"
-         "TOTAL" "" "" s.s_count (ms s.s_p50) (ms s.s_p90) (ms s.s_p99)
-         (ms s.s_max))
-  end;
+  (match oracle_latency ~registry () with
+   | "" -> ()
+   | rows ->
+       section "Oracle latency";
+       Buffer.add_string b rows);
   (* Substitution sizes. *)
   let substs =
     List.filter_map

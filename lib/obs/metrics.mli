@@ -88,8 +88,16 @@ type om_sample = {
     comment lines; raises [Failure] on malformed sample lines. *)
 val parse_openmetrics : string -> om_sample list
 
+(** The oracle latency table: a header, one row per
+    [oracle_seconds{oracle,lemma,l}] histogram (calls, p50/p90/p99/max
+    in ms) and a TOTAL row merging them all; [""] when there is no such
+    series.  {!profile_report}'s "Oracle latency" section, and the rows
+    [trace-report --percentiles] prints from a registry it replays a
+    stream's oracle events into. *)
+val oracle_latency : ?registry:registry -> unit -> string
+
 (** Human-readable profiling report rendered from the registry's
     well-known series: per-phase self time, oracle latency percentiles
-    by lemma/arity, substitution sizes, Gc gauges, pool utilization.
-    Sections with no data are omitted. *)
+    by lemma/arity ({!oracle_latency}), substitution sizes, Gc gauges,
+    pool utilization.  Sections with no data are omitted. *)
 val profile_report : ?registry:registry -> unit -> string

@@ -421,66 +421,31 @@ let report ?totals ?(percentiles = false) events =
        (fun (name, (c, t)) -> line "  %-48s %8d %14.3f" name c (ms t))
        rows);
   if percentiles then begin
-    (* Latency distributions rebuilt from the oracle events through the
-       same log-linear histograms as the live metrics registry, grouped
-       by (oracle, lemma, arity) like [oracle_seconds].  Counts equal
+    (* Replay the oracle events into a fresh registry under the labels
+       [Obs] records, and print them as [--profile] does.  Counts equal
        the oracle totals above, so ledger, trace and metrics agree. *)
-    let groups : (string * string * string, Histogram.t) Hashtbl.t =
-      Hashtbl.create 8
-    in
+    let registry = Metrics.create () in
     List.iter
       (fun (e : Trace.event) ->
-         match e.Trace.kind with
-         | Trace.Oracle ->
-           let lemma =
-             match List.assoc_opt "lemma" e.Trace.attrs with
+         if e.Trace.kind = Trace.Oracle then begin
+           let label k =
+             match List.assoc_opt k e.Trace.attrs with
              | Some (Trace.Str s) -> s
-             | _ -> "-"
-           in
-           let l =
-             match List.assoc_opt "l" e.Trace.attrs with
              | Some (Trace.Int v) -> string_of_int v
              | _ -> "-"
            in
-           let key = (e.Trace.name, lemma, l) in
-           let h =
-             match Hashtbl.find_opt groups key with
-             | Some h -> h
-             | None ->
-               let h = Histogram.create () in
-               Hashtbl.replace groups key h;
-               h
-           in
-           Histogram.observe h (Option.value ~default:0.0 e.Trace.dur)
-         | _ -> ())
+           Metrics.observe ~registry
+             ~labels:
+               [ ("oracle", e.Trace.name); ("lemma", label "lemma");
+                 ("l", label "l") ]
+             "oracle_seconds"
+             (Option.value ~default:0.0 e.Trace.dur)
+         end)
       events;
     line "";
     line "oracle latency percentiles:";
-    let rows =
-      List.sort compare
-        (Hashtbl.fold (fun k h acc -> (k, h) :: acc) groups [])
-    in
-    if rows = [] then line "  (none)"
-    else begin
-      line "  %-16s %-6s %-5s %8s %10s %10s %10s %10s" "oracle" "lemma" "l"
-        "calls" "p50-ms" "p90-ms" "p99-ms" "max-ms";
-      let total = Histogram.create () in
-      List.iter
-        (fun ((name, lemma, l), h) ->
-           Histogram.merge_into ~into:total h;
-           line "  %-16s %-6s %-5s %8d %10.4f %10.4f %10.4f %10.4f" name
-             lemma l (Histogram.count h)
-             (ms (Histogram.percentile h 0.5))
-             (ms (Histogram.percentile h 0.9))
-             (ms (Histogram.percentile h 0.99))
-             (ms (Histogram.max_value h)))
-        rows;
-      line "  %-16s %-6s %-5s %8d %10.4f %10.4f %10.4f %10.4f" "TOTAL" ""
-        "" (Histogram.count total)
-        (ms (Histogram.percentile total 0.5))
-        (ms (Histogram.percentile total 0.9))
-        (ms (Histogram.percentile total 0.99))
-        (ms (Histogram.max_value total))
-    end
+    match Metrics.oracle_latency ~registry () with
+    | "" -> line "  (none)"
+    | rows -> Buffer.add_string b rows
   end;
   Buffer.contents b

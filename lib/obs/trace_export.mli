@@ -60,5 +60,7 @@ val report : ?totals:totals -> ?percentiles:bool -> Trace.event list -> string
     dropped events, the report opens with a banner: the timeline and
     the totals below it cover the stored events only, and the run's
     exact oracle calls and seconds are printed there.  [percentiles]
-    appends per-(oracle, lemma, arity) latency percentile rows rebuilt
-    from the oracle events through {!Histogram}. *)
+    appends per-(oracle, lemma, arity) latency percentile rows: the
+    oracle events replayed into a fresh {!Metrics.registry} under
+    [oracle_seconds{oracle,lemma,l}] and printed by
+    {!Metrics.oracle_latency}, the table [--profile] prints. *)

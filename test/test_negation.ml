@@ -208,4 +208,43 @@ let property_tests =
          !ok)
   ]
 
-let suite = unit_tests @ property_tests
+(* Semiring provenance and UCQ lineage are defined for positive queries:
+   a negated atom is refused, not matched as a positive one (which gave
+   the polynomial x1x3 of R(x), S(x)) nor left to the safe plan. *)
+let rejection_tests =
+  let raises_invalid f =
+    try ignore (f ()); false with Invalid_argument _ -> true
+  in
+  let db () =
+    let db = Database.create () in
+    Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
+    Database.declare db "S" ~kind:Database.Endogenous ~arity:1;
+    Database.declare db "T" ~kind:Database.Endogenous ~arity:1;
+    ignore (Database.insert db "R" [| Value.int 1 |]);
+    ignore (Database.insert db "R" [| Value.int 2 |]);
+    ignore (Database.insert db "S" [| Value.int 1 |]);
+    ignore (Database.insert db "T" [| Value.int 1 |]);
+    db
+  in
+  let q = Db_parser.parse_query "R(x), !S(x)" in
+  [ t "provenance rejects negated atoms" (fun () ->
+        let db = db () in
+        Alcotest.(check bool) "eval" true
+          (raises_invalid (fun () ->
+               Provenance.eval (module Provenance.Polynomial) db q
+                 ~annotate:Provenance.Polynomial.var));
+        Alcotest.(check bool) "provenance_polynomial" true
+          (raises_invalid (fun () -> Provenance.provenance_polynomial db q));
+        Alcotest.(check bool) "derivation_count" true
+          (raises_invalid (fun () -> Provenance.derivation_count db q)));
+    t "UCQ with a safely negated disjunct is rejected" (fun () ->
+        let db = db () in
+        (* both disjuncts hierarchical, on disjoint endogenous relations *)
+        let u = Ucq.make [ q; Db_parser.parse_query "T(y)" ] in
+        Alcotest.(check bool) "shapley" true
+          (raises_invalid (fun () -> Ucq.shapley db u));
+        Alcotest.(check bool) "probability" true
+          (raises_invalid (fun () ->
+               Ucq.probability db u ~weights:Prob.uniform_half))) ]
+
+let suite = unit_tests @ property_tests @ rejection_tests
