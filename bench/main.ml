@@ -508,7 +508,10 @@ let e12 () =
   (* the Lemma 3.4 repair, pinned *)
   let f = Parser.formula_of_string_exn "x1 & x2" in
   let universe = Vset.of_list [ 1; 2 ] in
-  let g, z, blocks = Subst.uniform_or_except ~universe ~l:2 ~keep:1 f in
+  let g, blocks =
+    Subst.or_subst ~universe ~widths:(fun v -> if v = 1 then 1 else 2) f
+  in
+  let z = List.hd (List.assoc 1 blocks) in
   let gvars = List.concat_map snd blocks in
   let truth = List.assoc z (Naive.shap_subsets ~vars:gvars g) in
   row "  Lemma 3.4 witness: Shap(F^(2,1), Z_1) = %s " (Rat.to_string truth);

@@ -11,14 +11,9 @@ let make ~avoid =
   let next = match Vset.max_elt_opt avoid with None -> 1 | Some m -> m + 1 in
   { next }
 
-(** [for_formula f] is a supply fresh w.r.t. the variables of [f]. *)
-let for_formula f = make ~avoid:(Formula.vars f)
-
-(** [fresh t] returns the next fresh variable. *)
-let fresh t =
-  let v = t.next in
-  t.next <- v + 1;
-  v
-
-(** [fresh_block t k] returns [k] fresh variables, in ascending order. *)
-let fresh_block t k = List.init k (fun _ -> fresh t)
+(** [fresh_block t k] returns the next [k] fresh variables, in ascending
+    order. *)
+let fresh_block t k =
+  let first = t.next in
+  t.next <- first + k;
+  List.init k (fun j -> first + j)

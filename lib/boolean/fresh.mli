@@ -11,11 +11,6 @@ type t
     [avoid]. *)
 val make : avoid:Vset.t -> t
 
-(** [for_formula f] is a supply fresh w.r.t. the variables of [f]. *)
-val for_formula : Formula.t -> t
-
-(** [fresh t] returns the next fresh variable. *)
-val fresh : t -> int
-
-(** [fresh_block t k] returns [k] fresh variables, in ascending order. *)
+(** [fresh_block t k] returns the next [k] fresh variables, in ascending
+    order. *)
 val fresh_block : t -> int -> int list

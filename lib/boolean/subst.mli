@@ -23,9 +23,24 @@ type blocks = (int * int list) list
     [Formula.var]). *)
 val apply : (int -> Formula.t) -> Formula.t -> Formula.t
 
+(** [block_subst ~who ~noun ~kind ~vars ~size ~install ~widths x] is
+    Definition 1 for any class: each universe variable (default
+    [vars x]), in ascending order, gets a block of [widths v] fresh
+    variables above the universe, [install blocks x] builds the result,
+    and {!Shapmc_obs.Obs} records it as [kind], sized by [size].
+    {!or_subst}, {!uniform_and} and circuits' [Or_subst.or_subst] run it.
+    @raise Invalid_argument ["who: universe misses noun"] or
+    ["who: negative width"]. *)
+val block_subst :
+  who:string -> noun:string -> kind:string -> vars:('x -> Vset.t) ->
+  size:('x -> int) -> install:(blocks -> 'x -> 'x) -> ?universe:Vset.t ->
+  widths:(int -> int) -> 'x -> 'x * blocks
+
 (** [or_subst widths f] applies the OR-substitution in which variable [v]
     is replaced by a disjunction of [widths v] fresh variables.  Returns the
-    substituted formula together with the fresh blocks.
+    substituted formula together with the fresh blocks.  The proofs'
+    instances are widths: [~F] all 1 and [~F'] 0 at [X_i] (Lemma 3.2),
+    [F^(l,i)] 1 at [X_i] and [l] elsewhere (Lemma 3.4).
     @raise Invalid_argument if some width is negative. *)
 val or_subst :
   ?universe:Vset.t -> widths:(int -> int) -> Formula.t -> Formula.t * blocks
@@ -37,21 +52,3 @@ val uniform_or : ?universe:Vset.t -> l:int -> Formula.t -> Formula.t * blocks
 (** [uniform_and ~l f] is the AND-substitution variant [F^(l)] from the end
     of Section 3 (Claim 3.7). *)
 val uniform_and : ?universe:Vset.t -> l:int -> Formula.t -> Formula.t * blocks
-
-(** [uniform_or_except ~l ~keep f] substitutes every variable except [keep]
-    by a disjunction of [l] fresh variables, and [keep] by a single fresh
-    variable.  Returns the formula, the fresh variable [Z_i] standing for
-    [keep], and the blocks.  This is the function [F^(l,i)] in the proof of
-    Lemma 3.4. *)
-val uniform_or_except :
-  ?universe:Vset.t -> l:int -> keep:int -> Formula.t -> Formula.t * int * blocks
-
-(** [isomorphic_copy f] replaces every variable by a single fresh variable
-    — an OR-substitution with all [m_i = 1], yielding an isomorphic
-    function (used in the proof of Lemma 3.2). *)
-val isomorphic_copy : ?universe:Vset.t -> Formula.t -> Formula.t * blocks
-
-(** [zap ~zero f] maps each variable of [zero] to the empty disjunction
-    (i.e. false) and each other variable to a single fresh variable: the
-    function [~F'] in the proof of Lemma 3.2. *)
-val zap : ?universe:Vset.t -> zero:Vset.t -> Formula.t -> Formula.t * blocks

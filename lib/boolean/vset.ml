@@ -11,6 +11,16 @@ let of_range lo hi =
   let rec go acc i = if i < lo then acc else go (add i acc) (i - 1) in
   go empty hi
 
+(** [universe ~who ~noun ~vars support] is [vars] as a set, checked for
+    repeats and for covering [support]. *)
+let universe ~who ~noun ~vars support =
+  let u = of_list vars in
+  if cardinal u <> List.length vars then
+    invalid_arg (who ^ ": duplicate variables in the universe");
+  if not (subset support u) then
+    invalid_arg (Printf.sprintf "%s: universe misses %s" who noun);
+  u
+
 (** [pp] prints as [{1, 2, 5}]. *)
 let pp ppf s =
   Format.fprintf ppf "{%a}"

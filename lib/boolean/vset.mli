@@ -9,6 +9,12 @@ include Set.S with type elt = int
 (** [of_range lo hi] is [{lo, lo+1, ..., hi}] (empty when [hi < lo]). *)
 val of_range : int -> int -> t
 
+(** [universe ~who ~noun ~vars support] is the player universe [vars]
+    as a set, for a function whose variables are [support].
+    @raise Invalid_argument ["who: duplicate variables in the universe"]
+    or ["who: universe misses noun"]. *)
+val universe : who:string -> noun:string -> vars:int list -> t -> t
+
 (** [pp] prints as [{1, 2, 5}]. *)
 val pp : Format.formatter -> t -> unit
 

@@ -82,11 +82,9 @@ let forward w pow root =
   (memo, !order, top)
 
 let check_universe ~vars g =
-  let universe = Vset.of_list vars in
-  if Vset.cardinal universe <> List.length vars then
-    invalid_arg "Count: duplicate variables in the universe";
-  if not (Vset.subset (Circuit.vars g) universe) then
-    invalid_arg "Count: universe misses circuit variables"
+  ignore
+    (Vset.universe ~who:"Count" ~noun:"circuit variables" ~vars
+       (Circuit.vars g))
 
 let count_by_size_circuit root =
   let _, _, top = forward counting (powers counting) root in

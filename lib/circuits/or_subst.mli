@@ -11,8 +11,12 @@
     [O(|G| + k·l)] for a variable with [k] occurrences — the bound stated
     after Lemma 9 and measured by experiment E7.
 
-    The API mirrors {!Shapmc_boolean.Subst} so the circuit pipeline can be
-    swapped for the formula pipeline in the reductions of Section 3. *)
+    Fresh blocks come from Definition 1's one allocator,
+    {!Shapmc_boolean.Subst.block_subst}; this module supplies only how a
+    circuit installs them.  {!or_subst} is the substitution of the
+    class record [Circuit_shapley] hands to Theorem 3.1's chain in
+    {!Shapmc_core.Pipeline}, which builds [~G], [~G'], [G^(l)] and
+    [G^(l,i)] from it by their widths. *)
 
 type blocks = (int * int list) list
 
@@ -22,10 +26,12 @@ val det_or_chain : int list -> Circuit.node
 
 (** [or_subst ~widths g] replaces each variable [v] of the universe
     (default: the variables of [g]) by a disjunction of [widths v] fresh
-    variables.  Universe variables absent from [g] get fresh blocks in the
-    output universe without altering the circuit.  Fresh variables are
-    chosen above the universe.
-    @raise Invalid_argument if the universe misses a circuit variable. *)
+    variables (width 0: false).  Universe variables absent from [g] get
+    fresh blocks in the output universe without altering the circuit.
+    Fresh variables are chosen above the universe, block by block in
+    ascending order of [v], as {!Shapmc_boolean.Subst.or_subst} does.
+    @raise Invalid_argument if the universe misses a circuit variable or
+    a width is negative. *)
 val or_subst :
   ?universe:Vset.t -> widths:(int -> int) -> Circuit.node ->
   Circuit.node * blocks
@@ -34,21 +40,3 @@ val or_subst :
     replaced by [l] fresh ones). *)
 val uniform_or :
   ?universe:Vset.t -> l:int -> Circuit.node -> Circuit.node * blocks
-
-(** [uniform_or_except ~l ~keep g] replaces [keep] by a single fresh
-    variable and every other variable by [l] fresh ones — the circuit
-    [F^(l,i)] from the proof of Lemma 3.4.  Returns the circuit, the fresh
-    variable standing for [keep], and the blocks. *)
-val uniform_or_except :
-  ?universe:Vset.t -> l:int -> keep:int -> Circuit.node ->
-  Circuit.node * int * blocks
-
-(** [isomorphic_copy g] renames every variable to a fresh one (all widths
-    1). *)
-val isomorphic_copy :
-  ?universe:Vset.t -> Circuit.node -> Circuit.node * blocks
-
-(** [zap ~zero g] maps variables in [zero] to the empty disjunction
-    (false) and the rest to single fresh variables. *)
-val zap :
-  ?universe:Vset.t -> zero:Vset.t -> Circuit.node -> Circuit.node * blocks

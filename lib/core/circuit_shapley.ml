@@ -1,11 +1,3 @@
-let sorted_universe ~vars g =
-  let universe = Vset.of_list vars in
-  if Vset.cardinal universe <> List.length vars then
-    invalid_arg "Circuit_shapley: duplicate variables in the universe";
-  if not (Vset.subset (Circuit.vars g) universe) then
-    invalid_arg "Circuit_shapley: universe misses circuit variables";
-  (universe, List.sort compare vars)
-
 module Kvec_table = Hashtbl.Make (Kvec)
 
 (* Symmetric players share a difference vector, and so a value: the
@@ -26,28 +18,26 @@ let shap_direct ~vars g =
          (i, v))
     (Count.differences ~weight:Count.counting ~vars g)
 
+(* The d-D circuits as a class closed under OR-substitution (Lemma 9).
+   The chain's oracles are the plain circuit counter and [shap_direct]. *)
+let circuits =
+  Pipeline.
+    {
+      or_subst =
+        (fun ~universe ~widths g -> Or_subst.or_subst ~universe ~widths g);
+      vars = Circuit.vars;
+      at_zero = Circuit.eval_set Vset.empty;
+    }
+
 let kcounts_via_reduction ~vars g =
-  let universe, sorted = sorted_universe ~vars g in
-  let n = List.length sorted in
-  Reductions.kcounts_via_counting ~n ~count_subst:(fun ~l ->
-      let g', blocks = Or_subst.uniform_or ~universe ~l g in
-      Count.count ~vars:(List.concat_map snd blocks) g')
+  Pipeline.kcounts_via_count circuits ~count:(fun ~l:_ -> Count.count) ~vars g
 
 let shap_via_reduction ~vars g =
-  let universe, sorted = sorted_universe ~vars g in
-  let n = List.length sorted in
-  let kcount_of ~vars g' = kcounts_via_reduction ~vars g' in
-  let kcount_full =
-    let tilde_g, blocks = Or_subst.isomorphic_copy ~universe g in
-    kcount_of ~vars:(List.concat_map snd blocks) tilde_g
-  in
-  let kcount_drop pos =
-    let i = List.nth sorted pos in
-    let tilde_g', blocks = Or_subst.zap ~universe ~zero:(Vset.singleton i) g in
-    kcount_of ~vars:(List.concat_map snd blocks) tilde_g'
-  in
-  let values = Reductions.shap_via_kcounts ~n ~kcount_full ~kcount_drop in
-  List.mapi (fun pos i -> (i, values.(pos))) sorted
+  Pipeline.shap_via_count circuits ~count:(fun ~l:_ -> Count.count) ~vars g
+
+let count_via_shap ~vars g =
+  Kvec.total
+    (Pipeline.kcounts_via_shap circuits ~shap:(fun ~l:_ -> shap_direct) ~vars g)
 
 let interaction_weight ~n k =
   (* k! (n-k-2)! / (n-1)! *)
@@ -62,7 +52,11 @@ let check_pair ~vars i j =
   if List.length vars < 2 then invalid_arg "interaction: universe too small"
 
 let interaction ~vars g i j =
-  let _, sorted = sorted_universe ~vars g in
+  let sorted =
+    Vset.elements
+      (Vset.universe ~who:"Circuit_shapley" ~noun:"circuit variables" ~vars
+         (Circuit.vars g))
+  in
   check_pair ~vars:sorted i j;
   let n = List.length sorted in
   let others = List.filter (fun v -> v <> i) sorted in
@@ -81,12 +75,11 @@ let interaction ~vars g i j =
   !acc
 
 let interaction_naive ~vars f i j =
-  let universe = Vset.of_list vars in
-  if Vset.cardinal universe <> List.length vars then
-    invalid_arg "interaction_naive: duplicate variables in the universe";
-  if not (Vset.subset (Formula.vars f) universe) then
-    invalid_arg "interaction_naive: universe misses variables";
-  let sorted = List.sort compare vars in
+  let sorted =
+    Vset.elements
+      (Vset.universe ~who:"interaction_naive" ~noun:"variables" ~vars
+         (Formula.vars f))
+  in
   check_pair ~vars:sorted i j;
   let n = List.length sorted in
   let others =
@@ -110,17 +103,3 @@ let interaction_naive ~vars f i j =
         (Rat.mul (interaction_weight ~n (Vset.cardinal !s)) (Rat.of_int delta))
   done;
   !acc
-
-let count_via_shap ~vars g =
-  let universe, sorted = sorted_universe ~vars g in
-  let n = List.length sorted in
-  let f_zero = Circuit.eval_set Vset.empty g in
-  Reductions.count_via_shap ~n ~f_zero ~shap_subst:(fun ~l ~pos ->
-      let i = List.nth sorted pos in
-      let g', z, blocks = Or_subst.uniform_or_except ~universe ~l ~keep:i g in
-      let gvars = List.concat_map snd blocks in
-      (* The Shapley oracle here is the polynomial direct algorithm on the
-         substituted circuit — Shap(~G) per Theorem 4.1. *)
-      match List.assoc_opt z (shap_direct ~vars:gvars g') with
-      | Some v -> v
-      | None -> failwith "Circuit_shapley: oracle did not report Z_i")

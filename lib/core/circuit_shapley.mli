@@ -10,13 +10,14 @@
       normalisation by [n!] per distinct difference vector (symmetric
       players share one) — the practical algorithm.
     - {!shap_via_reduction} is the paper's constructive proof made
-      executable: the [#_*]-oracle of Lemma 3.2 is realised through
-      Lemma 3.3, whose [#]-oracle calls land on OR-substituted circuits
-      built by {!Shapmc_circuits.Or_subst} (Lemma 9) and counted by the
-      plain circuit counter.
+      executable: Theorem 3.1's chain ({!Pipeline.shap_via_count}) on
+      the class of d-D circuits, whose OR-substitution is
+      {!Shapmc_circuits.Or_subst.or_subst} (Lemma 9), with the plain
+      circuit counter as its [#]-oracle.
 
     The reverse direction {!count_via_shap} counts models of a circuit
-    using only a Shapley oracle (Lemma 3.4 over circuits). *)
+    using only a Shapley oracle: the same chain's Lemma 3.4
+    ({!Pipeline.kcounts_via_shap}) with {!shap_direct} as the oracle. *)
 
 (** [shap_direct ~vars g] returns the Shapley value of every universe
     variable.  @raise Invalid_argument if [vars] misses circuit
@@ -26,18 +27,18 @@ val shap_direct : vars:int list -> Circuit.node -> (int * Rat.t) list
 
 (** [shap_via_reduction ~vars g] computes the same values through the
     Lemma 3.2 + 3.3 + Lemma 9 oracle chain.
-    @raise Invalid_argument as {!shap_direct} does. *)
+    @raise Invalid_argument as {!Pipeline.shap_via_count} does. *)
 val shap_via_reduction : vars:int list -> Circuit.node -> (int * Rat.t) list
 
 (** [count_via_shap ~vars g] computes [#G] using only Shapley-value
     computations on OR-substituted copies of [g] (Lemma 3.4).
-    @raise Invalid_argument as {!shap_direct} does. *)
+    @raise Invalid_argument as {!Pipeline.kcounts_via_shap} does. *)
 val count_via_shap : vars:int list -> Circuit.node -> Bigint.t
 
 (** [kcounts_via_reduction ~vars g] computes [#_{0..n} G] by the Lemma 3.3
     route (OR-substitute with [l = 1..n+1], count, interpolate) — the
     ablation partner of the direct stratified counter in experiment E8.
-    @raise Invalid_argument as {!shap_direct} does. *)
+    @raise Invalid_argument as {!Pipeline.kcounts_via_count} does. *)
 val kcounts_via_reduction : vars:int list -> Circuit.node -> Kvec.t
 
 (** [interaction ~vars g i j] is the (pairwise) Shapley interaction index

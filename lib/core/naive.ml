@@ -1,11 +1,9 @@
 let max_perm_vars = 8
 
 let check ~vars f =
-  let universe = Vset.of_list vars in
-  if not (Vset.subset (Formula.vars f) universe) then
-    invalid_arg "Naive: universe misses variables of the formula";
-  if List.length vars <> Vset.cardinal universe then
-    invalid_arg "Naive: duplicate variables in universe"
+  ignore
+    (Vset.universe ~who:"Naive" ~noun:"variables of the formula" ~vars
+       (Formula.vars f))
 
 (* All permutations of a list, in lexicographic order of positions. *)
 let rec permutations = function

@@ -1,11 +1,64 @@
-(** End-to-end instantiations of Theorem 3.1 over formula classes.
+(** Theorem 3.1 and Corollary 7, once for every class closed under
+    OR-substitution.
 
-    These functions assemble the reductions of {!Reductions} with concrete
-    OR-substitutions on formulas ({!Shapmc_boolean.Subst}) and a pluggable
-    model-counting backend.  They are the executable content of
-    Corollary 7: give them a counting oracle for a class closed under
-    OR-substitution and they return Shapley values — or, in the other
-    direction, give them a Shapley oracle and they count models. *)
+    The proofs of Lemmas 3.2–3.4 ask three things of a class, recorded
+    in {!or_closed}; the chain below runs the reductions of
+    {!Reductions} over any such record with the caller's oracle.  Three
+    classes plug in: formulas ({!formulas}), d-D circuits
+    ([Circuit_shapley], by Lemma 9) and [Q0] lineages ([Hardness], by
+    Claim 5.2).  Only the formula instance records its oracle calls in
+    the {!Shapmc_obs.Obs} ledger. *)
+
+(** What the chain needs from a class of functions represented by
+    ['x]. *)
+type 'x or_closed = {
+  or_subst : universe:Vset.t -> widths:(int -> int) -> 'x -> 'x * Subst.blocks;
+      (** Definition 1: [v] becomes a disjunction of [widths v] fresh
+          variables (width 0: false) *)
+  vars : 'x -> Vset.t;  (** the variables of the function *)
+  at_zero : 'x -> bool;  (** its value on the all-zero valuation *)
+}
+
+(** {1 The chain}
+
+    Each function takes the player universe [vars] of [x] and calls the
+    oracle with the arity [l] of the instance and that instance's
+    universe of fresh variables.
+    @raise Invalid_argument if [vars] lists a variable twice
+    (["Pipeline: duplicate variables in the universe"]) or misses one
+    of [x]. *)
+
+(** [kcounts_via_count cls ~count ~vars x] is [#_{0..n} x] by Lemma 3.3,
+    counting [x^(l)] (every width [l]) for [l = 1..n+1]. *)
+val kcounts_via_count :
+  'x or_closed -> count:(l:int -> vars:int list -> 'x -> Bigint.t) ->
+  vars:int list -> 'x -> Kvec.t
+
+(** [shap_via_count cls ~count ~vars x] is every Shapley value of [x] by
+    Lemma 3.2 over Lemma 3.3 ([Shap(C) ≤P #_* ~C ≤P # ~~C]): the
+    [#_*]-oracle is served on the copy [~x] (every width 1) and on the
+    zapped [~x'] (width 0 at [X_i]), as in the proof; [(n+1) + n²]
+    counts. *)
+val shap_via_count :
+  'x or_closed -> count:(l:int -> vars:int list -> 'x -> Bigint.t) ->
+  vars:int list -> 'x -> (int * Rat.t) list
+
+(** [kcounts_via_shap cls ~shap ~vars x] is [#_{0..n} x] by Lemma 3.4,
+    reading [Shap(x^(l,i), Z_i)] off [n²] oracle calls, where [x^(l,i)]
+    gives [X_i] the one fresh variable [Z_i] and every other variable
+    [l]. *)
+val kcounts_via_shap :
+  'x or_closed -> shap:(l:int -> vars:int list -> 'x -> (int * Rat.t) list) ->
+  vars:int list -> 'x -> Kvec.t
+
+(** {1 Formulas}
+
+    The chain on {!formulas} with a named oracle, each call recorded in
+    the {!Shapmc_obs.Obs} ledger with its arity and lemma. *)
+
+(** {!Shapmc_boolean.Subst.or_subst}, [Formula.vars] and evaluation at
+    the empty valuation. *)
+val formulas : Formula.t or_closed
 
 (** A plain model-counting oracle: [#F] over an explicit universe. *)
 type count_oracle = {
@@ -26,35 +79,17 @@ val dpll_count_oracle : count_oracle
 (** [shap_oracle_of_subsets] wraps the exponential Eq. (2) reference. *)
 val shap_oracle_of_subsets : shap_oracle
 
-(** {1 Shap ≤P #} *)
-
-(** [kcounts_via_count_oracle ~oracle ~vars f] computes [#_{0..n} F] by
-    Lemma 3.3: builds [F^(l)] for [l = 1..n+1] by OR-substitution and
-    calls the oracle on each. *)
+(** {!kcounts_via_count} on a formula. *)
 val kcounts_via_count_oracle :
   oracle:count_oracle -> vars:int list -> Formula.t -> Kvec.t
 
-(** [shap_via_count_oracle ~oracle ~vars f] computes all Shapley values by
-    chaining Lemma 3.2 over Lemma 3.3 — the paper's
-    [Shap(C) ≤P #_* ~C ≤P # ~~C] route.  The [#_*]-oracle calls of
-    Lemma 3.2 are served on the isomorphic copy [~F] and the zapped
-    functions [~F'] (empty disjunction at [X_i]), exactly as in the
-    proof. *)
+(** {!shap_via_count} on a formula. *)
 val shap_via_count_oracle :
   oracle:count_oracle -> vars:int list -> Formula.t -> (int * Rat.t) list
 
-(** {1 # ≤P Shap} *)
-
-(** [count_via_shap_oracle ~oracle ~vars f] computes [#F] by Lemma 3.4:
-    builds [F^(l,i)] for every variable [i] and [l = 1..n] and reads off
-    [Shap(F^(l,i), Z_i)] from the oracle. *)
+(** [#F] by {!kcounts_via_shap}. *)
 val count_via_shap_oracle :
   oracle:shap_oracle -> vars:int list -> Formula.t -> Bigint.t
-
-(** [kcounts_via_shap_oracle ~oracle ~vars f] returns the full stratified
-    vector recovered along the way. *)
-val kcounts_via_shap_oracle :
-  oracle:shap_oracle -> vars:int list -> Formula.t -> Kvec.t
 
 (** {1 The prior-work PQE route}
 

@@ -1,10 +1,5 @@
 let check ~vars vs =
-  let universe = Vset.of_list vars in
-  if Vset.cardinal universe <> List.length vars then
-    invalid_arg "Power_indices: duplicate variables in the universe";
-  if not (Vset.subset vs universe) then
-    invalid_arg "Power_indices: universe misses variables";
-  List.sort compare vars
+  Vset.elements (Vset.universe ~who:"Power_indices" ~noun:"variables" ~vars vs)
 
 let of_diff ~n diff = Rat.make diff (Combi.pow2 (n - 1))
 

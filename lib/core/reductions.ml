@@ -194,6 +194,3 @@ let kcounts_via_shap ~n ~f_zero ~shap_subst =
     counts.(k + 1) <- q
   done;
   Kvec.make ~n counts
-
-let count_via_shap ~n ~f_zero ~shap_subst =
-  Kvec.total (kcounts_via_shap ~n ~f_zero ~shap_subst)

@@ -1,11 +1,11 @@
 (** The three polynomial-time reductions of Theorem 3.1, in oracle form.
 
     Each reduction is written against the minimal oracle interface its proof
-    uses, so the same code runs over plain formulas (with a brute-force or
-    DPLL counting oracle), over d-D circuits (with the polynomial circuit
-    counter) and over query lineage — exactly the three instantiations the
-    paper discusses.  The oracle arguments correspond to membership of the
-    OR-substituted functions in [~C]:
+    uses; {!Pipeline}'s chain builds the OR-substituted instances and asks
+    the oracle, once for every class (formulas, d-D circuits and query
+    lineage — the three instantiations the paper discusses).  The oracle
+    arguments correspond to membership of the OR-substituted functions
+    in [~C]:
 
     - Lemma 3.2 calls the [#_*]-oracle on [~F] (an isomorphic copy of [F])
       and on [~F'] ([F] with [X_i] replaced by the empty disjunction);
@@ -77,17 +77,11 @@ val kcounts_via_probability :
 
 (** {1 Lemma 3.4: plain counts from Shapley values} *)
 
-(** [count_via_shap ~n ~f_zero ~shap_subst] computes [#F] given
-    [f_zero = F(0)] (the value of [F] on the all-zero valuation) and
-    [shap_subst ~l ~pos = Shap(F^(l,i), Z_i)] where [X_i] is the variable
-    at position [pos] and [Z_i] its singleton replacement.
-    Calls the oracle [n^2] times. *)
-val count_via_shap :
-  n:int -> f_zero:bool -> shap_subst:(l:int -> pos:int -> Rat.t) -> Bigint.t
-
-(** [kcounts_via_shap ~n ~f_zero ~shap_subst] returns the full vector
-    [#_{0..n} F] recovered by the same telescoping (the proof computes it
-    on the way to [#F]). *)
+(** [kcounts_via_shap ~n ~f_zero ~shap_subst] computes [#_{0..n} F]
+    (whose total is [#F]) given [f_zero = F(0)] (the value of [F] on the
+    all-zero valuation) and [shap_subst ~l ~pos = Shap(F^(l,i), Z_i)]
+    where [X_i] is the variable at position [pos] and [Z_i] its
+    singleton replacement.  Calls the oracle [n^2] times. *)
 val kcounts_via_shap :
   n:int -> f_zero:bool -> shap_subst:(l:int -> pos:int -> Rat.t) -> Kvec.t
 

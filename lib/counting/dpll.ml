@@ -178,17 +178,12 @@ let count_by_size f =
 
 let count f = Kvec.total (count_by_size f)
 
-let check_universe ~vars f =
-  let universe = Vset.of_list vars in
-  let n = List.length vars in
-  if Vset.cardinal universe <> n then
-    invalid_arg "Dpll: duplicate variables in the universe";
-  if not (Vset.subset (Formula.vars f) universe) then
-    invalid_arg "Dpll: universe misses variables of the formula";
-  n
-
 let count_by_size_universe ~vars f =
-  let n = check_universe ~vars f in
+  let n =
+    Vset.cardinal
+      (Vset.universe ~who:"Dpll" ~noun:"variables of the formula" ~vars
+         (Formula.vars f))
+  in
   let base = count_by_size f in
   Kvec.extend base ~extra:(n - Kvec.universe_size base)
 

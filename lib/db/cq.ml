@@ -91,7 +91,7 @@ let check_against q db =
 
 let pp_term ppf = function
   | V x -> Format.pp_print_string ppf x
-  | C v -> Format.fprintf ppf "'%a'" Value.pp v
+  | C v -> Format.pp_print_string ppf (Value.literal v)
 
 let pp ppf q =
   Format.pp_print_list

@@ -60,5 +60,10 @@ val check_against : t -> Database.t -> unit
     hierarchy condition, if any. *)
 val witness_non_hierarchical : t -> (string * string) option
 
+(** [pp] prints [q] in the syntax of [Db_parser.parse_query], constants
+    by [Value.literal] (e.g. [E(y, 3), !S(y, 'a')]): distinct constants
+    print distinctly, and [parse_query (to_string q)] equals [q] when no
+    constant prints with a [','] or [')']. *)
 val pp : Format.formatter -> t -> unit
+
 val to_string : t -> string

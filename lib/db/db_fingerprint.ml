@@ -15,7 +15,7 @@ let relation db name =
        (fun acc (st : Database.stored) ->
          let acc =
            Array.fold_left
-             (fun acc v -> Fp.add_string acc (Value.to_string v))
+             (fun acc v -> Fp.add_string acc (Value.literal v))
              acc st.Database.values
          in
          Fp.add_int acc (Option.value ~default:(-1) st.Database.lvar))

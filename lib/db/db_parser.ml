@@ -6,16 +6,23 @@ let split_words s =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun w -> w <> "")
 
+(* A quoted word loses its quotes, and a doubled quote inside it stands
+   for one: the inverse of [Value.literal]. *)
 let parse_value w =
+  let n = String.length w in
   match int_of_string_opt w with
   | Some i -> Value.int i
-  | None ->
-    let w =
-      if String.length w >= 2 && w.[0] = '\'' && w.[String.length w - 1] = '\''
-      then String.sub w 1 (String.length w - 2)
-      else w
+  | None when n >= 2 && w.[0] = '\'' && w.[n - 1] = '\'' ->
+    let b = Buffer.create n in
+    let rec go i =
+      if i < n - 1 then begin
+        Buffer.add_char b w.[i];
+        go (if w.[i] = '\'' && w.[i + 1] = '\'' then i + 2 else i + 1)
+      end
     in
-    Value.str w
+    go 1;
+    Value.str (Buffer.contents b)
+  | None -> Value.str w
 
 (* Query syntax: comma-separated atoms [Name(arg, ...)]. *)
 let parse_query s =

@@ -5,7 +5,8 @@
     {v
       # comment
       rel R endo 1        -- declare relation: name, endo|exo, arity
-      row R 1             -- insert tuple (values: integers or bare words)
+      row R 1             -- insert tuple (values: integers, bare words
+                          -- or quoted 'words' with a quote inside doubled)
       rel S exo 2
       row S 1 2
       query R(x), S(x,y)  -- the Boolean CQ (one per file)
@@ -20,5 +21,6 @@ val parse_file : string -> Database.t * Cq.t
 
 (** [parse_query s] parses just a query, e.g. ["R(x), S(x,y), T(y)"].
     Arguments starting with a letter are variables; integer literals and
-    quoted ['...'] words are constants. *)
+    quoted ['...'] words are constants, read as [Value.literal] prints
+    them. *)
 val parse_query : string -> Cq.t

@@ -21,25 +21,27 @@ type q0_shapley_oracle = Database.t -> (int * Rat.t) list
    exponential part, exactly where Theorem 5.1 says the cost must live. *)
 let reference_oracle db = fst (Dichotomy.shapley db (Stretch.q0 ()))
 
+(* Q0 lineages as a class closed under OR-substitution (Claim 5.2): the
+   substituted lineage is Q0's own lineage over a transformed database.
+   Appendix B.2.2 gives a block to every endogenous tuple, which is the
+   whole universe, so the chain's [universe] adds nothing. *)
+let q0_lineages =
+  Pipeline.
+    {
+      or_subst =
+        (fun ~universe:_ ~widths db -> Stretch.or_substituted_q0_db ~widths db);
+      vars = Database.lineage_vars;
+      at_zero =
+        (fun db ->
+           Formula.eval_set Vset.empty
+             (Lineage.lineage_formula db (Stretch.q0 ())));
+    }
+
 let count_via_q0_shapley ~oracle inst =
-  let db, q = encode inst in
-  let f = Lineage.lineage_formula db q in
-  let universe = Vset.elements (Database.lineage_vars db) in
-  let sorted = List.sort compare universe in
-  let n = List.length sorted in
-  let f_zero = Formula.eval_set Vset.empty f in
-  Reductions.count_via_shap ~n ~f_zero ~shap_subst:(fun ~l ~pos ->
-      let i = List.nth sorted pos in
-      let widths v = if v = i then 1 else l in
-      let db', blocks = Stretch.or_substituted_q0_db ~widths db in
-      let z =
-        match List.assoc_opt i blocks with
-        | Some [ z ] -> z
-        | _ -> failwith "Hardness: expected singleton block for kept variable"
-      in
-      match List.assoc_opt z (oracle db') with
-      | Some v -> v
-      | None -> failwith "Hardness: oracle did not report Z_i")
+  let db, _ = encode inst in
+  Kvec.total
+    (Pipeline.kcounts_via_shap q0_lineages ~shap:(fun ~l:_ ~vars:_ -> oracle)
+       ~vars:(Vset.elements (Database.lineage_vars db)) db)
 
 let oracle_calls (inst : Bipartite.t) =
   let n = inst.Bipartite.a + inst.Bipartite.b in

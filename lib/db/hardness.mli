@@ -9,11 +9,13 @@
 
     + {!encode} embeds a bipartite DNF as [F_{Q0,D}] (pick [R], [T] for
       the variable parts, [S] for the edge set);
-    + Lemma 3.4 asks for [Shap(F^(l,i), Z_i)]; the function [F^(l,i)]
-      is realised as the lineage of [Q0] itself over the transformed
-      database [Stretch.or_substituted_q0_db] (Claim 5.2 + Appendix
-      B.2.2), so every oracle call is again a [Q0]-lineage Shapley
-      computation;
+    + Lemma 3.4 asks for [Shap(F^(l,i), Z_i)]: the [Q0] lineages are a
+      class closed under OR-substitution, whose substitution is
+      [Stretch.or_substituted_q0_db] (Claim 5.2 + Appendix B.2.2), so
+      [F^(l,i)] is the lineage of [Q0] itself over a transformed
+      database and every oracle call is again a [Q0]-lineage Shapley
+      computation.  The chain is [Pipeline.kcounts_via_shap], the one
+      formulas and circuits run;
     + the recovered count is the bipartite DNF's model count.
 
     The Shapley oracle itself is pluggable; benchmarks use the exponential

@@ -15,12 +15,16 @@ let stretch_query ~is_endogenous q =
   let atoms =
     List.map
       (fun (a : Cq.atom) ->
-         if is_endogenous a.rel then begin
+         if not (is_endogenous a.rel) then a
+         else if a.negated then
+           invalid_arg
+             ("Stretch.stretch_query: negated endogenous atom " ^ a.rel
+              ^ " (Definition 10 is for positive queries)")
+         else begin
            let z = fresh_name () in
            added := z :: !added;
            { a with Cq.args = Array.append [| Cq.V z |] a.args }
-         end
-         else a)
+         end)
       q.Cq.atoms
   in
   (Cq.make atoms, List.rev !added)

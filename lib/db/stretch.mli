@@ -22,12 +22,11 @@
 (** [stretch_query ~is_endogenous q] adds fresh variables [z$1, z$2, ...]
     (names chosen fresh w.r.t. [q]'s variables).  Returns the stretched
     query and the list of added variable names, one per endogenous atom
-    in order. *)
+    in order.  Negated exogenous atoms are kept as they are.
+    @raise Invalid_argument on a negated endogenous atom: Definition 10
+    is for positive queries, and its fresh variable would occur in no
+    positive atom. *)
 val stretch_query : is_endogenous:(string -> bool) -> Cq.t -> Cq.t * string list
-
-(** [stretch_schema db] is a new database with every endogenous relation's
-    arity raised by one (no tuples). *)
-val stretch_schema : Database.t -> Database.t
 
 (** [stretch_database_dummy db] pads every endogenous tuple with the dummy
     first value [d], preserving lineage variables.  Exogenous relations

@@ -18,13 +18,21 @@ let rec pp ppf = function
   | VStr s -> Format.pp_print_string ppf s
   | VPair (a, b) -> Format.fprintf ppf "(%a,%a)" pp a pp b
 
-(* The rendering of [pp], built directly: cache keys fingerprint every
-   stored value, and [Format.asprintf] allocates a formatter per call. *)
+(* The rendering of [pp], built directly: [Format.asprintf] allocates a
+   formatter per call. *)
 let rec to_string = function
   | VInt i -> string_of_int i
   | VStr s -> s
   | VPair (a, b) ->
     String.concat "" [ "("; to_string a; ","; to_string b; ")" ]
+
+(* Cache keys fingerprint every stored value in this form.  A quoted
+   string ends at its first undoubled quote, so the rendering is
+   injective. *)
+let rec literal = function
+  | VInt i -> string_of_int i
+  | VStr s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+  | VPair (a, b) -> String.concat "" [ "("; literal a; ","; literal b; ")" ]
 
 let int i = VInt i
 let str s = VStr s

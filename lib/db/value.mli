@@ -17,6 +17,11 @@ val pp : Format.formatter -> t -> unit
 (** [to_string v] is the text [pp] prints, e.g. [(1,(a,2))]. *)
 val to_string : t -> string
 
+(** [literal v] is [v] in the syntax of {!Db_parser}: integers bare,
+    strings between single quotes with a quote inside doubled, pairs
+    [(a,b)], e.g. [(1,('a',2))].  Distinct values render distinctly. *)
+val literal : t -> string
+
 (** [int n], [str s], [pair a b] — construction shorthands. *)
 val int : int -> t
 

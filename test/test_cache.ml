@@ -537,10 +537,47 @@ let digests_pinned () =
   ignore (Database.insert db "R" [| Value.int 2; Value.str "z" |]);
   ignore (Database.insert db "S" [| Value.int 1 |]);
   let q = Db_parser.parse_query "R(x,y), S(x)" in
-  Alcotest.(check string) "lineage_key" "351b56849d631e60"
+  Alcotest.(check string) "lineage_key" "7c8c4faac440b8d0"
     (Db_fingerprint.lineage_key db q);
-  Alcotest.(check string) "result_key" "24b491d4c42f59cc"
+  Alcotest.(check string) "result_key" "22545e5e5e4bae8c"
     (Db_fingerprint.result_key db q)
+
+(* The integer 3 and the string '3' must not share a key, neither in a
+   relation's rows nor as a query constant: through one cache, the
+   second database or query must be answered as solved fresh. *)
+let one_row_db rows =
+  let db = Database.create () in
+  List.iter
+    (fun (r, v) ->
+      Database.declare db r ~kind:Database.Endogenous ~arity:1;
+      ignore (Database.insert db r [| v |]))
+    rows;
+  db
+
+let answered_apart ~first:(db1, q1) ~second:(db2, q2) =
+  check_bool "lineage keys differ" true
+    (Db_fingerprint.lineage_key db1 q1 <> Db_fingerprint.lineage_key db2 q2);
+  check_bool "result keys differ" true
+    (Db_fingerprint.result_key db1 q1 <> Db_fingerprint.result_key db2 q2);
+  let cache = Cache.create () in
+  ignore (Dichotomy.shapley_cached ~cache db1 q1);
+  let fresh, _ = Dichotomy.shapley db2 q2 in
+  let cached, _ = Dichotomy.shapley_cached ~cache db2 q2 in
+  check_shap "second answered fresh" fresh (Cache.bindings cached)
+
+let keys_tell_row_int_from_string () =
+  let q = Db_parser.parse_query "R(x), S(x)" in
+  answered_apart
+    ~first:(one_row_db [ ("R", Value.int 3); ("S", Value.int 3) ], q)
+    ~second:(one_row_db [ ("R", Value.int 3); ("S", Value.str "3") ], q)
+
+let keys_tell_constant_int_from_string () =
+  let db = one_row_db [ ("E", Value.int 3) ] in
+  let q_int = Db_parser.parse_query "E(3)"
+  and q_str = Db_parser.parse_query "E('3')" in
+  check_bool "query digests differ" true
+    (Db_fingerprint.query q_int <> Db_fingerprint.query q_str);
+  answered_apart ~first:(db, q_int) ~second:(db, q_str)
 
 (* A database's keys must be those of a database built fresh with the
    same rows after every mutation, although each relation is digested
@@ -620,10 +657,45 @@ let gen_value =
              [ (1, leaf);
                (3, map2 Value.pair (self (n - 1)) (self (n - 1))) ])
 
+(* Queries whose string constants hold quotes, spaces and digits: what
+   the query syntax can carry (no ',' or ')' inside an argument). *)
+let gen_query =
+  let open QCheck.Gen in
+  let constant =
+    oneof
+      [ map Value.int int;
+        map Value.str
+          (string_size ~gen:(oneofl [ 'a'; 'b'; '3'; '\''; ' '; '(' ])
+             (int_range 0 6)) ]
+  in
+  let term =
+    oneof [ map (fun x -> Cq.V x) (oneofl [ "x"; "y" ]);
+            map (fun v -> Cq.C v) constant ]
+  in
+  let atom =
+    map3
+      (fun rel args negated ->
+        (if negated then Cq.negated_atom else Cq.atom) rel args)
+      (oneofl [ "R"; "S" ]) (list_size (int_range 1 3) term) bool
+  in
+  map2 (fun a rest -> Cq.make (a :: rest))
+    (map (fun a -> { a with Cq.negated = false }) atom)
+    (list_size (int_range 0 2) atom)
+
 let value_tests =
   [ dtest ~seed:33 ~count:200 "Value.to_string = Format rendering of pp"
       (QCheck.make ~print:(Format.asprintf "%a" Value.pp) gen_value)
       (fun v -> Value.to_string v = Format.asprintf "%a" Value.pp v) ]
+
+let literal_tests =
+  [ Alcotest.test_case "keys: row 3 and row '3' apart" `Quick
+      keys_tell_row_int_from_string;
+    Alcotest.test_case "keys: constant 3 and constant '3' apart" `Quick
+      keys_tell_constant_int_from_string;
+    dtest ~seed:34 ~count:200 "Cq.to_string reparses to an equal query"
+      (QCheck.make ~print:Cq.to_string gen_query)
+      (fun q ->
+        (Db_parser.parse_query (Cq.to_string q)).Cq.atoms = q.Cq.atoms) ]
 
 (* ------------------------------------------------------------------ *)
 (* The differential harness: random interleavings of solves, inserts and
@@ -788,4 +860,4 @@ let suite =
     Alcotest.test_case "keys: digests pinned" `Quick digests_pinned;
     Alcotest.test_case "keys: one digest per relation version" `Quick
       digests_follow_mutations ]
-  @ value_tests @ differential_tests
+  @ value_tests @ differential_tests @ literal_tests

@@ -109,7 +109,10 @@ let identity_tests =
 let lemma34_repair_tests =
   let oracle_value f ~vars ~l ~keep =
     let universe = Vset.of_list vars in
-    let g, z, blocks = Subst.uniform_or_except ~universe ~l ~keep f in
+    let g, blocks =
+      Subst.or_subst ~universe ~widths:(fun v -> if v = keep then 1 else l) f
+    in
+    let z = List.hd (List.assoc keep blocks) in
     let gvars = List.concat_map snd blocks in
     List.assoc z (Naive.shap_subsets ~vars:gvars g)
   in

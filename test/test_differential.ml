@@ -440,9 +440,10 @@ let backward_tests =
       "backward pass = conditioning = naive (Lemma 3.4 OR-substitution)"
       arb_lemma34
       (fun (f, l, keep) ->
-        let g, _, blocks =
-          Or_subst.uniform_or_except ~universe:(Vset.of_list (universe 3)) ~l
-            ~keep (Compile.compile f)
+        let g, blocks =
+          Or_subst.or_subst ~universe:(Vset.of_list (universe 3))
+            ~widths:(fun v -> if v = keep then 1 else l)
+            (Compile.compile f)
         in
         backward_agrees ~vars:(List.concat_map snd blocks) g);
     dtest ~seed:12 ~count:30
@@ -515,7 +516,7 @@ let substituted (f, kind, l) =
       let g, _ = Subst.or_subst ~widths:(fun v -> 1 + ((v + l) mod 2)) f in
       Subst.or_subst ~widths:(fun v -> 1 + (v mod 2)) g
     | _ ->
-      let g, _ = Subst.zap ~zero:(Vset.singleton l) f in
+      let g, _ = Subst.or_subst ~widths:(fun v -> if v = l then 0 else 1) f in
       Subst.uniform_or ~l:2 g
   in
   (g, List.concat_map snd blocks)
@@ -901,7 +902,262 @@ let join_tests =
         && eval_agrees (module Provenance.Boolean_semiring)
              ~annotate:Formula.var db q) ]
 
+(* ------------------------------------------------------------------ *)
+(* One Theorem 3.1 chain.  The chains [Pipeline]'s class-generic chain
+   replaced, kept as oracles: [Pipeline]'s formula chain, the reduction
+   routes of [Circuit_shapley] and [Hardness]'s Q0 chain.  The helpers
+   they called for [~F], [~F'] and [F^(l,i)] ([isomorphic_copy], [zap],
+   [uniform_or_except]) are written as the widths they passed, and
+   [Reductions.count_via_shap] as the total it took. *)
+module Old_chains = struct
+  let sorted_universe ~vars f =
+    let universe = Vset.of_list vars in
+    if Vset.cardinal universe <> List.length vars then
+      invalid_arg "Pipeline: duplicate variables in the universe";
+    if not (Vset.subset (Formula.vars f) universe) then
+      invalid_arg "Pipeline: universe misses variables of the formula";
+    (universe, List.sort compare vars)
+
+  let ledgered_count ~(oracle : Pipeline.count_oracle) ?arity ?attrs ~vars f
+      =
+    if not (Obs.observing ()) then oracle.count ~vars f
+    else
+      Obs.call ~oracle:oracle.oracle_name ~n:(List.length vars) ?arity ?attrs
+        ~size:(Formula.size f)
+        (fun () -> oracle.count ~vars f)
+
+  let ledgered_shap ~(oracle : Pipeline.shap_oracle) ?arity ?attrs ~vars f =
+    if not (Obs.observing ()) then oracle.shap ~vars f
+    else
+      Obs.call ~oracle:oracle.shap_name ~n:(List.length vars) ?arity ?attrs
+        ~size:(Formula.size f)
+        (fun () -> oracle.shap ~vars f)
+
+  let kcounts_via_count_oracle ~oracle ~vars f =
+    let universe, sorted = sorted_universe ~vars f in
+    let n = List.length sorted in
+    Obs.with_span "pipeline.kcounts_via_count_oracle"
+      ~attrs:[ ("n", Trace.Int n) ]
+    @@ fun () ->
+    Reductions.kcounts_via_counting ~n ~count_subst:(fun ~l ->
+        let g, blocks = Subst.uniform_or ~universe ~l f in
+        ledgered_count ~oracle ~arity:l
+          ~attrs:[ ("lemma", Trace.Str "3.3") ]
+          ~vars:(List.concat_map snd blocks) g)
+
+  let shap_via_count_oracle ~oracle ~vars f =
+    let universe, sorted = sorted_universe ~vars f in
+    let n = List.length sorted in
+    Obs.with_span "pipeline.shap_via_count_oracle"
+      ~attrs:[ ("n", Trace.Int n) ]
+    @@ fun () ->
+    let kcount_full =
+      Obs.phase "lemma3.2.full" ~attrs:[ ("n", Trace.Int n) ];
+      let tilde_f, blocks = Subst.or_subst ~universe ~widths:(fun _ -> 1) f in
+      kcounts_via_count_oracle ~oracle ~vars:(List.concat_map snd blocks)
+        tilde_f
+    in
+    let sorted_arr = Array.of_list sorted in
+    let kcount_drop pos =
+      let i = sorted_arr.(pos) in
+      Obs.phase "lemma3.2.drop" ~attrs:[ ("i", Trace.Int i) ];
+      let tilde_f', blocks =
+        Subst.or_subst ~universe ~widths:(fun v -> if v = i then 0 else 1) f
+      in
+      kcounts_via_count_oracle ~oracle ~vars:(List.concat_map snd blocks)
+        tilde_f'
+    in
+    let values = Reductions.shap_via_kcounts ~n ~kcount_full ~kcount_drop in
+    List.mapi (fun pos i -> (i, values.(pos))) sorted
+
+  let count_via_shap_oracle ~oracle ~vars f =
+    let universe, sorted = sorted_universe ~vars f in
+    let n = List.length sorted in
+    let f_zero = Formula.eval_set Vset.empty f in
+    let sorted_arr = Array.of_list sorted in
+    Kvec.total
+      (Obs.with_span "pipeline.kcounts_via_shap_oracle" @@ fun () ->
+       Reductions.kcounts_via_shap ~n ~f_zero ~shap_subst:(fun ~l ~pos ->
+           let i = sorted_arr.(pos) in
+           let g, blocks =
+             Subst.or_subst ~universe
+               ~widths:(fun v -> if v = i then 1 else l) f
+           in
+           let z = List.hd (List.assoc i blocks) in
+           match
+             List.assoc_opt z
+               (ledgered_shap ~oracle ~arity:l
+                  ~attrs:[ ("lemma", Trace.Str "3.4") ]
+                  ~vars:(List.concat_map snd blocks) g)
+           with
+           | Some v -> v
+           | None -> failwith "Pipeline: Shapley oracle did not report Z_i"))
+
+  let circuit_universe ~vars g =
+    let universe = Vset.of_list vars in
+    if Vset.cardinal universe <> List.length vars then
+      invalid_arg "Circuit_shapley: duplicate variables in the universe";
+    if not (Vset.subset (Circuit.vars g) universe) then
+      invalid_arg "Circuit_shapley: universe misses circuit variables";
+    (universe, List.sort compare vars)
+
+  let kcounts_via_reduction ~vars g =
+    let universe, sorted = circuit_universe ~vars g in
+    let n = List.length sorted in
+    Reductions.kcounts_via_counting ~n ~count_subst:(fun ~l ->
+        let g', blocks = Or_subst.uniform_or ~universe ~l g in
+        Count.count ~vars:(List.concat_map snd blocks) g')
+
+  let shap_via_reduction ~vars g =
+    let universe, sorted = circuit_universe ~vars g in
+    let n = List.length sorted in
+    let kcount_of ~vars g' = kcounts_via_reduction ~vars g' in
+    let kcount_full =
+      let tilde_g, blocks =
+        Or_subst.or_subst ~universe ~widths:(fun _ -> 1) g
+      in
+      kcount_of ~vars:(List.concat_map snd blocks) tilde_g
+    in
+    let kcount_drop pos =
+      let i = List.nth sorted pos in
+      let tilde_g', blocks =
+        Or_subst.or_subst ~universe ~widths:(fun v -> if v = i then 0 else 1) g
+      in
+      kcount_of ~vars:(List.concat_map snd blocks) tilde_g'
+    in
+    let values = Reductions.shap_via_kcounts ~n ~kcount_full ~kcount_drop in
+    List.mapi (fun pos i -> (i, values.(pos))) sorted
+
+  let count_via_shap ~vars g =
+    let universe, sorted = circuit_universe ~vars g in
+    let n = List.length sorted in
+    let f_zero = Circuit.eval_set Vset.empty g in
+    Kvec.total
+      (Reductions.kcounts_via_shap ~n ~f_zero ~shap_subst:(fun ~l ~pos ->
+           let i = List.nth sorted pos in
+           let g', blocks =
+             Or_subst.or_subst ~universe
+               ~widths:(fun v -> if v = i then 1 else l) g
+           in
+           let z = List.hd (List.assoc i blocks) in
+           let gvars = List.concat_map snd blocks in
+           match
+             List.assoc_opt z (Circuit_shapley.shap_direct ~vars:gvars g')
+           with
+           | Some v -> v
+           | None -> failwith "Circuit_shapley: oracle did not report Z_i"))
+
+  let count_via_q0_shapley ~oracle inst =
+    let db, q = Hardness.encode inst in
+    let f = Lineage.lineage_formula db q in
+    let universe = Vset.elements (Database.lineage_vars db) in
+    let sorted = List.sort compare universe in
+    let n = List.length sorted in
+    let f_zero = Formula.eval_set Vset.empty f in
+    Kvec.total
+      (Reductions.kcounts_via_shap ~n ~f_zero ~shap_subst:(fun ~l ~pos ->
+           let i = List.nth sorted pos in
+           let widths v = if v = i then 1 else l in
+           let db', blocks = Stretch.or_substituted_q0_db ~widths db in
+           let z =
+             match List.assoc_opt i blocks with
+             | Some [ z ] -> z
+             | _ ->
+               failwith "Hardness: expected singleton block for kept variable"
+           in
+           match List.assoc_opt z (oracle db') with
+           | Some v -> v
+           | None -> failwith "Hardness: oracle did not report Z_i"))
+end
+
+(* Run [f] with the ledger on and a trace recording; return its result
+   and the [(kind, name, attrs)] of every event, timings dropped. *)
+let traced f =
+  let stream = Trace.create () in
+  Obs.reset ();
+  Obs.enable ();
+  Obs.set_trace (Some stream);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_trace None;
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      ( r,
+        List.map
+          (fun e -> (e.Trace.kind, e.Trace.name, e.Trace.attrs))
+          (Trace.events stream) ))
+
+(* A compiled formula on 1..4, maybe negated, over a universe of up to
+   two variables the circuit does not mention. *)
+let arb_chain_circuit =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (f, neg, extra) ->
+      Printf.sprintf "neg %b, extra %d: %s" neg extra (Formula.to_string f))
+    (triple (gen_formula ~nvars:4 ~depth:3) bool (int_range 0 2))
+
+let chain_circuit (f, neg, extra) =
+  let c = Compile.compile f in
+  ((if neg then Circuit.cnot c else c), universe (4 + extra))
+
+let arb_bipartite =
+  QCheck.make
+    ~print:(fun (a, b, d, seed) ->
+      Printf.sprintf "a=%d b=%d d=%d seed=%d" a b d seed)
+    QCheck.Gen.(quad (int_range 1 3) (int_range 1 2) (int_range 0 4) nat)
+
+let chain_tests =
+  [ dtest ~seed:16 ~count:40 "one chain: circuit routes = old chains"
+      arb_chain_circuit (fun inst ->
+        let c, vars = chain_circuit inst in
+        Kvec.equal
+          (Circuit_shapley.kcounts_via_reduction ~vars c)
+          (Old_chains.kcounts_via_reduction ~vars c)
+        && same_values
+             (Circuit_shapley.shap_via_reduction ~vars c)
+             (Old_chains.shap_via_reduction ~vars c)
+        && Bigint.equal
+             (Circuit_shapley.count_via_shap ~vars c)
+             (Old_chains.count_via_shap ~vars c));
+    dtest ~seed:17 ~count:10 "one chain: Q0 hardness = old chain"
+      arb_bipartite (fun (a, b, d, seed) ->
+        let inst =
+          Bipartite.random ~a ~b ~density:(float_of_int d /. 4.) ~seed
+        in
+        let oracle = Hardness.reference_oracle in
+        let count = Hardness.count_via_q0_shapley ~oracle inst in
+        Bigint.equal count (Old_chains.count_via_q0_shapley ~oracle inst)
+        && Bigint.equal count (Bipartite.count inst));
+    dtest ~seed:18 ~count:25 "one chain: formula events = old chain's"
+      (arb_formula ~nvars:3 ~depth:3) (fun f ->
+        let vars = universe 4 in
+        let count = Pipeline.dpll_count_oracle in
+        let shap =
+          { Pipeline.shap_name = "circuit-shapley";
+            shap =
+              (fun ~vars f ->
+                Circuit_shapley.shap_direct ~vars (Compile.compile f)) }
+        in
+        let values, events =
+          traced (fun () ->
+              Pipeline.shap_via_count_oracle ~oracle:count ~vars f)
+        and old_values, old_events =
+          traced (fun () ->
+              Old_chains.shap_via_count_oracle ~oracle:count ~vars f)
+        in
+        let total, shap_events =
+          traced (fun () ->
+              Pipeline.count_via_shap_oracle ~oracle:shap ~vars f)
+        and old_total, old_shap_events =
+          traced (fun () ->
+              Old_chains.count_via_shap_oracle ~oracle:shap ~vars f)
+        in
+        same_values values old_values && events = old_events
+        && Bigint.equal total old_total && shap_events = old_shap_events) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
   @ backward_edge_cases @ search_tests @ block_tests @ e2e_shape_tests
-  @ join_tests
+  @ join_tests @ chain_tests

@@ -86,11 +86,14 @@ let subst_tests =
         (* new variable count: 1 + 2 + 1 *)
         Alcotest.(check int) "vars" 4 (Vset.cardinal (Formula.vars g)));
     t "width zero maps to false" (fun () ->
-        let g, _ = Subst.zap ~zero:(Vset.singleton 1) example2_formula in
+        let g, _ =
+          Subst.or_subst ~widths:(fun v -> if v = 1 then 0 else 1)
+            example2_formula
+        in
         (* F[X1 := empty disjunction] = 0 *)
         Alcotest.check formula "false" Formula.fls g);
     t "isomorphic copy preserves counts" (fun () ->
-        let g, blocks = Subst.isomorphic_copy example2_formula in
+        let g, blocks = Subst.or_subst ~widths:(fun _ -> 1) example2_formula in
         let gvars = List.concat_map snd blocks in
         Alcotest.check bigint "#F"
           (Brute.count ~vars:example2_vars example2_formula)
@@ -113,7 +116,7 @@ let subst_tests =
       (fun f ->
          let vars = Vset.elements (Formula.vars f) in
          QCheck.assume (vars <> []);
-         let g, blocks = Subst.isomorphic_copy f in
+         let g, blocks = Subst.or_subst ~widths:(fun _ -> 1) f in
          let gvars = List.concat_map snd blocks in
          Kvec.equal
            (Brute.count_by_size ~vars f)
@@ -123,7 +126,9 @@ let subst_tests =
          let vars = Formula.vars f in
          QCheck.assume (not (Vset.is_empty vars));
          let i = Vset.min_elt vars in
-         let zapped, blocks = Subst.zap ~zero:(Vset.singleton i) f in
+         let zapped, blocks =
+           Subst.or_subst ~widths:(fun v -> if v = i then 0 else 1) f
+         in
          let gvars = List.concat_map snd blocks in
          let restricted = Formula.restrict i false f in
          (* zapped is an isomorphic copy of restricted; counts agree *)

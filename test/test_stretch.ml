@@ -180,4 +180,24 @@ let hardness_tests =
               inst))
   ]
 
-let suite = stretch_tests @ diagram_tests @ claim52_tests @ hardness_tests
+(* Definition 10 is for positive queries. *)
+let refusal_tests =
+  [ t "definition 10: a negated endogenous atom is refused" (fun () ->
+        let q = Db_parser.parse_query "R(x), !S(x)" in
+        Alcotest.check_raises "negated S"
+          (Invalid_argument
+             "Stretch.stretch_query: negated endogenous atom S (Definition \
+              10 is for positive queries)")
+          (fun () ->
+            ignore (Stretch.stretch_query ~is_endogenous:(fun _ -> true) q));
+        (* a negated exogenous atom is kept as it is *)
+        let qt, zs =
+          Stretch.stretch_query ~is_endogenous:(fun n -> n <> "S") q
+        in
+        Alcotest.(check string) "exogenous negation kept" "R(z$1, x), !S(x)"
+          (Cq.to_string qt);
+        Alcotest.(check (list string)) "one fresh variable" [ "z$1" ] zs) ]
+
+let suite =
+  stretch_tests @ diagram_tests @ claim52_tests @ hardness_tests
+  @ refusal_tests
