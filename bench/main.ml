@@ -1064,11 +1064,30 @@ let e23 () =
     (Sampling.samples_for ~eps ~delta);
   row "  %-13s %-9s %-9s %-12s %-11s %-9s %-8s\n" "estimator" "samples"
     "evals" "half-width" "checkpoints" "max-err" "in-CI";
+  (* A checkpoint is an event: (samples, certified max half-width) of
+     each "estimator.checkpoint" phase in a buffer installed around the
+     run. *)
+  let checkpoints b =
+    List.filter_map
+      (fun (e : Trace.event) ->
+         match
+           ( e.kind, e.name, List.assoc_opt "samples" e.attrs,
+             List.assoc_opt "max_half_width" e.attrs )
+         with
+         | ( Trace.Phase, "estimator.checkpoint", Some (Trace.Int s),
+             Some (Trace.Float w) ) ->
+           Some (s, w)
+         | _ -> None)
+      (Trace.events b)
+  in
   let reports =
     List.map
       (fun (label, est, f) ->
+         let b = Trace.create () in
          let r =
-           Sampling.shap_estimate ~estimator:est ~seed:23 ~eps ~delta ~vars f
+           Obs.with_request b (fun () ->
+               Sampling.shap_estimate ~estimator:est ~seed:23 ~eps ~delta ~vars
+                 f)
          in
          let hw = Convergence.max_certified_half_width r.Sampling.monitor in
          let max_err =
@@ -1080,7 +1099,7 @@ let e23 () =
                 Float.max acc (Float.abs (e.Sampling.value -. truth)))
              0.0 r.Sampling.estimates
          in
-         let cps = Convergence.checkpoints r.Sampling.monitor in
+         let cps = checkpoints b in
          row "  %-13s %-9d %-9d %-12.5f %-11d %-9.5f %-8b\n" label
            r.Sampling.samples_used r.Sampling.evals hw (List.length cps)
            max_err (max_err <= hw);
@@ -1115,11 +1134,7 @@ let e23 () =
     (List.for_all
        (fun (_, _, cps) ->
           let rec ok = function
-            | a :: (b :: _ as rest) ->
-              a.Convergence.k_samples < b.Convergence.k_samples
-              && b.Convergence.k_max_half_width
-                 <= a.Convergence.k_max_half_width
-              && ok rest
+            | (s, w) :: ((s', w') :: _ as rest) -> s < s' && w' <= w && ok rest
             | _ -> true
           in
           ok cps)

@@ -46,10 +46,6 @@ let universe_arg =
   in
   Arg.(value & opt (some int) None & info [ "n"; "universe" ] ~docv:"N" ~doc)
 
-let parse_formula s =
-  try Ok (Parser.formula_of_string s)
-  with Invalid_argument m -> Error m
-
 let universe_of ?n f =
   let vars = Formula.vars f in
   match n with
@@ -210,24 +206,20 @@ let with_obs opts f =
 let count_cmd =
   let run opts method_ n s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, _) ->
-          let vars = universe_of ?n f in
-          with_obs opts (fun () ->
-              let result =
-                match method_ with
-                | "dpll" -> Dpll.count_universe ~vars f
-                | "brute" -> Brute.count ~vars f
-                | "circuit" -> Count.count ~vars (Compile.compile f)
-                | "obdd" ->
-                  let m = Obdd.create_manager ~order:vars in
-                  Obdd.count m ~vars (Obdd.of_formula m f)
-                | m -> failwith ("unknown method " ^ m)
-              in
-              Printf.printf "%s\n" (Bigint.to_string result)))
+        let f = Parser.formula_of_string_exn s in
+        let vars = universe_of ?n f in
+        with_obs opts (fun () ->
+            let result =
+              match method_ with
+              | "dpll" -> Dpll.count_universe ~vars f
+              | "brute" -> Brute.count ~vars f
+              | "circuit" -> Count.count ~vars (Compile.compile f)
+              | "obdd" ->
+                let m = Obdd.create_manager ~order:vars in
+                Obdd.count m ~vars (Obdd.of_formula m f)
+              | m -> failwith ("unknown method " ^ m)
+            in
+            Printf.printf "%s\n" (Bigint.to_string result)))
   in
   let info = Cmd.info "count" ~doc:"Model count #F of a Boolean formula." in
   Cmd.v info
@@ -239,28 +231,24 @@ let count_cmd =
 let kcount_cmd =
   let run opts method_ n s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, _) ->
-          let vars = universe_of ?n f in
-          with_obs opts (fun () ->
-              let kv =
-                match method_ with
-                | "dpll" -> Dpll.count_by_size_universe ~vars f
-                | "brute" -> Brute.count_by_size ~vars f
-                | "circuit" -> Count.count_by_size ~vars (Compile.compile f)
-                | "reduction" ->
-                  (* Lemma 3.3 through a DPLL counting oracle *)
-                  Pipeline.kcounts_via_count_oracle
-                    ~oracle:Pipeline.dpll_count_oracle ~vars f
-                | m -> failwith ("unknown method " ^ m)
-              in
-              Array.iteri
-                (fun k c -> Printf.printf "#_%d = %s\n" k (Bigint.to_string c))
-                (Kvec.to_array kv);
-              Printf.printf "#F  = %s\n" (Bigint.to_string (Kvec.total kv))))
+        let f = Parser.formula_of_string_exn s in
+        let vars = universe_of ?n f in
+        with_obs opts (fun () ->
+            let kv =
+              match method_ with
+              | "dpll" -> Dpll.count_by_size_universe ~vars f
+              | "brute" -> Brute.count_by_size ~vars f
+              | "circuit" -> Count.count_by_size ~vars (Compile.compile f)
+              | "reduction" ->
+                (* Lemma 3.3 through a DPLL counting oracle *)
+                Pipeline.kcounts_via_count_oracle
+                  ~oracle:Pipeline.dpll_count_oracle ~vars f
+              | m -> failwith ("unknown method " ^ m)
+            in
+            Array.iteri
+              (fun k c -> Printf.printf "#_%d = %s\n" k (Bigint.to_string c))
+              (Kvec.to_array kv);
+            Printf.printf "#F  = %s\n" (Bigint.to_string (Kvec.total kv))))
   in
   let info =
     Cmd.info "kcount"
@@ -290,28 +278,24 @@ let print_shap names shap =
 let shap_cmd =
   let run opts method_ n s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, names) ->
-          let vars = universe_of ?n f in
-          with_obs opts (fun () ->
-              let shap =
-                match method_ with
-                | "circuit" ->
-                  Circuit_shapley.shap_direct ~vars (Compile.compile f)
-                | "reduction" ->
-                  Pipeline.shap_via_count_oracle
-                    ~oracle:Pipeline.dpll_count_oracle ~vars f
-                | "pqe" ->
-                  Pipeline.shap_via_pqe_oracle
-                    ~oracle:Pipeline.pqe_circuit_oracle ~vars f
-                | "subsets" -> Naive.shap_subsets ~vars f
-                | "permutations" -> Naive.shap_permutations ~vars f
-                | m -> failwith ("unknown method " ^ m)
-              in
-              print_shap names shap))
+        let f, names = Parser.formula_of_string s in
+        let vars = universe_of ?n f in
+        with_obs opts (fun () ->
+            let shap =
+              match method_ with
+              | "circuit" ->
+                Circuit_shapley.shap_direct ~vars (Compile.compile f)
+              | "reduction" ->
+                Pipeline.shap_via_count_oracle
+                  ~oracle:Pipeline.dpll_count_oracle ~vars f
+              | "pqe" ->
+                Pipeline.shap_via_pqe_oracle
+                  ~oracle:Pipeline.pqe_circuit_oracle ~vars f
+              | "subsets" -> Naive.shap_subsets ~vars f
+              | "permutations" -> Naive.shap_permutations ~vars f
+              | m -> failwith ("unknown method " ^ m)
+            in
+            print_shap names shap))
   in
   let info =
     Cmd.info "shap"
@@ -327,25 +311,21 @@ let shap_cmd =
 let banzhaf_cmd =
   let run opts method_ n s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, names) ->
-          let vars = universe_of ?n f in
-          with_obs opts (fun () ->
-              let scores =
-                match method_ with
-                | "circuit" ->
-                  Power_indices.banzhaf_circuit ~vars (Compile.compile f)
-                | "brute" -> Power_indices.banzhaf ~vars f
-                | "dpll" ->
-                  Power_indices.banzhaf_via_count_oracle
-                    ~count:(fun ~vars f -> Dpll.count_universe ~vars f)
-                    ~vars f
-                | m -> failwith ("unknown method " ^ m)
-              in
-              print_shap names scores))
+        let f, names = Parser.formula_of_string s in
+        let vars = universe_of ?n f in
+        with_obs opts (fun () ->
+            let scores =
+              match method_ with
+              | "circuit" ->
+                Power_indices.banzhaf_circuit ~vars (Compile.compile f)
+              | "brute" -> Power_indices.banzhaf ~vars f
+              | "dpll" ->
+                Power_indices.banzhaf_via_count_oracle
+                  ~count:(fun ~vars f -> Dpll.count_universe ~vars f)
+                  ~vars f
+              | m -> failwith ("unknown method " ^ m)
+            in
+            print_shap names scores))
   in
   let info =
     Cmd.info "banzhaf" ~doc:"Banzhaf value of every variable (comparison index)."
@@ -423,67 +403,63 @@ let approx_cmd =
   let run opts samples seed eps delta deadline estimator ci interval
       convergence progress n s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, names) ->
-          let vars = universe_of ?n f in
-          let name i =
-            match List.assoc_opt i names with
-            | Some nm -> nm
-            | None -> Printf.sprintf "x%d" i
-          in
-          let estimator =
-            match Sampling.estimator_of_string estimator with
-            | Some e -> e
-            | None -> failwith ("unknown estimator " ^ estimator)
-          in
-          let ci =
-            match Convergence.ci_of_string ci with
-            | Some c -> c
-            | None -> failwith ("unknown ci " ^ ci)
-          in
-          let progress_fn =
-            if progress then
-              Some
-                (fun (p : Sampling.progress) ->
-                  Printf.eprintf
-                    "progress: samples=%d half-width=%s elapsed=%.2fs\n%!"
-                    p.Sampling.pr_samples
-                    (if p.Sampling.pr_half_width = infinity then "inf"
-                     else Printf.sprintf "%.6f" p.Sampling.pr_half_width)
-                    p.Sampling.pr_elapsed)
-            else None
-          in
-          let with_jsonl k =
-            match convergence with
-            | None -> k None
-            | Some "-" -> k (Some stderr)
-            | Some path ->
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () -> k (Some oc))
-          in
-          with_obs opts (fun () ->
-              with_jsonl @@ fun jsonl ->
-              let report =
-                Sampling.shap_estimate ~estimator ~seed ~delta ?eps
-                  ?max_samples:samples ?deadline ~ci ~interval ?jsonl
-                  ?progress:progress_fn ~vars f
-              in
-              List.iter
-                (fun e ->
-                   Printf.printf "%-12s %10.6f  (± %s at %g%%)\n"
-                     (name e.Sampling.variable) e.Sampling.value
-                     (if e.Sampling.half_width = infinity then "inf"
-                      else Printf.sprintf "%.6f" e.Sampling.half_width)
-                     (100.0 *. (1.0 -. delta)))
-                report.Sampling.estimates;
-              Printf.printf "samples: %d\n" report.Sampling.samples_used;
-              Printf.printf "evals: %d\n" report.Sampling.evals;
-              Printf.printf "converged: %b\n" report.Sampling.converged))
+        let f, names = Parser.formula_of_string s in
+        let vars = universe_of ?n f in
+        let name i =
+          match List.assoc_opt i names with
+          | Some nm -> nm
+          | None -> Printf.sprintf "x%d" i
+        in
+        let estimator =
+          match Sampling.estimator_of_string estimator with
+          | Some e -> e
+          | None -> failwith ("unknown estimator " ^ estimator)
+        in
+        let ci =
+          match Convergence.ci_of_string ci with
+          | Some c -> c
+          | None -> failwith ("unknown ci " ^ ci)
+        in
+        let progress_fn =
+          if progress then
+            Some
+              (fun (p : Sampling.progress) ->
+                Printf.eprintf
+                  "progress: samples=%d half-width=%s elapsed=%.2fs\n%!"
+                  p.Sampling.pr_samples
+                  (if p.Sampling.pr_half_width = infinity then "inf"
+                   else Printf.sprintf "%.6f" p.Sampling.pr_half_width)
+                  p.Sampling.pr_elapsed)
+          else None
+        in
+        let with_jsonl k =
+          match convergence with
+          | None -> k None
+          | Some "-" -> k (Some stderr)
+          | Some path ->
+            let oc = open_out path in
+            Fun.protect
+              ~finally:(fun () -> close_out oc)
+              (fun () -> k (Some oc))
+        in
+        with_obs opts (fun () ->
+            with_jsonl @@ fun jsonl ->
+            let report =
+              Sampling.shap_estimate ~estimator ~seed ~delta ?eps
+                ?max_samples:samples ?deadline ~ci ~interval ?jsonl
+                ?progress:progress_fn ~vars f
+            in
+            List.iter
+              (fun e ->
+                 Printf.printf "%-12s %10.6f  (± %s at %g%%)\n"
+                   (name e.Sampling.variable) e.Sampling.value
+                   (if e.Sampling.half_width = infinity then "inf"
+                    else Printf.sprintf "%.6f" e.Sampling.half_width)
+                   (100.0 *. (1.0 -. delta)))
+              report.Sampling.estimates;
+            Printf.printf "samples: %d\n" report.Sampling.samples_used;
+            Printf.printf "evals: %d\n" report.Sampling.evals;
+            Printf.printf "converged: %b\n" report.Sampling.converged))
   in
   let info =
     Cmd.info "approx"
@@ -514,17 +490,13 @@ let prob_cmd =
   in
   let run opts theta s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, _) ->
-          let theta = Rat.of_string theta in
-          with_obs opts (fun () ->
-              let p =
-                Prob.probability ~weights:(fun _ -> theta) (Compile.compile f)
-              in
-              Printf.printf "%s (~ %.6f)\n" (Rat.to_string p) (Rat.to_float p)))
+        let f = Parser.formula_of_string_exn s in
+        let theta = Rat.of_string theta in
+        with_obs opts (fun () ->
+            let p =
+              Prob.probability ~weights:(fun _ -> theta) (Compile.compile f)
+            in
+            Printf.printf "%s (~ %.6f)\n" (Rat.to_string p) (Rat.to_float p)))
   in
   let info =
     Cmd.info "prob"
@@ -535,19 +507,15 @@ let prob_cmd =
 let factor_cmd =
   let run opts s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, _) ->
-          if not (Nf.is_positive f) then
-            failwith "read-once factoring requires a positive formula";
-          with_obs opts (fun () ->
-              match Read_once.factor (Nf.formula_to_pdnf f) with
-              | Some tree ->
-                Printf.printf "read-once: %s\n"
-                  (Formula.to_string (Read_once.tree_to_formula tree))
-              | None -> Printf.printf "not read-once\n"))
+        let f = Parser.formula_of_string_exn s in
+        if not (Nf.is_positive f) then
+          failwith "read-once factoring requires a positive formula";
+        with_obs opts (fun () ->
+            match Read_once.factor (Nf.formula_to_pdnf f) with
+            | Some tree ->
+              Printf.printf "read-once: %s\n"
+                (Formula.to_string (Read_once.tree_to_formula tree))
+            | None -> Printf.printf "not read-once\n"))
   in
   let info =
     Cmd.info "factor" ~doc:"Read-once factoring of a positive formula."
@@ -557,27 +525,23 @@ let factor_cmd =
 let compile_cmd =
   let run opts target s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, _) ->
-          with_obs opts (fun () ->
-              match target with
-           | "circuit" ->
-             let c, stats = Compile.compile_with_stats f in
-             Printf.printf "gates: %d  edges: %d  expansions: %d  cache hits: %d\n"
-               (Circuit.size c) (Circuit.edge_count c)
-               stats.Dpll.branches stats.Dpll.cache_hits;
-             Format.printf "%a@." Circuit.pp c
-           | "obdd" ->
-             let vars = Vset.elements (Formula.vars f) in
-             let m = Obdd.create_manager ~order:vars in
-             let o = Obdd.of_formula m f in
-             Printf.printf "nodes: %d\n" (Obdd.size o);
-             Printf.printf "count over its variables: %s\n"
-               (Bigint.to_string (Obdd.count m ~vars o))
-           | t -> failwith ("unknown target " ^ t)))
+        let f = Parser.formula_of_string_exn s in
+        with_obs opts (fun () ->
+            match target with
+         | "circuit" ->
+           let c, stats = Compile.compile_with_stats f in
+           Printf.printf "gates: %d  edges: %d  expansions: %d  cache hits: %d\n"
+             (Circuit.size c) (Circuit.edge_count c)
+             stats.Dpll.branches stats.Dpll.cache_hits;
+           Format.printf "%a@." Circuit.pp c
+         | "obdd" ->
+           let vars = Vset.elements (Formula.vars f) in
+           let m = Obdd.create_manager ~order:vars in
+           let o = Obdd.of_formula m f in
+           Printf.printf "nodes: %d\n" (Obdd.size o);
+           Printf.printf "count over its variables: %s\n"
+             (Bigint.to_string (Obdd.count m ~vars o))
+         | t -> failwith ("unknown target " ^ t)))
   in
   let info =
     Cmd.info "compile"
@@ -717,20 +681,16 @@ let dimacs_cmd =
 let export_nnf_cmd =
   let run opts s =
     wrap (fun () ->
-        match parse_formula s with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (f, _) ->
-          with_obs opts (fun () ->
-              let vars = Vset.elements (Formula.vars f) in
-              let m = Obdd.create_manager ~order:vars in
-              let c = Obdd.to_circuit m (Obdd.of_formula m f) in
-              print_string
-                (Nnf_io.export c
-                   ~num_vars:
-                     (Option.value ~default:0
-                        (Vset.max_elt_opt (Formula.vars f))))))
+        let f = Parser.formula_of_string_exn s in
+        with_obs opts (fun () ->
+            let vars = Vset.elements (Formula.vars f) in
+            let m = Obdd.create_manager ~order:vars in
+            let c = Obdd.to_circuit m (Obdd.of_formula m f) in
+            print_string
+              (Nnf_io.export c
+                 ~num_vars:
+                   (Option.value ~default:0
+                      (Vset.max_elt_opt (Formula.vars f))))))
   in
   let info =
     Cmd.info "export-nnf"

@@ -75,8 +75,10 @@ type report = {
           included (truncation skips the rest of a walk) *)
   converged : bool;  (** stopped because certified max half-width ≤ ε *)
   wall : float;  (** wall-clock seconds *)
-  monitor : Convergence.t;  (** the finished monitor — read
-                                {!Convergence.checkpoints} for the curve *)
+  monitor : Convergence.t;
+      (** the finished monitor; its checkpoints, the convergence curve,
+          were emitted as ["estimator.checkpoint"] events (install a
+          {!Trace} buffer with {!Obs.with_request} to keep them) *)
 }
 
 (** [shap_estimate ~vars f] runs the estimator until one of: the

@@ -62,14 +62,33 @@ let parse_query s =
       (* inside parens *)
       let args = ref [] in
       let rec read_args () =
-        let arg = read_until [ ','; ')' ] in
-        if arg = "" then invalid_arg "Db_parser.parse_query: empty argument";
+        skip_ws ();
         let term =
-          match int_of_string_opt arg with
-          | Some i -> Cq.C (Value.int i)
-          | None ->
-            if arg.[0] = '\'' then Cq.C (parse_value arg)
-            else Cq.V arg
+          if !pos < n && s.[!pos] = '\'' then begin
+            (* a quoted constant ends at its first undoubled quote *)
+            let start = !pos in
+            incr pos;
+            while
+              !pos < n
+              && (s.[!pos] <> '\'' || (!pos + 1 < n && s.[!pos + 1] = '\''))
+            do
+              pos := !pos + if s.[!pos] = '\'' then 2 else 1
+            done;
+            if !pos >= n then
+              invalid_arg "Db_parser.parse_query: unterminated constant";
+            incr pos;
+            let lit = String.sub s start (!pos - start) in
+            if read_until [ ','; ')' ] <> "" then
+              invalid_arg "Db_parser.parse_query: text after a quoted constant";
+            Cq.C (parse_value lit)
+          end
+          else
+            let arg = read_until [ ','; ')' ] in
+            if arg = "" then
+              invalid_arg "Db_parser.parse_query: empty argument";
+            match int_of_string_opt arg with
+            | Some i -> Cq.C (Value.int i)
+            | None -> Cq.V arg
         in
         args := term :: !args;
         if !pos >= n then invalid_arg "Db_parser.parse_query: unclosed atom";

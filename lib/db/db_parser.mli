@@ -22,5 +22,6 @@ val parse_file : string -> Database.t * Cq.t
 (** [parse_query s] parses just a query, e.g. ["R(x), S(x,y), T(y)"].
     Arguments starting with a letter are variables; integer literals and
     quoted ['...'] words are constants, read as [Value.literal] prints
-    them. *)
+    them: up to the first undoubled quote, so a constant may hold [,]
+    and [)]. *)
 val parse_query : string -> Cq.t

@@ -1,6 +1,6 @@
 (* Estimator convergence telemetry: streaming per-player moments,
-   selectable confidence intervals, and a bounded checkpoint stream
-   fanned into Obs / Metrics / JSONL.  See convergence.mli. *)
+   selectable confidence intervals, and checkpoints fanned into Obs /
+   Metrics / JSONL.  See convergence.mli. *)
 
 type ci = Hoeffding | Clt | Bernstein
 
@@ -14,15 +14,6 @@ let ci_name = function
   | Hoeffding -> "hoeffding"
   | Clt -> "clt"
   | Bernstein -> "bernstein"
-
-type checkpoint = {
-  k_index : int;
-  k_samples : int;
-  k_max_half_width : float;
-  k_mean_half_width : float;
-  k_max_variance : float;
-  k_at : float;
-}
 
 (* Acklam's rational approximation to the inverse normal CDF.  Three
    regimes (lower tail / central / upper tail); |relative error| is
@@ -104,23 +95,19 @@ type t = {
   c_delta : float;
   c_range : float;
   c_interval : int;
-  c_cap : int;
   c_jsonl : out_channel option;
   c_started : float;
   c_lock : Mutex.t;
   mutable c_samples : int;
   mutable c_last_cp_samples : int;  (* sample count at last checkpoint *)
   mutable c_emitted : int;
-  mutable c_stored : checkpoint list;  (* reverse chronological *)
   mutable c_finished : bool;
 }
 
 let default_interval = 512
-let default_cap = 4096
 
 let create ?(ci = Bernstein) ?(delta = 0.05) ?(range = 2.0)
-    ?(interval = default_interval) ?(cap = default_cap) ?jsonl ~estimator
-    ~players () =
+    ?(interval = default_interval) ?jsonl ~estimator ~players () =
   if players <= 0 then invalid_arg "Convergence.create: players <= 0";
   if interval <= 0 then invalid_arg "Convergence.create: interval <= 0";
   if not (range > 0.0) then invalid_arg "Convergence.create: range <= 0";
@@ -135,14 +122,12 @@ let create ?(ci = Bernstein) ?(delta = 0.05) ?(range = 2.0)
     c_delta = delta;
     c_range = range;
     c_interval = interval;
-    c_cap = max 0 cap;
     c_jsonl = jsonl;
     c_started = Unix.gettimeofday ();
     c_lock = Mutex.create ();
     c_samples = 0;
     c_last_cp_samples = -1;
     c_emitted = 0;
-    c_stored = [];
     c_finished = false;
   }
 
@@ -206,18 +191,8 @@ let emit_checkpoint t =
       let v = variance_of p in
       if v > !max_var then max_var := v)
     t.c_players;
-  let cp =
-    {
-      k_index = t.c_emitted;
-      k_samples = t.c_samples;
-      k_max_half_width = !max_hw;
-      k_mean_half_width = !sum_hw /. float_of_int n;
-      k_max_variance = !max_var;
-      k_at = Unix.gettimeofday () -. t.c_started;
-    }
-  in
+  let index = t.c_emitted and mean_hw = !sum_hw /. float_of_int n in
   t.c_emitted <- t.c_emitted + 1;
-  if t.c_emitted <= t.c_cap then t.c_stored <- cp :: t.c_stored;
   let delta_samples =
     t.c_samples - max 0 t.c_last_cp_samples
   in
@@ -226,17 +201,17 @@ let emit_checkpoint t =
   if delta_samples > 0 then
     Metrics.inc ~labels ~by:(float_of_int delta_samples) "estimator_samples";
   Metrics.inc ~labels "estimator_checkpoints";
-  if cp.k_max_half_width < infinity then
-    Metrics.set ~labels "estimator_ci_half_width" cp.k_max_half_width;
+  if !max_hw < infinity then
+    Metrics.set ~labels "estimator_ci_half_width" !max_hw;
   let attrs =
     [
       ("estimator", Trace.Str t.c_estimator);
       ("ci", Trace.Str (ci_name t.c_ci));
-      ("samples", Trace.Int cp.k_samples);
-      ("checkpoint", Trace.Int cp.k_index);
-      ("max_half_width", Trace.Float cp.k_max_half_width);
-      ("mean_half_width", Trace.Float cp.k_mean_half_width);
-      ("max_variance", Trace.Float cp.k_max_variance);
+      ("samples", Trace.Int t.c_samples);
+      ("checkpoint", Trace.Int index);
+      ("max_half_width", Trace.Float !max_hw);
+      ("mean_half_width", Trace.Float mean_hw);
+      ("max_variance", Trace.Float !max_var);
     ]
   in
   Obs.phase ~attrs "estimator.checkpoint";
@@ -256,10 +231,8 @@ let emit_checkpoint t =
         "{\"estimator\":%S,\"ci\":%S,\"checkpoint\":%d,\"samples\":%d,\
          \"max_half_width\":%s,\"mean_half_width\":%s,\"max_variance\":%s,\
          \"players\":%d,\"variance\":[%s]}\n"
-        t.c_estimator (ci_name t.c_ci) cp.k_index cp.k_samples
-        (fl cp.k_max_half_width)
-        (fl cp.k_mean_half_width)
-        (fl cp.k_max_variance) n vars;
+        t.c_estimator (ci_name t.c_ci) index t.c_samples (fl !max_hw)
+        (fl mean_hw) (fl !max_var) n vars;
       flush oc
   | None -> ())
 
@@ -302,5 +275,4 @@ let max_certified_half_width t =
         (fun acc p -> if p.p_best_hw > acc then p.p_best_hw else acc)
         0.0 t.c_players)
 
-let checkpoints t = with_lock t (fun () -> List.rev t.c_stored)
 let emitted t = with_lock t (fun () -> t.c_emitted)

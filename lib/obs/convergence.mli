@@ -6,16 +6,19 @@
     (exact single-pass moments, mergeable batch-wise for parallel
     estimators), derives a confidence-interval half-width per player
     under a selectable inequality, and every [interval] samples emits a
-    {e checkpoint} — a typed record of (samples, certified max half-width,
-    per-player variance) — into every observability sink at once:
+    {e checkpoint} — (samples, certified max half-width, per-player
+    variance) — into every observability sink at once.  The monitor
+    stores no checkpoints, only their count ({!emitted}); a checkpoint
+    is what it emits:
 
-    - the bounded in-monitor checkpoint stream ({!checkpoints}), capped
-      at [cap] records so unbounded runs cannot grow memory;
-    - {!Obs.phase} (a [Phase] event named ["estimator.checkpoint"]), so
-      [--trace] timelines and [shapmc trace-report] show the convergence
-      curve, and per-request profiles served at
+    - {!Obs.phase} (a [Phase] event named ["estimator.checkpoint"] whose
+      attributes are [estimator], [ci], [samples], [checkpoint] (its
+      0-based index), [max_half_width], [mean_half_width] and
+      [max_variance]), so [--trace] timelines and [shapmc trace-report]
+      show the convergence curve, per-request profiles served at
       [/v1/debug/requests/:id] carry the checkpoints of the estimators
-      that ran for that request;
+      that ran for that request, and a caller that wants the curve in
+      process installs a {!Trace} buffer ({!Obs.with_request});
     - the default {!Metrics} registry: [estimator_samples] /
       [estimator_checkpoints] counters and the [estimator_ci_half_width]
       gauge, all labelled [{estimator=<name>}] ([estimator_seconds] is
@@ -54,31 +57,18 @@ val ci_of_string : string -> ci option
 
 val ci_name : ci -> string
 
-type checkpoint = {
-  k_index : int;  (** 0-based checkpoint number *)
-  k_samples : int;  (** monitor sample count at emission *)
-  k_max_half_width : float;
-      (** max over players of the certified (envelope) half-width *)
-  k_mean_half_width : float;  (** mean over players of the same *)
-  k_max_variance : float;  (** max per-player sample variance *)
-  k_at : float;  (** seconds since {!create} (not written to JSONL) *)
-}
-
 type t
 
 val default_interval : int
 (** 512 samples. *)
 
-val default_cap : int
-(** 4096 stored checkpoints. *)
-
 (** [create ~estimator ~players ()] — [estimator] is the metrics label
     and JSONL tag; [players] the number of tracked means.  [delta] is
     the per-player failure probability (default 0.05), [range] the width
     of the observations' support (default 2: Shapley marginals live in
-    [[-1, 1]]), [interval] the checkpoint period in samples, [cap] the
-    stored-checkpoint bound, [jsonl] an optional sink channel the caller
-    owns (the monitor writes and flushes, never closes).
+    [[-1, 1]]), [interval] the checkpoint period in samples, [jsonl] an
+    optional sink channel the caller owns (the monitor writes and
+    flushes, never closes).
     @raise Invalid_argument on non-positive [players], [interval] or
     [range], or [delta] outside (0, 1). *)
 val create :
@@ -86,7 +76,6 @@ val create :
   ?delta:float ->
   ?range:float ->
   ?interval:int ->
-  ?cap:int ->
   ?jsonl:out_channel ->
   estimator:string ->
   players:int ->
@@ -151,10 +140,7 @@ val certified_half_width : t -> player:int -> float
     criterion. *)
 val max_certified_half_width : t -> float
 
-(** Stored checkpoints in chronological order. *)
-val checkpoints : t -> checkpoint list
-
-(** Checkpoints emitted (stored + dropped past [cap]). *)
+(** Checkpoints emitted. *)
 val emitted : t -> int
 
 (** {1 Inspection helpers} *)

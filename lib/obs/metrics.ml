@@ -1,7 +1,12 @@
 (* Metrics registry.  One mutex per registry; every public entry point
    takes the lock, so cross-domain use is safe.  Hot paths that cannot
    afford a lock per event build a local Histogram.t and merge it in
-   one [merge_histogram] call. *)
+   one [merge_histogram] call.
+
+   The table is two-level: a metric name maps to its family, whose
+   series are keyed by their canonical label list itself (structural
+   hash and equality), so a write builds no key string and a reader of
+   one family touches no other. *)
 
 type labels = (string * string) list
 
@@ -12,40 +17,37 @@ type cell =
 
 type registry = {
   lock : Mutex.t;
-  tbl : (string, string * labels * cell) Hashtbl.t;
+  families : (string, (labels, cell) Hashtbl.t) Hashtbl.t;
 }
 
-let create () = { lock = Mutex.create (); tbl = Hashtbl.create 64 }
+let create () = { lock = Mutex.create (); families = Hashtbl.create 64 }
 
 let default = create ()
 
-let with_lock r f =
-  Mutex.lock r.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+let with_lock r f = Mutex.protect r.lock f
 
-let canon labels = List.sort compare labels
+(* Labels sorted by key; a list already in order is kept as is. *)
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare a b < 0 && sorted rest
+  | _ -> true
 
-(* Flat table key; '\x00'/'\x01' cannot appear in metric names/labels. *)
-let key name labels =
-  let b = Buffer.create 32 in
-  Buffer.add_string b name;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b '\x00';
-      Buffer.add_string b k;
-      Buffer.add_char b '\x01';
-      Buffer.add_string b v)
-    labels;
-  Buffer.contents b
+let canon labels = if sorted labels then labels else List.sort compare labels
 
 let find_or_add r name labels mk =
+  let family =
+    match Hashtbl.find r.families name with
+    | family -> family
+    | exception Not_found ->
+        let family = Hashtbl.create 8 in
+        Hashtbl.add r.families name family;
+        family
+  in
   let labels = canon labels in
-  let k = key name labels in
-  match Hashtbl.find_opt r.tbl k with
-  | Some (_, _, cell) -> cell
-  | None ->
+  match Hashtbl.find family labels with
+  | cell -> cell
+  | exception Not_found ->
       let cell = mk () in
-      Hashtbl.add r.tbl k (name, labels, cell);
+      Hashtbl.add family labels cell;
       cell
 
 let kind_error name what =
@@ -80,42 +82,60 @@ let merge_histogram ?(registry = default) ?(labels = []) name src =
       | _ -> kind_error name "histogram")
 
 let reset ?(registry = default) () =
-  with_lock registry (fun () -> Hashtbl.reset registry.tbl)
+  with_lock registry (fun () -> Hashtbl.reset registry.families)
 
 type value = Counter of float | Gauge of float | Hist of Histogram.t
+
+let value = function
+  | CCounter r -> Counter !r
+  | CGauge r -> Gauge !r
+  | CHist h -> Hist h
 
 let dump ?(registry = default) () =
   with_lock registry (fun () ->
       Hashtbl.fold
-        (fun _ (name, labels, cell) acc ->
-          let v =
-            match cell with
-            | CCounter r -> Counter !r
-            | CGauge r -> Gauge !r
-            | CHist h -> Hist (Histogram.copy h)
-          in
-          (name, labels, v) :: acc)
-        registry.tbl []
+        (fun name family acc ->
+          Hashtbl.fold
+            (fun labels cell acc ->
+              let v =
+                match cell with
+                | CHist h -> Hist (Histogram.copy h)
+                | cell -> value cell
+              in
+              (name, labels, v) :: acc)
+            family acc)
+        registry.families []
       |> List.sort (fun (n1, l1, _) (n2, l2, _) -> compare (n1, l1) (n2, l2)))
 
-let find_histograms ?(registry = default) name =
-  dump ~registry ()
-  |> List.filter_map (fun (n, labels, v) ->
-         match v with Hist h when n = name -> Some (labels, h) | _ -> None)
+let fold ?(registry = default) name f init =
+  with_lock registry (fun () ->
+      match Hashtbl.find_opt registry.families name with
+      | None -> init
+      | Some family ->
+          Hashtbl.fold (fun labels cell acc -> f labels (value cell) acc)
+            family init)
 
-let counter_total ?(registry = default) name =
-  dump ~registry ()
-  |> List.fold_left
-       (fun acc (n, _, v) ->
-         match v with Counter c when n = name -> acc +. c | _ -> acc)
-       0.
+let find_histograms ?registry name =
+  fold ?registry name
+    (fun labels v acc ->
+      match v with Hist h -> (labels, Histogram.copy h) :: acc | _ -> acc)
+    []
+  |> List.sort (fun (l1, _) (l2, _) -> compare l1 l2)
+
+let counter_total ?registry name =
+  fold ?registry name
+    (fun _ v acc -> match v with Counter c -> acc +. c | _ -> acc)
+    0.
 
 let gauge_value ?(registry = default) ?(labels = []) name =
   let labels = canon labels in
   with_lock registry (fun () ->
-      match Hashtbl.find_opt registry.tbl (key name labels) with
-      | Some (_, _, CGauge r) -> Some !r
-      | _ -> None)
+      match Hashtbl.find_opt registry.families name with
+      | Some family -> (
+          match Hashtbl.find_opt family labels with
+          | Some (CGauge r) -> Some !r
+          | _ -> None)
+      | None -> None)
 
 type summary = {
   s_count : int;
@@ -345,29 +365,15 @@ let profile_report ?(registry = default) () =
   let entries = dump ~registry () in
   let b = Buffer.create 1024 in
   let section title = Buffer.add_string b (Printf.sprintf "== %s ==\n" title) in
+  (* One family's histograms, keyed by the value of label [k]. *)
+  let by k name =
+    List.map
+      (fun (labels, h) -> (Option.value ~default:"-" (label_get labels k), h))
+      (find_histograms ~registry name)
+  in
   (* Phases: span self time (+ allocation when profiled). *)
-  let spans =
-    List.filter_map
-      (fun (n, labels, v) ->
-        match (n, v) with
-        | "span_self_seconds", Hist h -> (
-            match label_get labels "span" with
-            | Some p -> Some (p, h)
-            | None -> None)
-        | _ -> None)
-      entries
-  in
-  let span_alloc =
-    List.filter_map
-      (fun (n, labels, v) ->
-        match (n, v) with
-        | "span_alloc_bytes", Hist h -> (
-            match label_get labels "span" with
-            | Some p -> Some (p, h)
-            | None -> None)
-        | _ -> None)
-      entries
-  in
+  let spans = by "span" "span_self_seconds" in
+  let span_alloc = by "span" "span_alloc_bytes" in
   if spans <> [] then begin
     section "Phases (self time)";
     let spans =
@@ -399,15 +405,7 @@ let profile_report ?(registry = default) () =
        section "Oracle latency";
        Buffer.add_string b rows);
   (* Substitution sizes. *)
-  let substs =
-    List.filter_map
-      (fun (n, labels, v) ->
-        match (n, v) with
-        | "subst_post_size", Hist h ->
-            Some (Option.value ~default:"-" (label_get labels "kind"), h)
-        | _ -> None)
-      entries
-  in
+  let substs = by "kind" "subst_post_size" in
   if substs <> [] then begin
     section "Substitution sizes";
     Buffer.add_string b

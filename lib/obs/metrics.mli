@@ -9,11 +9,16 @@
 
     Metric names use [snake_case] with a unit suffix ([_seconds],
     [_bytes]); labels are [(key, value)] pairs, canonicalized by
-    sorting on key.  Well-known names produced by the instrumentation
-    layer: [oracle_seconds{oracle,lemma,l}], [span_self_seconds{span}],
-    [span_alloc_bytes{span}], [subst_post_size{kind}],
-    [pool_worker_busy_seconds{worker}], [pool_worker_idle_seconds{worker}],
-    [pool_task_seconds], [pool_job_wait_seconds], [gc_allocated_bytes]. *)
+    sorting on key.  A name and its label sets form a {e family}, which
+    {!fold} reads alone.  Well-known names produced by the
+    instrumentation layer: the {!Obs} ledger's [oracle_n{oracle}],
+    [oracle_size{oracle}], [oracle_seconds{oracle,lemma,l}],
+    [span_seconds{span}], [span_self_seconds{span}],
+    [span_alloc_bytes{span}], [subst_pre_size{kind}],
+    [subst_post_size{kind}], [subst_fresh_vars{kind}] and
+    [ledger_counter{name}]; and [pool_worker_busy_seconds{worker}],
+    [pool_worker_idle_seconds{worker}], [pool_task_seconds],
+    [pool_job_wait_seconds], [gc_allocated_bytes]. *)
 
 type registry
 
@@ -50,7 +55,15 @@ type value = Counter of float | Gauge of float | Hist of Histogram.t
     copied, so the snapshot is stable. *)
 val dump : ?registry:registry -> unit -> (string * labels * value) list
 
-(** All histogram series under [name], as [(labels, copy)] pairs. *)
+(** [fold name f init] folds [f labels v] over the series of metric
+    [name] alone, in no particular order, without copying: a [Hist] is
+    the live histogram, valid only inside [f].  [f] runs under the
+    registry lock and must not call back into the registry. *)
+val fold :
+  ?registry:registry -> string -> (labels -> value -> 'a -> 'a) -> 'a -> 'a
+
+(** All histogram series under [name], as [(labels, copy)] pairs sorted
+    by labels. *)
 val find_histograms :
   ?registry:registry -> string -> (labels * Histogram.t) list
 

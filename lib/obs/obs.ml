@@ -1,36 +1,49 @@
-(* Global aggregates behind a single [enabled] flag, plus one delivery
-   path for events.  Recording entry points check [observing] first, so
-   when observation is off an instrumented call site costs one load +
-   branch (plus the closure it already built).
+(* The ledger is a set of series in [Metrics.default] behind a single
+   [enabled] flag, plus one delivery path for events.  Recording entry
+   points check [observing] first, so when observation is off an
+   instrumented call site costs one load + branch (plus the closure it
+   already built).
 
    Each entry point builds its event once and hands it to [deliver],
    which writes it to the [--trace] stream while the ledger is enabled
    and to this domain's request buffer whenever one is installed.  The
-   aggregates, counters, span table and Metrics series are gated on
-   [enabled] alone, so a serving process with the ledger off still
-   collects isolated per-request profiles with no global state growth.
-   The span-stack DLS machinery runs whenever [observing] holds, so
-   hierarchical span paths are correct in request-only mode too.
+   series writes are gated on [enabled] alone, so a serving process with
+   the ledger off still collects isolated per-request profiles with no
+   global state growth.  The span-stack DLS machinery runs whenever
+   [observing] holds, so hierarchical span paths are correct in
+   request-only mode too.
 
-   Domain safety (the [--jobs] parallel fan-out): every mutation of the
-   shared aggregates, counters and span table happens under one [lock],
-   so concurrent recordings from pool workers neither tear the tables
-   nor drop updates, and all aggregate totals stay exact regardless of
-   scheduling.  The span NESTING state and the request buffer are
-   per-domain ([Domain.DLS]); {!context}/{!with_context} let a fan-out
-   primitive re-install the caller's in workers, so hierarchical span
-   paths come out identical to a sequential run.  Under [jobs = 1]
-   everything happens on one domain in the exact pre-pool order, so
-   recorded streams are bit-identical to the sequential pipeline.  The
-   [enabled] flag and the [--trace] stream are plain refs: they are only
-   changed outside parallel regions (CLI startup, test brackets), never
-   concurrently with recording. *)
+   The series, one family per fact, are listed in obs.mli.  Histograms
+   keep exact counts, sums, minima and maxima, so the views below read
+   the ledger's aggregates off them, one family at a time.
+
+   Domain safety (the [--jobs] parallel fan-out): this module holds no
+   lock; the registry's mutex and each buffer's own keep concurrent
+   recordings from pool workers exact.  The span NESTING state and the
+   request buffer are per-domain ([Domain.DLS]); {!context}/
+   {!with_context} let a fan-out primitive re-install the caller's in
+   workers, so hierarchical span paths come out identical to a
+   sequential run.  Under [jobs = 1] everything happens on one domain in
+   the exact pre-pool order, so recorded streams are bit-identical to
+   the sequential pipeline.  The [enabled] flag and the [--trace] stream
+   are plain refs: they are only changed outside parallel regions (CLI
+   startup, test brackets), never concurrently with recording. *)
 
 type span_stat = {
   span_path : string;
   span_calls : int;
   span_seconds : float;
   span_self_seconds : float;
+}
+
+type agg = {
+  a_calls : int;
+  a_n_min : int;
+  a_n_max : int;
+  a_l_min : int;
+  a_l_max : int;
+  a_size_max : int;
+  a_seconds : float;
 }
 
 let enabled_flag = ref false
@@ -97,59 +110,13 @@ let deliver ?at ?dur ?attrs ~kind name =
 let delivering () =
   (!enabled_flag && Option.is_some !stream) || Option.is_some (request ())
 
-(* One lock for all shared recording state.  Held only for the few table
-   updates of a record — never across a user callback, an oracle call
-   or a buffer's own lock — so contention is bounded by bookkeeping, not
-   by the work being measured. *)
-let lock = Mutex.create ()
-
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let counters_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
-
-(* Exact per-oracle aggregates, updated on every record: calls, n range,
-   arity range, max size, total time. *)
-type agg = {
-  mutable a_calls : int;
-  mutable a_n_min : int;
-  mutable a_n_max : int;
-  mutable a_l_min : int;
-  mutable a_l_max : int;
-  mutable a_size_max : int;
-  mutable a_seconds : float;
-}
-
-let agg_tbl : (string, agg) Hashtbl.t = Hashtbl.create 8
-let calls_total = ref 0
-
-(* Exact per-kind substitution aggregates: count, max pre/post, fresh sum. *)
-type subst_agg = {
-  mutable s_count : int;
-  mutable s_pre_max : int;
-  mutable s_post_max : int;
-  mutable s_fresh : int;
-}
-
-let subst_agg_tbl : (string, subst_agg) Hashtbl.t = Hashtbl.create 4
-
-(* Span aggregation: path -> calls / total seconds / self seconds.
-   [span_stack] holds the current nesting as frames; each frame carries
-   the open span's path plus mutable accumulators of the time (and,
-   when profiling, allocation) spent in already-finished child spans,
-   so a finishing span can report self = total - children.  The stack
-   is per-domain state (which spans are open HERE), so it lives in
-   domain-local storage rather than under [lock]; frames are only ever
-   mutated by their own domain. *)
-type span_acc = {
-  mutable sp_calls : int;
-  mutable sp_seconds : float;
-  mutable sp_self : float;
-}
-
-let spans_tbl : (string, span_acc) Hashtbl.t = Hashtbl.create 32
-
+(* Span nesting: [span_stack] holds the current nesting as frames; each
+   frame carries the open span's path plus mutable accumulators of the
+   time (and, when profiling, allocation) spent in already-finished
+   child spans, so a finishing span can report self = total - children.
+   The stack is per-domain state (which spans are open HERE), so it
+   lives in domain-local storage; frames are only ever mutated by their
+   own domain. *)
 type frame = {
   fr_path : string;
   mutable fr_child : float;  (* seconds spent in finished child spans *)
@@ -180,41 +147,49 @@ let with_context ctx f =
       match ctx.ctx_request with Some b -> with_request b f | None -> f ())
 
 let reset () =
-  locked (fun () ->
-      Hashtbl.reset counters_tbl;
-      calls_total := 0;
-      Hashtbl.reset agg_tbl;
-      Hashtbl.reset subst_agg_tbl;
-      Hashtbl.reset spans_tbl);
   Domain.DLS.set span_stack [];
   Metrics.reset ()
 
 let now = Unix.gettimeofday
 
 (* ------------------------------------------------------------------ *)
+(* Series readers: one family at a time, keyed by a label's value *)
+
+let label k labels = Option.value ~default:"-" (List.assoc_opt k labels)
+
+let fold_hists name f init =
+  Metrics.fold name
+    (fun labels v acc ->
+      match v with Metrics.Hist h -> f labels h acc | _ -> acc)
+    init
+
+let ints name key =
+  Metrics.fold name
+    (fun labels v acc ->
+      match v with
+      | Metrics.Counter c -> (label key labels, int_of_float c) :: acc
+      | _ -> acc)
+    []
+
+let imin h = int_of_float (Histogram.min_value h)
+let imax h = int_of_float (Histogram.max_value h)
+
+(* ------------------------------------------------------------------ *)
 (* Counters *)
 
 let add name k =
-  if !enabled_flag then begin
-    locked (fun () ->
-        match Hashtbl.find_opt counters_tbl name with
-        | Some r -> r := !r + k
-        | None -> Hashtbl.replace counters_tbl name (ref k));
-    Metrics.inc ~by:(float_of_int k) name
-  end;
+  if !enabled_flag then
+    Metrics.inc ~labels:[ ("name", name) ] ~by:(float_of_int k)
+      "ledger_counter";
   if delivering () then
     deliver ~attrs:[ ("value", Trace.Int k) ] ~kind:Trace.Counter name
 
 let incr name = add name 1
 
-let counter name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters_tbl name with Some r -> !r | None -> 0)
+let counters () = List.sort compare (ints "ledger_counter" "name")
 
-let counters () =
-  List.sort compare
-    (locked (fun () ->
-         Hashtbl.fold (fun k r acc -> (k, !r) :: acc) counters_tbl []))
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (counters ()))
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
@@ -257,18 +232,11 @@ let with_span ?attrs name f =
       let self = Float.max 0.0 (dt -. child) in
       deliver ~kind:Trace.Span_end name;
       if enabled then begin
-        locked (fun () ->
-            match Hashtbl.find_opt spans_tbl path with
-            | Some a ->
-              a.sp_calls <- a.sp_calls + 1;
-              a.sp_seconds <- a.sp_seconds +. dt;
-              a.sp_self <- a.sp_self +. self
-            | None ->
-              Hashtbl.replace spans_tbl path
-                { sp_calls = 1; sp_seconds = dt; sp_self = self });
-        Metrics.observe ~labels:[ ("span", path) ] "span_self_seconds" self;
+        let labels = [ ("span", path) ] in
+        Metrics.observe ~labels "span_seconds" dt;
+        Metrics.observe ~labels "span_self_seconds" self;
         if prof then
-          Metrics.observe ~labels:[ ("span", path) ] "span_alloc_bytes"
+          Metrics.observe ~labels "span_alloc_bytes"
             (Float.max 0.0 (d_alloc -. child_alloc))
       end
     in
@@ -282,49 +250,33 @@ let with_span ?attrs name f =
   end
 
 let spans () =
+  let self =
+    fold_hists "span_self_seconds"
+      (fun labels h acc -> (label "span" labels, Histogram.sum h) :: acc)
+      []
+  in
   List.sort compare
-    (locked (fun () ->
-         Hashtbl.fold
-           (fun path a acc ->
-              { span_path = path; span_calls = a.sp_calls;
-                span_seconds = a.sp_seconds; span_self_seconds = a.sp_self }
-              :: acc)
-           spans_tbl []))
+    (fold_hists "span_seconds"
+       (fun labels h acc ->
+         let path = label "span" labels in
+         { span_path = path; span_calls = Histogram.count h;
+           span_seconds = Histogram.sum h;
+           span_self_seconds =
+             Option.value ~default:0.0 (List.assoc_opt path self) }
+         :: acc)
+       [])
 
 (* ------------------------------------------------------------------ *)
 (* Oracle calls *)
 
-let agg_update ~oracle ~n ~arity ~size ~seconds =
-  let a =
-    match Hashtbl.find_opt agg_tbl oracle with
-    | Some a -> a
-    | None ->
-      let a =
-        { a_calls = 0; a_n_min = max_int; a_n_max = -1; a_l_min = max_int;
-          a_l_max = -1; a_size_max = -1; a_seconds = 0.0 }
-      in
-      Hashtbl.replace agg_tbl oracle a;
-      a
-  in
-  a.a_calls <- a.a_calls + 1;
-  a.a_n_min <- min a.a_n_min n;
-  a.a_n_max <- max a.a_n_max n;
-  if arity >= 0 then begin
-    a.a_l_min <- min a.a_l_min arity;
-    a.a_l_max <- max a.a_l_max arity
-  end;
-  a.a_size_max <- max a.a_size_max size;
-  a.a_seconds <- a.a_seconds +. seconds
-
-(* Shared recording core: exact aggregate and latency histogram while
-   enabled, and the call's event.  [at] is the absolute start stamp of
-   the timed region. *)
+(* Shared recording core: the call's series while enabled, and its
+   event.  [at] is the absolute start stamp of the timed region. *)
 let record_call ~oracle ~n ~arity ~size ~seconds ~at ~attrs =
   let seconds = Float.max 0.0 seconds in
   if !enabled_flag then begin
-    locked (fun () ->
-        calls_total := !calls_total + 1;
-        agg_update ~oracle ~n ~arity ~size ~seconds);
+    let labels = [ ("oracle", oracle) ] in
+    Metrics.observe ~labels "oracle_n" (float_of_int n);
+    if size >= 0 then Metrics.observe ~labels "oracle_size" (float_of_int size);
     let lemma =
       match List.assoc_opt "lemma" attrs with
       | Some (Trace.Str s) -> s
@@ -332,8 +284,8 @@ let record_call ~oracle ~n ~arity ~size ~seconds ~at ~attrs =
     in
     Metrics.observe
       ~labels:
-        [ ("oracle", oracle); ("lemma", lemma);
-          ("l", if arity >= 0 then string_of_int arity else "-") ]
+        [ ("l", if arity >= 0 then string_of_int arity else "-");
+          ("lemma", lemma); ("oracle", oracle) ]
       "oracle_seconds" seconds
   end;
   if delivering () then
@@ -364,32 +316,22 @@ let call ~oracle ~n ?(arity = -1) ?(size = -1) ?(attrs = []) f =
   end
 
 let call_count ?oracle () =
-  locked (fun () ->
+  fold_hists "oracle_n"
+    (fun labels h acc ->
       match oracle with
-      | None -> !calls_total
-      | Some name -> (
-          match Hashtbl.find_opt agg_tbl name with
-          | Some a -> a.a_calls
-          | None -> 0))
+      | Some o when List.assoc_opt "oracle" labels <> Some o -> acc
+      | _ -> acc + Histogram.count h)
+    0
 
 (* ------------------------------------------------------------------ *)
 (* Substitutions *)
 
 let record_subst ?(width = -1) ~kind ~pre ~post ~fresh () =
   if !enabled_flag then begin
-    locked (fun () ->
-        match Hashtbl.find_opt subst_agg_tbl kind with
-        | Some s ->
-          s.s_count <- s.s_count + 1;
-          s.s_pre_max <- max s.s_pre_max pre;
-          s.s_post_max <- max s.s_post_max post;
-          s.s_fresh <- s.s_fresh + fresh
-        | None ->
-          Hashtbl.replace subst_agg_tbl kind
-            { s_count = 1; s_pre_max = pre; s_post_max = post;
-              s_fresh = fresh });
-    Metrics.observe ~labels:[ ("kind", kind) ] "subst_post_size"
-      (float_of_int post)
+    let labels = [ ("kind", kind) ] in
+    Metrics.observe ~labels "subst_pre_size" (float_of_int pre);
+    Metrics.observe ~labels "subst_post_size" (float_of_int post);
+    Metrics.inc ~labels ~by:(float_of_int fresh) "subst_fresh_vars"
   end;
   if delivering () then
     deliver
@@ -407,27 +349,52 @@ let phase ?attrs name = deliver ?attrs ~kind:Trace.Phase name
 (* ------------------------------------------------------------------ *)
 (* Reports *)
 
+(* Per-oracle aggregates off three families: [oracle_n] gives the calls
+   and the n range, [oracle_size] the largest instance, and the
+   [oracle_seconds] series the arity range (their [l] labels) and the
+   time. *)
 let aggregate () =
-  List.sort compare
-    (locked (fun () ->
-         Hashtbl.fold
-           (fun k a acc ->
-              (* copy: callers must not see (or mutate) the live record *)
-              (k, { a with a_calls = a.a_calls }) :: acc)
-           agg_tbl []))
+  let update name f aggs =
+    List.map (fun (k, a) -> if k = name then (k, f a) else (k, a)) aggs
+  in
+  fold_hists "oracle_n"
+    (fun labels h acc ->
+      ( label "oracle" labels,
+        { a_calls = Histogram.count h; a_n_min = imin h; a_n_max = imax h;
+          a_l_min = max_int; a_l_max = -1; a_size_max = -1;
+          a_seconds = 0.0 } )
+      :: acc)
+    []
+  |> fold_hists "oracle_size" (fun labels h ->
+         update (label "oracle" labels) (fun a -> { a with a_size_max = imax h }))
+  |> fold_hists "oracle_seconds" (fun labels h ->
+         update (label "oracle" labels) (fun a ->
+             let a = { a with a_seconds = a.a_seconds +. Histogram.sum h } in
+             match int_of_string_opt (label "l" labels) with
+             | Some l ->
+               { a with a_l_min = min a.a_l_min l; a_l_max = max a.a_l_max l }
+             | None -> a))
+  |> List.sort compare
 
 let range lo hi =
   if hi < 0 then "-"
   else if lo = hi then string_of_int lo
   else Printf.sprintf "%d..%d" lo hi
 
+(* Per-kind substitutions: count, max pre- and post-size, fresh sum. *)
 let subst_aggregate () =
+  let pre =
+    fold_hists "subst_pre_size"
+      (fun labels h acc -> (label "kind" labels, imax h) :: acc)
+      []
+  and fresh = ints "subst_fresh_vars" "kind" in
   List.sort compare
-    (locked (fun () ->
-         Hashtbl.fold
-           (fun k s acc ->
-              (k, (s.s_count, s.s_pre_max, s.s_post_max, s.s_fresh)) :: acc)
-           subst_agg_tbl []))
+    (fold_hists "subst_post_size"
+       (fun labels h acc ->
+         let k = label "kind" labels in
+         let get l = Option.value ~default:0 (List.assoc_opt k l) in
+         (k, (Histogram.count h, get pre, imax h, get fresh)) :: acc)
+       [])
 
 let pp_report ppf () =
   let open Format in

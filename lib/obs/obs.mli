@@ -16,26 +16,33 @@
     flag bracket work with {!enable}/{!reset} and read the aggregates
     back.
 
+    {b The ledger is the registry.}  While enabled, each entry point
+    writes {!Metrics.default} series and nothing else: per oracle
+    [oracle_n{oracle}], [oracle_size{oracle}] and
+    [oracle_seconds{oracle,lemma,l}]; per span [span_seconds{span}],
+    [span_self_seconds{span}] and, when profiling,
+    [span_alloc_bytes{span}]; per substitution kind
+    [subst_pre_size{kind}], [subst_post_size{kind}] and the counter
+    [subst_fresh_vars{kind}]; and the counter [ledger_counter{name}] for
+    {!add}.  Histograms keep exact counts, sums, minima and maxima, so
+    {!counter}, {!counters}, {!spans}, {!call_count}, {!aggregate},
+    {!pp_report} and {!to_json} are read-only views, each reading one
+    family at a time.  The same series back [--profile], [--metrics] and
+    the bench percentile columns.
+
     {b One event pipeline.}  Each entry point builds its {!Trace} event
     once and delivers it to two buffers: the [--trace] stream installed
     with {!set_trace}, while the ledger is enabled; and the request
     buffer installed in this domain with {!with_request}, whatever the
     ledger's state.  A server running with the ledger off therefore
-    still collects isolated per-request profiles.  The buffers are the
-    only record of individual calls and substitutions; this module keeps
-    their aggregates.
+    still collects isolated per-request profiles and writes no series.
+    The buffers are the only record of individual calls and
+    substitutions.
 
-    While enabled, recording entry points also feed the
-    {!Metrics.default} registry: oracle latency histograms
-    ([oracle_seconds{oracle,lemma,l}]), span self-time
-    ([span_self_seconds{span}]), substitution sizes
-    ([subst_post_size{kind}]) and counters, which back [--profile],
-    [--metrics] and the bench percentile columns.
-
-    {b Domain safety} ([--jobs]): all shared state (aggregates,
-    counters, span table) is mutex-guarded, so concurrent recordings
-    from pool workers keep every aggregate exact.  The span {e nesting}
-    stack and the installed request buffer are domain-local;
+    {b Domain safety} ([--jobs]): this module holds no lock; the
+    registry's mutex keeps every aggregate exact under concurrent
+    recordings from pool workers, and each buffer has its own.  The span
+    {e nesting} stack and the installed request buffer are domain-local;
     {!context}/{!with_context} let a fan-out primitive carry both into
     worker domains, so hierarchical span paths match a sequential run
     and workers' events reach the caller's request.  The enabled flag
@@ -69,9 +76,9 @@ val profiling : unit -> bool
     bracket a region. *)
 val allocated_bytes_now : unit -> float
 
-(** [reset ()] clears all counters, spans and aggregates, and resets the
-    default {!Metrics} registry (but not the enabled/profiling flags or
-    the installed buffers). *)
+(** [reset ()] resets the default {!Metrics} registry, and with it every
+    counter, span and aggregate, and this domain's span stack (but not
+    the enabled/profiling flags or the installed buffers). *)
 val reset : unit -> unit
 
 (** {1 Event buffers} *)
@@ -165,20 +172,20 @@ val call :
     [call_count ~oracle ()] restricts to one oracle name. *)
 val call_count : ?oracle:string -> unit -> int
 
-(** Per-oracle aggregate, maintained incrementally: call count, [n]/[ℓ]
-    ranges ([l] fields are [max_int]/[-1] when no call carried an
-    arity), max instance size, total seconds. *)
+(** Per-oracle aggregate: call count, [n]/[ℓ] ranges ([l] fields are
+    [max_int]/[-1] when no call carried an arity), max instance size
+    ([-1] when no call carried one), total seconds. *)
 type agg = {
-  mutable a_calls : int;
-  mutable a_n_min : int;
-  mutable a_n_max : int;
-  mutable a_l_min : int;
-  mutable a_l_max : int;
-  mutable a_size_max : int;
-  mutable a_seconds : float;
+  a_calls : int;
+  a_n_min : int;
+  a_n_max : int;
+  a_l_min : int;
+  a_l_max : int;
+  a_size_max : int;
+  a_seconds : float;
 }
 
-(** Aggregates per oracle name, sorted; the records are copies. *)
+(** Aggregates per oracle name, sorted. *)
 val aggregate : unit -> (string * agg) list
 
 (** {1 Substitutions (Lemma 9 witnesses)} *)

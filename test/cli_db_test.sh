@@ -166,6 +166,13 @@ has negated atoms: outside the Theorem 5.1 dichotomy (cf. Reshef et al.); solved
 expect "query: E(x, y), E(y, x), E(y, 3)
 has self-joins: outside the Theorem 5.1 dichotomy" \
   classify "E(x,y), E(y,x), E(y, 3)"
+# A quoted constant runs to its closing quote, past ',' and ')'.
+expect "query: E('a,b')
+hierarchical, self-join-free: Shap(C_Q) is in FP (Theorem 5.1)" \
+  classify "E('a,b')"
+expect "query: E('a)b', x), F(x)
+hierarchical, self-join-free: Shap(C_Q) is in FP (Theorem 5.1)" \
+  classify "E('a)b', x), F(x)"
 
 expect 'query:     R(x), S(x, y), U(x)
 stretched: R(z$1, x), S(z$2, x, y), U(x)  (fresh: z$1, z$2)

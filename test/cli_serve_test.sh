@@ -147,6 +147,14 @@ oracle_events=$(grep -o '"kind":"oracle"' <<<"$profile" | wc -l)
 [ "$oracle_events" -eq "$approx_calls" ] \
   || fail "approx profile holds $oracle_events oracle events for $approx_calls oracle calls"
 
+# serve never turns the ledger on: after cold solves and an approx
+# request with oracle calls, /metrics carries none of its series.
+out=$("$probe" 127.0.0.1 "$port" GET /metrics)
+ledger='^shapmc_(ledger_counter|oracle_(n|size|seconds)|span_(seconds|self_seconds|alloc_bytes)|subst_(pre_size|post_size|fresh_vars))[_{ ]'
+if grep -qE "$ledger" <<<"$out"; then
+  fail "/metrics carries ledger series: $(grep -E "$ledger" <<<"$out" | head -3)"
+fi
+
 # graceful shutdown: SIGTERM drains and exits 0
 kill -TERM $srv
 if ! wait $srv; then fail "server exited nonzero on SIGTERM"; fi

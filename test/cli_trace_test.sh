@@ -72,5 +72,83 @@ mets=$("$exe" shap -m reduction --metrics - "x1 & (x2 | !x3)" 2>/dev/null)
 grep -q "^# EOF" <<<"$mets" || fail "metrics exposition lacks # EOF"
 grep -q "shapmc_oracle_seconds_count" <<<"$mets" \
   || fail "metrics exposition lacks oracle_seconds"
+# The ledger is registry series: its counters are one labelled family,
+# beside the per-oracle, per-span and per-substitution series the
+# --stats tables read.
+grep -qx 'shapmc_ledger_counter_total{name="dpll.counts"} 13' <<<"$mets" \
+  || fail "metrics exposition lacks ledger_counter{name=dpll.counts} at 13"
+if grep -q "^shapmc_dpll_counts" <<<"$mets"; then
+  fail "a ledger counter is outside the ledger_counter family"
+fi
+for series in 'oracle_n_count{oracle="dpll"} 13' \
+              'oracle_size_count{oracle="dpll"} 13' \
+              'span_seconds_count{span="pipeline.shap_via_count_oracle"} 1' \
+              'subst_pre_size_count{kind="formula.or"} 17' \
+              'subst_fresh_vars_total{kind="formula.or"} 75'; do
+  grep -qxF "shapmc_$series" <<<"$mets" \
+    || fail "metrics exposition lacks shapmc_$series"
+done
+
+# A formula that does not parse: every formula subcommand prints the
+# parser's message on stderr, nothing on stdout (no stats table) and
+# exits 1.
+for cmd in count kcount shap banzhaf approx prob factor compile export-nnf; do
+  rc=0
+  "$exe" "$cmd" --stats "x1 & (" >perr.out 2>perr.log || rc=$?
+  [ "$rc" -eq 1 ] || fail "$cmd on a parse error exited $rc, want 1"
+  [ ! -s perr.out ] || fail "$cmd on a parse error printed to stdout: $(cat perr.out)"
+  [ "$(cat perr.log)" = "error: Parser: expected a formula at position 6" ] \
+    || fail "$cmd on a parse error printed: $(cat perr.log)"
+done
+
+# --stats pinned byte for byte: the oracle-call table, the substitution
+# aggregates, the counters and the span table of the commands below, with
+# every number of four or more decimals (timings, float estimates)
+# masked.  stats.expected holds this block's output.
+cat > stats_hier.db <<'EOF'
+rel R endo 1
+row R 1
+row R 2
+row R 3
+rel S endo 2
+row S 1 a
+row S 1 b
+row S 2 a
+row S 4 c
+rel U exo 1
+row U 1
+row U 2
+query R(x), S(x,y), U(x)
+EOF
+cat > stats_q0.db <<'EOF'
+rel R endo 1
+row R 1
+row R 2
+rel S exo 2
+row S 1 1
+row S 1 2
+row S 2 2
+rel T endo 1
+row T 1
+row T 2
+query R(x), S(x,y), T(y)
+EOF
+g="(x1 & x2) | (x2 & !x3) | (x3 & x4) | (x1 & x4 & x5)"
+mask() { sed -E 's/[0-9]+\.[0-9]{4,}/#/g'; }
+{
+  for cmd in "shap -m reduction" "shap -m reduction -j 3" \
+             "kcount -m reduction" "shap -m pqe" "count -m circuit" \
+             "count -m dpll" "count -m brute" "banzhaf -m dpll" \
+             "approx --seed 3 --samples 600"; do
+    echo "\$ shapmc $cmd --stats \"$g\""
+    # shellcheck disable=SC2086
+    "$exe" $cmd --stats "$g" | mask
+  done
+  for db in stats_hier.db stats_q0.db; do
+    echo "\$ shapmc lineage --stats $db"
+    "$exe" lineage --stats "$db" | mask
+  done
+} > stats.out
+diff -u stats.expected stats.out || fail "--stats output differs from stats.expected"
 
 echo "cli-trace: all checks passed"

@@ -27,6 +27,25 @@ let close ?(tol = 1e-9) what a b =
 
 let all_estimators = Sampling.[ Truncated; Antithetic ]
 
+(* The (index, samples, certified max half-width) of every checkpoint
+   [f] emits, read off the "estimator.checkpoint" events of a buffer
+   installed around it. *)
+let checkpoints_of f =
+  let b = Trace.create () in
+  Obs.with_request b f;
+  List.filter_map
+    (fun (e : Trace.event) ->
+      match
+        ( e.kind, e.name, List.assoc_opt "checkpoint" e.attrs,
+          List.assoc_opt "samples" e.attrs,
+          List.assoc_opt "max_half_width" e.attrs )
+      with
+      | ( Trace.Phase, "estimator.checkpoint", Some (Trace.Int k),
+          Some (Trace.Int s), Some (Trace.Float w) ) ->
+          Some (k, s, w)
+      | _ -> None)
+    (Trace.events b)
+
 (* ------------------------------------------------------------------ *)
 (* Sample-budget arithmetic *)
 
@@ -151,45 +170,53 @@ let convergence_tests =
           Convergence.create ~ci:Bernstein ~interval:10 ~estimator:"env"
             ~players:2 ()
         in
-        (* a deterministic bounded stream with drifting variance *)
-        for i = 1 to 200 do
-          let x = Float.of_int ((i * 37 mod 19) - 9) /. 9.0 in
-          Convergence.observe c ~player:0 x;
-          Convergence.observe c ~player:1 (-.x);
-          Convergence.advance c 1
-        done;
-        Convergence.finish c;
-        let ks = Convergence.checkpoints c in
+        let ks =
+          checkpoints_of (fun () ->
+              (* a deterministic bounded stream with drifting variance *)
+              for i = 1 to 200 do
+                let x = Float.of_int ((i * 37 mod 19) - 9) /. 9.0 in
+                Convergence.observe c ~player:0 x;
+                Convergence.observe c ~player:1 (-.x);
+                Convergence.advance c 1
+              done;
+              Convergence.finish c)
+        in
         Alcotest.(check bool) "several checkpoints" true (List.length ks >= 10);
         let rec walk = function
-          | a :: (b :: _ as rest) ->
-              Alcotest.(check bool) "samples strictly increase" true
-                Convergence.(b.k_samples > a.k_samples);
+          | (_, s, w) :: ((_, s', w') :: _ as rest) ->
+              Alcotest.(check bool) "samples strictly increase" true (s' > s);
               Alcotest.(check bool) "certified width never widens" true
-                Convergence.(b.k_max_half_width <= a.k_max_half_width);
+                (w' <= w);
               walk rest
           | _ -> ()
         in
         walk ks;
+        let _, _, last = List.nth ks (List.length ks - 1) in
         close "certified = last checkpoint"
           (Convergence.max_certified_half_width c)
-          Convergence.((List.nth ks (List.length ks - 1)).k_max_half_width);
+          last;
         (* finish is idempotent: no further checkpoints appear *)
         let emitted = Convergence.emitted c in
         Convergence.finish c;
         Alcotest.(check int) "idempotent finish" emitted
           (Convergence.emitted c));
-    t "cap bounds the stored stream, not the count" (fun () ->
+    t "a stream receives every emitted checkpoint, in sample order"
+      (fun () ->
         let c =
-          Convergence.create ~interval:1 ~cap:3 ~estimator:"cap" ~players:1 ()
+          Convergence.create ~interval:1 ~estimator:"stream" ~players:1 ()
         in
-        for _ = 1 to 10 do
-          Convergence.observe c ~player:0 0.5;
-          Convergence.advance c 1
-        done;
+        let ks =
+          checkpoints_of (fun () ->
+              for _ = 1 to 10 do
+                Convergence.observe c ~player:0 0.5;
+                Convergence.advance c 1
+              done)
+        in
         Alcotest.(check int) "emitted" 10 (Convergence.emitted c);
-        Alcotest.(check int) "stored" 3
-          (List.length (Convergence.checkpoints c)));
+        Alcotest.(check (list (pair int int)))
+          "one event per checkpoint, in sample order"
+          (List.init 10 (fun i -> (i, i + 1)))
+          (List.map (fun (k, s, _) -> (k, s)) ks));
     t "create validates its arguments" (fun () ->
         let bad k = try ignore (k ()); false with Invalid_argument _ -> true in
         Alcotest.(check bool) "players 0" true

@@ -657,15 +657,16 @@ let gen_value =
              [ (1, leaf);
                (3, map2 Value.pair (self (n - 1)) (self (n - 1))) ])
 
-(* Queries whose string constants hold quotes, spaces and digits: what
-   the query syntax can carry (no ',' or ')' inside an argument). *)
+(* Queries whose string constants hold quotes, spaces, digits, commas
+   and parentheses. *)
 let gen_query =
   let open QCheck.Gen in
   let constant =
     oneof
       [ map Value.int int;
         map Value.str
-          (string_size ~gen:(oneofl [ 'a'; 'b'; '3'; '\''; ' '; '(' ])
+          (string_size
+             ~gen:(oneofl [ 'a'; 'b'; '3'; '\''; ' '; '('; ','; ')' ])
              (int_range 0 6)) ]
   in
   let term =

@@ -1157,7 +1157,194 @@ let chain_tests =
         same_values values old_values && events = old_events
         && Bigint.equal total old_total && shap_events = old_shap_events) ]
 
+(* ------------------------------------------------------------------ *)
+(* The ledger is the registry.  The tables [Obs] kept before its views
+   read [Metrics] series, kept as an oracle: the per-oracle, per-kind
+   and per-counter aggregates folded from a recorded stream's oracle,
+   substitution and counter events, and the span calls from its
+   begin/end nesting (which only a jobs = 1 stream keeps). *)
+module Old_ledger = struct
+  type agg = {
+    mutable a_calls : int;
+    mutable a_n_min : int;
+    mutable a_n_max : int;
+    mutable a_l_min : int;
+    mutable a_l_max : int;
+    mutable a_size_max : int;
+  }
+
+  type subst_agg = {
+    mutable s_count : int;
+    mutable s_pre_max : int;
+    mutable s_post_max : int;
+    mutable s_fresh : int;
+  }
+
+  type t = {
+    aggs : (string, agg) Hashtbl.t;
+    substs : (string, subst_agg) Hashtbl.t;
+    counters : (string, int ref) Hashtbl.t;
+    spans : (string, int ref) Hashtbl.t;
+  }
+
+  let agg_update t ~oracle ~n ~arity ~size =
+    let a =
+      match Hashtbl.find_opt t.aggs oracle with
+      | Some a -> a
+      | None ->
+        let a =
+          { a_calls = 0; a_n_min = max_int; a_n_max = -1; a_l_min = max_int;
+            a_l_max = -1; a_size_max = -1 }
+        in
+        Hashtbl.replace t.aggs oracle a;
+        a
+    in
+    a.a_calls <- a.a_calls + 1;
+    a.a_n_min <- min a.a_n_min n;
+    a.a_n_max <- max a.a_n_max n;
+    if arity >= 0 then begin
+      a.a_l_min <- min a.a_l_min arity;
+      a.a_l_max <- max a.a_l_max arity
+    end;
+    a.a_size_max <- max a.a_size_max size
+
+  let subst_update t ~kind ~pre ~post ~fresh =
+    match Hashtbl.find_opt t.substs kind with
+    | Some s ->
+      s.s_count <- s.s_count + 1;
+      s.s_pre_max <- max s.s_pre_max pre;
+      s.s_post_max <- max s.s_post_max post;
+      s.s_fresh <- s.s_fresh + fresh
+    | None ->
+      Hashtbl.replace t.substs kind
+        { s_count = 1; s_pre_max = pre; s_post_max = post; s_fresh = fresh }
+
+  let bump tbl k by =
+    match Hashtbl.find_opt tbl k with
+    | Some r -> r := !r + by
+    | None -> Hashtbl.replace tbl k (ref by)
+
+  let of_events events =
+    let t =
+      { aggs = Hashtbl.create 8; substs = Hashtbl.create 4;
+        counters = Hashtbl.create 32; spans = Hashtbl.create 32 }
+    in
+    let stack = ref [] in
+    List.iter
+      (fun (e : Trace.event) ->
+        (* an absent arity or size was recorded as -1 *)
+        let int k =
+          match List.assoc_opt k e.attrs with Some (Trace.Int i) -> i | _ -> -1
+        in
+        match e.kind with
+        | Trace.Oracle ->
+          agg_update t ~oracle:e.name ~n:(int "n") ~arity:(int "l")
+            ~size:(int "size")
+        | Trace.Subst ->
+          subst_update t ~kind:e.name ~pre:(int "pre") ~post:(int "post")
+            ~fresh:(int "fresh")
+        | Trace.Counter -> bump t.counters e.name (int "value")
+        | Trace.Span_begin ->
+          stack :=
+            (match !stack with [] -> e.name | p :: _ -> p ^ "/" ^ e.name)
+            :: !stack
+        | Trace.Span_end -> (
+            match !stack with
+            | p :: rest ->
+              bump t.spans p 1;
+              stack := rest
+            | [] -> ())
+        | Trace.Phase -> ())
+      events;
+    t
+
+  let sorted tbl f =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [])
+
+  let aggregate t =
+    sorted t.aggs (fun a ->
+        (a.a_calls, a.a_n_min, a.a_n_max, a.a_l_min, a.a_l_max, a.a_size_max))
+
+  let counters t = sorted t.counters ( ! )
+  let span_calls t = sorted t.spans ( ! )
+
+  (* The rows the report printed under "substitutions:". *)
+  let subst_rows t =
+    List.map
+      (fun (kind, (c, pre, post, fresh)) ->
+        Printf.sprintf "  %-14s %8d %10d %10d %8d" kind c pre post fresh)
+      (sorted t.substs (fun s ->
+           (s.s_count, s.s_pre_max, s.s_post_max, s.s_fresh)))
+end
+
+(* The indented rows under "substitutions:" in [Obs.report]. *)
+let report_subst_rows () =
+  let rec rows = function
+    | l :: rest when String.length l > 2 && String.sub l 0 2 = "  " ->
+      l :: rows rest
+    | _ -> []
+  in
+  let rec find = function
+    | "substitutions:" :: _header :: rest -> rows rest
+    | _ :: rest -> find rest
+    | [] -> []
+  in
+  find (String.split_on_char '\n' (Obs.report ()))
+
+(* Run [f] at [jobs] with the ledger on and an uncapped stream, then
+   compare the ledger's views with [Old_ledger] over the stream. *)
+let ledger_agrees ~jobs f =
+  let stream = Trace.create ~cap:max_int () in
+  let before = Par.jobs () in
+  Obs.reset ();
+  Obs.enable ();
+  Obs.set_trace (Some stream);
+  Par.set_jobs jobs;
+  Fun.protect
+    ~finally:(fun () ->
+      Par.set_jobs before;
+      Obs.set_trace None;
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      f ();
+      let old = Old_ledger.of_events (Trace.events stream) in
+      List.map
+        (fun (k, (a : Obs.agg)) ->
+          (k, (a.a_calls, a.a_n_min, a.a_n_max, a.a_l_min, a.a_l_max,
+               a.a_size_max)))
+        (Obs.aggregate ())
+      = Old_ledger.aggregate old
+      && Obs.counters () = Old_ledger.counters old
+      && report_subst_rows () = Old_ledger.subst_rows old
+      && (jobs > 1
+          || List.map (fun s -> (s.Obs.span_path, s.Obs.span_calls))
+               (Obs.spans ())
+             = Old_ledger.span_calls old))
+
+let ledger_tests =
+  [ dtest ~seed:19 ~count:20 "ledger views = old ledger tables (jobs 1, 3)"
+      (arb_formula ~nvars:3 ~depth:3) (fun f ->
+        let vars = universe 4 in
+        let shap =
+          { Pipeline.shap_name = "circuit-shapley";
+            shap =
+              (fun ~vars f ->
+                Circuit_shapley.shap_direct ~vars (Compile.compile f)) }
+        in
+        let run () =
+          ignore
+            (Pipeline.shap_via_count_oracle ~oracle:Pipeline.dpll_count_oracle
+               ~vars f);
+          ignore (Pipeline.count_via_shap_oracle ~oracle:shap ~vars f);
+          ignore
+            (Pipeline.shap_via_pqe_oracle ~oracle:Pipeline.pqe_circuit_oracle
+               ~vars f);
+          ignore (Count.count ~vars (Compile.compile f))
+        in
+        ledger_agrees ~jobs:1 run && ledger_agrees ~jobs:3 run) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
   @ backward_edge_cases @ search_tests @ block_tests @ e2e_shape_tests
-  @ join_tests @ chain_tests
+  @ join_tests @ chain_tests @ ledger_tests
