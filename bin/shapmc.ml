@@ -836,14 +836,11 @@ let serve_cmd =
             (fun path -> Access_log.open_ ~max_bytes:access_log_max path)
             access_log
         in
-        let telemetry =
-          Telemetry.create ~ring:debug_requests ?access ()
-        in
         let config =
           { Server.host; port; jobs; limits; drain_deadline = drain;
-            telemetry = Some telemetry }
+            debug_requests; access_log = access }
         in
-        let server = Server.create ~config (Api.routes ~telemetry api) in
+        let server = Server.create ~config (Api.routes api) in
         Server.start server;
         Printf.printf "shapmc serve: listening on http://%s:%d (%d quer%s, jobs=%d)\n%!"
           host (Server.port server)

@@ -70,50 +70,44 @@ let map t f xs =
     let cursor = Atomic.make 0 in
     let observing = Shapmc_obs.Obs.enabled () in
     let t_map0 = if observing then now () else 0. in
-    let run_tasks () =
-      let rec loop () =
+    (* One cursor loop per worker.  When observing it also times each
+       task (job-wait from the map's start, busy time, the task
+       histogram) and flushes the worker's accounting once at the end. *)
+    let worker wid () =
+      let open Shapmc_obs in
+      let timing =
+        if observing then
+          Some (now (), ref 0., Histogram.create (), Histogram.create ())
+        else None
+      in
+      let rec loop tasks =
         let i = Atomic.fetch_and_add cursor 1 in
-        if i < n then begin
+        if i >= n then tasks
+        else begin
+          let t0 = if observing then now () else 0. in
           let r =
             try Ok (f xs.(i))
             with e -> Error (e, Printexc.get_raw_backtrace ())
           in
           (* distinct slots: no two workers ever share an index *)
           results.(i) <- Some r;
-          loop ()
+          (match timing with
+           | Some (_, busy, h_task, h_wait) ->
+             let dt = Float.max 0. (now () -. t0) in
+             Histogram.observe h_wait (Float.max 0. (t0 -. t_map0));
+             busy := !busy +. dt;
+             Histogram.observe h_task dt
+           | None -> ());
+          loop (tasks + 1)
         end
       in
-      loop ()
-    in
-    let run_tasks_observed wid =
-      let open Shapmc_obs in
-      let t_w0 = now () in
-      let busy = ref 0. and tasks = ref 0 in
-      let h_task = Histogram.create () and h_wait = Histogram.create () in
-      let rec loop () =
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i < n then begin
-          let t0 = now () in
-          Histogram.observe h_wait (Float.max 0. (t0 -. t_map0));
-          let r =
-            try Ok (f xs.(i))
-            with e -> Error (e, Printexc.get_raw_backtrace ())
-          in
-          results.(i) <- Some r;
-          let dt = Float.max 0. (now () -. t0) in
-          busy := !busy +. dt;
-          incr tasks;
-          Histogram.observe h_task dt;
-          loop ()
-        end
-      in
-      loop ();
-      flush_worker_metrics ~wid ~busy:!busy
-        ~wall:(Float.max 0. (now () -. t_w0))
-        ~tasks:!tasks ~h_task ~h_wait
-    in
-    let worker wid () =
-      if observing then run_tasks_observed wid else run_tasks ()
+      let tasks = loop 0 in
+      match timing with
+      | Some (t_w0, busy, h_task, h_wait) ->
+        flush_worker_metrics ~wid ~busy:!busy
+          ~wall:(Float.max 0. (now () -. t_w0))
+          ~tasks ~h_task ~h_wait
+      | None -> ()
     in
     let domains =
       List.init (w - 1) (fun k ->

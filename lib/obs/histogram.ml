@@ -5,9 +5,14 @@
    sub-buckets, so the bucket width is 2^(e-1)/sub and the midpoint
    approximation has relative error <= 1/(2*sub).  Exponents are
    clamped to [e_min, e_max]; with e_min = -30 that covers ~1ns
-   latencies, with e_max = 37 it covers ~1.4e11 (sizes, bytes). *)
+   latencies, with e_max = 37 it covers ~1.4e11 (sizes, bytes).
 
-let sub = 8
+   [observe] allocates nothing: the bucket comes from the float's bits
+   (no [frexp] tuple), and sum, min and max live unboxed in a float
+   array. *)
+
+let sub_bits = 3
+let sub = 1 lsl sub_bits
 let e_min = -30
 let e_max = 37
 let binades = e_max - e_min + 1
@@ -15,30 +20,36 @@ let num_buckets = binades * sub
 
 type t = {
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
   mutable h_zero : int;  (* observations <= 0 (and NaN, clamped) *)
+  h_stats : float array;  (* sum, min, max *)
   counts : int array;
 }
 
+let i_sum = 0
+let i_min = 1
+let i_max = 2
+
 let create () =
   { h_count = 0;
-    h_sum = 0.;
-    h_min = infinity;
-    h_max = neg_infinity;
     h_zero = 0;
+    h_stats = [| 0.; infinity; neg_infinity |];
     counts = Array.make num_buckets 0 }
 
-let copy t = { t with counts = Array.copy t.counts }
+let copy t =
+  { t with h_stats = Array.copy t.h_stats; counts = Array.copy t.counts }
 
+(* For a positive double, the IEEE-754 exponent field minus 1022 is
+   [frexp]'s [e], and the top [sub_bits] mantissa bits are its
+   sub-bucket [(m - 0.5) * 2 * sub].  Subnormals (field 0) fall below
+   [e_min]; +infinity (field 2047) lands in the top bucket. *)
 let bucket_index v =
   if not (v > 0.) then -1
   else
-    let m, e = Float.frexp v in
+    let bits = Int64.to_int (Int64.bits_of_float v) in
+    let e = (bits lsr 52) - 1022 in
     if e < e_min then 0
     else if e > e_max then num_buckets - 1
-    else (e - e_min) * sub + int_of_float ((m -. 0.5) *. 2. *. float_of_int sub)
+    else ((e - e_min) * sub) + ((bits lsr (52 - sub_bits)) land (sub - 1))
 
 let bucket_bounds i =
   let e = e_min + (i / sub) and s = i mod sub in
@@ -48,26 +59,28 @@ let bucket_bounds i =
 
 let observe t v =
   let v = if Float.is_nan v || v < 0. then 0. else v in
+  let st = t.h_stats in
   t.h_count <- t.h_count + 1;
-  t.h_sum <- t.h_sum +. v;
-  if v < t.h_min then t.h_min <- v;
-  if v > t.h_max then t.h_max <- v;
+  st.(i_sum) <- st.(i_sum) +. v;
+  if v < st.(i_min) then st.(i_min) <- v;
+  if v > st.(i_max) then st.(i_max) <- v;
   if v = 0. then t.h_zero <- t.h_zero + 1
   else
     let i = bucket_index v in
     t.counts.(i) <- t.counts.(i) + 1
 
 let count t = t.h_count
-let sum t = t.h_sum
-let min_value t = if t.h_count = 0 then nan else t.h_min
-let max_value t = if t.h_count = 0 then nan else t.h_max
+let sum t = t.h_stats.(i_sum)
+let min_value t = if t.h_count = 0 then nan else t.h_stats.(i_min)
+let max_value t = if t.h_count = 0 then nan else t.h_stats.(i_max)
 
 let merge_into ~into src =
+  let a = into.h_stats and b = src.h_stats in
   into.h_count <- into.h_count + src.h_count;
-  into.h_sum <- into.h_sum +. src.h_sum;
+  a.(i_sum) <- a.(i_sum) +. b.(i_sum);
   if src.h_count > 0 then begin
-    if src.h_min < into.h_min then into.h_min <- src.h_min;
-    if src.h_max > into.h_max then into.h_max <- src.h_max
+    if b.(i_min) < a.(i_min) then a.(i_min) <- b.(i_min);
+    if b.(i_max) > a.(i_max) then a.(i_max) <- b.(i_max)
   end;
   into.h_zero <- into.h_zero + src.h_zero;
   for i = 0 to num_buckets - 1 do
@@ -80,8 +93,8 @@ let merge a b =
   t
 
 let clamp t v =
-  let v = if v < t.h_min then t.h_min else v in
-  if v > t.h_max then t.h_max else v
+  let v = if v < t.h_stats.(i_min) then t.h_stats.(i_min) else v in
+  if v > t.h_stats.(i_max) then t.h_stats.(i_max) else v
 
 let percentile t q =
   if t.h_count = 0 then nan
@@ -90,7 +103,7 @@ let percentile t q =
     let rank = if rank < 1 then 1 else if rank > t.h_count then t.h_count else rank in
     if rank <= t.h_zero then clamp t 0.
     else begin
-      let acc = ref t.h_zero and result = ref t.h_max in
+      let acc = ref t.h_zero and result = ref t.h_stats.(i_max) in
       (try
          for i = 0 to num_buckets - 1 do
            acc := !acc + t.counts.(i);

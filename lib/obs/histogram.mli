@@ -1,6 +1,7 @@
 (** Log-linear (HDR-style) histograms for latency / size distributions.
 
-    Values are bucketed by binary exponent (via [frexp]) with a fixed
+    Values are bucketed by binary exponent (read off the float's bits,
+    equal to [frexp]'s for every finite value) with a fixed
     number of linear sub-buckets per power-of-two binade, giving a
     bounded relative error (<= 1/(2*sub_buckets) = 6.25% at the default
     8 sub-buckets) over a huge dynamic range (2^-30 .. 2^37) with a

@@ -58,11 +58,17 @@ let profiling () = !profiling_flag
 let set_profiling b = profiling_flag := b
 
 (* Bytes allocated by this domain so far (minor + major - promoted, so
-   promotions are not double-counted).  [Gc.allocated_bytes] reads the
-   live young-generation pointer, so the count is accurate between
-   minor collections — unlike [Gc.quick_stat], whose [minor_words]
-   only advances at collection boundaries on the multicore runtime. *)
-let allocated_bytes_now () = Gc.allocated_bytes ()
+   promotions are not double-counted).  The minor part is
+   [Gc.minor_words], which reads the live young-generation pointer and
+   so is exact between minor collections.  [Gc.allocated_bytes] is not:
+   on OCaml 5.1 its minor part advances in steps of about a minor heap
+   (~0.9 MB), so a reading depends on where the last collection fell
+   and a fixed workload reads differently after different prior
+   allocation. *)
+let allocated_bytes_now () =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  (minor +. major -. promoted) *. float_of_int (Sys.word_size / 8)
 
 (* ------------------------------------------------------------------ *)
 (* Event buffers *)

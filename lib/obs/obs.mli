@@ -72,8 +72,9 @@ val set_profiling : bool -> unit
 val profiling : unit -> bool
 
 (** Bytes allocated by the calling domain so far (minor + major −
-    promoted, from [Gc.allocated_bytes]); subtract two samples to
-    bracket a region. *)
+    promoted, the minor part from [Gc.minor_words], exact at any
+    point); subtract two samples to bracket a region.  A fixed workload
+    reads the same delta however much was allocated before it. *)
 val allocated_bytes_now : unit -> float
 
 (** [reset ()] resets the default {!Metrics} registry, and with it every

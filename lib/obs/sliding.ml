@@ -30,11 +30,10 @@ type t = {
   w_lock : Mutex.t;
 }
 
-let default_buckets = 15
+let buckets = 15
 
-let create ?(buckets = default_buckets) ~window () =
+let create ~window =
   if window <= 0. then invalid_arg "Sliding.create: window must be positive";
-  let buckets = max 1 buckets in
   { w_width = window /. float_of_int buckets;
     w_buckets =
       Array.init buckets (fun _ ->
@@ -43,8 +42,6 @@ let create ?(buckets = default_buckets) ~window () =
             b_requests = 0;
             b_errors = 0 });
     w_lock = Mutex.create () }
-
-let window t = t.w_width *. float_of_int (Array.length t.w_buckets)
 
 let locked t f =
   Mutex.lock t.w_lock;

@@ -2,23 +2,17 @@
     latency percentiles over the last N seconds, built on {!Histogram}
     merge.
 
-    A lazily-rotated ring of time buckets (no timer thread); the
-    covered interval is between (buckets−1)·width and buckets·width
-    seconds, the usual ring approximation of a true sliding window.
+    A lazily-rotated ring of 15 time buckets (no timer thread); the
+    covered interval is between 14/15 and all of the window, the usual
+    ring approximation of a true sliding window (quantization under 7%).
     Domain-safe behind one mutex; [now] is injectable everywhere so
     tests drive rotation deterministically. *)
 
 type t
 
-val default_buckets : int
-(** 15 — quantization error under 7% of the window. *)
-
-(** [create ~window ()] covers the trailing [window] seconds.
+(** [create ~window] covers the trailing [window] seconds.
     @raise Invalid_argument when [window <= 0]. *)
-val create : ?buckets:int -> window:float -> unit -> t
-
-(** The configured window in seconds. *)
-val window : t -> float
+val create : window:float -> t
 
 (** [observe t ~ok seconds] records one request outcome ([ok = false]
     counts as an error) with its latency. *)

@@ -34,8 +34,6 @@ let open_ ?(max_bytes = default_max_bytes) path =
     al_bytes = (try out_channel_length oc with Sys_error _ -> 0);
     al_closed = false }
 
-let path t = t.al_path
-
 let locked t f =
   Mutex.lock t.al_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.al_lock) f

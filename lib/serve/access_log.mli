@@ -13,8 +13,6 @@ val default_max_bytes : int
     @raise Sys_error when the path cannot be opened. *)
 val open_ : ?max_bytes:int -> string -> t
 
-val path : t -> string
-
 (** Where rotation moves the full file: [path ^ ".1"]. *)
 val rotated_path : string -> string
 

@@ -16,7 +16,7 @@ type t = {
   list : entry list;
   index : (string, entry) Hashtbl.t;  (* name -> entry; read-only *)
   cache : Cache.t;
-  created : float;
+  created : float;  (* load stamp: the /healthz uptime base *)
 }
 
 (* Service version reported by /healthz. *)
@@ -131,41 +131,49 @@ let default_limit = 100
 
 let max_limit = 1000
 
+(* ------------------------------------------------------------------ *)
+(* Handlers: each is a chain of checks over [result], whose first
+   failure is the response (a ready-to-send error); [respond] ends the
+   chain.                                                              *)
+
+let ( let* ) = Result.bind
+
+let respond = function Ok resp | Error resp -> resp
+
+(* [found status message opt]: the value, or an error whose
+   [message ()] is built only on a miss. *)
+let found status message = function
+  | Some x -> Ok x
+  | None -> Error (Json_codec.error status (message ()))
+
+let require ok message =
+  if ok then Ok () else Error (Json_codec.error 400 message)
+
 (* Shared pagination: [facts] sorted ascending; a page is the first
    [limit] facts strictly after the cursor's id, [facts.(start)] to
    [facts.(stop - 1)]. *)
-type 'e page_result = ('e, Router.response) result
-
-let paginate ~cursor ~limit facts : (int * int * string option) page_result =
-  match
+let paginate ~cursor ~limit facts =
+  let* after =
     match cursor with
     | None -> Ok (-1)
-    | Some c -> (
-        match fact_of_cursor c with
-        | Some id -> Ok id
-        | None -> Error (Json_codec.error 400 ("malformed cursor: " ^ c)))
-  with
-  | Error e -> Error e
-  | Ok after -> (
-      match limit with
-      | Some l when l < 1 ->
-        Error (Json_codec.error 400 "limit must be at least 1")
-      | _ ->
-        let limit =
-          min max_limit (Option.value ~default:default_limit limit)
-        in
-        let n = Array.length facts in
-        let start = lower_bound n (id_at facts) (after + 1) in
-        let stop = start + min limit (n - start) in
-        let next =
-          if stop < n && stop > start then
-            Some (cursor_of_fact (id_at facts (stop - 1)))
-          else None
-        in
-        Ok (start, stop, next))
-
-(* ------------------------------------------------------------------ *)
-(* Handlers                                                            *)
+    | Some c ->
+      found 400 (fun () -> "malformed cursor: " ^ c) (fact_of_cursor c)
+  in
+  let* () =
+    require
+      (match limit with Some l -> l >= 1 | None -> true)
+      "limit must be at least 1"
+  in
+  let limit = min max_limit (Option.value ~default:default_limit limit) in
+  let n = Array.length facts in
+  let start = lower_bound n (id_at facts) (after + 1) in
+  let stop = start + min limit (n - start) in
+  let next =
+    if stop < n && stop > start then
+      Some (cursor_of_fact (id_at facts (stop - 1)))
+    else None
+  in
+  Ok (start, stop, next)
 
 let classification_string q =
   match Dichotomy.classify q with
@@ -178,8 +186,8 @@ let solver_string = function
   | Dichotomy.Safe_plan_circuit -> "safe-plan-circuit"
   | Dichotomy.Compiled_dnf -> "compiled-dnf"
 
-let healthz ~started t _req =
-  let uptime = Float.max 0. (Unix.gettimeofday () -. started) in
+let healthz t _req =
+  let uptime = Float.max 0. (Unix.gettimeofday () -. t.created) in
   Json_codec.json_response
     (J.Obj
        [ ("status", J.Str "ok");
@@ -203,10 +211,7 @@ let queries t _req =
                         J.Str (classification_string e.query) ) ])
                 t.list) ) ])
 
-let with_entry t name k =
-  match find t name with
-  | None -> Json_codec.error 404 ("no such query: " ^ name)
-  | Some e -> k e
+let entry t name = found 404 (fun () -> "no such query: " ^ name) (find t name)
 
 let fact_json (id, rel, tuple) =
   J.Obj
@@ -216,106 +221,102 @@ let fact_json (id, rel, tuple) =
       ("tuple", Json_codec.tuple tuple) ]
 
 let facts t (req : Http.request) =
-  match List.assoc_opt "query" req.Http.query with
-  | None -> Json_codec.error 400 "missing query parameter: query"
-  | Some name ->
-    with_entry t name @@ fun e ->
-    let cursor = List.assoc_opt "cursor" req.Http.query in
-    let limit =
-      match List.assoc_opt "limit" req.Http.query with
-      | None -> Ok None
-      | Some raw -> (
-          match int_of_string_opt raw with
-          | Some l -> Ok (Some l)
-          | None -> Error (Json_codec.error 400 ("malformed limit: " ^ raw)))
-    in
-    (match limit with
-     | Error resp -> resp
-     | Ok limit -> (
-         match paginate ~cursor ~limit e.facts with
-         | Error resp -> resp
-         | Ok (start, stop, next) ->
-           let page = Array.to_list (Array.sub e.facts start (stop - start)) in
-           Json_codec.json_response
-             (J.Obj
-                ([ ("query", J.Str name);
-                   ("total", J.Int (Array.length e.facts));
-                   ("facts", J.List (List.map fact_json page)) ]
-                @
-                match next with
-                | Some c -> [ ("next_cursor", J.Str c) ]
-                | None -> []))))
+  respond
+  @@
+  let param k = List.assoc_opt k req.Http.query in
+  let* name =
+    found 400 (fun () -> "missing query parameter: query") (param "query")
+  in
+  let* e = entry t name in
+  let* limit =
+    match param "limit" with
+    | None -> Ok None
+    | Some raw -> (
+        match int_of_string_opt raw with
+        | Some l -> Ok (Some l)
+        | None -> Error (Json_codec.error 400 ("malformed limit: " ^ raw)))
+  in
+  let* start, stop, next = paginate ~cursor:(param "cursor") ~limit e.facts in
+  let page = Array.to_list (Array.sub e.facts start (stop - start)) in
+  Ok
+    (Json_codec.json_response
+       (J.Obj
+          ([ ("query", J.Str name);
+             ("total", J.Int (Array.length e.facts));
+             ("facts", J.List (List.map fact_json page)) ]
+          @
+          match next with
+          | Some c -> [ ("next_cursor", J.Str c) ]
+          | None -> [])))
 
 let shapley t (req : Http.request) =
-  match Json_codec.parse_body req with
-  | Error resp -> resp
-  | Ok body -> (
-      match (Json_codec.str_field "query" body, Json_codec.int_field "fact" body)
-      with
-      | Error resp, _ | _, Error resp -> resp
-      | Ok name, Ok fact_id ->
-        with_entry t name @@ fun e ->
-        (match search (Array.length e.facts) (id_at e.facts) fact_id with
-         | None ->
-           Json_codec.error 404
-             (Printf.sprintf "query %s has no fact %d" name fact_id)
-         | Some i ->
-           let id, rel, tuple = e.facts.(i) in
-           let a, solver = shapley_all t e in
-           (match answer_index a id with
-            | None ->
-              Json_codec.error 500
-                (Printf.sprintf "no Shapley value for fact %d" id)
-            | Some j ->
-              Json_codec.json_response
-                (J.Obj
-                   [ ("query", J.Str name);
-                     ("fact", J.Int id);
-                     ("relation", J.Str rel);
-                     ("tuple", Json_codec.tuple tuple);
-                     ("solver", J.Str (solver_string solver));
-                     ("shapley", Json_codec.rat a.Cache.values.(j)) ]))))
+  respond
+  @@
+  let* body = Json_codec.parse_body req in
+  let* name = Json_codec.field "query" J.to_str ~must_be:"a string" body in
+  let* fact_id =
+    Json_codec.field "fact" J.to_int ~must_be:"an integer" body
+  in
+  let* e = entry t name in
+  let* i =
+    found 404
+      (fun () -> Printf.sprintf "query %s has no fact %d" name fact_id)
+      (search (Array.length e.facts) (id_at e.facts) fact_id)
+  in
+  let id, rel, tuple = e.facts.(i) in
+  let a, solver = shapley_all t e in
+  let* j =
+    found 500
+      (fun () -> Printf.sprintf "no Shapley value for fact %d" id)
+      (answer_index a id)
+  in
+  Ok
+    (Json_codec.json_response
+       (J.Obj
+          [ ("query", J.Str name);
+            ("fact", J.Int id);
+            ("relation", J.Str rel);
+            ("tuple", Json_codec.tuple tuple);
+            ("solver", J.Str (solver_string solver));
+            ("shapley", Json_codec.rat a.Cache.values.(j)) ]))
 
 (* A page's body is its facts' elements, rendered on the cache fill,
    between a head and a tail, built in one allocation: byte for byte
    what [Json_codec.json_response] prints of the equivalent tree. *)
 let shapley_all_route t (req : Http.request) =
-  match Json_codec.parse_body req with
-  | Error resp -> resp
-  | Ok body -> (
-      match
-        ( Json_codec.str_field "query" body,
-          Json_codec.opt_str_field "cursor" body,
-          Json_codec.opt_int_field "limit" body )
-      with
-      | Error resp, _, _ | _, Error resp, _ | _, _, Error resp -> resp
-      | Ok name, Ok cursor, Ok limit ->
-        with_entry t name @@ fun e ->
-        (match paginate ~cursor ~limit e.facts with
-         | Error resp -> resp
-         | Ok (start, stop, next) ->
-           let a, solver = shapley_all t e in
-           let head =
-             Printf.sprintf {|{"query":%s,"total":%d,"solver":%s,"values":[|}
-               (J.to_string (J.Str name))
-               (Array.length e.facts)
-               (J.to_string (J.Str (solver_string solver)))
-           and tail =
-             match next with
-             | Some c ->
-               Printf.sprintf "],\"next_cursor\":%s}\n" (J.to_string (J.Str c))
-             | None -> "]}\n"
-           in
-           let parts = ref [ tail ] and last = ref true in
-           for i = stop - 1 downto start do
-             match answer_index a (id_at e.facts i) with
-             | None -> ()
-             | Some j ->
-               if not !last then parts := "," :: !parts;
-               last := false;
-               parts := a.Cache.elements.(j) :: !parts
-           done;
-           Json_codec.concat_response (head :: !parts)))
+  respond
+  @@
+  let* body = Json_codec.parse_body req in
+  let* name = Json_codec.field "query" J.to_str ~must_be:"a string" body in
+  let* cursor =
+    Json_codec.opt_field "cursor" J.to_str ~must_be:"a string" body
+  in
+  let* limit =
+    Json_codec.opt_field "limit" J.to_int ~must_be:"an integer" body
+  in
+  let* e = entry t name in
+  let* start, stop, next = paginate ~cursor ~limit e.facts in
+  let a, solver = shapley_all t e in
+  let head =
+    Printf.sprintf {|{"query":%s,"total":%d,"solver":%s,"values":[|}
+      (J.to_string (J.Str name))
+      (Array.length e.facts)
+      (J.to_string (J.Str (solver_string solver)))
+  and tail =
+    match next with
+    | Some c -> Printf.sprintf "],\"next_cursor\":%s}\n" (J.to_string (J.Str c))
+    | None -> "]}\n"
+  in
+  let parts = ref [ tail ] and last = ref true in
+  for i = stop - 1 downto start do
+    match answer_index a (id_at e.facts i) with
+    | None -> ()
+    | Some j ->
+      if not !last then parts := "," :: !parts;
+      last := false;
+      parts := a.Cache.elements.(j) :: !parts
+  done;
+  Ok (Json_codec.concat_response (head :: !parts))
 
 (* ------------------------------------------------------------------ *)
 (* Approximate Shapley: the sampling path for queries (or SLAs) the
@@ -328,196 +329,123 @@ let approx_max_samples = 100_000
 
 let approx_defaults = (0.05, 0.05) (* eps, delta *)
 
+(* [named kind of_string default name]: the named setting, [default]
+   when absent. *)
+let named kind of_string default = function
+  | None -> Ok default
+  | Some s ->
+    found 400 (fun () -> Printf.sprintf "unknown %s: %s" kind s) (of_string s)
+
 let shapley_approx t (req : Http.request) =
-  match Json_codec.parse_body req with
-  | Error resp -> resp
-  | Ok body -> (
-      match
-        ( Json_codec.str_field "query" body,
-          ( Json_codec.opt_float_field "eps" body,
-            Json_codec.opt_float_field "delta" body ),
-          ( Json_codec.opt_int_field "seed" body,
-            Json_codec.opt_int_field "max_samples" body ),
-          ( Json_codec.opt_str_field "estimator" body,
-            Json_codec.opt_str_field "ci" body ) )
-      with
-      | Error resp, _, _, _
-      | _, (Error resp, _), _, _
-      | _, (_, Error resp), _, _
-      | _, _, (Error resp, _), _
-      | _, _, (_, Error resp), _
-      | _, _, _, (Error resp, _)
-      | _, _, _, (_, Error resp) ->
-        resp
-      | ( Ok name,
-          (Ok eps, Ok delta),
-          (Ok seed, Ok max_samples),
-          (Ok est_name, Ok ci_name) ) -> (
-        let d_eps, d_delta = approx_defaults in
-        let eps = Option.value ~default:d_eps eps
-        and delta = Option.value ~default:d_delta delta
-        and seed = Option.value ~default:0 seed in
-        let estimator =
-          match est_name with
-          | None -> Ok Sampling.Truncated
-          | Some s -> (
-              match Sampling.estimator_of_string s with
-              | Some e -> Ok e
-              | None -> Error ("unknown estimator: " ^ s))
-        and ci =
-          match ci_name with
-          | None -> Ok Convergence.Bernstein
-          | Some s -> (
-              match Convergence.ci_of_string s with
-              | Some c -> Ok c
-              | None -> Error ("unknown ci: " ^ s))
-        in
-        match (estimator, ci) with
-        | Error m, _ | _, Error m -> Json_codec.error 400 m
-        | Ok estimator, Ok ci ->
-          if not (eps > 0.0) then Json_codec.error 400 "eps must be positive"
-          else if not (delta > 0.0 && delta < 1.0) then
-            Json_codec.error 400 "delta must lie in (0, 1)"
-          else if
-            match max_samples with Some m -> m < 1 | None -> false
-          then Json_codec.error 400 "max_samples must be at least 1"
-          else
-            with_entry t name @@ fun e ->
-            if Array.length e.facts = 0 then
-              Json_codec.error 400
-                (Printf.sprintf "query %s has no endogenous facts" name)
-            else begin
-              let budget =
-                let requested =
-                  match max_samples with
-                  | Some m -> m
-                  | None -> (
-                      (* the Hoeffding bound, when it fits the clamp *)
-                      match Sampling.samples_for ~eps ~delta with
-                      | m -> m
-                      | exception Invalid_argument _ -> approx_max_samples)
-                in
-                min approx_max_samples requested
-              in
-              let f = Lineage.lineage_formula e.db e.query in
-              let vars =
-                Vset.elements
-                  (Array.fold_left
-                     (fun acc (id, _, _) -> Vset.add id acc)
-                     (Formula.vars f) e.facts)
-              in
-              let report =
-                Obs.call ~oracle:"api.shapley_approx"
-                  ~n:(List.length vars)
-                  ~attrs:[ ("query", Trace.Str e.name) ]
-                  (fun () ->
-                    Obs.with_span "api.approx" (fun () ->
-                        Sampling.shap_estimate ~estimator ~seed ~delta ~eps
-                          ~max_samples:budget ~ci ~vars f))
-              in
-              let by_var =
-                List.fold_left
-                  (fun acc (est : Sampling.estimate) ->
-                    (est.Sampling.variable, est) :: acc)
-                  [] report.Sampling.estimates
-              in
-              let values =
-                Array.to_list e.facts
-                |> List.filter_map (fun (id, rel, tuple) ->
-                       match List.assoc_opt id by_var with
-                       | None -> None
-                       | Some est ->
-                         Some
-                           (J.Obj
-                              [ ("fact", J.Int id);
-                                ("relation", J.Str rel);
-                                ("tuple", Json_codec.tuple tuple);
-                                ("value", J.Float est.Sampling.value);
-                                ( "half_width",
-                                  J.Float est.Sampling.half_width ) ]))
-              in
-              Json_codec.json_response
-                (J.Obj
-                   [ ("query", J.Str name);
-                     ( "estimator",
-                       J.Str (Sampling.estimator_name estimator) );
-                     ("ci", J.Str (Convergence.ci_name ci));
-                     ("eps", J.Float eps);
-                     ("delta", J.Float delta);
-                     ("samples", J.Int report.Sampling.samples_used);
-                     ("evals", J.Int report.Sampling.evals);
-                     ("converged", J.Bool report.Sampling.converged);
-                     ( "max_half_width",
-                       J.Float
-                         (Convergence.max_certified_half_width
-                            report.Sampling.monitor) );
-                     ("values", J.List values) ])
-            end))
-
-let metrics ?telemetry () _req =
-  (* Refresh the rolling SLO gauges at scrape time: windows rotate
-     lazily, so the exposition reflects "now", not the last request. *)
-  (match telemetry with
-   | Some tel -> Telemetry.set_slo_gauges tel
-   | None -> ());
-  { Router.status = 200;
-    headers =
-      [ ( "Content-Type",
-          "application/openmetrics-text; version=1.0.0; charset=utf-8" ) ];
-    body = Metrics.to_openmetrics () }
-
-(* ------------------------------------------------------------------ *)
-(* Debug endpoints: the last-N request profiles ring. *)
-
-let debug_requests tel _req =
-  let ps = Telemetry.profiles tel in
-  Json_codec.json_response
-    (J.Obj
-       [ ("count", J.Int (List.length ps));
-         ("recorded", J.Int (Telemetry.recorded tel));
-         ("requests", J.List (List.map Telemetry.summary_json ps)) ])
-
-let debug_request tel params (req : Http.request) =
-  match List.assoc_opt "id" params with
-  | None -> Json_codec.error 400 "missing request id"
-  | Some id -> (
-      match Telemetry.find tel id with
-      | None ->
-        Json_codec.error 404
-          (Printf.sprintf
-             "no profile for request %s (ring keeps the last %d)" id
-             (List.length (Telemetry.profiles tel)))
-      | Some p -> (
-          match List.assoc_opt "format" req.Http.query with
-          | Some "chrome" ->
-            (* The request's scoped buffer through the standard trace
-               exporter: one production request, straight into
-               Perfetto. *)
-            { Router.status = 200;
-              headers = [ ("Content-Type", "application/json") ];
-              body = Trace_export.chrome p.Telemetry.p_events }
-          | Some other ->
-            Json_codec.error 400
-              ("unknown format: " ^ other ^ " (try format=chrome)")
-          | None -> Json_codec.json_response (Telemetry.profile_json p)))
-
-let routes ?telemetry t =
-  let started =
-    match telemetry with
-    | Some tel -> Telemetry.started tel
-    | None -> t.created
+  respond
+  @@
+  let* body = Json_codec.parse_body req in
+  let* name = Json_codec.field "query" J.to_str ~must_be:"a string" body in
+  let* eps = Json_codec.opt_field "eps" J.to_float ~must_be:"a number" body in
+  let* delta =
+    Json_codec.opt_field "delta" J.to_float ~must_be:"a number" body
   in
-  [ Router.route Http.GET "/healthz" (healthz ~started t);
+  let* seed =
+    Json_codec.opt_field "seed" J.to_int ~must_be:"an integer" body
+  in
+  let* max_samples =
+    Json_codec.opt_field "max_samples" J.to_int ~must_be:"an integer" body
+  in
+  let* est_name =
+    Json_codec.opt_field "estimator" J.to_str ~must_be:"a string" body
+  in
+  let* ci_name = Json_codec.opt_field "ci" J.to_str ~must_be:"a string" body in
+  let d_eps, d_delta = approx_defaults in
+  let eps = Option.value ~default:d_eps eps
+  and delta = Option.value ~default:d_delta delta
+  and seed = Option.value ~default:0 seed in
+  let* estimator =
+    named "estimator" Sampling.estimator_of_string Sampling.Truncated est_name
+  in
+  let* ci = named "ci" Convergence.ci_of_string Convergence.Bernstein ci_name in
+  let* () = require (eps > 0.0) "eps must be positive" in
+  let* () = require (delta > 0.0 && delta < 1.0) "delta must lie in (0, 1)" in
+  let* () =
+    require
+      (match max_samples with Some m -> m >= 1 | None -> true)
+      "max_samples must be at least 1"
+  in
+  let* e = entry t name in
+  let* () =
+    if Array.length e.facts > 0 then Ok ()
+    else
+      Error
+        (Json_codec.error 400
+           (Printf.sprintf "query %s has no endogenous facts" name))
+  in
+  let budget =
+    let requested =
+      match max_samples with
+      | Some m -> m
+      | None -> (
+          (* the Hoeffding bound, when it fits the clamp *)
+          match Sampling.samples_for ~eps ~delta with
+          | m -> m
+          | exception Invalid_argument _ -> approx_max_samples)
+    in
+    min approx_max_samples requested
+  in
+  let f = Lineage.lineage_formula e.db e.query in
+  let vars =
+    Vset.elements
+      (Array.fold_left
+         (fun acc (id, _, _) -> Vset.add id acc)
+         (Formula.vars f) e.facts)
+  in
+  let report =
+    Obs.call ~oracle:"api.shapley_approx"
+      ~n:(List.length vars)
+      ~attrs:[ ("query", Trace.Str e.name) ]
+      (fun () ->
+        Obs.with_span "api.approx" (fun () ->
+            Sampling.shap_estimate ~estimator ~seed ~delta ~eps
+              ~max_samples:budget ~ci ~vars f))
+  in
+  let by_var =
+    List.fold_left
+      (fun acc (est : Sampling.estimate) -> (est.Sampling.variable, est) :: acc)
+      [] report.Sampling.estimates
+  in
+  let values =
+    Array.to_list e.facts
+    |> List.filter_map (fun (id, rel, tuple) ->
+           match List.assoc_opt id by_var with
+           | None -> None
+           | Some est ->
+             Some
+               (J.Obj
+                  [ ("fact", J.Int id);
+                    ("relation", J.Str rel);
+                    ("tuple", Json_codec.tuple tuple);
+                    ("value", J.Float est.Sampling.value);
+                    ("half_width", J.Float est.Sampling.half_width) ]))
+  in
+  Ok
+    (Json_codec.json_response
+       (J.Obj
+          [ ("query", J.Str name);
+            ("estimator", J.Str (Sampling.estimator_name estimator));
+            ("ci", J.Str (Convergence.ci_name ci));
+            ("eps", J.Float eps);
+            ("delta", J.Float delta);
+            ("samples", J.Int report.Sampling.samples_used);
+            ("evals", J.Int report.Sampling.evals);
+            ("converged", J.Bool report.Sampling.converged);
+            ( "max_half_width",
+              J.Float
+                (Convergence.max_certified_half_width report.Sampling.monitor)
+            );
+            ("values", J.List values) ]))
+
+let routes t =
+  [ Router.route Http.GET "/healthz" (healthz t);
     Router.route Http.GET "/v1/queries" (queries t);
     Router.route Http.GET "/v1/facts" (facts t);
     Router.route Http.POST "/v1/shapley" (shapley t);
     Router.route Http.POST "/v1/shapley/all" (shapley_all_route t);
-    Router.route Http.POST "/v1/shapley/approx" (shapley_approx t);
-    Router.route Http.GET "/metrics" (metrics ?telemetry ()) ]
-  @
-  match telemetry with
-  | None -> []
-  | Some tel ->
-    [ Router.route Http.GET "/v1/debug/requests" (debug_requests tel);
-      Router.route_params Http.GET "/v1/debug/requests/:id"
-        (debug_request tel) ]
+    Router.route Http.POST "/v1/shapley/approx" (shapley_approx t) ]

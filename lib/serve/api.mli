@@ -7,28 +7,25 @@
     warm page is those elements concatenated, and a warm
     [/v1/shapley] renders its one rational.
 
-    Routes:
-    - [GET /healthz] — liveness: status, {!version}, pid, uptime,
-      loaded-query count
+    Routes ({!routes}):
+    - [GET /healthz] — liveness: status, {!version}, pid, uptime since
+      the queries were loaded, loaded-query count
     - [GET /v1/queries] — every query with its Theorem 5.1 class
     - [GET /v1/facts?query=Q&cursor=&limit=] — endogenous facts, paged
     - [POST /v1/shapley] [{query, fact}] — one fact's exact Shapley value
     - [POST /v1/shapley/all] [{query, cursor?, limit?}] — all facts, paged
     - [POST /v1/shapley/approx]
-      [{query, eps?, delta?, estimator?, ci?, seed?, max_samples?}] —
+      [{query, eps?, delta?, seed?, max_samples?, estimator?, ci?}] —
       sampled Shapley values for every fact with per-fact CI half-widths
       and the samples spent; the estimator early-stops at ε and its
       convergence checkpoints land in the request profile.  Uncached:
       each call is a fresh run (the sample budget is clamped to
       {!approx_max_samples})
-    - [GET /metrics] — OpenMetrics exposition of {!Metrics.default}
-      (rolling SLO gauges refreshed at scrape time when a
-      {!Telemetry.t} is attached)
-    - [GET /v1/debug/requests] (telemetry only) — ring of recent
-      request profiles, newest first
-    - [GET /v1/debug/requests/:id] (telemetry only) — one request's
-      full profile with its scoped events; [?format=chrome] renders
-      the events through {!Trace_export.chrome} for Perfetto *)
+
+    A failure answers {!Router.error_response}'s shape; with several bad
+    body fields, the first in the order above names the error.  The
+    daemon's operational routes ([/metrics], [/v1/debug/requests]) are
+    {!Telemetry.routes}, which {!Server.create} adds. *)
 
 type entry = {
   name : string;
@@ -67,10 +64,8 @@ val shapley_all : t -> entry -> Cache.answer * Dichotomy.solver
 (** Version string reported by [/healthz]. *)
 val version : string
 
-(** [routes ?telemetry t] — attaching a {!Telemetry.t} adds the
-    [/v1/debug/requests] endpoints and SLO gauge refresh on
-    [/metrics], and bases the [/healthz] uptime on its start stamp. *)
-val routes : ?telemetry:Telemetry.t -> t -> Router.route list
+(** [routes t] — the six Shapley-API routes listed above. *)
+val routes : t -> Router.route list
 
 (** {1 Cursors} — opaque tokens ordered lexicographically like the
     fact ids they encode. *)

@@ -12,11 +12,7 @@ let concat_response parts =
     headers = [ content_type_json ];
     body = String.concat "" parts }
 
-let error status message =
-  json_response ~status
-    (J.Obj
-       [ ("error",
-          J.Obj [ ("code", J.Int status); ("message", J.Str message) ]) ])
+let error = Router.error_response
 
 (* Exact rational rendering: numerator and denominator as decimal
    strings (Shapley denominators divide n! and overflow any float or
@@ -43,50 +39,16 @@ let parse_body (req : Http.request) =
   | Some v -> Ok v
   | None -> Error (error 400 "request body is not valid JSON")
 
-let obj_field name json =
+let field name conv ~must_be json =
   match J.member name json with
-  | Some v -> Ok v
   | None -> Error (error 400 (Printf.sprintf "missing field %S" name))
-
-let str_field name json =
-  match obj_field name json with
-  | Error e -> Error e
-  | Ok v -> (
-      match J.to_str v with
-      | Some s -> Ok s
-      | None -> Error (error 400 (Printf.sprintf "field %S must be a string" name)))
-
-let int_field name json =
-  match obj_field name json with
-  | Error e -> Error e
-  | Ok v -> (
-      match J.to_int v with
-      | Some i -> Ok i
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok x
       | None ->
-        Error (error 400 (Printf.sprintf "field %S must be an integer" name)))
+        Error (error 400 (Printf.sprintf "field %S must be %s" name must_be)))
 
-let opt_str_field name json =
+let opt_field name conv ~must_be json =
   match J.member name json with
   | None | Some J.Null -> Ok None
-  | Some v -> (
-      match J.to_str v with
-      | Some s -> Ok (Some s)
-      | None -> Error (error 400 (Printf.sprintf "field %S must be a string" name)))
-
-let opt_int_field name json =
-  match J.member name json with
-  | None | Some J.Null -> Ok None
-  | Some v -> (
-      match J.to_int v with
-      | Some i -> Ok (Some i)
-      | None ->
-        Error (error 400 (Printf.sprintf "field %S must be an integer" name)))
-
-let opt_float_field name json =
-  match J.member name json with
-  | None | Some J.Null -> Ok None
-  | Some v -> (
-      match J.to_float v with
-      | Some f -> Ok (Some f)
-      | None ->
-        Error (error 400 (Printf.sprintf "field %S must be a number" name)))
+  | Some _ -> Result.map Option.some (field name conv ~must_be json)

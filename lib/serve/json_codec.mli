@@ -1,6 +1,6 @@
 (** JSON plumbing for the API: responses rendered through the
     escaping-correct {!Tiny_json.to_string} serializer, exact-rational
-    encoding, and total request-body accessors whose failures are
+    encoding, and total request-body readers whose failures are
     ready-to-send 400 responses. *)
 
 val json_response :
@@ -14,32 +14,29 @@ val concat_response : string list -> Router.response
     JSON text already rendered, ending in the newline {!json_response}
     prints.  The body is built in one allocation. *)
 
-val error : int -> string -> Router.response
-(** [{"error":{"code":...,"message":...}}] *)
+val error :
+  ?headers:(string * string) list -> int -> string -> Router.response
+(** {!Router.error_response}: [{"error":{"code":...,"message":...}}] *)
 
 val rat : Rat.t -> Tiny_json.t
 (** [{"num":"p","den":"q","float":f}] — [num]/[den] are decimal strings
     (exact far past float range), [float] a lossy rendering. *)
 
-val value : Value.t -> Tiny_json.t
 val tuple : Value.t array -> Tiny_json.t
 
 val parse_body :
   Http.request -> (Tiny_json.t, Router.response) result
 
-val obj_field :
-  string -> Tiny_json.t -> (Tiny_json.t, Router.response) result
+(** [field name conv ~must_be body] reads the required field [name] of
+    [body] through [conv].  A missing field answers [missing field
+    "name"]; a value [conv] refuses answers [field "name" must be
+    <must_be>] (e.g. ["a string"], ["an integer"]). *)
+val field :
+  string -> (Tiny_json.t -> 'a option) -> must_be:string -> Tiny_json.t ->
+  ('a, Router.response) result
 
-val str_field : string -> Tiny_json.t -> (string, Router.response) result
-val int_field : string -> Tiny_json.t -> (int, Router.response) result
-
-val opt_str_field :
-  string -> Tiny_json.t -> (string option, Router.response) result
-(** Absent and [null] are [None]. *)
-
-val opt_int_field :
-  string -> Tiny_json.t -> (int option, Router.response) result
-
-val opt_float_field :
-  string -> Tiny_json.t -> (float option, Router.response) result
-(** Absent and [null] are [None]; any JSON number is accepted. *)
+(** [opt_field] is {!field} for an optional field: absent and [null]
+    are [None]. *)
+val opt_field :
+  string -> (Tiny_json.t -> 'a option) -> must_be:string -> Tiny_json.t ->
+  ('a option, Router.response) result

@@ -17,21 +17,18 @@ let route meth path handler =
 
 let route_params meth path handler = { meth; path; handler }
 
-(* Json_codec depends on this module for [response], so the error
-   bodies here are assembled directly on Tiny_json. *)
-let error_body status message =
-  Tiny_json.to_string
-    (Tiny_json.Obj
-       [ ("error",
-          Tiny_json.Obj
-            [ ("code", Tiny_json.Int status);
-              ("message", Tiny_json.Str message) ]) ])
-  ^ "\n"
-
+(* The one builder of the error body, [{"error":{"code":…,"message":…}}];
+   [Json_codec.error] is this function. *)
 let error_response ?(headers = []) status message =
+  let module J = Tiny_json in
   { status;
     headers = ("Content-Type", "application/json") :: headers;
-    body = error_body status message }
+    body =
+      J.to_string
+        (J.Obj
+           [ ("error",
+              J.Obj [ ("code", J.Int status); ("message", J.Str message) ]) ])
+      ^ "\n" }
 
 (* [match_path ~pattern path]: segment-wise match; a [:name] pattern
    segment binds any single non-empty segment.  Fixed patterns take the

@@ -24,6 +24,13 @@ val route_params :
   ((string * string) list -> Http.request -> response) ->
   route
 
+(** [error_response status message] — a JSON response whose body is
+    [{"error":{"code":status,"message":message}}] and a newline, the
+    one error shape of the service; [headers] follow the
+    [Content-Type]. *)
+val error_response :
+  ?headers:(string * string) list -> int -> string -> response
+
 (** [dispatch routes req] finds the route matching [req]'s path and
     method and runs its handler.  Returns the response paired with the
     route label used for metrics and logs: the route's {e pattern} (so

@@ -4,7 +4,8 @@ type config = {
   jobs : int;
   limits : Limits.t;
   drain_deadline : float;
-  telemetry : Telemetry.t option;
+  debug_requests : int;
+  access_log : Access_log.t option;
 }
 
 let default_config =
@@ -13,7 +14,8 @@ let default_config =
     jobs = 1;
     limits = Limits.default;
     drain_deadline = 5.;
-    telemetry = None }
+    debug_requests = Telemetry.default_ring;
+    access_log = None }
 
 (* Each request's event buffer holds at most this many events; its
    oracle aggregates stay exact past it. *)
@@ -21,7 +23,8 @@ let request_cap = 4096
 
 type t = {
   config : config;
-  routes : Router.route list;
+  telemetry : Telemetry.t;
+  routes : Router.route list;  (* the caller's, then the telemetry's *)
   stop_flag : bool Atomic.t;
   served : int Atomic.t;
   in_flight : int Atomic.t;
@@ -34,8 +37,12 @@ type t = {
 
 let create ?(config = default_config) routes =
   Limits.validate config.limits;
+  let telemetry =
+    Telemetry.create ~ring:config.debug_requests ?access:config.access_log ()
+  in
   { config;
-    routes;
+    telemetry;
+    routes = routes @ Telemetry.routes telemetry;
     stop_flag = Atomic.make false;
     served = Atomic.make 0;
     in_flight = Atomic.make 0;
@@ -93,74 +100,46 @@ let write_all fd s =
   in
   go 0
 
-let observe_request ~route ~status ~seconds =
-  let labels =
-    [ ("route", route); ("code", string_of_int status) ]
-  in
-  Metrics.inc ~labels "http_requests";
-  Metrics.observe ~labels "http_request_seconds" seconds
-
 let set_in_flight t delta =
   let v = Atomic.fetch_and_add t.in_flight delta + delta in
   Metrics.set "http_in_flight" (float_of_int v)
 
-(* Send the response and return the request's wall seconds (also fed
-   to the telemetry profile, so log and metrics agree). *)
-let send t fd ~route ~keep_alive ~t0 (resp : Router.response) =
+(* The one completion path, for routed requests and protocol rejects
+   alike: add the id headers, write the response, then record
+   [http_requests], [http_request_seconds] and the telemetry profile
+   (ring, SLO windows, access log) with the same wall seconds, so log
+   and metrics agree.  [events] is the request's buffer. *)
+let complete t fd ~rid ~events ~route ~meth ~path ~keep_alive ~t0 ~queue
+    (resp : Router.response) =
+  let status = resp.Router.status in
   write_all fd
-    (Http.render_response ~headers:resp.Router.headers ~keep_alive
-       ~status:resp.Router.status ~body:resp.Router.body ());
-  let seconds = Float.max 0. (Unix.gettimeofday () -. t0) in
-  observe_request ~route ~status:resp.Router.status ~seconds;
-  Atomic.incr t.served;
-  seconds
-
-(* Every answered request — including protocol-level 408/4xx rejects —
-   lands in the telemetry ring, SLO windows and access log. *)
-let record_profile t ~rid ~events ~route ~meth ~path ~status ~bytes ~t0 ~wall
-    ~queue =
-  match t.config.telemetry with
-  | None -> ()
-  | Some tel ->
-    Telemetry.record tel
-      { Telemetry.p_id = Request_id.id rid;
-        p_trace_id = Request_id.trace_id rid;
-        p_route = route;
-        p_meth = meth;
-        p_path = path;
-        p_status = status;
-        p_start = t0;
-        p_wall_seconds = wall;
-        p_queue_seconds = queue;
-        p_oracle_calls = Trace.oracle_calls events;
-        p_oracle_seconds = Trace.oracle_seconds events;
-        p_bytes = bytes;
-        p_jobs = t.config.jobs;
-        p_events = Trace.events events;
-        p_events_dropped = Trace.dropped events }
-
-let with_request_id rid (resp : Router.response) =
-  { resp with
-    Router.headers = resp.Router.headers @ Request_id.response_headers rid }
-
-(* A protocol-level failure (timeout, parse reject) still gets an id,
-   response headers and a telemetry record — "invalid" route, no
-   events. *)
-let send_error t fd ~accepted ~nreq ~t0 (resp : Router.response) =
-  let rid = Request_id.make () in
-  let wall =
-    send t fd ~route:"invalid" ~keep_alive:false ~t0
-      (with_request_id rid resp)
-  in
-  record_profile t ~rid ~events:(Trace.create ~cap:0 ()) ~route:"invalid"
-    ~meth:"-" ~path:"-" ~status:resp.Router.status
-    ~bytes:(String.length resp.Router.body)
-    ~t0 ~wall
-    ~queue:(if nreq = 0 then Float.max 0. (t0 -. accepted) else 0.)
+    (Http.render_response
+       ~headers:(resp.Router.headers @ Request_id.response_headers rid)
+       ~keep_alive ~status ~body:resp.Router.body ());
+  let wall = Float.max 0. (Unix.gettimeofday () -. t0) in
+  let labels = [ ("route", route); ("code", string_of_int status) ] in
+  Metrics.inc ~labels "http_requests";
+  Metrics.observe ~labels "http_request_seconds" wall;
+  Telemetry.record t.telemetry
+    { Telemetry.p_id = Request_id.id rid;
+      p_trace_id = Request_id.trace_id rid;
+      p_route = route;
+      p_meth = meth;
+      p_path = path;
+      p_status = status;
+      p_start = t0;
+      p_wall_seconds = wall;
+      p_queue_seconds = queue;
+      p_oracle_calls = Trace.oracle_calls events;
+      p_oracle_seconds = Trace.oracle_seconds events;
+      p_bytes = String.length resp.Router.body;
+      p_jobs = t.config.jobs;
+      p_events = Trace.events events;
+      p_events_dropped = Trace.dropped events };
+  Atomic.incr t.served
 
 (* One full keep-alive connection: parse, dispatch, answer, repeat.
-   [accepted] is the accept-loop timestamp; the gap to the first
-   request's processing start is its queue time (executor backlog). *)
+   [accepted] is the accept-loop timestamp. *)
 let handle_connection t ~accepted fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true
    with Unix.Unix_error _ -> ());
@@ -170,6 +149,19 @@ let handle_connection t ~accepted fd =
    with Unix.Unix_error _ -> ());
   let buf = Bytes.create 8192 in
   let rec serve parser_ nreq =
+    (* [accepted] to the first request's processing start is its queue
+       time (executor backlog). *)
+    let queue t0 = if nreq = 0 then Float.max 0. (t0 -. accepted) else 0. in
+    (* A protocol-level failure (timeout, parse reject) still gets an
+       id, response headers and a profile: route "invalid", no
+       events. *)
+    let reject status msg =
+      let t0 = Unix.gettimeofday () in
+      complete t fd ~rid:(Request_id.make ()) ~events:(Trace.create ~cap:0 ())
+        ~route:"invalid" ~meth:"-" ~path:"-" ~keep_alive:false ~t0
+        ~queue:(queue t0)
+        (Json_codec.error status msg)
+    in
     let rec fill () =
       match Http.poll parser_ with
       | (Http.Request _ | Http.Reject _) as o -> `Outcome o
@@ -192,16 +184,13 @@ let handle_connection t ~accepted fd =
     | `Timeout ->
       (* Mid-request silence is an error; idle between requests is a
          normal keep-alive close. *)
-      if Http.bytes_fed parser_ > 0 then
-        send_error t fd ~accepted ~nreq ~t0:(Unix.gettimeofday ())
-          (Json_codec.error 408 "request read timed out")
+      if Http.bytes_fed parser_ > 0 then reject 408 "request read timed out"
     | `Outcome Http.Incomplete -> assert false (* poll after eof is terminal *)
     | `Outcome (Http.Reject (status, msg)) ->
       (* A clean EOF before any byte of a next request is just the
          client hanging up. *)
       if Http.bytes_fed parser_ > 0 then begin
-        send_error t fd ~accepted ~nreq ~t0:(Unix.gettimeofday ())
-          (Json_codec.error status msg);
+        reject status msg;
         (* Lingering close: a 413 client may still be mid-upload.
            Closing now would send RST and discard our buffered
            response, so drain the declared remainder (bounded, under
@@ -217,13 +206,13 @@ let handle_connection t ~accepted fd =
       end
     | `Outcome (Http.Request req) ->
       let t0 = Unix.gettimeofday () in
-      let queue = if nreq = 0 then Float.max 0. (t0 -. accepted) else 0. in
       let rid = Request_id.of_request req in
       (* The request's buffer: installed for the whole dispatch, so every
          span/oracle/subst event the handler triggers — including work
          fanned out via Par.map / Pool (which re-install it in their
          workers) — accumulates here, stamped with this request's id. *)
       let events = Trace.create ~cap:request_cap ~req:(Request_id.id rid) () in
+      let meth = Http.meth_to_string req.Http.meth in
       set_in_flight t 1;
       let route, resp =
         Fun.protect
@@ -232,23 +221,18 @@ let handle_connection t ~accepted fd =
             Obs.with_request events (fun () ->
                 Obs.with_span
                   ~attrs:
-                    [ ("method", Trace.Str (Http.meth_to_string req.Http.meth));
+                    [ ("method", Trace.Str meth);
                       ("path", Trace.Str req.Http.path) ]
                   "http.request"
                   (fun () -> Router.dispatch t.routes req)))
       in
-      let resp = with_request_id rid resp in
       let keep_alive =
         Http.wants_keep_alive req
         && nreq + 1 < t.config.limits.Limits.max_conn_requests
         && not (Atomic.get t.stop_flag)
       in
-      let wall = send t fd ~route ~keep_alive ~t0 resp in
-      record_profile t ~rid ~events ~route
-        ~meth:(Http.meth_to_string req.Http.meth)
-        ~path:req.Http.path ~status:resp.Router.status
-        ~bytes:(String.length resp.Router.body)
-        ~t0 ~wall ~queue;
+      complete t fd ~rid ~events ~route ~meth ~path:req.Http.path ~keep_alive
+        ~t0 ~queue:(queue t0) resp;
       if keep_alive then begin
         let next = Http.create ~limits:t.config.limits in
         Http.feed next (Http.leftover parser_);

@@ -8,11 +8,11 @@
     workers never runs on more than [jobs + 1] domains (the accept
     loop included).
 
-    Observability: every answered request records
-    [http_requests{route,code}] (counter),
-    [http_request_seconds{route,code}] (histogram) and the
-    [http_in_flight] gauge into {!Metrics.default} — scrape them back
-    over [GET /metrics].
+    The daemon always records.  {!create} builds its {!Telemetry.t}
+    from [debug_requests] and [access_log] and serves, beside the
+    caller's routes, the three that read it ({!Telemetry.routes}:
+    [GET /metrics], [GET /v1/debug/requests],
+    [GET /v1/debug/requests/:id]).
 
     Request-scoped observability: each request gets a {!Request_id}
     (honoring incoming [X-Request-Id] / [traceparent], echoing both on
@@ -20,10 +20,16 @@
     ({!Obs.with_request}, at most 4096 events), so every span and oracle
     event it triggers — across [Par.map]/[Pool] worker domains — is
     captured in a per-request buffer stamped with its id, independent of
-    the global [Obs] switch.  With a [telemetry] value
-    in the config, every completion (including protocol-level 4xx
-    rejects, route ["invalid"]) is recorded into the profile ring, the
-    rolling SLO windows and the access log. *)
+    the global [Obs] switch.
+
+    Every completion, a routed request or a protocol-level reject
+    (route ["invalid"], method and path ["-"]), takes one path: the id
+    headers are added, the response written, and then
+    [http_requests{route,code}] (counter),
+    [http_request_seconds{route,code}] (histogram) and the profile
+    (ring, rolling SLO windows, access log) are recorded into
+    {!Metrics.default} and the telemetry.  The [http_in_flight] gauge
+    brackets each dispatch. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
@@ -33,10 +39,12 @@ type config = {
   drain_deadline : float;
       (** seconds {!run} waits for in-flight requests after {!stop}
           before force-closing their sockets (default 5.) *)
-  telemetry : Telemetry.t option;
-      (** per-request profile ring / SLO windows / access log; share it
-          with {!Api.routes} so the debug endpoints read what the
-          server records (default [None]) *)
+  debug_requests : int;
+      (** request profiles the debug ring keeps ([0]: none; default
+          {!Telemetry.default_ring}) *)
+  access_log : Access_log.t option;
+      (** one line per completion (default [None]); the caller opens
+          and closes it *)
 }
 
 val default_config : config
@@ -63,5 +71,5 @@ val run : t -> unit
     domain.  Idempotent; safe before {!start}. *)
 val stop : t -> unit
 
-(** Requests answered so far (all connections). *)
+(** Requests answered and recorded so far (all connections). *)
 val requests_served : t -> int

@@ -1,16 +1,17 @@
-(* Serving-side observability state, one value per server process:
+(* Serving-side observability state, one value per server process, and
+   the routes that read it:
 
    - a bounded ring of the last N request profiles (id, timings, oracle
-     aggregates, and the request's scoped event buffer) backing the
-     [/v1/debug/requests] endpoints;
+     aggregates, and the request's scoped event buffer) behind
+     [GET /v1/debug/requests] and [GET /v1/debug/requests/:id];
    - rolling 1m/5m SLO windows (error ratio + latency percentiles)
-     whose snapshots are exported as gauges on every /metrics render;
+     whose snapshots are exported as gauges on every [GET /metrics];
    - the optional JSONL access log, written on every completion.
 
    [record] is called by the server once per answered request, after
    the response bytes are on the wire; everything here is cheap
    bookkeeping under small local locks, never on the request's critical
-   path.  [now] is injectable throughout so SLO rotation is testable. *)
+   path.  [now] is injectable so SLO rotation is testable. *)
 
 module J = Tiny_json
 
@@ -39,22 +40,17 @@ type t = {
   slo_1m : Sliding.t;
   slo_5m : Sliding.t;
   access : Access_log.t option;
-  started : float;
 }
 
 let default_ring = 64
 
-let create ?(ring = default_ring) ?access ?now () =
+let create ?(ring = default_ring) ?access () =
   { ring = Array.make (max 0 ring) None;
     total = 0;
     ring_lock = Mutex.create ();
-    slo_1m = Sliding.create ~window:60. ();
-    slo_5m = Sliding.create ~window:300. ();
-    access;
-    started = (match now with Some n -> n | None -> Unix.gettimeofday ()) }
-
-let started t = t.started
-let access_log t = t.access
+    slo_1m = Sliding.create ~window:60.;
+    slo_5m = Sliding.create ~window:300.;
+    access }
 
 let locked t f =
   Mutex.lock t.ring_lock;
@@ -150,5 +146,53 @@ let set_slo_gauges ?now ?registry t =
       quantile "0.99" s.Sliding.w_p99)
     [ ("1m", t.slo_1m); ("5m", t.slo_5m) ]
 
-let slo_1m t = t.slo_1m
-let slo_5m t = t.slo_5m
+
+(* ------------------------------------------------------------------ *)
+(* The routes that read it *)
+
+let metrics t _req =
+  (* Refresh the rolling SLO gauges at scrape time: windows rotate
+     lazily, so the exposition reflects "now", not the last request. *)
+  set_slo_gauges t;
+  { Router.status = 200;
+    headers =
+      [ ( "Content-Type",
+          "application/openmetrics-text; version=1.0.0; charset=utf-8" ) ];
+    body = Metrics.to_openmetrics () }
+
+let debug_requests t _req =
+  let ps = profiles t in
+  Json_codec.json_response
+    (J.Obj
+       [ ("count", J.Int (List.length ps));
+         ("recorded", J.Int (recorded t));
+         ("requests", J.List (List.map summary_json ps)) ])
+
+let debug_request t params (req : Http.request) =
+  match List.assoc_opt "id" params with
+  | None -> Json_codec.error 400 "missing request id"
+  | Some id -> (
+      match find t id with
+      | None ->
+        Json_codec.error 404
+          (Printf.sprintf
+             "no profile for request %s (ring keeps the last %d)" id
+             (List.length (profiles t)))
+      | Some p -> (
+          match List.assoc_opt "format" req.Http.query with
+          | Some "chrome" ->
+            (* The request's scoped buffer through the standard trace
+               exporter: one production request, straight into
+               Perfetto. *)
+            { Router.status = 200;
+              headers = [ ("Content-Type", "application/json") ];
+              body = Trace_export.chrome p.p_events }
+          | Some other ->
+            Json_codec.error 400
+              ("unknown format: " ^ other ^ " (try format=chrome)")
+          | None -> Json_codec.json_response (profile_json p)))
+
+let routes t =
+  [ Router.route Http.GET "/metrics" (metrics t);
+    Router.route Http.GET "/v1/debug/requests" (debug_requests t);
+    Router.route_params Http.GET "/v1/debug/requests/:id" (debug_request t) ]

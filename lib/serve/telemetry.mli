@@ -1,10 +1,10 @@
-(** Per-process serving telemetry: the bounded ring of recent request
-    profiles behind [GET /v1/debug/requests], rolling 1m/5m SLO windows
+(** Per-process serving telemetry and the routes that read it: the
+    bounded ring of recent request profiles, rolling 1m/5m SLO windows
     exported as gauges, and the optional JSONL access log.
 
-    The server calls {!record} once per answered request (after the
-    response is on the wire); the API layer reads {!profiles} /
-    {!find} and calls {!set_slo_gauges} before each /metrics render. *)
+    {!Server.create} builds one per daemon and serves {!routes} beside
+    the caller's; the server calls {!record} once per answered request
+    (after the response is on the wire). *)
 
 type profile = {
   p_id : string;  (** the request id every scoped event carries *)
@@ -31,14 +31,8 @@ val default_ring : int
 (** 64 profiles. *)
 
 (** [create ()] — [ring] bounds the profile ring ([0] disables it);
-    [access] attaches an access log; [now] overrides the start stamp
-    (tests). *)
-val create : ?ring:int -> ?access:Access_log.t -> ?now:float -> unit -> t
-
-(** Start stamp — the [/healthz] uptime base. *)
-val started : t -> float
-
-val access_log : t -> Access_log.t option
+    [access] attaches an access log. *)
+val create : ?ring:int -> ?access:Access_log.t -> unit -> t
 
 (** Record a completed request: SLO windows, profile ring, access-log
     line. *)
@@ -77,5 +71,14 @@ val profile_json : profile -> Tiny_json.t
     [registry] (default {!Metrics.default}). *)
 val set_slo_gauges : ?now:float -> ?registry:Metrics.registry -> t -> unit
 
-val slo_1m : t -> Sliding.t
-val slo_5m : t -> Sliding.t
+(** {1 Routes} *)
+
+(** The three routes that read [t]:
+    - [GET /metrics] — OpenMetrics exposition of {!Metrics.default},
+      with the SLO gauges refreshed ({!set_slo_gauges}) at scrape time
+    - [GET /v1/debug/requests] — the ring's summaries ({!summary_json}),
+      newest first, with [count] and [recorded]
+    - [GET /v1/debug/requests/:id] — one request's {!profile_json};
+      [?format=chrome] renders its events through
+      {!Trace_export.chrome} for Perfetto *)
+val routes : t -> Router.route list

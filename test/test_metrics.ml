@@ -4,7 +4,10 @@
       bucket that contains it), merge as a commutative/associative
       monoid on counts, and the percentile guarantee: the reported
       quantile falls in the same bucket as the exact rank-statistic of
-      the observed multiset.
+      the observed multiset; the bucket read off the float's bits
+      equals the [frexp] formula, and an observation allocates nothing.
+    - [Obs.allocated_bytes_now]: a fixed workload reads the same delta
+      after any prior allocation.
     - [Metrics]: registry semantics (label canonicalization, kind
       clashes) and the OpenMetrics exposition round-tripping through
       the bundled parser; the [Obs] aggregates' JSON dump parses back
@@ -79,6 +82,78 @@ let histogram_tests =
                true
                (lo <= v && v < hi))
           [ 1e-9; 0.5; 0.75; 1.0; 1.5; 3.14; 1000.0; 1e10 ]) ]
+
+(* ------------------------------------------------------------------ *)
+(* The allocation counter, and an observation that allocates nothing   *)
+
+(* The parent's [frexp] bucket formula (e_min -30, e_max 37, 8
+   sub-buckets), the oracle for the bucket read off the float's bits. *)
+let frexp_index v =
+  if not (v > 0.) then -1
+  else
+    let m, e = Float.frexp v in
+    if e < -30 then 0
+    else if e > 37 then Histogram.num_buckets - 1
+    else ((e + 30) * 8) + int_of_float ((m -. 0.5) *. 2. *. 8.)
+
+let alloc_tests =
+  [ t "allocation count repeats whatever was allocated before" (fun () ->
+        (* ~4 MB, so minor collections fall inside the measured region *)
+        let work () =
+          ignore (Sys.opaque_identity (List.init 100_000 (fun i -> Some i)))
+        in
+        let delta_after prior =
+          ignore (Sys.opaque_identity (List.init prior ref));
+          let a0 = Obs.allocated_bytes_now () in
+          work ();
+          Obs.allocated_bytes_now () -. a0
+        in
+        let d = delta_after 0 in
+        Alcotest.(check bool) "the workload's lists are counted" true
+          (d >= 4e6);
+        List.iter
+          (fun prior ->
+            Alcotest.(check (float 0.))
+              (Printf.sprintf "same delta after %d refs" prior)
+              d (delta_after prior))
+          [ 7; 20_000; 123_457; 0 ]);
+    t "bucket from the float's bits equals frexp's" (fun () ->
+        (* they differ on +infinity only, checked below *)
+        let check v =
+          if v <> Float.infinity && Histogram.bucket_index v <> frexp_index v
+          then
+            Alcotest.failf "%h: bits %d, frexp %d" v (Histogram.bucket_index v)
+              (frexp_index v)
+        in
+        for k = -1080 to 1030 do
+          for j = 0 to 64 do
+            let v = Float.ldexp (1. +. (float_of_int j /. 64.)) k in
+            check v;
+            check (Float.pred v);
+            check (Float.succ v)
+          done
+        done;
+        let rng = Random.State.make [| 24 |] in
+        for _ = 1 to 100_000 do
+          check (Float.exp (Random.State.float rng 1500. -. 750.))
+        done;
+        List.iter check [ 0.; -1.; Float.nan; Float.min_float; Float.max_float ];
+        Alcotest.(check int) "+infinity lands in the top bucket"
+          (Histogram.num_buckets - 1)
+          (Histogram.bucket_index Float.infinity));
+    t "observe allocates nothing" (fun () ->
+        let h = Histogram.create () in
+        let v = Sys.opaque_identity 0.37 in
+        let allocated n =
+          let a0 = Obs.allocated_bytes_now () in
+          for _ = 1 to n do
+            Histogram.observe h v
+          done;
+          Obs.allocated_bytes_now () -. a0
+        in
+        Alcotest.(check (float 0.)) "N and 2N observations allocate alike"
+          (allocated 1000) (allocated 2000);
+        Alcotest.(check int) "all counted" 3000 (Histogram.count h)) ]
 
 let gen_obs =
   QCheck.Gen.(
@@ -406,5 +481,5 @@ let integration_tests =
           (Metrics.counter_total "stale")) ]
 
 let suite =
-  histogram_tests @ histogram_property_tests @ registry_tests
+  histogram_tests @ alloc_tests @ histogram_property_tests @ registry_tests
   @ exposition_tests @ integration_tests

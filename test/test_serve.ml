@@ -1102,15 +1102,17 @@ module Client = struct
       (fun () -> request c ?headers ?body meth path)
 end
 
-let with_server ?(jobs = 1) ?(limits = Limits.default) ?(port = 0) ?telemetry
-    routes f =
+let with_server ?(jobs = 1) ?(limits = Limits.default) ?(port = 0)
+    ?(debug_requests = Server.default_config.Server.debug_requests)
+    ?access_log routes f =
   let config =
     { Server.default_config with
       Server.port;
       Server.jobs;
       Server.limits;
       Server.drain_deadline = 5.;
-      Server.telemetry }
+      Server.debug_requests;
+      Server.access_log }
   in
   let srv = Server.create ~config routes in
   Server.start srv;
@@ -1602,7 +1604,7 @@ let fake_profile ?(events = []) ?(status = 200) ?(wall = 0.01) ~id ~route () =
     p_events_dropped = 0 }
 
 let telemetry_ring_and_lookup () =
-  let tel = Telemetry.create ~ring:3 ~now:0. () in
+  let tel = Telemetry.create ~ring:3 () in
   for i = 1 to 5 do
     Telemetry.record ~now:(float_of_int i) tel
       (fake_profile ~id:(Printf.sprintf "r%d" i) ~route:"/x" ())
@@ -1616,7 +1618,7 @@ let telemetry_ring_and_lookup () =
     (Telemetry.find tel "r4" <> None);
   Alcotest.(check bool) "evicted id is gone" true
     (Telemetry.find tel "r1" = None);
-  let tel0 = Telemetry.create ~ring:0 ~now:0. () in
+  let tel0 = Telemetry.create ~ring:0 () in
   Telemetry.record ~now:1. tel0 (fake_profile ~id:"x" ~route:"/x" ());
   Alcotest.(check (list string)) "ring 0 stores nothing" []
     (List.map (fun p -> p.Telemetry.p_id) (Telemetry.profiles tel0));
@@ -1678,10 +1680,10 @@ let access_log_rotation_and_roundtrip () =
 
 let sliding_window_rolls () =
   (try
-     ignore (Sliding.create ~window:0. ());
+     ignore (Sliding.create ~window:0.);
      Alcotest.fail "window 0 must be rejected"
    with Invalid_argument _ -> ());
-  let w = Sliding.create ~window:60. () in
+  let w = Sliding.create ~window:60. in
   let empty = Sliding.snapshot ~now:5. w in
   Alcotest.(check int) "empty window: no requests" 0 empty.Sliding.w_requests;
   Alcotest.(check (float 0.)) "empty window: ratio 0" 0.
@@ -1714,7 +1716,7 @@ let sliding_window_rolls () =
 
 let telemetry_slo_gauges () =
   let reg = Metrics.create () in
-  let tel = Telemetry.create ~ring:4 ~now:0. () in
+  let tel = Telemetry.create ~ring:4 () in
   Telemetry.record ~now:10. tel
     (fake_profile ~id:"ok1" ~route:"/x" ~wall:0.1 ());
   Telemetry.record ~now:11. tel
@@ -1787,8 +1789,7 @@ let tail_aggregation () =
 (* API: health fields and debug endpoints                              *)
 
 let api_healthz_observability_fields () =
-  let tel = Telemetry.create ~ring:4 () in
-  let routes = Api.routes ~telemetry:tel (demo_api ()) in
+  let routes = Api.routes (demo_api ()) in
   let r = get routes "/healthz" in
   Alcotest.(check int) "healthz 200" 200 (status r);
   let j = json_of r in
@@ -1799,22 +1800,27 @@ let api_healthz_observability_fields () =
   (match J.to_float (member_exn "uptime_seconds" j) with
    | Some up -> Alcotest.(check bool) "uptime non-negative" true (up >= 0.)
    | None -> Alcotest.fail "uptime_seconds not a number");
-  (* without telemetry the debug surface does not exist *)
-  let bare = Api.routes (demo_api ()) in
-  Alcotest.(check int) "healthz still works without telemetry" 200
-    (status (get bare "/healthz"));
-  Alcotest.(check int) "no debug route without telemetry" 404
-    (status (get bare "/v1/debug/requests"))
+  (* the Shapley API alone has no operational surface: the server adds
+     the telemetry's routes *)
+  Alcotest.(check int) "no debug route in the Shapley API" 404
+    (status (get routes "/v1/debug/requests"));
+  Alcotest.(check int) "no /metrics in the Shapley API" 404
+    (status (get routes "/metrics"));
+  let tel = Telemetry.create ~ring:4 () in
+  Alcotest.(check (list int)) "the telemetry serves them" [ 200; 200 ]
+    (List.map
+       (fun path -> status (get (Telemetry.routes tel) path))
+       [ "/v1/debug/requests"; "/metrics" ])
 
 let api_debug_requests () =
-  let tel = Telemetry.create ~ring:4 ~now:0. () in
+  let tel = Telemetry.create ~ring:4 () in
   let events =
     [ fake_event ~seq:0 ~req:"r1" "dpll"; fake_event ~seq:1 ~req:"r1" "dpll" ]
   in
   Telemetry.record ~now:5. tel
     (fake_profile ~id:"r1" ~route:"/v1/shapley" ~events ());
   Telemetry.record ~now:6. tel (fake_profile ~id:"r2" ~route:"/healthz" ());
-  let routes = Api.routes ~telemetry:tel (demo_api ()) in
+  let routes = Telemetry.routes tel in
   let r = get routes "/v1/debug/requests" in
   Alcotest.(check int) "listing 200" 200 (status r);
   let j = json_of r in
@@ -1874,10 +1880,9 @@ let server_scoped_observability_end_to_end () =
   let clients = 6 in
   let log_path = Filename.temp_file "shapmc_e2e_access" ".jsonl" in
   let access = Access_log.open_ log_path in
-  let tel = Telemetry.create ~ring:32 ~access () in
   let api = multi_query_api clients in
-  with_server ~jobs:4 ~telemetry:tel (Api.routes ~telemetry:tel api)
-    (fun _ port ->
+  with_server ~jobs:4 ~debug_requests:32 ~access_log:access (Api.routes api)
+    (fun srv port ->
       let domains =
         Array.init clients (fun i ->
             Domain.spawn (fun () ->
@@ -1906,7 +1911,8 @@ let server_scoped_observability_end_to_end () =
          wait for all six before reading them back *)
       let deadline = Unix.gettimeofday () +. 5. in
       while
-        Telemetry.recorded tel < clients && Unix.gettimeofday () < deadline
+        Server.requests_served srv < clients
+        && Unix.gettimeofday () < deadline
       do
         Unix.sleepf 0.005
       done;
@@ -2002,10 +2008,9 @@ let server_metrics_under_load_reconcile () =
   Metrics.reset ();
   let log_path = Filename.temp_file "shapmc_load_access" ".jsonl" in
   let access = Access_log.open_ log_path in
-  let tel = Telemetry.create ~ring:8 ~access () in
   let api = multi_query_api 4 in
   let served = ref 0 in
-  with_server ~jobs:4 ~telemetry:tel (Api.routes ~telemetry:tel api)
+  with_server ~jobs:4 ~debug_requests:8 ~access_log:access (Api.routes api)
     (fun srv port ->
       let load =
         Array.init 4 (fun i ->
@@ -2084,9 +2089,8 @@ let server_metrics_under_load_reconcile () =
 
 let server_warm_path_oracle_free () =
   Metrics.reset ();
-  let tel = Telemetry.create ~ring:8 () in
   let api = demo_api () in
-  with_server ~telemetry:tel (Api.routes ~telemetry:tel api) (fun _ port ->
+  with_server ~debug_requests:8 (Api.routes api) (fun srv port ->
       let ask rid =
         Client.oneshot port "POST" "/v1/shapley/all"
           ~headers:[ ("X-Request-Id", rid) ]
@@ -2099,7 +2103,7 @@ let server_warm_path_oracle_free () =
       Alcotest.(check string) "bit-identical payloads" body_cold body_warm;
       (* profiles are recorded just after the response bytes go out *)
       let deadline = Unix.gettimeofday () +. 5. in
-      while Telemetry.recorded tel < 2 && Unix.gettimeofday () < deadline do
+      while Server.requests_served srv < 2 && Unix.gettimeofday () < deadline do
         Unix.sleepf 0.005
       done;
       let oracle_calls rid =
@@ -2132,10 +2136,8 @@ let server_warm_path_oracle_free () =
    (or hits) and stays oracle-free. *)
 let server_cache_single_flight_under_concurrency () =
   Metrics.reset ();
-  let tel = Telemetry.create ~ring:16 () in
   let api = demo_api () in
-  with_server ~jobs:4 ~telemetry:tel (Api.routes ~telemetry:tel api)
-    (fun _ port ->
+  with_server ~jobs:4 ~debug_requests:16 (Api.routes api) (fun srv port ->
       let clients = 6 in
       let domains =
         Array.init clients (fun i ->
@@ -2161,7 +2163,8 @@ let server_cache_single_flight_under_concurrency () =
         results;
       let deadline = Unix.gettimeofday () +. 5. in
       while
-        Telemetry.recorded tel < clients && Unix.gettimeofday () < deadline
+        Server.requests_served srv < clients
+        && Unix.gettimeofday () < deadline
       do
         Unix.sleepf 0.005
       done;
