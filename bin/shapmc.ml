@@ -809,9 +809,8 @@ let serve_cmd =
     Arg.(value & opt int Cache.default_results
          & info [ "cache-size" ] ~docv:"N"
              ~env:(Cmd.Env.info "SHAPMC_CACHE_SIZE")
-             ~doc:"Capacity of the serving cache's result tier, in facts \
-                   summed over the whole Shapley answers it holds; the \
-                   circuit tier keeps its default.  Also settable via \
+             ~doc:"Capacity of the serving cache, in facts summed over \
+                   the whole Shapley answers it holds.  Also settable via \
                    $(env).")
   in
   let run host port jobs max_header max_body read_timeout max_conn drain

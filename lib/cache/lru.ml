@@ -2,7 +2,6 @@ type 'v node = {
   nkey : string;
   nvalue : 'v;
   nweight : int;
-  ntags : string list;
   mutable prev : 'v node option;  (* toward the MRU end *)
   mutable next : 'v node option;  (* toward the LRU end *)
 }
@@ -15,9 +14,6 @@ type 'v t = {
   on_evict : (string -> int -> unit) option;
   mutable head : 'v node option;  (* most recently used *)
   mutable tail : 'v node option;  (* least recently used *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;  (* evicted weight *)
 }
 
 let create ?on_evict ~capacity () =
@@ -28,10 +24,7 @@ let create ?on_evict ~capacity () =
     weight = 0;
     on_evict;
     head = None;
-    tail = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0 }
+    tail = None }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -65,18 +58,13 @@ let weight t = locked t (fun () -> t.weight)
 let find t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
-      | None ->
-        t.misses <- t.misses + 1;
-        None
+      | None -> None
       | Some n ->
-        t.hits <- t.hits + 1;
         unlink t n;
         push_front t n;
         Some n.nvalue)
 
-let evicted t n =
-  t.evictions <- t.evictions + n.nweight;
-  Option.iter (fun f -> f n.nkey n.nweight) t.on_evict
+let evicted t n = Option.iter (fun f -> f n.nkey n.nweight) t.on_evict
 
 let drop t n =
   unlink t n;
@@ -94,13 +82,12 @@ let evict_over_capacity t =
 
 (* An entry heavier than the whole capacity is evicted at once, before
    it can displace anything. *)
-let put t ?(tags = []) ?(weight = 1) key v =
+let put t ?(weight = 1) key v =
   if weight < 1 then invalid_arg "Lru.put: weight must be positive";
   locked t (fun () ->
       Option.iter (drop t) (Hashtbl.find_opt t.tbl key);
       let n =
-        { nkey = key; nvalue = v; nweight = weight; ntags = tags;
-          prev = None; next = None }
+        { nkey = key; nvalue = v; nweight = weight; prev = None; next = None }
       in
       if weight > t.cap then evicted t n
       else begin
@@ -109,27 +96,6 @@ let put t ?(tags = []) ?(weight = 1) key v =
         t.weight <- t.weight + weight;
         evict_over_capacity t
       end)
-
-let remove t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | None -> false
-      | Some n ->
-        drop t n;
-        true)
-
-let remove_tagged t tag =
-  locked t (fun () ->
-      let doomed =
-        Hashtbl.fold
-          (fun _ n acc -> if List.mem tag n.ntags then n :: acc else acc)
-          t.tbl []
-      in
-      List.fold_left
-        (fun w n ->
-          drop t n;
-          w + n.nweight)
-        0 doomed)
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.tbl key)
 
@@ -143,7 +109,3 @@ let keys t =
         | Some n -> walk (n.nkey :: acc) n.next
       in
       walk [] t.head)
-
-let hits t = locked t (fun () -> t.hits)
-let misses t = locked t (fun () -> t.misses)
-let evictions t = locked t (fun () -> t.evictions)

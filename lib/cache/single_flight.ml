@@ -6,14 +6,12 @@ type 'v t = {
   lock : Mutex.t;
   cond : Stdlib.Condition.t;  (* shared: flights are short-lived and few *)
   flights : (string, 'v flight) Hashtbl.t;
-  mutable leads : int;
 }
 
 let create () =
   { lock = Mutex.create ();
     cond = Stdlib.Condition.create ();
-    flights = Hashtbl.create 16;
-    leads = 0 }
+    flights = Hashtbl.create 16 }
 
 let finish t key fl outcome =
   Mutex.lock t.lock;
@@ -46,7 +44,6 @@ let run t key f =
   | None ->
     let fl = { outcome = Running; waiters = 0 } in
     Hashtbl.add t.flights key fl;
-    t.leads <- t.leads + 1;
     Mutex.unlock t.lock;
     (match f () with
      | v ->
@@ -59,11 +56,5 @@ let run t key f =
 let in_flight t =
   Mutex.lock t.lock;
   let n = Hashtbl.length t.flights in
-  Mutex.unlock t.lock;
-  n
-
-let leads t =
-  Mutex.lock t.lock;
-  let n = t.leads in
   Mutex.unlock t.lock;
   n

@@ -25,6 +25,3 @@ val run : 'v t -> string -> (unit -> 'v) -> 'v
 
 (** Flights currently up (0 when idle — a drain check for tests). *)
 val in_flight : 'v t -> int
-
-(** Cumulative number of leader executions. *)
-val leads : 'v t -> int

@@ -37,17 +37,19 @@ let to_formula t = Nf.pdnf_to_formula (to_pdnf t)
 let all_vars t =
   List.init t.a (fun i -> 2 * i) @ List.init t.b (fun j -> (2 * j) + 1)
 
-(* Right-neighbourhood bitmasks per left vertex. *)
-let neighbours t =
+(* Right-neighbourhood bitmasks per left vertex, one bit per right
+   vertex: the counters enumerate [2^a] left subsets and keep [N(S)] in
+   one int, so both parts are bounded here, for both counters. *)
+let neighbours ~caller t =
+  if t.a > max_left then invalid_arg (caller ^ ": left part too large");
+  if t.b > 62 then invalid_arg (caller ^ ": right part too large");
   let nb = Array.make t.a 0 in
   List.iter (fun (i, j) -> nb.(i) <- nb.(i) lor (1 lsl j)) t.edges;
   nb
 
 (** [count t] is [#F] over the full [a + b] universe. *)
 let count t =
-  if t.a > max_left then invalid_arg "Bipartite.count: left part too large";
-  if t.b > 62 then invalid_arg "Bipartite.count: right part too large";
-  let nb = neighbours t in
+  let nb = neighbours ~caller:"Bipartite.count" t in
   let non_models = ref Bigint.zero in
   (* N(S) built incrementally: neigh(S) = neigh(S \ lowbit) | nb(lowbit). *)
   let memo = Array.make (1 lsl t.a) 0 in
@@ -72,8 +74,7 @@ let count t =
 (** [count_by_size t] is the size-stratified vector over the full
     [a + b] universe. *)
 let count_by_size t =
-  if t.a > max_left then invalid_arg "Bipartite.count_by_size: left too large";
-  let nb = neighbours t in
+  let nb = neighbours ~caller:"Bipartite.count_by_size" t in
   let n = t.a + t.b in
   let non = Array.make (n + 1) Bigint.zero in
   let popcount m =

@@ -28,10 +28,13 @@ val to_formula : t -> Formula.t
 val all_vars : t -> int list
 
 (** [count t] is [#F] over the full universe.
-    @raise Invalid_argument beyond {!max_left} left vertices. *)
+    @raise Invalid_argument beyond {!max_left} left or 62 right
+    vertices. *)
 val count : t -> Bigint.t
 
-(** [count_by_size t] is the stratified vector over the full universe. *)
+(** [count_by_size t] is the stratified vector over the full universe.
+    @raise Invalid_argument beyond {!max_left} left or 62 right
+    vertices. *)
 val count_by_size : t -> Kvec.t
 
 (** [random ~a ~b ~density ~seed] draws each edge independently with

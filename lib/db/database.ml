@@ -12,16 +12,9 @@ type t = {
   mutable rels : (string * relation) list; (* reverse declaration order *)
   mutable next_var : int;
   var_index : (int, string * Value.t array) Hashtbl.t;
-  id : int;  (* process-unique instance identity (invalidation tags) *)
 }
 
-let next_id = Atomic.make 0
-
-let create () =
-  { rels = [];
-    next_var = 1;
-    var_index = Hashtbl.create 64;
-    id = Atomic.fetch_and_add next_id 1 }
+let create () = { rels = []; next_var = 1; var_index = Hashtbl.create 64 }
 
 let find db name =
   match List.assoc_opt name db.rels with
@@ -141,10 +134,7 @@ let copy db =
     rels = List.map (fun (n, r) -> (n, { r with rows = r.rows })) db.rels;
     next_var = db.next_var;
     var_index = Hashtbl.copy db.var_index;
-    id = Atomic.fetch_and_add next_id 1;
   }
-
-let id db = db.id
 
 let pp ppf db =
   List.iter

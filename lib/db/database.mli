@@ -36,19 +36,11 @@ val insert : t -> string -> Value.t array -> int option
 val insert_with_var : t -> string -> Value.t array -> lvar:int -> unit
 
 (** [remove db name values] deletes the tuple if present, releasing its
-    lineage variable; [true] iff it was there.  The incremental half of
-    the serving cache: a removal (like an insert) changes the relation's
-    content fingerprint, and [Dichotomy.invalidate] drops the affected
-    cache entries.
+    lineage variable; [true] iff it was there.  A removal, like an
+    insert, changes the relation's content fingerprint, so the serving
+    cache's keys for this database move with it.
     @raise Invalid_argument on unknown relation. *)
 val remove : t -> string -> Value.t array -> bool
-
-(** [id db] is a process-unique identity for this database {e instance}
-    ([copy] gets a fresh one).  Cache {e keys} are content fingerprints;
-    the id only scopes invalidation tags, so dropping "relation R of db
-    7" cannot touch entries of an unrelated database that happens to
-    share a relation name. *)
-val id : t -> int
 
 (** [digest db name compute] is relation [name]'s digest: [compute ()]
     on the first call after the relation last changed, the stored string

@@ -27,6 +27,8 @@ let mentioned q =
   List.sort_uniq compare
     (List.map (fun (a : Cq.atom) -> a.Cq.rel) q.Cq.atoms)
 
+(* The lineage's inputs, the query and the relations it mentions: the
+   first part of [result_key]. *)
 let lineage_key db q =
   Fp.digest
     ("lineage" :: query q
@@ -41,7 +43,3 @@ let result_key db q =
   Fp.digest
     ("result" :: lineage_key db q
     :: List.concat_map (fun r -> [ r; relation db r ]) endogenous)
-
-let relation_tag db r = Printf.sprintf "db%d/rel/%s" (Database.id db) r
-
-let db_tag db = Printf.sprintf "db%d" (Database.id db)

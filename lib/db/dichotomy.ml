@@ -36,43 +36,20 @@ let shapley db q =
 
 let shapley_cached ?(on_miss = fun solve -> solve ()) ?render ~cache db q =
   let solver, build = dispatch db q in
-  let ctags =
-    List.map (Db_fingerprint.relation_tag db) (Db_fingerprint.mentioned q)
-  in
   let solve () =
     let universe = universe db in
-    (* Tier 1: the compiled circuit depends only on the mentioned
-       relations, so it survives (and keeps hitting) across mutations
-       of unrelated relations that still change the result key. *)
-    let suffix =
-      match solver with Safe_plan_circuit -> "/safe" | Compiled_dnf -> "/dnf"
-    in
     let g =
-      Cache.circuit cache ~key:(Db_fingerprint.lineage_key db q ^ suffix)
-        ~tags:ctags (fun () ->
-          Obs.call ~oracle:"cache.compile" ~n:(List.length universe)
-            ~attrs:[ ("query", Trace.Str (Cq.to_string q)) ]
-            build)
+      Obs.call ~oracle:"cache.compile" ~n:(List.length universe)
+        ~attrs:[ ("query", Trace.Str (Cq.to_string q)) ]
+        build
     in
     Circuit_shapley.shap_direct ~vars:universe g
   in
   let answer =
-    Cache.shapley_all cache ~key:(Db_fingerprint.result_key db q)
-      ~tags:(Db_fingerprint.db_tag db :: ctags)
-      ?render
+    Cache.shapley_all cache ~key:(Db_fingerprint.result_key db q) ?render
       (fun () -> on_miss solve)
   in
   (answer, solver)
-
-let invalidate ~cache db rel =
-  let dropped = Cache.invalidate_tag cache (Db_fingerprint.relation_tag db rel) in
-  (* An endogenous mutation changes the player universe, so every cached
-     full answer of this database is stale — circuits of untouched
-     relations stay valid. *)
-  match Database.kind_of db rel with
-  | Database.Endogenous ->
-    dropped + Cache.invalidate_tag cache (Db_fingerprint.db_tag db)
-  | Database.Exogenous -> dropped
 
 let shapley_brute db q =
   Naive.shap_subsets ~vars:(universe db) (Lineage.lineage_formula db q)

@@ -35,30 +35,21 @@ val circuit : Database.t -> Cq.t -> Circuit.node * solver
 val shapley : Database.t -> Cq.t -> (int * Rat.t) list * solver
 
 (** [shapley_cached ~cache db q] is {!shapley} routed through the
-    serving cache: the full answer lives in the shapley tier under
-    {!Db_fingerprint.result_key}, and the compiled circuit in the circuit
-    tier under {!Db_fingerprint.lineage_key} (so mutations of unrelated
-    relations never force a recompile).  A miss solves the circuit with
-    one {!Circuit_shapley.shap_direct} pass, which caches nothing.  The
-    solver is [classify q]'s, hit or miss.  [on_miss wrap] wraps the
-    actual solve on a result-tier miss — servers use it to ledger the
-    solve as an oracle call, so a warm request is observably
-    oracle-free.  [render fact value] renders one fact's element once,
-    on fill ({!Cache.shapley_all}).  Compilations are ledgered as
-    [cache.compile].  Answers ({!Cache.bindings}) are bit-identical to
-    {!shapley} on every input. *)
+    serving cache: the full answer lives under
+    {!Db_fingerprint.result_key}, so a mutated database misses by
+    construction.  A miss compiles the circuit and solves it with one
+    {!Circuit_shapley.shap_direct} pass; the compilation is ledgered as
+    the [cache.compile] oracle call.  The solver is [classify q]'s, hit
+    or miss.  [on_miss wrap] wraps the whole solve on a miss — servers
+    use it to ledger the solve as an oracle call, so a warm request is
+    observably oracle-free.  [render fact value] renders one fact's
+    element once, on fill ({!Cache.shapley_all}).  Answers
+    ({!Cache.bindings}) are bit-identical to {!shapley} on every
+    input. *)
 val shapley_cached :
   ?on_miss:((unit -> (int * Rat.t) list) -> (int * Rat.t) list) ->
   ?render:(int -> Rat.t -> string) ->
   cache:Cache.t -> Database.t -> Cq.t -> Cache.answer * solver
-
-(** [invalidate ~cache db rel] — the fact insert/delete hook: drops every
-    cached entry whose lineage mentions [rel] of this database and, when
-    [rel] is endogenous (the player universe changed), every cached full
-    answer of this database.  Returns the number of entries dropped.
-    Content keys already make stale entries unreachable; this reclaims
-    them eagerly. *)
-val invalidate : cache:Cache.t -> Database.t -> string -> int
 
 (** [shapley_brute db q] is the exponential Eq. (2) reference on the
     lineage, for cross-checking (capped at 26 tuples). *)

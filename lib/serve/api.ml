@@ -7,11 +7,10 @@ type entry = {
   facts : (int * string * Value.t array) array;
 }
 
-(* Answers are amortized by the serving cache: the compiled circuit and
-   the full answer, with each fact's rendered page element, are
-   content-keyed in a shared {!Shapmc_cache.Cache.t}, and concurrent
-   misses of one query single-flight, so unrelated requests never wait
-   on each other. *)
+(* Answers are amortized by the serving cache: the full answer, with
+   each fact's rendered page element, is content-keyed in a shared
+   {!Shapmc_cache.Cache.t}, and concurrent misses of one query
+   single-flight, so unrelated requests never wait on each other. *)
 type t = {
   list : entry list;
   index : (string, entry) Hashtbl.t;  (* name -> entry; read-only *)

@@ -1,8 +1,8 @@
 (** The JSON API of [shapmc serve]: a set of named (database, query)
     pairs loaded once at startup, Shapley answers amortized by the
-    serving cache ({!Shapmc_cache.Cache}) — compiled circuits and full
-    answers are content-keyed and shared across requests — and
-    cursor-paginated fact enumeration.  An answer's facts are rendered
+    serving cache ({!Shapmc_cache.Cache}) — whole answers are
+    content-keyed and shared across requests — and cursor-paginated
+    fact enumeration.  An answer's facts are rendered
     as [/v1/shapley/all] page elements once, when it fills the cache; a
     warm page is those elements concatenated, and a warm
     [/v1/shapley] renders its one rational.

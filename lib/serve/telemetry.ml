@@ -177,7 +177,7 @@ let debug_request t params (req : Http.request) =
         Json_codec.error 404
           (Printf.sprintf
              "no profile for request %s (ring keeps the last %d)" id
-             (List.length (profiles t)))
+             (Array.length t.ring))
       | Some p -> (
           match List.assoc_opt "format" req.Http.query with
           | Some "chrome" ->

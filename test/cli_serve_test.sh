@@ -69,6 +69,13 @@ grep -q '^shapmc_cache_hits_total{tier="shapley"} 1$' <<<"$out" \
 # ...and the bytes of rendered elements resident are reported
 awk '/^shapmc_cache_bytes\{tier="shapley"\}/ { if ($NF + 0 > 0) ok = 1 } END { exit !ok }' <<<"$out" \
   || fail "no cache_bytes gauge after a page: $out"
+# ...and the cache is one tier: the answer's 4 facts are resident, and
+# no other tier has a series
+grep -q '^shapmc_cache_entries{tier="shapley"} 4$' <<<"$out" \
+  || fail "the answer's 4 facts are not resident: $out"
+if grep -q 'tier="circuit"' <<<"$out"; then
+  fail "/metrics carries a circuit tier: $(grep 'tier="circuit"' <<<"$out" | head -3)"
+fi
 
 # exact Shapley value of fact 1 (Example 13: 1/4)
 out=$("$probe" 127.0.0.1 "$port" POST /v1/shapley '{"query":"serve_demo","fact":1}')
@@ -123,6 +130,11 @@ out=$("$probe" 127.0.0.1 "$port" GET "/v1/debug/requests/$rid")
 grep -q '"events":' <<<"$out" || fail "debug profile body wrong: $out"
 out=$("$probe" 127.0.0.1 "$port" GET "/v1/debug/requests/$rid?format=chrome")
 grep -q '"traceEvents":' <<<"$out" || fail "chrome export body wrong: $out"
+# an unknown id answers 404, naming the ring's 64 slots (the default)
+out=$("$probe" 127.0.0.1 "$port" GET /v1/debug/requests/nope)
+grep -q "HTTP/1.1 404" <<<"$out" || fail "unknown profile not 404: $out"
+grep -q 'ring keeps the last 64)' <<<"$out" \
+  || fail "the 404 does not name the ring's 64 slots: $out"
 
 # an approx request's profile carries its estimator checkpoints, and
 # holds one oracle event per oracle call it reports

@@ -1,8 +1,8 @@
 (** The serving cache: LRU mechanics, single-flight stampede control,
-    tier round-trips, invalidation hooks — and the differential harness
+    answer round-trips, content keys — and the differential harness
     proving cached answers are bit-identical to fresh solves under
-    random mutation/solve interleavings, sequentially and on the domain
-    pool.
+    random mutation/solve interleavings, with no invalidation call,
+    sequentially and on the domain pool.
 
     Determinism: the qcheck cases use fixed-seed [Random.State]s (same
     idiom as {!Test_differential}), and every scenario rebuilds its
@@ -56,39 +56,8 @@ let lru_replace_bumps () =
   check_bool "b evicted" false (Lru.mem l "b");
   check_bool "c present" true (Lru.mem l "c")
 
-let lru_counters () =
-  let l = Lru.create ~capacity:2 () in
-  Lru.put l "a" 1;
-  ignore (Lru.find l "a");
-  ignore (Lru.find l "a");
-  ignore (Lru.find l "nope");
-  Lru.put l "b" 2;
-  Lru.put l "c" 3;
-  check_int "hits" 2 (Lru.hits l);
-  check_int "misses" 1 (Lru.misses l);
-  check_int "evictions" 1 (Lru.evictions l);
-  check_bool "remove b" true (Lru.remove l "b");
-  check_bool "remove b again" false (Lru.remove l "b");
-  check_int "remove leaves the counters" 2 (Lru.hits l)
-
-let lru_remove_tagged () =
-  let l = Lru.create ~capacity:8 () in
-  Lru.put l ~tags:[ "red"; "big" ] "a" 1;
-  Lru.put l ~tags:[ "red" ] "b" 2;
-  Lru.put l ~tags:[ "blue" ] "c" 3;
-  Lru.put l "d" 4;
-  check_int "two red entries dropped" 2 (Lru.remove_tagged l "red");
-  check_int "no green entries" 0 (Lru.remove_tagged l "green");
-  Alcotest.(check (list string)) "blue and untagged survive" [ "d"; "c" ]
-    (Lru.keys l);
-  (* Replacing an entry replaces its tags too. *)
-  Lru.put l ~tags:[ "blue" ] "e" 5;
-  Lru.put l ~tags:[ "red" ] "e" 5;
-  check_int "only c is still blue" 1 (Lru.remove_tagged l "blue");
-  check_int "e retagged red" 1 (Lru.remove_tagged l "red")
-
-(* Three 3-fact answers in an 8-fact tier: the third evicts the oldest
-   as a whole, and the counters count weight. *)
+(* Three 3-fact answers in an 8-fact LRU: the third evicts the oldest
+   as a whole, and [on_evict] sees its weight. *)
 let lru_evicts_by_weight () =
   let evicted = ref [] in
   let l =
@@ -105,17 +74,17 @@ let lru_evicts_by_weight () =
     [ ("a", 3) ] !evicted;
   check_int "weight" 6 (Lru.weight l);
   check_int "entries" 2 (Lru.length l);
-  check_int "evicted weight" 3 (Lru.evictions l);
   (* Heavier than the whole capacity: evicted at once, displacing
      nothing. *)
   Lru.put l ~weight:9 "huge" 4;
   check_bool "huge not resident" false (Lru.mem l "huge");
   Alcotest.(check (list string)) "b and c stay" [ "c"; "b" ] (Lru.keys l);
-  check_int "evicted weight counts it" 12 (Lru.evictions l);
-  Lru.put l ~tags:[ "t" ] ~weight:3 "b" 2;
-  check_int "remove_tagged returns the weight dropped" 3
-    (Lru.remove_tagged l "t");
-  check_int "weight after removal" 3 (Lru.weight l);
+  Alcotest.(check (list (pair string int))) "on_evict saw it"
+    [ ("huge", 9); ("a", 3) ] !evicted;
+  (* A replacement re-weighs its entry and evicts nothing. *)
+  Lru.put l ~weight:1 "b" 2;
+  check_int "weight after the replacement" 4 (Lru.weight l);
+  check_int "no eviction" 2 (List.length !evicted);
   Alcotest.check_raises "weight 0 rejected"
     (Invalid_argument "Lru.put: weight must be positive")
     (fun () -> Lru.put l ~weight:0 "z" 0)
@@ -161,18 +130,20 @@ let single_flight_stampede () =
         Atomic.incr solves;
         42)
   in
-  check_int "exactly one solve" 1 (Atomic.get solves);
-  check_int "exactly one leader" 1 (Single_flight.leads sf);
+  check_int "exactly one leader ran" 1 (Atomic.get solves);
   check_int "no flight left up" 0 (Single_flight.in_flight sf);
   List.iter
     (fun r -> check_bool "every caller got the answer" true (r = Ok 42))
     rs
 
 let single_flight_failure () =
+  let runs = Atomic.make 0 in
   let sf, rs =
-    stampede ~n:4 (fun () -> failwith "boom")
+    stampede ~n:4 (fun () ->
+        Atomic.incr runs;
+        failwith "boom")
   in
-  check_int "one leader" 1 (Single_flight.leads sf);
+  check_int "one leader ran" 1 (Atomic.get runs);
   List.iter
     (fun r ->
       match r with
@@ -180,34 +151,24 @@ let single_flight_failure () =
       | _ -> Alcotest.fail "expected the leader's failure")
     rs;
   (* The failed flight is dropped: the key is retryable. *)
-  check_int "retry succeeds" 7 (Single_flight.run sf "k" (fun () -> 7));
-  check_int "retry led" 2 (Single_flight.leads sf)
+  check_int "retry succeeds" 7
+    (Single_flight.run sf "k" (fun () ->
+         Atomic.incr runs;
+         7));
+  check_int "retry led" 2 (Atomic.get runs)
 
 (* ------------------------------------------------------------------ *)
-(* Cache tiers *)
+(* The cache *)
 
-let two_tiers_sized_by_create () =
-  let c = Cache.create ~circuits:3 ~results:5 () in
-  Alcotest.(check (list string)) "tiers" [ "circuit"; "shapley" ]
-    (List.map fst (Cache.stats c));
-  check_int "circuit capacity" 3
-    (List.assoc "circuit" (Cache.stats c)).Cache.ts_capacity;
-  check_int "shapley capacity" 5
-    (List.assoc "shapley" (Cache.stats c)).Cache.ts_capacity;
-  let d = Cache.stats (Cache.create ()) in
-  check_int "default circuits" Cache.default_circuits
-    (List.assoc "circuit" d).Cache.ts_capacity;
-  check_int "default results" Cache.default_results
-    (List.assoc "shapley" d).Cache.ts_capacity;
-  List.iter
-    (fun (what, k) ->
-      check_bool what true
-        (try
-           ignore (k () : Cache.t);
-           false
-         with Invalid_argument _ -> true))
-    [ ("circuits 0", fun () -> Cache.create ~circuits:0 ());
-      ("results 0", fun () -> Cache.create ~results:0 ()) ]
+let sized_by_create () =
+  check_int "capacity" 5 (Cache.stats (Cache.create ~results:5 ())).Cache.capacity;
+  check_int "default capacity" Cache.default_results
+    (Cache.stats (Cache.create ())).Cache.capacity;
+  check_bool "capacity 0 rejected" true
+    (try
+       ignore (Cache.create ~results:0 () : Cache.t);
+       false
+     with Invalid_argument _ -> true)
 
 let shapley_tier_roundtrip () =
   let c = Cache.create () in
@@ -223,8 +184,7 @@ let shapley_tier_roundtrip () =
   check_bool "the hit returns the answer in fact order" true
     (Cache.bindings v1 = answer && Cache.bindings v2 = answer);
   check_bool "no render, no elements" true (v2.Cache.elements = [||]);
-  let stats = List.assoc "shapley" (Cache.stats c) in
-  check_int "entries count facts" 2 stats.Cache.ts_entries;
+  check_int "resident facts" 2 (Cache.stats c).Cache.resident;
   (* A rendering caller does not take the unrendered answer: it fills
      once, and its elements are rendered on that fill only. *)
   let renders = ref 0 in
@@ -243,7 +203,7 @@ let shapley_tier_roundtrip () =
     (Cache.shapley_all c ~key:"q" solve == r2)
 
 let shapley_tier_oversized_answer () =
-  (* Result tier of 2 facts, an answer of 4: it is never resident, so
+  (* A cache of 2 facts, an answer of 4: it is never resident, so
      every lookup re-solves — and stays exact. *)
   let c = Cache.create ~results:2 () in
   let solves = ref 0 in
@@ -257,9 +217,9 @@ let shapley_tier_oversized_answer () =
   check_int "an answer larger than the tier re-solves" 2 !solves;
   check_bool "still exact" true
     (Cache.bindings v1 = answer && Cache.bindings v2 = answer);
-  let stats = List.assoc "shapley" (Cache.stats c) in
-  check_int "nothing resident" 0 stats.Cache.ts_entries;
-  check_int "each fill evicted its 4 facts" 8 stats.Cache.ts_evictions
+  let stats = Cache.stats c in
+  check_int "nothing resident" 0 stats.Cache.resident;
+  check_int "each fill evicted its 4 facts" 8 stats.Cache.evicted
 
 let cache_stampede () =
   let c = Cache.create () in
@@ -285,29 +245,42 @@ let cache_stampede () =
     (fun r ->
       check_bool "all callers share it" true (Cache.bindings r = answer))
     rs;
-  let stats = List.assoc "shapley" (Cache.stats c) in
-  check_int "one miss (the leader)" 1 stats.Cache.ts_misses;
-  check_int "joiners and repeats are hits" (n - 1) stats.Cache.ts_hits
+  let stats = Cache.stats c in
+  check_int "one miss (the leader)" 1 stats.Cache.misses;
+  check_int "joiners and repeats are hits" (n - 1) stats.Cache.hits
 
-let invalidate_tag_drops_tiers () =
+(* A rendering caller that arrives while a caller without [render] leads
+   the same key does not take that leader's answer: it looks up again
+   and fills rendered.  Should it arrive after the leader, it refuses the
+   stored answer and fills all the same, so both orders count 2 misses. *)
+let rendering_joiner_fills_rendered () =
   let c = Cache.create () in
-  ignore (Cache.circuit c ~key:"k1" ~tags:[ "t" ] (fun () -> Circuit.cvar 1));
-  ignore (Cache.circuit c ~key:"k2" (fun () -> Circuit.cvar 2));
-  ignore
-    (Cache.shapley_all c ~key:"q" ~tags:[ "t" ] (fun () -> [ (1, Rat.one) ]));
-  (* The tagged circuit, plus the one fact of q's answer: an answer is
-     one entry, counted by its facts. *)
-  check_int "tagged entries dropped across tiers" 2
-    (Cache.invalidate_tag c "t");
-  check_int "idempotent" 0 (Cache.invalidate_tag c "t");
-  let solves = ref 0 in
-  ignore
-    (Cache.shapley_all c ~key:"q" (fun () ->
-         incr solves;
-         [ (1, Rat.one) ]));
-  check_int "invalidated answer re-solves" 1 !solves;
-  let circuits = List.assoc "circuit" (Cache.stats c) in
-  check_int "the untagged circuit survives" 1 circuits.Cache.ts_entries
+  let answer = [ (1, Rat.one); (2, Rat.zero) ] in
+  let solving = Atomic.make false in
+  let leader =
+    Domain.spawn (fun () ->
+        Cache.shapley_all c ~key:"q" (fun () ->
+            Atomic.set solving true;
+            Unix.sleepf 0.2;
+            answer))
+  in
+  while not (Atomic.get solving) do
+    Domain.cpu_relax ()
+  done;
+  let rendered =
+    Cache.shapley_all c ~key:"q"
+      ~render:(fun f _ -> string_of_int f)
+      (fun () -> answer)
+  in
+  let plain = Domain.join leader in
+  Alcotest.(check (array string)) "the leader stored no elements" [||]
+    plain.Cache.elements;
+  Alcotest.(check (array string)) "the rendering caller got its elements"
+    [| "1"; "2" |] rendered.Cache.elements;
+  check_bool "same values" true (Cache.bindings rendered = answer);
+  let stats = Cache.stats c in
+  check_int "two fills" 2 stats.Cache.misses;
+  check_int "no hit" 0 stats.Cache.hits
 
 let exposed name tier =
   List.fold_left
@@ -326,8 +299,8 @@ let exposed_gauge name = exposed ("shapmc_" ^ name)
 let cache_metrics_exported () =
   let c = Cache.create () in
   Metrics.reset ();
-  ignore (Cache.circuit c ~key:"k" (fun () -> Circuit.cvar 1));
-  ignore (Cache.circuit c ~key:"k" (fun () -> Circuit.cvar 1));
+  ignore (Cache.shapley_all c ~key:"k" (fun () -> [ (1, Rat.one) ]));
+  ignore (Cache.shapley_all c ~key:"k" (fun () -> [ (1, Rat.one) ]));
   check_bool "cache_hits counter exported" true
     (Metrics.counter_total "cache_hits" >= 1.);
   check_bool "cache_misses counter exported" true
@@ -344,8 +317,7 @@ let cache_metrics_exported () =
     (fun q ->
       ignore (Cache.shapley_all c ~key:q (fun () -> [ (1, Rat.one) ])))
     [ "q1"; "q2"; "q3"; "q4" ];
-  let stats = List.assoc "shapley" (Cache.stats c) in
-  check_int "stats: shapley evictions" 2 stats.Cache.ts_evictions;
+  check_int "stats: evicted facts" 2 (Cache.stats c).Cache.evicted;
   check_int "/metrics: shapley evictions" 2
     (int_of_float (exposed_evictions "shapley"));
   (* Facts, not answers: a 3-fact answer pushes out one answer of two
@@ -360,9 +332,9 @@ let cache_metrics_exported () =
   fill "a" [ 1; 2 ];
   fill "b" [ 1 ];
   fill "c" [ 1; 2; 3 ];
-  let stats = List.assoc "shapley" (Cache.stats c) in
-  check_int "stats: entries are facts" 4 stats.Cache.ts_entries;
-  check_int "stats: evicted facts" 2 stats.Cache.ts_evictions;
+  let stats = Cache.stats c in
+  check_int "stats: resident facts" 4 stats.Cache.resident;
+  check_int "stats: evicted facts" 2 stats.Cache.evicted;
   check_int "/metrics: entries are facts" 4
     (int_of_float (exposed_gauge "cache_entries" "shapley"));
   check_int "/metrics: evicted facts" 2
@@ -371,17 +343,17 @@ let cache_metrics_exported () =
 let exposed_bytes () = int_of_float (exposed_gauge "cache_bytes" "shapley")
 
 (* cache_bytes{tier="shapley"} is the length of the rendered elements
-   resident, kept current by fills, evictions and invalidations. *)
+   resident, kept current by fills and evictions. *)
 let cache_bytes_gauge () =
   Metrics.reset ();
   let c = Cache.create ~results:4 () in
   let render f _ = String.make f 'x' in
-  let fill ?tags key facts =
+  let fill key facts =
     ignore
-      (Cache.shapley_all c ~key ?tags ~render (fun () ->
+      (Cache.shapley_all c ~key ~render (fun () ->
            List.map (fun f -> (f, Rat.one)) facts))
   in
-  fill ~tags:[ "t" ] "a" [ 1; 2 ];
+  fill "a" [ 1; 2 ];
   check_int "1 + 2 bytes" 3 (exposed_bytes ());
   fill "b" [ 5 ];
   check_int "+5 bytes" 8 (exposed_bytes ());
@@ -390,13 +362,14 @@ let cache_bytes_gauge () =
   fill "d" [ 3; 4 ];
   check_int "6 facts > 4: evicting a releases its 3 bytes" 12
     (exposed_bytes ());
-  fill ~tags:[ "t" ] "e" [ 6 ];
+  fill "e" [ 6 ];
   check_int "b evicted, e resident" 13 (exposed_bytes ());
-  check_int "invalidation drops e's one fact" 1 (Cache.invalidate_tag c "t");
-  check_int "invalidation releases its bytes" 7 (exposed_bytes ())
+  fill "f" [ 1; 2; 3 ];
+  check_int "evicting c and d releases d's 7 bytes; f adds 6" 12
+    (exposed_bytes ())
 
 (* ------------------------------------------------------------------ *)
-(* Dichotomy-level caching and invalidation *)
+(* Dichotomy-level caching: content keys decide every hit *)
 
 let solver = Alcotest.testable
     (fun ppf s ->
@@ -418,9 +391,9 @@ let dichotomy_cached_matches_fresh () =
   Alcotest.check solver "solver (fresh vs warm)" fs ws;
   check_shap "cold = fresh" fresh cold;
   check_shap "warm = fresh" fresh warm;
-  let stats = List.assoc "shapley" (Cache.stats cache) in
-  check_int "one result miss" 1 stats.Cache.ts_misses;
-  check_int "one result hit" 1 stats.Cache.ts_hits
+  let stats = Cache.stats cache in
+  check_int "one miss" 1 stats.Cache.misses;
+  check_int "one hit" 1 stats.Cache.hits
 
 let two_rel_db () =
   let db = Database.create () in
@@ -431,31 +404,38 @@ let two_rel_db () =
   ignore (Database.insert db "S" [| Value.int 1 |]);
   db
 
-let insert_recompiles_only_affected_lineage () =
+(* With no invalidation hook, the key alone decides: an insert into a
+   relation the answer does not read (T: exogenous, not mentioned)
+   leaves it warm, and one into a relation it reads (S: endogenous, so
+   its facts are players) re-solves to the fresh answer. *)
+let content_keys_decide_hits () =
   let db = two_rel_db () in
-  let qr = Db_parser.parse_query "R(x)" in
-  let qs = Db_parser.parse_query "S(x)" in
+  Database.declare db "T" ~kind:Database.Exogenous ~arity:1;
+  ignore (Database.insert db "T" [| Value.int 1 |]);
+  let q = Db_parser.parse_query "R(x)" in
   let cache = Cache.create () in
-  ignore (Dichotomy.shapley_cached ~cache db qr);
-  ignore (Dichotomy.shapley_cached ~cache db qs);
-  let compiles_before =
-    (List.assoc "circuit" (Cache.stats cache)).Cache.ts_misses
+  let solves = ref 0 in
+  let cached () =
+    Cache.bindings
+      (fst
+         (Dichotomy.shapley_cached ~cache db q ~on_miss:(fun solve ->
+              incr solves;
+              solve ())))
   in
-  check_int "one compile per query" 2 compiles_before;
-  (* Mutate S only.  The endogenous insert changes the player universe,
-     so both results are stale — but only S's lineage needs recompiling. *)
-  ignore (Database.insert db "S" [| Value.int 2 |]);
-  check_bool "invalidate dropped something" true
-    (Dichotomy.invalidate ~cache db "S" > 0);
-  let rr = Cache.bindings (fst (Dichotomy.shapley_cached ~cache db qr)) in
-  let rs = Cache.bindings (fst (Dichotomy.shapley_cached ~cache db qs)) in
-  check_shap "R answer exact after S insert" (fst (Dichotomy.shapley db qr)) rr;
-  check_shap "S answer exact after S insert" (fst (Dichotomy.shapley db qs)) rs;
-  let circuit = List.assoc "circuit" (Cache.stats cache) in
-  check_int "only S recompiled" 3 circuit.Cache.ts_misses;
-  check_bool "R's circuit was a warm hit" true (circuit.Cache.ts_hits >= 1)
+  let cold = cached () in
+  check_int "the cold request solves" 1 !solves;
+  ignore (Database.insert db "T" [| Value.int 2 |]);
+  check_shap "an insert into T keeps the answer" cold (cached ());
+  check_int "...warm: no solve" 1 !solves;
+  let s2 = Option.get (Database.insert db "S" [| Value.int 2 |]) in
+  let after = cached () in
+  check_int "an insert into S re-solves" 2 !solves;
+  check_shap "the re-solved answer is fresh" (fst (Dichotomy.shapley db q))
+    after;
+  check_bool "S's new fact is a player of value 0" true
+    (Rat.is_zero (List.assoc s2 after))
 
-let delete_invalidation_exact () =
+let insert_then_delete_exact () =
   let db = two_rel_db () in
   let q = Db_parser.parse_query "R(x), S(x)" in
   let cache = Cache.create () in
@@ -466,13 +446,11 @@ let delete_invalidation_exact () =
   check_shap "cached before mutation" (fst (Dichotomy.shapley db q)) before;
   let tup = [| Value.int 2 |] in
   ignore (Database.insert db "S" tup);
-  ignore (Dichotomy.invalidate ~cache db "S");
   let inserted = cached () in
   check_shap "cached after insert" (fst (Dichotomy.shapley db q)) inserted;
   check_bool "values actually changed" false (before = inserted);
   check_bool "remove finds the tuple" true (Database.remove db "S" tup);
   check_bool "remove is idempotent" false (Database.remove db "S" tup);
-  ignore (Dichotomy.invalidate ~cache db "S");
   let after = cached () in
   check_shap "cached after delete" (fst (Dichotomy.shapley db q)) after;
   check_shap "delete restored the original answer" before after
@@ -490,9 +468,9 @@ let compiled_dnf_cached () =
   check_shap "cold = fresh" fresh cold;
   check_shap "warm = fresh" fresh warm
 
-(* A cold solve stores the compiled circuit and one rational per player:
-   the Theorem 4.1 pass needs nothing in between. *)
-let cold_solve_fills_both_tiers () =
+(* A cold solve stores one answer, one rational per player, and nothing
+   else: the Theorem 4.1 pass needs nothing in between. *)
+let cold_solve_fills_one_answer () =
   List.iter
     (fun (db, q) ->
       let cache = Cache.create () in
@@ -501,14 +479,39 @@ let cold_solve_fills_both_tiers () =
       let fresh, fs = Dichotomy.shapley db q in
       Alcotest.check solver "solver" fs cs;
       check_shap "cold = fresh" fresh cold;
-      let circuit = List.assoc "circuit" (Cache.stats cache)
-      and shapley = List.assoc "shapley" (Cache.stats cache) in
-      check_int "one compile" 1 circuit.Cache.ts_misses;
-      check_int "one circuit" 1 circuit.Cache.ts_entries;
+      let stats = Cache.stats cache in
+      check_int "one miss" 1 stats.Cache.misses;
       check_int "one rational per player" (List.length fresh)
-        shapley.Cache.ts_entries)
+        stats.Cache.resident)
     [ (example13_db (), Db_parser.parse_query "R1(x), R2(x)");
       random_q0_db ~a:3 ~b:3 ~density:0.6 ~seed:11 ]
+
+(* The compile on a miss is the [cache.compile] oracle call, over the
+   whole player universe; a hit compiles nothing.  Bench E21 totals
+   these calls: cold, warm, then after an endogenous insert. *)
+let miss_ledgers_one_compile () =
+  let db = example13_db () in
+  let q = Db_parser.parse_query "R1(x), R2(x)" in
+  let cache = Cache.create () in
+  let compiles () = Obs.call_count ~oracle:"cache.compile" () in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      ignore (Dichotomy.shapley_cached ~cache db q);
+      check_int "the cold request compiles once" 1 (compiles ());
+      check_int "over every player" 4
+        (List.assoc "cache.compile" (Obs.aggregate ())).Obs.a_n_max;
+      ignore (Dichotomy.shapley_cached ~cache db q);
+      check_int "the warm request compiles nothing" 1 (compiles ());
+      ignore (Database.insert db "R1" [| Value.int 3 |]);
+      ignore (Dichotomy.shapley_cached ~cache db q);
+      check_int "after an insert, one more compile" 2 (compiles ());
+      check_int "over the grown universe" 5
+        (List.assoc "cache.compile" (Obs.aggregate ())).Obs.a_n_max)
 
 (* ------------------------------------------------------------------ *)
 (* Key stability: cache keys are FNV-1a digests of value renderings, so
@@ -537,8 +540,6 @@ let digests_pinned () =
   ignore (Database.insert db "R" [| Value.int 2; Value.str "z" |]);
   ignore (Database.insert db "S" [| Value.int 1 |]);
   let q = Db_parser.parse_query "R(x,y), S(x)" in
-  Alcotest.(check string) "lineage_key" "7c8c4faac440b8d0"
-    (Db_fingerprint.lineage_key db q);
   Alcotest.(check string) "result_key" "22545e5e5e4bae8c"
     (Db_fingerprint.result_key db q)
 
@@ -555,8 +556,6 @@ let one_row_db rows =
   db
 
 let answered_apart ~first:(db1, q1) ~second:(db2, q2) =
-  check_bool "lineage keys differ" true
-    (Db_fingerprint.lineage_key db1 q1 <> Db_fingerprint.lineage_key db2 q2);
   check_bool "result keys differ" true
     (Db_fingerprint.result_key db1 q1 <> Db_fingerprint.result_key db2 q2);
   let cache = Cache.create () in
@@ -600,7 +599,7 @@ let rebuilt db =
 
 let keys db q =
   List.map (Db_fingerprint.relation db) (Database.relation_names db)
-  @ [ Db_fingerprint.lineage_key db q; Db_fingerprint.result_key db q ]
+  @ [ Db_fingerprint.result_key db q ]
 
 let digests_follow_mutations () =
   let db = Database.create () in
@@ -700,8 +699,9 @@ let literal_tests =
 
 (* ------------------------------------------------------------------ *)
 (* The differential harness: random interleavings of solves, inserts and
-   deletes; after every step the cached pipeline must agree with a fresh
-   solve bit-for-bit, at jobs = 1 and on the domain pool. *)
+   deletes, with no invalidation call; after every step the cached
+   pipeline must agree with a fresh solve bit-for-bit, at jobs = 1 and on
+   the domain pool.  Content keys alone keep cached = fresh. *)
 
 type op =
   | Insert of string * int list
@@ -772,15 +772,11 @@ let run_scenario ~jobs ~cache ops =
       match op with
       | Insert (r, vs) ->
         let tup = Array.of_list (List.map Value.int vs) in
-        if not (Database.mem db r tup) then begin
+        if not (Database.mem db r tup) then
           ignore (Database.insert db r tup);
-          ignore (Dichotomy.invalidate ~cache db r)
-        end;
         None
       | Remove (r, vs) ->
-        let tup = Array.of_list (List.map Value.int vs) in
-        if Database.remove db r tup then
-          ignore (Dichotomy.invalidate ~cache db r);
+        ignore (Database.remove db r (Array.of_list (List.map Value.int vs)));
         None
       | Solve i ->
         let q = queries.(i) in
@@ -805,14 +801,12 @@ let differential_tests =
         let par = run_scenario ~jobs:4 ~cache:(Cache.create ()) ops in
         seq = par);
     dtest ~seed:32 ~count:15
-      "cached = fresh under constant eviction (tiny capacities)"
+      "cached = fresh under constant eviction (tiny capacity)"
       arb_ops
       (fun ops ->
         let full = run_scenario ~jobs:1 ~cache:(Cache.create ()) ops in
         let tiny =
-          run_scenario ~jobs:1
-            ~cache:(Cache.create ~circuits:1 ~results:2 ())
-            ops
+          run_scenario ~jobs:1 ~cache:(Cache.create ~results:2 ()) ops
         in
         full = tiny) ]
 
@@ -822,9 +816,6 @@ let suite =
   [ Alcotest.test_case "lru: eviction follows recency" `Quick
       lru_eviction_order;
     Alcotest.test_case "lru: put replaces and bumps" `Quick lru_replace_bumps;
-    Alcotest.test_case "lru: counters and remove" `Quick lru_counters;
-    Alcotest.test_case "lru: remove_tagged drops only tagged" `Quick
-      lru_remove_tagged;
     Alcotest.test_case "lru: capacity must be positive" `Quick
       lru_bad_capacity;
     Alcotest.test_case "lru: eviction by weight drops whole entries" `Quick
@@ -833,8 +824,8 @@ let suite =
       single_flight_stampede;
     Alcotest.test_case "single-flight: failure shared, flight dropped" `Quick
       single_flight_failure;
-    Alcotest.test_case "cache: two tiers, sized by create" `Quick
-      two_tiers_sized_by_create;
+    Alcotest.test_case "cache: one tier, sized by create" `Quick
+      sized_by_create;
     Alcotest.test_case "cache: shapley tier holds one answer, rendered once"
       `Quick shapley_tier_roundtrip;
     Alcotest.test_case
@@ -842,22 +833,24 @@ let suite =
       shapley_tier_oversized_answer;
     Alcotest.test_case "cache: concurrent misses single-flight" `Quick
       cache_stampede;
-    Alcotest.test_case "cache: invalidate_tag crosses tiers" `Quick
-      invalidate_tag_drops_tiers;
+    Alcotest.test_case "cache: a rendering joiner fills rendered" `Quick
+      rendering_joiner_fills_rendered;
     Alcotest.test_case "cache: metrics exported, evictions counted once"
       `Quick cache_metrics_exported;
     Alcotest.test_case "cache: cache_bytes counts resident elements" `Quick
       cache_bytes_gauge;
     Alcotest.test_case "dichotomy: cached = fresh (hierarchical)" `Quick
       dichotomy_cached_matches_fresh;
-    Alcotest.test_case "dichotomy: insert recompiles only affected lineage"
-      `Quick insert_recompiles_only_affected_lineage;
-    Alcotest.test_case "dichotomy: delete invalidation stays exact" `Quick
-      delete_invalidation_exact;
+    Alcotest.test_case "dichotomy: content keys decide what an insert re-solves"
+      `Quick content_keys_decide_hits;
+    Alcotest.test_case "dichotomy: insert then delete stays exact" `Quick
+      insert_then_delete_exact;
     Alcotest.test_case "dichotomy: cached = fresh (compiled-dnf)" `Quick
       compiled_dnf_cached;
-    Alcotest.test_case "dichotomy: cold solve fills one circuit, one answer"
-      `Quick cold_solve_fills_both_tiers;
+    Alcotest.test_case "dichotomy: cold solve fills one answer" `Quick
+      cold_solve_fills_one_answer;
+    Alcotest.test_case "dichotomy: a miss ledgers one cache.compile call"
+      `Quick miss_ledgers_one_compile;
     Alcotest.test_case "keys: digests pinned" `Quick digests_pinned;
     Alcotest.test_case "keys: one digest per relation version" `Quick
       digests_follow_mutations ]

@@ -203,6 +203,30 @@ let bipartite_tests =
              ignore (Bipartite.make ~a:1 ~b:1 [ (1, 0) ]);
              false
            with Invalid_argument _ -> true));
+    t "a right part wider than 62 is rejected by both counters" (fun () ->
+        (* One bit per right vertex: bit 63 does not exist, and the
+           stratified counter used to total 0 here instead of 2^63. *)
+        let inst = Bipartite.make ~a:1 ~b:64 [ (0, 63) ] in
+        Alcotest.check_raises "count"
+          (Invalid_argument "Bipartite.count: right part too large")
+          (fun () -> ignore (Bipartite.count inst));
+        Alcotest.check_raises "count_by_size"
+          (Invalid_argument "Bipartite.count_by_size: right part too large")
+          (fun () -> ignore (Bipartite.count_by_size inst)));
+    t "the widest right part (62) is counted exactly by both" (fun () ->
+        (* F = X0 ∧ Y61 over 63 variables: its models fix two of them
+           and leave 61 free, so #F = 2^61 and C(61, k-2) have size k. *)
+        let inst = Bipartite.make ~a:1 ~b:62 [ (0, 61) ] in
+        let two_61 = Bigint.pow (bi 2) 61 in
+        Alcotest.check bigint "count" two_61 (Bipartite.count inst);
+        let kv = Bipartite.count_by_size inst in
+        Alcotest.check bigint "count_by_size totals it" two_61
+          (Kvec.total kv);
+        Alcotest.check bigint "size 2: X0 and Y61 alone" Bigint.one
+          (Kvec.get kv 2);
+        Alcotest.check bigint "size 3" (bi 61) (Kvec.get kv 3);
+        Alcotest.check bigint "size 63: all true" Bigint.one
+          (Kvec.get kv 63));
     t "isolated vertices count as free variables" (fun () ->
         (* a=2,b=1, edge (0,0): F = X0∧Y0 over 3 vars → count 2 *)
         let inst = Bipartite.make ~a:2 ~b:1 [ (0, 0) ] in

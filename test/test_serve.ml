@@ -1843,8 +1843,11 @@ let api_debug_requests () =
   in
   Alcotest.(check bool) "events round-trip through the trace codec" true
     (decoded = events);
-  Alcotest.(check int) "unknown id is 404" 404
-    (status (get routes "/v1/debug/requests/nope"));
+  let r = get routes "/v1/debug/requests/nope" in
+  Alcotest.(check int) "unknown id is 404" 404 (status r);
+  Alcotest.(check string) "the 404 names the ring's capacity, not its fill"
+    "no profile for request nope (ring keeps the last 4)"
+    (str_exn (member_exn "message" (member_exn "error" (json_of r))));
   let r = get routes "/v1/debug/requests/r1?format=chrome" in
   Alcotest.(check int) "chrome export 200" 200 (status r);
   Alcotest.(check (option string)) "chrome export is json"
