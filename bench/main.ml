@@ -1,6 +1,6 @@
 (* Benchmark & reproduction harness.
 
-   One section per experiment of DESIGN.md §4 (E1–E19): the paper's only
+   One section per experiment of DESIGN.md §4 (E1–E24): the paper's only
    table (Example 2) and only figure (the §5.2 commutative diagram) are
    reproduced exactly; every theorem-level claim gets a validation +
    scaling section whose rows are recorded in EXPERIMENTS.md.  A final
@@ -1251,6 +1251,77 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
+(* E24: Theorem 5.1 at scale — hierarchical R(x), S(x,y), every fact
+   endogenous, n facts in n/8 groups (seed 1).  The plan and the one
+   Shapley pass are timed apart; the values must sum to 1 (Prop. 5) and
+   their digest must equal the one pinned from the code before the
+   row-carrying plan, the lcm(1..n) Eq. (2) and the quotient backward
+   pass (EXPERIMENTS.md has the times of both). *)
+
+let scale_db n =
+  let st = Random.State.make [| 1 |] in
+  let db = Database.create () in
+  Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
+  Database.declare db "S" ~kind:Database.Endogenous ~arity:2;
+  let groups = n / 8 in
+  for i = 1 to groups do
+    ignore (Database.insert db "R" [| Value.int i |])
+  done;
+  let inserted = ref groups in
+  while !inserted < n do
+    let t =
+      [| Value.int (1 + Random.State.int st groups);
+         Value.int (1 + Random.State.int st n) |]
+    in
+    if not (Database.mem db "S" t) then begin
+      ignore (Database.insert db "S" t);
+      incr inserted
+    end
+  done;
+  db
+
+let e24 () =
+  section "E24" "Theorem 5.1 at scale: plan + one Shapley pass, n/8 groups";
+  let q = Db_parser.parse_query "R(x), S(x, y)" in
+  row "  query: %s\n" (Cq.to_string q);
+  row "  %-7s %-7s %-9s %-11s %-11s %s\n" "facts" "groups" "plan(s)"
+    "shapley(s)" "alloc(MB)" "digest";
+  let pinned =
+    [ (160, "97f2653d3d28565c1424f7f3614ac206");
+      (320, "d26f1bb1636527aa5ea69bdaf1dc1ca4");
+      (640, "bacd0eef00d2ef6c436eec7c7635036d");
+      (1280, "736945916decc91df359c02ac0110cfa") ]
+  in
+  List.iter
+    (fun (n, expected) ->
+       let db = scale_db n in
+       let c, t_plan = time (fun () -> Safe_plan.lineage_circuit db q) in
+       let vars = Vset.elements (Database.lineage_vars db) in
+       let a0 = Obs.allocated_bytes_now () in
+       let values, t_shap =
+         time (fun () -> Circuit_shapley.shap_direct ~vars c)
+       in
+       let alloc = Obs.allocated_bytes_now () -. a0 in
+       let digest =
+         Digest.to_hex
+           (Digest.string
+              (String.concat "\n"
+                 (List.map
+                    (fun (v, r) -> string_of_int v ^ " " ^ Rat.to_string r)
+                    values)))
+       in
+       row "  %-7d %-7d %-9.4f %-11.4f %-11.1f %s\n" n (n / 8) t_plan t_shap
+         (alloc /. 1e6) digest;
+       let sum =
+         List.fold_left (fun acc (_, r) -> Rat.add acc r) Rat.zero values
+       in
+       check (Printf.sprintf "%d facts: the values sum to 1 (Prop. 5)" n)
+         (Rat.equal sum Rat.one);
+       check (Printf.sprintf "%d facts: digest = the pinned one" n)
+         (digest = expected))
+    (if quick then List.filter (fun (n, _) -> n <= 320) pinned else pinned)
+
+(* ------------------------------------------------------------------ *)
 
 (* Every section runs inside a fresh Obs ledger; the per-section oracle
    and timing breakdowns are written as one JSON object per section to
@@ -1262,7 +1333,7 @@ let experiments =
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
     ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21);
-    ("E22", e22); ("E23", e23); ("M", micro) ]
+    ("E22", e22); ("E23", e23); ("E24", e24); ("M", micro) ]
 
 (* The compact per-section record the regression gate (compare.ml)
    diffs against bench/baseline.json: wall-clock plus the oracle-call

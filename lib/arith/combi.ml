@@ -38,64 +38,74 @@ let binomial n k =
   else
     Bigint.div (factorial n) (Bigint.mul (factorial k) (factorial (n - k)))
 
-(* Eq. (2) needs a whole row of coefficients per variable, so rows are
-   cached per [n], copy-on-write under a mutex like the factorials (an
-   empty row is the "not yet computed" sentinel; real rows have length
-   n >= 1). *)
-let row_cache make =
-  let rows : 'a array array ref = ref [||] in
-  let lock = Mutex.create () in
-  fun n ->
-    let cached () =
-      let rs = !rows in
-      if n < Array.length rs && Array.length rs.(n) > 0 then Some rs.(n)
-      else None
-    in
-    match cached () with
-    | Some row -> row
-    | None ->
-      Mutex.lock lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock lock)
-        (fun () ->
-          match cached () with
-          | Some row -> row
-          | None ->
-            let row = make n in
-            let rs = !rows in
-            let have = Array.length rs in
-            let rows' =
-              Array.init
-                (Stdlib.max have (n + 1))
-                (fun i -> if i < have then rs.(i) else [||])
-            in
-            rows'.(n) <- row;
-            rows := rows';
-            row)
+(* Eq. (2) over the denominator [L = lcm(1..n)] instead of [n!]:
+   [c_k = k! (n-1-k)! / n! = 1 / (n·C(n-1,k))], and
+   [lcm_k C(n-1,k) = lcm(1..n) / n], so every [n·C(n-1,k)] divides [L]
+   and [c_k = w_k / L] with the integer [w_k = L / (n·C(n-1,k))].  [L]
+   has about [1.44 n] bits where [n!] has [n log2 n]: 115 against 395
+   at n = 80.  From [w_0 = L/n], each [w_(k+1) = w_k·(k+1) / (n-1-k)]
+   divides exactly, since [C(n-1,k+1) / C(n-1,k) = (n-1-k) / (k+1)]. *)
+type row = { den : Bigint.t; weights : Bigint.t array }
 
-(* k! (n-k-1)!, the numerators of the row over the common denominator n!. *)
-let weight_row =
-  row_cache (fun n ->
-      Array.init n (fun k -> Bigint.mul (factorial k) (factorial (n - k - 1))))
+let make_row n =
+  let den = ref Bigint.one in
+  for i = 2 to n do
+    let i = Bigint.of_int i in
+    den := Bigint.mul !den (Bigint.div i (Bigint.gcd !den i))
+  done;
+  let weights = Array.make n (Bigint.div !den (Bigint.of_int n)) in
+  for k = 0 to n - 2 do
+    weights.(k + 1) <-
+      Bigint.div
+        (Bigint.mul_int weights.(k) (k + 1))
+        (Bigint.of_int (n - 1 - k))
+  done;
+  { den = !den; weights }
 
-let shapley_row =
-  row_cache (fun n ->
-      Array.map (fun w -> Rat.make w (factorial n)) (weight_row n))
+(* Rows are cached per [n], copy-on-write under a mutex like the
+   factorials ([None] is "not yet computed"). *)
+let rows : row option array ref = ref [||]
+let row_lock = Mutex.create ()
+
+let row n =
+  let cached () =
+    let rs = !rows in
+    if n < Array.length rs then rs.(n) else None
+  in
+  match cached () with
+  | Some r -> r
+  | None ->
+    Mutex.lock row_lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock row_lock)
+      (fun () ->
+        match cached () with
+        | Some r -> r
+        | None ->
+          let r = make_row n in
+          let rs = !rows in
+          let rs' = Array.make (Stdlib.max (Array.length rs) (n + 1)) None in
+          Array.blit rs 0 rs' 0 (Array.length rs);
+          rs'.(n) <- Some r;
+          rows := rs';
+          r)
 
 let shapley_coeff ~n k =
   if k < 0 || k > n - 1 then invalid_arg "Combi.shapley_coeff: k out of range";
-  (shapley_row n).(k)
+  let r = row n in
+  Rat.make r.weights.(k) r.den
 
 let shapley_of_diffs ~n diff =
   if n <= 0 then Rat.zero
   else begin
-    let w = weight_row n in
+    let r = row n in
     let acc = ref Bigint.zero in
     for k = 0 to n - 1 do
       let d = diff k in
-      if not (Bigint.is_zero d) then acc := Bigint.add !acc (Bigint.mul w.(k) d)
+      if not (Bigint.is_zero d) then
+        acc := Bigint.add !acc (Bigint.mul r.weights.(k) d)
     done;
-    Rat.make !acc (factorial n)
+    Rat.make !acc r.den
   end
 
 let pow2 n =

@@ -98,19 +98,42 @@ let count_by_size ~vars g =
 let count ~vars g = Kvec.total (count_by_size ~vars g)
 let count_circuit g = Kvec.total (count_by_size_circuit g)
 
-(* [a · Π_{j≠i} fs.(j)] for every [i], from prefix and suffix products:
-   about 3m convolutions for m factors instead of m². *)
+module Kvec_table = Hashtbl.Make (Kvec)
+
+(* [a · Π_{j≠i} fs.(j)] for every [i]: the exact quotient of
+   [a · Π_j fs.(j)] by [fs.(i)] ({!Kvec.div_exact}), one per distinct
+   vector, for m convolutions and at most m series divisions where
+   the pairwise products cost m².  Two siblings need no division: each
+   gets [a] times the other.  A zero vector has no quotient: when one
+   sibling is zero it alone receives the others' product, and every
+   other adjoint is zero, as they all are when two or more are. *)
 let sibling_products a fs =
-  let m = Array.length fs in
-  let suffix = Array.make (m + 1) (Kvec.const_true ~n:0) in
-  for i = m - 1 downto 1 do
-    suffix.(i) <- Kvec.conv fs.(i) suffix.(i + 1)
-  done;
-  let prefix = ref a in
-  Array.init m (fun i ->
-      let out = Kvec.conv !prefix suffix.(i + 1) in
-      if i < m - 1 then prefix := Kvec.conv !prefix fs.(i);
-      out)
+  let total =
+    Array.fold_left
+      (fun n f -> n + Kvec.universe_size f)
+      (Kvec.universe_size a) fs
+  in
+  let zero i = Kvec.zero ~n:(total - Kvec.universe_size fs.(i)) in
+  let indices = List.init (Array.length fs) Fun.id in
+  match List.filter (fun i -> Kvec.is_zero fs.(i)) indices with
+  | [] when Array.length fs = 2 -> [| Kvec.conv a fs.(1); Kvec.conv a fs.(0) |]
+  | [] ->
+    let all = Kvec.conv_list (a :: Array.to_list fs) in
+    let quotients = Kvec_table.create 8 in
+    Array.map
+      (fun f ->
+         match Kvec_table.find_opt quotients f with
+         | Some q -> q
+         | None ->
+           let q = Kvec.div_exact all f in
+           Kvec_table.add quotients f q;
+           q)
+      fs
+  | [ z ] ->
+    let others = List.filter (fun i -> i <> z) indices in
+    let product = Kvec.conv_list (a :: List.map (Array.get fs) others) in
+    Array.mapi (fun i _ -> if i = z then product else zero i) fs
+  | _ -> Array.mapi (fun i _ -> zero i) fs
 
 (* The backward pass.  count.mli gives the argument that each leaf ends
    up holding its exact derivative.  A gate's adjoint, over the universe

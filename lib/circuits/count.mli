@@ -60,7 +60,11 @@ val count_by_size_circuit : Circuit.node -> Kvec.t
     - the root's adjoint is [u^m], padding [vars g] to [vars];
     - [∧] and variable-disjoint [∨] pass each child the parent's adjoint
       times the product of its siblings' vectors (their complements, for
-      [∨]);
+      [∨]): the exact quotient of the parent's adjoint times all of them
+      by the child's own vector ({!Kvec.div_exact}), one division per
+      distinct vector.  A zero sibling has no quotient: if exactly one
+      is zero it alone receives the product of the others, and if two
+      or more are, every adjoint is zero;
     - deterministic [∨] passes the adjoint through the child's smoothing
       factor [u^m]; [¬] negates it.
 
@@ -73,7 +77,9 @@ val count_by_size_circuit : Circuit.node -> Kvec.t
     the root vector by the leaf [x].  Variables the circuit does not
     mention get the zero vector.  Cost: [O(|G| · n^2)] bigint operations
     for all [n] vectors together, where conditioning and recounting
-    costs that per variable.  @raise Invalid_argument if [vars] misses
+    costs that per variable; a gate of [m] children costs [m]
+    convolutions and [O(n · |f_i|)] per distinct child vector [f_i],
+    not [m] full products.  @raise Invalid_argument if [vars] misses
     circuit variables.  @raise Invalid_argument if [vars] lists a
     variable twice. *)
 val differences :

@@ -141,6 +141,34 @@ let extend v ~extra =
   else conv v (all ~n:extra)
 
 let neg v = { v with counts = Array.map Bigint.neg v.counts }
+let is_zero v = Array.for_all Bigint.is_zero v.counts
+
+(* Series division from [f]'s lowest nonzero coefficient [f_s]: the
+   coefficient [k + s] of [q·f] is [Σ_j q_j·f_(s+k−j)], which gives
+   [q_k] once [q_0..q_(k−1)] are known.  The quotient is integral, so
+   each division by [f_s] is exact. *)
+let div_exact p f =
+  let m = p.n - f.n in
+  if m < 0 then invalid_arg "Kvec.div_exact: divisor over a larger universe";
+  let s =
+    match Array.find_index (fun c -> not (Bigint.is_zero c)) f.counts with
+    | Some s -> s
+    | None -> invalid_arg "Kvec.div_exact: zero divisor"
+  in
+  let lead = f.counts.(s) in
+  let q = Array.make (m + 1) Bigint.zero in
+  for k = 0 to m do
+    let acc = ref p.counts.(k + s) in
+    for j = Stdlib.max 0 (k + s - f.n) to k - 1 do
+      let c = f.counts.(s + k - j) in
+      if not (Bigint.is_zero c || Bigint.is_zero q.(j)) then
+        acc := Bigint.sub !acc (Bigint.mul q.(j) c)
+    done;
+    q.(k) <-
+      (if Bigint.equal lead Bigint.one then !acc else Bigint.div !acc lead)
+  done;
+  { n = m; counts = q }
+
 let complement v = sub (all ~n:v.n) v
 
 let disjoint_or a b =

@@ -73,6 +73,17 @@ val sub : t -> t -> t
     signed. *)
 val neg : t -> t
 
+(** [is_zero v] holds when every coefficient is zero. *)
+val is_zero : t -> bool
+
+(** [div_exact p f] is the [q] with [conv q f = p], over [n p − n f]
+    variables, when such an integer vector exists: series division from
+    [f]'s lowest nonzero coefficient, [O((n p − n f) · n f)] products.
+    Its result is unspecified when [f] does not divide [p].
+    @raise Invalid_argument if [f] is zero or over more variables than
+    [p]. *)
+val div_exact : t -> t -> t
+
 (** [extend v ~extra] re-expresses [v] over a universe enlarged by [extra]
     unconstrained variables (smoothing): convolution with binomials. *)
 val extend : t -> extra:int -> t

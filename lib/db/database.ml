@@ -5,6 +5,7 @@ type relation = {
   kind : kind;
   arity : int;
   mutable rows : stored list; (* reverse insertion order *)
+  index : (Value.t array, stored) Hashtbl.t; (* the rows, by values *)
   mutable digest : string option; (* of these rows; dropped on change *)
 }
 
@@ -25,16 +26,23 @@ let declare db name ~kind ~arity =
   if arity < 0 then invalid_arg "Database.declare: negative arity";
   if List.mem_assoc name db.rels then
     invalid_arg ("Database.declare: duplicate relation " ^ name);
-  db.rels <- (name, { kind; arity; rows = []; digest = None }) :: db.rels
+  db.rels <-
+    (name, { kind; arity; rows = []; index = Hashtbl.create 16; digest = None })
+    :: db.rels
 
-(* The one ground-tuple lookup: a scan of the stored rows, no copy. *)
-let find_tuple db name values =
-  List.find_opt (fun s -> s.values = values) (find db name).rows
+(* The one ground-tuple lookup: a probe of the relation's index. *)
+let find_tuple db name values = Hashtbl.find_opt (find db name).index values
 
-let check_tuple db r name values =
+(* A new row goes to the front of [rows] and into the index. *)
+let add_row r s =
+  r.rows <- s :: r.rows;
+  Hashtbl.replace r.index s.values s;
+  r.digest <- None
+
+let check_tuple r name values =
   if Array.length values <> r.arity then
     invalid_arg ("Database: arity mismatch for " ^ name);
-  if find_tuple db name values <> None then
+  if Hashtbl.mem r.index values then
     invalid_arg ("Database: duplicate tuple in " ^ name)
 
 let insert db name values =
@@ -42,7 +50,7 @@ let insert db name values =
     try find db name
     with Not_found -> invalid_arg ("Database.insert: unknown relation " ^ name)
   in
-  check_tuple db r name values;
+  check_tuple r name values;
   let lvar =
     match r.kind with
     | Exogenous -> None
@@ -52,8 +60,7 @@ let insert db name values =
       Hashtbl.replace db.var_index v (name, values);
       Some v
   in
-  r.rows <- { values; lvar } :: r.rows;
-  r.digest <- None;
+  add_row r { values; lvar };
   lvar
 
 let insert_with_var db name values ~lvar =
@@ -64,13 +71,12 @@ let insert_with_var db name values ~lvar =
   in
   if r.kind <> Endogenous then
     invalid_arg "Database.insert_with_var: relation is exogenous";
-  check_tuple db r name values;
+  check_tuple r name values;
   if Hashtbl.mem db.var_index lvar then
     invalid_arg "Database.insert_with_var: lineage variable already in use";
   Hashtbl.replace db.var_index lvar (name, values);
   db.next_var <- Stdlib.max db.next_var (lvar + 1);
-  r.rows <- { values; lvar = Some lvar } :: r.rows;
-  r.digest <- None
+  add_row r { values; lvar = Some lvar }
 
 let remove db name values =
   let r =
@@ -81,6 +87,7 @@ let remove db name values =
   | None -> false
   | Some s ->
     r.rows <- List.filter (fun s' -> s' != s) r.rows;
+    Hashtbl.remove r.index values;
     r.digest <- None;
     (match s.lvar with
      | Some v -> Hashtbl.remove db.var_index v
@@ -131,7 +138,10 @@ let tuple_of_var db v = Hashtbl.find db.var_index v
 
 let copy db =
   {
-    rels = List.map (fun (n, r) -> (n, { r with rows = r.rows })) db.rels;
+    rels =
+      List.map
+        (fun (n, r) -> (n, { r with index = Hashtbl.copy r.index }))
+        db.rels;
     next_var = db.next_var;
     var_index = Hashtbl.copy db.var_index;
   }

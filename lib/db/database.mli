@@ -4,7 +4,13 @@
     lineage variable [v(t)]; exogenous tuples are facts taken for granted
     and contribute no variable.  A database is a mutable builder — create,
     declare relations, insert tuples — plus read-only accessors used by
-    lineage construction, stretching and the safe-plan evaluator. *)
+    lineage construction, stretching and the safe-plan evaluator.
+
+    Each relation keeps its rows twice: a list in insertion order, which
+    {!tuples} reads, and a hash index on the tuple's values, which
+    {!find_tuple} probes.  A lookup, and so {!insert}'s duplicate check,
+    costs one hash of the tuple instead of a scan of the relation, and
+    loading a relation is linear in its size. *)
 
 type kind =
   | Endogenous
@@ -67,9 +73,9 @@ val tuples : t -> string -> stored list
 (** [find_tuple db name values] is the stored tuple of [name] with
     exactly [values], if present: its [lvar] is [Some v] in an endogenous
     relation and [None] in an exogenous one.  It is the one ground-tuple
-    lookup — {!insert}, {!insert_with_var}, {!remove}, {!mem}, the
-    negated atoms of [Lineage] and the ground atoms of [Safe_plan] all go
-    through it — and it scans the stored rows without copying them.
+    lookup — {!remove}, {!mem} and the negated atoms of [Lineage] go
+    through it, and {!insert}'s duplicate check probes the same index —
+    and it costs one probe of the relation's index, not a scan.
     @raise Not_found for unknown relations. *)
 val find_tuple : t -> string -> Value.t array -> stored option
 
@@ -88,7 +94,9 @@ val lineage_vars : t -> Vset.t
     [v].  @raise Not_found if no such tuple. *)
 val tuple_of_var : t -> int -> string * Value.t array
 
-(** [copy db] is an independent deep copy (same lineage variables). *)
+(** [copy db] is an independent deep copy (same lineage variables):
+    later inserts and removals in either database leave the other's rows
+    and index as they were. *)
 val copy : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,10 @@
 exception Not_safe of string
 
-(* The residual query during planning: atoms with partially substituted
-   arguments.  We reuse Cq.atom, substituting constants in place. *)
+(* The residual query during planning: each atom with its partially
+   substituted arguments (we reuse Cq.atom, substituting constants in
+   place) and the rows of its relation still consistent with the
+   constants bound so far. *)
+type part = { atom : Cq.atom; rows : Database.stored list }
 
 let subst_atom x v (a : Cq.atom) =
   {
@@ -17,22 +20,17 @@ let atom_vars (a : Cq.atom) =
   |> List.filter_map (function Cq.V x -> Some x | Cq.C _ -> None)
   |> List.sort_uniq compare
 
-let is_ground a = atom_vars a = []
+let is_ground p = atom_vars p.atom = []
 
-(* Resolve a ground atom to a circuit leaf. *)
-let ground_leaf db (a : Cq.atom) =
-  let values =
-    Array.map
-      (function Cq.C v -> v | Cq.V _ -> assert false)
-      a.args
-  in
-  match Database.find_tuple db a.rel values with
-  | None -> Circuit.cfalse
-  | Some { Database.lvar = None; _ } -> Circuit.ctrue
-  | Some { Database.lvar = Some v; _ } -> Circuit.cvar v
+(* A ground atom keeps at most one row (set semantics): its leaf. *)
+let row_leaf p =
+  match p.rows with
+  | [] -> Circuit.cfalse
+  | { Database.lvar = None; _ } :: _ -> Circuit.ctrue
+  | { Database.lvar = Some v; _ } :: _ -> Circuit.cvar v
 
 (* Connected components of atoms sharing query variables. *)
-let components atoms =
+let components parts =
   let merge groups (vs, members) =
     let touching, rest =
       List.partition
@@ -46,74 +44,85 @@ let components atoms =
     (vs', members @ List.concat_map snd touching) :: rest
   in
   List.fold_left merge []
-    (List.map (fun a -> (atom_vars a, [ a ])) atoms)
+    (List.map (fun p -> (atom_vars p.atom, [ p ])) parts)
+
+let occurs x (a : Cq.atom) =
+  Array.exists (function Cq.V y -> y = x | Cq.C _ -> false) a.args
 
 (* A root variable of a connected residual query: occurs in all atoms. *)
-let root_variable atoms =
-  match atoms with
+let root_variable parts =
+  match parts with
   | [] -> None
   | first :: _ ->
     List.find_opt
-      (fun x ->
-         List.for_all
-           (fun (a : Cq.atom) ->
-              Array.exists (function Cq.V y -> y = x | Cq.C _ -> false) a.args)
-           atoms)
-      (atom_vars first)
+      (fun x -> List.for_all (fun p -> occurs x p.atom) parts)
+      (atom_vars first.atom)
 
-(* Candidate values for branching on [x]: values appearing in the positions
-   where [x] occurs, in any matching relation (a superset of the join
-   result is fine — non-joining values yield false branches that the
-   circuit constructors drop). *)
-let candidate_values db x atoms =
-  let module Vs = Set.Make (struct
-      type t = Value.t
-
-      let compare = Value.compare
-    end)
+(* [p]'s rows by the value they give [x].  A row counts only when all of
+   [x]'s positions hold that one value. *)
+let by_value x p =
+  let args = p.atom.Cq.args in
+  let positions =
+    List.filter (fun i -> args.(i) = Cq.V x)
+      (List.init (Array.length args) Fun.id)
   in
-  let acc = ref Vs.empty in
-  (match atoms with
-   | [] -> ()
-   | (a : Cq.atom) :: _ ->
-     List.iter
-       (fun (s : Database.stored) ->
-          Array.iteri
-            (fun i t ->
-               match t with
-               | Cq.V y when y = x -> acc := Vs.add s.values.(i) !acc
-               | _ -> ())
-            a.args)
-       (Database.tuples db a.rel));
-  Vs.elements !acc
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Database.stored) ->
+       let v = s.values.(List.hd positions) in
+       if List.for_all (fun i -> Value.equal s.values.(i) v) positions then
+         Hashtbl.replace table v
+           (s :: Option.value ~default:[] (Hashtbl.find_opt table v)))
+    p.rows;
+  table
 
-let rec plan db atoms =
-  let ground, open_atoms = List.partition is_ground atoms in
-  let ground_circuits = List.map (ground_leaf db) ground in
+let rec plan parts =
+  let ground, open_parts = List.partition is_ground parts in
+  let ground_circuits = List.map row_leaf ground in
   let rest =
-    match components open_atoms with
-    | [] -> []
-    | [ (_, members) ] -> [ plan_connected db members ]
-    | groups -> List.map (fun (_, members) -> plan_connected db members) groups
+    List.map
+      (fun (_, members) -> plan_connected members)
+      (components open_parts)
   in
   (* SJF guarantees the parts use disjoint lineage variables. *)
   Circuit.cand (ground_circuits @ rest)
 
-and plan_connected db atoms =
-  match root_variable atoms with
+and plan_connected parts =
+  match root_variable parts with
   | None ->
     raise
       (Not_safe
          "connected subquery without a root variable (query not hierarchical)")
   | Some x ->
-    let branches =
-      List.map
-        (fun v -> plan db (List.map (subst_atom x v) atoms))
-        (candidate_values db x atoms)
+    (* Only a value every atom has a row for can satisfy the subquery;
+       the others would plan to [false], which [cor_disj] drops. *)
+    let tables = List.map (by_value x) parts in
+    let values =
+      Hashtbl.fold
+        (fun v _ acc ->
+           if List.for_all (fun t -> Hashtbl.mem t v) tables then v :: acc
+           else acc)
+        (List.hd tables) []
+    in
+    let branch v =
+      plan
+        (List.map2
+           (fun p t ->
+              { atom = subst_atom x v p.atom; rows = Hashtbl.find t v })
+           parts tables)
     in
     (* Different values of x touch disjoint sets of tuples (each tuple
        fixes the value in x's position), hence disjoint lineage vars. *)
-    Circuit.cor_disj branches
+    Circuit.cor_disj (List.map branch (List.sort Value.compare values))
+
+(* A query atom's rows: those of its relation that hold its constants. *)
+let initial db (a : Cq.atom) =
+  let holds (s : Database.stored) =
+    Array.for_all2
+      (fun t v -> match t with Cq.C c -> Value.equal v c | Cq.V _ -> true)
+      a.args s.values
+  in
+  { atom = a; rows = List.filter holds (Database.tuples db a.rel) }
 
 let lineage_circuit db q =
   Cq.check_against q db;
@@ -122,7 +131,7 @@ let lineage_circuit db q =
   if not (Cq.is_self_join_free q) then
     raise (Not_safe "query has self-joins");
   if not (Cq.is_hierarchical q) then raise (Not_safe "query not hierarchical");
-  plan db q.Cq.atoms
+  plan (List.map (initial db) q.Cq.atoms)
 
 let shapley db q =
   let c = lineage_circuit db q in

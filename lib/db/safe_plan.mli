@@ -15,6 +15,16 @@
     - ground atoms resolve to the tuple's lineage variable (endogenous),
       [true]/[false] (exogenous present/absent).
 
+    The plan reads the database once per level and looks nothing up.
+    Each atom carries the rows of its relation still consistent with the
+    constants bound so far.  Branching on a root variable [x] partitions
+    each atom's rows by the value they give [x] (a row counts only when
+    all of [x]'s positions hold that value), and only the values every
+    atom has a row for are branched on, in [Value.compare] order; the
+    rest would plan to [false].  A ground atom keeps at most one row,
+    and becomes its leaf, or [false] when none is left.  So building the
+    lineage costs [O(|D| · depth)].
+
     Together with the polynomial circuit Shapley algorithm (Theorem 4.1)
     this realizes the tractable side of the dichotomy (Theorem 5.1). *)
 

@@ -81,16 +81,29 @@ let search n id_at id =
 let answer_index (a : Cache.answer) id =
   search (Array.length a.Cache.facts) (Array.get a.Cache.facts) id
 
+module Rat_table = Hashtbl.Make (Rat)
+
 (* A fact's element of a [/v1/shapley/all] page, rendered once per
-   answer on the cache fill. *)
-let render_element e id v =
+   answer on the cache fill: byte for byte [J.to_string] of the object
+   [{"fact", "relation", "tuple", "shapley"}].  Most facts share their
+   value with another (the facts of one group of a hierarchical lineage
+   are symmetric), so [shapley], a table that lives for one fill,
+   renders each distinct value's fragment once. *)
+let render_element e shapley id v =
   let rel, tuple = Database.tuple_of_var e.db id in
-  J.to_string
-    (J.Obj
-       [ ("fact", J.Int id);
-         ("relation", J.Str rel);
-         ("tuple", Json_codec.tuple tuple);
-         ("shapley", Json_codec.rat v) ])
+  let fragment =
+    match Rat_table.find_opt shapley v with
+    | Some s -> s
+    | None ->
+      let s = J.to_string (Json_codec.rat v) in
+      Rat_table.add shapley v s;
+      s
+  in
+  String.concat ""
+    [ {|{"fact":|}; string_of_int id;
+      {|,"relation":|}; J.to_string (J.Str rel);
+      {|,"tuple":|}; J.to_string (Json_codec.tuple tuple);
+      {|,"shapley":|}; fragment; "}" ]
 
 (* The cache miss is this layer's oracle consultation: the full
    Shapley solve.  Ledger it so per-request buffers, the access log and
@@ -108,7 +121,7 @@ let shapley_all t entry =
   | Some e when e == entry ->
     Dichotomy.shapley_cached ~cache:t.cache
       ~on_miss:(fun run -> ledgered_solve e run)
-      ~render:(render_element e) e.db e.query
+      ~render:(render_element e (Rat_table.create 16)) e.db e.query
   | _ -> invalid_arg ("Api.shapley_all: unknown entry " ^ entry.name)
 
 (* ------------------------------------------------------------------ *)

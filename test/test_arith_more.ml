@@ -136,4 +136,63 @@ let linalg_tests =
            && Array.for_all2 Rat.equal (Linalg.mat_vec matrix sol_v) values)
   ]
 
-let suite = combi_tests @ poly_tests @ linalg_tests
+(* Eq. (2) over lcm(1..n) against its factorial form,
+   [Σ_k k! (n−1−k)! · d_k / n!], computed here from the factorials. *)
+let factorial_form ~n d =
+  let acc = ref Bigint.zero in
+  for k = 0 to n - 1 do
+    acc :=
+      Bigint.add !acc
+        (Bigint.mul
+           (Bigint.mul (Combi.factorial k) (Combi.factorial (n - 1 - k)))
+           d.(k))
+  done;
+  Rat.make !acc (Combi.factorial n)
+
+let lcm_tests =
+  [ t "Eq. (2) over lcm(1..n) = factorial form, n = 1..200" (fun () ->
+        let st = Random.State.make [| 2024; 26 |] in
+        (* signed entries of up to about n + 60 bits *)
+        let entry n =
+          let b =
+            Bigint.mul
+              (Bigint.of_int (Random.State.int st 1_000_000 - 500_000))
+              (Bigint.pow Bigint.two (Random.State.int st (n + 40)))
+          in
+          Bigint.add b (Bigint.of_int (Random.State.int st 2001 - 1000))
+        in
+        for n = 1 to 200 do
+          let d = Array.init n (fun _ -> entry n) in
+          Alcotest.check rat
+            (Printf.sprintf "shapley_of_diffs n=%d" n)
+            (factorial_form ~n d)
+            (Combi.shapley_of_diffs ~n (Array.get d));
+          List.iter
+            (fun k ->
+              let unit =
+                Array.init n (fun j -> if j = k then Bigint.one else Bigint.zero)
+              in
+              Alcotest.check rat
+                (Printf.sprintf "shapley_coeff n=%d k=%d" n k)
+                (factorial_form ~n unit) (Combi.shapley_coeff ~n k))
+            (List.sort_uniq compare [ 0; n / 3; n / 2; n - 1 ])
+        done);
+    t "n·C(n−1,k) divides lcm(1..n), n ≤ 300" (fun () ->
+        let lcm = ref Bigint.one and row = ref [| Bigint.one |] in
+        for n = 1 to 300 do
+          let bn = bi n in
+          lcm := Bigint.mul !lcm (Bigint.div bn (Bigint.gcd !lcm bn));
+          (* [!row] is C(n−1, ·); the next is C(n, ·) by Pascal's rule *)
+          Array.iteri
+            (fun k c ->
+              if not (Bigint.is_zero (Bigint.rem !lcm (Bigint.mul bn c))) then
+                Alcotest.failf "n=%d k=%d" n k)
+            !row;
+          let prev = !row in
+          row :=
+            Array.init (n + 1) (fun k ->
+                if k = 0 || k = n then Bigint.one
+                else Bigint.add prev.(k - 1) prev.(k))
+        done) ]
+
+let suite = combi_tests @ poly_tests @ linalg_tests @ lcm_tests

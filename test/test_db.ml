@@ -403,7 +403,50 @@ let parser_tests =
             "rel R endo 1\nrow R 1" (* no query *) ])
   ]
 
+(* The per-relation tuple index follows every insert, removal and
+   copy. *)
+let index_tests =
+  [ t "tuple index: duplicates, removal and copies" (fun () ->
+        let db = Database.create () in
+        Database.declare db "R" ~kind:Database.Endogenous ~arity:2;
+        Database.declare db "E" ~kind:Database.Exogenous ~arity:1;
+        let tup a b = [| Value.int a; Value.str b |] in
+        ignore (Database.insert db "R" (tup 1 "a"));
+        Database.insert_with_var db "R" (tup 2 "b") ~lvar:7;
+        ignore (Database.insert db "E" [| Value.int 1 |]);
+        Alcotest.check_raises "duplicate insert"
+          (Invalid_argument "Database: duplicate tuple in R") (fun () ->
+            ignore (Database.insert db "R" (tup 1 "a")));
+        Alcotest.check_raises "duplicate insert_with_var"
+          (Invalid_argument "Database: duplicate tuple in R") (fun () ->
+            Database.insert_with_var db "R" (tup 2 "b") ~lvar:9);
+        Alcotest.(check bool) "string constant apart from int" false
+          (Database.mem db "R" [| Value.int 1; Value.str "1" |]);
+        Alcotest.(check (option int)) "endogenous lookup" (Some 7)
+          (Option.bind (Database.find_tuple db "R" (tup 2 "b"))
+             (fun s -> s.Database.lvar));
+        Alcotest.(check bool) "exogenous lookup" true
+          (Database.find_tuple db "E" [| Value.int 1 |]
+           = Some { Database.values = [| Value.int 1 |]; lvar = None });
+        let copy = Database.copy db in
+        Alcotest.(check bool) "removed" true
+          (Database.remove db "R" (tup 1 "a"));
+        Alcotest.(check bool) "not mem after remove" false
+          (Database.mem db "R" (tup 1 "a"));
+        Alcotest.(check bool) "second remove" false
+          (Database.remove db "R" (tup 1 "a"));
+        ignore (Database.insert db "R" (tup 3 "c"));
+        Alcotest.(check bool) "copy keeps the removed tuple" true
+          (Database.mem copy "R" (tup 1 "a"));
+        Alcotest.(check bool) "copy misses a later insert" false
+          (Database.mem copy "R" (tup 3 "c"));
+        ignore (Database.insert db "R" (tup 1 "a"));
+        Alcotest.(check int) "reinserted" 3
+          (List.length (Database.tuples db "R"));
+        Alcotest.(check int) "copy rows" 2
+          (List.length (Database.tuples copy "R"))) ]
+
 let suite =
   database_tests @ cq_tests @ lineage_tests @ safe_plan_tests
   @ constant_plan_tests @ obdd_order_tests @ dichotomy_tests
-  @ explain_tests @ parser_tests
+  @ explain_tests @ parser_tests @ index_tests

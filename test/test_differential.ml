@@ -1344,7 +1344,230 @@ let ledger_tests =
         in
         ledger_agrees ~jobs:1 run && ledger_agrees ~jobs:3 run) ]
 
+(* ------------------------------------------------------------------ *)
+(* The quotient backward pass: each child of an ∧ or a variable-disjoint
+   ∨ receives the parent's product divided by its own vector, so the
+   cases a division must not see get circuits of their own.  Under
+   counting, a zero sibling of an ∧ is an unsatisfiable gate the
+   constructors keep, the negation of [cor_det [x; !x]]; a zero sibling
+   of a disjoint ∨ (whose siblings are complements) is that tautology.
+   Both derive to zero, so the adjoint a zero sibling receives shows
+   only at a leaf: under [zero_weight] leaves 10 and 25 weigh zero and
+   the complements of 2 and 12 are zero, and [weighted_differences]
+   sums the weights of every model to check the pass under it. *)
+let zero_weight =
+  let vec a b = Kvec.make ~n:1 [| Bigint.of_int a; Bigint.of_int b |] in
+  let free = vec 2 5 in
+  { Count.leaf =
+      (function
+        | 10 | 25 -> Kvec.zero ~n:1
+        | 2 | 12 -> free
+        | v -> vec (v mod 3) (1 + (v mod 4)));
+    free }
+
+let weighted_differences ~weight ~vars g =
+  let sorted = List.sort compare vars in
+  List.map
+    (fun x ->
+      let others = List.filter (fun v -> v <> x) sorted in
+      let root b =
+        let rec models acc set = function
+          | [] ->
+            if Circuit.eval_set (if b then Vset.add x set else set) g then
+              Kvec.add acc
+                (Kvec.conv_list
+                   (List.map
+                      (fun y ->
+                        if Vset.mem y set then weight.Count.leaf y
+                        else Kvec.sub weight.Count.free (weight.Count.leaf y))
+                      others))
+            else acc
+          | y :: rest -> models (models acc set rest) (Vset.add y set) rest
+        in
+        models (Kvec.zero ~n:(List.length others)) Vset.empty others
+      in
+      (x, Kvec.sub (root true) (root false)))
+    sorted
+
+let backward_quotient_cases =
+  let open Circuit in
+  let x = cvar in
+  let taut i = cor_det [ x i; cnot (x i) ] in
+  let zero i = cnot (taut i) in
+  let case name g =
+    Alcotest.test_case ("backward: " ^ name) `Quick (fun () ->
+        let vars = Vset.elements (Circuit.vars g) @ [ 99 ] in
+        Alcotest.(check bool) "= conditioning" true (backward_agrees ~vars g);
+        Alcotest.(check bool) "= the weighted models" true
+          (List.for_all2
+             (fun (i, a) (j, b) -> i = j && Kvec.equal a b)
+             (Count.differences ~weight:zero_weight ~vars g)
+             (weighted_differences ~weight:zero_weight ~vars g)))
+  in
+  [ case "one zero sibling of three (And)"
+      (cor_disj [ cand [ x 1; x 3; zero 4 ]; cand [ x 6; x 8; x 10 ]; x 9 ]);
+    case "one zero sibling of three (disjoint Or)"
+      (cand
+         [ cor_disj [ x 1; x 3; taut 4 ]; cor_disj [ x 6; x 8; x 12 ]; x 9 ]);
+    case "two zero siblings (And)"
+      (cor_disj
+         [ cand [ x 1; zero 3; zero 4 ]; cand [ x 10; x 25; x 6 ]; x 9 ]);
+    case "two zero siblings (disjoint Or)"
+      (cand
+         [ cor_disj [ x 1; taut 3; taut 4 ]; cor_disj [ x 2; x 12; x 6 ]; x 9 ]);
+    case "equal siblings"
+      (cor_disj
+         [ cand [ x 1; x 3 ]; cand [ x 4; x 6 ]; cand [ x 7; x 8 ];
+           cand [ x 9; x 11; x 13 ] ]);
+    case "lowest nonzero coefficient not 1"
+      (cor_disj
+         [ cand [ cor_disj [ x 1; x 3 ]; x 4; cor_disj [ x 6; x 7; x 8 ] ];
+           cand [ cor_disj [ x 9; x 11 ]; cnot (x 13) ] ]) ]
+
+(* ------------------------------------------------------------------ *)
+(* The safe plan before it carried rows, kept as an oracle: it branched
+   on every value of the root's positions in the first atom's whole
+   relation and resolved each ground atom with [Database.find_tuple]. *)
+module Old_plan = struct
+  let subst_atom x v (a : Cq.atom) =
+    { a with
+      Cq.args =
+        Array.map (function Cq.V y when y = x -> Cq.C v | t -> t) a.args }
+
+  let atom_vars (a : Cq.atom) =
+    Array.to_list a.args
+    |> List.filter_map (function Cq.V x -> Some x | Cq.C _ -> None)
+    |> List.sort_uniq compare
+
+  let is_ground a = atom_vars a = []
+
+  let ground_leaf db (a : Cq.atom) =
+    let values =
+      Array.map (function Cq.C v -> v | Cq.V _ -> assert false) a.args
+    in
+    match Database.find_tuple db a.rel values with
+    | None -> Circuit.cfalse
+    | Some { Database.lvar = None; _ } -> Circuit.ctrue
+    | Some { Database.lvar = Some v; _ } -> Circuit.cvar v
+
+  let components atoms =
+    let merge groups (vs, members) =
+      let touching, rest =
+        List.partition
+          (fun (ws, _) -> List.exists (fun v -> List.mem v ws) vs)
+          groups
+      in
+      let vs' = List.sort_uniq compare (vs @ List.concat_map fst touching) in
+      (vs', members @ List.concat_map snd touching) :: rest
+    in
+    List.fold_left merge [] (List.map (fun a -> (atom_vars a, [ a ])) atoms)
+
+  let root_variable atoms =
+    match atoms with
+    | [] -> None
+    | first :: _ ->
+      List.find_opt
+        (fun x ->
+          List.for_all
+            (fun (a : Cq.atom) ->
+              Array.exists (function Cq.V y -> y = x | Cq.C _ -> false) a.args)
+            atoms)
+        (atom_vars first)
+
+  let candidate_values db x atoms =
+    match atoms with
+    | [] -> []
+    | (a : Cq.atom) :: _ ->
+      List.concat_map
+        (fun (s : Database.stored) ->
+          List.filter_map Fun.id
+            (Array.to_list
+               (Array.mapi
+                  (fun i t ->
+                    match t with
+                    | Cq.V y when y = x -> Some s.values.(i)
+                    | _ -> None)
+                  a.args)))
+        (Database.tuples db a.rel)
+      |> List.sort_uniq Value.compare
+
+  let rec plan db atoms =
+    let ground, open_atoms = List.partition is_ground atoms in
+    let ground_circuits = List.map (ground_leaf db) ground in
+    let rest =
+      List.map (fun (_, members) -> plan_connected db members)
+        (components open_atoms)
+    in
+    Circuit.cand (ground_circuits @ rest)
+
+  and plan_connected db atoms =
+    match root_variable atoms with
+    | None -> invalid_arg "Old_plan: no root variable"
+    | Some x ->
+      Circuit.cor_disj
+        (List.map
+           (fun v -> plan db (List.map (subst_atom x v) atoms))
+           (candidate_values db x atoms))
+
+  let lineage_circuit db (q : Cq.t) = plan db q.Cq.atoms
+end
+
+(* Today's hierarchical queries and the shapes the row partition must
+   get right: the root in two positions of one atom, a constant, three
+   levels, exogenous inner atoms and two components.  R, S and V are
+   endogenous, T and E exogenous, over the domain 1..3. *)
+let plan_queries =
+  Array.append hierarchical_queries
+    [| "R(x), S(x,x)"; "R(x), S(x,3)"; "R(x), S(x,y), V(x,y,z)";
+       "R(x), E(x,y)"; "S(x,y), E(x,y), T(x)"; "R(x), T(y)";
+       "R(x), S(x,y), T(z), V(z,z,w)"; "S(3,y), V(3,y,y)" |]
+
+let arb_plan =
+  let open QCheck.Gen in
+  let sub g = map (List.sort_uniq compare) (list_size (int_range 0 6) g) in
+  let d = int_range 1 3 in
+  QCheck.make
+    ~print:(fun (q, (r, s, t), (v, e)) ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      let tuples l =
+        String.concat ","
+          (List.map (fun l -> String.concat "." (List.map string_of_int l)) l)
+      in
+      Printf.sprintf "%s R=%s S=%s T=%s V=%s E=%s" plan_queries.(q) (ints r)
+        (tuples s) (ints t) (tuples v) (tuples e))
+    (triple
+       (int_range 0 (Array.length plan_queries - 1))
+       (triple (sub d) (sub (map2 (fun a b -> [ a; b ]) d d)) (sub d))
+       (pair
+          (sub (map3 (fun a b c -> [ a; b; c ]) d d d))
+          (sub (map2 (fun a b -> [ a; b ]) d d))))
+
+let plan_instance (q, (r, s, t), (v, e)) =
+  let db = Database.create () in
+  let rel name kind arity rows =
+    Database.declare db name ~kind ~arity;
+    List.iter
+      (fun row ->
+        ignore
+          (Database.insert db name (Array.of_list (List.map Value.int row))))
+      rows
+  in
+  rel "R" Database.Endogenous 1 (List.map (fun a -> [ a ]) r);
+  rel "S" Database.Endogenous 2 s;
+  rel "T" Database.Exogenous 1 (List.map (fun a -> [ a ]) t);
+  rel "V" Database.Endogenous 3 v;
+  rel "E" Database.Exogenous 2 e;
+  (db, Db_parser.parse_query plan_queries.(q))
+
+let plan_tests =
+  [ dtest ~seed:20 ~count:300 "safe plan: the row-carrying plan = old plan (==)"
+      arb_plan
+      (fun inst ->
+        let db, q = plan_instance inst in
+        Safe_plan.lineage_circuit db q == Old_plan.lineage_circuit db q) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
   @ backward_edge_cases @ search_tests @ block_tests @ e2e_shape_tests
-  @ join_tests @ chain_tests @ ledger_tests
+  @ join_tests @ chain_tests @ ledger_tests @ backward_quotient_cases
+  @ plan_tests
