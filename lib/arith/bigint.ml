@@ -108,7 +108,7 @@ let neg t =
   match t with
   | Small n ->
     if n = Stdlib.min_int then Big { sg = 1; mag = mag_of_int n } else Small (-n)
-  | Big b -> Big { sg = -b.sg; mag = b.mag }
+  | Big b -> make_big (-b.sg) b.mag
 
 let abs t = if sign t < 0 then neg t else t
 
@@ -435,7 +435,10 @@ let divmod a b =
     (* min_int / -1 traps in hardware; its quotient is 2^62, a Big. *)
     if x = Stdlib.min_int && y = -1 then (neg a, Small 0)
     else (Small (x / y), Small (x mod y))
-  | Small _, Big _ -> (Small 0, a) (* |a| <= max_int < |b| *)
+  | Small x, Big _ when x <> Stdlib.min_int -> (Small 0, a) (* |a| <= max_int < |b| *)
+  | Small _, Big _ ->
+    (* [a] is [min_int], whose magnitude ties only with the Big [2^62]. *)
+    if equal b (neg a) then (minus_one, Small 0) else (Small 0, a)
   | Big x, _ ->
     let sb, mb = sg_mag b in
     let qm, rm = divmod_mag x.mag mb in

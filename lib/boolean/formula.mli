@@ -7,15 +7,39 @@
 
     Connectives are n-ary in the AST; the smart constructors flatten and
     simplify, and {!size} counts occurrences of variables and of (binary)
-    connectives as in the paper's definition of [|F|]. *)
+    connectives as in the paper's definition of [|F|].
 
-type t =
+    {b Annotated nodes.}  A node carries, set once when it is built, its
+    variable set, a structural hash and a [normal] flag (the smart
+    constructors built it from normal children).  So {!vars} and {!hash}
+    are field reads, {!simplify} returns a normal node as it is, and
+    {!restrict_set} rebuilds only the paths to the bound variables.
+    There is no interning table: equal formulas may be distinct nodes.
+    Compare nodes with {!equal} and {!compare}, never polymorphic [=],
+    which would compare the cached sets' tree shapes. *)
+
+(** What a node is. *)
+type view =
   | True
   | False
   | Var of int
   | Not of t
   | And of t list
   | Or of t list
+
+and t = private {
+  view : view;
+  vars : Vset.t;  (** the variables occurring in the node *)
+  hash : int;  (** structural, order-sensitive; agrees with {!equal} *)
+  normal : bool;  (** built by the smart constructors from normal nodes *)
+}
+
+(** [view f] is [f.view]. *)
+val view : t -> view
+
+(** [make v] builds the node [v] as it is, without simplification, and
+    marks it not normal: how tests present unsimplified shapes. *)
+val make : view -> t
 
 (** {1 Smart constructors}
 
@@ -44,6 +68,9 @@ val of_bool : bool -> t
 (** [vars f] is the set of variables occurring in [f]. *)
 val vars : t -> Vset.t
 
+(** [hash f] is [f.hash]: [equal a b] implies [hash a = hash b]. *)
+val hash : t -> int
+
 (** [size f] is the paper's [|F|]: the number of occurrences of variables,
     constants, and binary connectives ([And]/[Or] of [k] arguments count as
     [k - 1] connectives). *)
@@ -60,6 +87,9 @@ val eval_set : Vset.t -> t -> bool
     {!Semantics.equivalent}). *)
 val equal : t -> t -> bool
 
+(** A total order agreeing with {!equal}: constants, then variables,
+    negations, conjunctions and disjunctions, children compared
+    lexicographically. *)
 val compare : t -> t -> int
 
 (** {1 Transformation} *)
@@ -76,10 +106,12 @@ val rename : (int -> int) -> t -> t
     does not mention [v]. *)
 val restrict : int -> bool -> t -> t
 
-(** [restrict_set bindings f] applies several restrictions at once. *)
+(** [restrict_set bindings f] applies several restrictions at once.  A
+    normal subtree that mentions no bound variable is returned as it is. *)
 val restrict_set : (int * bool) list -> t -> t
 
-(** [simplify f] propagates constants bottom-up (no other rewriting). *)
+(** [simplify f] propagates constants bottom-up (no other rewriting);
+    it is [f] itself when [f] is normal. *)
 val simplify : t -> t
 
 (** {1 Printing} *)

@@ -39,7 +39,8 @@ let bipartite ~edges =
   in
   (d, left, right)
 
-let rec is_positive = function
+let rec is_positive f =
+  match Formula.view f with
   | Formula.True | Formula.False | Formula.Var _ -> true
   | Formula.Not _ -> false
   | Formula.And fs | Formula.Or fs -> List.for_all is_positive fs
@@ -49,7 +50,8 @@ let rec is_positive = function
    concatenates.  Absorption keeps intermediate results small where
    possible. *)
 let formula_to_pdnf f =
-  let rec go = function
+  let rec go f =
+    match Formula.view f with
     | Formula.True -> [ Vset.empty ]
     | Formula.False -> []
     | Formula.Var v -> [ Vset.singleton v ]

@@ -9,8 +9,11 @@
     v}
     Identifiers are [[A-Za-z_][A-Za-z0-9_']*]; identifiers of the shape
     [x<digits>] map to the variable with that number, other identifiers are
-    interned in order of first occurrence (starting from 1).  This is the
-    format accepted by the [shapmc] CLI and emitted by {!Formula.pp}. *)
+    interned in order of first occurrence, from one above the largest
+    [x<digits>] anywhere in the input (from 1 when there is none), so a
+    name never shares an id with a numbered variable: [a & !x1] gives
+    [a] the id 2.  This is the format accepted by the [shapmc] CLI and
+    emitted by {!Formula.pp}. *)
 
 (** [formula_of_string s] parses, returning the formula and the name table
     (variable id -> source name).

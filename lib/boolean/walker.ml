@@ -16,7 +16,8 @@ type t = {
 
 type walk = { t : t; count : int array }
 
-let rec count_gates = function
+let rec count_gates f =
+  match Formula.view f with
   | Formula.True | False | Var _ -> 0
   | Not g -> count_gates g
   | And gs | Or gs -> List.fold_left (fun n g -> n + count_gates g) 1 gs
@@ -37,7 +38,8 @@ let compile ~players f =
   let next = ref 0 in
   (* [node up pos f] compiles [f], negated unless [pos], under gate [up]
      and returns its value under the empty prefix *)
-  let rec node up pos = function
+  let rec node up pos f =
+    match Formula.view f with
     | Formula.True -> pos
     | False -> not pos
     | Var v -> (

@@ -145,7 +145,8 @@ let xor m a b =
        | _ -> None)
     a b
 
-let rec of_formula m = function
+let rec of_formula m f =
+  match Formula.view f with
   | Formula.True -> m.t_leaf
   | Formula.False -> m.f_leaf
   | Formula.Var v -> var m v

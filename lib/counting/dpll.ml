@@ -39,7 +39,8 @@ let pick_block f =
        | ns -> o.nodes <- node :: ns)
   in
   let next = ref 0 in
-  let rec go role node = function
+  let rec go role node f =
+    match Formula.view f with
     | Formula.True | Formula.False -> ()
     | Formula.Var v -> leaf role node v
     | Formula.Not g -> go Neither node g
@@ -77,33 +78,37 @@ let pick_block f =
 let rec propagate fixed f =
   let units =
     List.filter_map
-      (function
+      (fun g ->
+        match Formula.view g with
         | Formula.Var x -> Some (x, true)
-        | Formula.Not (Formula.Var x) -> Some (x, false)
+        | Formula.Not g ->
+          (match Formula.view g with Formula.Var x -> Some (x, false) | _ -> None)
         | _ -> None)
-      (match f with Formula.And fs -> fs | f -> [ f ])
+      (match Formula.view f with Formula.And fs -> fs | _ -> [ f ])
   in
   match List.sort_uniq (fun (x, _) (y, _) -> compare x y) units with
   | [] -> (fixed, f)
   | us -> propagate (us @ fixed) (Formula.restrict_set us f)
 
+module Memo = Hashtbl.Make (Formula)
+
 let search alg f =
-  let cache = Hashtbl.create 256 in
+  let cache = Memo.create 256 in
   let branches = ref 0 and propagations = ref 0 and cache_hits = ref 0 in
   let rec go f =
-    match f with
+    match Formula.view f with
     | Formula.True -> alg.const true
     | Formula.False -> alg.const false
     | Formula.Var x -> alg.var x
     | Formula.Not g -> alg.not_ (go g)
     | Formula.And fs | Formula.Or fs ->
-      (match Hashtbl.find_opt cache f with
+      (match Memo.find_opt cache f with
        | Some r ->
          incr cache_hits;
          r
        | None ->
          let r = compound f fs in
-         Hashtbl.replace cache f r;
+         Memo.replace cache f r;
          r)
   and compound f fs =
     match Vset.components ~vars:Formula.vars fs with
@@ -122,7 +127,7 @@ let search alg f =
       (* Each part spans its group's scope, as [kvec] needs: members are
          nonconstant and mutually non-absorbing after smart construction,
          so [and_]/[or_] drop no variable. *)
-      (match f with
+      (match Formula.view f with
        | Formula.And _ ->
          alg.conj (List.map (fun (_, ms) -> go (Formula.and_ ms)) groups)
        | _ -> alg.disj (List.map (fun (_, ms) -> go (Formula.or_ ms)) groups))

@@ -57,6 +57,14 @@
     each variable once never does: a term's literals fall into separate
     components.
 
+    {b Cost.}  The search reads what {!Formula} nodes carry: each
+    child's variable set for the component split, the node's hash for
+    the memo (a [Hashtbl.Make] over {!Formula.hash} and
+    {!Formula.equal}), and the [normal] flag, so a restriction rebuilds
+    only the paths to the bound variables and normal input skips the
+    entry simplification.  Count vectors stay native ints while they fit
+    ({!Kvec}).
+
     Counting is the project's #SAT engine: polynomial on read-once-style
     inputs thanks to decomposition, exponential in the worst case, which
     is the behaviour experiments E10 and E13 measure.  It does no
@@ -85,7 +93,8 @@ type 'a algebra = {
   decide : 'a -> scope:Vset.t -> 'a -> 'a -> 'a;
 }
 
-(** [search alg f] runs the search on [Formula.simplify f]. *)
+(** [search alg f] runs the search on [Formula.simplify f], which is
+    [f] itself when [f] is normal. *)
 val search : 'a algebra -> Formula.t -> 'a * stats
 
 (** [count f] is [#F] over exactly the variables of [f]. *)

@@ -1,40 +1,80 @@
-(* The invariant throughout: [counts] has length [n + 1] and entry [k] is
-   the number of models of size [k] over an [n]-variable universe. *)
+(* A vector over an [n]-variable universe has [n + 1] entries, entry [k]
+   the number of models of size [k].  The tiers are canonical: [Big]
+   holds an entry that does not fit a native int, so equal vectors share
+   a tier, which [equal], [hash] and [is_zero] rely on. *)
 
-type t = { n : int; counts : Bigint.t array }
+type t = Native of int array | Big of Bigint.t array
+
+let length = function Native a -> Array.length a | Big a -> Array.length a
+let universe_size v = length v - 1
+let native_lo = Bigint.of_int min_int
+let native_hi = Bigint.of_int max_int
+let fits c = Bigint.leq native_lo c && Bigint.leq c native_hi
+
+(* The canonical vector of the entries [a]. *)
+let of_bigs a =
+  if Array.for_all fits a then Native (Array.map Bigint.to_int a) else Big a
+
+let bigs = function Native a -> Array.map Bigint.of_int a | Big a -> a
+
+let check_universe n = if n < 0 then invalid_arg "Kvec.make: negative universe"
 
 let make ~n counts =
-  if n < 0 then invalid_arg "Kvec.make: negative universe";
+  check_universe n;
   if Array.length counts <> n + 1 then invalid_arg "Kvec.make: length mismatch";
-  { n; counts = Array.copy counts }
+  of_bigs (Array.copy counts)
 
-let universe_size v = v.n
-let get v k = if k < 0 || k > v.n then Bigint.zero else v.counts.(k)
-let to_array v = Array.copy v.counts
+let get v k =
+  if k < 0 || k > universe_size v then Bigint.zero
+  else match v with Native a -> Bigint.of_int a.(k) | Big a -> a.(k)
 
-let total v = Array.fold_left Bigint.add Bigint.zero v.counts
+let to_array = function Big a -> Array.copy a | v -> bigs v
+
+(* Bounds on magnitudes saturate at [max_int], which reads "may not
+   fit": a native loop runs only under a bound below it, so no entry
+   and no partial sum it forms overflows. *)
+let sat_add x y = if x > max_int - y then max_int else x + y
+let sat_mul x y = if x <> 0 && y > max_int / x then max_int else x * y
+let mag x = if x = min_int then max_int else abs x
+
+let max_mag a =
+  let m = ref 0 in
+  for i = 0 to Array.length a - 1 do m := Stdlib.max !m (mag a.(i)) done;
+  !m
+
+let l1 a =
+  let s = ref 0 in
+  for i = 0 to Array.length a - 1 do s := sat_add !s (mag a.(i)) done;
+  !s
+
+let total = function
+  | Native a when l1 a < max_int -> Bigint.of_int (Array.fold_left ( + ) 0 a)
+  | v -> Array.fold_left Bigint.add Bigint.zero (bigs v)
 
 let equal a b =
-  a.n = b.n
-  && begin
-    let ok = ref true in
-    Array.iteri
-      (fun i c -> if not (Bigint.equal c b.counts.(i)) then ok := false)
-      a.counts;
-    !ok
-  end
+  match (a, b) with
+  | Native x, Native y -> x = y
+  | Big x, Big y ->
+    Array.length x = Array.length y && Array.for_all2 Bigint.equal x y
+  | _ -> false
 
-let hash v =
-  Array.fold_left (fun h c -> (h * 31) + Bigint.hash c) v.n v.counts
+let hash = function
+  | Native a ->
+    Array.fold_left (fun h c -> (h * 31) + Hashtbl.hash c) (Array.length a) a
+  | Big a ->
+    Array.fold_left (fun h c -> (h * 31) + Bigint.hash c) (Array.length a) a
 
-let zero ~n = { n; counts = Array.make (n + 1) Bigint.zero }
+let zero ~n =
+  check_universe n;
+  Native (Array.make (n + 1) 0)
 
 (* Binomial rows for [all ~n], built once per [n] by Pascal's rule and
    shared thereafter: rows are immutable and every operation below
-   allocates fresh output arrays, never mutating [counts] in place.
-   Copy-on-write under a mutex for domain safety (same pattern as the
-   factorial cache in [Combi]). *)
-let binom_rows : Bigint.t array array ref = ref [||]
+   allocates fresh output arrays, never mutating a vector in place.
+   Rows up to n = 65 are native: C(65,32) fits a native int and
+   C(66,33) does not.  Copy-on-write under a mutex for domain safety
+   (same pattern as the factorial cache in [Combi]). *)
+let binom_rows : t array ref = ref [||]
 let binom_lock = Mutex.create ()
 
 let binom_row n =
@@ -50,16 +90,17 @@ let binom_row n =
         if n < have then rows.(n)
         else begin
           let rows' =
-            Array.init (n + 1) (fun k -> if k < have then rows.(k) else [||])
+            Array.init (n + 1) (fun k -> if k < have then rows.(k) else Native [||])
           in
-          for k = Stdlib.max have 0 to n do
+          for k = have to n do
             rows'.(k) <-
-              (if k = 0 then [| Bigint.one |]
+              (if k = 0 then Native [| 1 |]
                else begin
-                 let prev = rows'.(k - 1) in
-                 Array.init (k + 1) (fun i ->
-                     if i = 0 || i = k then Bigint.one
-                     else Bigint.add prev.(i - 1) prev.(i))
+                 let prev = bigs rows'.(k - 1) in
+                 of_bigs
+                   (Array.init (k + 1) (fun i ->
+                        if i = 0 || i = k then Bigint.one
+                        else Bigint.add prev.(i - 1) prev.(i)))
                end)
           done;
           binom_rows := rows';
@@ -67,120 +108,145 @@ let binom_row n =
         end)
   end
 
-let all ~n = if n < 0 then { n; counts = [||] } else { n; counts = binom_row n }
-let singleton_true = { n = 1; counts = [| Bigint.zero; Bigint.one |] }
-let singleton_false = { n = 1; counts = [| Bigint.one; Bigint.zero |] }
+let all ~n =
+  check_universe n;
+  binom_row n
+
+let singleton_true = Native [| 0; 1 |]
+let singleton_false = Native [| 1; 0 |]
 let const_true ~n = all ~n
 let const_false ~n = zero ~n
 
-(* Multiply by a constant polynomial (a 0-variable vector). *)
-let scale c v =
-  if Bigint.equal c Bigint.one then v
-  else { v with counts = Array.map (fun x -> Bigint.mul c x) v.counts }
+let conv_native x y =
+  let nx = Array.length x - 1 and ny = Array.length y - 1 in
+  let out = Array.make (nx + ny + 1) 0 in
+  for i = 0 to nx do
+    let xi = x.(i) in
+    if xi <> 0 then
+      for j = 0 to ny do
+        out.(i + j) <- out.(i + j) + (xi * y.(j))
+      done
+  done;
+  out
 
+let conv_big x y =
+  let nx = Array.length x - 1 and ny = Array.length y - 1 in
+  let out = Array.make (nx + ny + 1) Bigint.zero in
+  for i = 0 to nx do
+    let xi = x.(i) in
+    if not (Bigint.is_zero xi) then
+      for j = 0 to ny do
+        let yj = y.(j) in
+        if not (Bigint.is_zero yj) then
+          out.(i + j) <- Bigint.add out.(i + j) (Bigint.mul xi yj)
+      done
+  done;
+  out
+
+(* An entry of [x * y] is at most [|x|_1 · max |y|]. *)
 let conv a b =
-  if a.n = 0 then scale a.counts.(0) b
-  else if b.n = 0 then scale b.counts.(0) a
-  else begin
-    let n = a.n + b.n in
-    let out = Array.make (n + 1) Bigint.zero in
-    for i = 0 to a.n do
-      let ai = a.counts.(i) in
-      if not (Bigint.is_zero ai) then
-        for j = 0 to b.n do
-          let bj = b.counts.(j) in
-          if not (Bigint.is_zero bj) then
-            out.(i + j) <- Bigint.add out.(i + j) (Bigint.mul ai bj)
-        done
-    done;
-    { n; counts = out }
-  end
+  match (a, b) with
+  | Native x, Native y when sat_mul (l1 x) (max_mag y) < max_int ->
+    Native (conv_native x y)
+  | _ -> of_bigs (conv_big (bigs a) (bigs b))
 
-(* Convolve a list of vectors with two reusable scratch buffers sized for
-   the final universe, instead of one fresh array per fold step. *)
-let conv_list parts =
-  match parts with
+(* Every partial product of a list of native vectors, and every partial
+   sum forming it, is at most the product of the parts' [|·|_1]. *)
+let conv_list = function
   | [] -> const_true ~n:0
   | [ p ] -> p
-  | first :: rest ->
-    let total_n = List.fold_left (fun acc p -> acc + p.n) 0 parts in
-    let cur = ref (Array.make (total_n + 1) Bigint.zero) in
-    let buf = ref (Array.make (total_n + 1) Bigint.zero) in
-    Array.blit first.counts 0 !cur 0 (first.n + 1);
-    let cur_n = ref first.n in
-    List.iter
-      (fun p ->
-         let nn = !cur_n + p.n in
-         let c = !cur and b = !buf in
-         Array.fill b 0 (nn + 1) Bigint.zero;
-         for i = 0 to !cur_n do
-           let ci = c.(i) in
-           if not (Bigint.is_zero ci) then
-             for j = 0 to p.n do
-               let pj = p.counts.(j) in
-               if not (Bigint.is_zero pj) then
-                 b.(i + j) <- Bigint.add b.(i + j) (Bigint.mul ci pj)
-             done
-         done;
-         cur := b;
-         buf := c;
-         cur_n := nn)
-      rest;
-    { n = total_n; counts = !cur }
+  | first :: rest as parts ->
+    (match List.filter_map (function Native a -> Some a | Big _ -> None) parts with
+     | n0 :: ns
+       when List.compare_lengths ns rest = 0
+            && List.fold_left (fun b a -> sat_mul b (l1 a)) (l1 n0) ns < max_int ->
+       Native (List.fold_left conv_native n0 ns)
+     | _ -> of_bigs (List.fold_left (fun acc p -> conv_big acc (bigs p)) (bigs first) rest))
 
-let pointwise op a b =
-  if a.n <> b.n then invalid_arg "Kvec: universe-size mismatch";
-  { n = a.n; counts = Array.mapi (fun i c -> op c b.counts.(i)) a.counts }
+(* [sign] is 1 for the sum, -1 for the difference. *)
+let pointwise ~sign a b =
+  if length a <> length b then invalid_arg "Kvec: universe-size mismatch";
+  match (a, b) with
+  | Native x, Native y when sat_add (max_mag x) (max_mag y) < max_int ->
+    let out = Array.make (Array.length x) 0 in
+    for i = 0 to Array.length x - 1 do
+      out.(i) <- x.(i) + (sign * y.(i))
+    done;
+    Native out
+  | _ ->
+    let op = if sign > 0 then Bigint.add else Bigint.sub in
+    of_bigs (Array.map2 op (bigs a) (bigs b))
 
-let add a b = pointwise Bigint.add a b
-let sub a b = pointwise Bigint.sub a b
+let add a b = pointwise ~sign:1 a b
+let sub a b = pointwise ~sign:(-1) a b
 
 let extend v ~extra =
   if extra < 0 then invalid_arg "Kvec.extend: negative"
   else if extra = 0 then v
   else conv v (all ~n:extra)
 
-let neg v = { v with counts = Array.map Bigint.neg v.counts }
-let is_zero v = Array.for_all Bigint.is_zero v.counts
+let neg = function
+  | Native a when max_mag a < max_int -> Native (Array.map (fun x -> -x) a)
+  | v -> of_bigs (Array.map Bigint.neg (bigs v))
+
+let is_zero = function Native a -> Array.for_all (fun c -> c = 0) a | Big _ -> false
 
 (* Series division from [f]'s lowest nonzero coefficient [f_s]: the
    coefficient [k + s] of [q·f] is [Σ_j q_j·f_(s+k−j)], which gives
    [q_k] once [q_0..q_(k−1)] are known.  The quotient is integral, so
-   each division by [f_s] is exact. *)
-let div_exact p f =
-  let m = p.n - f.n in
-  if m < 0 then invalid_arg "Kvec.div_exact: divisor over a larger universe";
+   each division by [f_s] is exact.  [zero], [is_zero], [sub_mul] and
+   [div] are the tier's arithmetic. *)
+let series_div ~zero ~is_zero ~sub_mul ~div p f ~m =
   let s =
-    match Array.find_index (fun c -> not (Bigint.is_zero c)) f.counts with
+    match Array.find_index (fun c -> not (is_zero c)) f with
     | Some s -> s
     | None -> invalid_arg "Kvec.div_exact: zero divisor"
   in
-  let lead = f.counts.(s) in
-  let q = Array.make (m + 1) Bigint.zero in
+  let nf = Array.length f - 1 in
+  let q = Array.make (m + 1) zero in
   for k = 0 to m do
-    let acc = ref p.counts.(k + s) in
-    for j = Stdlib.max 0 (k + s - f.n) to k - 1 do
-      let c = f.counts.(s + k - j) in
-      if not (Bigint.is_zero c || Bigint.is_zero q.(j)) then
-        acc := Bigint.sub !acc (Bigint.mul q.(j) c)
+    let acc = ref p.(k + s) in
+    for j = Stdlib.max 0 (k + s - nf) to k - 1 do
+      let c = f.(s + k - j) in
+      if not (is_zero c || is_zero q.(j)) then acc := sub_mul !acc q.(j) c
     done;
-    q.(k) <-
-      (if Bigint.equal lead Bigint.one then !acc else Bigint.div !acc lead)
+    q.(k) <- div !acc f.(s)
   done;
-  { n = m; counts = q }
+  q
 
-let complement v = sub (all ~n:v.n) v
+(* A factor [q] of [p] over [m] variables has [|q_j| ≤ C(m,⌊m/2⌋)·|p|_1]
+   (Mahler's measure, DESIGN.md §14f), which bounds the native loop. *)
+let div_exact p f =
+  let m = universe_size p - universe_size f in
+  if m < 0 then invalid_arg "Kvec.div_exact: divisor over a larger universe";
+  let central = match binom_row m with Native r -> r.(m / 2) | Big _ -> max_int in
+  match (p, f) with
+  | Native pa, Native fa
+    when sat_add (max_mag pa) (sat_mul (sat_mul central (l1 pa)) (l1 fa))
+         < max_int ->
+    Native
+      (series_div ~zero:0 ~is_zero:(fun c -> c = 0)
+         ~sub_mul:(fun acc x y -> acc - (x * y)) ~div:( / ) pa fa ~m)
+  | _ ->
+    of_bigs
+      (series_div ~zero:Bigint.zero ~is_zero:Bigint.is_zero
+         ~sub_mul:(fun acc x y -> Bigint.sub acc (Bigint.mul x y))
+         ~div:(fun x lead ->
+           if Bigint.equal lead Bigint.one then x else Bigint.div x lead)
+         (bigs p) (bigs f) ~m)
+
+let complement v = sub (all ~n:(universe_size v)) v
 
 let disjoint_or a b =
   (* Non-models multiply across disjoint universes. *)
   let non_a = complement a and non_b = complement b in
-  sub (all ~n:(a.n + b.n)) (conv non_a non_b)
+  sub (all ~n:(universe_size a + universe_size b)) (conv non_a non_b)
 
 let weighted_sum v w =
   (* Horner from the top coefficient. *)
   let acc = ref Bigint.zero in
-  for k = v.n downto 0 do
-    acc := Bigint.add (Bigint.mul !acc w) v.counts.(k)
+  for k = universe_size v downto 0 do
+    acc := Bigint.add (Bigint.mul !acc w) (get v k)
   done;
   !acc
 
@@ -189,4 +255,4 @@ let pp ppf v =
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
        Bigint.pp)
-    (Array.to_list v.counts)
+    (Array.to_list (to_array v))

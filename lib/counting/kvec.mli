@@ -7,12 +7,22 @@
     variable-disjoint functions is coefficient convolution, extending the
     universe by unconstrained variables is convolution with a binomial
     vector, and complement is [(1+t)^n − P].  Those three operations drive
-    both the circuit k-counter and the DPLL k-counter. *)
+    both the circuit k-counter and the DPLL k-counter.
+
+    {b Two tiers.}  A vector whose every entry fits a native int is kept
+    as an [int array], any other as [Bigint]s; the choice is canonical,
+    so it never shows in {!equal}, {!hash} or any value.  Each operation
+    bounds its result from its inputs' magnitudes and runs on native ints
+    when the bound rules out overflow, on [Bigint]s otherwise (DESIGN.md
+    §14f).  Binomial rows are native up to [n = 65]; a count vector over
+    [n] variables sums to at most [2^n]. *)
 
 type t
 
 (** [make ~n counts] wraps a vector of length [n+1].
-    @raise Invalid_argument on length mismatch or negative [n]. *)
+    @raise Invalid_argument on length mismatch or negative [n]; every
+    constructor taking [~n] raises ["Kvec.make: negative universe"] for
+    a negative [n]. *)
 val make : n:int -> Bigint.t array -> t
 
 (** [universe_size v] is [n]. *)
@@ -55,8 +65,8 @@ val const_false : n:int -> t
     universes (sizes add). *)
 val conv : t -> t -> t
 
-(** [conv_list vs] is [List.fold_left conv (const_true ~n:0) vs], computed
-    with reusable scratch buffers sized for the final universe. *)
+(** [conv_list vs] is [List.fold_left conv (const_true ~n:0) vs], on
+    native ints when the product of the parts' entry sums fits one. *)
 val conv_list : t list -> t
 
 (** [add a b] adds pointwise — the vector of a {e deterministic} (mutually

@@ -151,4 +151,7 @@ mask() { sed -E 's/[0-9]+\.[0-9]{4,}/#/g'; }
 } > stats.out
 diff -u stats.expected stats.out || fail "--stats output differs from stats.expected"
 
+# A named identifier takes an id above every x<digits> of the formula.
+[ "$("$exe" count "a & !x1")" = "1" ] || fail "count 'a & !x1' conflates a with x1"
+
 echo "cli-trace: all checks passed"

@@ -23,6 +23,17 @@ let shap_list =
 
 let check_shap = Alcotest.check shap_list
 
+(* Unsimplified formula nodes ({!Formula.make}), so a shape reaches the
+   code under test as written. *)
+module Raw = struct
+  let tru = Formula.make True
+  let fls = Formula.make False
+  let var i = Formula.make (Var i)
+  let not_ f = Formula.make (Not f)
+  let and_ fs = Formula.make (And fs)
+  let or_ fs = Formula.make (Or fs)
+end
+
 (* ------------------------------------------------------------------ *)
 (* QCheck generators *)
 

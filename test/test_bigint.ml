@@ -210,7 +210,22 @@ let boundary_tests =
             (Bigint.mul_int (Bigint.add_int (bi ha) hb) 2)
             (bi (la + lb))
         in
-        Bigint.equal expect (Bigint.add (bi a) (bi b)))
+        Bigint.equal expect (Bigint.add (bi a) (bi b)));
+    Alcotest.test_case "neg of 2^62 is the native min_int" `Quick (fun () ->
+        let two62 = Bigint.neg (bi min_int) in
+        List.iter
+          (fun (what, v) ->
+            Alcotest.(check bool) what true (canonical v);
+            Alcotest.check bigint what (bi min_int) v)
+          [ ("neg", Bigint.neg two62); ("0 - 2^62", Bigint.sub Bigint.zero two62) ]);
+    Alcotest.test_case "min_int divided by 2^62 is -1" `Quick (fun () ->
+        let two62 = Bigint.neg (bi min_int) in
+        let q, r = Bigint.divmod (bi min_int) two62 in
+        Alcotest.check bigint "quotient" Bigint.minus_one q;
+        Alcotest.check bigint "remainder" Bigint.zero r;
+        let q, r = Bigint.divmod (bi (min_int + 1)) two62 in
+        Alcotest.check bigint "quotient of min_int + 1" Bigint.zero q;
+        Alcotest.check bigint "remainder of min_int + 1" (bi (min_int + 1)) r)
   ]
 
 let suite = unit_tests @ property_tests @ boundary_tests

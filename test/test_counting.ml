@@ -313,5 +313,179 @@ let karp_luby_tests =
          Float.abs (est.Karp_luby.value -. exact) <= 0.15 *. exact +. 1.0)
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The native tier.  The Bigint-only vectors it replaced, kept as an
+   oracle: every operation on one Bigint loop, binomial rows by Pascal's
+   rule. *)
+module Old_kvec = struct
+  type t = { n : int; counts : Bigint.t array }
+
+  let make ~n counts = { n; counts = Array.copy counts }
+  let get v k = if k < 0 || k > v.n then Bigint.zero else v.counts.(k)
+  let total v = Array.fold_left Bigint.add Bigint.zero v.counts
+
+  let rec binom_row n =
+    if n = 0 then [| Bigint.one |]
+    else
+      let prev = binom_row (n - 1) in
+      Array.init (n + 1) (fun i ->
+          if i = 0 || i = n then Bigint.one else Bigint.add prev.(i - 1) prev.(i))
+
+  let all ~n = { n; counts = binom_row n }
+
+  let conv a b =
+    let n = a.n + b.n in
+    let out = Array.make (n + 1) Bigint.zero in
+    for i = 0 to a.n do
+      for j = 0 to b.n do
+        out.(i + j) <- Bigint.add out.(i + j) (Bigint.mul a.counts.(i) b.counts.(j))
+      done
+    done;
+    { n; counts = out }
+
+  let conv_list vs = List.fold_left conv (all ~n:0) vs
+
+  let pointwise op a b =
+    { n = a.n; counts = Array.mapi (fun i c -> op c b.counts.(i)) a.counts }
+
+  let add = pointwise Bigint.add
+  let sub = pointwise Bigint.sub
+  let neg v = { v with counts = Array.map Bigint.neg v.counts }
+  let complement v = sub (all ~n:v.n) v
+  let extend v ~extra = if extra = 0 then v else conv v (all ~n:extra)
+
+  let div_exact p f =
+    let m = p.n - f.n in
+    let s =
+      Option.get (Array.find_index (fun c -> not (Bigint.is_zero c)) f.counts)
+    in
+    let q = Array.make (m + 1) Bigint.zero in
+    for k = 0 to m do
+      let acc = ref p.counts.(k + s) in
+      for j = Stdlib.max 0 (k + s - f.n) to k - 1 do
+        acc := Bigint.sub !acc (Bigint.mul q.(j) f.counts.(s + k - j))
+      done;
+      q.(k) <- Bigint.div !acc f.counts.(s)
+    done;
+    { n = m; counts = q }
+
+  let disjoint_or a b =
+    sub (all ~n:(a.n + b.n)) (conv (complement a) (complement b))
+
+  let weighted_sum v w =
+    let acc = ref Bigint.zero in
+    for k = v.n downto 0 do
+      acc := Bigint.add (Bigint.mul !acc w) v.counts.(k)
+    done;
+    !acc
+end
+
+(* Entries around the native range: small ones of either sign (difference
+   vectors), [max_int] and [min_int] and their neighbours outside it, and
+   binomial coefficients up to C(70,35). *)
+let gen_entry =
+  let open QCheck.Gen in
+  let b = Bigint.of_int in
+  frequency
+    [ (6, map b (int_range (-5) 5));
+      (2, map (fun k -> Bigint.add (b max_int) (b k)) (int_range (-2) 2));
+      (2, map (fun k -> Bigint.add (b min_int) (b k)) (int_range (-2) 2));
+      (2, map2 (fun n k -> Old_kvec.get (Old_kvec.all ~n) k) (int_range 0 70)
+            (int_range 0 35)) ]
+
+(* Two vectors over one universe and a third over another, 0..70
+   variables each; [kind] 1 makes them count-like ([C(n,k)] scaled by
+   a small factor, native up to n = 65 or so). *)
+let arb_kvecs =
+  let open QCheck.Gen in
+  let vec n kind =
+    if kind = 1 then
+      map
+        (fun c ->
+          Array.map (Bigint.mul (Bigint.of_int c)) (Old_kvec.binom_row n))
+        (int_range 0 3)
+    else array_repeat (n + 1) gen_entry
+  in
+  QCheck.make
+    ~print:(fun (a, b, c) ->
+      let p v = String.concat ";" (Array.to_list (Array.map Bigint.to_string v)) in
+      Printf.sprintf "a=[%s] b=[%s] c=[%s]" (p a) (p b) (p c))
+    (int_range 0 70 >>= fun n ->
+     int_range 0 70 >>= fun m ->
+     int_range 0 1 >>= fun kind ->
+     triple (vec n kind) (vec n kind) (vec m kind))
+
+let same (v : Kvec.t) (o : Old_kvec.t) =
+  Kvec.universe_size v = o.Old_kvec.n
+  && Array.for_all2 Bigint.equal (Kvec.to_array v) o.Old_kvec.counts
+
+let kvecs_agree (a, b, c) =
+  let na = Array.length a - 1 and nc = Array.length c - 1 in
+  let ka = Kvec.make ~n:na a and kb = Kvec.make ~n:na b in
+  let kc = Kvec.make ~n:nc c in
+  let oa = Old_kvec.make ~n:na a and ob = Old_kvec.make ~n:na b in
+  let oc = Old_kvec.make ~n:nc c in
+  let w = Bigint.two_pow_minus_one 3 and extra = na mod 6 in
+  let back = Kvec.sub (Kvec.add ka kb) kb in
+  let checks =
+    [ ("make", same ka oa);
+      ("conv", same (Kvec.conv ka kc) (Old_kvec.conv oa oc));
+      ("conv_list", same (Kvec.conv_list [ ka; kc; kb ]) (Old_kvec.conv_list [ oa; oc; ob ]));
+      ("add", same (Kvec.add ka kb) (Old_kvec.add oa ob));
+      ("sub", same (Kvec.sub ka kb) (Old_kvec.sub oa ob));
+      ("neg", same (Kvec.neg ka) (Old_kvec.neg oa));
+      ("complement", same (Kvec.complement kc) (Old_kvec.complement oc));
+      ("extend", same (Kvec.extend kc ~extra) (Old_kvec.extend oc ~extra));
+      ("disjoint_or", same (Kvec.disjoint_or ka kc) (Old_kvec.disjoint_or oa oc));
+      ( "div_exact",
+        Kvec.is_zero kc
+        || same
+             (Kvec.div_exact (Kvec.conv ka kc) kc)
+             (Old_kvec.div_exact (Old_kvec.conv oa oc) oc)
+           && Kvec.equal (Kvec.div_exact (Kvec.conv ka kc) kc) ka );
+      ("weighted_sum", Bigint.equal (Kvec.weighted_sum ka w) (Old_kvec.weighted_sum oa w));
+      ("total", Bigint.equal (Kvec.total ka) (Old_kvec.total oa));
+      ( "get",
+        List.for_all
+          (fun k -> Bigint.equal (Kvec.get ka k) (Old_kvec.get oa k))
+          (List.init (na + 3) (fun k -> k - 1)) );
+      (* The same vector through a Bigint intermediate. *)
+      ("equal and hash", Kvec.equal back ka && Kvec.hash back = Kvec.hash ka) ]
+  in
+  match List.filter (fun (_, ok) -> not ok) checks with
+  | [] -> true
+  | bad -> QCheck.Test.fail_reportf "%s" (String.concat ", " (List.map fst bad))
+
+let kvec_tier_tests =
+  [ QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 2024; 27 |])
+      (QCheck.Test.make ~count:100 ~name:"kvec: native tier = Bigint-only vectors"
+         arb_kvecs kvecs_agree);
+    t "kvec: all ~n:65 and all ~n:66" (fun () ->
+        let row65 = Kvec.all ~n:65 and row66 = Kvec.all ~n:66 in
+        Alcotest.check bigint "C(65,32)"
+          (Bigint.of_string "3609714217008132870") (Kvec.get row65 32);
+        Alcotest.check bigint "C(66,33)"
+          (Bigint.of_string "7219428434016265740") (Kvec.get row66 33);
+        Alcotest.check bigint "2^65" (Bigint.pow Bigint.two 65) (Kvec.total row65);
+        Alcotest.check bigint "2^66" (Bigint.pow Bigint.two 66) (Kvec.total row66);
+        Alcotest.check kvec "row 65 extended" row66 (Kvec.extend row65 ~extra:1);
+        Alcotest.check kvec "row 66 divided" row65
+          (Kvec.div_exact row66 (Kvec.all ~n:1));
+        Alcotest.(check int) "hash through Bigint" (Kvec.hash row65)
+          (Kvec.hash (Kvec.div_exact row66 (Kvec.all ~n:1))));
+    t "kvec: a negative universe is rejected by every constructor" (fun () ->
+        List.iter
+          (fun (what, f) ->
+            Alcotest.check_raises what
+              (Invalid_argument "Kvec.make: negative universe")
+              (fun () -> ignore (f ())))
+          [ ("all", fun () -> Kvec.all ~n:(-3));
+            ("zero", fun () -> Kvec.zero ~n:(-3));
+            ("const_true", fun () -> Kvec.const_true ~n:(-1));
+            ("const_false", fun () -> Kvec.const_false ~n:(-1));
+            ("make", fun () -> Kvec.make ~n:(-1) [||]) ]) ]
+
 let suite =
   kvec_tests @ brute_tests @ dpll_tests @ bipartite_tests @ karp_luby_tests
+  @ kvec_tier_tests

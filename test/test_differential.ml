@@ -533,8 +533,8 @@ let blocks_agree ~vars f =
   && Circuit.equivalent_formula ~max_vars:14 c f
 
 let block_tests =
-  let open Formula in
-  let v i = Var i in
+  let open Raw in
+  let v = var in
   (* Raw constructors, so each shape reaches the search as written. *)
   let case name ?decisions f =
     Alcotest.test_case ("blocks: " ^ name) `Quick (fun () ->
@@ -553,26 +553,30 @@ let block_tests =
         QCheck.assume (List.length vars <= 14);
         blocks_agree ~vars g);
     case "under Not" ~decisions:1
-      (And [ Not (Or [ v 1; v 2; v 3 ]); Or [ Not (Or [ v 1; v 2 ]); v 4 ] ]);
+      (and_
+         [ not_ (or_ [ v 1; v 2; v 3 ]); or_ [ not_ (or_ [ v 1; v 2 ]); v 4 ] ]);
     case "plain and negated" ~decisions:1
-      (Or [ And [ v 3; Or [ v 1; v 2 ] ]; And [ v 4; Not (Or [ v 1; v 2 ]) ] ]);
+      (or_
+         [ and_ [ v 3; or_ [ v 1; v 2 ] ];
+           and_ [ v 4; not_ (or_ [ v 1; v 2 ]) ] ]);
     case "flattened into an enclosing Or" ~decisions:1
-      (Or [ v 1; v 2; And [ v 3; Or [ v 1; v 2; v 4 ] ] ]);
+      (or_ [ v 1; v 2; and_ [ v 3; or_ [ v 1; v 2; v 4 ] ] ]);
     case "of a conjunction" ~decisions:1
-      (Or
-         [ And [ v 1; v 2; v 3 ]; And [ v 1; v 2; v 4 ];
-           And [ v 1; v 2; v 5 ] ]);
+      (or_
+         [ and_ [ v 1; v 2; v 3 ]; and_ [ v 1; v 2; v 4 ];
+           and_ [ v 1; v 2; v 5 ] ]);
     (* x2 sits beside x1 in both of x1's nodes, and in a third. *)
     case "a neighbour that occurs elsewhere is no twin"
-      (And
-         [ Or [ v 1; v 2; v 3 ];
-           Or [ v 1; v 1; v 1; v 2; v 4 ];
-           Or [ v 2; v 3; v 4 ] ]);
+      (and_
+         [ or_ [ v 1; v 2; v 3 ];
+           or_ [ v 1; v 1; v 1; v 2; v 4 ];
+           or_ [ v 2; v 3; v 4 ] ]);
     (* Counting the Or twice would make x3 a twin of x2, though x3 is
        also a leaf of the And. *)
-    case "a leaf twice in one node" (Not (And [ v 3; Or [ v 2; v 3; v 2 ] ]));
+    case "a leaf twice in one node"
+      (not_ (and_ [ v 3; or_ [ v 2; v 3; v 2 ] ]));
     case "a leaf twice in one node, swapped"
-      (Not (And [ v 2; Or [ v 3; v 2; v 3 ] ])) ]
+      (not_ (and_ [ v 2; or_ [ v 3; v 2; v 3 ] ])) ]
 
 (* ------------------------------------------------------------------ *)
 (* The unit rule on the served inputs.  A DNF term's literals fall into
@@ -1566,8 +1570,305 @@ let plan_tests =
         let db, q = plan_instance inst in
         Safe_plan.lineage_circuit db q == Old_plan.lineage_circuit db q) ]
 
+(* ------------------------------------------------------------------ *)
+(* The search on plain trees, kept as an oracle: formulas without cached
+   variables or hashes, restriction and simplification that rebuild the
+   whole tree, and a memo keyed by polymorphic hashing and structural
+   equality.  The annotated nodes must take the same decisions, hit the
+   memo as often and build the same values. *)
+module Old_search = struct
+  type t = True | False | Var of int | Not of t | And of t list | Or of t list
+
+  let not_ = function True -> False | False -> True | Not f -> f | f -> Not f
+
+  let nary ~absorb ~unit_ ~flatten ~mk fs =
+    let exception Absorbed in
+    try
+      let flat = List.concat_map flatten fs in
+      let kept =
+        List.filter
+          (fun f ->
+            if f = absorb then raise Absorbed;
+            f <> unit_)
+          flat
+      in
+      match kept with [] -> unit_ | [ f ] -> f | fs -> mk fs
+    with Absorbed -> absorb
+
+  let and_ fs =
+    nary ~absorb:False ~unit_:True
+      ~flatten:(function And gs -> gs | f -> [ f ])
+      ~mk:(fun fs -> And fs) fs
+
+  let or_ fs =
+    nary ~absorb:True ~unit_:False
+      ~flatten:(function Or gs -> gs | f -> [ f ])
+      ~mk:(fun fs -> Or fs) fs
+
+  let rec vars = function
+    | True | False -> Vset.empty
+    | Var v -> Vset.singleton v
+    | Not f -> vars f
+    | And fs | Or fs ->
+      List.fold_left (fun acc f -> Vset.union acc (vars f)) Vset.empty fs
+
+  let rec map_var h = function
+    | (True | False) as f -> f
+    | Var v -> h v
+    | Not f -> not_ (map_var h f)
+    | And fs -> and_ (List.map (map_var h) fs)
+    | Or fs -> or_ (List.map (map_var h) fs)
+
+  let restrict_set bindings f =
+    map_var
+      (fun u ->
+        match List.assoc_opt u bindings with
+        | Some b -> if b then True else False
+        | None -> Var u)
+      f
+
+  let simplify f = map_var (fun v -> Var v) f
+
+  (* A structural copy, unsimplified. *)
+  let rec of_formula f =
+    match Formula.view f with
+    | Formula.True -> True
+    | Formula.False -> False
+    | Formula.Var v -> Var v
+    | Formula.Not g -> Not (of_formula g)
+    | Formula.And gs -> And (List.map of_formula gs)
+    | Formula.Or gs -> Or (List.map of_formula gs)
+
+  type role = Conj | Disj | Neither
+  type occ = { mutable count : int; mutable role : role; mutable nodes : int list }
+
+  let pick_block f =
+    let occ = Hashtbl.create 16 in
+    let leaf role node v =
+      match Hashtbl.find_opt occ v with
+      | None -> Hashtbl.add occ v { count = 1; role; nodes = [ node ] }
+      | Some o ->
+        o.count <- o.count + 1;
+        if o.role <> role then o.role <- Neither;
+        (match o.nodes with
+         | n :: _ when n = node -> ()
+         | ns -> o.nodes <- node :: ns)
+    in
+    let next = ref 0 in
+    let rec go role node = function
+      | True | False -> ()
+      | Var v -> leaf role node v
+      | Not g -> go Neither node g
+      | And gs ->
+        incr next;
+        List.iter (go Conj !next) gs
+      | Or gs ->
+        incr next;
+        List.iter (go Disj !next) gs
+    in
+    go Neither 0 f;
+    let best = ref None in
+    Hashtbl.iter
+      (fun v o ->
+        match !best with
+        | Some (_, o') when o'.count >= o.count -> ()
+        | _ -> best := Some (v, o))
+      occ;
+    match !best with
+    | None -> invalid_arg "Old_search: no variable"
+    | Some (x, ox) when ox.role = Neither -> ([ x ], false)
+    | Some (x, ox) ->
+      let twins =
+        Hashtbl.fold
+          (fun y o acc ->
+            if y <> x && o.role = ox.role && o.nodes = ox.nodes then y :: acc
+            else acc)
+          occ []
+      in
+      (List.sort compare (x :: twins), ox.role = Conj)
+
+  let rec propagate fixed f =
+    let units =
+      List.filter_map
+        (function
+          | Var x -> Some (x, true)
+          | Not (Var x) -> Some (x, false)
+          | _ -> None)
+        (match f with And fs -> fs | f -> [ f ])
+    in
+    match List.sort_uniq (fun (x, _) (y, _) -> compare x y) units with
+    | [] -> (fixed, f)
+    | us -> propagate (us @ fixed) (restrict_set us f)
+
+  let search (alg : 'a Dpll.algebra) f =
+    let cache = Hashtbl.create 256 in
+    let branches = ref 0 and propagations = ref 0 and cache_hits = ref 0 in
+    let rec go f =
+      match f with
+      | True -> alg.const true
+      | False -> alg.const false
+      | Var x -> alg.var x
+      | Not g -> alg.not_ (go g)
+      | And fs | Or fs ->
+        (match Hashtbl.find_opt cache f with
+         | Some r ->
+           incr cache_hits;
+           r
+         | None ->
+           let r = compound f fs in
+           Hashtbl.replace cache f r;
+           r)
+    and compound f fs =
+      match Vset.components ~vars fs with
+      | [ (scope, _) ] ->
+        (match propagate [] f with
+         | [], _ -> decide scope f
+         | fixed, rest ->
+           propagations := !propagations + List.length fixed;
+           let lit (x, sign) = if sign then alg.var x else alg.not_ (alg.var x) in
+           alg.decide (alg.conj (List.map lit fixed)) ~scope (alg.const false)
+             (go rest))
+      | groups ->
+        (match f with
+         | And _ -> alg.conj (List.map (fun (_, ms) -> go (and_ ms)) groups)
+         | _ -> alg.disj (List.map (fun (_, ms) -> go (or_ ms)) groups))
+    and decide scope f =
+      let block, conj = pick_block f in
+      let one = [ List.hd block ] in
+      let fix vs b = restrict_set (List.map (fun v -> (v, b)) vs) f in
+      incr branches;
+      let lo = go (fix (if conj then one else block) false) in
+      let hi = go (fix (if conj then block else one) true) in
+      let vs = List.map (fun v -> Var v) block in
+      let b = go (if conj then and_ vs else or_ vs) in
+      alg.decide b ~scope lo hi
+    in
+    let r = go (simplify f) in
+    ( r,
+      { Dpll.branches = !branches; propagations = !propagations;
+        cache_hits = !cache_hits } )
+
+  (* The two instances, as the library builds them. *)
+  let kvec =
+    { Dpll.const = (fun b -> (if b then Kvec.const_true else Kvec.const_false) ~n:0);
+      var = (fun _ -> Kvec.singleton_true);
+      not_ = Kvec.complement;
+      conj = Kvec.conv_list;
+      disj =
+        (fun parts ->
+          Kvec.complement (Kvec.conv_list (List.map Kvec.complement parts)));
+      decide =
+        (fun b ~scope lo hi ->
+          let rest = Vset.cardinal scope - Kvec.universe_size b in
+          let pad kv = Kvec.extend kv ~extra:(rest - Kvec.universe_size kv) in
+          Kvec.add
+            (Kvec.conv (Kvec.complement b) (pad lo))
+            (Kvec.conv b (pad hi))) }
+
+  let circuit =
+    { Dpll.const = Circuit.cbool;
+      var = Circuit.cvar;
+      not_ = Circuit.cnot;
+      conj = Circuit.cand;
+      disj = Circuit.cor_disj;
+      decide =
+        (fun b ~scope:_ lo hi ->
+          Circuit.cor_det
+            [ Circuit.cand [ Circuit.cnot b; lo ]; Circuit.cand [ b; hi ] ]) }
+end
+
+(* The same vector, stats, circuit node (==) and compile stats on both
+   searches; a node the smart constructors built is also a fixpoint of
+   the plain tree's simplification. *)
+let same_search f =
+  let old = Old_search.of_formula f in
+  let v, st = Old_search.search Old_search.kvec old in
+  let c, cst = Old_search.search Old_search.circuit old in
+  let c', cst' = Compile.compile_with_stats f in
+  Kvec.equal v (Dpll.count_by_size f)
+  && st = snd (Dpll.count_with_stats f)
+  && c == c' && cst = cst'
+  && ((not f.Formula.normal) || Old_search.simplify old = old)
+
+(* Random formulas with raw nodes: constants, nesting and double
+   negation the smart constructors would have removed. *)
+let gen_raw_formula ~nvars ~depth =
+  let open QCheck.Gen in
+  let rec go d =
+    if d = 0 then
+      frequency
+        [ (8, map Raw.var (int_range 1 nvars)); (1, return Raw.tru);
+          (1, return Raw.fls) ]
+    else
+      frequency
+        [ (2, go 0); (2, map Raw.not_ (go (d - 1)));
+          (3, map Raw.and_ (list_size (int_range 0 3) (go (d - 1))));
+          (3, map Raw.or_ (list_size (int_range 0 3) (go (d - 1)))) ]
+  in
+  go depth
+
+let arb_search_input =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (kind, seed, n, widths) ->
+      Printf.sprintf "kind %d seed %d n %d widths %s" kind seed n
+        (String.concat "," (List.map string_of_int widths)))
+    (quad (int_range 0 4) (int_bound 1_000_000) (int_range 3 6)
+       (list_repeat 6 (int_range 0 7)))
+
+(* kind 0: a random formula; 1: a raw one; 2: batch-reduce's DNF shape,
+   OR-substituted with widths 0..7; 3: a random CNF opening with a unit
+   clause; 4: a Q0 lineage. *)
+let search_input (kind, seed, n, widths) =
+  let st = Random.State.make [| seed |] in
+  let gen g = QCheck.Gen.generate1 ~rand:st g in
+  match kind with
+  | 0 -> gen (gen_formula ~nvars:8 ~depth:5)
+  | 1 -> gen (gen_raw_formula ~nvars:6 ~depth:4)
+  | 2 ->
+    let w = Array.of_list widths in
+    fst (Subst.or_subst ~widths:(fun v -> w.((v - 1) mod 6)) (two_dnf st n))
+  | 3 -> Nf.cnf_to_formula (cnf_of (QCheck.gen arb_cnf st))
+  | _ ->
+    let db, q = random_q0_db ~a:n ~b:n ~density:0.5 ~seed in
+    Lineage.lineage_formula db q
+
+(* Two conjunctions of two variables in 1..64, over disjoint variables,
+   with one hash.  The hash folds children's hashes as a 31-polynomial,
+   so such pairs exist; none would leave the memo's equality untested. *)
+let colliding_pair () =
+  let seen = Hashtbl.create 4096 and found = ref None in
+  for a = 1 to 64 do
+    for b = a + 1 to 64 do
+      let g = Formula.and_ [ Formula.var a; Formula.var b ] in
+      match Hashtbl.find_opt seen (Formula.hash g) with
+      | Some h when Vset.disjoint (Formula.vars g) (Formula.vars h) ->
+        if !found = None then found := Some (h, g)
+      | Some _ -> ()
+      | None -> Hashtbl.add seen (Formula.hash g) g
+    done
+  done;
+  !found
+
+let old_search_tests =
+  [ dtest ~seed:21 ~count:60
+      "search: annotated nodes = plain trees (vectors, stats, circuits)"
+      arb_search_input
+      (fun inst -> same_search (search_input inst));
+    Alcotest.test_case "search: formulas of one hash are two memo entries"
+      `Quick (fun () ->
+        match colliding_pair () with
+        | None -> Alcotest.fail "no two-variable conjunctions share a hash"
+        | Some (g, h) ->
+          let x = Formula.var 65 in
+          List.iter
+            (fun f ->
+              Alcotest.(check bool) (Formula.to_string f) true (same_search f))
+            [ Formula.or_ [ g; h ];
+              Formula.and_ [ Formula.or_ [ g; x ]; Formula.or_ [ h; x ] ] ]) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
   @ backward_edge_cases @ search_tests @ block_tests @ e2e_shape_tests
   @ join_tests @ chain_tests @ ledger_tests @ backward_quotient_cases
-  @ plan_tests
+  @ plan_tests @ old_search_tests

@@ -23,9 +23,10 @@ let smart_constructor_tests =
         Alcotest.check formula "!!x = x" (v 1) (Formula.not_ (Formula.not_ (v 1)));
         Alcotest.check formula "!1 = 0" Formula.fls (Formula.not_ Formula.tru));
     t "flattening" (fun () ->
-        match Formula.and_ [ Formula.conj2 (v 1) (v 2); v 3 ] with
+        let f = Formula.and_ [ Formula.conj2 (v 1) (v 2); v 3 ] in
+        match Formula.view f with
         | Formula.And [ _; _; _ ] -> ()
-        | f -> Alcotest.failf "expected flat And, got %a" Formula.pp f);
+        | _ -> Alcotest.failf "expected flat And, got %a" Formula.pp f);
     t "size per paper definition" (fun () ->
         (* x1 & (x2 | !x3): 3 vars + 1 not + 2 connectives = 6 *)
         Alcotest.(check int) "|F|" 6 (Formula.size example2_formula));
@@ -251,23 +252,24 @@ let walk_matches_eval_set ~universe ~order f =
   forward && walk (List.rev order)
 
 let walker_tests =
-  let open Formula in
+  let open Raw in
   [ t "walker edge cases built with raw constructors" (fun () ->
         List.iter
           (fun (name, f) ->
             Alcotest.(check bool) name true
               (walk_matches_eval_set ~universe:[ 1; 2 ] ~order:[ 1; 2 ] f
               && walk_matches_eval_set ~universe:[ 1; 2 ] ~order:[ 2; 1 ] f))
-          [ ("And []", And []);
-            ("Or []", Or []);
-            ("Not (Not (Var 1))", Not (Not (Var 1)));
-            ("And [True; Var 1]", And [ True; Var 1 ]);
-            ("True", True);
-            ("False", False);
-            ("Not (And [True; Var 1])", Not (And [ True; Var 1 ]));
-            ("Or [Var 1; Not (Var 1)]", Or [ Var 1; Not (Var 1) ]);
-            ("And [Var 1; Not (Var 1); Var 2]", And [ Var 1; Not (Var 1); Var 2 ]);
-            ("Or [And []; Var 2]", Or [ And []; Var 2 ]) ]);
+          [ ("And []", and_ []);
+            ("Or []", or_ []);
+            ("Not (Not (Var 1))", not_ (not_ (var 1)));
+            ("And [True; Var 1]", and_ [ tru; var 1 ]);
+            ("True", tru);
+            ("False", fls);
+            ("Not (And [True; Var 1])", not_ (and_ [ tru; var 1 ]));
+            ("Or [Var 1; Not (Var 1)]", or_ [ var 1; not_ (var 1) ]);
+            ("And [Var 1; Not (Var 1); Var 2]",
+             and_ [ var 1; not_ (var 1); var 2 ]);
+            ("Or [And []; Var 2]", or_ [ and_ []; var 2 ]) ]);
     t "walker rejects a repeated player and a stray variable" (fun () ->
         let raises what players f =
           Alcotest.(check bool) what true
@@ -276,8 +278,8 @@ let walker_tests =
                false
              with Invalid_argument _ -> true)
         in
-        raises "repeated player" [| 1; 2; 1 |] (Var 1);
-        raises "variable outside players" [| 1; 2 |] (And [ Var 1; Var 3 ]));
+        raises "repeated player" [| 1; 2; 1 |] (var 1);
+        raises "variable outside players" [| 1; 2 |] (and_ [ var 1; var 3 ]));
     qtest "walker value = eval_set of every prefix" ~count:200
       (QCheck.pair
          (arb_formula ~nvars:8 ~depth:5)
@@ -288,6 +290,92 @@ let walker_tests =
          (* players 9 and 10 never occur in f *)
          walk_matches_eval_set ~universe:(List.init 10 succ) ~order f) ]
 
+(* ------------------------------------------------------------------ *)
+(* Parser ids, and the annotations every node carries. *)
+
+let id_tests =
+  [ t "parser: names take ids above every x<digits> of the input" (fun () ->
+        List.iter
+          (fun s -> Alcotest.check bigint s Bigint.one (Dpll.count (parse s)))
+          [ "a & !x1"; "x1 & !a"; "x0x1 & !x1" ];
+        Alcotest.(check (list (pair int string))) "a | b" [ (1, "a"); (2, "b") ]
+          (List.sort compare (snd (Parser.formula_of_string "a | b")))) ]
+
+let rec vars_of_view f =
+  match Formula.view f with
+  | Formula.True | Formula.False -> Vset.empty
+  | Formula.Var v -> Vset.singleton v
+  | Formula.Not g -> vars_of_view g
+  | Formula.And gs | Formula.Or gs ->
+    List.fold_left (fun s g -> Vset.union s (vars_of_view g)) Vset.empty gs
+
+let rec subterms f =
+  f
+  :: (match Formula.view f with
+      | Formula.Not g -> subterms g
+      | Formula.And gs | Formula.Or gs -> List.concat_map subterms gs
+      | _ -> [])
+
+(* An equal formula of distinct, unsimplified nodes. *)
+let rec raw_copy f =
+  Formula.make
+    (match Formula.view f with
+     | Formula.Not g -> Formula.Not (raw_copy g)
+     | Formula.And gs -> Formula.And (List.map raw_copy gs)
+     | Formula.Or gs -> Formula.Or (List.map raw_copy gs)
+     | v -> v)
+
+let arb_restriction =
+  QCheck.pair (arb_formula ~nvars:8 ~depth:5)
+    (QCheck.small_list (QCheck.pair (QCheck.int_range 1 8) QCheck.bool))
+
+let node_tests =
+  [ qtest "nodes: cached vars = the variables of the view" ~count:200
+      (arb_formula ~nvars:8 ~depth:5)
+      (fun f ->
+        List.for_all
+          (fun g -> Vset.equal (Formula.vars g) (vars_of_view g))
+          (subterms f @ subterms (raw_copy f)));
+    qtest "nodes: equal implies equal hash" ~count:200
+      (QCheck.pair (arb_formula ~nvars:4 ~depth:3) (arb_formula ~nvars:4 ~depth:3))
+      (fun (f, g) ->
+        let all = subterms f @ subterms g @ subterms (raw_copy f) in
+        Formula.equal f (raw_copy f)
+        && Formula.compare f (raw_copy f) = 0
+        && List.for_all
+             (fun a ->
+               List.for_all
+                 (fun b ->
+                   (not (Formula.equal a b))
+                   || (Formula.hash a = Formula.hash b && Formula.compare a b = 0))
+                 all)
+             all);
+    qtest "nodes: restrict_set keeps a subtree missing the bindings (==)"
+      ~count:200 arb_restriction
+      (fun (f, bs) ->
+        let misses g = List.for_all (fun (v, _) -> not (Vset.mem v (Formula.vars g))) bs in
+        let reference =
+          Formula.map_var
+            (fun u ->
+              match List.assoc_opt u bs with
+              | Some b -> Formula.of_bool b
+              | None -> Formula.var u)
+            f
+        in
+        Formula.equal (Formula.restrict_set bs f) reference
+        && Formula.equal (Formula.restrict_set bs (raw_copy f)) reference
+        && List.for_all
+             (fun g -> (not (misses g)) || Formula.restrict_set bs g == g)
+             (subterms f));
+    qtest "nodes: simplify returns smart-constructed nodes as they are"
+      ~count:200 (arb_formula ~nvars:8 ~depth:5)
+      (fun f ->
+        List.for_all
+          (fun g -> g.Formula.normal && Formula.simplify g == g)
+          (subterms f)
+        && (not (raw_copy f).Formula.normal)
+        && Formula.equal (Formula.simplify (raw_copy f)) f) ]
+
 let suite =
   smart_constructor_tests @ eval_tests @ subst_tests @ parser_tests @ nf_tests
-  @ walker_tests
+  @ walker_tests @ id_tests @ node_tests
