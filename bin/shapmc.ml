@@ -261,15 +261,17 @@ let kcount_cmd =
               ~default:"dpll"
           $ universe_arg $ formula_arg)
 
+(* How a formula's variable prints: its source name from the parser's
+   table, [x<id>] for an id without one. *)
+let name_of names i =
+  match List.assoc_opt i names with
+  | Some n -> n
+  | None -> Printf.sprintf "x%d" i
+
 let print_shap names shap =
-  let name i =
-    match List.assoc_opt i names with
-    | Some n -> n
-    | None -> Printf.sprintf "x%d" i
-  in
   List.iter
     (fun (i, v) ->
-       Printf.printf "%-12s %-14s (~ %.6f)\n" (name i) (Rat.to_string v)
+       Printf.printf "%-12s %-14s (~ %.6f)\n" (name_of names i) (Rat.to_string v)
          (Rat.to_float v))
     shap;
   Printf.printf "%-12s %s\n" "sum"
@@ -405,11 +407,7 @@ let approx_cmd =
     wrap (fun () ->
         let f, names = Parser.formula_of_string s in
         let vars = universe_of ?n f in
-        let name i =
-          match List.assoc_opt i names with
-          | Some nm -> nm
-          | None -> Printf.sprintf "x%d" i
-        in
+        let name = name_of names in
         let estimator =
           match Sampling.estimator_of_string estimator with
           | Some e -> e
@@ -507,14 +505,15 @@ let prob_cmd =
 let factor_cmd =
   let run opts s =
     wrap (fun () ->
-        let f = Parser.formula_of_string_exn s in
+        let f, names = Parser.formula_of_string s in
         if not (Nf.is_positive f) then
           failwith "read-once factoring requires a positive formula";
         with_obs opts (fun () ->
             match Read_once.factor (Nf.formula_to_pdnf f) with
             | Some tree ->
-              Printf.printf "read-once: %s\n"
-                (Formula.to_string (Read_once.tree_to_formula tree))
+              Format.printf "read-once: %a@."
+                (Formula.pp_with ~var:(name_of names))
+                (Read_once.tree_to_formula tree)
             | None -> Printf.printf "not read-once\n"))
   in
   let info =
@@ -525,7 +524,7 @@ let factor_cmd =
 let compile_cmd =
   let run opts target s =
     wrap (fun () ->
-        let f = Parser.formula_of_string_exn s in
+        let f, names = Parser.formula_of_string s in
         with_obs opts (fun () ->
             match target with
          | "circuit" ->
@@ -533,7 +532,7 @@ let compile_cmd =
            Printf.printf "gates: %d  edges: %d  expansions: %d  cache hits: %d\n"
              (Circuit.size c) (Circuit.edge_count c)
              stats.Dpll.branches stats.Dpll.cache_hits;
-           Format.printf "%a@." Circuit.pp c
+           Format.printf "%a@." (Circuit.pp_with ~var:(name_of names)) c
          | "obdd" ->
            let vars = Vset.elements (Formula.vars f) in
            let m = Obdd.create_manager ~order:vars in

@@ -1,36 +1,44 @@
-(* Factorials are cached in a growable table; binomials are derived from the
-   factorial cache rather than a Pascal triangle, which keeps memory linear. *)
+(* [per_n build] memoizes [build n] per [n] in an array that is grown
+   copy-on-write under [lock]: a reader takes no lock, which is safe for
+   the [--jobs] fan-out because a published array is never mutated again
+   (growth and fills install a fresh one).  [build] runs under [lock],
+   which is not re-entrant, so it must not read its own table. *)
+let per_n build =
+  let table = ref [||] and lock = Mutex.create () in
+  let cached n =
+    let t = !table in
+    if n < Array.length t then t.(n) else None
+  in
+  fun n ->
+    match cached n with
+    | Some v -> v
+    | None ->
+      Mutex.lock lock;
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock lock)
+        (fun () ->
+          match cached n with
+          | Some v -> v
+          | None ->
+            let v = build n in
+            let t = !table in
+            let t' = Array.make (Stdlib.max (Array.length t) (n + 1)) None in
+            Array.blit t 0 t' 0 (Array.length t);
+            t'.(n) <- Some v;
+            table := t';
+            v)
 
-let fact_cache = ref [| Bigint.one |]
-
-(* The cache is grown copy-on-write under [lock] (domain-safe for the
-   [--jobs] fan-out); the fast path reads the current array without the
-   lock, which is safe because a published cache array is never mutated
-   again — growth installs a fresh, fully initialised array. *)
-let lock = Mutex.create ()
+let factorials =
+  per_n (fun n ->
+      let f = ref Bigint.one in
+      for i = 2 to n do
+        f := Bigint.mul_int !f i
+      done;
+      !f)
 
 let factorial n =
   if n < 0 then invalid_arg "Combi.factorial: negative";
-  let cache = !fact_cache in
-  if n < Array.length cache then cache.(n)
-  else begin
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-         let cache = !fact_cache in
-         if n < Array.length cache then cache.(n)
-         else begin
-           let old = Array.length cache in
-           let cache' = Array.make (n + 1) Bigint.one in
-           Array.blit cache 0 cache' 0 old;
-           for i = old to n do
-             cache'.(i) <- Bigint.mul cache'.(i - 1) (Bigint.of_int i)
-           done;
-           fact_cache := cache';
-           cache'.(n)
-         end)
-  end
+  factorials n
 
 let binomial n k =
   if n < 0 then invalid_arg "Combi.binomial: negative n";
@@ -62,33 +70,7 @@ let make_row n =
   done;
   { den = !den; weights }
 
-(* Rows are cached per [n], copy-on-write under a mutex like the
-   factorials ([None] is "not yet computed"). *)
-let rows : row option array ref = ref [||]
-let row_lock = Mutex.create ()
-
-let row n =
-  let cached () =
-    let rs = !rows in
-    if n < Array.length rs then rs.(n) else None
-  in
-  match cached () with
-  | Some r -> r
-  | None ->
-    Mutex.lock row_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock row_lock)
-      (fun () ->
-        match cached () with
-        | Some r -> r
-        | None ->
-          let r = make_row n in
-          let rs = !rows in
-          let rs' = Array.make (Stdlib.max (Array.length rs) (n + 1)) None in
-          Array.blit rs 0 rs' 0 (Array.length rs);
-          rs'.(n) <- Some r;
-          rows := rs';
-          r)
+let row = per_n make_row
 
 let shapley_coeff ~n k =
   if k < 0 || k > n - 1 then invalid_arg "Combi.shapley_coeff: k out of range";

@@ -9,9 +9,17 @@
     weights and its normalisation's gcd shrink by that factor.  Reduced
     rationals are unique, so the values are those of the [n!] form.
 
-    All values are memoized; the memo tables grow on demand and are shared
-    across the whole process, which matters because the reductions of
-    Section 3 evaluate [c_k] for every [k] at every variable. *)
+    Factorials and the Eq. (2) rows are memoized per [n] by {!per_n},
+    whose tables are shared across the whole process, which matters
+    because the reductions of Section 3 evaluate [c_k] for every [k] at
+    every variable.  [Kvec]'s binomial rows are its third table. *)
+
+(** [per_n build] is [build] memoized per [n >= 0]: each [build n] runs
+    once, and later calls return that value.  The table grows
+    copy-on-write under one mutex, and reads take no lock, so domains
+    may share it.  [build] runs under that mutex, which is not
+    re-entrant: it must not call the function [per_n] returns. *)
+val per_n : (int -> 'a) -> int -> 'a
 
 (** [factorial n] is [n!]. @raise Invalid_argument if [n < 0]. *)
 val factorial : int -> Bigint.t

@@ -149,26 +149,28 @@ let restrict_set bindings f =
 let restrict v b f = restrict_set [ (v, b) ] f
 let simplify f = restrict_set [] f
 
-let rec pp ppf f =
-  match f.view with
-  | True -> Format.pp_print_string ppf "1"
-  | False -> Format.pp_print_string ppf "0"
-  | Var v -> Format.fprintf ppf "x%d" v
-  | Not f -> Format.fprintf ppf "!%a" pp_atom f
-  | And fs ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ")
-      pp_atom ppf fs
-  | Or fs ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
-      pp_or_arg ppf fs
+let pp_with ~var ppf f =
+  let rec pp ppf f =
+    match f.view with
+    | True -> Format.pp_print_string ppf "1"
+    | False -> Format.pp_print_string ppf "0"
+    | Var v -> Format.pp_print_string ppf (var v)
+    | Not f -> Format.fprintf ppf "!%a" pp_atom f
+    | And fs ->
+      Format.pp_print_list
+        ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ")
+        pp_atom ppf fs
+    | Or fs ->
+      Format.pp_print_list
+        ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
+        pp_or_arg ppf fs
+  (* Arguments of [&] and [!] need parentheses around [|] (and [&] under [!]). *)
+  and pp_atom ppf f =
+    match f.view with And _ | Or _ -> Format.fprintf ppf "(%a)" pp f | _ -> pp ppf f
+  and pp_or_arg ppf f =
+    match f.view with Or _ -> Format.fprintf ppf "(%a)" pp f | _ -> pp ppf f
+  in
+  pp ppf f
 
-(* Arguments of [&] and [!] need parentheses around [|] (and [&] under [!]). *)
-and pp_atom ppf f =
-  match f.view with And _ | Or _ -> Format.fprintf ppf "(%a)" pp f | _ -> pp ppf f
-
-and pp_or_arg ppf f =
-  match f.view with Or _ -> Format.fprintf ppf "(%a)" pp f | _ -> pp ppf f
-
+let pp ppf f = pp_with ~var:(Printf.sprintf "x%d") ppf f
 let to_string f = Format.asprintf "%a" pp f

@@ -116,8 +116,12 @@ val simplify : t -> t
 
 (** {1 Printing} *)
 
-(** [pp] prints with [&], [|], [!] and variables as [x<i>]; output is
-    re-parseable by {!Parser.formula_of_string}. *)
+(** [pp_with ~var] prints with [&], [|] and [!], and variable [v] as
+    [var v]; output is re-parseable by {!Parser.formula_of_string} when
+    the names are identifiers. *)
+val pp_with : var:(int -> string) -> Format.formatter -> t -> unit
+
+(** [pp] is [pp_with] printing variable [v] as [x<v>]. *)
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

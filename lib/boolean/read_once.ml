@@ -14,45 +14,17 @@ let rec tree_vars = function
     List.fold_left (fun acc t -> Vset.union acc (tree_vars t)) Vset.empty ts
 
 (* Components of the complement of the co-occurrence graph (for
-   AND-decomposition): u, v in the same part iff NOT every clause-pair
-   separates them... concretely, u ~ v in the complement iff u and v do
-   not co-occur in any clause; we need the transitive components. *)
+   AND-decomposition).  A variable's keys are itself and every variable
+   no clause holds together with it, so two variables share a key
+   exactly when they are adjacent or have a common neighbour in the
+   complement: the components of {!Vset.components} over the keys are
+   the complement's, and each group's scope is its part. *)
 let complement_components vars clauses =
-  let vars = Vset.elements vars in
   let co_occur u v =
     List.exists (fun c -> Vset.mem u c && Vset.mem v c) clauses
   in
-  (* union-find over vars, joining pairs that do NOT co-occur *)
-  let parent = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace parent v v) vars;
-  let rec find v =
-    let p = Hashtbl.find parent v in
-    if p = v then v
-    else begin
-      let r = find p in
-      Hashtbl.replace parent v r;
-      r
-    end
-  in
-  let union u v =
-    let ru = find u and rv = find v in
-    if ru <> rv then Hashtbl.replace parent ru rv
-  in
-  let rec pairs = function
-    | [] -> ()
-    | u :: rest ->
-      List.iter (fun v -> if not (co_occur u v) then union u v) rest;
-      pairs rest
-  in
-  pairs vars;
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun v ->
-       let r = find v in
-       Hashtbl.replace groups r
-         (Vset.add v (Option.value ~default:Vset.empty (Hashtbl.find_opt groups r))))
-    vars;
-  Hashtbl.fold (fun _ g acc -> g :: acc) groups []
+  let keys u = Vset.filter (fun v -> u = v || not (co_occur u v)) vars in
+  List.map fst (Vset.components ~vars:keys (Vset.elements vars))
 
 exception Not_read_once
 

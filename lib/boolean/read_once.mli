@@ -13,7 +13,10 @@
     AND-decompose along the connected components of the {e complement} of
     the variable co-occurrence graph, verifying that the clause set is
     exactly the cartesian product of the projections; a connected,
-    co-connected function on ≥ 2 variables is not read-once. *)
+    co-connected function on ≥ 2 variables is not read-once.  Both splits
+    are {!Vset.components}: over the clauses, and over the variables
+    keyed by themselves and the variables no clause holds with them, so
+    the parts come in that merge's order. *)
 
 type tree =
   | Leaf of int

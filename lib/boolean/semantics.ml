@@ -31,10 +31,6 @@ let make_eval ~vars f =
          | None -> false)
       f
 
-(** [eval_mask ~vars mask f] evaluates [f] under the valuation that sets
-    [vars.(i)] true iff bit [i] of [mask] is set. *)
-let eval_mask ~vars mask f = make_eval ~vars f mask
-
 (** [fold_model_masks ~vars f init step] folds [step] over all models of
     [f], passed as bit masks over [vars] — the allocation-free core of
     {!fold_models}. *)

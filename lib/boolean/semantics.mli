@@ -8,10 +8,6 @@
 (** Hard cap on enumeration width, to fail fast instead of hanging. *)
 val max_enum_vars : int
 
-(** [eval_mask ~vars mask f] evaluates [f] under the valuation that sets
-    [vars.(i)] true iff bit [i] of [mask] is set. *)
-val eval_mask : vars:int array -> int -> Formula.t -> bool
-
 (** [fold_model_masks ~vars f init step] folds [step] over all models of
     [f], passed as bit masks over [vars] (bit [i] set means [vars.(i)]
     true).  The allocation-free core of {!fold_models}: nothing is

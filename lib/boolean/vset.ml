@@ -6,11 +6,6 @@
 
 include Set.Make (Int)
 
-(** [of_range lo hi] is [{lo, lo+1, ..., hi}] (empty when [hi < lo]). *)
-let of_range lo hi =
-  let rec go acc i = if i < lo then acc else go (add i acc) (i - 1) in
-  go empty hi
-
 (** [universe ~who ~noun ~vars support] is [vars] as a set, checked for
     repeats and for covering [support]. *)
 let universe ~who ~noun ~vars support =

@@ -2,12 +2,12 @@
 
     Shared throughout the library: formulas, valuations (Section 2
     denotes a valuation by the set of variables it maps to 1), circuit
-    gate scopes and lineage clauses are all variable sets. *)
+    gate scopes and lineage clauses are all variable sets.  {!components}
+    is the library's one split into variable-disjoint components: the
+    decomposition search, the safe plan and read-once factoring all call
+    it. *)
 
 include Set.S with type elt = int
-
-(** [of_range lo hi] is [{lo, lo+1, ..., hi}] (empty when [hi < lo]). *)
-val of_range : int -> int -> t
 
 (** [universe ~who ~noun ~vars support] is the player universe [vars]
     as a set, for a function whose variables are [support].
@@ -21,5 +21,7 @@ val pp : Format.formatter -> t -> unit
 (** [components ~vars xs] groups [xs] into the connected components of
     the "shares a variable" relation, where [vars x] is the variable set
     of [x].  Each group is [(scope, members)] with [scope] the union of
-    its members' sets, so distinct groups have disjoint scopes. *)
+    its members' sets, so distinct groups have disjoint scopes.  The
+    order is fixed: each [x] in turn absorbs every group it touches, and
+    the merged group, [x] ahead of the absorbed members, goes first. *)
 val components : vars:('a -> t) -> 'a list -> (t * 'a list) list

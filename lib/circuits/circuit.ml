@@ -127,6 +127,18 @@ let fold f init root =
   go root;
   !acc
 
+let memo f =
+  let table = Hashtbl.create 64 in
+  let rec self g =
+    match Hashtbl.find_opt table g.id with
+    | Some v -> v
+    | None ->
+      let v = f self g in
+      Hashtbl.replace table g.id v;
+      v
+  in
+  self
+
 let size g = fold (fun n _ -> n + 1) 0 g
 
 let edge_count g =
@@ -138,26 +150,15 @@ let edge_count g =
        | Cand gs | Cor (_, gs) -> n + List.length gs)
     0 g
 
-let eval env root =
-  (* Memoized over the DAG so shared gates are evaluated once. *)
-  let memo = Hashtbl.create 64 in
-  let rec go g =
-    match Hashtbl.find_opt memo g.id with
-    | Some b -> b
-    | None ->
-      let b =
-        match g.gate with
-        | Ctrue -> true
-        | Cfalse -> false
-        | Cvar v -> env v
-        | Cnot h -> not (go h)
-        | Cand gs -> List.for_all go gs
-        | Cor (_, gs) -> List.exists go gs
-      in
-      Hashtbl.replace memo g.id b;
-      b
-  in
-  go root
+let eval env =
+  memo (fun self g ->
+      match g.gate with
+      | Ctrue -> true
+      | Cfalse -> false
+      | Cvar v -> env v
+      | Cnot h -> not (self h)
+      | Cand gs -> List.for_all self gs
+      | Cor (_, gs) -> List.exists self gs)
 
 let eval_set s g = eval (fun v -> Vset.mem v s) g
 
@@ -207,22 +208,27 @@ let equivalent_formula ~max_vars g f =
   done;
   !ok
 
-let rec pp ppf g =
-  match g.gate with
-  | Ctrue -> Format.pp_print_string ppf "1"
-  | Cfalse -> Format.pp_print_string ppf "0"
-  | Cvar v -> Format.fprintf ppf "x%d" v
-  | Cnot h -> Format.fprintf ppf "!%a" pp h
-  | Cand gs ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ")
-         pp)
-      gs
-  | Cor (k, gs) ->
-    let sep = match k with Deterministic -> " |d " | Disjoint -> " |x " in
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf "%s" sep)
-         pp)
-      gs
+let pp_with ~var ppf g =
+  let rec pp ppf g =
+    match g.gate with
+    | Ctrue -> Format.pp_print_string ppf "1"
+    | Cfalse -> Format.pp_print_string ppf "0"
+    | Cvar v -> Format.pp_print_string ppf (var v)
+    | Cnot h -> Format.fprintf ppf "!%a" pp h
+    | Cand gs ->
+      Format.fprintf ppf "(%a)"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf " & ")
+           pp)
+        gs
+    | Cor (k, gs) ->
+      let sep = match k with Deterministic -> " |d " | Disjoint -> " |x " in
+      Format.fprintf ppf "(%a)"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf "%s" sep)
+           pp)
+        gs
+  in
+  pp ppf g
+
+let pp ppf g = pp_with ~var:(Printf.sprintf "x%d") ppf g

@@ -13,7 +13,11 @@
     construction} (violations raise).  Determinism of [∨]-gates is a
     semantic property that cannot be checked structurally in polynomial
     time; constructors trust the caller, and {!check_deterministic} verifies
-    it exhaustively for tests. *)
+    it exhaustively for tests.
+
+    A pass that computes one value per distinct node is a {!memo}
+    recursion: {!eval} here, and conditioning, OR-substitution,
+    probability and the counting pass elsewhere. *)
 
 type or_kind =
   | Deterministic  (** children are mutually exclusive *)
@@ -79,8 +83,15 @@ val eval_set : Vset.t -> node -> bool
 val to_formula : node -> Formula.t
 
 (** [fold f init g] folds over reachable nodes in a bottom-up order (each
-    node visited once, after its children). *)
+    node visited once, after its children, which it visits left to
+    right). *)
 val fold : ('a -> node -> 'a) -> 'a -> node -> 'a
+
+(** [memo f] is the memoized recursion [self] with [self g = f self g],
+    computed once per distinct node: [f] reads a child's value through
+    [self].  Each call of [memo f] gets a fresh table, so [self] may be
+    applied to several roots of one pass. *)
+val memo : ((node -> 'a) -> node -> 'a) -> node -> 'a
 
 (** {1 Verification (exponential; for tests)} *)
 
@@ -92,4 +103,8 @@ val check_deterministic : max_vars:int -> node -> bool
 (** [equivalent_formula ~max_vars g f] checks [g ≡ f] by enumeration. *)
 val equivalent_formula : max_vars:int -> node -> Formula.t -> bool
 
+(** [pp_with ~var] prints variable [v] as [var v]. *)
+val pp_with : var:(int -> string) -> Format.formatter -> node -> unit
+
+(** [pp] is [pp_with] printing variable [v] as [x<v>]. *)
 val pp : Format.formatter -> node -> unit

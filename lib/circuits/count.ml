@@ -29,57 +29,52 @@ let complement pow v = Kvec.sub (pow (Kvec.universe_size v)) v
 let scope (g : Circuit.node) = Vset.cardinal g.vars
 
 (* The forward pass: one bottom-up sweep computing every reachable gate's
-   weighted vector over its own scope.  The memo is per call (node ids
-   are process-global, so a persistent memo would never see collisions,
-   but per-call keeps the module stateless).  Besides the memo it returns
-   the gates in top-down order (each gate before all of its children),
-   which the backward pass walks. *)
+   weighted vector over its own scope.  It returns the memoized pass
+   itself, so the backward pass reads gate values through it, and the
+   gates in top-down order (each gate before all of its children), which
+   the backward pass walks. *)
 let forward w pow root =
-  let memo : (int, Kvec.t) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
-  let rec go (g : Circuit.node) =
-    match Hashtbl.find_opt memo g.id with
-    | Some v -> v
-    | None ->
-      let v =
-        match g.gate with
-        | Circuit.Ctrue -> Kvec.const_true ~n:0
-        | Circuit.Cfalse -> Kvec.const_false ~n:0
-        | Circuit.Cvar x -> w.leaf x
-        | Circuit.Cnot h -> complement pow (go h)
-        | Circuit.Cand gs -> Kvec.conv_list (List.map go gs)
-        | Circuit.Cor (Circuit.Deterministic, gs) ->
-          List.fold_left
-            (fun acc h ->
-               Kvec.add acc (smooth pow (go h) ~extra:(scope g - scope h)))
-            (Kvec.const_false ~n:(scope g))
-            gs
-        | Circuit.Cor (Circuit.Disjoint, gs) ->
-          (* all − Π (non-models of children).  Each factor lives on its
-             child's scope, and [conv] adds universes, so [non] lives on
-             Σ|vars h| — which equals |g.vars| exactly because cor_disj
-             enforces pairwise-disjoint child scopes and sets the gate
-             scope to their union.  The [smooth] below is therefore a
-             no-op ([extra = 0]) for every constructible circuit; it
-             pins the invariant so a future scope change cannot silently
-             complement over the wrong universe. *)
-          let non =
-            Kvec.conv_list (List.map (fun h -> complement pow (go h)) gs)
-          in
-          complement pow
-            (smooth pow non ~extra:(scope g - Kvec.universe_size non))
-      in
-      Hashtbl.replace memo g.id v;
-      order := g :: !order;
-      v
+  let value =
+    Circuit.memo (fun go (g : Circuit.node) ->
+        let v =
+          match g.gate with
+          | Circuit.Ctrue -> Kvec.const_true ~n:0
+          | Circuit.Cfalse -> Kvec.const_false ~n:0
+          | Circuit.Cvar x -> w.leaf x
+          | Circuit.Cnot h -> complement pow (go h)
+          | Circuit.Cand gs -> Kvec.conv_list (List.map go gs)
+          | Circuit.Cor (Circuit.Deterministic, gs) ->
+            List.fold_left
+              (fun acc h ->
+                 Kvec.add acc (smooth pow (go h) ~extra:(scope g - scope h)))
+              (Kvec.const_false ~n:(scope g))
+              gs
+          | Circuit.Cor (Circuit.Disjoint, gs) ->
+            (* all − Π (non-models of children).  Each factor lives on its
+               child's scope, and [conv] adds universes, so [non] lives on
+               Σ|vars h| — which equals |g.vars| exactly because cor_disj
+               enforces pairwise-disjoint child scopes and sets the gate
+               scope to their union.  The [smooth] below is therefore a
+               no-op ([extra = 0]) for every constructible circuit; it
+               pins the invariant so a future scope change cannot silently
+               complement over the wrong universe. *)
+            let non =
+              Kvec.conv_list (List.map (fun h -> complement pow (go h)) gs)
+            in
+            complement pow
+              (smooth pow non ~extra:(scope g - Kvec.universe_size non))
+        in
+        order := g :: !order;
+        v)
   in
-  let top = go root in
+  let top = value root in
   (* [order] holds every reachable gate once: the pass's gate count. *)
   if Obs.observing () then begin
     Obs.incr "circuit.kcounts";
     Obs.add "circuit.kcount_gates" (List.length !order)
   end;
-  (memo, !order, top)
+  (value, !order, top)
 
 let check_universe ~vars g =
   ignore
@@ -152,8 +147,7 @@ let differences ~weight ~vars root =
        | Some b -> Kvec.add b a)
   in
   let push_all hs parts = List.iteri (fun i h -> push h parts.(i)) hs in
-  let vec (h : Circuit.node) = Hashtbl.find value h.id in
-  let size h = Kvec.universe_size (vec h) in
+  let size h = Kvec.universe_size (value h) in
   let leaf : (int, Kvec.t) Hashtbl.t = Hashtbl.create 64 in
   (* Padding to the universe multiplies the root by [u^(n − |vars G|)]. *)
   push root (pow (n - Kvec.universe_size top));
@@ -165,12 +159,12 @@ let differences ~weight ~vars root =
        | Circuit.Cvar x -> Hashtbl.replace leaf x a
        | Circuit.Cnot h -> push h (Kvec.neg a)
        | Circuit.Cand hs ->
-         push_all hs (sibling_products a (Array.of_list (List.map vec hs)))
+         push_all hs (sibling_products a (Array.of_list (List.map value hs)))
        | Circuit.Cor (Circuit.Deterministic, hs) ->
          List.iter (fun h -> push h (smooth pow a ~extra:(size g - size h))) hs
        | Circuit.Cor (Circuit.Disjoint, hs) ->
          let non =
-           Array.of_list (List.map (fun h -> complement pow (vec h)) hs)
+           Array.of_list (List.map (fun h -> complement pow (value h)) hs)
          in
          (* Mirrors the forward pass's (no-op) smoothing of [non]. *)
          let extra =

@@ -124,11 +124,6 @@ let import text =
     if Array.length nodes = 0 then invalid_arg "Nnf_io.import: no nodes";
     nodes.(Array.length nodes - 1)
 
-let export_file g ~num_vars path =
-  let oc = open_out path in
-  output_string oc (export g ~num_vars);
-  close_out oc
-
 let import_file path =
   let ic = open_in path in
   let len = in_channel_length ic in

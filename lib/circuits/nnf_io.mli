@@ -25,5 +25,4 @@ val export : Circuit.node -> num_vars:int -> string
     nodes. *)
 val import : string -> Circuit.node
 
-val export_file : Circuit.node -> num_vars:int -> string -> unit
 val import_file : string -> Circuit.node

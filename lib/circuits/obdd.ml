@@ -3,7 +3,6 @@ and desc = Leaf of bool | Node of { v : int; lo : node; hi : node }
 
 type manager = {
   level : (int, int) Hashtbl.t; (* variable -> position in order *)
-  order : int list;
   unique : (int * int * int, node) Hashtbl.t;
   not_memo : (int, node) Hashtbl.t;
   and_memo : (int * int, node) Hashtbl.t;
@@ -24,7 +23,6 @@ let create_manager ~order =
     order;
   {
     level;
-    order;
     unique = Hashtbl.create 1024;
     not_memo = Hashtbl.create 256;
     and_memo = Hashtbl.create 1024;
@@ -35,7 +33,6 @@ let create_manager ~order =
     f_leaf = { id = 0; desc = Leaf false };
   }
 
-let manager_order m = m.order
 let leaf_true m = m.t_leaf
 let leaf_false m = m.f_leaf
 
@@ -222,63 +219,6 @@ let support t =
   go t;
   !acc
 
-(* Counting by model size: [own t] is the count vector of [t] over the
-   universe variables at levels >= level(t); parents bridge level gaps by
-   binomial extension.  [levels] is the sorted list of universe levels. *)
-let count_by_size m ~vars t =
-  let sup = support t in
-  let universe = Vset.of_list vars in
-  if not (Vset.subset sup universe) then
-    invalid_arg "Obdd.count_by_size: universe misses support variables";
-  let levels = List.sort compare (List.map (var_level m) vars) in
-  let n = List.length levels in
-  if List.length (List.sort_uniq compare levels) <> n then
-    invalid_arg "Obdd.count_by_size: duplicate universe variables";
-  (* [after lvl] = number of universe levels at or after [lvl]. *)
-  let count_before lvl =
-    let rec go acc = function
-      | [] -> acc
-      | l :: rest -> if l < lvl then go (acc + 1) rest else acc
-    in
-    go 0 levels
-  in
-  let after lvl = n - count_before lvl in
-  let memo = Hashtbl.create 256 in
-  let rec own t =
-    match t.desc with
-    | Leaf b -> if b then Kvec.const_true ~n:0 else Kvec.const_false ~n:0
-    | Node { v; lo; hi } ->
-      (match Hashtbl.find_opt memo t.id with
-       | Some kv -> kv
-       | None ->
-         let lvl = var_level m v in
-         let below = after (lvl + 1) in
-         let child c =
-           let c_own = own c in
-           let c_scope =
-             match c.desc with
-             | Leaf _ -> 0
-             | Node { v = cv; _ } -> after (var_level m cv)
-           in
-           Kvec.extend c_own ~extra:(below - c_scope)
-         in
-         let kv =
-           Kvec.add
-             (Kvec.conv Kvec.singleton_false (child lo))
-             (Kvec.conv Kvec.singleton_true (child hi))
-         in
-         Hashtbl.replace memo t.id kv;
-         kv)
-  in
-  let root_scope =
-    match t.desc with
-    | Leaf _ -> 0
-    | Node { v; _ } -> after (var_level m v)
-  in
-  Kvec.extend (own t) ~extra:(n - root_scope)
-
-let count m ~vars t = Kvec.total (count_by_size m ~vars t)
-
 let to_circuit m t =
   let _ = m in
   let memo = Hashtbl.create 256 in
@@ -298,3 +238,12 @@ let to_circuit m t =
          c)
   in
   go t
+
+(* [to_circuit] builds deterministic, decomposable Shannon gadgets over
+   exactly the support, so {!Count} counts them; a universe variable
+   outside the manager's order is refused first, as [var] refuses it. *)
+let count_by_size m ~vars t =
+  List.iter (fun v -> ignore (var_level m v)) vars;
+  Count.count_by_size ~vars (to_circuit m t)
+
+let count m ~vars t = Kvec.total (count_by_size m ~vars t)

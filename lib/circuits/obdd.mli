@@ -8,7 +8,8 @@
     equality — giving a cheap equivalence test used by the test suite and
     by the hierarchical-lineage experiments (Olteanu–Huang [27] compile
     hierarchical-query lineage to OBDDs; our {!of_formula} plays that
-    role). *)
+    role).  Counting runs no pass of its own: {!count_by_size} counts
+    {!to_circuit}'s circuit with {!Count}. *)
 
 type manager
 type node
@@ -17,9 +18,6 @@ type node
     Variables not listed may not be used with this manager.
     @raise Invalid_argument on duplicates. *)
 val create_manager : order:int list -> manager
-
-(** [manager_order m] returns the order list. *)
-val manager_order : manager -> int list
 
 val leaf_true : manager -> node
 val leaf_false : manager -> node
@@ -54,13 +52,16 @@ val eval_set : Vset.t -> node -> bool
 (** [size t] is the number of distinct nodes (including leaves). *)
 val size : node -> int
 
-(** [count m ~vars t] is the model count over the universe [vars] (every
-    listed variable must be in the manager's order).
-    @raise Invalid_argument otherwise. *)
-val count : manager -> vars:int list -> node -> Bigint.t
-
-(** [count_by_size m ~vars t] is the stratified vector over [vars]. *)
+(** [count_by_size m ~vars t] is the stratified vector over [vars]:
+    {!Count.count_by_size} of {!to_circuit}.
+    @raise Invalid_argument if [vars] holds a variable outside the
+    manager's order, lists a variable twice or misses {!support}. *)
 val count_by_size : manager -> vars:int list -> node -> Kvec.t
+
+(** [count m ~vars t] is the model count over the universe [vars], the
+    total of {!count_by_size}.
+    @raise Invalid_argument as {!count_by_size} does. *)
+val count : manager -> vars:int list -> node -> Bigint.t
 
 (** [to_circuit m t] exports to a deterministic & decomposable circuit of
     size [O(size t)]. *)

@@ -20,28 +20,20 @@ let neg_chain zs =
 let install blocks root =
   let block_tbl = Hashtbl.create 16 in
   List.iter (fun (v, zs) -> Hashtbl.replace block_tbl v zs) blocks;
-  let memo = Hashtbl.create 64 in
-  let rec go (g : Circuit.node) =
-    match Hashtbl.find_opt memo g.id with
-    | Some h -> h
-    | None ->
-      let h =
-        match g.gate with
-        | Circuit.Ctrue | Circuit.Cfalse -> g
-        | Circuit.Cvar v -> det_or_chain (Hashtbl.find block_tbl v)
-        | Circuit.Cnot { gate = Circuit.Cvar v; _ } ->
-          neg_chain (Hashtbl.find block_tbl v)
-        | Circuit.Cnot x -> Circuit.cnot (go x)
-        | Circuit.Cand gs -> Circuit.cand (List.map go gs)
-        | Circuit.Cor (Circuit.Deterministic, gs) ->
-          Circuit.cor_det (List.map go gs)
-        | Circuit.Cor (Circuit.Disjoint, gs) ->
-          Circuit.cor_disj (List.map go gs)
-      in
-      Hashtbl.replace memo g.id h;
-      h
-  in
-  go root
+  Circuit.memo
+    (fun go (g : Circuit.node) ->
+       match g.gate with
+       | Circuit.Ctrue | Circuit.Cfalse -> g
+       | Circuit.Cvar v -> det_or_chain (Hashtbl.find block_tbl v)
+       | Circuit.Cnot { gate = Circuit.Cvar v; _ } ->
+         neg_chain (Hashtbl.find block_tbl v)
+       | Circuit.Cnot x -> Circuit.cnot (go x)
+       | Circuit.Cand gs -> Circuit.cand (List.map go gs)
+       | Circuit.Cor (Circuit.Deterministic, gs) ->
+         Circuit.cor_det (List.map go gs)
+       | Circuit.Cor (Circuit.Disjoint, gs) ->
+         Circuit.cor_disj (List.map go gs))
+    root
 
 (* Pre/post gate counts witness Lemma 9's O(|G| + k·ℓ) bound. *)
 let or_subst ?universe ~widths root =

@@ -1,33 +1,23 @@
 let uniform_half _ = Rat.of_ints 1 2
 
-let probability ~weights root =
-  let memo = Hashtbl.create 64 in
-  let rec go (g : Circuit.node) =
-    match Hashtbl.find_opt memo g.id with
-    | Some p -> p
-    | None ->
-      let p =
-        match g.gate with
-        | Circuit.Ctrue -> Rat.one
-        | Circuit.Cfalse -> Rat.zero
-        | Circuit.Cvar v -> weights v
-        | Circuit.Cnot h -> Rat.sub Rat.one (go h)
-        | Circuit.Cand gs ->
-          List.fold_left (fun acc h -> Rat.mul acc (go h)) Rat.one gs
-        | Circuit.Cor (Circuit.Deterministic, gs) ->
-          (* mutually exclusive: probabilities add *)
-          List.fold_left (fun acc h -> Rat.add acc (go h)) Rat.zero gs
-        | Circuit.Cor (Circuit.Disjoint, gs) ->
-          (* independent union: 1 − Π (1 − p) *)
-          Rat.sub Rat.one
-            (List.fold_left
-               (fun acc h -> Rat.mul acc (Rat.sub Rat.one (go h)))
-               Rat.one gs)
-      in
-      Hashtbl.replace memo g.id p;
-      p
-  in
-  go root
+let probability ~weights =
+  Circuit.memo (fun go (g : Circuit.node) ->
+      match g.gate with
+      | Circuit.Ctrue -> Rat.one
+      | Circuit.Cfalse -> Rat.zero
+      | Circuit.Cvar v -> weights v
+      | Circuit.Cnot h -> Rat.sub Rat.one (go h)
+      | Circuit.Cand gs ->
+        List.fold_left (fun acc h -> Rat.mul acc (go h)) Rat.one gs
+      | Circuit.Cor (Circuit.Deterministic, gs) ->
+        (* mutually exclusive: probabilities add *)
+        List.fold_left (fun acc h -> Rat.add acc (go h)) Rat.zero gs
+      | Circuit.Cor (Circuit.Disjoint, gs) ->
+        (* independent union: 1 − Π (1 − p) *)
+        Rat.sub Rat.one
+          (List.fold_left
+             (fun acc h -> Rat.mul acc (Rat.sub Rat.one (go h)))
+             Rat.one gs))
 
 (* Leaf [v]'s true weight [q·p_v + q·e_v·t] is [q] times its terms for
    [S ∌ v] (probability [p_v]) and for [S ∋ v] (entity value [e_v]); its

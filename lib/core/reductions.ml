@@ -1,20 +1,22 @@
 let or_points ~count =
   Array.init count (fun idx -> Rat.of_bigint (Bigint.two_pow_minus_one (idx + 1)))
 
-(* Solve the Vandermonde system at nodes 2^l − 1 and return integer
-   unknowns; every solution in the paper's systems is an integer vector
-   (model counts), so a non-integer solution indicates an oracle bug. *)
-let solve_integer_vandermonde ~points ~values ~what =
-  Obs.with_span "reductions.solve_integer_vandermonde"
-    ~attrs:[ ("nodes", Trace.Int (Array.length points)); ("for", Trace.Str what) ]
-  @@ fun () ->
-  let sol = Linalg.vandermonde_solve ~points ~values in
+(* Every solution of the paper's systems is an integer vector (model
+   counts or their differences), so a non-integer unknown indicates an
+   oracle bug. *)
+let integers ~what sol =
   Array.map
     (fun r ->
        if not (Rat.is_integer r) then
          failwith (what ^ ": non-integral solution (broken oracle?)");
        Rat.to_bigint r)
     sol
+
+(* Solve the Vandermonde system at nodes 2^l − 1 for integer unknowns. *)
+let solve_integer_vandermonde ~points ~values ~what =
+  Obs.with_span "reductions.solve_integer_vandermonde"
+    ~attrs:[ ("nodes", Trace.Int (Array.length points)); ("for", Trace.Str what) ]
+  @@ fun () -> integers ~what (Linalg.vandermonde_solve ~points ~values)
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 3.2 *)
@@ -97,14 +99,9 @@ let kcounts_via_probability ~n ~prob =
          Rat.div p (pow (Rat.sub Rat.one theta) n))
       (n + 1)
   in
-  let sol = Linalg.vandermonde_solve ~points ~values in
   Kvec.make ~n
-    (Array.map
-       (fun r ->
-          if not (Rat.is_integer r) then
-            failwith "kcounts_via_probability: non-integral count";
-          Rat.to_bigint r)
-       sol)
+    (integers ~what:"kcounts_via_probability"
+       (Linalg.vandermonde_solve ~points ~values))
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 3.4 *)
@@ -156,13 +153,7 @@ let lemma34_factor ~n =
    values Shap(F^(l,i), Z_i) = Σ_j M[l,j] d_j, l = 1..n. *)
 let differences_for_position ~lu ~n ~shap_subst ~pos =
   let values = Array.init n (fun idx -> shap_subst ~l:(idx + 1) ~pos) in
-  let d = Linalg.lu_solve lu values in
-  Array.map
-    (fun r ->
-       if not (Rat.is_integer r) then
-         failwith "count_via_shap: non-integral difference (broken oracle?)";
-       Rat.to_bigint r)
-    d
+  integers ~what:"count_via_shap" (Linalg.lu_solve lu values)
 
 let kcounts_via_shap ~n ~f_zero ~shap_subst =
   (* Claim 3.6: Σ_i d_k(i) = (k+1) #_{k+1} F − (n−k) #_k F; telescope from

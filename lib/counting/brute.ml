@@ -43,10 +43,3 @@ let count_by_size ~vars f =
       let k = popcount mask in
       counts.(k) <- counts.(k) + 1);
   Kvec.make ~n (Array.map Bigint.of_int counts)
-
-(** [count_formula f] counts over exactly the variables of [f]. *)
-let count_formula f = count ~vars:(Vset.elements (Formula.vars f)) f
-
-(** [count_by_size_formula f] is {!count_by_size} over the variables of [f]. *)
-let count_by_size_formula f =
-  count_by_size ~vars:(Vset.elements (Formula.vars f)) f

@@ -10,10 +10,3 @@ val count : vars:int list -> Formula.t -> Bigint.t
 
 (** [count_by_size ~vars f] is the vector [#_{0..n} F] over [vars]. *)
 val count_by_size : vars:int list -> Formula.t -> Kvec.t
-
-(** [count_formula f] counts over exactly the variables of [f]. *)
-val count_formula : Formula.t -> Bigint.t
-
-(** [count_by_size_formula f] is {!count_by_size} over the variables of
-    [f]. *)
-val count_by_size_formula : Formula.t -> Kvec.t

@@ -68,45 +68,19 @@ let zero ~n =
   check_universe n;
   Native (Array.make (n + 1) 0)
 
-(* Binomial rows for [all ~n], built once per [n] by Pascal's rule and
-   shared thereafter: rows are immutable and every operation below
+(* Binomial rows for [all ~n], built once per [n] and shared thereafter
+   ([Combi.per_n]): rows are immutable and every operation below
    allocates fresh output arrays, never mutating a vector in place.
-   Rows up to n = 65 are native: C(65,32) fits a native int and
-   C(66,33) does not.  Copy-on-write under a mutex for domain safety
-   (same pattern as the factorial cache in [Combi]). *)
-let binom_rows : t array ref = ref [||]
-let binom_lock = Mutex.create ()
-
-let binom_row n =
-  let rows = !binom_rows in
-  if n < Array.length rows then rows.(n)
-  else begin
-    Mutex.lock binom_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock binom_lock)
-      (fun () ->
-        let rows = !binom_rows in
-        let have = Array.length rows in
-        if n < have then rows.(n)
-        else begin
-          let rows' =
-            Array.init (n + 1) (fun k -> if k < have then rows.(k) else Native [||])
-          in
-          for k = have to n do
-            rows'.(k) <-
-              (if k = 0 then Native [| 1 |]
-               else begin
-                 let prev = bigs rows'.(k - 1) in
-                 of_bigs
-                   (Array.init (k + 1) (fun i ->
-                        if i = 0 || i = k then Bigint.one
-                        else Bigint.add prev.(i - 1) prev.(i)))
-               end)
-          done;
-          binom_rows := rows';
-          rows'.(n)
-        end)
-  end
+   [C(n,k+1) = C(n,k)·(n−k)/(k+1)] divides exactly.  Rows up to n = 65
+   are native: C(65,32) fits a native int and C(66,33) does not. *)
+let binom_row =
+  Combi.per_n (fun n ->
+      let row = Array.make (n + 1) Bigint.one in
+      for k = 0 to n - 1 do
+        row.(k + 1) <-
+          Bigint.div (Bigint.mul_int row.(k) (n - k)) (Bigint.of_int (k + 1))
+      done;
+      of_bigs row)
 
 let all ~n =
   check_universe n;

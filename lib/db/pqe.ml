@@ -1,9 +1,6 @@
 let probability db q ~weights =
   Prob.probability ~weights (fst (Dichotomy.circuit db q))
 
-let uniform_probability db q ~theta =
-  probability db q ~weights:(fun _ -> theta)
-
 let shapley_via_pqe db q =
   let universe = Vset.elements (Database.lineage_vars db) in
   let f = Lineage.lineage_formula db q in

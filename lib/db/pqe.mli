@@ -20,10 +20,6 @@
 val probability :
   Database.t -> Cq.t -> weights:(int -> Rat.t) -> Rat.t
 
-(** [uniform_probability db q ~theta] sets every tuple's probability to
-    [theta]. *)
-val uniform_probability : Database.t -> Cq.t -> theta:Rat.t -> Rat.t
-
 (** [shapley_via_pqe db q] computes every tuple's Shapley value using
     only PQE evaluations (at [n+1] distinct uniform probabilities, per
     restricted database), following Deutch et al. [13]. *)

@@ -2,9 +2,10 @@ exception Not_safe of string
 
 (* The residual query during planning: each atom with its partially
    substituted arguments (we reuse Cq.atom, substituting constants in
-   place) and the rows of its relation still consistent with the
-   constants bound so far. *)
-type part = { atom : Cq.atom; rows : Database.stored list }
+   place), the rows of its relation still consistent with the constants
+   bound so far, and its unbound query variables as ids: the query's
+   variable names in sorted order are [names.(0)], [names.(1)], ... *)
+type part = { atom : Cq.atom; rows : Database.stored list; vars : Vset.t }
 
 let subst_atom x v (a : Cq.atom) =
   {
@@ -15,48 +16,12 @@ let subst_atom x v (a : Cq.atom) =
         a.args;
   }
 
-let atom_vars (a : Cq.atom) =
-  Array.to_list a.args
-  |> List.filter_map (function Cq.V x -> Some x | Cq.C _ -> None)
-  |> List.sort_uniq compare
-
-let is_ground p = atom_vars p.atom = []
-
 (* A ground atom keeps at most one row (set semantics): its leaf. *)
 let row_leaf p =
   match p.rows with
   | [] -> Circuit.cfalse
   | { Database.lvar = None; _ } :: _ -> Circuit.ctrue
   | { Database.lvar = Some v; _ } :: _ -> Circuit.cvar v
-
-(* Connected components of atoms sharing query variables. *)
-let components parts =
-  let merge groups (vs, members) =
-    let touching, rest =
-      List.partition
-        (fun (ws, _) -> List.exists (fun v -> List.mem v ws) vs)
-        groups
-    in
-    let vs' =
-      List.sort_uniq compare
-        (vs @ List.concat_map fst touching)
-    in
-    (vs', members @ List.concat_map snd touching) :: rest
-  in
-  List.fold_left merge []
-    (List.map (fun p -> (atom_vars p.atom, [ p ])) parts)
-
-let occurs x (a : Cq.atom) =
-  Array.exists (function Cq.V y -> y = x | Cq.C _ -> false) a.args
-
-(* A root variable of a connected residual query: occurs in all atoms. *)
-let root_variable parts =
-  match parts with
-  | [] -> None
-  | first :: _ ->
-    List.find_opt
-      (fun x -> List.for_all (fun p -> occurs x p.atom) parts)
-      (atom_vars first.atom)
 
 (* [p]'s rows by the value they give [x].  A row counts only when all of
    [x]'s positions hold that one value. *)
@@ -76,24 +41,33 @@ let by_value x p =
     p.rows;
   table
 
-let rec plan parts =
-  let ground, open_parts = List.partition is_ground parts in
+(* Variable-disjoint components of the residual query are independent. *)
+let rec plan names parts =
+  let ground, open_parts = List.partition (fun p -> Vset.is_empty p.vars) parts in
   let ground_circuits = List.map row_leaf ground in
   let rest =
     List.map
-      (fun (_, members) -> plan_connected members)
-      (components open_parts)
+      (fun (_, members) -> plan_connected names members)
+      (Vset.components ~vars:(fun p -> p.vars) open_parts)
   in
   (* SJF guarantees the parts use disjoint lineage variables. *)
   Circuit.cand (ground_circuits @ rest)
 
-and plan_connected parts =
-  match root_variable parts with
+(* The root variable occurs in all atoms of a connected residual query;
+   of several, the least id, i.e. the first name in sorted order. *)
+and plan_connected names parts =
+  let common =
+    match parts with
+    | [] -> Vset.empty
+    | p :: rest -> List.fold_left (fun s q -> Vset.inter s q.vars) p.vars rest
+  in
+  match Vset.min_elt_opt common with
   | None ->
     raise
       (Not_safe
          "connected subquery without a root variable (query not hierarchical)")
-  | Some x ->
+  | Some id ->
+    let x = names.(id) in
     (* Only a value every atom has a row for can satisfy the subquery;
        the others would plan to [false], which [cor_disj] drops. *)
     let tables = List.map (by_value x) parts in
@@ -105,10 +79,11 @@ and plan_connected parts =
         (List.hd tables) []
     in
     let branch v =
-      plan
+      plan names
         (List.map2
            (fun p t ->
-              { atom = subst_atom x v p.atom; rows = Hashtbl.find t v })
+              { atom = subst_atom x v p.atom; rows = Hashtbl.find t v;
+                vars = Vset.remove id p.vars })
            parts tables)
     in
     (* Different values of x touch disjoint sets of tuples (each tuple
@@ -116,13 +91,18 @@ and plan_connected parts =
     Circuit.cor_disj (List.map branch (List.sort Value.compare values))
 
 (* A query atom's rows: those of its relation that hold its constants. *)
-let initial db (a : Cq.atom) =
+let initial db id (a : Cq.atom) =
   let holds (s : Database.stored) =
     Array.for_all2
       (fun t v -> match t with Cq.C c -> Value.equal v c | Cq.V _ -> true)
       a.args s.values
   in
-  { atom = a; rows = List.filter holds (Database.tuples db a.rel) }
+  let vars =
+    Array.fold_left
+      (fun vs t -> match t with Cq.V x -> Vset.add (id x) vs | Cq.C _ -> vs)
+      Vset.empty a.args
+  in
+  { atom = a; rows = List.filter holds (Database.tuples db a.rel); vars }
 
 let lineage_circuit db q =
   Cq.check_against q db;
@@ -131,7 +111,10 @@ let lineage_circuit db q =
   if not (Cq.is_self_join_free q) then
     raise (Not_safe "query has self-joins");
   if not (Cq.is_hierarchical q) then raise (Not_safe "query not hierarchical");
-  plan (List.map (initial db) q.Cq.atoms)
+  let names = Array.of_list (List.sort_uniq compare (Cq.variables q)) in
+  let ids = Hashtbl.create 8 in
+  Array.iteri (fun i x -> Hashtbl.replace ids x i) names;
+  plan names (List.map (initial db (Hashtbl.find ids)) q.Cq.atoms)
 
 let shapley db q =
   let c = lineage_circuit db q in
@@ -142,21 +125,13 @@ let shapley db q =
    left-to-right leaf traversal of the circuit is exactly the
    Olteanu–Huang variable order. *)
 let obdd_order db q =
-  let c = lineage_circuit db q in
-  let seen = Hashtbl.create 64 in
-  let order = ref [] in
-  let rec visit (g : Circuit.node) =
-    if not (Hashtbl.mem seen g.id) then begin
-      Hashtbl.replace seen g.id ();
-      match g.gate with
-      | Circuit.Cvar v -> order := v :: !order
-      | Circuit.Ctrue | Circuit.Cfalse -> ()
-      | Circuit.Cnot h -> visit h
-      | Circuit.Cand gs | Circuit.Cor (_, gs) -> List.iter visit gs
-    end
+  let touched =
+    List.rev
+      (Circuit.fold
+         (fun acc (g : Circuit.node) ->
+            match g.gate with Circuit.Cvar v -> v :: acc | _ -> acc)
+         [] (lineage_circuit db q))
   in
-  visit c;
-  let touched = List.rev !order in
   let rest =
     Vset.elements
       (Vset.diff (Database.lineage_vars db) (Vset.of_list touched))

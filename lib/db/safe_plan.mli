@@ -7,9 +7,12 @@
     The plan recursion:
 
     - variable-disjoint connected components of the residual query are
-      independent: decomposable AND;
+      independent: decomposable AND.  They are {!Vset.components} over
+      each atom's unbound query variables, as ids numbered in name
+      order;
     - a connected residual query has a {e root variable} occurring in all
-      its atoms (hierarchical + connected guarantees one); branching on its
+      its atoms (hierarchical + connected guarantees one; the plan takes
+      the least id, the first name in sorted order); branching on its
       possible values produces subqueries whose lineages use disjoint sets
       of tuples (SJF): variable-disjoint OR;
     - ground atoms resolve to the tuple's lineage variable (endogenous),
@@ -43,7 +46,8 @@ val shapley : Database.t -> Cq.t -> (int * Rat.t) list
 (** [obdd_order db q] is a variable order under which the OBDD of the
     lineage stays polynomial — the Olteanu–Huang route [27] that
     Claim 5.3 cites: variables are emitted in the left-to-right order the
-    safe plan touches them, keeping each decomposition block contiguous.
+    safe plan touches them (its circuit's leaves in {!Circuit.fold}'s
+    order), keeping each decomposition block contiguous.
     (Contrast: interleaving blocks can blow the OBDD up exponentially;
     experiment E17 measures both.)  The order contains every lineage
     variable of [db], plan-touched ones first.

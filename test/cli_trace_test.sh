@@ -101,6 +101,25 @@ for cmd in count kcount shap banzhaf approx prob factor compile export-nnf; do
     || fail "$cmd on a parse error printed: $(cat perr.log)"
 done
 
+# factor and compile print a variable by its source name, and an id
+# without one as x<id>.  The AND parts of a read-once factoring come in
+# the order of Vset.components over the variables.
+expect_out() {
+  local out
+  out=$("$exe" "$1" "$2") || fail "$1 $2 exited non-zero"
+  [ "$out" = "$3" ] || fail "$1 $2 printed:
+$out
+want:
+$3"
+}
+expect_out factor "a & b | a & c | d" "read-once: d | (c | b) & a"
+expect_out factor "x2 & a | x2 & b" "read-once: (b | a) & x2"
+expect_out factor "x1 & x2 | x3 & x4" "read-once: x4 & x3 | x2 & x1"
+expect_out compile "a & b | c" "gates: 5  edges: 4  expansions: 0  cache hits: 0
+(c |x (b & a))"
+expect_out compile "x2 & a | x2 & b" "gates: 5  edges: 4  expansions: 1  cache hits: 0
+((b |x a) & x2)"
+
 # --stats pinned byte for byte: the oracle-call table, the substitution
 # aggregates, the counters and the span table of the commands below, with
 # every number of four or more decimals (timings, float estimates)

@@ -1867,8 +1867,163 @@ let old_search_tests =
             [ Formula.or_ [ g; h ];
               Formula.and_ [ Formula.or_ [ g; x ]; Formula.or_ [ h; x ] ] ]) ]
 
+(* ------------------------------------------------------------------ *)
+(* The safe plan's components, as the plan grouped them on query
+   variable names before it called [Vset.components]: the same merge on
+   sorted string lists, which [Old_plan] keeps.  Over ids assigned in
+   name order, the one merge must give the same groups, scopes and
+   members (==), in the same order. *)
+module Old_components = struct
+  let atom_vars = Old_plan.atom_vars
+  let components = Old_plan.components
+end
+
+(* Residual atom lists: up to eight atoms of arity 0..3 over five
+   variable names and two constants, so atoms share, miss and repeat
+   variables, and some are ground. *)
+let arb_residual =
+  let open QCheck.Gen in
+  let term =
+    frequency
+      [ (4, map (fun i -> Cq.V [| "x"; "y"; "z"; "u"; "w" |].(i)) (int_bound 4));
+        (1, map (fun c -> Cq.C (Value.int c)) (int_range 1 2)) ]
+  in
+  let atom i =
+    map (Cq.atom (Printf.sprintf "R%d" i)) (list_size (int_range 0 3) term)
+  in
+  QCheck.make
+    ~print:(fun atoms -> Cq.to_string (Cq.make atoms))
+    (int_range 0 8 >>= fun k -> flatten_l (List.init k atom))
+
+let same_components atoms =
+  let names =
+    List.sort_uniq compare (List.concat_map Old_components.atom_vars atoms)
+  in
+  let id x =
+    let rec go i = function
+      | y :: rest -> if y = x then i else go (i + 1) rest
+      | [] -> assert false
+    in
+    go 0 names
+  in
+  let ids a = Vset.of_list (List.map id (Old_components.atom_vars a)) in
+  let name i = List.nth names i in
+  let old = Old_components.components atoms
+  and groups = Vset.components ~vars:ids atoms in
+  List.compare_lengths old groups = 0
+  && List.for_all2
+       (fun (vs, members) (scope, members') ->
+         vs = List.map name (Vset.elements scope)
+         && List.compare_lengths members members' = 0
+         && List.for_all2 ( == ) members members')
+       old groups
+
+(* ------------------------------------------------------------------ *)
+(* OBDD counting as the manager did it before it counted [to_circuit]'s
+   circuit: the pass over the nodes that bridges level gaps by binomial
+   extension, less its memo table, with the same three rejections in the
+   same order.  A reduced node tests the first variable of its support
+   in the order, and its children are its two restrictions. *)
+module Old_obdd_count = struct
+  let count_by_size ~order m ~vars t =
+    let level v =
+      match List.find_index (( = ) v) order with
+      | Some l -> l
+      | None -> invalid_arg "Obdd: variable not in manager order"
+    in
+    if not (Vset.subset (Obdd.support t) (Vset.of_list vars)) then
+      invalid_arg "Obdd.count_by_size: universe misses support variables";
+    let levels = List.sort compare (List.map level vars) in
+    let n = List.length levels in
+    if List.length (List.sort_uniq compare levels) <> n then
+      invalid_arg "Obdd.count_by_size: duplicate universe variables";
+    let after lvl = List.length (List.filter (fun l -> l >= lvl) levels) in
+    let top t =
+      Vset.fold
+        (fun v acc ->
+          match acc with
+          | Some w when level w < level v -> acc
+          | _ -> Some v)
+        (Obdd.support t) None
+    in
+    let scope t = match top t with None -> 0 | Some v -> after (level v) in
+    let rec own t =
+      match top t with
+      | None ->
+        if Obdd.is_true t then Kvec.const_true ~n:0 else Kvec.const_false ~n:0
+      | Some v ->
+        let below = after (level v + 1) in
+        let child b =
+          let c = Obdd.restrict m v b t in
+          Kvec.extend (own c) ~extra:(below - scope c)
+        in
+        Kvec.add
+          (Kvec.conv Kvec.singleton_false (child false))
+          (Kvec.conv Kvec.singleton_true (child true))
+    in
+    Kvec.extend (own t) ~extra:(n - scope t)
+end
+
+let raises f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* A formula over 1..6 under a random order of 1..8, counted over its
+   variables, the extra 7 and 8 that some universes hold, in random
+   order; then the universe without a support variable, with a repeat,
+   and with 9, which the order does not hold. *)
+let obdd_counts_agree (f, seed) =
+  let st = Random.State.make [| seed |] in
+  let shuffle l = QCheck.Gen.generate1 ~rand:st (QCheck.Gen.shuffle_l l) in
+  let order = shuffle (universe 8) in
+  let m = Obdd.create_manager ~order in
+  let t = Obdd.of_formula m f in
+  let extra = List.filter (fun _ -> Random.State.bool st) [ 7; 8 ] in
+  let vars = shuffle (universe 6 @ extra) in
+  let old vars () = Old_obdd_count.count_by_size ~order m ~vars t
+  and now vars () = Obdd.count_by_size m ~vars t in
+  let both_raise vars = raises (old vars) && raises (now vars) in
+  Kvec.equal (old vars ()) (now vars ())
+  && Bigint.equal (Kvec.total (old vars ())) (Obdd.count m ~vars t)
+  && (Vset.is_empty (Obdd.support t)
+      || both_raise
+           (List.filter (( <> ) (Vset.min_elt (Obdd.support t))) vars))
+  && both_raise (List.hd vars :: vars)
+  && both_raise (9 :: vars)
+
+let merge_tests =
+  [ dtest ~seed:22 ~count:100
+      "components: Vset.components over ids = the plan's string merge"
+      arb_residual same_components;
+    dtest ~seed:23 ~count:40 "obdd: counts through Count = the level-gap pass"
+      (QCheck.pair (arb_formula ~nvars:6 ~depth:4) QCheck.(int_bound 1_000_000))
+      obdd_counts_agree;
+    Alcotest.test_case "per-n: factorial n = running product, n = 0..300"
+      `Quick (fun () ->
+        let product = ref Bigint.one in
+        let expect =
+          List.init 301 (fun n ->
+              if n > 0 then product := Bigint.mul_int !product n;
+              !product)
+        in
+        Alcotest.(check (list bigint)) "factorials" expect
+          (List.init 301 Combi.factorial));
+    Alcotest.test_case
+      "per-n: Kvec.all = Combi.binomial rows, native exactly to n = 65"
+      `Quick (fun () ->
+        for n = 0 to 130 do
+          let row = Array.init (n + 1) (Combi.binomial n) in
+          (* [Kvec.make] takes the canonical tier and [Kvec.equal] never
+             equates two tiers, so this pins the tier too. *)
+          Alcotest.(check bool)
+            (Printf.sprintf "row %d" n) true
+            (Kvec.equal (Kvec.all ~n) (Kvec.make ~n row));
+          Alcotest.(check bool)
+            (Printf.sprintf "row %d fits a native int" n) (n <= 65)
+            (Bigint.leq row.(n / 2) (Bigint.of_int max_int))
+        done) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
   @ backward_edge_cases @ search_tests @ block_tests @ e2e_shape_tests
   @ join_tests @ chain_tests @ ledger_tests @ backward_quotient_cases
-  @ plan_tests @ old_search_tests
+  @ plan_tests @ old_search_tests @ merge_tests

@@ -281,5 +281,62 @@ let cap_tests =
              Alcotest.(check bool) "aggregates" true (aggs1 = aggs))
           [ 2; 4 ]) ]
 
+(* ------------------------------------------------------------------ *)
+(* The per-n tables ([Combi.per_n]) under domains: four domains ask for
+   factorials, Eq. (2) rows and binomial rows in four random orders, past
+   what earlier tests filled, and all get the values of one domain's
+   running products and Pascal's rule. *)
+
+let per_n_ns = List.init 401 Fun.id
+
+(* c_k = 1 / (n·C(n−1,k)), and row n/2 by Pascal's rule; forced while
+   the first domains run. *)
+let per_n_expect =
+  lazy
+    (let factorial = ref Bigint.one and row = ref [| Bigint.one |] in
+     List.map
+       (fun n ->
+          if n > 0 then factorial := Bigint.mul_int !factorial n;
+          if n > 0 && n mod 2 = 0 then
+            row :=
+              Array.init ((n / 2) + 1) (fun k ->
+                  if k = 0 || k = n / 2 then Bigint.one
+                  else Bigint.add !row.(k - 1) !row.(k));
+          ( !factorial,
+            Kvec.make ~n:(n / 2) !row,
+            if n = 0 then Rat.zero
+            else
+              Rat.make Bigint.one
+                (Bigint.mul_int (Combi.binomial (n - 1) (n / 2)) n) ))
+       per_n_ns)
+
+let per_n_tests =
+  [ dtest ~seed:5 ~count:3 "per-n tables: four domains in any order agree"
+      QCheck.(int_bound 1_000_000)
+      (fun seed ->
+         let st = Random.State.make [| seed |] in
+         let values n =
+           ( Combi.factorial n,
+             Kvec.all ~n:(n / 2),
+             if n = 0 then Rat.zero else Combi.shapley_coeff ~n (n / 2) )
+         in
+         let domains =
+           List.init 4 (fun _ ->
+               let order =
+                 QCheck.Gen.generate1 ~rand:st (QCheck.Gen.shuffle_l per_n_ns)
+               in
+               Domain.spawn (fun () ->
+                   List.map snd
+                     (List.sort compare
+                        (List.map (fun n -> (n, values n)) order))))
+         in
+         let expect = Lazy.force per_n_expect in
+         let same (f, r, c) (f', r', c') =
+           Bigint.equal f f' && Kvec.equal r r' && Rat.equal c c'
+         in
+         List.for_all (fun d -> List.for_all2 same expect (Domain.join d))
+           domains) ]
+
 let suite =
   pool_tests @ par_tests @ jobs_property_tests @ trace_tests @ cap_tests
+  @ per_n_tests
