@@ -52,7 +52,10 @@ let universe_of ?n f =
   | None -> Vset.elements vars
   | Some n ->
     let top = match Vset.max_elt_opt vars with None -> 0 | Some m -> m in
-    if n < top then
+    if Vset.mem 0 vars then
+      failwith
+        (Printf.sprintf "universe %d is x1..x%d, which misses the variable x0" n n)
+    else if n < top then
       failwith
         (Printf.sprintf "universe %d is smaller than the largest variable x%d"
            n top)

@@ -92,7 +92,7 @@ let rec eval env f =
 
 let eval_set s f = eval (fun v -> Vset.mem v s) f
 
-(* Structure, not the cached sets, whose AVL shapes may differ. *)
+(* Structure and hash: the cached sets follow from the structure. *)
 let rec equal a b =
   a == b
   || a.hash = b.hash
@@ -128,18 +128,26 @@ let rec map_var h f =
 
 let rename h f = map_var (fun v -> var (h v)) f
 
+(* [restrict_set]'s two lookups, as plain loops: no closure per node and
+   no polymorphic [compare] per binding. *)
+let rec binds vars = function
+  | [] -> false
+  | (v, _) :: rest -> Vset.mem v vars || binds vars rest
+
+let rec image u = function
+  | [] -> var u
+  | (v, b) :: rest -> if v = u then of_bool b else image u rest
+
 (* A normal node whose variables miss the bindings is its own image:
    [map_var] would rebuild it as it is. *)
 let restrict_set bindings f =
   let rec go f =
-    if f.normal && not (List.exists (fun (v, _) -> Vset.mem v f.vars) bindings)
-    then f
+    if f.normal && not (binds f.vars bindings) then f
     else
       match f.view with
       | True -> tru
       | False -> fls
-      | Var u ->
-        (match List.assoc_opt u bindings with Some b -> of_bool b | None -> var u)
+      | Var u -> image u bindings
       | Not g -> not_ (go g)
       | And fs -> and_ (List.map go fs)
       | Or fs -> or_ (List.map go fs)

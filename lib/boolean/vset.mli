@@ -5,9 +5,56 @@
     gate scopes and lineage clauses are all variable sets.  {!components}
     is the library's one split into variable-disjoint components: the
     decomposition search, the safe plan and read-once factoring all call
-    it. *)
+    it.
 
-include Set.S with type elt = int
+    {b Representation.}  A set is a sparse bitset: one [int array] of
+    ascending [(block, word)] pairs, block [b] holding the ids
+    [62b .. 62b+61] as the bits of its word.  No stored word is zero, so
+    the form is canonical (structural equality is set equality) and a
+    set of [k] ids takes at most [2k + 1] words.  Set operations are
+    merge-scans over the blocks; {!cardinal} is a popcount and {!mem} a
+    bit test.
+
+    {b Order.}  {!compare} is [Set.Make (Int)]'s order: ascending element
+    sequences compared lexicographically, a proper prefix first.
+    {!elements}, {!fold} and {!iter} run in ascending order.  Lineage,
+    DNF, hypergraph and read-once clause lists are sorted by this order,
+    so it fixes what they print.
+
+    {b Ids} are non-negative: {!add}, {!singleton} and {!of_list} raise
+    [Invalid_argument] on a negative id, and {!mem} of one is false. *)
+
+type t
+
+val empty : t
+val is_empty : t -> bool
+val mem : int -> t -> bool
+val add : int -> t -> t
+val singleton : int -> t
+val remove : int -> t -> t
+
+(** [union a b] is [a] itself when [a] holds [b], and [b] itself when
+    [b] holds [a]. *)
+val union : t -> t -> t
+
+val inter : t -> t -> t
+val diff : t -> t -> t
+val disjoint : t -> t -> bool
+val subset : t -> t -> bool
+val equal : t -> t -> bool
+val compare : t -> t -> int
+val cardinal : t -> int
+val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+val iter : (int -> unit) -> t -> unit
+val elements : t -> int list
+val filter : (int -> bool) -> t -> t
+val of_list : int list -> t
+
+(** @raise Not_found on the empty set. *)
+val min_elt : t -> int
+
+val min_elt_opt : t -> int option
+val max_elt_opt : t -> int option
 
 (** [universe ~who ~noun ~vars support] is the player universe [vars]
     as a set, for a function whose variables are [support].

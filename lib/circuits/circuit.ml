@@ -34,30 +34,28 @@ let next_id = ref 0
    all results are scheduling-independent even though ids are not. *)
 let lock = Mutex.create ()
 
-let intern key gate vars =
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-       match Hashtbl.find_opt table key with
-       | Some n -> n
-       | None ->
-         let n = { id = !next_id; gate; vars } in
-         incr next_id;
-         Hashtbl.replace table key n;
-         n)
+(* The node of [key]; on a miss, [make id] builds it, and may raise. *)
+let intern key make =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt table key with
+      | Some n -> n
+      | None ->
+        let n = make !next_id in
+        incr next_id;
+        Hashtbl.replace table key n;
+        n)
 
-let ctrue = intern Ktrue Ctrue Vset.empty
-let cfalse = intern Kfalse Cfalse Vset.empty
+let ctrue = intern Ktrue (fun id -> { id; gate = Ctrue; vars = Vset.empty })
+let cfalse = intern Kfalse (fun id -> { id; gate = Cfalse; vars = Vset.empty })
 let cbool b = if b then ctrue else cfalse
-let cvar v = intern (Kvar v) (Cvar v) (Vset.singleton v)
+let cvar v = intern (Kvar v) (fun id -> { id; gate = Cvar v; vars = Vset.singleton v })
 
 let cnot g =
   match g.gate with
   | Ctrue -> cfalse
   | Cfalse -> ctrue
   | Cnot h -> h
-  | _ -> intern (Knot g.id) (Cnot g) g.vars
+  | _ -> intern (Knot g.id) (fun id -> { id; gate = Cnot g; vars = g.vars })
 
 let union_vars gs =
   List.fold_left (fun acc g -> Vset.union acc g.vars) Vset.empty gs
@@ -72,39 +70,46 @@ let check_pairwise_disjoint ~what gs =
   in
   go Vset.empty gs
 
+let is_true g = match g.gate with Ctrue -> true | _ -> false
+let is_false g = match g.gate with Cfalse -> true | _ -> false
+
 (* Children are dedup-sorted by id so that hash-consing is insensitive to
    argument order (∧ and ∨ are commutative). *)
-let norm_children gs =
-  List.sort_uniq (fun a b -> Stdlib.compare a.id b.id) gs
+let children ~drop gs =
+  List.sort_uniq
+    (fun a b -> Int.compare a.id b.id)
+    (List.filter (fun g -> not (drop g)) gs)
 
+let ids gs = List.map (fun g -> g.id) gs
+
+(* The key is looked up first: a hit has the children of a gate that
+   passed the check, so only a miss checks them and unions their
+   scopes. *)
 let cand gs =
-  if List.exists (fun g -> g.gate = Cfalse) gs then cfalse
-  else begin
-    let gs = norm_children (List.filter (fun g -> g.gate <> Ctrue) gs) in
-    match gs with
+  if List.exists is_false gs then cfalse
+  else
+    match children ~drop:is_true gs with
     | [] -> ctrue
     | [ g ] -> g
     | gs ->
-      check_pairwise_disjoint ~what:"cand" gs;
-      intern (Kand (List.map (fun g -> g.id) gs)) (Cand gs) (union_vars gs)
-  end
+      intern (Kand (ids gs)) (fun id ->
+          check_pairwise_disjoint ~what:"cand" gs;
+          { id; gate = Cand gs; vars = union_vars gs })
 
 (* For a deterministic ∨, a [Ctrue] child forces every other child to be
    unsatisfiable, so the gate is equivalent to true. *)
 let cor kind gs =
-  if List.exists (fun g -> g.gate = Ctrue) gs then ctrue
-  else begin
-    let gs = norm_children (List.filter (fun g -> g.gate <> Cfalse) gs) in
-    match gs with
+  if List.exists is_true gs then ctrue
+  else
+    match children ~drop:is_false gs with
     | [] -> cfalse
     | [ g ] -> g
     | gs ->
-      (match kind with
-       | Disjoint -> check_pairwise_disjoint ~what:"cor_disj" gs
-       | Deterministic -> ());
-      intern (Kor (kind, List.map (fun g -> g.id) gs)) (Cor (kind, gs))
-        (union_vars gs)
-  end
+      intern (Kor (kind, ids gs)) (fun id ->
+          (match kind with
+           | Disjoint -> check_pairwise_disjoint ~what:"cor_disj" gs
+           | Deterministic -> ());
+          { id; gate = Cor (kind, gs); vars = union_vars gs })
 
 let cor_det gs = cor Deterministic gs
 let cor_disj gs = cor Disjoint gs

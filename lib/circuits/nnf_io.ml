@@ -13,13 +13,19 @@ let export root ~num_vars =
     i
   in
   let edge_total = ref 0 in
+  (* c2d literals are nonzero and name a variable in 1..num_vars. *)
+  let literal sign v =
+    if v < 1 || v > num_vars then
+      invalid_arg
+        (Printf.sprintf "Nnf_io.export: variable x%d outside 1..%d" v num_vars);
+    emit (Printf.sprintf "L %s%d" sign v)
+  in
   let node_line (g : Circuit.node) =
     match g.gate with
     | Circuit.Ctrue -> emit "A 0"
     | Circuit.Cfalse -> emit "O 0 0"
-    | Circuit.Cvar v -> emit (Printf.sprintf "L %d" v)
-    | Circuit.Cnot { gate = Circuit.Cvar v; _ } ->
-      emit (Printf.sprintf "L -%d" v)
+    | Circuit.Cvar v -> literal "" v
+    | Circuit.Cnot { gate = Circuit.Cvar v; _ } -> literal "-" v
     | Circuit.Cnot _ ->
       invalid_arg "Nnf_io.export: inner negation (not NNF)"
     | Circuit.Cand gs ->

@@ -17,7 +17,9 @@
     deterministic — sound for counting iff they were in fact exclusive;
     {!export} therefore {b rejects} disjoint OR gates that are not also
     mutually exclusive… conservatively, any [Disjoint] gate).
-    @raise Invalid_argument on inner negations or disjoint-OR gates. *)
+    @raise Invalid_argument on inner negations, disjoint-OR gates, or a
+    variable outside [1..num_vars] (c2d literals are nonzero), naming
+    the variable. *)
 val export : Circuit.node -> num_vars:int -> string
 
 (** [import s] parses NNF text into a circuit.

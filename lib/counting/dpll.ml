@@ -66,11 +66,12 @@ let pick_block f =
     let twins =
       Hashtbl.fold
         (fun y o acc ->
-           if y <> x && o.role = ox.role && o.nodes = ox.nodes then y :: acc
+           if y <> x && o.role = ox.role && List.equal Int.equal o.nodes ox.nodes
+           then y :: acc
            else acc)
         occ []
     in
-    (List.sort compare (x :: twins), ox.role = Conj)
+    (List.sort Int.compare (x :: twins), ox.role = Conj)
 
 (* Unit propagation: fixes the literals among [f]'s conjuncts (its
    children if it is an [∧], else [f]), then those of what is left, until

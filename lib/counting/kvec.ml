@@ -39,7 +39,10 @@ let mag x = if x = min_int then max_int else abs x
 
 let max_mag a =
   let m = ref 0 in
-  for i = 0 to Array.length a - 1 do m := Stdlib.max !m (mag a.(i)) done;
+  for i = 0 to Array.length a - 1 do
+    let x = mag a.(i) in
+    if x > !m then m := x
+  done;
   !m
 
 let l1 a =

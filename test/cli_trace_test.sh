@@ -173,4 +173,24 @@ diff -u stats.expected stats.out || fail "--stats output differs from stats.expe
 # A named identifier takes an id above every x<digits> of the formula.
 [ "$("$exe" count "a & !x1")" = "1" ] || fail "count 'a & !x1' conflates a with x1"
 
+# x0 has no c2d literal, and no place in -n's universe x1..xN: both
+# commands print the error alone and exit 1.
+expect_error() {
+  local want="$1" rc=0
+  shift
+  "$exe" "$@" >xerr.out 2>xerr.log || rc=$?
+  [ "$rc" -eq 1 ] || fail "$* exited $rc, want 1"
+  [ ! -s xerr.out ] || fail "$* printed to stdout: $(cat xerr.out)"
+  [ "$(cat xerr.log)" = "$want" ] || fail "$* printed: $(cat xerr.log)"
+}
+expect_error "error: Nnf_io.export: variable x0 outside 1..1" export-nnf "!x0 & x1"
+expect_error "error: universe 3 is x1..x3, which misses the variable x0" \
+  count -n 3 "x0 & x1"
+
+# export-nnf then count-nnf round-trips a formula over x1..x3.
+rt="x1 & (x2 | !x3)"
+"$exe" export-nnf "$rt" >rt.nnf || fail "export-nnf '$rt' exited non-zero"
+[ "$("$exe" count-nnf rt.nnf | grep '^count:')" = "count: $("$exe" count "$rt")" ] \
+  || fail "count-nnf of export-nnf '$rt' differs from count"
+
 echo "cli-trace: all checks passed"

@@ -2022,8 +2022,177 @@ let merge_tests =
             (Bigint.leq row.(n / 2) (Bigint.of_int max_int))
         done) ]
 
+(* ------------------------------------------------------------------ *)
+(* [Vset] before it became a sparse bitset: the AVL set, whose order
+   every sorted clause list in the library follows.  Each kept function
+   must agree with it, in order as well as in value. *)
+module Old_vset = Set.Make (Int)
+
+(* Id lists: mostly 0..200, which spans four 62-id blocks, some sparse
+   ids up to 10^9, and the empty list. *)
+let gen_ids =
+  let open QCheck.Gen in
+  let id = frequency [ (6, int_bound 200); (1, int_bound 1_000_000_000) ] in
+  frequency [ (1, return []); (8, list_size (int_bound 14) id) ]
+
+(* Sets whose sorted elements share prefixes, so [compare] meets equal
+   blocks, a proper prefix and a first difference in every position:
+   each set after the first may be an earlier one with ids added or
+   removed. *)
+let arb_id_sets =
+  let open QCheck.Gen in
+  let next sets =
+    if sets = [] then gen_ids
+    else
+      frequency
+        [ (1, gen_ids);
+          ( 3,
+            oneofl sets >>= fun base ->
+            gen_ids >>= fun extra ->
+            bool >|= fun drop ->
+            let base = if drop then List.filter (fun v -> v mod 3 <> 0) base else base in
+            base @ List.filteri (fun i _ -> i < 2) extra ) ]
+  in
+  let rec build k sets =
+    if k = 0 then return (List.rev sets)
+    else next sets >>= fun ids -> build (k - 1) (ids :: sets)
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list (list int))
+    (int_range 1 8 >>= fun k -> build k [])
+
+let sign c = Stdlib.compare c 0
+
+let in_order iter s =
+  let seen = ref [] in
+  iter (fun v -> seen := v :: !seen) s;
+  List.rev !seen
+
+(* One set against its AVL twin: ids, the three traversal orders, the
+   extremes, the size and membership of every probe (negative ids
+   included). *)
+let same_set ~probes s o =
+  Vset.elements s = Old_vset.elements o
+  && Vset.fold (fun v acc -> v :: acc) s [] = Old_vset.fold (fun v acc -> v :: acc) o []
+  && in_order Vset.iter s = in_order Old_vset.iter o
+  && Vset.min_elt_opt s = Old_vset.min_elt_opt o
+  && Vset.max_elt_opt s = Old_vset.max_elt_opt o
+  && Vset.cardinal s = Old_vset.cardinal o
+  && Vset.is_empty s = Old_vset.is_empty o
+  && List.for_all (fun v -> Vset.mem v s = Old_vset.mem v o) probes
+
+(* Two sets against their twins; [union] must also return an argument
+   that holds the other as it is. *)
+let same_pair ~probes (a, oa) (b, ob) =
+  let u = Vset.union a b in
+  sign (Vset.compare a b) = sign (Old_vset.compare oa ob)
+  && Vset.equal a b = Old_vset.equal oa ob
+  && Vset.subset a b = Old_vset.subset oa ob
+  && Vset.disjoint a b = Old_vset.disjoint oa ob
+  && same_set ~probes u (Old_vset.union oa ob)
+  && same_set ~probes (Vset.inter a b) (Old_vset.inter oa ob)
+  && same_set ~probes (Vset.diff a b) (Old_vset.diff oa ob)
+  && ((not (Old_vset.subset ob oa)) || u == a)
+  && (Old_vset.subset ob oa || (not (Old_vset.subset oa ob)) || u == b)
+
+(* An update's result holds the AVL result's ids, in canonical form:
+   structurally equal to the set built from those ids. *)
+let same_update s o =
+  let fresh = Vset.of_list (Old_vset.elements o) in
+  Vset.elements s = Old_vset.elements o && s = fresh
+
+let twins ids = (Vset.of_list ids, Old_vset.of_list ids)
+
+let bitset_agrees id_lists =
+  let sets = List.map twins id_lists in
+  let probes = -1 :: 0 :: 61 :: 62 :: 63 :: List.concat id_lists in
+  let update (s, o) v =
+    let keep x = x mod 3 <> v mod 3 in
+    same_update (Vset.add v s) (Old_vset.add v o)
+    && same_update (Vset.remove v s) (Old_vset.remove v o)
+    && same_update (Vset.singleton v) (Old_vset.singleton v)
+    && same_update (Vset.filter keep s) (Old_vset.filter keep o)
+  in
+  List.for_all (fun (s, o) -> same_set ~probes s o) sets
+  && List.for_all (fun a -> List.for_all (same_pair ~probes a) sets) sets
+  && List.map Vset.elements (List.sort_uniq Vset.compare (List.map fst sets))
+     = List.map Old_vset.elements
+         (List.sort_uniq Old_vset.compare (List.map snd sets))
+  && List.for_all
+       (fun set ->
+         List.for_all (update set) (List.filter (fun v -> v >= 0) probes))
+       sets
+
+(* [components] over the AVL set: the same merge. *)
+let old_components ~vars xs =
+  let merge groups x =
+    let vs = vars x in
+    let touching, rest =
+      List.partition (fun (ws, _) -> not (Old_vset.disjoint vs ws)) groups
+    in
+    let vs' = List.fold_left (fun a (ws, _) -> Old_vset.union a ws) vs touching in
+    (vs', x :: List.concat_map snd touching) :: rest
+  in
+  List.fold_left merge [] xs
+
+(* Members of one to three ids in 0..200, so several groups form. *)
+let arb_members =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:QCheck.Print.(list (list int))
+    (list_size (int_bound 12) (list_size (int_range 1 3) (int_bound 200)))
+
+let components_agree id_lists =
+  let members = List.map twins id_lists in
+  let now = Vset.components ~vars:fst members
+  and old = old_components ~vars:snd members in
+  List.compare_lengths now old = 0
+  && List.for_all2
+       (fun (scope, ms) (scope', ms') ->
+         Vset.elements scope = Old_vset.elements scope'
+         && List.compare_lengths ms ms' = 0
+         && List.for_all2 ( == ) ms ms')
+       now old
+
+let words s = Obj.reachable_words (Obj.repr s)
+
+let vset_tests =
+  [ dtest ~seed:24 ~count:100 "vset: the bitset = Set.Make (Int), order included"
+      arb_id_sets bitset_agrees;
+    dtest ~seed:25 ~count:100 "vset: components = the AVL set's merge (==)"
+      arb_members components_agree;
+    dtest ~seed:26 ~count:100 "vset: a set of k ids takes at most 2k + 1 words"
+      (QCheck.make ~print:QCheck.Print.(list int) gen_ids)
+      (fun ids ->
+        let s = Vset.of_list ids in
+        words s <= (2 * Vset.cardinal s) + 1);
+    Alcotest.test_case "vset: footprints of fixed sets" `Quick (fun () ->
+        let range a b = List.init (b - a + 1) (fun i -> a + i) in
+        List.iter
+          (fun (name, ids, most) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s takes %d words, at most %d" name
+                 (words (Vset.of_list ids)) most)
+              true
+              (words (Vset.of_list ids) <= most))
+          [ ("{1, 10^9}", [ 1; 1_000_000_000 ], 8);
+            ("{1..54}", range 1 54, 3);
+            ("{1..80}", range 1 80, 5);
+            ("{1..2560}", range 1 2560, 85) ]);
+    Alcotest.test_case "vset: a negative id raises Invalid_argument" `Quick
+      (fun () ->
+        let raises f =
+          match f () with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        Alcotest.(check bool) "add" true (raises (fun () -> Vset.add (-1) Vset.empty));
+        Alcotest.(check bool) "singleton" true (raises (fun () -> Vset.singleton (-3)));
+        Alcotest.(check bool) "of_list" true (raises (fun () -> Vset.of_list [ 2; -2 ]));
+        Alcotest.(check bool) "mem" false (Vset.mem (-1) (Vset.of_list [ 0; 1 ]))) ]
+
 let suite =
   counter_tests @ shap_tests @ reverse_tests @ backward_tests
   @ backward_edge_cases @ search_tests @ block_tests @ e2e_shape_tests
   @ join_tests @ chain_tests @ ledger_tests @ backward_quotient_cases
-  @ plan_tests @ old_search_tests @ merge_tests
+  @ plan_tests @ old_search_tests @ merge_tests @ vset_tests

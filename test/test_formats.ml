@@ -120,9 +120,10 @@ let nnf_tests =
          QCheck.assume (vars <> []);
          let m = Obdd.create_manager ~order:vars in
          let c = Obdd.to_circuit m (Obdd.of_formula m f) in
+         (* c2d literals lie in 1..num_vars: the header names the
+            largest variable, not how many occur. *)
          let c' =
-           Nnf_io.import
-             (Nnf_io.export c ~num_vars:(List.length vars))
+           Nnf_io.import (Nnf_io.export c ~num_vars:(List.fold_left max 0 vars))
          in
          Kvec.equal (Count.count_by_size ~vars c) (Count.count_by_size ~vars c')
          && List.for_all2
