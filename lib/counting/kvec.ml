@@ -56,14 +56,20 @@ let total = function
 
 let equal a b =
   match (a, b) with
-  | Native x, Native y -> x = y
+  | Native x, Native y ->
+    (* an int loop: [Array.for_all2] would allocate its closure *)
+    let n = Array.length x in
+    n = Array.length y
+    &&
+    let i = ref 0 in
+    while !i < n && x.(!i) = y.(!i) do incr i done;
+    !i = n
   | Big x, Big y ->
     Array.length x = Array.length y && Array.for_all2 Bigint.equal x y
   | _ -> false
 
 let hash = function
-  | Native a ->
-    Array.fold_left (fun h c -> (h * 31) + Hashtbl.hash c) (Array.length a) a
+  | Native a -> Array.fold_left (fun h c -> (h * 31) + c) (Array.length a) a
   | Big a ->
     Array.fold_left (fun h c -> (h * 31) + Bigint.hash c) (Array.length a) a
 

@@ -34,7 +34,8 @@ let shapley db q =
   let c, solver = circuit db q in
   (Circuit_shapley.shap_direct ~vars:(universe db) c, solver)
 
-let shapley_cached ?(on_miss = fun solve -> solve ()) ?render ~cache db q =
+let shapley_cached ?(on_miss = fun solve -> solve ()) ?render ?key ~cache db
+    q =
   let solver, build = dispatch db q in
   let solve () =
     let universe = universe db in
@@ -45,9 +46,11 @@ let shapley_cached ?(on_miss = fun solve -> solve ()) ?render ~cache db q =
     in
     Circuit_shapley.shap_direct ~vars:universe g
   in
+  let key =
+    match key with Some k -> k | None -> Db_fingerprint.result_key db q
+  in
   let answer =
-    Cache.shapley_all cache ~key:(Db_fingerprint.result_key db q) ?render
-      (fun () -> on_miss solve)
+    Cache.shapley_all cache ~key ?render (fun () -> on_miss solve)
   in
   (answer, solver)
 

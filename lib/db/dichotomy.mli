@@ -43,12 +43,15 @@ val shapley : Database.t -> Cq.t -> (int * Rat.t) list * solver
     or miss.  [on_miss wrap] wraps the whole solve on a miss — servers
     use it to ledger the solve as an oracle call, so a warm request is
     observably oracle-free.  [render fact value] renders one fact's
-    element once, on fill ({!Cache.shapley_all}).  Answers
-    ({!Cache.bindings}) are bit-identical to {!shapley} on every
-    input. *)
+    element once, on fill ({!Cache.shapley_all}).  [key], when given,
+    must be [Db_fingerprint.result_key db q]: a caller whose database
+    does not change computes it once and passes it, instead of paying
+    the digest on every call.  Answers ({!Cache.bindings}) are
+    bit-identical to {!shapley} on every input. *)
 val shapley_cached :
   ?on_miss:((unit -> (int * Rat.t) list) -> (int * Rat.t) list) ->
   ?render:(int -> Rat.t -> string) ->
+  ?key:string ->
   cache:Cache.t -> Database.t -> Cq.t -> Cache.answer * solver
 
 (** [shapley_brute db q] is the exponential Eq. (2) reference on the

@@ -5,6 +5,7 @@ type entry = {
   db : Database.t;
   query : Cq.t;
   facts : (int * string * Value.t array) array;
+  key : string option Atomic.t;
 }
 
 (* Answers are amortized by the serving cache: the full answer, with
@@ -44,7 +45,9 @@ let of_pairs ?(cache = Cache.create ()) pairs =
       (fun (name, (db, query)) ->
         if Hashtbl.mem index name then
           invalid_arg ("Api.of_pairs: duplicate query name " ^ name);
-        let e = { name; db; query; facts = facts_of db } in
+        let e =
+          { name; db; query; facts = facts_of db; key = Atomic.make None }
+        in
         Hashtbl.add index name e;
         e)
       pairs
@@ -116,10 +119,22 @@ let ledgered_solve e k =
     ~attrs:[ ("query", Trace.Str e.name) ]
     (fun () -> Obs.with_span "api.solve" k)
 
+(* An entry's content is fixed at load, so its content key is too: it
+   is computed on the entry's first answer and kept.  Not at load, where
+   a daemon with many databases would pay every key before its first
+   request.  Two first answers racing both compute the same key. *)
+let content_key e =
+  match Atomic.get e.key with
+  | Some k -> k
+  | None ->
+    let k = Db_fingerprint.result_key e.db e.query in
+    Atomic.set e.key (Some k);
+    k
+
 let shapley_all t entry =
   match find t entry.name with
   | Some e when e == entry ->
-    Dichotomy.shapley_cached ~cache:t.cache
+    Dichotomy.shapley_cached ~cache:t.cache ~key:(content_key e)
       ~on_miss:(fun run -> ledgered_solve e run)
       ~render:(render_element e (Rat_table.create 16)) e.db e.query
   | _ -> invalid_arg ("Api.shapley_all: unknown entry " ^ entry.name)
@@ -293,8 +308,10 @@ let shapley t (req : Http.request) =
             ("shapley", Json_codec.rat a.Cache.values.(j)) ]))
 
 (* A page's body is its facts' elements, rendered on the cache fill,
-   between a head and a tail, built in one allocation: byte for byte
-   what [Json_codec.json_response] prints of the equivalent tree. *)
+   between a head and a tail: the answer's own strings, with a ","
+   between two, copied nowhere.  Concatenated, the parts are byte for
+   byte what [Json_codec.json_response] prints of the equivalent
+   tree. *)
 let shapley_all_route t (req : Http.request) =
   respond
   @@
@@ -310,13 +327,15 @@ let shapley_all_route t (req : Http.request) =
   let* start, stop, next = paginate ~cursor ~limit e.facts in
   let a, solver = shapley_all t e in
   let head =
-    Printf.sprintf {|{"query":%s,"total":%d,"solver":%s,"values":[|}
-      (J.to_string (J.Str name))
-      (Array.length e.facts)
-      (J.to_string (J.Str (solver_string solver)))
+    String.concat ""
+      [ {|{"query":|}; J.to_string (J.Str name);
+        {|,"total":|}; string_of_int (Array.length e.facts);
+        {|,"solver":|}; J.to_string (J.Str (solver_string solver));
+        {|,"values":[|} ]
   and tail =
     match next with
-    | Some c -> Printf.sprintf "],\"next_cursor\":%s}\n" (J.to_string (J.Str c))
+    | Some c ->
+      String.concat "" [ {|],"next_cursor":|}; J.to_string (J.Str c); "}\n" ]
     | None -> "]}\n"
   in
   let parts = ref [ tail ] and last = ref true in

@@ -34,6 +34,10 @@ type entry = {
   facts : (int * string * Value.t array) array;
       (** endogenous facts as [(lineage var, relation, tuple)], sorted
           by ascending lineage variable — the pagination order *)
+  key : string option Atomic.t;
+      (** {!Db_fingerprint.result_key} of [db] and [query], set by the
+          entry's first {!shapley_all} and passed to every later one:
+          an entry's content is fixed at load *)
 }
 
 type t
@@ -57,7 +61,8 @@ val find : t -> string -> entry option
     content compiles the lineage, solves for every fact and renders each
     fact's page element (concurrent misses of one key single-flight —
     the leader solves, joiners park and share); later calls are cache
-    hits and make zero oracle calls.
+    hits and make zero oracle calls.  The entry's content key is
+    computed on its first call and kept in [entry.key].
     @raise Invalid_argument if [entry] is not one of [t]'s. *)
 val shapley_all : t -> entry -> Cache.answer * Dichotomy.solver
 

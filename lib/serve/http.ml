@@ -319,18 +319,78 @@ let reason = function
   | c when c >= 500 -> "Server Error"
   | _ -> "Unknown"
 
-let render_response ?(headers = []) ?(keep_alive = false) ~status ~body () =
+let body_length body =
+  List.fold_left (fun n part -> n + String.length part) 0 body
+
+(* The status line and the headers, ending in the empty line, as one
+   short string. *)
+let head ~headers ~keep_alive ~status ~length =
   let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
-  Buffer.add_string b
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
-  Buffer.add_string b
-    (if keep_alive then "Connection: keep-alive\r\n"
-     else "Connection: close\r\n");
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
-    headers;
+  let line k v =
+    Buffer.add_string b k;
+    Buffer.add_string b ": ";
+    Buffer.add_string b v;
+    Buffer.add_string b "\r\n"
+  in
+  Buffer.add_string b "HTTP/1.1 ";
+  Buffer.add_string b (string_of_int status);
+  Buffer.add_char b ' ';
+  Buffer.add_string b (reason status);
   Buffer.add_string b "\r\n";
-  (* the body's one copy *)
-  Buffer.contents b ^ body
+  line "Content-Length" (string_of_int length);
+  line "Connection" (if keep_alive then "keep-alive" else "close");
+  List.iter (fun (k, v) -> line k v) headers;
+  Buffer.add_string b "\r\n";
+  Buffer.contents b
+
+let render_response ?(headers = []) ?(keep_alive = false) ~status ~body () =
+  String.concat ""
+    (head ~headers ~keep_alive ~status ~length:(body_length body) :: body)
+
+(* ------------------------------------------------------------------ *)
+(* The writer: a response through one fixed buffer                     *)
+
+let write_buffer_size = 16384
+
+type writer = { fd : Unix.file_descr; buf : Bytes.t; mutable pos : int }
+
+let writer fd = { fd; buf = Bytes.create write_buffer_size; pos = 0 }
+
+exception Peer_gone
+
+(* Writes [len] bytes of [s] from [off] with [write] ([Unix.write] or
+   [Unix.write_substring]).  A peer that is gone ends the response with
+   [Peer_gone]; any other error raises as it comes. *)
+let rec write_out write fd s off len =
+  if len > 0 then
+    match write fd s off len with
+    | 0 -> raise Peer_gone
+    | k -> write_out write fd s (off + k) (len - k)
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      raise Peer_gone
+
+let flush w =
+  let n = w.pos in
+  w.pos <- 0;
+  write_out Unix.write w.fd w.buf 0 n
+
+(* A part that does not fit flushes the buffer first; one larger than
+   the whole buffer is written from its own string, so the buffer never
+   grows. *)
+let add w part =
+  let n = String.length part in
+  if w.pos + n > Bytes.length w.buf then flush w;
+  if n > Bytes.length w.buf then write_out Unix.write_substring w.fd part 0 n
+  else begin
+    Bytes.blit_string part 0 w.buf w.pos n;
+    w.pos <- w.pos + n
+  end
+
+let write_response w ?(headers = []) ?(keep_alive = false) ~status ~body () =
+  let length = body_length body in
+  (try
+     add w (head ~headers ~keep_alive ~status ~length);
+     List.iter (add w) body;
+     flush w
+   with Peer_gone -> ());
+  length

@@ -1,7 +1,7 @@
 (** A minimal HTTP/1.1 message layer: an incremental, never-raising
-    request parser and a response printer.  Hand-rolled in the spirit
-    of [Tiny_json] — just enough protocol for the [shapmc serve]
-    daemon, no external dependencies.
+    request parser, a response printer and a buffered response writer.
+    Hand-rolled in the spirit of [Tiny_json] — just enough protocol for
+    the [shapmc serve] daemon, no external dependencies.
 
     The parser is a pure function of the bytes fed so far (plus an
     end-of-stream mark): feeding one byte at a time, in arbitrary
@@ -74,18 +74,55 @@ val drain_hint : parser_ -> int
 
 val reason : int -> string
 
-(** [render_response ~status ~body ()] prints a full HTTP/1.1 response
-    with [Content-Length] and a [Connection: keep-alive]/[close] header
-    ([keep_alive] defaults to [false]).  [headers] come before the
-    body verbatim; give [Content-Type] there.  The body is copied once,
-    into the response. *)
+(** [render_response ~status ~body ()] prints a full HTTP/1.1 response:
+    the head (status line, [Content-Length], [Connection:
+    keep-alive]/[close] ([keep_alive] defaults to [false]), then
+    [headers] verbatim; give [Content-Type] there), then the parts of
+    [body] joined.  A body is the list of its parts, in order (a page
+    body is its cached elements between a head and a tail), and its
+    [Content-Length] is the sum of their lengths.  The daemon writes
+    with {!write_response} instead, which sends the same bytes from the
+    same head renderer; this one string is for tests and in-process
+    replays. *)
 val render_response :
   ?headers:(string * string) list ->
   ?keep_alive:bool ->
   status:int ->
-  body:string ->
+  body:string list ->
   unit ->
   string
+
+(** {2 Writing a response to a socket} *)
+
+(** A connection's output: its socket and one buffer of
+    {!write_buffer_size} bytes, allocated once with the connection and
+    reused by each of its responses. *)
+type writer
+
+(** [16384] bytes: a warm page of about 10 KB leaves with its head in
+    one write. *)
+val write_buffer_size : int
+
+val writer : Unix.file_descr -> writer
+
+(** [write_response w ~status ~body ()] writes the bytes
+    {!render_response} prints, without joining them: the head and then
+    each part are copied into the buffer, which is written out when the
+    next piece does not fit, and at the end; a part larger than the
+    buffer is written straight from its string.  Returns the body's
+    length, the [Content-Length] sent.
+
+    A peer that closes ([EPIPE], [ECONNRESET], or a write of 0 bytes)
+    ends the write silently; any other [Unix.Unix_error] (a send
+    timeout) raises. *)
+val write_response :
+  writer ->
+  ?headers:(string * string) list ->
+  ?keep_alive:bool ->
+  status:int ->
+  body:string list ->
+  unit ->
+  int
 
 (** Percent-decode a URI component; malformed escapes pass through
     literally, [+] decodes to space. *)

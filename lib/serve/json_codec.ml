@@ -5,12 +5,10 @@ let content_type_json = ("Content-Type", "application/json")
 let json_response ?(status = 200) ?(headers = []) json =
   { Router.status;
     headers = content_type_json :: headers;
-    body = J.to_string json ^ "\n" }
+    body = [ J.to_string json; "\n" ] }
 
 let concat_response parts =
-  { Router.status = 200;
-    headers = [ content_type_json ];
-    body = String.concat "" parts }
+  { Router.status = 200; headers = [ content_type_json ]; body = parts }
 
 let error = Router.error_response
 

@@ -7,12 +7,14 @@ val json_response :
   ?status:int -> ?headers:(string * string) list -> Tiny_json.t ->
   Router.response
 (** Serialize with a trailing newline and [Content-Type:
-    application/json]. *)
+    application/json]: the body is two parts, the JSON text and
+    ["\n"]. *)
 
 val concat_response : string list -> Router.response
-(** A 200 JSON response whose body is the concatenation of [parts]:
-    JSON text already rendered, ending in the newline {!json_response}
-    prints.  The body is built in one allocation. *)
+(** A 200 JSON response whose body is [parts], kept as they are: JSON
+    text already rendered, whose concatenation ends in the newline
+    {!json_response} prints.  Nothing is copied; the writer sends the
+    parts in order. *)
 
 val error :
   ?headers:(string * string) list -> int -> string -> Router.response

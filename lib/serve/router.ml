@@ -1,7 +1,7 @@
 type response = {
   status : int;
   headers : (string * string) list;
-  body : string;
+  body : string list;
 }
 
 (* Handlers uniformly receive the bound path parameters; [route] hides
@@ -24,11 +24,12 @@ let error_response ?(headers = []) status message =
   { status;
     headers = ("Content-Type", "application/json") :: headers;
     body =
-      J.to_string
-        (J.Obj
-           [ ("error",
-              J.Obj [ ("code", J.Int status); ("message", J.Str message) ]) ])
-      ^ "\n" }
+      [ J.to_string
+          (J.Obj
+             [ ("error",
+                J.Obj [ ("code", J.Int status); ("message", J.Str message) ])
+             ]);
+        "\n" ] }
 
 (* [match_path ~pattern path]: segment-wise match; a [:name] pattern
    segment binds any single non-empty segment.  Fixed patterns take the

@@ -8,7 +8,10 @@
 type response = {
   status : int;
   headers : (string * string) list;
-  body : string;
+  body : string list;
+      (** the body's bytes are its parts concatenated; a part is sent
+          as it is, never joined with the others ({!Http.write_response}),
+          so a handler can return strings it shares with a cache *)
 }
 
 type route
@@ -25,8 +28,8 @@ val route_params :
   route
 
 (** [error_response status message] — a JSON response whose body is
-    [{"error":{"code":status,"message":message}}] and a newline, the
-    one error shape of the service; [headers] follow the
+    [{"error":{"code":status,"message":message}}] and a newline (two
+    parts), the one error shape of the service; [headers] follow the
     [Content-Type]. *)
 val error_response :
   ?headers:(string * string) list -> int -> string -> response

@@ -89,33 +89,24 @@ let start t =
 (* ------------------------------------------------------------------ *)
 (* Connection handling                                                 *)
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      match Unix.write_substring fd s off (n - off) with
-      | 0 -> ()
-      | k -> go (off + k)
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-  in
-  go 0
-
 let set_in_flight t delta =
   let v = Atomic.fetch_and_add t.in_flight delta + delta in
   Metrics.set "http_in_flight" (float_of_int v)
 
 (* The one completion path, for routed requests and protocol rejects
-   alike: add the id headers, write the response, then record
-   [http_requests], [http_request_seconds] and the telemetry profile
-   (ring, SLO windows, access log) with the same wall seconds, so log
-   and metrics agree.  [events] is the request's buffer. *)
-let complete t fd ~rid ~events ~route ~meth ~path ~keep_alive ~t0 ~queue
+   alike: add the id headers, write the response through the
+   connection's writer [out], then record [http_requests],
+   [http_request_seconds] and the telemetry profile (ring, SLO windows,
+   access log) with the same wall seconds, so log and metrics agree.
+   [events] is the request's buffer. *)
+let complete t out ~rid ~events ~route ~meth ~path ~keep_alive ~t0 ~queue
     (resp : Router.response) =
   let status = resp.Router.status in
-  write_all fd
-    (Http.render_response
-       ~headers:(resp.Router.headers @ Request_id.response_headers rid)
-       ~keep_alive ~status ~body:resp.Router.body ());
+  let bytes =
+    Http.write_response out
+      ~headers:(resp.Router.headers @ Request_id.response_headers rid)
+      ~keep_alive ~status ~body:resp.Router.body ()
+  in
   let wall = Float.max 0. (Unix.gettimeofday () -. t0) in
   let labels = [ ("route", route); ("code", string_of_int status) ] in
   Metrics.inc ~labels "http_requests";
@@ -132,7 +123,7 @@ let complete t fd ~rid ~events ~route ~meth ~path ~keep_alive ~t0 ~queue
       p_queue_seconds = queue;
       p_oracle_calls = Trace.oracle_calls events;
       p_oracle_seconds = Trace.oracle_seconds events;
-      p_bytes = String.length resp.Router.body;
+      p_bytes = bytes;
       p_jobs = t.config.jobs;
       p_events = Trace.events events;
       p_events_dropped = Trace.dropped events };
@@ -147,7 +138,7 @@ let handle_connection t ~accepted fd =
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.limits.Limits.read_timeout;
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.limits.Limits.read_timeout
    with Unix.Unix_error _ -> ());
-  let buf = Bytes.create 8192 in
+  let buf = Bytes.create 8192 and out = Http.writer fd in
   let rec serve parser_ nreq =
     (* [accepted] to the first request's processing start is its queue
        time (executor backlog). *)
@@ -157,7 +148,7 @@ let handle_connection t ~accepted fd =
        events. *)
     let reject status msg =
       let t0 = Unix.gettimeofday () in
-      complete t fd ~rid:(Request_id.make ()) ~events:(Trace.create ~cap:0 ())
+      complete t out ~rid:(Request_id.make ()) ~events:(Trace.create ~cap:0 ())
         ~route:"invalid" ~meth:"-" ~path:"-" ~keep_alive:false ~t0
         ~queue:(queue t0)
         (Json_codec.error status msg)
@@ -231,7 +222,7 @@ let handle_connection t ~accepted fd =
         && nreq + 1 < t.config.limits.Limits.max_conn_requests
         && not (Atomic.get t.stop_flag)
       in
-      complete t fd ~rid ~events ~route ~meth ~path:req.Http.path ~keep_alive
+      complete t out ~rid ~events ~route ~meth ~path:req.Http.path ~keep_alive
         ~t0 ~queue:(queue t0) resp;
       if keep_alive then begin
         let next = Http.create ~limits:t.config.limits in

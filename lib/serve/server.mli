@@ -24,7 +24,9 @@
 
     Every completion, a routed request or a protocol-level reject
     (route ["invalid"], method and path ["-"]), takes one path: the id
-    headers are added, the response written, and then
+    headers are added, the response written through the connection's
+    {!Http.writer} (one 16 KB buffer per connection; the body's parts
+    are never joined), and then
     [http_requests{route,code}] (counter),
     [http_request_seconds{route,code}] (histogram) and the profile
     (ring, rolling SLO windows, access log) are recorded into

@@ -158,7 +158,7 @@ let metrics t _req =
     headers =
       [ ( "Content-Type",
           "application/openmetrics-text; version=1.0.0; charset=utf-8" ) ];
-    body = Metrics.to_openmetrics () }
+    body = [ Metrics.to_openmetrics () ] }
 
 let debug_requests t _req =
   let ps = profiles t in
@@ -186,7 +186,7 @@ let debug_request t params (req : Http.request) =
                Perfetto. *)
             { Router.status = 200;
               headers = [ ("Content-Type", "application/json") ];
-              body = Trace_export.chrome p.p_events }
+              body = [ Trace_export.chrome p.p_events ] }
           | Some other ->
             Json_codec.error 400
               ("unknown format: " ^ other ^ " (try format=chrome)")

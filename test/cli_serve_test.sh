@@ -24,7 +24,14 @@ row R2 2
 query R1(x), R2(x)
 EOF
 
-"$exe" serve --port 0 --read-timeout 5 --access-log access.jsonl serve_demo.db > serve.log 2>&1 &
+# 300 facts: a full page of them is larger than the daemon's write buffer.
+{
+  echo "rel R endo 1"
+  for i in $(seq 1 300); do echo "row R $i"; done
+  echo "query R(x)"
+} > serve_wide.db
+
+"$exe" serve --port 0 --read-timeout 5 --access-log access.jsonl serve_demo.db serve_wide.db > serve.log 2>&1 &
 srv=$!
 trap 'kill -9 $srv 2>/dev/null || true' EXIT
 
@@ -166,6 +173,15 @@ ledger='^shapmc_(ledger_counter|oracle_(n|size|seconds)|span_(seconds|self_secon
 if grep -qE "$ledger" <<<"$out"; then
   fail "/metrics carries ledger series: $(grep -E "$ledger" <<<"$out" | head -3)"
 fi
+
+# A response larger than the daemon's 16 KB write buffer: the page of
+# serve_wide.db's 300 facts is 31 KB in 601 parts (a head, 300
+# elements, 299 commas and a tail).  Every probe checks that the body
+# it read is as long as its Content-Length.
+out=$("$probe" 127.0.0.1 "$port" POST /v1/shapley/all '{"query":"serve_wide","limit":1000}')
+grep -q "HTTP/1.1 200" <<<"$out" || fail "wide page not 200: $(head -1 <<<"$out")"
+grep -q '"fact":300,' <<<"$out" || fail "wide page lacks its last fact"
+[ "${#out}" -gt 16384 ] || fail "wide page is only ${#out} bytes"
 
 # graceful shutdown: SIGTERM drains and exits 0
 kill -TERM $srv

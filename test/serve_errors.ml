@@ -38,7 +38,7 @@ let show label raw =
   let r = dispatch raw in
   Printf.printf "== %s\n%d\n" label r.Router.status;
   List.iter (fun (k, v) -> Printf.printf "%s: %s\n" k v) r.Router.headers;
-  print_string r.Router.body
+  List.iter print_string r.Router.body
 
 let get label path =
   show label (Printf.sprintf "GET %s HTTP/1.1\r\n\r\n" path)

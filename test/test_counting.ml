@@ -456,6 +456,42 @@ let kvecs_agree (a, b, c) =
   | [] -> true
   | bad -> QCheck.Test.fail_reportf "%s" (String.concat ", " (List.map fst bad))
 
+(* Two vectors that are often equal: [b] is a copy of [a], [a] with
+   one entry replaced, or another vector; entries straddle the native
+   range, so both tiers and mixed pairs occur. *)
+let arb_kvec_pairs =
+  let open QCheck.Gen in
+  let vec = int_range 0 12 >>= fun n -> array_repeat (n + 1) gen_entry in
+  let p v = String.concat ";" (Array.to_list (Array.map Bigint.to_string v)) in
+  QCheck.make
+    ~print:(fun (a, b) -> Printf.sprintf "a=[%s] b=[%s]" (p a) (p b))
+    (vec >>= fun a ->
+     oneof
+       [ return (a, Array.copy a);
+         ( int_range 0 (Array.length a - 1) >>= fun i ->
+           map
+             (fun e ->
+               let b = Array.copy a in
+               b.(i) <- e;
+               (a, b))
+             gen_entry );
+         map (fun b -> (a, b)) vec ])
+
+(* [equal] is equality of the entries, and equal vectors hash equal,
+   also when one of them is reached through other vectors. *)
+let kvec_equal_and_hash (a, b) =
+  let ka = Kvec.make ~n:(Array.length a - 1) a
+  and kb = Kvec.make ~n:(Array.length b - 1) b in
+  let entries_equal =
+    let x = Kvec.to_array ka and y = Kvec.to_array kb in
+    Array.length x = Array.length y && Array.for_all2 Bigint.equal x y
+  in
+  let kb' = Kvec.sub (Kvec.add kb kb) kb in
+  Kvec.equal ka kb = entries_equal
+  && ((not entries_equal) || Kvec.hash ka = Kvec.hash kb)
+  && Kvec.equal kb' kb
+  && Kvec.hash kb' = Kvec.hash kb
+
 let kvec_tier_tests =
   [ QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| 2024; 27 |])
@@ -484,7 +520,12 @@ let kvec_tier_tests =
             ("zero", fun () -> Kvec.zero ~n:(-3));
             ("const_true", fun () -> Kvec.const_true ~n:(-1));
             ("const_false", fun () -> Kvec.const_false ~n:(-1));
-            ("make", fun () -> Kvec.make ~n:(-1) [||]) ]) ]
+            ("make", fun () -> Kvec.make ~n:(-1) [||]) ]);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| 2024; 30 |])
+      (QCheck.Test.make ~count:300
+         ~name:"kvec: equal is entry equality, and equal vectors hash equal"
+         arb_kvec_pairs kvec_equal_and_hash) ]
 
 let suite =
   kvec_tests @ brute_tests @ dpll_tests @ bipartite_tests @ karp_luby_tests

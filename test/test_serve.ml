@@ -16,7 +16,11 @@
       wire, concurrent clients at jobs∈{1,4} getting identical exact
       answers, [/metrics] round-tripped through the OpenMetrics parser,
       and port release after shutdown.
-    - [Pool.Exec]: the persistent executor underneath it all. *)
+    - [Pool.Exec]: the persistent executor underneath it all.
+    - The response writer: it sends [render_response]'s bytes, parts
+      below, at and above its buffer arrive whole over a socket pair, a
+      peer closing mid-body raises nothing, and a warm page allocates
+      (almost) nothing directly in the major heap. *)
 
 open Helpers
 module Http = Shapmc_serve.Http
@@ -88,7 +92,11 @@ let post routes path body =
 
 let status (r : Router.response) = r.Router.status
 
-let json_of (r : Router.response) = J.parse r.Router.body
+(* A body's bytes: its parts concatenated.  Tests compare these, never
+   how a body is split into parts. *)
+let body_of (r : Router.response) = String.concat "" r.Router.body
+
+let json_of r = J.parse (body_of r)
 
 let member_exn name j =
   match J.member name j with
@@ -254,7 +262,7 @@ let http_render_response () =
   let s =
     Http.render_response
       ~headers:[ ("Content-Type", "application/json") ]
-      ~keep_alive:true ~status:200 ~body:"{}" ()
+      ~keep_alive:true ~status:200 ~body:[ "{}" ] ()
   in
   List.iter
     (fun needle ->
@@ -465,9 +473,9 @@ let json_escaping_goldens () =
 
 let router_fixture () =
   [ Router.route Http.GET "/ok" (fun _ ->
-        { Router.status = 200; headers = []; body = "ok" });
+        { Router.status = 200; headers = []; body = [ "ok" ] });
     Router.route Http.POST "/ok" (fun _ ->
-        { Router.status = 200; headers = []; body = "posted" });
+        { Router.status = 200; headers = []; body = [ "posted" ] });
     Router.route Http.GET "/boom" (fun _ -> failwith "handler exploded") ]
 
 let router_dispatch () =
@@ -719,8 +727,11 @@ let response =
       Format.fprintf ppf "%d [%s] %S" r.Router.status
         (String.concat "; "
            (List.map (fun (k, v) -> k ^ ": " ^ v) r.Router.headers))
-        r.Router.body)
-    ( = )
+        (body_of r))
+    (fun a b ->
+      a.Router.status = b.Router.status
+      && a.Router.headers = b.Router.headers
+      && String.equal (body_of a) (body_of b))
 
 let api_pages_match_the_tree_renderer () =
   let page_body ?cursor ?limit name =
@@ -836,14 +847,14 @@ let api_shapley_approx () =
     values;
   (* equal request, equal answer: the estimator replays byte-identically *)
   let r' = post routes "/v1/shapley/approx" body in
-  Alcotest.(check string) "deterministic body" r.Router.body r'.Router.body;
+  Alcotest.(check string) "deterministic body" (body_of r) (body_of r');
   (* a different seed must change the sampled answer *)
   let rs =
     post routes "/v1/shapley/approx"
       {|{"query":"demo","eps":0.1,"delta":0.1,"seed":4}|}
   in
   Alcotest.(check bool) "seed varies the run" true
-    (rs.Router.body <> r.Router.body)
+    (body_of rs <> body_of r)
 
 let api_shapley_approx_scoped () =
   (* the convergence checkpoints of an approx run land in the request
@@ -944,7 +955,7 @@ let facts_pagination_property =
             let r = get routes path in
             if status r <> 200 then
               QCheck.Test.fail_reportf "page fetch failed: %d %s" (status r)
-                r.Router.body;
+                (body_of r);
             json_of r)
           ~extract:(fun j ->
             List.map (fun f -> int_exn (member_exn "id" f))
@@ -983,7 +994,7 @@ let shapley_all_pagination_property =
             let r = post routes "/v1/shapley/all" body in
             if status r <> 200 then
               QCheck.Test.fail_reportf "page fetch failed: %d %s" (status r)
-                r.Router.body;
+                (body_of r);
             json_of r)
           ~extract:triples_of_values
       in
@@ -1543,11 +1554,11 @@ let router_param_matching () =
 let router_param_dispatch () =
   let routes =
     [ Router.route Http.GET "/things/special" (fun _ ->
-          { Router.status = 200; headers = []; body = "fixed" });
+          { Router.status = 200; headers = []; body = [ "fixed" ] });
       Router.route_params Http.GET "/things/:name" (fun params _ ->
           { Router.status = 200;
             headers = [];
-            body = List.assoc "name" params }) ]
+            body = [ List.assoc "name" params ] }) ]
   in
   let dispatch path =
     Router.dispatch routes
@@ -1556,12 +1567,12 @@ let router_param_dispatch () =
   let label, r = dispatch "/things/widget" in
   Alcotest.(check int) "param route matches" 200 (status r);
   Alcotest.(check string) "binding reaches the handler" "widget"
-    r.Router.body;
+    (body_of r);
   Alcotest.(check string) "label is the pattern, not the path"
     "/things/:name" label;
   let _, r = dispatch "/things/special" in
   Alcotest.(check string) "fixed path shadows the param route" "fixed"
-    r.Router.body;
+    (body_of r);
   let label, r = dispatch "/things" in
   Alcotest.(check int) "missing segment is 404" 404 (status r);
   Alcotest.(check string) "unmatched label" "unmatched" label;
@@ -2186,6 +2197,170 @@ let server_cache_single_flight_under_concurrency () =
         (List.length paid))
 
 (* ------------------------------------------------------------------ *)
+(* The response writer                                                 *)
+
+(* Everything readable from [fd] until the peer closes. *)
+let read_all fd =
+  let b = Buffer.create 4096 and chunk = Bytes.create 8192 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents b
+    | k ->
+      Buffer.add_subbytes b chunk 0 k;
+      go ()
+  in
+  go ()
+
+(* [write_response] over a socket pair, the far end drained by another
+   domain: the bytes that arrived and the length the writer returned. *)
+let written ?headers ?keep_alive ~status body =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let reader = Domain.spawn (fun () -> read_all theirs) in
+  let length =
+    Fun.protect
+      ~finally:(fun () -> Unix.close ours)
+      (fun () ->
+        Http.write_response (Http.writer ours) ?headers ?keep_alive ~status
+          ~body ())
+  in
+  let bytes = Domain.join reader in
+  Unix.close theirs;
+  (bytes, length)
+
+(* The head's [Content-Length] and the body after the empty line. *)
+let split_response raw =
+  let sep = "\r\n\r\n" in
+  let rec find i =
+    if i + 4 > String.length raw then Alcotest.fail "no end of head"
+    else if String.sub raw i 4 = sep then i
+    else find (i + 1)
+  in
+  let h = find 0 in
+  let declared =
+    List.find_map
+      (fun line ->
+        match String.index_opt line ':' with
+        | Some c
+          when String.lowercase_ascii (String.sub line 0 c) = "content-length"
+          ->
+          int_of_string_opt
+            (String.trim (String.sub line (c + 1) (String.length line - c - 1)))
+        | _ -> None)
+      (String.split_on_char '\n' (String.sub raw 0 h))
+  in
+  (Option.get declared, String.sub raw (h + 4) (String.length raw - h - 4))
+
+let writer_matches_render_response () =
+  List.iter
+    (fun (what, headers, keep_alive, status, body) ->
+      let raw, length = written ~headers ~keep_alive ~status body in
+      Alcotest.(check string)
+        (what ^ ": the writer's bytes are render_response's")
+        (Http.render_response ~headers ~keep_alive ~status ~body ())
+        raw;
+      Alcotest.(check int) (what ^ ": length")
+        (String.length (String.concat "" body))
+        length)
+    [ ("keep-alive, one header", [ ("Content-Type", "application/json") ],
+       true, 200, [ "{}"; "\n" ]);
+      ("close, three headers",
+       [ ("Content-Type", "application/json"); ("X-Request-Id", "abc");
+         ("traceparent", "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01") ],
+       false, 404, [ {|{"error":|}; "{}"; "}"; "\n" ]);
+      ("no headers, empty body", [], true, 204, []);
+      ("empty parts", [ ("Allow", "GET") ], false, 405, [ ""; "x"; "" ]) ]
+
+let writer_parts_around_the_buffer () =
+  let size = Http.write_buffer_size in
+  let part n c = String.make n c in
+  let body =
+    [ part 10 'a'; part size 'b'; part (size - 1) 'c'; part 2 'd';
+      part (size + 1) 'e'; part (3 * size + 7) 'f'; part 1 'g' ]
+  in
+  let raw, length =
+    written ~headers:[ ("Content-Type", "text/plain") ] ~status:200 body
+  in
+  let declared, received = split_response raw in
+  Alcotest.(check int) "Content-Length is the bytes read"
+    (String.length received) declared;
+  Alcotest.(check int) "the writer returns it" declared length;
+  Alcotest.(check bool) "the body arrives whole, in order" true
+    (String.equal (String.concat "" body) received)
+
+let writer_peer_closes_mid_body () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* a stuck write fails the test instead of hanging it *)
+  Unix.setsockopt_float ours Unix.SO_SNDTIMEO 10.;
+  let reader =
+    Domain.spawn (fun () ->
+        let b = Bytes.create 100 in
+        ignore (Unix.read theirs b 0 (Bytes.length b));
+        Unix.close theirs)
+  in
+  (* far more than the socket holds, so the writer is mid-body when the
+     peer closes *)
+  let body = List.init 8 (fun _ -> String.make (1 lsl 20) 'x') in
+  let length =
+    Http.write_response (Http.writer ours) ~status:200 ~body ()
+  in
+  Domain.join reader;
+  Unix.close ours;
+  Alcotest.(check int) "returns the body's length" (8 lsl 20) length
+
+(* A serve-hot database: [R(x), S(x, y)] over 8 R-facts and 56
+   S-facts. *)
+let hot_db () =
+  let db = Database.create () in
+  Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
+  Database.declare db "S" ~kind:Database.Endogenous ~arity:2;
+  for x = 1 to 8 do
+    ignore (Database.insert db "R" [| Value.int x |]);
+    for y = 1 to 7 do
+      ignore (Database.insert db "S" [| Value.int x; Value.int (10 * y) |])
+    done
+  done;
+  db
+
+let warm_page_major_words () =
+  let db = hot_db () in
+  let routes =
+    Api.routes
+      (Api.of_pairs [ ("hot", (db, Db_parser.parse_query "R(x), S(x, y)")) ])
+  in
+  let body = {|{"query":"hot"}|} in
+  let req =
+    req_of_string
+      (Printf.sprintf
+         "POST /v1/shapley/all HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+         (String.length body) body)
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let w = Http.writer null in
+  let serve () =
+    let _, r = Router.dispatch routes req in
+    Http.write_response w ~headers:r.Router.headers ~keep_alive:true
+      ~status:r.Router.status ~body:r.Router.body ()
+  in
+  let page = json_of (snd (Router.dispatch routes req)) in
+  Alcotest.(check int) "a 64-fact page" 64
+    (List.length (list_exn (member_exn "values" page)));
+  Alcotest.(check bool) "a page over 256 words" true (serve () > 2048);
+  for _ = 1 to 100 do ignore (serve ()) done;
+  let n = 1000 in
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do ignore (serve ()) done;
+  let _, promoted1, major1 = Gc.counters () in
+  Unix.close null;
+  let direct = (major1 -. major0 -. (promoted1 -. promoted0)) /. float n in
+  if direct >= 256. then
+    Alcotest.failf
+      "a warm page allocates %.1f words per request directly in the major \
+       heap (bound 256)"
+      direct
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [ t "http: request anatomy" http_basic;
@@ -2256,4 +2431,12 @@ let suite =
     t "api: pages byte-identical to the tree renderer, cold and warm"
       api_pages_match_the_tree_renderer;
     t "api: shapley_all takes only its own entries"
-      api_shapley_all_own_entries ]
+      api_shapley_all_own_entries;
+    t "http: the writer sends render_response's bytes"
+      writer_matches_render_response;
+    t "http: parts below, at and above the writer's buffer arrive whole"
+      writer_parts_around_the_buffer;
+    t "http: a peer closing mid-body ends the write silently"
+      writer_peer_closes_mid_body;
+    t "serve: a warm page allocates under 256 major-heap words"
+      warm_page_major_words ]
