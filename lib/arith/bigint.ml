@@ -142,8 +142,6 @@ let equal a b =
 
 let lt a b = compare a b < 0
 let leq a b = compare a b <= 0
-let min a b = if leq a b then a else b
-let max a b = if leq a b then b else a
 
 (* ------------------------------------------------------------------ *)
 (* Magnitude kernel                                                   *)

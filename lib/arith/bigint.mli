@@ -52,8 +52,6 @@ val sign : t -> int
 val is_zero : t -> bool
 val lt : t -> t -> bool
 val leq : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Arithmetic} *)
 

@@ -13,17 +13,8 @@ let strip a =
 let zero = [||]
 let one = [| Rat.one |]
 let of_coeffs l = strip (Array.of_list l)
-let coeffs p = Array.to_list p
 let coeff p k = if k < 0 || k >= Array.length p then Rat.zero else p.(k)
 let degree p = Array.length p - 1
-
-let equal a b =
-  Array.length a = Array.length b
-  && begin
-    let ok = ref true in
-    Array.iteri (fun i c -> if not (Rat.equal c b.(i)) then ok := false) a;
-    !ok
-  end
 
 let add a b =
   let la = Array.length a and lb = Array.length b in
@@ -55,12 +46,3 @@ let eval p v =
     acc := Rat.add (Rat.mul !acc v) p.(i)
   done;
   !acc
-
-let pp ppf p =
-  if Array.length p = 0 then Format.pp_print_string ppf "0"
-  else
-    Array.iteri
-      (fun i c ->
-         if i > 0 then Format.fprintf ppf " + ";
-         Format.fprintf ppf "%a*x^%d" Rat.pp c i)
-      p

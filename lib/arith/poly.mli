@@ -17,16 +17,12 @@ val one : t
     stripped so that [degree] is exact. *)
 val of_coeffs : Rat.t list -> t
 
-(** [coeffs p] is the coefficient list, constant term first. *)
-val coeffs : t -> Rat.t list
-
 (** [coeff p k] is the coefficient of [x^k] ([Rat.zero] beyond the degree). *)
 val coeff : t -> int -> Rat.t
 
 (** [degree p] is [-1] for the zero polynomial. *)
 val degree : t -> int
 
-val equal : t -> t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -38,4 +34,3 @@ val x_minus : Rat.t -> t
 (** [eval p v] evaluates by Horner's rule. *)
 val eval : t -> Rat.t -> Rat.t
 
-val pp : Format.formatter -> t -> unit

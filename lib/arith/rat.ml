@@ -46,7 +46,6 @@ let compare a b =
 let equal a b = Bigint.equal a.nm b.nm && Bigint.equal a.dn b.dn
 
 let neg t = { t with nm = Bigint.neg t.nm }
-let abs t = { t with nm = Bigint.abs t.nm }
 
 let add a b =
   if Bigint.is_zero a.nm then b

@@ -39,7 +39,6 @@ val is_zero : t -> bool
 val is_integer : t -> bool
 
 val neg : t -> t
-val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

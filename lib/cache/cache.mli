@@ -16,13 +16,13 @@
     computations.  Keys are content, so a mutated database misses by
     construction, and its stale answers age out of the LRU.
 
-    Every lookup is instrumented on {!Metrics.default}, every series
-    labelled [tier="shapley"]: the [cache_hits] / [cache_misses] /
-    [cache_evictions] counters and the [cache_lookup_seconds] histogram
-    (leader misses include the fill time), the [cache_entries] /
-    [cache_fill] gauges, and [cache_bytes]: the bytes of rendered
-    elements resident.  Entries and evictions count facts.  All
-    operations are domain-safe. *)
+    Every lookup is instrumented on the process-wide {!Metrics}
+    registry, every series labelled [tier="shapley"]: the [cache_hits] /
+    [cache_misses] / [cache_evictions] counters and the
+    [cache_lookup_seconds] histogram (leader misses include the fill
+    time), the [cache_entries] / [cache_fill] gauges, and [cache_bytes]:
+    the bytes of rendered elements resident.  Entries and evictions
+    count facts.  All operations are domain-safe. *)
 
 type t
 

@@ -26,5 +26,3 @@ let add_int h i = add_string h (string_of_int i)
 let to_hex h = Printf.sprintf "%016Lx" h
 
 let digest parts = to_hex (List.fold_left add_string empty parts)
-
-let equal = Int64.equal

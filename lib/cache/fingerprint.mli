@@ -31,4 +31,3 @@ val to_hex : t -> string
     the one-shot form used for composite keys. *)
 val digest : string list -> string
 
-val equal : t -> t -> bool

@@ -16,7 +16,7 @@
     it exhaustively for tests.
 
     A pass that computes one value per distinct node is a {!memo}
-    recursion: {!eval} here, and conditioning, OR-substitution,
+    recursion: {!eval_set} here, and conditioning, OR-substitution,
     probability and the counting pass elsewhere. *)
 
 type or_kind =
@@ -71,9 +71,6 @@ val size : node -> int
 
 (** [edge_count g] is the number of wires (for the Lemma 9 size bound). *)
 val edge_count : node -> int
-
-(** [eval env g] evaluates the circuit under an assignment. *)
-val eval : (int -> bool) -> node -> bool
 
 (** [eval_set s g] evaluates under the valuation true exactly on [s]. *)
 val eval_set : Vset.t -> node -> bool

@@ -33,7 +33,6 @@ let create_manager ~order =
     f_leaf = { id = 0; desc = Leaf false };
   }
 
-let leaf_true m = m.t_leaf
 let leaf_false m = m.f_leaf
 
 let level_of m t =

@@ -19,7 +19,6 @@ type node
     @raise Invalid_argument on duplicates. *)
 val create_manager : order:int list -> manager
 
-val leaf_true : manager -> node
 val leaf_false : manager -> node
 
 (** [var m v] is the single-variable OBDD for [X_v].
@@ -27,8 +26,6 @@ val leaf_false : manager -> node
 val var : manager -> int -> node
 
 val neg : manager -> node -> node
-val conj : manager -> node -> node -> node
-val disj : manager -> node -> node -> node
 val xor : manager -> node -> node -> node
 
 (** [of_formula m f] compiles a formula bottom-up with [apply].
@@ -43,9 +40,6 @@ val equal : node -> node -> bool
 
 val is_true : node -> bool
 val is_false : node -> bool
-
-(** [eval env t] follows one path root to leaf. *)
-val eval : (int -> bool) -> node -> bool
 
 val eval_set : Vset.t -> node -> bool
 

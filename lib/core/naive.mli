@@ -20,7 +20,7 @@
 val shap_permutations : vars:int list -> Formula.t -> (int * Rat.t) list
 
 (** [shap_subsets ~vars f] evaluates Eq. (2) with brute-force counts
-    ([2^n] enumeration; capped by {!Semantics.max_enum_vars}). *)
+    ([2^n] enumeration; capped at 26 variables, as {!Semantics} is). *)
 val shap_subsets : vars:int list -> Formula.t -> (int * Rat.t) list
 
 (** [shap_sum shap] is [Σ_i Shap(F, X_i)] (cf. Proposition 5). *)

@@ -73,6 +73,8 @@ let kcounts_via_shap cls ~shap ~vars x =
 (* ------------------------------------------------------------------ *)
 (* Formulas *)
 
+(* Definition 1 by [Subst.or_subst], the formula's variables, and its
+   value on the empty valuation. *)
 let formulas =
   {
     or_subst = (fun ~universe ~widths f -> Subst.or_subst ~universe ~widths f);

@@ -4,7 +4,7 @@
     The proofs of Lemmas 3.2–3.4 ask three things of a class, recorded
     in {!or_closed}; the chain below runs the reductions of
     {!Reductions} over any such record with the caller's oracle.  Three
-    classes plug in: formulas ({!formulas}), d-D circuits
+    classes plug in: formulas (the [*_oracle] functions), d-D circuits
     ([Circuit_shapley], by Lemma 9) and [Q0] lineages ([Hardness], by
     Claim 5.2).  Only the formula instance records its oracle calls in
     the {!Shapmc_obs.Obs} ledger. *)
@@ -53,12 +53,9 @@ val kcounts_via_shap :
 
 (** {1 Formulas}
 
-    The chain on {!formulas} with a named oracle, each call recorded in
-    the {!Shapmc_obs.Obs} ledger with its arity and lemma. *)
-
-(** {!Shapmc_boolean.Subst.or_subst}, [Formula.vars] and evaluation at
-    the empty valuation. *)
-val formulas : Formula.t or_closed
+    The chain on formulas (OR-substitution by
+    {!Shapmc_boolean.Subst.or_subst}) with a named oracle, each call
+    recorded in the {!Shapmc_obs.Obs} ledger with its arity and lemma. *)
 
 (** A plain model-counting oracle: [#F] over an explicit universe. *)
 type count_oracle = {

@@ -9,9 +9,6 @@
     as 0-based (left, right) index pairs. *)
 type t = { a : int; b : int; edges : (int * int) list }
 
-(** Cap on the enumerated (left) side. *)
-val max_left : int
-
 (** [make ~a ~b edges] validates and normalizes an instance.
     @raise Invalid_argument on out-of-range edges or negative sizes. *)
 val make : a:int -> b:int -> (int * int) list -> t
@@ -28,12 +25,12 @@ val to_formula : t -> Formula.t
 val all_vars : t -> int list
 
 (** [count t] is [#F] over the full universe.
-    @raise Invalid_argument beyond {!max_left} left or 62 right
+    @raise Invalid_argument beyond 22 left or 62 right
     vertices. *)
 val count : t -> Bigint.t
 
 (** [count_by_size t] is the stratified vector over the full universe.
-    @raise Invalid_argument beyond {!max_left} left or 62 right
+    @raise Invalid_argument beyond 22 left or 62 right
     vertices. *)
 val count_by_size : t -> Kvec.t
 

@@ -3,8 +3,8 @@
     The reference oracle every other counter is tested against.  Counts are
     relative to an explicit universe [vars], which may strictly contain the
     variables of the formula (the paper's [#F] is over the [n] declared
-    variables).  Exponential: callers are limited to
-    {!Semantics.max_enum_vars} variables. *)
+    variables).  Exponential: callers are limited to 26 variables, as
+    in {!Semantics}. *)
 
 (* Every brute call enumerates 2^|vars| assignments; ledger the volume so
    the counter shows up next to DPLL branch counts in reports. *)
@@ -14,9 +14,9 @@ let observe ~what n =
     if n <= 62 then Obs.add "brute.assignments" (1 lsl n)
   end
 
-(* Counts are bounded by 2^max_enum_vars, so the accumulators are plain
-   native ints; the enumeration works on assignment masks and allocates
-   nothing per model. *)
+(* Counts are bounded by 2^26, the enumeration cap, so the accumulators
+   are plain native ints; the enumeration works on assignment masks and
+   allocates nothing per model. *)
 
 let popcount mask =
   let c = ref 0 and m = ref mask in

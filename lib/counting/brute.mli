@@ -3,7 +3,7 @@
     The reference oracle every other counter is tested against.  Counts
     are relative to an explicit universe, which may strictly contain the
     variables of the formula (the paper's [#F] is over the [n] declared
-    variables).  Exponential: capped by [Semantics.max_enum_vars]. *)
+    variables).  Exponential: capped at 26 variables, as {!Semantics} is. *)
 
 (** [count ~vars f] is [#F] over the universe [vars]. *)
 val count : vars:int list -> Formula.t -> Bigint.t

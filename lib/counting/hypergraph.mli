@@ -13,8 +13,5 @@
     the given hyperedges (variable sets). *)
 val is_beta_acyclic : Vset.t list -> bool
 
-(** [cnf_hypergraph cnf] is the hyperedge list of a clause list. *)
-val cnf_hypergraph : Nf.clause list -> Vset.t list
-
 (** [is_beta_acyclic_cnf cnf] composes the two. *)
 val is_beta_acyclic_cnf : Nf.clause list -> bool

@@ -25,7 +25,7 @@ val classify : Cq.t -> classification
 (** [circuit db q] is the lineage circuit of [q] over [db] and the solver
     that built it: {!Safe_plan.lineage_circuit} when [classify q] is
     [Hierarchical], otherwise the lineage compiled by [Compile.compile].
-    It is the one Theorem 5.1 dispatch: the solvers below, [Pqe] and
+    It is the one Theorem 5.1 dispatch: the solvers below and
     [Hardness]'s reference oracle all solve on its circuit. *)
 val circuit : Database.t -> Cq.t -> Circuit.node * solver
 

@@ -31,5 +31,4 @@ val top_k : report -> int -> entry list
     positive queries). *)
 val total : report -> Rat.t
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> report -> unit

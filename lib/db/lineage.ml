@@ -18,7 +18,11 @@ let matches env (a : Cq.atom) (s : Database.stored) =
 
 (* The backtracking join: atoms left to right, each against its
    relation's rows (read once, in insertion order), extending a partial
-   assignment of the query variables. *)
+   assignment of the query variables.  Each satisfying assignment, in
+   that search order, calls [leaf acc env rows]: [env] binds every
+   variable (most recent binding first) and [rows] holds the matched
+   tuples in atom order.  Atoms match positively, whatever their
+   [negated] flag. *)
 let fold db atoms ~init ~leaf =
   let scans =
     List.map (fun (a : Cq.atom) -> (a, Database.tuples db a.rel)) atoms

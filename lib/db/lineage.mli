@@ -8,25 +8,8 @@
     definitional [adom^{|x|}] enumeration — same function, polynomial data
     complexity with a small constant.
 
-    {!fold} is that join, and the only one in the library: the lineage
-    functions below and {!Provenance.eval} are folds over it. *)
-
-(** [fold db atoms ~init ~leaf] runs the backtracking join of [atoms]
-    over [db]: the atoms left to right, each matched against its
-    relation's tuples in insertion order (each relation is read once per
-    call), extending a partial assignment of the query variables.  For
-    each satisfying assignment, in that search order, it calls
-    [leaf acc env rows]: [env] binds every variable of [atoms] (most
-    recent binding first) and [rows] holds the matched tuples in atom
-    order.  Atoms are matched positively, whatever their [negated] flag.
-    @raise Not_found if an atom names an unknown relation (callers
-    validate with [Cq.check_against]). *)
-val fold :
-  Database.t ->
-  Cq.atom list ->
-  init:'a ->
-  leaf:('a -> (string * Value.t) list -> Database.stored list -> 'a) ->
-  'a
+    That join is the only one in the library: the lineage functions
+    below are folds over it. *)
 
 (** [lineage db q] is [F_{Q,D}] as a positive DNF (clauses deduplicated,
     not otherwise minimized — per the definition, one clause per

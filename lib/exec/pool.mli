@@ -22,7 +22,7 @@ val jobs : t -> int
     parallel reductions never oversubscribe the machine.
 
     When [Obs.enabled], each parallel [map] additionally records pool
-    utilization into [Metrics.default]: per-worker
+    utilization into the process-wide [Metrics] registry: per-worker
     [pool_worker_busy_seconds] / [pool_worker_idle_seconds] /
     [pool_worker_tasks] counters (labeled [worker=0] for the caller) and
     [pool_task_seconds] / [pool_job_wait_seconds] histograms, plus

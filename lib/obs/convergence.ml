@@ -131,11 +131,6 @@ let create ?(ci = Bernstein) ?(delta = 0.05) ?(range = 2.0)
     c_finished = false;
   }
 
-let estimator t = t.c_estimator
-let players t = Array.length t.c_players
-let ci t = t.c_ci
-let delta t = t.c_delta
-
 let with_lock t f =
   Mutex.lock t.c_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.c_lock) f
@@ -244,8 +239,6 @@ let advance t k =
         t.c_samples <- t.c_samples + k;
         if t.c_samples / t.c_interval > before then emit_checkpoint t)
 
-let checkpoint t = with_lock t (fun () -> emit_checkpoint t)
-
 let finish t =
   with_lock t (fun () ->
       if not t.c_finished then begin
@@ -262,9 +255,6 @@ let samples t = with_lock t (fun () -> t.c_samples)
 let mean t ~player = with_lock t (fun () -> t.c_players.(player).p_mean)
 let variance t ~player =
   with_lock t (fun () -> variance_of t.c_players.(player))
-
-let half_width t ~player =
-  with_lock t (fun () -> instant_hw t t.c_players.(player))
 
 let certified_half_width t ~player =
   with_lock t (fun () -> t.c_players.(player).p_best_hw)

@@ -82,11 +82,6 @@ val create :
   unit ->
   t
 
-val estimator : t -> string
-val players : t -> int
-val ci : t -> ci
-val delta : t -> float
-
 (** {1 Feeding} *)
 
 (** [observe t ~player x] streams one observation into [player]'s
@@ -107,10 +102,6 @@ val merge_moments :
     call — back-to-back crossings coalesce). *)
 val advance : t -> int -> unit
 
-(** [checkpoint t] forces a checkpoint now (estimators call it once at
-    the end so the final state is always logged). *)
-val checkpoint : t -> unit
-
 (** [finish t] emits a final checkpoint if any sample arrived since the
     last one, observes [estimator_seconds{estimator}] and flushes the
     JSONL sink.  Idempotent. *)
@@ -128,10 +119,6 @@ val mean : t -> player:int -> float
     observations). *)
 val variance : t -> player:int -> float
 
-(** Instant half-width of [player]'s CI at the current count
-    ([infinity] before any observation). *)
-val half_width : t -> player:int -> float
-
 (** Certified half-width: the envelope value as of the last checkpoint
     ([infinity] before the first). *)
 val certified_half_width : t -> player:int -> float
@@ -145,9 +132,9 @@ val emitted : t -> int
 
 (** {1 Inspection helpers} *)
 
-(** [hw_of ~ci ~delta ~range ~count ~variance] is the instant half-width
-    formula behind {!half_width} — exposed for tests and for consumers
-    that need a bound before running (e.g. planning a sample budget). *)
+(** [hw_of ~ci ~delta ~range ~count ~variance] is the instant per-player
+    half-width formula — exposed for tests and for consumers that need a
+    bound before running (e.g. planning a sample budget). *)
 val hw_of :
   ci:ci -> delta:float -> range:float -> count:int -> variance:float -> float
 

@@ -20,12 +20,11 @@
     [pool_worker_idle_seconds{worker}], [pool_task_seconds],
     [pool_job_wait_seconds], [gc_allocated_bytes]. *)
 
+(** A registry.  Every function's [?registry] defaults to one
+    process-wide registry, the one [Obs] forwards to. *)
 type registry
 
 type labels = (string * string) list
-
-(** The process-wide registry used by [Obs] forwarding. *)
-val default : registry
 
 val create : unit -> registry
 

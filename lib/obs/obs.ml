@@ -1,8 +1,8 @@
-(* The ledger is a set of series in [Metrics.default] behind a single
-   [enabled] flag, plus one delivery path for events.  Recording entry
-   points check [observing] first, so when observation is off an
-   instrumented call site costs one load + branch (plus the closure it
-   already built).
+(* The ledger is a set of series in the process-wide [Metrics] registry
+   behind a single [enabled] flag, plus one delivery path for events.
+   Recording entry points check [observing] first, so when observation
+   is off an instrumented call site costs one load + branch (plus the
+   closure it already built).
 
    Each entry point builds its event once and hands it to [deliver],
    which writes it to the [--trace] stream while the ledger is enabled
@@ -54,7 +54,6 @@ let disable () = enabled_flag := false
 (* Profiling adds Gc sampling around each span.  Like [enabled], the
    flag is only toggled outside parallel regions. *)
 let profiling_flag = ref false
-let profiling () = !profiling_flag
 let set_profiling b = profiling_flag := b
 
 (* Bytes allocated by this domain so far (minor + major - promoted, so

@@ -17,8 +17,8 @@
     back.
 
     {b The ledger is the registry.}  While enabled, each entry point
-    writes {!Metrics.default} series and nothing else: per oracle
-    [oracle_n{oracle}], [oracle_size{oracle}] and
+    writes series of the process-wide {!Metrics} registry and nothing
+    else: per oracle [oracle_n{oracle}], [oracle_size{oracle}] and
     [oracle_seconds{oracle,lemma,l}]; per span [span_seconds{span}],
     [span_self_seconds{span}] and, when profiling,
     [span_alloc_bytes{span}]; per substitution kind
@@ -65,11 +65,9 @@ val observing : unit -> bool
 
 (** Profiling mode ([--profile]): spans additionally sample per-domain
     [Gc] counters, recording a [span_alloc_bytes] histogram per span
-    path in {!Metrics.default}.  Requires {!enabled}; toggle only
-    outside parallel regions.  Off by default. *)
+    path in the process-wide {!Metrics} registry.  Requires {!enabled};
+    toggle only outside parallel regions.  Off by default. *)
 val set_profiling : bool -> unit
-
-val profiling : unit -> bool
 
 (** Bytes allocated by the calling domain so far (minor + major −
     promoted, the minor part from [Gc.minor_words], exact at any

@@ -20,7 +20,7 @@
       and the samples spent; the estimator early-stops at ε and its
       convergence checkpoints land in the request profile.  Uncached:
       each call is a fresh run (the sample budget is clamped to
-      {!approx_max_samples})
+      100 000)
 
     A failure answers {!Router.error_response}'s shape; with several bad
     body fields, the first in the order above names the error.  The
@@ -84,5 +84,3 @@ val default_limit : int
 
 val max_limit : int
 
-(** Per-request clamp on the [/v1/shapley/approx] permutation budget. *)
-val approx_max_samples : int

@@ -96,9 +96,16 @@ type outcome =
   | Request of request
   | Reject of int * string
 
+(* The request line, headers and declared body length, kept once the
+   header section has parsed; [req.body] is filled in on completion. *)
+type head = { req : request; hdr_end : int; length : int }
+
 type parser_ = {
   limits : Limits.t;
   buf : Buffer.t;  (* every byte fed so far (current request + beyond) *)
+  mutable scanned : int;  (* bytes the header-end scan has read *)
+  mutable line_start : int;  (* where the line being scanned starts *)
+  mutable head : head option;
   mutable saw_eof : bool;
   mutable result : outcome;  (* cached once terminal *)
   mutable leftover_ : string;
@@ -109,6 +116,9 @@ type parser_ = {
 let create ~limits =
   { limits;
     buf = Buffer.create 512;
+    scanned = 0;
+    line_start = 0;
+    head = None;
     saw_eof = false;
     result = Incomplete;
     leftover_ = "";
@@ -139,33 +149,34 @@ let trim_ows s =
 
 (* Find the end of the header section: the byte offset just past the
    first empty line.  Lines end at '\n', with an optional '\r' before
-   it, so both CRLF and bare-LF framing (and mixtures) parse. *)
-let header_section s =
-  let n = String.length s in
-  let rec go line_start i =
-    if i >= n then None
-    else if s.[i] = '\n' then begin
-      let line_len =
-        let l = i - line_start in
-        if l > 0 && s.[i - 1] = '\r' then l - 1 else l
-      in
-      if line_len = 0 then Some (i + 1) else go (i + 1) (i + 1)
-    end
-    else go line_start (i + 1)
-  in
-  go 0 0
+   it, so both CRLF and bare-LF framing (and mixtures) parse.  The scan
+   resumes where the previous call stopped, so each byte is read once. *)
+let rec header_end p =
+  let i = p.scanned in
+  if i >= Buffer.length p.buf then None
+  else begin
+    p.scanned <- i + 1;
+    if Buffer.nth p.buf i <> '\n' then header_end p
+    else
+      let l = i - p.line_start in
+      let l = if l > 0 && Buffer.nth p.buf (i - 1) = '\r' then l - 1 else l in
+      if l = 0 then Some (i + 1)
+      else begin
+        p.line_start <- i + 1;
+        header_end p
+      end
+  end
 
-(* Split the header section (sans final empty line) into lines. *)
-let section_lines s hdr_end =
-  let upto = String.sub s 0 hdr_end in
-  let raw = String.split_on_char '\n' upto in
+(* Split the header section (with its final empty line) into lines. *)
+let section_lines section =
   let strip l =
     let n = String.length l in
     if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
   in
   (* The section ends "...\n<empty>\n"; dropping empty trailing pieces
      leaves the request line and the header lines. *)
-  List.filter (fun l -> l <> "") (List.map strip raw)
+  List.filter (fun l -> l <> "")
+    (List.map strip (String.split_on_char '\n' section))
 
 let parse_request_line line =
   match String.split_on_char ' ' line with
@@ -201,82 +212,89 @@ let content_length headers =
       | _ -> Error ("malformed content-length: " ^ v))
   | _ :: _ :: _ -> Error "multiple content-length headers"
 
-(* Re-derive the outcome from the accumulated bytes.  Total: every
-   malformed shape maps to [Reject]. *)
-let compute p =
-  let s = Buffer.contents p.buf in
-  let n = String.length s in
-  let max_hdr = p.limits.Limits.max_header_bytes in
-  match header_section s with
-  | None ->
-    if n > max_hdr then
-      Reject
-        ( 400,
-          Printf.sprintf "header section exceeds %d bytes" max_hdr )
-    else if p.saw_eof then
-      if n = 0 then Reject (400, "empty request")
-      else Reject (400, "truncated request (connection closed mid-headers)")
-    else Incomplete
-  | Some hdr_end ->
-    if hdr_end > max_hdr then
-      Reject
-        (400, Printf.sprintf "header section exceeds %d bytes" max_hdr)
+(* The head of a complete header section, or the 400 message. *)
+let parse_head section ~hdr_end =
+  match section_lines section with
+  | [] -> Error "empty request line"
+  | req_line :: header_lines -> (
+      match parse_request_line req_line with
+      | Error m -> Error m
+      | Ok (meth, target, version) -> (
+          let rec headers acc = function
+            | [] -> Ok (List.rev acc)
+            | l :: rest -> (
+                match parse_header_line l with
+                | Error m -> Error m
+                | Ok kv -> headers (kv :: acc) rest)
+          in
+          match headers [] header_lines with
+          | Error m -> Error m
+          | Ok headers ->
+            if List.mem_assoc "transfer-encoding" headers then
+              Error "transfer-encoding is not supported"
+            else (
+              match content_length headers with
+              | Error m -> Error m
+              | Ok length ->
+                let path, query = split_target target in
+                Ok
+                  { req =
+                      { meth; target; path; query; version; headers;
+                        body = "" };
+                    hdr_end;
+                    length })))
+
+(* The outcome once the head is known: the body is copied once, when
+   all of it has arrived. *)
+let body_outcome p h =
+  let n = Buffer.length p.buf in
+  if h.length > p.limits.Limits.max_body_bytes then begin
+    (* The client may still be mid-upload: remember how much declared
+       body has yet to arrive so the server can linger-drain it before
+       closing (closing with unread data sends RST, which on Linux
+       discards the buffered 413 response). *)
+    p.drain_ <- max 0 (h.length - (n - h.hdr_end));
+    Reject
+      ( 413,
+        Printf.sprintf "declared body of %d bytes exceeds the %d-byte limit"
+          h.length p.limits.Limits.max_body_bytes )
+  end
+  else
+    let stop = h.hdr_end + h.length in
+    if n < stop then
+      if p.saw_eof then Reject (400, "truncated body (connection closed early)")
+      else Incomplete
     else begin
-      match section_lines s hdr_end with
-      | [] -> Reject (400, "empty request line")
-      | req_line :: header_lines -> (
-          match parse_request_line req_line with
-          | Error m -> Reject (400, m)
-          | Ok (meth, target, version) ->
-            let rec headers acc = function
-              | [] -> Ok (List.rev acc)
-              | l :: rest -> (
-                  match parse_header_line l with
-                  | Error m -> Error m
-                  | Ok kv -> headers (kv :: acc) rest)
-            in
-            (match headers [] header_lines with
-             | Error m -> Reject (400, m)
-             | Ok headers ->
-               if List.mem_assoc "transfer-encoding" headers then
-                 Reject (400, "transfer-encoding is not supported")
-               else (
-                 match content_length headers with
-                 | Error m -> Reject (400, m)
-                 | Ok cl ->
-                   if cl > p.limits.Limits.max_body_bytes then begin
-                     (* The client may still be mid-upload: remember how
-                        much declared body has yet to arrive so the
-                        server can linger-drain it before closing
-                        (closing with unread data sends RST, which on
-                        Linux discards the buffered 413 response). *)
-                     p.drain_ <- max 0 (cl - (n - hdr_end));
-                     Reject
-                       ( 413,
-                         Printf.sprintf
-                           "declared body of %d bytes exceeds the %d-byte \
-                            limit"
-                           cl p.limits.Limits.max_body_bytes )
-                   end
-                   else if n < hdr_end + cl then
-                     if p.saw_eof then
-                       Reject
-                         (400, "truncated body (connection closed early)")
-                     else Incomplete
-                   else begin
-                     p.leftover_ <-
-                       String.sub s (hdr_end + cl) (n - hdr_end - cl);
-                     let path, query = split_target target in
-                     Request
-                       { meth;
-                         target;
-                         path;
-                         query;
-                         version;
-                         headers;
-                         body = String.sub s hdr_end cl }
-                   end)))
+      p.leftover_ <- Buffer.sub p.buf stop (n - stop);
+      Request { h.req with body = Buffer.sub p.buf h.hdr_end h.length }
     end
+
+let header_too_long max_hdr =
+  Reject (400, Printf.sprintf "header section exceeds %d bytes" max_hdr)
+
+(* The outcome of the bytes fed so far.  Total: every malformed shape
+   maps to [Reject].  Work already done is kept: the header-end scan's
+   position, and the head once parsed. *)
+let compute p =
+  let max_hdr = p.limits.Limits.max_header_bytes in
+  match p.head with
+  | Some h -> body_outcome p h
+  | None -> (
+      match header_end p with
+      | None ->
+        let n = Buffer.length p.buf in
+        if n > max_hdr then header_too_long max_hdr
+        else if p.saw_eof then
+          if n = 0 then Reject (400, "empty request")
+          else Reject (400, "truncated request (connection closed mid-headers)")
+        else Incomplete
+      | Some hdr_end when hdr_end > max_hdr -> header_too_long max_hdr
+      | Some hdr_end -> (
+          match parse_head (Buffer.sub p.buf 0 hdr_end) ~hdr_end with
+          | Error m -> Reject (400, m)
+          | Ok h ->
+            p.head <- Some h;
+            body_outcome p h))
 
 let refresh p =
   match p.result with

@@ -72,8 +72,6 @@ val drain_hint : parser_ -> int
 
 (** {1 Responses} *)
 
-val reason : int -> string
-
 (** [render_response ~status ~body ()] prints a full HTTP/1.1 response:
     the head (status line, [Content-Length], [Connection:
     keep-alive]/[close] ([keep_alive] defaults to [false]), then
@@ -124,6 +122,3 @@ val write_response :
   unit ->
   int
 
-(** Percent-decode a URI component; malformed escapes pass through
-    literally, [+] decodes to space. *)
-val pct_decode : string -> string

@@ -29,9 +29,9 @@
     are never joined), and then
     [http_requests{route,code}] (counter),
     [http_request_seconds{route,code}] (histogram) and the profile
-    (ring, rolling SLO windows, access log) are recorded into
-    {!Metrics.default} and the telemetry.  The [http_in_flight] gauge
-    brackets each dispatch. *)
+    (ring, rolling SLO windows, access log) are recorded into the
+    process-wide {!Metrics} registry and the telemetry.  The
+    [http_in_flight] gauge brackets each dispatch. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)

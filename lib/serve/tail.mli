@@ -8,9 +8,6 @@ type t
 
 val create : unit -> t
 
-(** Consume one complete log line (no trailing newline needed). *)
-val feed_line : t -> string -> unit
-
 (** Consume a chunk; an unterminated last line is buffered until the
     next {!feed} (or {!finish}). *)
 val feed : t -> string -> unit

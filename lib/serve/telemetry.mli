@@ -54,31 +54,27 @@ val recorded : t -> int
     [queue_seconds], [oracle_seconds], [oracle_calls], [jobs]). *)
 val access_line : profile -> Tiny_json.t
 
-(** {!access_line} fields plus the stored event count. *)
-val summary_json : profile -> Tiny_json.t
-
-(** Full profile: scalars plus [events_dropped] and the event list
-    (each via {!Trace_export.event_to_json}, so they round-trip through
-    {!Trace_export.event_of_json}). *)
-val profile_json : profile -> Tiny_json.t
-
 (** {1 SLO export} *)
 
 (** Set [http_slo_error_ratio{window}],
     [http_slo_window_requests{window}] and
     [http_slo_latency_seconds{window,quantile}] gauges (windows [1m] /
     [5m]; quantiles 0.5/0.95/0.99; empty-window latency exports 0) in
-    [registry] (default {!Metrics.default}). *)
+    [registry] (default the process-wide {!Metrics} registry). *)
 val set_slo_gauges : ?now:float -> ?registry:Metrics.registry -> t -> unit
 
 (** {1 Routes} *)
 
 (** The three routes that read [t]:
-    - [GET /metrics] — OpenMetrics exposition of {!Metrics.default},
-      with the SLO gauges refreshed ({!set_slo_gauges}) at scrape time
-    - [GET /v1/debug/requests] — the ring's summaries ({!summary_json}),
-      newest first, with [count] and [recorded]
-    - [GET /v1/debug/requests/:id] — one request's {!profile_json};
-      [?format=chrome] renders its events through
-      {!Trace_export.chrome} for Perfetto *)
+    - [GET /metrics] — OpenMetrics exposition of the process-wide
+      {!Metrics} registry, with the SLO gauges refreshed
+      ({!set_slo_gauges}) at scrape time
+    - [GET /v1/debug/requests] — the ring's summaries ({!access_line}
+      fields plus the stored event count), newest first, with [count]
+      and [recorded]
+    - [GET /v1/debug/requests/:id] — one request's profile: the scalars
+      plus [events_dropped] and the event list (each via
+      {!Trace_export.event_to_json}, so they round-trip through
+      {!Trace_export.event_of_json}); [?format=chrome] renders its
+      events through {!Trace_export.chrome} for Perfetto *)
 val routes : t -> Router.route list

@@ -293,6 +293,122 @@ let circuit_shapley_tests =
          List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b)
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Shapley's axioms and two classic simple games, checked on the
+   reference definitions and on the circuit algorithm of Theorem 4.1. *)
+
+(* A glove market: players 1 and 2 hold left gloves, player 3 the only
+   right glove, and a pair is worth 1. *)
+let glove = parse "x3 & (x1 | x2)"
+
+(* Weighted voting [4; 3, 2, 1, 1]: a coalition wins with weight 4. *)
+let voting = parse "x1 & x2 | x1 & x3 | x1 & x4 | x2 & x3 & x4"
+
+let circuit_shap ~vars f =
+  Circuit_shapley.shap_direct ~vars (Compile.compile f)
+
+let same_values a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b
+
+(* [f] does not depend on [i]. *)
+let null_player f i =
+  Semantics.equivalent (Formula.restrict i true f) (Formula.restrict i false f)
+
+let swap i j v = if v = i then j else if v = j then i else v
+
+let axiom_tests =
+  [ t "glove game: the right glove is worth 2/3" (fun () ->
+        let vars = [ 1; 2; 3 ] in
+        let expected = [ (1, r 1 6); (2, r 1 6); (3, r 2 3) ] in
+        check_shap "permutations" expected (Naive.shap_permutations ~vars glove);
+        check_shap "subsets" expected (Naive.shap_subsets ~vars glove);
+        check_shap "circuit" expected (circuit_shap ~vars glove));
+    t "axioms on the glove game" (fun () ->
+        let shap = circuit_shap ~vars:[ 1; 2; 3 ] glove in
+        Alcotest.check rat "efficiency" Rat.one (Naive.shap_sum shap);
+        Alcotest.check rat "symmetry 1~2" (List.assoc 1 shap)
+          (List.assoc 2 shap);
+        (* a fourth player is null: worth 0, and no other value moves *)
+        check_shap "null player" ((4, Rat.zero) :: shap)
+          (circuit_shap ~vars:[ 1; 2; 3; 4 ] glove));
+    t "weighted voting [4; 3, 2, 1, 1]: weight 2 buys no more than 1"
+      (fun () ->
+        let vars = [ 1; 2; 3; 4 ] in
+        let expected = [ (1, r 1 2); (2, r 1 6); (3, r 1 6); (4, r 1 6) ] in
+        check_shap "permutations" expected
+          (Naive.shap_permutations ~vars voting);
+        check_shap "circuit" expected (circuit_shap ~vars voting));
+    t "glove game Banzhaf values" (fun () ->
+        let vars = [ 1; 2; 3 ] in
+        let expected = [ (1, r 1 4); (2, r 1 4); (3, r 3 4) ] in
+        check_shap "formula" expected (Power_indices.banzhaf ~vars glove);
+        check_shap "circuit" expected
+          (Power_indices.banzhaf_circuit ~vars (Compile.compile glove)));
+    t "the universe covers the function and names each player once"
+      (fun () ->
+        let misses =
+          Invalid_argument "Naive: universe misses variables of the formula"
+        in
+        Alcotest.check_raises "permutations" misses (fun () ->
+            ignore (Naive.shap_permutations ~vars:[ 1; 3 ] glove));
+        Alcotest.check_raises "subsets" misses (fun () ->
+            ignore (Naive.shap_subsets ~vars:[ 1; 3 ] glove));
+        Alcotest.check_raises "duplicate"
+          (Invalid_argument "Naive: duplicate variables in the universe")
+          (fun () -> ignore (Naive.shap_subsets ~vars:[ 1; 2; 3; 3 ] glove));
+        Alcotest.check_raises "circuit"
+          (Invalid_argument "Count: universe misses circuit variables")
+          (fun () -> ignore (circuit_shap ~vars:[ 1; 3 ] glove)));
+    qtest "axioms hold for the circuit algorithm on random functions"
+      ~count:30 (arb_formula ~nvars:4 ~depth:4)
+      (fun f ->
+         (* no formula mentions player 5: a null player by construction *)
+         let vars = [ 1; 2; 3; 4; 5 ] in
+         let shap = circuit_shap ~vars f in
+         let at b = Bool.to_int (Formula.eval (fun _ -> b) f) in
+         Rat.equal (Naive.shap_sum shap) (Rat.of_int (at true - at false))
+         && List.for_all
+              (fun i ->
+                 (not (null_player f i))
+                 || Rat.equal (List.assoc i shap) Rat.zero)
+              vars
+         && List.for_all
+              (fun i ->
+                 List.for_all
+                   (fun j ->
+                      let symmetric =
+                        Semantics.equivalent f (Formula.rename (swap i j) f)
+                      in
+                      i >= j || (not symmetric)
+                      || Rat.equal (List.assoc i shap) (List.assoc j shap))
+                   vars)
+              vars);
+    qtest "linearity: Shap(f | g) + Shap(f & g) = Shap(f) + Shap(g)" ~count:20
+      (QCheck.pair (arb_formula ~nvars:3 ~depth:3)
+         (arb_formula ~nvars:3 ~depth:3))
+      (fun (f, g) ->
+         (* as 0/1 games, (f | g) + (f & g) = f + g *)
+         let vars = [ 1; 2; 3 ] in
+         let add a b = List.map2 (fun (i, x) (_, y) -> (i, Rat.add x y)) a b in
+         same_values
+           (add (circuit_shap ~vars (Formula.disj2 f g))
+              (circuit_shap ~vars (Formula.conj2 f g)))
+           (add (circuit_shap ~vars f) (circuit_shap ~vars g)));
+    qtest "anonymity: renaming the players permutes the values" ~count:30
+      (QCheck.pair (arb_formula ~nvars:4 ~depth:4)
+         (QCheck.make
+            ~print:(fun l -> String.concat " " (List.map string_of_int l))
+            (QCheck.Gen.shuffle_l [ 1; 2; 3; 4 ])))
+      (fun (f, image) ->
+         let vars = [ 1; 2; 3; 4 ] in
+         let sigma i = List.nth image (i - 1) in
+         let renamed = circuit_shap ~vars (Formula.rename sigma f) in
+         List.for_all
+           (fun (i, x) -> Rat.equal x (List.assoc (sigma i) renamed))
+           (circuit_shap ~vars f))
+  ]
+
 let suite =
   naive_tests @ identity_tests @ lemma34_repair_tests @ reduction_tests
-  @ circuit_shapley_tests
+  @ circuit_shapley_tests @ axiom_tests

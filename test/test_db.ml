@@ -446,7 +446,146 @@ let index_tests =
         Alcotest.(check int) "copy rows" 2
           (List.length (Database.tuples copy "R"))) ]
 
+(* ------------------------------------------------------------------ *)
+(* The lineage as a record of derivations: one clause per satisfying
+   assignment of the query variables. *)
+
+let clauses = Alcotest.list vset
+
+let rec subsets = function
+  | [] -> [ Vset.empty ]
+  | v :: rest -> List.concat_map (fun s -> [ s; Vset.add v s ]) (subsets rest)
+
+let derivation_tests =
+  [ t "example 13: one clause per derivation" (fun () ->
+        let db = example13_db () in
+        Alcotest.check clauses "x1 x3 + x2 x4"
+          [ Vset.of_list [ 1; 3 ]; Vset.of_list [ 2; 4 ] ]
+          (Lineage.lineage db (Db_parser.parse_query "R1(x), R2(x)")));
+    t "a cross product has a clause per pair" (fun () ->
+        let db = example13_db () in
+        let q = Db_parser.parse_query "R1(x), R2(y)" in
+        Alcotest.check clauses "4 derivations"
+          (List.map Vset.of_list [ [ 1; 3 ]; [ 1; 4 ]; [ 2; 3 ]; [ 2; 4 ] ])
+          (Lineage.lineage db q);
+        (* (x1 | x2) & (x3 | x4) over 4 facts *)
+        let count, solver = Dichotomy.count_models db q in
+        Alcotest.check bigint "9 models" (bi 9) count;
+        Alcotest.(check bool) "safe plan" true
+          (solver = Dichotomy.Safe_plan_circuit));
+    t "a self-join keeps absorbed clauses until minimized" (fun () ->
+        let db = Database.create () in
+        Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
+        ignore (Database.insert db "R" [| Value.int 1 |]);
+        ignore (Database.insert db "R" [| Value.int 2 |]);
+        let d = Lineage.lineage db (Db_parser.parse_query "R(x), R(y)") in
+        (* (1,1); (1,2) and (2,1); (2,2) *)
+        Alcotest.check clauses "3 distinct derivations"
+          (List.map Vset.of_list [ [ 1 ]; [ 1; 2 ]; [ 2 ] ]) d;
+        Alcotest.check clauses "minimized"
+          (List.map Vset.of_list [ [ 1 ]; [ 2 ] ]) (Nf.pdnf_minimize d));
+    t "no derivation: false lineage and zero count on both solvers"
+      (fun () ->
+        let q0_db = Database.create () in
+        Stretch.declare_q0_schema q0_db;
+        ignore (Database.insert q0_db "R" [| Value.int 1 |]);
+        ignore (Database.insert q0_db "T" [| Value.int 2 |]);
+        let db = example13_db () in
+        ignore (Database.remove db "R2" [| Value.int 1 |]);
+        ignore (Database.remove db "R2" [| Value.int 2 |]);
+        ignore (Database.insert db "R2" [| Value.int 3 |]);
+        List.iter
+          (fun (db, q, expected) ->
+             Alcotest.check formula "false" Formula.fls
+               (Lineage.lineage_formula db q);
+             let count, solver = Dichotomy.count_models db q in
+             Alcotest.check bigint "0 models" Bigint.zero count;
+             Alcotest.(check bool) "solver" true (solver = expected))
+          [ (q0_db, Stretch.q0 (), Dichotomy.Compiled_dnf);
+            (db, Db_parser.parse_query "R1(x), R2(x)",
+             Dichotomy.Safe_plan_circuit) ]);
+    qtest "Q(D) holds iff the lineage has a model" ~count:25 gen_q0_inst
+      (fun (a, b, seed) ->
+         let db, q = random_q0_db ~a ~b ~density:0.5 ~seed in
+         let count, _ = Dichotomy.count_models db q in
+         let answer = Lineage.boolean_answer db q in
+         answer = (Lineage.lineage db q <> [])
+         && answer = not (Bigint.equal count Bigint.zero));
+    qtest "q0 lineage models = satisfying sub-databases" ~count:25
+      gen_q0_inst
+      (fun (a, b, seed) ->
+         let db, q = random_q0_db ~a ~b ~density:0.6 ~seed in
+         let f = Lineage.lineage_formula db q in
+         List.for_all
+           (fun present ->
+              Formula.eval_set present f
+              = Test_negation.eval_subdb db q present)
+           (subsets (Vset.elements (Database.lineage_vars db))))
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* A union of hierarchical queries over disjoint endogenous relations:
+   the disjuncts' lineages share no variable, so their safe-plan
+   circuits join under one variable-disjoint OR gate, which the circuit
+   algorithm of Theorem 4.1 solves as it stands. *)
+
+let union_circuit db qs =
+  Circuit.cor_disj
+    (List.map
+       (fun q -> Safe_plan.lineage_circuit db (Db_parser.parse_query q))
+       qs)
+
+let union_formula db qs =
+  Formula.or_
+    (List.map
+       (fun q -> Lineage.lineage_formula db (Db_parser.parse_query q))
+       qs)
+
+let universe db = Vset.elements (Database.lineage_vars db)
+
+let union_tests =
+  [ t "an OR of safe plans is the union's lineage" (fun () ->
+        let db = example13_db () in
+        Alcotest.(check bool) "x1 | x2 | x3 | x4" true
+          (Circuit.equivalent_formula ~max_vars:10
+             (union_circuit db [ "R1(x)"; "R2(x)" ])
+             (Parser.formula_of_string_exn "x1 | x2 | x3 | x4")));
+    t "an OR of safe plans splits the answer evenly" (fun () ->
+        let db = example13_db () in
+        check_shap "1/4 each"
+          (List.map (fun i -> (i, r 1 4)) [ 1; 2; 3; 4 ])
+          (Circuit_shapley.shap_direct ~vars:(universe db)
+             (union_circuit db [ "R1(x)"; "R2(x)" ])));
+    t "an OR of safe plans has probability 15/16 at 1/2" (fun () ->
+        let db = example13_db () in
+        Alcotest.check rat "15/16" (r 15 16)
+          (Prob.probability ~weights:Prob.uniform_half
+             (union_circuit db [ "R1(x)"; "R2(x)" ])));
+    t "a shared relation needs the compiler" (fun () ->
+        let db = example13_db () in
+        let qs = [ "R1(x), R2(x)"; "R1(x)" ] in
+        Alcotest.(check bool) "no disjoint OR" true
+          (try ignore (union_circuit db qs); false
+           with Invalid_argument _ -> true);
+        let f = union_formula db qs in
+        check_shap "compiled = brute force"
+          (Naive.shap_subsets ~vars:(universe db) f)
+          (Circuit_shapley.shap_direct ~vars:(universe db)
+             (Compile.compile f)));
+    qtest "an OR of safe plans = brute force on random q0 databases"
+      ~count:15 gen_q0_inst
+      (fun (a, b, seed) ->
+         let db, _ = random_q0_db ~a ~b ~density:0.6 ~seed in
+         let qs = [ "R(x), S(x, y)"; "T(y)" ] in
+         let vars = universe db in
+         List.for_all2
+           (fun (i, x) (j, y) -> i = j && Rat.equal x y)
+           (Naive.shap_subsets ~vars (union_formula db qs))
+           (Circuit_shapley.shap_direct ~vars (union_circuit db qs)))
+  ]
+
 let suite =
   database_tests @ cq_tests @ lineage_tests @ safe_plan_tests
   @ constant_plan_tests @ obdd_order_tests @ dichotomy_tests
-  @ explain_tests @ parser_tests @ index_tests
+  @ explain_tests @ parser_tests @ index_tests @ derivation_tests
+  @ union_tests

@@ -1,4 +1,4 @@
-(** Tests for read-once factoring, beta-acyclicity, and UCQs. *)
+(** Tests for read-once factoring and beta-acyclicity. *)
 
 open Helpers
 
@@ -135,76 +135,4 @@ let hypergraph_tests =
         Alcotest.(check bool) "acyclic" true (Hypergraph.is_beta_acyclic_cnf cnf))
   ]
 
-let ucq_tests =
-  [ t "lineage of a union" (fun () ->
-        let db = example13_db () in
-        let u =
-          Ucq.make
-            [ Db_parser.parse_query "R1(x)"; Db_parser.parse_query "R2(x)" ]
-        in
-        Alcotest.(check bool) "x1|x2|x3|x4" true
-          (Semantics.equivalent (Ucq.lineage_formula db u)
-             (parse "x1 | x2 | x3 | x4")));
-    t "disjoint hierarchical disjuncts take the polynomial path" (fun () ->
-        let db = example13_db () in
-        let u =
-          Ucq.make
-            [ Db_parser.parse_query "R1(x)"; Db_parser.parse_query "R2(x)" ]
-        in
-        let shap, solver = Ucq.shapley db u in
-        Alcotest.(check bool) "safe" true (solver = Ucq.Disjoint_safe_plans);
-        check_shap "values"
-          (Naive.shap_subsets
-             ~vars:(Vset.elements (Database.lineage_vars db))
-             (Ucq.lineage_formula db u))
-          shap);
-    t "shared relations fall back to compilation" (fun () ->
-        let db = example13_db () in
-        let u =
-          Ucq.make
-            [ Db_parser.parse_query "R1(x), R2(x)";
-              Db_parser.parse_query "R1(x)" ]
-        in
-        let shap, solver = Ucq.shapley db u in
-        Alcotest.(check bool) "fallback" true (solver = Ucq.Compiled_union);
-        check_shap "values"
-          (Naive.shap_subsets
-             ~vars:(Vset.elements (Database.lineage_vars db))
-             (Ucq.lineage_formula db u))
-          shap);
-    t "union probability" (fun () ->
-        let db = example13_db () in
-        let u =
-          Ucq.make
-            [ Db_parser.parse_query "R1(x)"; Db_parser.parse_query "R2(x)" ]
-        in
-        (* P(x1|x2|x3|x4) at 1/2 = 15/16 *)
-        Alcotest.check rat "15/16" (Rat.of_ints 15 16)
-          (Ucq.probability db u ~weights:Prob.uniform_half));
-    t "empty union rejected" (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Ucq.make []);
-             false
-           with Invalid_argument _ -> true));
-    qtest "UCQ Shapley = brute force on random q0 unions" ~count:15
-      (QCheck.make QCheck.Gen.(int_range 0 9999))
-      (fun seed ->
-         let db, _ = random_q0_db ~a:2 ~b:2 ~density:0.6 ~seed in
-         let u =
-           Ucq.make
-             [ Db_parser.parse_query "R(x), S(x, y)";
-               Db_parser.parse_query "T(y)" ]
-         in
-         let shap, _ = Ucq.shapley db u in
-         let reference =
-           Naive.shap_subsets
-             ~vars:(Vset.elements (Database.lineage_vars db))
-             (Ucq.lineage_formula db u)
-         in
-         List.for_all2
-           (fun (i, x) (j, y) -> i = j && Rat.equal x y)
-           (List.sort compare reference) (List.sort compare shap))
-  ]
-
-let suite = read_once_tests @ hypergraph_tests @ ucq_tests
+let suite = read_once_tests @ hypergraph_tests

@@ -1,5 +1,4 @@
-(** Tests for DIMACS / NNF interchange, weighted model counting,
-    provenance semirings, and the cooperative-game module. *)
+(** Tests for DIMACS / NNF interchange and weighted model counting. *)
 
 open Helpers
 
@@ -203,141 +202,6 @@ let wmc_tests =
            (wmc_by_enumeration ~weights:(fun v -> r 1 (v + 2)) inst))
   ]
 
-let provenance_tests =
-  [ t "boolean semiring evaluation = lineage" (fun () ->
-        let db = example13_db () in
-        let q = Db_parser.parse_query "R1(x), R2(x)" in
-        let f =
-          Provenance.eval (module Provenance.Boolean_semiring) db q
-            ~annotate:Formula.var
-        in
-        Alcotest.(check bool) "equiv" true
-          (Semantics.equivalent f (Lineage.lineage_formula db q)));
-    t "derivation counting" (fun () ->
-        let db = example13_db () in
-        Alcotest.check bigint "2 derivations" (bi 2)
-          (Provenance.derivation_count db
-             (Db_parser.parse_query "R1(x), R2(x)"));
-        Alcotest.check bigint "4 derivations (cross product)" (bi 4)
-          (Provenance.derivation_count db
-             (Db_parser.parse_query "R1(x), R2(y)")));
-    t "provenance polynomial of example 13" (fun () ->
-        let db = example13_db () in
-        let p =
-          Provenance.provenance_polynomial db
-            (Db_parser.parse_query "R1(x), R2(x)")
-        in
-        (* x1 x3 + x2 x4 *)
-        Alcotest.(check int) "2 monomials" 2
-          (List.length (Provenance.Polynomial.monomials p)));
-    t "self-join exponents" (fun () ->
-        let db = Database.create () in
-        Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
-        ignore (Database.insert db "R" [| Value.int 1 |]);
-        let p =
-          Provenance.provenance_polynomial db
-            (Db_parser.parse_query "R(x), R(y)")
-        in
-        (* single derivation using the tuple twice: x1^2 *)
-        Alcotest.(check bool) "x1^2" true
-          (Provenance.Polynomial.monomials p = [ ([ (1, 2) ], 1) ]));
-    t "tropical semiring gives cheapest derivation" (fun () ->
-        let db = example13_db () in
-        let q = Db_parser.parse_query "R1(x), R2(x)" in
-        (* costs: var v costs v *)
-        let cost =
-          Provenance.eval (module Provenance.Tropical) db q
-            ~annotate:(fun v -> Provenance.Tropical.of_int v)
-        in
-        (* derivations cost 1+3=4 and 2+4=6 *)
-        Alcotest.(check (option int)) "4" (Some 4)
-          (Provenance.Tropical.to_int_opt cost));
-    t "no derivation = semiring zero" (fun () ->
-        let db = Database.create () in
-        Stretch.declare_q0_schema db;
-        ignore (Database.insert db "R" [| Value.int 1 |]);
-        Alcotest.check bigint "0" Bigint.zero
-          (Provenance.derivation_count db (Stretch.q0 ())));
-    qtest "factorization: specializing N[X] commutes with evaluation"
-      ~count:20
-      (QCheck.make QCheck.Gen.(int_range 0 9999))
-      (fun seed ->
-         let db, q = random_q0_db ~a:2 ~b:2 ~density:0.7 ~seed in
-         let p = Provenance.provenance_polynomial db q in
-         (* evaluate the polynomial in the counting semiring with weights
-            v -> v, vs direct annotated evaluation *)
-         let h v = Bigint.of_int v in
-         let lhs =
-           Provenance.Polynomial.eval (module Provenance.Counting) h p
-         in
-         let rhs =
-           Provenance.eval (module Provenance.Counting) db q ~annotate:h
-         in
-         Bigint.equal lhs rhs)
-  ]
-
-let game_tests =
-  [ t "boolean game reproduces Naive" (fun () ->
-        let g = Game.of_formula ~vars:example2_vars example2_formula in
-        check_shap "equal"
-          (Naive.shap_subsets ~vars:example2_vars example2_formula)
-          (Game.shapley g));
-    t "glove game" (fun () ->
-        (* players 1,2 hold left gloves, 3 a right glove; a pair is worth 1 *)
-        let wealth s =
-          let lefts =
-            Vset.cardinal (Vset.inter s (Vset.of_list [ 1; 2 ]))
-          in
-          let rights = if Vset.mem 3 s then 1 else 0 in
-          Rat.of_int (min lefts rights)
-        in
-        let g = Game.make [ 1; 2; 3 ] wealth in
-        let shap = Game.shapley g in
-        Alcotest.check rat "right glove worth 2/3" (r 2 3) (List.assoc 3 shap);
-        Alcotest.check rat "left gloves 1/6 each" (r 1 6) (List.assoc 1 shap));
-    t "axioms on the glove game" (fun () ->
-        let wealth s =
-          let lefts = Vset.cardinal (Vset.inter s (Vset.of_list [ 1; 2 ])) in
-          let rights = if Vset.mem 3 s then 1 else 0 in
-          Rat.of_int (min lefts rights)
-        in
-        let g = Game.make [ 1; 2; 3 ] wealth in
-        Alcotest.(check bool) "efficiency" true (Game.efficiency g);
-        Alcotest.(check bool) "symmetry 1~2" true (Game.symmetry g 1 2);
-        Alcotest.(check bool) "dummy (vacuous)" true (Game.dummy g 1));
-    t "player cap" (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Game.make (List.init 11 succ) (fun _ -> Rat.zero));
-             false
-           with Invalid_argument _ -> true));
-    qtest "axioms hold on random boolean games" ~count:30
-      (arb_formula ~nvars:4 ~depth:3)
-      (fun f ->
-         let vars = Vset.elements (Formula.vars f) in
-         QCheck.assume (List.length vars >= 2);
-         let g = Game.of_formula ~vars f in
-         Game.efficiency g
-         && List.for_all (fun i -> Game.dummy g i) vars
-         && Game.symmetry g (List.nth vars 0) (List.nth vars 1));
-    qtest "linearity" ~count:20
-      (QCheck.pair (arb_formula ~nvars:3 ~depth:3) (arb_formula ~nvars:3 ~depth:3))
-      (fun (f, gf) ->
-         let vars = [ 1; 2; 3 ] in
-         QCheck.assume
-           (Vset.subset (Formula.vars f) (Vset.of_list vars)
-            && Vset.subset (Formula.vars gf) (Vset.of_list vars));
-         Game.linearity (Game.of_formula ~vars f) (Game.of_formula ~vars gf));
-    qtest "game banzhaf = power-indices banzhaf" ~count:25
-      (arb_formula ~nvars:4 ~depth:3)
-      (fun f ->
-         let vars = Vset.elements (Formula.vars f) in
-         QCheck.assume (vars <> []);
-         let a = Game.banzhaf (Game.of_formula ~vars f) in
-         let b = Power_indices.banzhaf ~vars f in
-         List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b)
-  ]
-
 (* A clause may name only the variables its header declares. *)
 let dimacs_range_tests =
   [ t "clause literal outside the header's range names its line" (fun () ->
@@ -354,5 +218,4 @@ let dimacs_range_tests =
             ("p cnf 2 2\n1 2 0\nc spans lines\n-1\n-3 0\n", 5) ]) ]
 
 let suite =
-  dimacs_tests @ nnf_tests @ wmc_tests @ provenance_tests @ game_tests
-  @ dimacs_range_tests
+  dimacs_tests @ nnf_tests @ wmc_tests @ dimacs_range_tests

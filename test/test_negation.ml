@@ -208,43 +208,42 @@ let property_tests =
          !ok)
   ]
 
-(* Semiring provenance and UCQ lineage are defined for positive queries:
-   a negated atom is refused, not matched as a positive one (which gave
-   the polynomial x1x3 of R(x), S(x)) nor left to the safe plan. *)
+(* The positive-DNF lineage is defined for positive queries: a negated
+   atom is refused, not matched as a positive one (which would give the
+   clause x1 x3 of R(x), T(x)).  The general lineage and the
+   dichotomy's compiled route take it. *)
 let rejection_tests =
-  let raises_invalid f =
-    try ignore (f ()); false with Invalid_argument _ -> true
-  in
-  let db () =
-    let db = Database.create () in
-    Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
-    Database.declare db "S" ~kind:Database.Endogenous ~arity:1;
-    Database.declare db "T" ~kind:Database.Endogenous ~arity:1;
-    ignore (Database.insert db "R" [| Value.int 1 |]);
-    ignore (Database.insert db "R" [| Value.int 2 |]);
-    ignore (Database.insert db "S" [| Value.int 1 |]);
-    ignore (Database.insert db "T" [| Value.int 1 |]);
-    db
-  in
-  let q = Db_parser.parse_query "R(x), !S(x)" in
-  [ t "provenance rejects negated atoms" (fun () ->
-        let db = db () in
-        Alcotest.(check bool) "eval" true
-          (raises_invalid (fun () ->
-               Provenance.eval (module Provenance.Polynomial) db q
-                 ~annotate:Provenance.Polynomial.var));
-        Alcotest.(check bool) "provenance_polynomial" true
-          (raises_invalid (fun () -> Provenance.provenance_polynomial db q));
-        Alcotest.(check bool) "derivation_count" true
-          (raises_invalid (fun () -> Provenance.derivation_count db q)));
-    t "UCQ with a safely negated disjunct is rejected" (fun () ->
-        let db = db () in
-        (* both disjuncts hierarchical, on disjoint endogenous relations *)
-        let u = Ucq.make [ q; Db_parser.parse_query "T(y)" ] in
-        Alcotest.(check bool) "shapley" true
-          (raises_invalid (fun () -> Ucq.shapley db u));
-        Alcotest.(check bool) "probability" true
-          (raises_invalid (fun () ->
-               Ucq.probability db u ~weights:Prob.uniform_half))) ]
+  [ t "the positive lineage refuses negated atoms" (fun () ->
+        let db = Database.create () in
+        Database.declare db "R" ~kind:Database.Endogenous ~arity:1;
+        Database.declare db "T" ~kind:Database.Endogenous ~arity:1;
+        ignore (Database.insert db "R" [| Value.int 1 |]); (* x1 *)
+        ignore (Database.insert db "R" [| Value.int 2 |]); (* x2 *)
+        ignore (Database.insert db "T" [| Value.int 1 |]); (* x3 *)
+        let q = Db_parser.parse_query "R(x), !T(x)" in
+        Alcotest.check_raises "lineage"
+          (Invalid_argument "Lineage.lineage: query has negated atoms")
+          (fun () -> ignore (Lineage.lineage db q));
+        Alcotest.(check bool) "lineage_clauses: x1 !x3 + x2" true
+          (Lineage.lineage_clauses db q
+           = [ Nf.clause ~pos:[ 1 ] ~neg:[ 3 ]; Nf.clause ~pos:[ 2 ] ~neg:[] ]));
+    qtest "negated count_models = satisfying sub-databases" ~count:25
+      (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 99999))
+      (fun seed ->
+         let db = small_neg_db seed in
+         let q = Db_parser.parse_query "R(x), !T(x)" in
+         let count, solver = Dichotomy.count_models db q in
+         let varr = Array.of_list (Vset.elements (Database.lineage_vars db)) in
+         let satisfying = ref 0 in
+         for mask = 0 to (1 lsl Array.length varr) - 1 do
+           let present = ref Vset.empty in
+           Array.iteri
+             (fun i v ->
+                if mask land (1 lsl i) <> 0 then present := Vset.add v !present)
+             varr;
+           if eval_subdb db q !present then incr satisfying
+         done;
+         solver = Dichotomy.Compiled_dnf
+         && Bigint.equal count (Bigint.of_int !satisfying)) ]
 
 let suite = unit_tests @ property_tests @ rejection_tests

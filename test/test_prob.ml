@@ -73,7 +73,7 @@ let probability_tests =
          let q = Db_parser.parse_query "R(x), S(x, y)" in
          let weights v = r 1 (v + 1) in
          Rat.equal
-           (Pqe.probability db q ~weights)
+           (Prob.probability ~weights (fst (Dichotomy.circuit db q)))
            (Prob.probability ~weights
               (Compile.compile (Lineage.lineage_formula db q))))
   ]
@@ -164,8 +164,14 @@ let pqe_route_tests =
          in
          List.for_all2 (fun (i, x) (j, y) -> i = j && Rat.equal x y) a b);
     t "db-level Shapley via PQE matches the dichotomy solver" (fun () ->
+        (* a conditioned lineage is a PQE instance: a present tuple has
+           probability 1, an absent one 0 *)
         let db, q = random_q0_db ~a:2 ~b:2 ~density:0.7 ~seed:5 in
-        let via_pqe = Pqe.shapley_via_pqe db q in
+        let via_pqe =
+          Pipeline.shap_via_pqe_oracle ~oracle:Pipeline.pqe_circuit_oracle
+            ~vars:(Vset.elements (Database.lineage_vars db))
+            (Lineage.lineage_formula db q)
+        in
         let direct, _ = Dichotomy.shapley db q in
         check_shap "equal" direct via_pqe)
   ]

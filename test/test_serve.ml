@@ -4,7 +4,8 @@
       stream — split-invariance fuzzing over valid/corrupted requests
       cut at random boundaries, never-raises, terminal outcome after
       eof, and exact limit boundaries (header cap → 400, declared body
-      over cap → 413 before any body byte).
+      over cap → 413 before any body byte), and allocation linear in
+      the body's size.
     - [Tiny_json]: [parse (to_string v) = v] round-trip over random
       documents including control characters and non-ASCII bytes.
     - [Router]/[Api]: routing (404/405 + Allow/500), the JSON API
@@ -2360,6 +2361,64 @@ let warm_page_major_words () =
        heap (bound 256)"
       direct
 
+(* Bodies arrive in the daemon's 8 KB reads, each fed and then polled,
+   as [Server]'s [fill] does.  The parser keeps the header scan's
+   position and the parsed head, and copies the body once, so a 1 MiB
+   body allocates a few times its size in all (re-parsing every byte so
+   far on each feed and poll allocated 136 times its size).  A request
+   that arrives in one read, followed by the next parser's empty
+   leftover, stays within the 473 minor words that re-parsing cost it:
+   keeping the work must not make small requests dearer. *)
+let http_parse_allocation_linear () =
+  let request body =
+    Printf.sprintf
+      "POST /v1/shapley/all HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: \
+       application/json\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let size = 1 lsl 20 in
+  let big = request (String.make size 'x') in
+  let n = String.length big in
+  let chunks =
+    List.init ((n + 8191) / 8192) (fun i ->
+        String.sub big (i * 8192) (min 8192 (n - (i * 8192))))
+  in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let p = Http.create ~limits:Limits.default in
+  List.iter (fun c -> Http.feed p c; ignore (Http.poll p)) chunks;
+  let w1 = words () in
+  (match Http.poll p with
+   | Http.Request r ->
+     Alcotest.(check int) "body length" size (String.length r.Http.body)
+   | _ -> Alcotest.fail "the 1 MiB request did not parse");
+  let ratio = (w1 -. w0) *. 8. /. float size in
+  if ratio >= 8. then
+    Alcotest.failf "a 1 MiB body allocated %.1f times its size (bound 8)"
+      ratio;
+  let small = request {|{"query":"hot3","limit":17}|} in
+  Alcotest.(check int) "request bytes" 129 (String.length small);
+  let one_read () =
+    let p = Http.create ~limits:Limits.default in
+    Http.feed p small;
+    (match Http.poll p with
+     | Http.Request _ -> ()
+     | _ -> Alcotest.fail "the 129-byte request did not parse");
+    let next = Http.create ~limits:Limits.default in
+    Http.feed next (Http.leftover p);
+    ignore (Http.poll next)
+  in
+  one_read ();
+  let m0 = Gc.minor_words () in
+  one_read ();
+  let m1 = Gc.minor_words () in
+  if m1 -. m0 > 473. then
+    Alcotest.failf "a 129-byte request allocated %.0f minor words (bound 473)"
+      (m1 -. m0)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -2439,4 +2498,6 @@ let suite =
     t "http: a peer closing mid-body ends the write silently"
       writer_peer_closes_mid_body;
     t "serve: a warm page allocates under 256 major-heap words"
-      warm_page_major_words ]
+      warm_page_major_words;
+    t "http: a 1 MiB body in 8 KB reads allocates under 8x its size"
+      http_parse_allocation_linear ]
